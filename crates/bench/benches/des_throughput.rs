@@ -9,12 +9,13 @@
 //! dispatch and one completion event, so "events" here is 2x the task
 //! count.
 //!
-//! Two paths are measured per size, matching the two ways the sweep
-//! layer drives the DES:
+//! Two paths are measured per size:
 //!
-//! - **cold** — `DesSimulator::run`: scenario state (name table, cost
-//!   grid, SoA slabs, estimate book) is rebuilt every run. This is the
-//!   one-off CLI path.
+//! - **cold** — `DesSimulator::run`: compile + `run_compiled`. The
+//!   config is lowered to a `ScenarioSpec` and compiled afresh (shared
+//!   instance images, name table, SoA slabs, estimate book) every run,
+//!   then simulated on the warm scratch arena. This is the one-off path
+//!   of a library caller.
 //! - **warm** — `DesSimulator::run_compiled` against one
 //!   [`CompiledScenario`], repeated on the same simulator: the run
 //!   reuses the precompiled SoA slabs and the simulator's scratch arena
@@ -120,7 +121,7 @@ fn compile_scenario(
     CompiledScenario::compile(spec).expect("compile")
 }
 
-/// One cold DES run (fresh FRFS policy, scenario state rebuilt),
+/// One cold DES run (fresh FRFS policy, scenario compiled afresh),
 /// returning the task count.
 fn run_once(sim: &mut DesSimulator, wl: &Workload, library: &AppLibrary) -> usize {
     let mut sched = by_name("frfs").expect("library policy");
@@ -132,7 +133,7 @@ fn run_once(sim: &mut DesSimulator, wl: &Workload, library: &AppLibrary) -> usiz
 /// simulator scratch), returning the task count.
 fn run_warm(sim: &mut DesSimulator, scenario: &CompiledScenario) -> usize {
     let mut sched = by_name("frfs").expect("library policy");
-    let stats = sim.run_compiled(sched.as_mut(), scenario).expect("simulation");
+    let stats = sim.run_compiled(sched.as_mut(), scenario, None, None).expect("simulation");
     stats.tasks.len()
 }
 

@@ -90,28 +90,31 @@ fn bench_metrics_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("metrics_overhead");
     g.sample_size(30);
 
-    // The warm pool is reused across iterations (as in a sweep), so the
+    // Each warm pool is reused across iterations (as in a sweep), so the
     // measured delta is the per-run metrics cost, not thread spawning.
+    let registry = MetricsRegistry::new();
     let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
+    let mut metered_emu = Emulation::with_config(
+        platform.clone(),
+        EmulationConfig { metrics: Some(registry.clone()), ..config.clone() },
+    )
+    .unwrap();
 
     // Metrics are recorded off the emulation clock: enabling them must
     // not move the modeled makespan at all (the <3% budget is about
     // host wall time; the model itself sees 0%).
     let base = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
-    emu.set_metrics(Some(MetricsRegistry::new()));
-    let metered = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
-    emu.set_metrics(None);
+    let metered = metered_emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
     assert_eq!(base, metered, "enabling metrics perturbed the modeled makespan");
 
     g.bench_function("emulator_off", |b| {
         b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
     });
-    let registry = MetricsRegistry::new();
-    emu.set_metrics(Some(registry.clone()));
     g.bench_function("emulator_on", |b| {
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        b.iter(|| {
+            black_box(metered_emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap())
+        })
     });
-    emu.set_metrics(None);
     assert!(
         registry.snapshot().value("dssoc_tasks_ready", &[]).unwrap_or(0.0) > 0.0,
         "metered runs must have published samples"

@@ -7,13 +7,14 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
+use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
 use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
+use dssoc_core::job::{CompiledScenario, CostSpec};
 use dssoc_core::FrfsScheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
@@ -59,18 +60,26 @@ fn bench_trace_overhead(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_overhead");
     g.sample_size(30);
 
-    // The warm pool is reused across iterations (as in a sweep), so the
-    // measured delta is the per-run tracing cost, not thread spawning.
+    // The warm pool and one compiled scenario are reused across
+    // iterations (as in a sweep), so the measured delta is the per-run
+    // tracing cost, not thread spawning or compilation.
     let mut emu = Emulation::with_config(platform.clone(), config.clone()).unwrap();
+    let scenario = CompiledScenario::compile(config.scenario(
+        Arc::new(library.clone()),
+        Arc::new(platform.clone()),
+        "frfs".to_string(),
+        Arc::new(workload.clone()),
+    ))
+    .unwrap();
     g.bench_function("emulator_off", |b| {
-        b.iter(|| black_box(emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap()))
+        b.iter(|| black_box(emu.run_compiled(&mut FrfsScheduler::new(), &scenario, None).unwrap()))
     });
     g.bench_function("emulator_on", |b| {
         b.iter(|| {
             let session = TraceSession::new();
-            emu.set_trace(Some(session.sink()));
-            let stats = emu.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
-            emu.set_trace(None);
+            let sink = session.sink();
+            let stats =
+                emu.run_compiled(&mut FrfsScheduler::new(), &scenario, Some(&sink)).unwrap();
             assert_eq!(session.dropped(), 0);
             black_box((stats, session.events_recorded()))
         })

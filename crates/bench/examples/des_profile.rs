@@ -69,7 +69,7 @@ fn main() {
     let mut tasks = 0usize;
     let start = Instant::now();
     for _ in 0..reps {
-        let stats = sim.run_compiled(sched.as_mut(), &scenario).expect("simulation");
+        let stats = sim.run_compiled(sched.as_mut(), &scenario, None, None).expect("simulation");
         tasks = black_box(stats.tasks.len());
     }
     let elapsed = start.elapsed();

@@ -49,8 +49,12 @@ fn main() {
             })
         })
         .collect();
-    let results = run_sweep_with_progress(SweepRunner::new(&library), &cells, sweep_workers(1))
-        .expect("sweep");
+    let results = run_sweep_with_progress(
+        SweepRunner::with_config(&library, EmulationConfig::default()),
+        &cells,
+        sweep_workers(1),
+    )
+    .expect("sweep");
 
     let mut report = BenchReport::new("fig10");
     let mut rows: Vec<(f64, Vec<(f64, f64)>)> = Vec::new();

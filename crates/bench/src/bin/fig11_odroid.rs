@@ -70,9 +70,12 @@ fn main() {
             })
         })
         .collect();
-    let cell_results =
-        run_sweep_with_progress(SweepRunner::new(&library), &cells, sweep_workers(1))
-            .expect("sweep");
+    let cell_results = run_sweep_with_progress(
+        SweepRunner::with_config(&library, EmulationConfig::default()),
+        &cells,
+        sweep_workers(1),
+    )
+    .expect("sweep");
 
     let mut report = BenchReport::new("fig11");
     let mut results: Vec<((usize, usize), Vec<f64>)> = Vec::new();

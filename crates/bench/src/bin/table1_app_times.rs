@@ -50,8 +50,12 @@ fn main() {
                 .warmup(iterations > 1)
         })
         .collect();
-    let results = run_sweep_with_progress(SweepRunner::new(&library), &cells, sweep_workers(1))
-        .expect("sweep");
+    let results = run_sweep_with_progress(
+        SweepRunner::with_config(&library, EmulationConfig::default()),
+        &cells,
+        sweep_workers(1),
+    )
+    .expect("sweep");
 
     let mut report = BenchReport::new("table1");
     for ((app, paper_ms), result) in paper.iter().zip(&results) {

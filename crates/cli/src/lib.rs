@@ -25,7 +25,7 @@ use dssoc_core::engine::{EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::fault::FaultSpec;
 use dssoc_core::job::{platform_preset, CostSpec, Engine};
 use dssoc_core::stats::EmulationStats;
-use dssoc_core::sweep::{default_workers, DesSweepRunner, SweepCell, SweepProgress, SweepRunner};
+use dssoc_core::sweep::{default_workers, EngineConfig, SweepCell, SweepProgress, SweepRunner};
 use dssoc_metrics::{MetricsRegistry, MetricsServer, MetricsSnapshot};
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::TraceSession;
@@ -313,50 +313,39 @@ pub fn execute(run: &RunArgs) -> Result<RunOutcome, String> {
     let session = run.trace.as_ref().map(|_| TraceSession::new());
     let progress = SweepProgress::new();
     let watcher = run.progress.then(|| progress.watch_stderr(Duration::from_millis(200)));
-    // Both arms lower the cell to a ScenarioSpec inside the sweep
-    // runners and execute through the JobRunner. The batch API clamps
-    // the worker count to the grid size, so this single cell runs
-    // sequentially on the runner's own warm engine; CLI grids grown
+    // The runner lowers the cell to a ScenarioSpec and executes it
+    // through its JobRunner on the configured engine. The batch API
+    // clamps the worker count to the grid size, so this single cell
+    // runs sequentially on the runner's own warm engine; CLI grids grown
     // beyond one cell parallelize for free.
-    let result = match run.engine {
-        Engine::Threaded => {
-            let cfg = EmulationConfig {
-                timing: run.timing,
-                overhead: OverheadMode::Measured,
-                cost: CostSpec::default(),
-                reservation_depth: run.reservation_depth,
-                trace: None,
-                faults: None,
-                metrics: registry.clone(),
-            };
-            let mut runner = SweepRunner::with_config(&library, cfg);
-            if let Some(reg) = &registry {
-                runner.cache().attach_metrics(reg);
-            }
-            if let Some(session) = &session {
-                runner.trace_cell(cell.label.clone(), session.sink());
-            }
-            runner.set_progress(progress.clone());
-            runner.run_batch_parallel(std::slice::from_ref(&cell), default_workers())
+    let config: EngineConfig = match run.engine {
+        Engine::Threaded => EmulationConfig {
+            timing: run.timing,
+            overhead: OverheadMode::Measured,
+            cost: CostSpec::default(),
+            reservation_depth: run.reservation_depth,
+            trace: None,
+            faults: None,
+            metrics: registry.clone(),
         }
-        Engine::Des => {
-            // DES runs carry no measured kernel times: a deterministic
-            // cost table (JSON profile estimates underneath) stands in.
-            let cfg = DesConfig { metrics: registry.clone(), ..DesConfig::default() };
-            let mut runner = DesSweepRunner::with_config(&library, cfg);
-            if let Some(reg) = &registry {
-                runner.cache().attach_metrics(reg);
-            }
-            if let Some(session) = &session {
-                runner.trace_cell(cell.label.clone(), session.sink());
-            }
-            runner.set_progress(progress.clone());
-            runner.run_batch_parallel(std::slice::from_ref(&cell), default_workers())
-        }
+        .into(),
+        // DES runs carry no measured kernel times: a deterministic cost
+        // table (JSON profile estimates underneath) stands in.
+        Engine::Des => DesConfig { metrics: registry.clone(), ..DesConfig::default() }.into(),
+    };
+    let mut runner = SweepRunner::with_config(&library, config);
+    if let Some(reg) = &registry {
+        runner.cache().attach_metrics(reg);
     }
-    .map_err(|e| e.to_string())?
-    .pop()
-    .expect("one cell in, one result out");
+    if let Some(session) = &session {
+        runner.trace_cell(cell.label.clone(), session.sink());
+    }
+    runner.set_progress(progress.clone());
+    let result = runner
+        .run_batch_parallel(std::slice::from_ref(&cell), default_workers())
+        .map_err(|e| e.to_string())?
+        .pop()
+        .expect("one cell in, one result out");
     drop(watcher);
     if let (Some(path), Some(session)) = (&run.trace, &session) {
         write_trace(path, session)?;

@@ -61,24 +61,24 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::MetricsRegistry;
-use dssoc_platform::cost::{CostModel, CostTable};
+use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, TraceSink};
 
 use crate::arena::{CompletionEvent, DenseReady, DesScratch, RetryEntry};
-use crate::engine::EmuError;
+use crate::engine::{EmuError, OverheadMode, TimingMode};
 use crate::exec::{
-    pe_mask_bit, preflight_compat, register_trace_meta, resolve_unschedulable,
-    validate_assignments_with, CompletionSink, ExecTracer, PeSlots, ReadyList,
+    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments_with,
+    CompletionSink, ExecTracer, PeSlots, ReadyList,
 };
-use crate::fault::{FaultPlan, FaultSpec, FaultState};
-use crate::intern::{Interner, NameTable};
-use crate::job::{build_cost_grid, CompiledScenario, CostSpec, Fingerprint};
+use crate::fault::{FaultSpec, FaultState};
+use crate::intern::NameTable;
+use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{ExecMetrics, OverheadPhase};
-use crate::sched::{Assignment, EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::sched::{Assignment, EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{AppRecord, DenseTaskLog, EmulationStats, TaskRecord};
 use crate::task::ReadyTask;
@@ -123,6 +123,36 @@ impl Default for DesConfig {
     }
 }
 
+impl DesConfig {
+    /// Lowers this configuration to the scenario of one run: always
+    /// [`TimingMode::Modeled`], the fixed per-invocation overhead (none
+    /// when zero), the configured cost and faults, no reservation.
+    pub fn scenario(
+        &self,
+        library: Arc<AppLibrary>,
+        platform: Arc<PlatformConfig>,
+        scheduler: String,
+        workload: Arc<Workload>,
+    ) -> ScenarioSpec {
+        let overhead = if self.overhead_per_invocation.is_zero() {
+            OverheadMode::None
+        } else {
+            OverheadMode::Fixed(self.overhead_per_invocation)
+        };
+        ScenarioSpec {
+            library,
+            platform,
+            scheduler,
+            workload,
+            timing: TimingMode::Modeled,
+            overhead,
+            cost: self.cost.clone(),
+            reservation_depth: 0,
+            faults: self.faults.clone(),
+        }
+    }
+}
+
 impl std::fmt::Debug for DesConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DesConfig")
@@ -144,12 +174,6 @@ impl std::fmt::Debug for DesConfig {
 pub struct DesSimulator {
     platform: Arc<PlatformConfig>,
     config: DesConfig,
-    /// The resolved cost model (from `config.cost`).
-    cost: Arc<dyn CostModel>,
-    /// Cooperative-cancel flag, polled once per event-loop iteration.
-    /// Lives on the simulator (not `DesConfig`) so existing config
-    /// struct literals stay valid; installed per run by `set_cancel`.
-    cancel: Option<Arc<AtomicBool>>,
     /// Warm per-simulator buffers, reset (not freed) between runs.
     scratch: DesScratch,
 }
@@ -163,8 +187,7 @@ impl DesSimulator {
     ) -> Result<Self, EmuError> {
         let platform = platform.into();
         platform.validate().map_err(EmuError::Config)?;
-        let cost = config.cost.resolve();
-        Ok(DesSimulator { platform, config, cost, cancel: None, scratch: DesScratch::default() })
+        Ok(DesSimulator { platform, config, scratch: DesScratch::default() })
     }
 
     /// The platform being simulated.
@@ -172,71 +195,23 @@ impl DesSimulator {
         &self.platform
     }
 
-    /// Installs (or, with `None`, removes) a fault-injection spec.
-    /// Subsequent [`Self::run`] calls compile it against the platform
-    /// and model the resulting plan in virtual time.
-    pub fn set_faults(&mut self, faults: Option<Arc<FaultSpec>>) {
-        self.config.faults = faults;
-    }
-
-    /// Installs (or, with `None`, removes) a trace sink. Subsequent runs
-    /// record into the sink's session.
-    pub fn set_trace(&mut self, trace: Option<TraceSink>) {
-        self.config.trace = trace;
-    }
-
-    /// Installs (or, with `None`, removes) a live-metrics registry.
-    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
-        self.config.metrics = metrics;
-    }
-
-    /// Installs (or, with `None`, removes) a cooperative-cancel flag.
-    /// Both event loops poll it (relaxed) once per clock advance; when
-    /// it reads `true` the run aborts with [`EmuError::Canceled`],
-    /// leaving the warm scratch arena intact for the next run. Intended
-    /// for a supervising owner (the serve daemon) that must reclaim a
-    /// worker from a long simulation without tearing the thread down.
-    pub fn set_cancel(&mut self, cancel: Option<Arc<AtomicBool>>) {
-        self.cancel = cancel;
-    }
-
-    /// Simulates a workload to completion under `scheduler`.
+    /// Simulates a workload to completion under `scheduler`: lowers the
+    /// configuration to a [`ScenarioSpec`], compiles it (labelled with
+    /// the scheduler's name), and runs it with [`Self::run_compiled`].
     pub fn run(
         &mut self,
         scheduler: &mut dyn Scheduler,
         workload: &Workload,
         library: &AppLibrary,
     ) -> Result<EmulationStats, EmuError> {
-        // Compatibility pre-flight, shared with the emulator.
-        preflight_compat(&self.platform, workload, library)?;
-        // The DES never executes a kernel, so instance memory is never
-        // written: instances of one application can share a single
-        // initialized image instead of each allocating its own.
-        let instances: Vec<Arc<AppInstance>> =
-            workload.instantiate_shared(library)?.into_iter().map(Arc::new).collect();
-
-        let mut interner = Interner::new();
-        let names = Arc::new(NameTable::build(&instances, &self.platform, &mut interner));
-
-        // The DES observes completions into an estimate book exactly like
-        // the emulator, so estimate-driven policies (MET/EFT) see the
-        // same context in both engines. Per-(spec, node, PE column)
-        // dispatch costs are resolved once into a dense grid, then
-        // flattened into SoA slabs; the scheduler contract keeps
-        // incompatible (sentinel) combinations from ever dispatching.
-        let mut estimates = EstimateBook::new();
-        let costs =
-            build_cost_grid(&*self.cost, &self.platform, &names, &instances, &mut estimates);
-        let soa = ScenarioSoa::build(&instances, &names, &costs, self.platform.pes.len());
-
-        let plan: Option<FaultPlan> = match &self.config.faults {
-            Some(spec) => Some(spec.compile(&self.platform).map_err(EmuError::Config)?),
-            None => None,
-        };
-
-        // No fingerprint: the estimate book was built for this call
-        // only, so the warm values-only reset never applies.
-        self.run_inner(scheduler, &instances, &names, &soa, &estimates, None, plan.as_ref())
+        let spec = self.config.scenario(
+            Arc::new(library.clone()),
+            Arc::clone(&self.platform),
+            scheduler.name().to_string(),
+            Arc::new(workload.clone()),
+        );
+        let scenario = CompiledScenario::compile_custom(spec)?;
+        self.run_compiled(scheduler, &scenario, None, None)
     }
 
     /// Simulates a precompiled scenario, reusing its shared instance
@@ -245,36 +220,24 @@ impl DesSimulator {
     /// Compatibility was preflighted at compile time. Consecutive runs
     /// of the same scenario additionally skip the estimate-book rebuild
     /// (a values-only reset, keyed on the scenario fingerprint).
+    ///
+    /// `trace` records this run only, in place of the configured sink.
+    /// `cancel` is polled (relaxed) once per clock advance; when it
+    /// reads `true` the run aborts with [`EmuError::Canceled`], leaving
+    /// the warm scratch arena intact for the next run — how a
+    /// supervising owner (the serve daemon) reclaims a worker from a
+    /// long simulation without tearing the thread down.
     pub fn run_compiled(
         &mut self,
         scheduler: &mut dyn Scheduler,
         scenario: &CompiledScenario,
+        trace: Option<&TraceSink>,
+        cancel: Option<&AtomicBool>,
     ) -> Result<EmulationStats, EmuError> {
-        self.run_inner(
-            scheduler,
-            scenario.instances(),
-            &scenario.names,
-            scenario.soa(),
-            scenario.estimates_ref(),
-            Some(scenario.fingerprint()),
-            scenario.plan(),
-        )
-    }
-
-    /// Splits the warm scratch out of `self` (so the loop can borrow
-    /// `&self` and the arena disjointly) and guarantees it returns.
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names: &Arc<NameTable>,
-        soa: &ScenarioSoa,
-        est_proto: &EstimateBook,
-        est_ident: Option<Fingerprint>,
-        plan: Option<&FaultPlan>,
-    ) -> Result<EmulationStats, EmuError> {
+        // Split the warm scratch out of `self` (so the loop can borrow
+        // `&self` and the arena disjointly); it always returns.
         let mut scratch = std::mem::take(&mut self.scratch);
+        let trace = trace.or(self.config.trace.as_ref());
         // The fully-dense loop: FRFS-exact policy, bitmask-sized
         // platform, nothing that wants fat per-event bookkeeping — no
         // fault plan, no tracer, no live metrics, no estimate-reading
@@ -282,54 +245,44 @@ impl DesSimulator {
         let dense_loop = scheduler.dense_fifo()
             && !scheduler.uses_estimates()
             && self.platform.pes.len() <= 64
-            && plan.is_none()
-            && self.config.trace.is_none()
+            && scenario.plan().is_none()
+            && trace.is_none()
             && self.config.metrics.is_none();
         let result = if dense_loop {
-            self.run_loop_dense(scheduler, instances, names, soa, &mut scratch)
+            self.run_loop_dense(scheduler, scenario, cancel, &mut scratch)
         } else {
-            self.run_loop(
-                scheduler,
-                instances,
-                names,
-                soa,
-                est_proto,
-                est_ident,
-                plan,
-                &mut scratch,
-            )
+            self.run_loop(scheduler, scenario, trace, cancel, &mut scratch)
         };
         self.scratch = scratch;
         result
     }
 
-    /// The event loop. `names`/`soa`/`est_proto`/`plan` are
-    /// scenario-scoped precomputations: [`Self::run`] builds them per
-    /// call, [`Self::run_compiled`] hands in the compiled-once shared
-    /// ones. All per-run growable state comes from (and returns to) the
-    /// scratch arena.
-    #[allow(clippy::too_many_arguments)]
+    /// The event loop over a compiled scenario's shared state. All
+    /// per-run growable state comes from (and returns to) the scratch
+    /// arena.
     fn run_loop(
         &self,
         scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names_arc: &Arc<NameTable>,
-        soa: &ScenarioSoa,
-        est_proto: &EstimateBook,
-        est_ident: Option<Fingerprint>,
-        plan: Option<&FaultPlan>,
+        scenario: &CompiledScenario,
+        trace: Option<&TraceSink>,
+        cancel: Option<&AtomicBool>,
         s: &mut DesScratch,
     ) -> Result<EmulationStats, EmuError> {
+        let instances = scenario.instances();
+        let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
+        let soa = scenario.soa();
+        let plan = scenario.plan();
         s.reset();
         // Estimate-book reuse: during a run only `observe_at` touches the
         // book (slots are resolved at scenario compile), so a book whose
         // slot map came from this same scenario needs only its values
         // restored — a memcpy instead of rebuilding two hash maps.
-        if est_ident.is_some() && s.est_src == est_ident {
-            s.estimates.reset_values_from(est_proto);
+        let est_ident = Some(scenario.fingerprint());
+        if s.est_src == est_ident {
+            s.estimates.reset_values_from(scenario.estimates_ref());
         } else {
-            s.estimates.reset_from(est_proto);
+            s.estimates.reset_from(scenario.estimates_ref());
         }
         s.est_src = est_ident;
 
@@ -405,7 +358,7 @@ impl DesSimulator {
 
         let mut sink = CompletionSink::new();
         sink.reserve_apps(instances.len());
-        let tracer = match &self.config.trace {
+        let tracer = match trace {
             Some(trace_sink) => {
                 register_trace_meta(
                     trace_sink,
@@ -443,10 +396,8 @@ impl DesSimulator {
             // Cooperative cancel: one relaxed load per clock window is
             // invisible at ~30M events/sec, and a stale read only delays
             // the abort by one window.
-            if let Some(flag) = &self.cancel {
-                if flag.load(AtomicOrdering::Relaxed) {
-                    return Err(EmuError::Canceled);
-                }
+            if cancel.is_some_and(|flag| flag.load(AtomicOrdering::Relaxed)) {
+                return Err(EmuError::Canceled);
             }
             // Drain everything due at the current clock first, in one
             // same-window batch. The batch comes out in full `Ord` order,
@@ -787,19 +738,22 @@ impl DesSimulator {
     /// The dense fast loop: FRFS computed in-engine over an `Arc`-free
     /// ready ring, PE state as one idle bitmask, and completion facts
     /// appended straight to the SoA columns. Taken only when nothing
-    /// needs the general machinery (see the gate in [`Self::run_inner`])
-    /// — and pinned bit-identical to [`Self::run_loop`] over the same
-    /// inputs by the `dense_loop_matches_general_loop` test and the
-    /// cross-engine differential suites.
+    /// needs the general machinery (see the gate in
+    /// [`Self::run_compiled`]) — and pinned bit-identical to
+    /// [`Self::run_loop`] over the same inputs by the
+    /// `dense_loop_matches_general_loop` test and the cross-engine
+    /// differential suites.
     fn run_loop_dense(
         &self,
         scheduler: &mut dyn Scheduler,
-        instances: &[Arc<AppInstance>],
-        names_arc: &Arc<NameTable>,
-        soa: &ScenarioSoa,
+        scenario: &CompiledScenario,
+        cancel: Option<&AtomicBool>,
         s: &mut DesScratch,
     ) -> Result<EmulationStats, EmuError> {
+        let instances = scenario.instances();
+        let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
+        let soa = scenario.soa();
         s.reset();
         let DesScratch {
             inst_base,
@@ -858,10 +812,8 @@ impl DesSimulator {
         let mut head = 0usize;
 
         loop {
-            if let Some(flag) = &self.cancel {
-                if flag.load(AtomicOrdering::Relaxed) {
-                    return Err(EmuError::Canceled);
-                }
+            if cancel.is_some_and(|flag| flag.load(AtomicOrdering::Relaxed)) {
+                return Err(EmuError::Canceled);
             }
             // Same-window batch drain, same full-`Ord` tie-break order
             // as the general loop.

@@ -41,13 +41,13 @@ use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
 use crate::exec::{
-    pe_mask_bit, preflight_compat, register_trace_meta, resolve_unschedulable,
-    validate_assignments, CompletionSink, ExecTracer, InstanceTracker, PeSlots, ReadyList,
+    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments, CompletionSink,
+    ExecTracer, InstanceTracker, PeSlots, ReadyList,
 };
 use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
-use crate::intern::{Interner, NameTable};
-use crate::job::{CompiledScenario, CostSpec};
+use crate::intern::NameTable;
+use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{ExecMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
 use crate::sched::{EstimateBook, PeView, SchedContext, Scheduler};
@@ -132,6 +132,30 @@ impl Default for EmulationConfig {
     }
 }
 
+impl EmulationConfig {
+    /// Lowers this configuration to the scenario of one run: the config
+    /// supplies timing, overhead, cost, reservation depth, and faults.
+    pub fn scenario(
+        &self,
+        library: Arc<AppLibrary>,
+        platform: Arc<PlatformConfig>,
+        scheduler: String,
+        workload: Arc<Workload>,
+    ) -> ScenarioSpec {
+        ScenarioSpec {
+            library,
+            platform,
+            scheduler,
+            workload,
+            timing: self.timing,
+            overhead: self.overhead,
+            cost: self.cost.clone(),
+            reservation_depth: self.reservation_depth,
+            faults: self.faults.clone(),
+        }
+    }
+}
+
 impl std::fmt::Debug for EmulationConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EmulationConfig")
@@ -175,9 +199,9 @@ pub enum EmuError {
         /// Why the run is unrecoverable.
         reason: String,
     },
-    /// The run was cooperatively cancelled mid-flight: an installed
-    /// cancel flag (see [`DesSimulator::set_cancel`]
-    /// (crate::des::DesSimulator::set_cancel)) was observed set at an
+    /// The run was cooperatively cancelled mid-flight: its cancel flag
+    /// (see [`DesSimulator::run_compiled`]
+    /// (crate::des::DesSimulator::run_compiled)) was observed set at an
     /// event-loop poll point. Simulated state is discarded; the warm
     /// scratch arena is returned intact, so the engine stays reusable.
     Canceled,
@@ -409,60 +433,57 @@ impl Emulation {
         &self.platform
     }
 
-    /// Installs (or, with `None`, removes) a trace sink on this driver
-    /// and its resource pool. Subsequent [`Self::run`] calls record into
-    /// the sink's session.
-    pub fn set_trace(&mut self, trace: Option<TraceSink>) {
-        match &trace {
-            Some(sink) => self.pool.attach_trace(sink),
-            None => self.pool.detach_trace(),
-        }
-        self.config.trace = trace;
-    }
-
-    /// Installs (or, with `None`, removes) a fault-injection spec.
-    /// Subsequent [`Self::run`] calls compile it against the platform
-    /// and honor the resulting plan.
-    pub fn set_faults(&mut self, faults: Option<Arc<FaultSpec>>) {
-        self.config.faults = faults;
-    }
-
-    /// Installs (or, with `None`, removes) a live-metrics registry.
-    /// Subsequent [`Self::run`] calls publish into it.
-    pub fn set_metrics(&mut self, metrics: Option<MetricsRegistry>) {
-        self.config.metrics = metrics;
-    }
-
     /// Runs a workload to completion under `scheduler`, returning the
-    /// collected statistics. The persistent resource pool is reused:
-    /// consecutive runs on the same `Emulation` dispatch to the same
-    /// threads.
+    /// collected statistics: lowers the configuration to a
+    /// [`ScenarioSpec`], compiles it (labelled with the scheduler's
+    /// name), and runs it with [`Self::run_compiled`]. The persistent
+    /// resource pool is reused: consecutive runs on the same `Emulation`
+    /// dispatch to the same threads.
     pub fn run(
         &mut self,
         scheduler: &mut dyn Scheduler,
         workload: &Workload,
         library: &AppLibrary,
     ) -> Result<EmulationStats, EmuError> {
-        // Pre-flight: every node of every requested app must have a
-        // compatible PE in this platform, or the emulation would deadlock.
-        preflight_compat(&self.platform, workload, library)?;
+        let spec = self.config.scenario(
+            Arc::new(library.clone()),
+            Arc::clone(&self.platform),
+            scheduler.name().to_string(),
+            Arc::new(workload.clone()),
+        );
+        let scenario = CompiledScenario::compile_custom(spec)?;
+        self.run_compiled(scheduler, &scenario, None)
+    }
 
+    /// Runs a precompiled scenario, reusing its name table and fault
+    /// plan. Kernels mutate instance memory, so the threaded engine
+    /// instantiates fresh private instances per run; ids and spec
+    /// mapping match the scenario's shared images by construction,
+    /// which is what keeps the precompiled [`NameTable`] valid.
+    /// Compatibility was preflighted at compile time.
+    ///
+    /// `trace` records this run only — the driver and every resource
+    /// manager — in place of the configured sink, which is back in
+    /// place when the call returns.
+    pub fn run_compiled(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        scenario: &CompiledScenario,
+        trace: Option<&TraceSink>,
+    ) -> Result<EmulationStats, EmuError> {
+        let spec = scenario.spec();
         let instances: Vec<Arc<AppInstance>> =
-            workload.instantiate(library)?.into_iter().map(Arc::new).collect();
-
-        let mut interner = Interner::new();
-        let names = NameTable::build(&instances, &self.platform, &mut interner);
-        let plan: Option<FaultPlan> = match &self.config.faults {
-            Some(spec) => Some(spec.compile(&self.platform).map_err(EmuError::Config)?),
-            None => None,
-        };
-
+            spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
+        if let Some(sink) = trace {
+            self.pool.attach_trace(sink);
+        }
         let result = self.workload_manager(
             scheduler,
             instances,
             self.pool.handlers(),
-            &names,
-            plan.as_ref(),
+            scenario.names(),
+            scenario.plan(),
+            trace.or(self.config.trace.as_ref()),
         );
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
@@ -470,40 +491,18 @@ impl Emulation {
             // except wedged manager threads, which would never report.
             self.pool.drain_except(&self.wedged.borrow());
         }
-        result
-    }
-
-    /// Runs a precompiled scenario, reusing its name table and fault
-    /// plan instead of rebuilding them. Kernels mutate instance memory,
-    /// so the threaded engine instantiates fresh private instances per
-    /// run; ids and spec mapping match the scenario's shared images by
-    /// construction, which is what keeps the precompiled [`NameTable`]
-    /// valid. Compatibility was preflighted at compile time.
-    pub fn run_compiled(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        scenario: &CompiledScenario,
-    ) -> Result<EmulationStats, EmuError> {
-        let spec = scenario.spec();
-        let instances: Vec<Arc<AppInstance>> =
-            spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
-        let result = self.workload_manager(
-            scheduler,
-            instances,
-            self.pool.handlers(),
-            scenario.names(),
-            scenario.plan(),
-        );
-        if result.is_err() {
-            self.pool.drain_except(&self.wedged.borrow());
+        if trace.is_some() {
+            match &self.config.trace {
+                Some(sink) => self.pool.attach_trace(sink),
+                None => self.pool.detach_trace(),
+            }
         }
         result
     }
 
     /// The workload-manager loop (runs on the calling thread — the
-    /// emulation's "overlay processor"). `names` and `plan` are
-    /// scenario-scoped precomputations: [`Self::run`] builds them per
-    /// call, [`Self::run_compiled`] hands in the shared ones.
+    /// emulation's "overlay processor"). `names` and `plan` are the
+    /// compiled scenario's shared precomputations.
     fn workload_manager(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -511,6 +510,7 @@ impl Emulation {
         handlers: &[Arc<ResourceHandler>],
         names: &NameTable,
         plan: Option<&FaultPlan>,
+        trace: Option<&TraceSink>,
     ) -> Result<EmulationStats, EmuError> {
         let timing = self.config.timing;
         let overlay_speed = self.platform.overlay.speed;
@@ -550,7 +550,7 @@ impl Emulation {
         let mut vclock = SimTime::ZERO;
 
         let mut sink = CompletionSink::new();
-        let tracer = match &self.config.trace {
+        let tracer = match trace {
             Some(trace_sink) => {
                 register_trace_meta(trace_sink, &self.platform, scheduler.name(), &kept_instances);
                 ExecTracer::attach(trace_sink, "workload-manager")

@@ -16,12 +16,12 @@
 //!   (splitmix64 mixing, like the fault plan's RNG): equal for
 //!   structurally equal specs regardless of `Arc` identity or build
 //!   order, different under any field mutation.
-//! * [`CompiledScenario`] — everything both engines used to rebuild per
-//!   run, precompiled once: interned [`NameTable`], the dense
-//!   `[spec][node][PE]` [`CostGrid`], the compiled [`FaultPlan`], the
-//!   shared read-only instance images, and a slot-assigned
-//!   [`EstimateBook`] prototype. Shared across runs *and threads* via
-//!   `Arc`.
+//! * [`CompiledScenario`] — everything a run needs that does not change
+//!   between runs, precompiled once: interned [`NameTable`], the dense
+//!   `[node][PE]` dispatch-cost slabs ([`ScenarioSoa`]), the compiled
+//!   [`FaultPlan`], the shared read-only instance images, and a
+//!   slot-assigned [`EstimateBook`] prototype. Shared across runs *and
+//!   threads* via `Arc`. Both engines' one-off `run` compiles one too.
 //! * [`JobRunner`] — the front door: give it a compiled scenario and an
 //!   [`Engine`], get a [`JobResult`] back. It keeps warm engine pools
 //!   keyed by what engine construction actually depends on, and a
@@ -48,15 +48,9 @@ use crate::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMo
 use crate::exec::preflight_compat;
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::intern::{Interner, NameTable};
-use crate::sched::{by_name, EstimateBook, EstimateSlot, Scheduler};
+use crate::sched::{by_name, EstimateBook, Scheduler};
 use crate::soa::ScenarioSoa;
 use crate::stats::EmulationStats;
-
-/// Dispatch costs resolved once per scenario, indexed
-/// `[spec_index][node_idx][pe_column]`: the modeled duration plus the
-/// estimate-book slot its completion observation lands in.
-/// Incompatible combinations hold `None`.
-pub type CostGrid = Vec<Vec<Vec<Option<(Duration, EstimateSlot)>>>>;
 
 // ---------------------------------------------------------------------------
 // Cost specification
@@ -610,45 +604,6 @@ pub(crate) fn dispatch_duration(
     Duration::from_secs_f64(100e-6 / pe.speed())
 }
 
-/// Resolves every `(spec, node, PE)` dispatch cost into a dense grid,
-/// reserving estimate-book slots as it goes. `NameTable` assigns spec
-/// indices in first-encounter order over the same instance slice, so
-/// the first instance of each spec fills exactly the next row.
-pub(crate) fn build_cost_grid(
-    cost: &dyn CostModel,
-    platform: &PlatformConfig,
-    names: &NameTable,
-    instances: &[Arc<AppInstance>],
-    estimates: &mut EstimateBook,
-) -> CostGrid {
-    let mut costs: CostGrid = Vec::with_capacity(names.spec_count());
-    for inst in instances {
-        if names.spec_index(inst.id) == costs.len() {
-            costs.push(
-                inst.spec
-                    .nodes
-                    .iter()
-                    .map(|node| {
-                        platform
-                            .pes
-                            .iter()
-                            .map(|pe| {
-                                node.platform(&pe.platform_key).map(|p| {
-                                    (
-                                        dispatch_duration(cost, node, pe),
-                                        estimates.slot_of(&p.runfunc, pe.class_name()),
-                                    )
-                                })
-                            })
-                            .collect()
-                    })
-                    .collect(),
-            );
-        }
-    }
-    costs
-}
-
 /// Which engine executes a job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
@@ -689,34 +644,31 @@ impl std::str::FromStr for Engine {
     }
 }
 
-/// A [`ScenarioSpec`] with everything both engines used to rebuild per
-/// run precompiled once: compatibility preflight, shared instance
-/// images, interned name table, dense cost grid, slot-assigned estimate
+/// A [`ScenarioSpec`] with everything a run reads but never changes
+/// precompiled once: compatibility preflight, shared instance images,
+/// interned name table, SoA dispatch-cost slabs, slot-assigned estimate
 /// book, and the compiled fault plan. Compile once, run many — across
 /// iterations, sweep workers, and engines.
 pub struct CompiledScenario {
     pub(crate) spec: ScenarioSpec,
     pub(crate) fingerprint: Fingerprint,
     pub(crate) engine_key: u64,
-    /// The resolved cost model (shared with the engines).
-    pub(crate) cost: Arc<dyn CostModel>,
     /// The compiled fault plan, if the spec injects faults.
     pub(crate) plan: Option<Arc<FaultPlan>>,
     /// Read-only shared instance images ([`Workload::instantiate_shared`]).
     /// The DES runs directly on these; the threaded engine instantiates
     /// fresh private-memory instances per run (kernels write), but the
     /// ids and spec mapping are identical by construction, so the name
-    /// table and cost grid below serve both.
+    /// table below serves both.
     pub(crate) instances: Vec<Arc<AppInstance>>,
     pub(crate) names: Arc<NameTable>,
-    pub(crate) grid: Arc<CostGrid>,
-    /// The grid flattened into struct-of-arrays slabs — what the DES
-    /// hot loop actually indexes (see [`ScenarioSoa`]).
+    /// Dispatch costs and DAG topology as struct-of-arrays slabs — what
+    /// the DES hot loop indexes (see [`ScenarioSoa`]).
     pub(crate) soa: Arc<ScenarioSoa>,
-    /// Slot-assigned estimate-book prototype: slots match the grid's
-    /// [`EstimateSlot`]s but carry no observations yet. Each DES run
-    /// clones it; the threaded engine keeps its own book (slot layout
-    /// does not affect estimates).
+    /// Slot-assigned estimate-book prototype: slots match the slabs'
+    /// estimate slots but carry no observations yet. Each DES run
+    /// resets its book from it; the threaded engine keeps its own book
+    /// (slot layout does not affect estimates).
     pub(crate) estimates: EstimateBook,
     /// True when built by [`Self::compile_custom`]: the scheduler name
     /// is a label for a user-supplied policy, so results are never
@@ -761,26 +713,28 @@ impl CompiledScenario {
             spec.workload.instantiate_shared(&spec.library)?.into_iter().map(Arc::new).collect();
         let mut interner = Interner::new();
         let names = NameTable::build(&instances, &spec.platform, &mut interner);
-        let cost = spec.cost.resolve();
         let mut estimates = EstimateBook::new();
-        let grid = build_cost_grid(&*cost, &spec.platform, &names, &instances, &mut estimates);
+        let soa = ScenarioSoa::build(
+            &instances,
+            &names,
+            &spec.platform,
+            &*spec.cost.resolve(),
+            &mut estimates,
+        );
         let plan = match &spec.faults {
             Some(f) => Some(Arc::new(f.compile(&spec.platform).map_err(EmuError::Config)?)),
             None => None,
         };
-        let soa = Arc::new(ScenarioSoa::build(&instances, &names, &grid, spec.platform.pes.len()));
         let fingerprint = spec.fingerprint();
         let engine_key = spec.engine_key();
         Ok(Arc::new(CompiledScenario {
             spec,
             fingerprint,
             engine_key,
-            cost,
             plan,
             instances,
             names: Arc::new(names),
-            grid: Arc::new(grid),
-            soa,
+            soa: Arc::new(soa),
             estimates,
             custom,
         }))
@@ -801,11 +755,6 @@ impl CompiledScenario {
         self.plan.as_deref()
     }
 
-    /// The resolved cost model the grid was built from.
-    pub fn cost(&self) -> &Arc<dyn CostModel> {
-        &self.cost
-    }
-
     /// The precompiled name table.
     pub fn names(&self) -> &NameTable {
         &self.names
@@ -816,20 +765,10 @@ impl CompiledScenario {
         &self.instances
     }
 
-    /// The dense dispatch-cost grid.
-    pub fn grid(&self) -> &CostGrid {
-        &self.grid
-    }
-
-    /// The grid flattened into the struct-of-arrays form the DES hot
-    /// loop indexes.
+    /// The dispatch costs and DAG topology in the struct-of-arrays form
+    /// the DES hot loop indexes.
     pub fn soa(&self) -> &ScenarioSoa {
         &self.soa
-    }
-
-    /// A fresh slot-assigned estimate book matching [`Self::grid`].
-    pub fn estimates_prototype(&self) -> EstimateBook {
-        self.estimates.clone()
     }
 
     /// Borrow of the slot-assigned estimate-book prototype (no clone) —
@@ -1014,9 +953,8 @@ pub struct JobRunner {
     /// while set). Per-run tracing goes through [`Self::run_traced`].
     trace: Option<TraceSink>,
     metrics: Option<MetricsRegistry>,
-    /// Cooperative-cancel flag forwarded to DES engines on every run.
-    /// Cheap to install/remove per job: a setter on the warm simulator,
-    /// never an engine rebuild.
+    /// Cooperative-cancel flag passed to every DES run. A run argument,
+    /// not engine state, so it never outlives the run on a warm engine.
     cancel: Option<Arc<std::sync::atomic::AtomicBool>>,
     /// Correlation span id of the enclosing job (a flight-recorder
     /// span); stamped into the trace metadata of traced runs so the
@@ -1072,13 +1010,13 @@ impl JobRunner {
         self.sims.clear();
     }
 
-    /// Installs (or removes) a cooperative-cancel flag. Forwarded to
-    /// the DES engine on each run (see
-    /// [`DesSimulator::set_cancel`](crate::des::DesSimulator::set_cancel));
+    /// Installs (or removes) a cooperative-cancel flag. Passed to every
+    /// DES run (see
+    /// [`DesSimulator::run_compiled`](crate::des::DesSimulator::run_compiled));
     /// a run that observes the flag set returns
     /// [`EmuError::Canceled`]. The threaded engine executes real
     /// kernels and is not interruptible. Warm engines are kept: the
-    /// flag is a per-run setter, not part of engine construction.
+    /// flag is a run argument, not part of engine construction.
     pub fn set_cancel(&mut self, cancel: Option<Arc<std::sync::atomic::AtomicBool>>) {
         self.cancel = cancel;
     }
@@ -1161,35 +1099,21 @@ impl JobRunner {
         scheduler: &mut dyn Scheduler,
         trace: Option<TraceSink>,
     ) -> Result<EmulationStats, EmuError> {
-        let base_trace = self.trace.clone();
         if let (Some(span), Some(sink)) = (self.span, trace.as_ref()) {
             sink.set_span(&format!("{span:016x}"));
         }
         match engine {
             Engine::Threaded => {
-                let emu = self.emulation_for(scenario)?;
-                if let Some(sink) = &trace {
-                    emu.set_trace(Some(sink.clone()));
-                }
-                let result = emu.run_compiled(scheduler, scenario);
-                if trace.is_some() {
-                    emu.set_trace(base_trace);
-                }
-                result
+                self.emulation_for(scenario)?.run_compiled(scheduler, scenario, trace.as_ref())
             }
             Engine::Des => {
                 let cancel = self.cancel.clone();
-                let sim = self.simulator_for(scenario)?;
-                if let Some(sink) = &trace {
-                    sim.set_trace(Some(sink.clone()));
-                }
-                sim.set_cancel(cancel);
-                let result = sim.run_compiled(scheduler, scenario);
-                sim.set_cancel(None);
-                if trace.is_some() {
-                    sim.set_trace(base_trace);
-                }
-                result
+                self.simulator_for(scenario)?.run_compiled(
+                    scheduler,
+                    scenario,
+                    trace.as_ref(),
+                    cancel.as_deref(),
+                )
             }
         }
     }

@@ -22,8 +22,8 @@
 //! | [`stats`] | §III | task/app records, utilization, overhead |
 //! | [`des`] | §III-D | discrete-event baseline (DS3-class) |
 //! | [`calq`], [`arena`], [`soa`] | — | DES hot-loop core: calendar queue, warm scratch arena, SoA scenario state |
-//! | [`job`] | — | Arc-shared scenario specs, fingerprints, `JobRunner`, result cache |
-//! | [`sweep`] | §III | batch sweep API over config × scheduler × workload grids |
+//! | [`job`] | — | Arc-shared scenario specs, compile-once scenarios, fingerprints, `JobRunner`, result cache |
+//! | [`sweep`] | §III | one batch sweep runner over config × scheduler × workload grids, on either engine |
 //! | [`task`], [`time`] | — | task and emulation-clock primitives |
 //!
 //! ## Quick start
@@ -59,6 +59,16 @@
 //! let stats = emulation.run(&mut FrfsScheduler::new(), &workload, &library).unwrap();
 //! assert_eq!(stats.completed_apps(), 3);
 //! ```
+//!
+//! ## One path from scenario to result
+//!
+//! Every run goes through a [`job::CompiledScenario`]. `Emulation::run`
+//! and `DesSimulator::run` lower their engine config to a
+//! [`job::ScenarioSpec`], compile it, and call `run_compiled`.
+//! [`job::JobRunner`] does the same with warm engines and a result
+//! cache. [`sweep::SweepRunner`] does it for grids of cells, on whichever
+//! engine its [`sweep::EngineConfig`] names. A per-run trace sink or
+//! cancel flag is an argument of `run_compiled`, never engine state.
 
 pub mod arena;
 pub mod calq;
@@ -108,8 +118,8 @@ pub use stats::{
     StatsPercentiles, TaskRecord,
 };
 pub use sweep::{
-    default_workers, CellResult, DesSweepRunner, ProgressWatcher, SweepCell, SweepProgress,
-    SweepProgressSnapshot, SweepRunner,
+    default_workers, CellResult, DesSweepRunner, EngineConfig, ProgressWatcher, SweepCell,
+    SweepProgress, SweepProgressSnapshot, SweepRunner,
 };
 pub use task::{ReadyTask, Task};
 pub use time::SimTime;
@@ -125,7 +135,8 @@ pub mod prelude {
     pub use crate::sched::{EftScheduler, FrfsScheduler, MetScheduler, RandomScheduler, Scheduler};
     pub use crate::stats::EmulationStats;
     pub use crate::sweep::{
-        default_workers, CellResult, DesSweepRunner, SweepCell, SweepProgress, SweepRunner,
+        default_workers, CellResult, DesSweepRunner, EngineConfig, SweepCell, SweepProgress,
+        SweepRunner,
     };
     pub use crate::time::SimTime;
 }

@@ -19,7 +19,7 @@
 //! while the "device" processes, exactly as the paper migrates
 //! accelerator manager threads to the sleep state.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -57,14 +57,18 @@ impl AccelPort for FftPort {
     }
 }
 
-/// Lifetime count of resource-manager threads spawned in this process.
-/// Tests use it to assert that [`ResourcePool`] reuses its threads
-/// across consecutive runs instead of respawning per run.
-static THREADS_SPAWNED: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Resource-manager threads spawned by pools built on this thread.
+    static THREADS_SPAWNED: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Total resource-manager threads ever spawned by this process.
+/// Total resource-manager threads spawned so far by pools built on the
+/// calling thread. Tests use it to assert that [`ResourcePool`] reuses
+/// its threads across consecutive runs instead of respawning per run;
+/// counting per thread keeps pools other tests build concurrently out
+/// of the difference.
 pub fn threads_spawned_total() -> u64 {
-    THREADS_SPAWNED.load(Ordering::Relaxed)
+    THREADS_SPAWNED.with(Cell::get)
 }
 
 /// The persistent PE resource pool: one resource handler and one named
@@ -108,7 +112,7 @@ impl ResourcePool {
                         EmuError::Config(format!("failed to spawn manager thread: {e}"))
                     })?,
             );
-            THREADS_SPAWNED.fetch_add(1, Ordering::Relaxed);
+            THREADS_SPAWNED.with(|n| n.set(n.get() + 1));
         }
         Ok(ResourcePool { handlers, threads })
     }

@@ -1,12 +1,10 @@
 //! Struct-of-arrays scenario state for the DES hot loop.
 //!
-//! The nested `[spec][node][pe] -> Option<(Duration, EstimateSlot)>`
-//! [`CostGrid`] is compile-friendly but hot-loop-hostile: every dispatch
-//! chases three `Vec` indirections and branches on an `Option`, and the
-//! runfunc names live in yet another nested table. [`ScenarioSoa`]
-//! flattens each spec's per-`(node, PE)` data into parallel dense
-//! arrays — one contiguous stride-indexed slab per field — so the DES
-//! completion and dispatch paths touch one cache line per field:
+//! [`ScenarioSoa`] holds each application spec's per-`(node, PE)` data
+//! as parallel dense arrays — one contiguous stride-indexed slab per
+//! field — so the DES completion and dispatch paths touch one cache
+//! line per field instead of chasing nested `Vec`s and branching on an
+//! `Option`:
 //!
 //! * `cost_ns[node * stride + col]` — the modeled duration in
 //!   nanoseconds, with [`INCOMPATIBLE`] (`u64::MAX`) marking pairs the
@@ -25,25 +23,24 @@
 //!   `NodeSpec`s.
 //!
 //! Instances of one application share their spec's slab (spec indices
-//! come from [`NameTable::spec_index`], first-encounter order — the same
-//! order [`CostGrid`] rows use), so the memory cost is per *distinct
-//! application*, not per instance. [`CompiledScenario`] builds one
-//! [`ScenarioSoa`] at compile time and `Arc`-shares it across runs,
-//! workers, and sweep cells; the cold [`DesSimulator::run`] path builds
-//! a private one per call.
+//! come from [`NameTable::spec_index`], first-encounter order), so the
+//! memory cost is per *distinct application*, not per instance.
+//! [`CompiledScenario`] builds one [`ScenarioSoa`] at compile time and
+//! `Arc`-shares it across runs, workers, and sweep cells.
 //!
-//! [`CostGrid`]: crate::job::CostGrid
 //! [`CompiledScenario`]: crate::job::CompiledScenario
-//! [`DesSimulator::run`]: crate::des::DesSimulator::run
 //! [`NameTable::spec_index`]: crate::intern::NameTable::spec_index
 
 use std::sync::Arc;
 
 use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::instance::AppInstance;
+use dssoc_platform::cost::CostModel;
+use dssoc_platform::pe::PlatformConfig;
 
 use crate::intern::{Name, NameTable};
-use crate::job::CostGrid;
+use crate::job::dispatch_duration;
+use crate::sched::EstimateBook;
 
 /// Sentinel in [`SpecSoa::cost_ns`] for `(node, PE)` pairs the node does
 /// not support. No modeled duration can reach it: durations come from
@@ -83,8 +80,8 @@ pub struct SpecSoa {
     pub(crate) roots: Vec<u32>,
 }
 
-/// The struct-of-arrays form of one compiled scenario's cost grid and
-/// DAG topology: one [`SpecSoa`] per distinct application spec, in
+/// The struct-of-arrays form of one compiled scenario's dispatch costs
+/// and DAG topology: one [`SpecSoa`] per distinct application spec, in
 /// [`NameTable`] spec-index order.
 #[derive(Debug)]
 pub struct ScenarioSoa {
@@ -94,24 +91,26 @@ pub struct ScenarioSoa {
 }
 
 impl ScenarioSoa {
-    /// Flattens `grid` (plus each spec's DAG topology and runfunc names)
-    /// into SoA form. `instances`, `names`, and `grid` must come from
-    /// the same build — spec indices are assigned in first-encounter
-    /// order over the same instance slice by all three.
+    /// Resolves every `(spec, node, PE)` dispatch cost of `instances` on
+    /// `platform` into SoA slabs, reserving estimate-book slots as it
+    /// goes. `names` must be built over the same instance slice: spec
+    /// indices are assigned in first-encounter order, so the first
+    /// instance of each spec fills exactly the next slab.
     pub(crate) fn build(
         instances: &[Arc<AppInstance>],
         names: &NameTable,
-        grid: &CostGrid,
-        stride: usize,
+        platform: &PlatformConfig,
+        cost: &dyn CostModel,
+        estimates: &mut EstimateBook,
     ) -> ScenarioSoa {
         let mut specs: Vec<SpecSoa> = Vec::with_capacity(names.spec_count());
         for inst in instances {
             let idx = names.spec_index(inst.id);
             if idx == specs.len() {
-                specs.push(SpecSoa::build(&inst.spec, names, idx, &grid[idx], stride));
+                specs.push(SpecSoa::build(&inst.spec, names, idx, platform, cost, estimates));
             }
         }
-        ScenarioSoa { stride, specs }
+        ScenarioSoa { stride: platform.pes.len(), specs }
     }
 
     /// Number of distinct application specs.
@@ -131,10 +130,12 @@ impl SpecSoa {
         spec: &ApplicationSpec,
         names: &NameTable,
         spec_idx: usize,
-        grid_row: &[Vec<Option<(std::time::Duration, crate::sched::EstimateSlot)>>],
-        stride: usize,
+        platform: &PlatformConfig,
+        cost: &dyn CostModel,
+        estimates: &mut EstimateBook,
     ) -> SpecSoa {
         let n = spec.nodes.len();
+        let stride = platform.pes.len();
         let mut succ_off = Vec::with_capacity(n + 1);
         let mut succ = Vec::new();
         succ_off.push(0u32);
@@ -145,12 +146,13 @@ impl SpecSoa {
         let mut cost_ns = vec![INCOMPATIBLE; n * stride];
         let mut est_slot = vec![0u32; n * stride];
         let mut runfunc = vec![Name::default(); n * stride];
-        for (node_idx, cols) in grid_row.iter().enumerate() {
-            for (col, cell) in cols.iter().enumerate() {
-                if let Some((dur, slot)) = cell {
+        for (node_idx, node) in spec.nodes.iter().enumerate() {
+            for (col, pe) in platform.pes.iter().enumerate() {
+                if let Some(p) = node.platform(&pe.platform_key) {
                     let k = node_idx * stride + col;
+                    let dur = dispatch_duration(cost, node, pe);
                     cost_ns[k] = dur.as_nanos().min(u64::MAX as u128 - 1) as u64;
-                    est_slot[k] = slot.raw();
+                    est_slot[k] = estimates.slot_of(&p.runfunc, pe.class_name()).raw();
                     runfunc[k] =
                         names.runfunc_by_spec(spec_idx, node_idx, col).cloned().unwrap_or_default();
                 }
@@ -186,69 +188,74 @@ impl SpecSoa {
 mod tests {
     use super::*;
     use crate::intern::Interner;
-    use crate::job::build_cost_grid;
     use crate::sched::testutil::ready_tasks;
-    use crate::sched::EstimateBook;
+    use crate::task::Task;
     use dssoc_platform::cost::CostTable;
     use dssoc_platform::presets::zcu102;
+    use std::time::Duration;
 
-    /// SoA content must agree cell-for-cell with the nested grid it was
-    /// flattened from, with the sentinel exactly where the grid holds
-    /// `None` — that equivalence is what lets the DES swap lookups.
+    /// Every slab cell must equal its oracle — the dispatch duration and
+    /// estimate slot resolved straight from the cost model and the book
+    /// — with the sentinel exactly where the node has no implementation
+    /// for the PE's platform. That equivalence is what lets the DES swap
+    /// lookups.
     #[test]
     fn soa_matches_grid() {
         let platform = zcu102(2, 1);
         // ready_tasks: even-indexed nodes also support "fft", so the
         // compatibility pattern is non-trivial.
-        let instances: Vec<_> =
-            ready_tasks(6, 70.0).into_iter().map(|rt| rt.task.instance).collect();
-        let instances = vec![instances[0].clone()];
+        let instances = vec![ready_tasks(6, 70.0)[0].task.instance.clone()];
         let mut interner = Interner::new();
         let names = NameTable::build(&instances, &platform, &mut interner);
+        // One table entry: cells resolve through the cost model and
+        // through the JSON estimate fallback.
+        let mut table = CostTable::new();
+        table.set("kc", platform.pes[0].class_name(), Duration::from_micros(42));
         let mut estimates = EstimateBook::new();
-        let table: std::sync::Arc<dyn dssoc_platform::cost::CostModel> =
-            std::sync::Arc::new(CostTable::new());
-        let grid = build_cost_grid(&*table, &platform, &names, &instances, &mut estimates);
-        let soa = ScenarioSoa::build(&instances, &names, &grid, platform.pes.len());
+        let soa = ScenarioSoa::build(&instances, &names, &platform, &table, &mut estimates);
+        let reserved = format!("{estimates:?}");
 
         assert_eq!(soa.spec_count(), 1);
         assert_eq!(soa.stride, 3);
-        let spec = &soa.specs[0];
-        assert_eq!(spec.n_nodes, 6);
         assert_eq!(soa.cell_count(), 18);
-        for (node_idx, cols) in grid[0].iter().enumerate() {
-            for (col, cell) in cols.iter().enumerate() {
-                let k = node_idx * soa.stride + col;
-                match cell {
-                    Some((dur, slot)) => {
-                        assert_eq!(spec.cost_ns[k], dur.as_nanos() as u64);
-                        assert_eq!(spec.est_slot[k], slot.raw());
-                        let inst = &instances[0];
-                        let rf = names.runfunc(inst.id, node_idx, platform.pes[col].id).unwrap();
-                        assert_eq!(&spec.runfunc[k], rf);
+        for inst in &instances {
+            let spec = &soa.specs[names.spec_index(inst.id)];
+            assert_eq!(spec.n_nodes as usize, inst.spec.nodes.len());
+            for (node_idx, node) in inst.spec.nodes.iter().enumerate() {
+                for (col, pe) in platform.pes.iter().enumerate() {
+                    let k = node_idx * soa.stride + col;
+                    match node.platform(&pe.platform_key) {
+                        Some(p) => {
+                            let dur = dispatch_duration(&table, node, pe);
+                            assert_eq!(spec.cost_ns[k], dur.as_nanos() as u64);
+                            let slot = estimates.slot_of(&p.runfunc, pe.class_name());
+                            assert_eq!(spec.est_slot[k], slot.raw());
+                            let rf = names.runfunc(inst.id, node_idx, pe.id).unwrap();
+                            assert_eq!(&spec.runfunc[k], rf);
+                        }
+                        None => {
+                            assert_eq!(spec.cost_ns[k], INCOMPATIBLE);
+                            assert!(spec.runfunc[k].as_str().is_empty());
+                        }
                     }
-                    None => {
-                        assert_eq!(spec.cost_ns[k], INCOMPATIBLE);
-                        assert!(spec.runfunc[k].as_str().is_empty());
-                    }
+                    // Sentinel test ≡ supports() — the swap the DES
+                    // validation path makes.
+                    let task = Task { instance: inst.clone(), node_idx };
+                    assert_eq!(spec.cost_ns[k] != INCOMPATIBLE, task.supports(&pe.platform_key));
+                    // The per-node bitmask agrees with the sentinel cell by
+                    // cell — the dense FIFO path relies on this equivalence.
+                    assert_eq!(
+                        spec.compat[node_idx] & (1 << col) != 0,
+                        spec.cost_ns[k] != INCOMPATIBLE,
+                    );
                 }
-                // Sentinel test ≡ supports() — the swap the DES
-                // validation path makes.
-                let task = crate::task::Task { instance: instances[0].clone(), node_idx };
-                assert_eq!(
-                    spec.cost_ns[k] != INCOMPATIBLE,
-                    task.supports(&platform.pes[col].platform_key),
-                );
-                // The per-node bitmask agrees with the sentinel cell by
-                // cell — the dense FIFO path relies on this equivalence.
-                assert_eq!(
-                    spec.compat[node_idx] & (1 << col) != 0,
-                    spec.cost_ns[k] != INCOMPATIBLE,
-                );
             }
         }
+        assert_eq!(format!("{estimates:?}"), reserved, "the build reserved every oracle slot");
+        assert_eq!(soa.specs[0].cost_ns[0], 42_000, "the table entry wins over the JSON estimate");
         // Independent nodes: no edges, all preds zero — every node is a
         // root.
+        let spec = &soa.specs[0];
         assert!(spec.succ.is_empty());
         assert_eq!(spec.succ_off, vec![0; 7]);
         assert_eq!(spec.preds_init, vec![0; 6]);

@@ -1,31 +1,29 @@
 //! Batch sweep API: run a grid of (platform, scheduler, workload) cells
-//! with per-cell iteration counts against warm, reusable emulation
-//! pools.
+//! with per-cell iteration counts against warm, reusable engines.
 //!
 //! Every case study in the paper's evaluation (§III) is a sweep of this
 //! shape — Fig. 9 sweeps platform configurations, Fig. 10 sweeps
 //! schedulers × injection rates, Fig. 11 sweeps big.LITTLE mixes — and
 //! each used to hand-roll the same harness loop. [`SweepRunner`] owns
-//! that loop once. Cells are lowered to [`ScenarioSpec`]s and executed
-//! through a [`JobRunner`]: each distinct scenario fingerprint is
-//! compiled exactly once (name tables, cost grids, fault plans), warm
-//! engines are shared per engine fingerprint so consecutive cells reuse
-//! the persistent PE resource pool instead of respawning threads, and
-//! deterministic repeats replay from the runner's [`ResultCache`].
+//! that loop once, on either engine: the [`EngineConfig`] it is built
+//! with picks the threaded emulator or the discrete-event baseline (the
+//! design-space-exploration configuration, where grids get large and
+//! per-cell cost is pure compute). Cells are lowered to
+//! [`ScenarioSpec`]s and executed through a [`JobRunner`]: each distinct
+//! scenario fingerprint is compiled exactly once (name tables, cost
+//! slabs, fault plans), warm engines are shared per engine fingerprint
+//! so consecutive cells reuse the persistent PE resource pool instead of
+//! respawning threads, and deterministic repeats replay from the
+//! runner's [`ResultCache`].
 //!
-//! [`DesSweepRunner`] is the same grid API over the discrete-event
-//! baseline — the design-space-exploration configuration, where grids
-//! get large and per-cell cost is pure compute.
-//!
-//! Both runners offer [`SweepRunner::run_batch_parallel`]: the grid is
-//! distributed over a small pool of worker threads. Scenarios are
-//! compiled once on the calling thread and shared by `Arc` — workers
-//! share one [`CompiledScenario`] per distinct fingerprint and one
-//! [`ResultCache`], but own their warm engine pools. Cells are
-//! independent (each run starts from fresh instances), so results are
-//! identical to the sequential [`SweepRunner::run_batch`] whenever the
-//! underlying engine runs are deterministic, and they come back in cell
-//! order either way.
+//! [`SweepRunner::run_batch_parallel`] distributes the grid over a small
+//! pool of worker threads. Scenarios are compiled once on the calling
+//! thread and shared by `Arc` — workers share one [`CompiledScenario`]
+//! per distinct fingerprint and one [`ResultCache`], but own their warm
+//! engines. Cells are independent (each run starts from fresh
+//! instances), so results are identical to the sequential
+//! [`SweepRunner::run_batch`] whenever the underlying engine runs are
+//! deterministic, and they come back in cell order either way.
 
 use std::collections::HashMap;
 use std::io::Write;
@@ -39,7 +37,7 @@ use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::TraceSink;
 
 use crate::des::DesConfig;
-use crate::engine::{EmuError, EmulationConfig, OverheadMode, TimingMode};
+use crate::engine::{EmuError, EmulationConfig};
 use crate::fault::FaultSpec;
 use crate::job::{CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioSpec};
 use crate::sched::{by_name, Scheduler};
@@ -299,7 +297,7 @@ fn scheduler_factory<'c>(
     Ok(move || first.take().unwrap_or_else(|| by_name(scheduler).expect("resolved above")))
 }
 
-/// Work-stealing fan-out shared by both runners: `workers` threads pull
+/// Work-stealing fan-out for [`SweepRunner::run_batch_parallel`]: `workers` threads pull
 /// cells off a shared index, each running them through its own
 /// `make_worker()` closure (one warm engine pool per worker). Results
 /// come back ordered by cell index; on error the batch stops early and
@@ -393,7 +391,7 @@ fn scenario_for(
     Ok(scenario)
 }
 
-/// The per-cell iteration loop shared by both runners: warm-up runs are
+/// The per-cell iteration loop: warm-up runs are
 /// discarded, the final measured iteration records into `traced` if the
 /// cell is the designated trace target, and every run goes through the
 /// [`JobRunner`] (so deterministic repeats replay from its cache).
@@ -431,21 +429,90 @@ fn run_cell_on(
     })
 }
 
-/// Runs sweep cells through the scenario/job layer.
+/// The engine a [`SweepRunner`] runs its cells on, with that engine's
+/// configuration: the scenario defaults every cell inherits (timing,
+/// overhead, cost, reservation depth, faults) and the observers
+/// (metrics, persistent trace) its engines are built with. Converts
+/// from either engine's config, which is how
+/// [`SweepRunner::with_config`] picks the engine.
+#[derive(Clone, Debug)]
+pub enum EngineConfig {
+    /// The threaded emulation engine.
+    Threaded(EmulationConfig),
+    /// The discrete-event baseline: no threads, no kernel execution,
+    /// durations from the configured cost model, always deterministic.
+    Des(DesConfig),
+}
+
+impl From<EmulationConfig> for EngineConfig {
+    fn from(config: EmulationConfig) -> Self {
+        EngineConfig::Threaded(config)
+    }
+}
+
+impl From<DesConfig> for EngineConfig {
+    fn from(config: DesConfig) -> Self {
+        EngineConfig::Des(config)
+    }
+}
+
+impl EngineConfig {
+    /// Which engine runs the cells.
+    fn engine(&self) -> Engine {
+        match self {
+            EngineConfig::Threaded(_) => Engine::Threaded,
+            EngineConfig::Des(_) => Engine::Des,
+        }
+    }
+
+    /// Lowers a cell to a scenario spec under this configuration.
+    /// Cell-level faults take precedence over a config-level spec.
+    fn scenario(&self, apps: &Arc<AppLibrary>, cell: &SweepCell) -> ScenarioSpec {
+        let (library, platform) = (Arc::clone(apps), Arc::clone(&cell.platform));
+        let (scheduler, workload) = (cell.scheduler.clone(), Arc::clone(&cell.workload));
+        let mut spec = match self {
+            EngineConfig::Threaded(c) => c.scenario(library, platform, scheduler, workload),
+            EngineConfig::Des(c) => c.scenario(library, platform, scheduler, workload),
+        };
+        spec.faults = cell.faults.clone().or(spec.faults);
+        spec
+    }
+
+    /// A job runner over `cache` whose engines carry this
+    /// configuration's observers. A config-level trace sink records
+    /// every run (and disables caching); `trace_cell` stays the precise
+    /// per-cell path.
+    fn jobs(&self, cache: ResultCache) -> JobRunner {
+        let (metrics, trace) = match self {
+            EngineConfig::Threaded(c) => (&c.metrics, &c.trace),
+            EngineConfig::Des(c) => (&c.metrics, &c.trace),
+        };
+        let mut jobs = JobRunner::with_cache(cache);
+        jobs.set_metrics(metrics.clone());
+        jobs.set_trace(trace.clone());
+        jobs
+    }
+}
+
+/// Runs sweep cells through the scenario/job layer, on the engine its
+/// [`EngineConfig`] names.
 ///
 /// Each cell is lowered to a [`ScenarioSpec`] (the runner's engine
 /// configuration plus the cell's platform/scheduler/workload/faults)
 /// and compiled at most once per distinct fingerprint. The embedded
-/// [`JobRunner`] keeps one warm [`Emulation`] per engine fingerprint —
-/// cells on the same platform/config, and repeated iterations within a
-/// cell, share its resource-manager threads — and replays deterministic
-/// repeats from its [`ResultCache`].
+/// [`JobRunner`] keeps one warm engine per engine fingerprint — cells
+/// on the same platform/config, and repeated iterations within a cell,
+/// share its threaded resource pool or its DES scratch arena (event
+/// queue, ready rings, SoA completion columns, estimate book) — and
+/// replays deterministic repeats from its [`ResultCache`]. DES cells
+/// always replay; threaded cells do when their timing, overhead and
+/// cost are deterministic.
 pub struct SweepRunner<'a> {
     library: &'a AppLibrary,
     /// Arc'd view of the library, shared into every [`ScenarioSpec`]
     /// instead of deep-cloning app models per cell.
     apps: Arc<AppLibrary>,
-    config: EmulationConfig,
+    config: EngineConfig,
     /// Job front door: warm engines plus the shared result cache.
     pub(crate) jobs: JobRunner,
     scenarios: HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
@@ -455,25 +522,22 @@ pub struct SweepRunner<'a> {
     progress: Option<SweepProgress>,
 }
 
-impl<'a> SweepRunner<'a> {
-    /// A runner with the default engine configuration.
-    pub fn new(library: &'a AppLibrary) -> Self {
-        Self::with_config(library, EmulationConfig::default())
-    }
+/// Another name for [`SweepRunner`], for callers that spell out a
+/// discrete-event sweep. The engine still comes from the config passed
+/// to [`SweepRunner::with_config`], never from this name.
+pub type DesSweepRunner<'a> = SweepRunner<'a>;
 
-    /// A runner with an explicit engine configuration, applied to every
-    /// cell.
-    pub fn with_config(library: &'a AppLibrary, config: EmulationConfig) -> Self {
-        let mut jobs = JobRunner::new();
-        jobs.set_metrics(config.metrics.clone());
-        // A config-level sink records every run (and disables caching);
-        // `trace_cell` stays the precise per-cell path.
-        jobs.set_trace(config.trace.clone());
+impl<'a> SweepRunner<'a> {
+    /// A runner applying one engine configuration to every cell: an
+    /// [`EmulationConfig`] runs cells on the threaded engine, a
+    /// [`DesConfig`] on the discrete-event baseline.
+    pub fn with_config(library: &'a AppLibrary, config: impl Into<EngineConfig>) -> Self {
+        let config = config.into();
         SweepRunner {
             library,
             apps: Arc::new(library.clone()),
+            jobs: config.jobs(ResultCache::default()),
             config,
-            jobs,
             scenarios: HashMap::new(),
             trace: None,
             progress: None,
@@ -518,23 +582,6 @@ impl<'a> SweepRunner<'a> {
         self.trace = Some((label.into(), sink));
     }
 
-    /// Lowers a cell to a scenario spec under this runner's engine
-    /// configuration. Cell-level faults take precedence over a
-    /// config-level spec.
-    fn cell_spec(&self, cell: &SweepCell) -> ScenarioSpec {
-        ScenarioSpec {
-            library: Arc::clone(&self.apps),
-            platform: Arc::clone(&cell.platform),
-            scheduler: cell.scheduler.clone(),
-            workload: Arc::clone(&cell.workload),
-            timing: self.config.timing,
-            overhead: self.config.overhead,
-            cost: self.config.cost.clone(),
-            reservation_depth: self.config.reservation_depth,
-            faults: cell.faults.clone().or_else(|| self.config.faults.clone()),
-        }
-    }
-
     /// Runs one cell with its named library scheduler (a fresh policy
     /// instance per iteration; the name is resolved once).
     pub fn run_cell(&mut self, cell: &SweepCell) -> Result<CellResult, EmuError> {
@@ -560,11 +607,11 @@ impl<'a> SweepRunner<'a> {
         custom: bool,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> Result<CellResult, EmuError> {
-        let spec = self.cell_spec(cell);
+        let spec = self.config.scenario(&self.apps, cell);
         let scenario = scenario_for(&mut self.scenarios, spec, custom)?;
-        let traced =
-            self.trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, s)| s.clone());
-        run_cell_on(&mut self.jobs, Engine::Threaded, cell, &scenario, traced, make_scheduler)
+        let traced = traced_sink(&self.trace, cell);
+        let engine = self.config.engine();
+        run_cell_on(&mut self.jobs, engine, cell, &scenario, traced, make_scheduler)
     }
 
     /// Runs every cell of a grid in order, stopping at the first error.
@@ -590,10 +637,13 @@ impl<'a> SweepRunner<'a> {
     ///
     /// Every distinct scenario is compiled once on the calling thread;
     /// workers share the compiled artifacts and this runner's
-    /// [`ResultCache`] by `Arc`, but own their warm engine pools (never
-    /// contended across workers). With one worker — or a single cell —
-    /// this is exactly [`Self::run_batch`] on `self`, reusing its
-    /// engines.
+    /// [`ResultCache`] by `Arc` (so deterministic duplicate cells across
+    /// workers collapse into shared hits), but own their warm engines —
+    /// resource pools or DES scratch arenas are never shared or
+    /// contended across workers. DES cells are pure single-threaded
+    /// compute, so DES grids scale with cores. With one worker — or a
+    /// single cell — this is exactly [`Self::run_batch`] on `self`,
+    /// reusing its engines.
     pub fn run_batch_parallel(
         &mut self,
         cells: &[SweepCell],
@@ -605,232 +655,33 @@ impl<'a> SweepRunner<'a> {
         }
         let mut compiled = Vec::with_capacity(cells.len());
         for cell in cells {
-            let spec = self.cell_spec(cell);
+            let spec = self.config.scenario(&self.apps, cell);
             compiled.push(scenario_for(&mut self.scenarios, spec, false)?);
         }
         let compiled = &compiled;
         let trace = &self.trace;
-        let cache = self.jobs.cache().clone();
-        let metrics = self.config.metrics.clone();
-        let persistent = self.config.trace.clone();
+        let cache = self.jobs.cache();
+        let config = &self.config;
         run_cells_parallel(cells, workers, self.progress.as_ref(), || {
-            let mut jobs = JobRunner::with_cache(cache.clone());
-            jobs.set_metrics(metrics.clone());
-            jobs.set_trace(persistent.clone());
+            let mut jobs = config.jobs(cache.clone());
             move |i: usize, cell: &SweepCell| {
-                let traced = trace
-                    .as_ref()
-                    .filter(|(label, _)| *label == cell.label)
-                    .map(|(_, s)| s.clone());
                 let mut factory = scheduler_factory(&cell.scheduler)?;
-                run_cell_on(&mut jobs, Engine::Threaded, cell, &compiled[i], traced, &mut factory)
+                let traced = traced_sink(trace, cell);
+                run_cell_on(&mut jobs, config.engine(), cell, &compiled[i], traced, &mut factory)
             }
         })
     }
 }
 
-/// The [`SweepRunner`] equivalent over the discrete-event baseline:
-/// same grid, same cell semantics, but cells run on the event-driven
-/// simulator — no threads, no kernel execution, durations from the
-/// configured cost model. Cells lower to [`ScenarioSpec`]s exactly like
-/// the threaded runner (DES runs are always `Modeled` timing), share
-/// compiled scenarios per fingerprint, and — since DES runs are always
-/// deterministic — repeated cells replay from the [`ResultCache`].
-///
-/// The embedded [`JobRunner`] keeps one warm [`DesSimulator`] per
-/// engine-config shape, and the simulator owns all per-run scratch:
-/// the calendar-queue event core, ready rings, SoA completion columns,
-/// per-PE cost slots, and the slot-assigned estimate book (values-only
-/// reset when the scenario fingerprint repeats). Cell iterations and
-/// same-shape cells therefore pay compile/setup once and run
-/// allocation-light thereafter; in [`Self::run_batch_parallel`] that
-/// warm state is per worker, never shared or contended.
-pub struct DesSweepRunner<'a> {
-    library: &'a AppLibrary,
-    /// Arc'd view of the library, shared into every [`ScenarioSpec`].
-    apps: Arc<AppLibrary>,
-    config: DesConfig,
-    /// Job front door: warm simulators plus the shared result cache.
-    pub(crate) jobs: JobRunner,
-    scenarios: HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
-    /// `(cell label, sink)` of the one designated trace target, if any.
-    trace: Option<(String, TraceSink)>,
-    /// Live batch progress, shared with whoever installed it.
-    progress: Option<SweepProgress>,
-}
-
-impl<'a> DesSweepRunner<'a> {
-    /// A runner with the default (empty cost table) DES configuration.
-    pub fn new(library: &'a AppLibrary) -> Self {
-        Self::with_config(library, DesConfig::default())
-    }
-
-    /// A runner with an explicit DES configuration, applied to every
-    /// cell.
-    pub fn with_config(library: &'a AppLibrary, config: DesConfig) -> Self {
-        let mut jobs = JobRunner::new();
-        jobs.set_metrics(config.metrics.clone());
-        jobs.set_trace(config.trace.clone());
-        DesSweepRunner {
-            library,
-            apps: Arc::new(library.clone()),
-            config,
-            jobs,
-            scenarios: HashMap::new(),
-            trace: None,
-            progress: None,
-        }
-    }
-
-    /// The application library the runner draws specs from.
-    pub fn library(&self) -> &'a AppLibrary {
-        self.library
-    }
-
-    /// The result cache shared by this runner's jobs.
-    pub fn cache(&self) -> &ResultCache {
-        self.jobs.cache()
-    }
-
-    /// Replaces the result cache.
-    pub fn set_cache(&mut self, cache: ResultCache) {
-        self.jobs.set_cache(cache);
-    }
-
-    /// Installs a shared [`SweepProgress`] handle (see
-    /// [`SweepRunner::set_progress`]).
-    pub fn set_progress(&mut self, progress: SweepProgress) {
-        self.progress = Some(progress);
-    }
-
-    /// The current batch progress, if a handle is installed.
-    pub fn progress(&self) -> Option<SweepProgressSnapshot> {
-        self.progress.as_ref().map(|p| p.snapshot())
-    }
-
-    /// Designates the cell labeled `label` for event tracing (see
-    /// [`SweepRunner::trace_cell`] — same one-cell, final-iteration
-    /// semantics).
-    pub fn trace_cell(&mut self, label: impl Into<String>, sink: TraceSink) {
-        self.trace = Some((label.into(), sink));
-    }
-
-    /// Lowers a cell to a scenario spec under this runner's DES
-    /// configuration: always `Modeled` timing, the fixed per-invocation
-    /// scheduling overhead, no reservation.
-    fn cell_spec(&self, cell: &SweepCell) -> ScenarioSpec {
-        let overhead = if self.config.overhead_per_invocation.is_zero() {
-            OverheadMode::None
-        } else {
-            OverheadMode::Fixed(self.config.overhead_per_invocation)
-        };
-        ScenarioSpec {
-            library: Arc::clone(&self.apps),
-            platform: Arc::clone(&cell.platform),
-            scheduler: cell.scheduler.clone(),
-            workload: Arc::clone(&cell.workload),
-            timing: TimingMode::Modeled,
-            overhead,
-            cost: self.config.cost.clone(),
-            reservation_depth: 0,
-            faults: cell.faults.clone().or_else(|| self.config.faults.clone()),
-        }
-    }
-
-    /// Runs one cell with its named library scheduler (a fresh policy
-    /// instance per iteration; the name is resolved once).
-    pub fn run_cell(&mut self, cell: &SweepCell) -> Result<CellResult, EmuError> {
-        let mut factory = scheduler_factory(&cell.scheduler)?;
-        self.run_cell_inner(cell, false, &mut factory)
-    }
-
-    /// Runs one cell with a custom scheduler factory (see
-    /// [`SweepRunner::run_cell_with`]).
-    pub fn run_cell_with(
-        &mut self,
-        cell: &SweepCell,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<CellResult, EmuError> {
-        self.run_cell_inner(cell, true, make_scheduler)
-    }
-
-    fn run_cell_inner(
-        &mut self,
-        cell: &SweepCell,
-        custom: bool,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<CellResult, EmuError> {
-        let spec = self.cell_spec(cell);
-        let scenario = scenario_for(&mut self.scenarios, spec, custom)?;
-        let traced =
-            self.trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, s)| s.clone());
-        run_cell_on(&mut self.jobs, Engine::Des, cell, &scenario, traced, make_scheduler)
-    }
-
-    /// Runs every cell of a grid in order, stopping at the first error.
-    pub fn run_batch(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, EmuError> {
-        if let Some(p) = self.progress.clone() {
-            p.begin_batch(cells.len(), 1);
-            return cells
-                .iter()
-                .map(|c| {
-                    let start = Instant::now();
-                    p.cell_started();
-                    let result = self.run_cell(c);
-                    p.cell_finished(start.elapsed(), result.is_ok());
-                    result
-                })
-                .collect();
-        }
-        cells.iter().map(|c| self.run_cell(c)).collect()
-    }
-
-    /// Runs a grid across `workers` threads, returning results in cell
-    /// order (see [`SweepRunner::run_batch_parallel`]; the DES is pure
-    /// single-threaded compute per cell, so grids scale with cores).
-    /// DES runs are deterministic, so duplicate cells across workers
-    /// collapse into shared [`ResultCache`] hits. Each worker owns its
-    /// own [`JobRunner`] and thus its own warm simulators — the arena
-    /// scratch and estimate books described on [`DesSweepRunner`] are
-    /// reused across that worker's cells without cross-thread sharing.
-    pub fn run_batch_parallel(
-        &mut self,
-        cells: &[SweepCell],
-        workers: usize,
-    ) -> Result<Vec<CellResult>, EmuError> {
-        let workers = workers.clamp(1, cells.len().max(1));
-        if workers <= 1 {
-            return self.run_batch(cells);
-        }
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let spec = self.cell_spec(cell);
-            compiled.push(scenario_for(&mut self.scenarios, spec, false)?);
-        }
-        let compiled = &compiled;
-        let trace = &self.trace;
-        let cache = self.jobs.cache().clone();
-        let metrics = self.config.metrics.clone();
-        let persistent = self.config.trace.clone();
-        run_cells_parallel(cells, workers, self.progress.as_ref(), || {
-            let mut jobs = JobRunner::with_cache(cache.clone());
-            jobs.set_metrics(metrics.clone());
-            jobs.set_trace(persistent.clone());
-            move |i: usize, cell: &SweepCell| {
-                let traced = trace
-                    .as_ref()
-                    .filter(|(label, _)| *label == cell.label)
-                    .map(|(_, s)| s.clone());
-                let mut factory = scheduler_factory(&cell.scheduler)?;
-                run_cell_on(&mut jobs, Engine::Des, cell, &compiled[i], traced, &mut factory)
-            }
-        })
-    }
+/// The sink of the designated trace target, if `cell` is it.
+fn traced_sink(trace: &Option<(String, TraceSink)>, cell: &SweepCell) -> Option<TraceSink> {
+    trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, sink)| sink.clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::{OverheadMode, TimingMode};
     use crate::job::CostSpec;
     use crate::sched::FrfsScheduler;
     use dssoc_platform::presets::zcu102;
@@ -918,7 +769,7 @@ mod tests {
     #[test]
     fn des_runner_reuses_simulators() {
         let (library, workload) = tiny_setup();
-        let mut runner = DesSweepRunner::new(&library);
+        let mut runner = SweepRunner::with_config(&library, DesConfig::default());
         let cells = vec![
             SweepCell::new(zcu102(2, 0), "frfs", Arc::clone(&workload)).iterations(2),
             SweepCell::new(zcu102(2, 0), "met", Arc::clone(&workload)),
@@ -937,7 +788,7 @@ mod tests {
     #[test]
     fn duplicate_des_cells_replay_from_result_cache() {
         let (library, workload) = tiny_setup();
-        let mut runner = DesSweepRunner::new(&library);
+        let mut runner = SweepRunner::with_config(&library, DesConfig::default());
         // Same scenario content under two labels: one live run, one
         // cache replay with byte-identical makespans.
         let cells = vec![

@@ -63,7 +63,7 @@ fn measure_compile_once() {
     let mut compile_best = f64::INFINITY;
     for _ in 0..ROUNDS {
         // Arm A: compile per run (what each run cost before the job
-        // layer: name tables, cost grids, estimates rebuilt per run).
+        // layer: name tables, cost slabs, estimates rebuilt per run).
         // compile_custom keeps the result cache out of the picture.
         let t = Instant::now();
         for _ in 0..RUNS {

@@ -21,6 +21,7 @@ use dssoc_core::prelude::*;
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::presets::zcu102;
+use dssoc_trace::TraceSession;
 
 const APPS: [&str; 2] = ["pulse_doppler", "wifi_rx"];
 
@@ -300,4 +301,38 @@ fn nondeterministic_threaded_runs_are_never_cached() {
     assert_eq!(jobs.cache().hits(), 0);
     assert_eq!(jobs.cache().misses(), 0, "uncacheable runs must not even count as misses");
     assert!(jobs.cache().is_empty());
+}
+
+/// A traced run's sink is a run argument, not engine state: after
+/// `run_traced`, an untraced run of the same scenario on the same warm
+/// engine records nothing into that sink and is an ordinary cache miss
+/// followed by an insert — on both engines.
+#[test]
+fn per_run_trace_sink_ends_with_its_run() {
+    let scenario = CompiledScenario::compile(deterministic_spec()).expect("compile");
+    for (engine, warm) in [(Engine::Des, (0, 1)), (Engine::Threaded, (1, 0))] {
+        let mut jobs = JobRunner::new();
+        let session = TraceSession::new();
+        let traced = jobs
+            .run_traced(&scenario, engine, &mut FrfsScheduler::new(), session.sink())
+            .expect("traced run");
+        let recorded = session.events_recorded();
+        assert!(recorded > 0, "{engine:?}: the traced run records into its sink");
+        assert!(!traced.cached);
+        assert_eq!(jobs.cache().misses(), 0, "{engine:?}: traced runs bypass the cache");
+        assert!(jobs.cache().is_empty());
+
+        let untraced = jobs.run(&scenario, engine).expect("untraced run");
+        assert_eq!(jobs.warm_engines(), warm, "{engine:?}: both runs share one warm engine");
+        assert_eq!(
+            session.events_recorded(),
+            recorded,
+            "{engine:?}: the first sink must hold only the first run's events"
+        );
+        assert!(!untraced.cached, "{engine:?}: a traced run never fills the cache");
+        assert_eq!(jobs.cache().hits(), 0);
+        assert_eq!(jobs.cache().misses(), 1, "{engine:?}: the untraced run is a cache miss");
+        assert_eq!(jobs.cache().len(), 1, "{engine:?}: ...followed by an insert");
+        assert_eq!(stats_skeleton(&traced.stats), stats_skeleton(&untraced.stats));
+    }
 }

@@ -128,7 +128,9 @@ fn parallel_batch_reports_first_error() {
     cells[3].scheduler = "heft".into();
     cells[6].scheduler = "bogus".into();
 
-    let err = DesSweepRunner::new(&library).run_batch_parallel(&cells, 4).expect_err("bad cell");
+    let err = DesSweepRunner::with_config(&library, DesConfig::default())
+        .run_batch_parallel(&cells, 4)
+        .expect_err("bad cell");
     assert!(err.to_string().contains("heft"), "expected the lower-indexed failure, got: {err}");
 }
 

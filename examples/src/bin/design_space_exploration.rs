@@ -21,7 +21,7 @@ use dssoc_platform::presets::zcu102;
 
 fn main() {
     let (library, _registry) = standard_library();
-    let mut runner = SweepRunner::new(&library);
+    let mut runner = SweepRunner::with_config(&library, EmulationConfig::default());
 
     // --- Validation-mode configuration sweep (Fig. 9 style).
     println!("== configuration sweep: validation mode, FRFS ==");
