@@ -10,6 +10,25 @@
 //! those phases — monitoring, ready-queue update, policy execution, and
 //! dispatch — which is what Fig. 10b reports.
 //!
+//! # The hand-off on the host
+//!
+//! The paper's §II-C protocol is kept: the manager dispatches by writing
+//! a PE's status field and collects by reading it, each under the PE's
+//! lock. What the host adds is how the two sides wait for each other
+//! (see [`crate::handler`]). A resource-manager thread waits for work by
+//! spinning on a lock-free mirror of its status field for a few tens of
+//! µs, then blocking; a dispatch wakes it only if it blocked. The
+//! manager, when the virtual clock cannot advance until an in-flight
+//! task reports, waits the same way on a pool-wide completion counter —
+//! bounded, with faults on, by the earliest running task's watchdog
+//! deadline. Both sides spin only when the pool has no more PE threads
+//! than the host has cores; otherwise they block at once, since a
+//! spinner would take the core a kernel needs and skew `Measured`
+//! overhead figures. None of this reaches the emulated SoC's clock:
+//! monitoring is still charged `HANDLER_POLL_COST` per PE and dispatch
+//! `STATUS_WRITE_COST` per task, the modeled cost of polling status
+//! fields on the target, whatever the host did to notice a completion.
+//!
 //! # Timing modes
 //!
 //! * [`TimingMode::WallClock`] — the paper's literal behaviour: emulation
@@ -291,7 +310,9 @@ const STATUS_WRITE_COST: Duration = Duration::from_nanos(300);
 /// plus a cache line that the PE core last wrote — this is the term that
 /// makes monitoring cost proportional to the PE count (the paper's
 /// Fig. 11 explanation for why 7-PE Odroid pools stop paying off on a
-/// slow LITTLE overlay core).
+/// slow LITTLE overlay core). It is a modeled charge for the emulated
+/// SoC: it does not depend on how the host discovers completions (the
+/// manager's wait on the pool's completion counter).
 const HANDLER_POLL_COST: Duration = Duration::from_nanos(800);
 
 struct PendingCompletion {
@@ -312,6 +333,14 @@ struct RunningMeta {
     start: SimTime,
     wall: Instant,
     attempt: u32,
+}
+
+impl RunningMeta {
+    /// The wall-clock instant past which the watchdog declares this
+    /// attempt's manager thread wedged.
+    fn deadline(&self, plan: &FaultPlan) -> Instant {
+        self.wall + mul_duration(self.est, plan.watchdog_factor).max(plan.watchdog_min_wall)
+    }
 }
 
 /// A faulted task waiting out its retry backoff. `seq` breaks release-
@@ -567,7 +596,11 @@ impl Emulation {
         // Scratch buffer for the scheduler's per-invocation PE views.
         let mut views: Vec<PeView<'_>> = Vec::with_capacity(handlers.len());
 
+        let completions = self.pool.completions();
         'outer: loop {
+            // Read before the monitor scan, so a completion the scan
+            // misses still ends the wait below.
+            let seen = completions.posted();
             let mut now = match timing {
                 TimingMode::WallClock => SimTime::from_duration(wall_start.elapsed()),
                 TimingMode::Modeled => vclock,
@@ -579,8 +612,8 @@ impl Emulation {
             // dedicated-manager-core situation).
             let quiet = slots.busy_count() == pending.len();
 
-            // ---- Monitor: poll every resource handler (paper polls the
-            // PE status fields under their locks).
+            // ---- Monitor: read every resource handler's status field
+            // under its lock (the paper's poll).
             let t_mon = Instant::now();
             for h in handlers.iter() {
                 if let Some(c) = h.try_collect() {
@@ -637,12 +670,9 @@ impl Emulation {
             // skipped by end-of-run drains and remembered across runs)
             // — the alternative is deadlocking the whole emulation.
             if let Some(plan) = plan {
-                let deadline_of = |m: &RunningMeta| {
-                    mul_duration(m.est, plan.watchdog_factor).max(plan.watchdog_min_wall)
-                };
                 let wedged: Vec<PeId> = running
                     .iter()
-                    .filter(|(pe, m)| !stale.contains(pe) && m.wall.elapsed() >= deadline_of(m))
+                    .filter(|(pe, m)| !stale.contains(pe) && Instant::now() >= m.deadline(plan))
                     .map(|(pe, _)| *pe)
                     .collect();
                 for pe in wedged {
@@ -1051,8 +1081,18 @@ impl Emulation {
                         if pending.len() < slots.busy_count() {
                             // Some in-flight task hasn't reported its
                             // modeled duration yet; the virtual clock
-                            // cannot safely advance.
-                            std::thread::yield_now();
+                            // cannot safely advance. Wait for a report —
+                            // with faults on, no longer than the first
+                            // watchdog deadline, so a wedged thread is
+                            // still caught.
+                            let deadline = plan.and_then(|plan| {
+                                running
+                                    .iter()
+                                    .filter(|(pe, _)| !stale.contains(pe))
+                                    .map(|(_, m)| m.deadline(plan))
+                                    .min()
+                            });
+                            completions.wait_past(seen, deadline);
                             continue;
                         }
                         let mut next = SimTime::MAX;

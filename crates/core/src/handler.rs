@@ -8,9 +8,34 @@
 //! monitoring or modifying the status field should acquire the PE's
 //! synchronization lock, read or write to the status field, and release
 //! the lock."
+//!
+//! That protocol is kept as written: every status transition, and the
+//! assignment and completion payloads, stay behind the handler's lock,
+//! and the workload manager collects completions by reading the status
+//! field under it. What the host adds is how each side *waits* for the
+//! other to move, through one spin-then-park primitive (`SpinPark`):
+//!
+//! * A resource-manager thread waiting for work watches a lock-free
+//!   mirror of its status field (an [`AtomicU8`] written under the lock
+//!   with every transition). It spins on the mirror for a bounded budget
+//!   and only then blocks on a condvar; a dispatch wakes it only if it
+//!   actually blocked. Back-to-back tasks thus reach a spinning thread
+//!   without a futex wake-up and a scheduler round-trip per task.
+//! * The workload manager waiting for an in-flight task to report
+//!   watches a pool-wide completion counter (`Completions`) that every
+//!   posted completion bumps, with the same spin-then-park wait. Each
+//!   wait can be bounded by a deadline (the fault watchdog's).
+//!
+//! Spinning only pays when each spinner has a host core to itself. A
+//! pool spins when its PE-thread count is at most the host's available
+//! parallelism; otherwise its threads park at once, as a plain condvar
+//! hand-off would. On an oversubscribed host a spinner would steal the
+//! very core a kernel (or the manager) needs, which distorts the
+//! host-measured figures of `Measured`-overhead runs.
 
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering::SeqCst};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
@@ -21,6 +46,123 @@ use dssoc_trace::TraceWriter;
 
 use crate::task::Task;
 use crate::time::SimTime;
+
+/// How long a spin-enabled waiter spins before it blocks: a few times
+/// the 10–20 µs the workload manager takes to turn one completion
+/// around into the next dispatch, so a steady stream of short tasks
+/// rarely parks, while an idle pool stops burning its cores quickly.
+const SPIN_BUDGET: Duration = Duration::from_micros(50);
+
+/// Spin iterations between two `yield_now` calls while spinning, so a
+/// spinner sharing a core with the thread it waits for lets it run.
+const SPINS_PER_YIELD: u32 = 64;
+
+/// Whether a pool of `pe_threads` resource-manager threads spins before
+/// parking: only when every thread can have a host core of its own.
+pub(crate) fn spin_enabled(pe_threads: usize) -> bool {
+    pe_threads <= std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Spin-then-park wait on a condition published through atomics.
+///
+/// A waiter polls its condition for [`SPIN_BUDGET`] (when spinning is
+/// enabled), then blocks on a condvar. A publisher stores the new state
+/// (sequentially consistent) and calls [`Self::wake`], which takes the
+/// lock and notifies only if some waiter has blocked. The waiter counts
+/// itself in `sleepers` and re-checks the condition under the lock
+/// before blocking, so a wake-up cannot be lost between its check and
+/// its wait.
+pub(crate) struct SpinPark {
+    spin: bool,
+    sleepers: AtomicU32,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl SpinPark {
+    pub(crate) fn new(spin: bool) -> Self {
+        SpinPark { spin, sleepers: AtomicU32::new(0), lock: Mutex::new(()), cv: Condvar::new() }
+    }
+
+    /// Waits until `ready` holds or `deadline` passes; returns whether
+    /// `ready` held.
+    pub(crate) fn wait_until(&self, ready: impl Fn() -> bool, deadline: Option<Instant>) -> bool {
+        if self.spin {
+            let budget = Instant::now() + SPIN_BUDGET;
+            let give_up = deadline.map_or(budget, |d| d.min(budget));
+            loop {
+                for _ in 0..SPINS_PER_YIELD {
+                    if ready() {
+                        return true;
+                    }
+                    std::hint::spin_loop();
+                }
+                if Instant::now() >= give_up {
+                    break;
+                }
+                std::thread::yield_now();
+            }
+        }
+        let mut guard = self.lock.lock();
+        self.sleepers.fetch_add(1, SeqCst);
+        let held = loop {
+            if ready() {
+                break true;
+            }
+            match deadline {
+                None => self.cv.wait(&mut guard),
+                Some(d) => {
+                    if self.cv.wait_until(&mut guard, d).timed_out() {
+                        break ready();
+                    }
+                }
+            }
+        };
+        self.sleepers.fetch_sub(1, SeqCst);
+        held
+    }
+
+    /// Wakes every blocked waiter; free when none has blocked. Call
+    /// after storing the state the waiters' condition reads.
+    pub(crate) fn wake(&self) {
+        if self.sleepers.load(SeqCst) != 0 {
+            drop(self.lock.lock());
+            self.cv.notify_all();
+        }
+    }
+}
+
+/// A pool-wide count of posted completions: the workload manager's
+/// wait for in-flight tasks to report. Every handler of a pool bumps
+/// the same counter, so one wait covers all PEs.
+pub(crate) struct Completions {
+    posted: AtomicU64,
+    park: SpinPark,
+}
+
+impl Completions {
+    pub(crate) fn new(spin: bool) -> Arc<Self> {
+        Arc::new(Completions { posted: AtomicU64::new(0), park: SpinPark::new(spin) })
+    }
+
+    /// The number of completions posted so far. Read it *before*
+    /// scanning the handlers, then [`Self::wait_past`] it: a completion
+    /// the scan missed has bumped the count already.
+    pub(crate) fn posted(&self) -> u64 {
+        self.posted.load(SeqCst)
+    }
+
+    /// Waits until a completion is posted after `seen` was read, or
+    /// until `deadline` passes; returns whether one was posted.
+    pub(crate) fn wait_past(&self, seen: u64, deadline: Option<Instant>) -> bool {
+        self.park.wait_until(|| self.posted.load(SeqCst) != seen, deadline)
+    }
+
+    fn bump(&self) {
+        self.posted.fetch_add(1, SeqCst);
+        self.park.wake();
+    }
+}
 
 /// PE availability as seen through the resource handler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,13 +220,27 @@ struct HandlerState {
     shutdown: bool,
 }
 
+/// Values of [`ResourceHandler`]'s lock-free status mirror.
+const MIRROR_IDLE: u8 = 0;
+const MIRROR_RUN: u8 = 1;
+const MIRROR_COMPLETE: u8 = 2;
+/// Sticky: once shut down, later transitions leave the mirror alone.
+const MIRROR_SHUTDOWN: u8 = 3;
+
 /// The per-PE coordination object. One exists per PE; the workload
 /// manager holds one end, the PE's resource-manager thread the other.
 pub struct ResourceHandler {
     /// The PE this handler manages.
     pub pe: PeDescriptor,
     state: Mutex<HandlerState>,
-    cv: Condvar,
+    /// Lock-free mirror of `state.status` (or shutdown), stored under
+    /// `state`'s lock with every transition. Only the resource-manager
+    /// thread's wait reads it; the protocol itself reads `state`.
+    mirror: AtomicU8,
+    /// Where the resource-manager thread waits for an assignment.
+    park: SpinPark,
+    /// The pool-wide completion counter this handler bumps.
+    completions: Arc<Completions>,
     /// This PE's trace producer, installed by
     /// [`ResourcePool::attach_trace`](crate::resource::ResourcePool::attach_trace).
     /// A separate lock from `state`: the resource-manager thread records
@@ -94,8 +250,21 @@ pub struct ResourceHandler {
 }
 
 impl ResourceHandler {
-    /// Creates an idle handler for a PE.
+    /// Creates an idle handler for a PE, with a completion counter of
+    /// its own.
     pub fn new(pe: PeDescriptor) -> Arc<Self> {
+        let spin = spin_enabled(1);
+        Self::in_pool(pe, Completions::new(spin), spin)
+    }
+
+    /// Creates an idle handler that reports into a pool's shared
+    /// completion counter; `spin` selects spin-then-park (`true`) or
+    /// park-at-once waiting for assignments.
+    pub(crate) fn in_pool(
+        pe: PeDescriptor,
+        completions: Arc<Completions>,
+        spin: bool,
+    ) -> Arc<Self> {
         Arc::new(ResourceHandler {
             pe,
             state: Mutex::new(HandlerState {
@@ -104,9 +273,18 @@ impl ResourceHandler {
                 completion: None,
                 shutdown: false,
             }),
-            cv: Condvar::new(),
+            mirror: AtomicU8::new(MIRROR_IDLE),
+            park: SpinPark::new(spin),
+            completions,
             trace: Mutex::new(None),
         })
+    }
+
+    /// A standalone handler on the spin-then-park (`true`) or
+    /// park-at-once (`false`) path, whatever the host.
+    #[cfg(test)]
+    pub(crate) fn with_spin(pe: PeDescriptor, spin: bool) -> Arc<Self> {
+        Self::in_pool(pe, Completions::new(spin), spin)
     }
 
     /// Installs (or removes) this PE's trace producer.
@@ -134,17 +312,34 @@ impl ResourceHandler {
         self.state.lock().status
     }
 
+    /// Writes the status field (the caller holds the lock) and its
+    /// lock-free mirror.
+    fn set_status(&self, st: &mut HandlerState, status: PeStatus) {
+        st.status = status;
+        if !st.shutdown {
+            let code = match status {
+                PeStatus::Idle => MIRROR_IDLE,
+                PeStatus::Run => MIRROR_RUN,
+                PeStatus::Complete => MIRROR_COMPLETE,
+            };
+            self.mirror.store(code, SeqCst);
+        }
+    }
+
     /// Workload-manager side: dispatches a task, transitioning
-    /// idle → run and waking the resource-manager thread.
+    /// idle → run, and wakes the resource-manager thread if it has
+    /// parked (a spinning one sees the mirror flip by itself).
     ///
     /// Panics if the PE is not idle — the scheduler contract forbids
     /// double dispatch.
     pub fn dispatch(&self, assignment: TaskAssignment) {
-        let mut st = self.state.lock();
-        assert_eq!(st.status, PeStatus::Idle, "dispatch to non-idle PE {}", self.pe.name);
-        st.assignment = Some(assignment);
-        st.status = PeStatus::Run;
-        self.cv.notify_all();
+        {
+            let mut st = self.state.lock();
+            assert_eq!(st.status, PeStatus::Idle, "dispatch to non-idle PE {}", self.pe.name);
+            st.assignment = Some(assignment);
+            self.set_status(&mut st, PeStatus::Run);
+        }
+        self.park.wake();
     }
 
     /// Workload-manager side: if the PE reports *complete*, collects the
@@ -155,15 +350,20 @@ impl ResourceHandler {
             return None;
         }
         let completion = st.completion.take().expect("complete status implies a completion");
-        st.status = PeStatus::Idle;
+        self.set_status(&mut st, PeStatus::Idle);
         completion.into()
     }
 
-    /// Resource-manager side: blocks until a task is assigned (returning
-    /// it) or shutdown is requested (returning `None`).
+    /// Resource-manager side: waits (spin, then park) until a task is
+    /// assigned (returning it) or shutdown is requested (returning
+    /// `None`).
     pub fn wait_for_assignment(&self) -> Option<TaskAssignment> {
-        let mut st = self.state.lock();
         loop {
+            self.park.wait_until(
+                || matches!(self.mirror.load(SeqCst), MIRROR_RUN | MIRROR_SHUTDOWN),
+                None,
+            );
+            let mut st = self.state.lock();
             if st.shutdown {
                 return None;
             }
@@ -172,25 +372,30 @@ impl ResourceHandler {
                     return Some(a);
                 }
             }
-            self.cv.wait(&mut st);
         }
     }
 
     /// Resource-manager side: posts a completion, transitioning
-    /// run → complete.
+    /// run → complete, and bumps the pool's completion counter (which
+    /// wakes the workload manager only if it has parked).
     pub fn post_completion(&self, completion: TaskCompletion) {
-        let mut st = self.state.lock();
-        debug_assert_eq!(st.status, PeStatus::Run, "completion without a running task");
-        st.completion = Some(completion);
-        st.status = PeStatus::Complete;
-        self.cv.notify_all();
+        {
+            let mut st = self.state.lock();
+            debug_assert_eq!(st.status, PeStatus::Run, "completion without a running task");
+            st.completion = Some(completion);
+            self.set_status(&mut st, PeStatus::Complete);
+        }
+        self.completions.bump();
     }
 
     /// Asks the resource-manager thread to exit once idle.
     pub fn shutdown(&self) {
-        let mut st = self.state.lock();
-        st.shutdown = true;
-        self.cv.notify_all();
+        {
+            let mut st = self.state.lock();
+            st.shutdown = true;
+            self.mirror.store(MIRROR_SHUTDOWN, SeqCst);
+        }
+        self.park.wake();
     }
 }
 
@@ -292,13 +497,12 @@ mod tests {
         assert!(t.join().unwrap().is_none());
     }
 
-    #[test]
-    fn cross_thread_handoff() {
-        let h = handler();
-        let h2 = Arc::clone(&h);
-        let worker = thread::spawn(move || {
-            while let Some(a) = h2.wait_for_assignment() {
-                h2.post_completion(TaskCompletion {
+    /// A resource-manager thread that completes every assignment at
+    /// once, as `resource_manager_loop` does after the kernel.
+    fn echo_worker(h: Arc<ResourceHandler>) -> thread::JoinHandle<()> {
+        thread::spawn(move || {
+            while let Some(a) = h.wait_for_assignment() {
+                h.post_completion(TaskCompletion {
                     task: a.task,
                     start: a.start,
                     modeled: Duration::from_micros(1),
@@ -307,19 +511,65 @@ mod tests {
                     result: Ok(()),
                 });
             }
-        });
-        for i in 0..10 {
-            h.dispatch(TaskAssignment { task: dummy_task(), start: SimTime(i) });
-            // Poll like the workload manager does.
+        })
+    }
+
+    /// Dispatches `n` tasks one after another and collects each
+    /// completion the way the workload manager does: read the
+    /// completion count, scan, then wait past the count. A lost wake-up
+    /// on either side leaves the wait to run into its deadline.
+    fn round_trips(h: &Arc<ResourceHandler>, n: u64, pause_every: u64) {
+        let worker = echo_worker(Arc::clone(h));
+        let task = dummy_task();
+        for i in 0..n {
+            if i % pause_every == pause_every - 1 {
+                // Let the worker's spin budget run out so it parks.
+                thread::sleep(Duration::from_micros(200));
+            }
+            h.dispatch(TaskAssignment { task: task.clone(), start: SimTime(i) });
             let c = loop {
+                let seen = h.completions.posted();
                 if let Some(c) = h.try_collect() {
                     break c;
                 }
-                thread::yield_now();
+                let deadline = Instant::now() + Duration::from_secs(10);
+                assert!(h.completions.wait_past(seen, Some(deadline)), "lost wake-up at {i}");
             };
             assert_eq!(c.start, SimTime(i));
         }
         h.shutdown();
         worker.join().unwrap();
+    }
+
+    #[test]
+    fn cross_thread_handoff() {
+        round_trips(&handler(), 10, u64::MAX);
+    }
+
+    #[test]
+    fn no_lost_wakeups_spinning() {
+        round_trips(&ResourceHandler::with_spin(zcu102(1, 0).pes[0].clone(), true), 10_000, 1000);
+    }
+
+    #[test]
+    fn no_lost_wakeups_parking() {
+        round_trips(&ResourceHandler::with_spin(zcu102(1, 0).pes[0].clone(), false), 10_000, 1000);
+    }
+
+    #[test]
+    fn spinning_needs_a_core_per_pe_thread() {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert!(spin_enabled(1));
+        assert!(spin_enabled(cores));
+        assert!(!spin_enabled(cores + 1));
+    }
+
+    #[test]
+    fn timed_wait_returns_at_deadline() {
+        let h = handler();
+        let seen = h.completions.posted();
+        let deadline = Instant::now() + Duration::from_millis(5);
+        assert!(!h.completions.wait_past(seen, Some(deadline)));
+        assert!(Instant::now() >= deadline);
     }
 }

@@ -17,7 +17,7 @@
 //! | [`exec`] | §II-C | engine-agnostic scheduling core (ready list, instance tracking, PE slots) |
 //! | [`fault`] | — | seeded fault injection + retry/quarantine/degradation recovery |
 //! | [`resource`] | §II-D, Fig. 4 | per-PE resource-manager threads, persistent [`resource::ResourcePool`] |
-//! | [`handler`] | §II-C | idle/run/complete handler protocol |
+//! | [`handler`] | §II-C | idle/run/complete handler protocol, spin-then-park hand-off |
 //! | [`sched`] | §II-C | FRFS, MET, EFT, RANDOM + `Scheduler` trait |
 //! | [`stats`] | §III | task/app records, utilization, overhead |
 //! | [`des`] | §III-D | discrete-event baseline (DS3-class) |

@@ -1,7 +1,8 @@
 //! Resource-manager threads — one per PE (paper Fig. 4).
 //!
-//! Each thread blocks on its resource handler until the workload manager
-//! assigns a task, executes it, and posts a completion:
+//! Each thread waits on its resource handler (spinning briefly, then
+//! parking; see [`crate::handler`]) until the workload manager assigns a
+//! task, executes it, and posts a completion:
 //!
 //! * **CPU PE** — the kernel executes directly on the thread; the modeled
 //!   duration is the cost model's answer (by default the host-measured
@@ -33,7 +34,7 @@ use dssoc_platform::placement::Placement;
 use dssoc_trace::{DmaPhase, EventKind as TraceKind, TraceSink};
 
 use crate::engine::{EmuError, TimingMode};
-use crate::handler::{PeStatus, ResourceHandler, TaskCompletion};
+use crate::handler::{spin_enabled, Completions, PeStatus, ResourceHandler, TaskCompletion};
 
 /// [`AccelPort`] implementation backed by the simulated FFT device.
 pub struct FftPort {
@@ -78,10 +79,14 @@ pub fn threads_spawned_total() -> u64 {
 /// workload manager starts; keeping it alive between runs means a batch
 /// sweep pays thread-spawn cost once, not per cell. Threads park in
 /// [`ResourceHandler::wait_for_assignment`] between runs and are shut
-/// down and joined on [`Drop`].
+/// down and joined on [`Drop`]. While a run is on, they spin briefly
+/// before parking when the pool has no more threads than the host has
+/// cores (see the [`handler`](crate::handler) module).
 pub struct ResourcePool {
     handlers: Vec<Arc<ResourceHandler>>,
     threads: Vec<JoinHandle<()>>,
+    /// Bumped by every handler's posted completion.
+    completions: Arc<Completions>,
 }
 
 impl ResourcePool {
@@ -92,8 +97,13 @@ impl ResourcePool {
         timing: TimingMode,
     ) -> Result<Self, EmuError> {
         let placement = Placement::compute(platform);
-        let handlers: Vec<Arc<ResourceHandler>> =
-            platform.pes.iter().map(|pe| ResourceHandler::new(pe.clone())).collect();
+        let spin = spin_enabled(platform.pes.len());
+        let completions = Completions::new(spin);
+        let handlers: Vec<Arc<ResourceHandler>> = platform
+            .pes
+            .iter()
+            .map(|pe| ResourceHandler::in_pool(pe.clone(), Arc::clone(&completions), spin))
+            .collect();
         let mut threads = Vec::with_capacity(handlers.len());
         for h in &handlers {
             let ctx = RmContext {
@@ -114,12 +124,17 @@ impl ResourcePool {
             );
             THREADS_SPAWNED.with(|n| n.set(n.get() + 1));
         }
-        Ok(ResourcePool { handlers, threads })
+        Ok(ResourcePool { handlers, threads, completions })
     }
 
     /// The per-PE handlers, in platform PE order.
     pub fn handlers(&self) -> &[Arc<ResourceHandler>] {
         &self.handlers
+    }
+
+    /// The pool-wide completion counter the workload manager waits on.
+    pub(crate) fn completions(&self) -> &Completions {
+        &self.completions
     }
 
     /// Installs one trace producer per PE (named `rm-{pe}`): the manager
@@ -156,9 +171,13 @@ impl ResourcePool {
             if skip.contains(&h.pe_id()) {
                 continue;
             }
-            while h.status() != PeStatus::Idle {
+            loop {
+                let seen = self.completions.posted();
                 let _ = h.try_collect();
-                std::thread::yield_now();
+                if h.status() == PeStatus::Idle {
+                    break;
+                }
+                self.completions.wait_past(seen, None);
             }
         }
     }

@@ -18,7 +18,7 @@ use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpe
 use dssoc_core::prelude::*;
 use dssoc_core::sched::by_name;
 use dssoc_platform::cost::CostTable;
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_platform::presets::zcu102;
 
 const APPS: [&str; 4] = ["pulse_doppler", "range_detection", "wifi_tx", "wifi_rx"];
@@ -48,6 +48,13 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
 /// Runs one (platform, scheduler) cell on both engines and returns the
 /// two makespans.
 fn makespans(platform: &PlatformConfig, scheduler: &str) -> (Duration, Duration) {
+    let (emu, des) = run_both(platform, scheduler);
+    (emu.makespan, des.makespan)
+}
+
+/// Runs one (platform, scheduler) cell on both engines and returns both
+/// runs' statistics.
+fn run_both(platform: &PlatformConfig, scheduler: &str) -> (EmulationStats, EmulationStats) {
     let (library, _registry) = standard_library();
     let workload =
         WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(&library).expect("workload");
@@ -83,7 +90,7 @@ fn makespans(platform: &PlatformConfig, scheduler: &str) -> (Duration, Duration)
     assert_eq!(emu_stats.completed_apps(), APPS.len());
     assert_eq!(des_stats.completed_apps(), APPS.len());
     assert_eq!(emu_stats.tasks.len(), des_stats.tasks.len());
-    (emu_stats.makespan, des_stats.makespan)
+    (emu_stats, des_stats)
 }
 
 #[test]
@@ -98,6 +105,30 @@ fn engines_agree_on_cpu_only_configs() {
                  (emu {emu:?}, des {des:?})"
             );
         }
+    }
+}
+
+/// The CPU-only configs above land on either side of the resource
+/// pool's spin rule (spin while PE threads ≤ host cores), depending on
+/// the host. One more core than the host has forces the park-at-once
+/// hand-off on any host, and it must agree with the DES task for task.
+/// (`zcu102` caps its presets at 3 cores, so the platform clones its
+/// A53 PE.)
+#[test]
+fn engines_agree_with_more_pes_than_host_cores() {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get()) + 1;
+    let mut platform = zcu102(1, 0);
+    let a53 = platform.pes[0].clone();
+    platform.pes = (0..cores)
+        .map(|i| PeDescriptor { id: PeId(i as u32), name: format!("Core{}", i + 1), ..a53.clone() })
+        .collect();
+    for scheduler in ["frfs", "met"] {
+        let (emu, des) = run_both(&platform, scheduler);
+        let tuples = |s: &EmulationStats| -> Vec<_> {
+            s.tasks.iter().map(|t| (t.instance, t.node_idx, t.pe, t.start, t.finish)).collect()
+        };
+        assert_eq!(emu.makespan, des.makespan, "{scheduler} on {cores}C+0F");
+        assert_eq!(tuples(&emu), tuples(&des), "{scheduler} on {cores}C+0F");
     }
 }
 

@@ -11,6 +11,7 @@
 //! * `Condvar::wait` takes `&mut MutexGuard` instead of consuming it.
 
 use std::sync::{self, PoisonError};
+use std::time::Instant;
 
 /// Non-poisoning mutual-exclusion lock.
 #[derive(Debug, Default)]
@@ -77,6 +78,21 @@ impl Condvar {
         guard.inner = Some(reacquired);
     }
 
+    /// [`Self::wait`], giving up once `timeout` passes. The returned
+    /// result reports whether the deadline elapsed.
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        timeout: Instant,
+    ) -> WaitTimeoutResult {
+        let std_guard = guard.inner.take().expect("guard present when waiting");
+        let left = timeout.saturating_duration_since(Instant::now());
+        let (reacquired, result) =
+            self.inner.wait_timeout(std_guard, left).unwrap_or_else(PoisonError::into_inner);
+        guard.inner = Some(reacquired);
+        WaitTimeoutResult(result.timed_out())
+    }
+
     /// Wakes one waiter.
     pub fn notify_one(&self) {
         self.inner.notify_one();
@@ -85,6 +101,18 @@ impl Condvar {
     /// Wakes all waiters.
     pub fn notify_all(&self) {
         self.inner.notify_all();
+    }
+}
+
+/// Whether a timed [`Condvar`] wait returned because its deadline passed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WaitTimeoutResult(bool);
+
+impl WaitTimeoutResult {
+    /// `true` if the wait ended at its deadline rather than a
+    /// notification.
+    pub fn timed_out(self) -> bool {
+        self.0
     }
 }
 
