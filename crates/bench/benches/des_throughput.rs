@@ -30,11 +30,11 @@
 //! `BENCH_des.json` (see `dssoc_bench::report`) in both bench and
 //! `--test` (CI smoke) modes, so every CI run records the current
 //! events/sec alongside the numbers in `crates/bench/README.md`. The
-//! warm events/sec additionally accumulates into a
-//! `tasks_{n}_events_per_sec_series` rolling array (last 50 runs), so
-//! the artifact carries the trajectory, not just the latest point.
-//! `--floor <events/sec>` turns the summary into a perf gate: the run
-//! fails if any size's warm throughput lands below the floor.
+//! summary also times the warm 4002-task run with a live metrics
+//! registry attached — the configuration every served DES job runs in
+//! (`tasks_4002_warm_metrics_*`). `--floor <events/sec>` turns the
+//! summary into a perf gate: the run fails if any size's bare warm
+//! throughput lands below the floor (the metrics case has no floor).
 //!
 //! ```sh
 //! cargo bench -p dssoc-bench --bench des_throughput
@@ -54,6 +54,7 @@ use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::sched::by_name;
 use dssoc_core::sweep::{default_workers, DesSweepRunner, SweepCell};
+use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
@@ -81,7 +82,12 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
     table
 }
 
-fn make_sim(platform: &PlatformConfig, table: &CostTable) -> DesSimulator {
+/// A simulator publishing to `metrics` when given one.
+fn make_sim(
+    platform: &PlatformConfig,
+    table: &CostTable,
+    metrics: Option<MetricsRegistry>,
+) -> DesSimulator {
     DesSimulator::new(
         platform.clone(),
         DesConfig {
@@ -89,7 +95,7 @@ fn make_sim(platform: &PlatformConfig, table: &CostTable) -> DesSimulator {
             overhead_per_invocation: Duration::ZERO,
             trace: None,
             faults: None,
-            metrics: None,
+            metrics,
         },
     )
     .expect("platform")
@@ -145,13 +151,13 @@ fn bench_des_throughput(c: &mut Criterion) {
     group.sample_size(10);
     for &n in &SIZES {
         let wl = workload(&library, n);
-        let mut sim = make_sim(&platform, &table);
+        let mut sim = make_sim(&platform, &table, None);
         let tasks = run_once(&mut sim, &wl, &library);
         group.bench_with_input(BenchmarkId::new("tasks", tasks), &wl, |b, wl| {
             b.iter(|| black_box(run_once(&mut sim, wl, &library)))
         });
         let scenario = compile_scenario(&library, &platform, &table, &wl);
-        let mut sim = make_sim(&platform, &table);
+        let mut sim = make_sim(&platform, &table, None);
         group.bench_with_input(BenchmarkId::new("tasks_warm", tasks), &scenario, |b, sc| {
             b.iter(|| black_box(run_warm(&mut sim, sc)))
         });
@@ -185,7 +191,7 @@ fn main() {
     println!("== des_throughput summary (best of {reps}) ==");
     for &n in &SIZES {
         let wl = workload(&library, n);
-        let mut sim = make_sim(&platform, &table);
+        let mut sim = make_sim(&platform, &table, None);
         let tasks = run_once(&mut sim, &wl, &library);
         let scenario = compile_scenario(&library, &platform, &table, &wl);
         // Untimed warm-up (~0.5 s): lets the frequency governor ramp
@@ -229,8 +235,25 @@ fn main() {
         report.set_f64(format!("tasks_{tasks}_events_per_sec"), cold_eps);
         report.set_f64(format!("tasks_{tasks}_warm_run_us"), best_warm.as_secs_f64() * 1e6);
         report.set_f64(format!("tasks_{tasks}_warm_events_per_sec"), warm_eps);
-        // Rolling trajectory of the headline (warm) number.
-        report.append_f64(format!("tasks_{tasks}_events_per_sec_series"), warm_eps);
+
+        // The largest size once more with live metrics attached, as the
+        // serve daemon runs every DES job. Tracked, not gated.
+        if n == SIZES[SIZES.len() - 1] {
+            let mut sim = make_sim(&platform, &table, Some(MetricsRegistry::new()));
+            black_box(run_warm(&mut sim, &scenario));
+            let best = (0..reps)
+                .map(|_| {
+                    let start = Instant::now();
+                    black_box(run_warm(&mut sim, &scenario));
+                    start.elapsed()
+                })
+                .min()
+                .expect("reps > 0");
+            let eps = events / best.as_secs_f64();
+            println!("  {tasks:>5} tasks, metrics attached: warm {best:>10.3?} ({eps:>12.0} ev/s)");
+            report.set_f64(format!("tasks_{tasks}_warm_metrics_run_us"), best.as_secs_f64() * 1e6);
+            report.set_f64(format!("tasks_{tasks}_warm_metrics_events_per_sec"), eps);
+        }
     }
 
     // Parallel sweep scaling: an 8-cell DES grid (8 ZCU102 shapes,

@@ -7,7 +7,9 @@
 //!   cost of a full registry snapshot while producers exist;
 //! * **end to end** — the same 4-PE validation run with metrics off vs
 //!   on, for both engines. The budget is <3% added wall time on the
-//!   threaded engine (see README.md for the measured numbers).
+//!   threaded engine (see README.md for the measured numbers). The DES
+//!   runs the same event loop either way, so its off/on delta is the
+//!   cost of the samples alone.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

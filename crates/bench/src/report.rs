@@ -32,17 +32,12 @@ pub const BENCH_JSON_FILE: &str = "BENCH_des.json";
 pub struct BenchReport {
     section: String,
     values: BTreeMap<String, Value>,
-    appends: BTreeMap<String, Vec<f64>>,
 }
-
-/// Series keys keep at most this many trailing samples, so the summary
-/// file stays a rolling window rather than growing without bound.
-const SERIES_CAP: usize = 50;
 
 impl BenchReport {
     /// An empty section named after the bench bin.
     pub fn new(section: impl Into<String>) -> Self {
-        BenchReport { section: section.into(), values: BTreeMap::new(), appends: BTreeMap::new() }
+        BenchReport { section: section.into(), values: BTreeMap::new() }
     }
 
     /// Records one metric (`json!`-built value).
@@ -54,19 +49,6 @@ impl BenchReport {
     /// Records one float metric.
     pub fn set_f64(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
         self.set(key, serde_json::to_value(&value))
-    }
-
-    /// Appends one sample to a series metric. Unlike [`set_f64`], series
-    /// keys survive the wholesale section replacement on [`write`]: the
-    /// prior array is read back from the summary file and the new
-    /// samples are appended (keeping the last [`SERIES_CAP`]), so
-    /// repeated CI runs accumulate a trajectory per key.
-    ///
-    /// [`set_f64`]: BenchReport::set_f64
-    /// [`write`]: BenchReport::write
-    pub fn append_f64(&mut self, key: impl Into<String>, value: f64) -> &mut Self {
-        self.appends.entry(key.into()).or_default().push(value);
-        self
     }
 
     /// The summary file path: `$BENCH_DES_JSON`, or `BENCH_des.json` at
@@ -94,25 +76,7 @@ impl BenchReport {
             .and_then(|text| serde_json::from_str::<Value>(&text).ok())
             .and_then(|v| v.as_object().cloned())
             .unwrap_or_default();
-        let mut values = self.values.clone();
-        for (key, new_samples) in &self.appends {
-            let mut series: Vec<f64> = sections
-                .get(&self.section)
-                .and_then(|s| s.as_object())
-                .and_then(|s| s.get(key))
-                .and_then(|v| v.as_array())
-                .map(|a| a.iter().filter_map(|v| v.as_f64()).collect())
-                .unwrap_or_default();
-            series.extend_from_slice(new_samples);
-            if series.len() > SERIES_CAP {
-                series.drain(..series.len() - SERIES_CAP);
-            }
-            values.insert(
-                key.clone(),
-                Value::Array(series.iter().map(serde_json::to_value).collect()),
-            );
-        }
-        sections.insert(self.section.clone(), Value::Object(values));
+        sections.insert(self.section.clone(), Value::Object(self.values.clone()));
         let body = serde_json::to_string_pretty(&Value::Object(sections))
             .expect("bench summary serializes")
             + "\n";
@@ -149,31 +113,6 @@ mod tests {
         assert!(v["alpha"]["x"].is_null(), "replaced section dropped stale key");
         assert_eq!(v["alpha"]["y"].as_f64(), Some(2.0));
         assert_eq!(v["beta"]["label"].as_str(), Some("hi"));
-
-        // Series keys survive section replacement: each write appends to
-        // the array persisted by the previous one.
-        for sample in [1.0f64, 2.0, 3.0] {
-            let mut r = BenchReport::new("alpha");
-            r.set_f64("y", sample);
-            r.append_f64("series", sample);
-            r.write().unwrap();
-        }
-        let v: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let series: Vec<f64> =
-            v["alpha"]["series"].as_array().unwrap().iter().filter_map(|s| s.as_f64()).collect();
-        assert_eq!(series, vec![1.0, 2.0, 3.0]);
-        assert_eq!(v["alpha"]["y"].as_f64(), Some(3.0));
-
-        // The rolling window caps the series length.
-        let mut r = BenchReport::new("alpha");
-        for i in 0..(2 * SERIES_CAP) {
-            r.append_f64("series", i as f64);
-        }
-        r.write().unwrap();
-        let v: Value = serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let series = v["alpha"]["series"].as_array().unwrap();
-        assert_eq!(series.len(), SERIES_CAP);
-        assert_eq!(series.last().unwrap().as_f64(), Some((2 * SERIES_CAP - 1) as f64));
         std::env::remove_var(BENCH_JSON_ENV);
     }
 }

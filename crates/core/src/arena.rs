@@ -3,11 +3,12 @@
 //! PR 3 made a single DES run allocation-free *within* the run; this
 //! module makes it allocation-free *across* runs. [`DesScratch`] owns
 //! every growable buffer the hot loop touches — the calendar queue, the
-//! SoA instance-state arrays, the ready list's backing store, the
-//! completion columns, retry and assignment staging — and lives inside
-//! [`DesSimulator`], so warm [`JobRunner`] engines and repeat-iteration
-//! sweep cells reuse the same capacity run after run. [`DesScratch::reset`]
-//! clears lengths but never frees: after the first run at a given
+//! SoA instance-state arrays, the ready list's backing store and the
+//! scheduler's view of it, the completion columns, retry and placement
+//! staging — and lives inside [`DesSimulator`], so warm [`JobRunner`]
+//! engines and repeat-iteration sweep cells reuse the same capacity run
+//! after run. [`DesScratch::reset`] clears lengths but never frees:
+//! after the first run at a given
 //! problem size, subsequent runs perform no heap allocation in the
 //! simulation loop. The one deliberate exception is [`DoneColumns`] —
 //! completed-task columns leave the arena with the run's stats (they
@@ -19,8 +20,8 @@
 //! carries (ordered by the engine-wide `(time, key, seq)` tie-break);
 //! [`DoneColumns`], struct-of-arrays storage for completed-task facts
 //! that are materialized into [`TaskRecord`]s only if someone reads the
-//! per-task log; [`DenseReady`], the `Arc`-free ready-ring entry the
-//! dense FIFO fast loop queues; and [`ViewScratch`], which recycles the
+//! per-task log; [`DenseReady`], the `Arc`-free entry the DES ready
+//! list queues; and [`ViewScratch`], which recycles the
 //! `Vec<PeView<'_>>` scheduler-view allocation across runs despite its
 //! borrowed lifetime.
 //!
@@ -31,9 +32,10 @@
 use dssoc_trace::FaultKind;
 
 use crate::calq::{CalendarQueue, Timed};
+use crate::exec::ReadyEntry;
 use crate::job::Fingerprint;
 use crate::sched::{Assignment, EstimateBook, PeView};
-use crate::task::{ReadyTask, Task};
+use crate::task::ReadyTask;
 use crate::time::SimTime;
 
 /// A task completion (or fault) scheduled on the DES calendar queue.
@@ -100,20 +102,42 @@ impl Timed for CompletionEvent {
     }
 }
 
-/// One entry in the dense FIFO ready ring: the task as an index pair
-/// plus its readiness timestamp. 16 bytes, no `Arc` handle — pushing a
-/// task onto the ready queue in the dense loop is a plain store with no
-/// refcount traffic (the general [`ReadyList`](crate::exec::ReadyList)
-/// clones an `Arc<AppInstance>` per push).
+/// One entry of the DES [`ReadyList`](crate::exec::ReadyList): the task
+/// as an index pair plus its readiness timestamp and sequence number.
+/// No `Arc` handle — pushing a task onto the ready list is a plain store
+/// with no refcount traffic. The DES builds [`ReadyTask`]s from these
+/// only when it calls a `dyn` scheduler.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DenseReady {
     /// Instance id (`InstanceId.0`).
     pub inst: u32,
     /// DAG node index within the instance.
     pub node: u32,
-    /// When the task became ready (last predecessor completion, or the
-    /// instance arrival for roots).
+    /// When the task became ready (last predecessor completion, the
+    /// instance arrival for roots, or a retry's release).
     pub ready_ns: u64,
+    /// Readiness sequence number, stamped by the ready list.
+    pub seq: u64,
+}
+
+impl DenseReady {
+    /// An entry for task `(inst, node)` ready at `ready_at` (the ready
+    /// list stamps `seq` on push).
+    pub fn new(inst: u32, node: u32, ready_at: SimTime) -> Self {
+        DenseReady { inst, node, ready_ns: ready_at.0, seq: 0 }
+    }
+}
+
+impl ReadyEntry for DenseReady {
+    #[inline]
+    fn ready_key(&self) -> (u64, u32, SimTime) {
+        (self.inst as u64, self.node, SimTime(self.ready_ns))
+    }
+
+    #[inline]
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
+    }
 }
 
 /// A faulted task waiting out its retry backoff.
@@ -123,15 +147,18 @@ pub(crate) struct RetryEntry {
     pub release: SimTime,
     /// Dispatch seq of the faulted attempt (stable retry ordering).
     pub seq: u64,
-    pub task: Task,
+    /// Instance id (`InstanceId.0`).
+    pub inst: u32,
+    /// DAG node index within the instance.
+    pub node: u32,
 }
 
 /// Struct-of-arrays storage for completed-task facts.
 ///
 /// The hot loop appends six integers per completion; the fat
 /// [`TaskRecord`](crate::stats::TaskRecord)s (with their `Name` clone
-/// refcounts) are materialized once, after the loop, via
-/// [`CompletionSink::ingest_tasks`](crate::exec::CompletionSink::ingest_tasks).
+/// refcounts) are materialized only if someone reads the run's
+/// [`TaskLog`](crate::stats::TaskLog).
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DoneColumns {
     pub inst: Vec<u32>,
@@ -162,9 +189,9 @@ impl DoneColumns {
     }
 
     /// Pre-sizes every column for `n` more completions. The DES
-    /// prologue knows the run's exact task count, so the fast path that
-    /// moves these columns out into the run's [`TaskLog`] re-sizes them
-    /// in one right-sized allocation per column instead of doubling.
+    /// prologue knows the run's exact task count, so the columns that
+    /// move out into the run's [`TaskLog`] take one right-sized
+    /// allocation each instead of doubling.
     ///
     /// [`TaskLog`]: crate::stats::TaskLog
     pub fn reserve(&mut self, n: usize) {
@@ -245,10 +272,10 @@ pub(crate) struct DesScratch {
     /// Faulted tasks waiting out retry backoff.
     pub retries: Vec<RetryEntry>,
     /// Backing storage for the run's `ReadyList`.
-    pub ready_buf: Vec<ReadyTask>,
-    /// Ready ring for the dense FIFO loop (head-indexed, periodically
-    /// compacted — the dense counterpart of `ready_buf`).
-    pub dense_ready: Vec<DenseReady>,
+    pub ready_buf: Vec<DenseReady>,
+    /// Backing storage for the `ReadyTask`s the ready list lends a `dyn`
+    /// scheduler (the argument it reads).
+    pub ready_tasks: Vec<ReadyTask>,
     /// Warm estimate book, reset from the scenario prototype each run.
     pub estimates: EstimateBook,
     /// Which compiled scenario `estimates`' slot map came from. When it
@@ -259,6 +286,8 @@ pub(crate) struct DesScratch {
     pub views: ViewScratch,
     /// Scheduler output staging (`schedule_into` target).
     pub assignments: Vec<Assignment>,
+    /// One scheduling round's placements: `(entry, PE column, duration ns)`.
+    pub placed: Vec<(DenseReady, u32, u64)>,
 }
 
 impl Default for DesScratch {
@@ -273,11 +302,12 @@ impl Default for DesScratch {
             due: Vec::new(),
             retries: Vec::new(),
             ready_buf: Vec::new(),
-            dense_ready: Vec::new(),
+            ready_tasks: Vec::new(),
             estimates: EstimateBook::new(),
             est_src: None,
             views: ViewScratch::default(),
             assignments: Vec::new(),
+            placed: Vec::new(),
         }
     }
 }
@@ -295,8 +325,9 @@ impl DesScratch {
         self.due.clear();
         self.retries.clear();
         self.ready_buf.clear();
-        self.dense_ready.clear();
+        self.ready_tasks.clear();
         self.assignments.clear();
+        self.placed.clear();
     }
 }
 

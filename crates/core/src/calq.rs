@@ -194,7 +194,14 @@ impl<T: Timed> CalendarQueue<T> {
     }
 
     fn direct_min(&self) -> u64 {
-        self.buckets.iter().flatten().map(Timed::time_ns).min().expect("non-empty")
+        debug_assert!(self.len > 0, "non-empty");
+        let mut min = u64::MAX;
+        for bucket in &self.buckets {
+            for it in bucket {
+                min = min.min(it.time_ns());
+            }
+        }
+        min
     }
 
     /// Pops the minimum event by full `Ord` (ties beyond the timestamp

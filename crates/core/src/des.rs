@@ -20,8 +20,9 @@
 //! # Performance
 //!
 //! The DES is the design-space-exploration workhorse: sweep grids run
-//! it thousands of times, so the event loop is engineered to do no
-//! redundant work per event:
+//! it thousands of times, so its one event loop is engineered to do no
+//! redundant work per event — for every run, whatever observers, fault
+//! plan or policy are attached:
 //!
 //! * the event queue is a [`CalendarQueue`](crate::calq::CalendarQueue)
 //!   of plain-old-data [`CompletionEvent`]s, drained in same-timestamp
@@ -35,23 +36,38 @@
 //! * scenario state is struct-of-arrays ([`ScenarioSoa`]): per-spec
 //!   dense slabs hold the modeled cost (ns), estimate slot, and interned
 //!   runfunc per `(node, PE)` pair — one array probe each, with an
-//!   [`INCOMPATIBLE`] sentinel doubling as the compatibility test — and
-//!   the DAG in CSR form; per-run instance state (predecessor
-//!   countdowns, remaining-task counts) lives in flat arrays indexed by
-//!   `inst_base[instance] + node`, so the completion path touches one
-//!   cache line per field instead of one fat struct;
+//!   [`INCOMPATIBLE`] sentinel doubling as the compatibility test — the
+//!   per-node PE-compatibility bitmask, and the DAG in CSR form;
+//!   per-run instance state (predecessor countdowns, remaining-task
+//!   counts) lives in flat arrays indexed by `inst_base[instance] +
+//!   node`, so the completion path touches one cache line per field
+//!   instead of one fat struct;
+//! * the [`ReadyList`] holds `Arc`-free `(instance, node)` entries, so a
+//!   newly ready task is a plain store;
+//! * placement takes one of two forms. A policy that declares
+//!   [`Scheduler::dense_fifo`] on a ≤64-PE platform is placed by the
+//!   engine: `compat & idle` with trailing zeros, over the idle-column
+//!   mask [`PeSlots`] keeps — no `PeView`s, no virtual call, no contract
+//!   check. Every other policy is called through `dyn Scheduler` on a
+//!   `ReadyTask`s the ready list lends it at each call (one `Arc` clone
+//!   per entry), and its assignments are validated;
+//! * completed-task facts always go to struct-of-arrays columns that
+//!   become the run's task log, materialized into [`TaskRecord`]s only if
+//!   a consumer reads them; live metrics and trace events are sampled
+//!   from the same raw fields behind one branch per completion. Fault
+//!   handling runs out of line, so fault-free runs never pay for its
+//!   code in the loop;
 //! * every growable buffer lives in a warm per-simulator
 //!   [`DesScratch`](crate::arena::DesScratch) arena that resets between
-//!   runs without freeing, so warm [`JobRunner`](crate::job::JobRunner)
-//!   engines and repeat-iteration sweep cells run the hot loop
-//!   allocation-free *across* runs, not just within one;
-//! * completed-task facts accumulate in struct-of-arrays columns and are
-//!   materialized into [`TaskRecord`]s once after the loop (when neither
-//!   tracing nor metrics need them live), instances of one application
+//!   runs without freeing (and gets its buffers back even when a run
+//!   stops early), so warm [`JobRunner`](crate::job::JobRunner) engines
+//!   and repeat-iteration sweep cells run the hot loop allocation-free
+//!   *across* runs, not just within one. Instances of one application
 //!   share one read-only memory image
-//!   ([`Workload::instantiate_shared`]), and the scheduler writes
-//!   assignments into a reused buffer ([`Scheduler::schedule_into`]).
+//!   ([`Workload::instantiate_shared`]), and policies write assignments
+//!   into a reused buffer ([`Scheduler::schedule_into`]).
 //!
+//! [`TaskRecord`]: crate::stats::TaskRecord
 //! [`CostTable`]: dssoc_platform::cost::CostTable
 //! [`OverheadMode::None`]: crate::engine::OverheadMode::None
 //! [`TimingMode::Modeled`]: crate::engine::TimingMode::Modeled
@@ -61,28 +77,27 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::instance::InstanceId;
+use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::{PeId, PlatformConfig};
-use dssoc_trace::{EventKind as TraceKind, TraceSink};
+use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
 use crate::arena::{CompletionEvent, DenseReady, DesScratch, RetryEntry};
 use crate::engine::{EmuError, OverheadMode, TimingMode};
 use crate::exec::{
-    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments_with,
-    CompletionSink, ExecTracer, PeSlots, ReadyList,
+    fail_idle_pes, pe_mask_bit, register_trace_meta, resolve_unschedulable,
+    validate_assignments_with, CompletionSink, ExecTracer, PeSlots, ReadyList,
 };
-use crate::fault::{FaultSpec, FaultState};
+use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{ExecMetrics, OverheadPhase};
-use crate::sched::{Assignment, EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::sched::{EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
-use crate::stats::{AppRecord, DenseTaskLog, EmulationStats, TaskRecord};
-use crate::task::ReadyTask;
-use crate::task::Task;
+use crate::stats::{AppRecord, DenseTaskLog, EmulationStats};
+use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
 
 /// DES configuration.
@@ -238,28 +253,14 @@ impl DesSimulator {
         // `&self` and the arena disjointly); it always returns.
         let mut scratch = std::mem::take(&mut self.scratch);
         let trace = trace.or(self.config.trace.as_ref());
-        // The fully-dense loop: FRFS-exact policy, bitmask-sized
-        // platform, nothing that wants fat per-event bookkeeping — no
-        // fault plan, no tracer, no live metrics, no estimate-reading
-        // policy. Everything else takes the general loop.
-        let dense_loop = scheduler.dense_fifo()
-            && !scheduler.uses_estimates()
-            && self.platform.pes.len() <= 64
-            && scenario.plan().is_none()
-            && trace.is_none()
-            && self.config.metrics.is_none();
-        let result = if dense_loop {
-            self.run_loop_dense(scheduler, scenario, cancel, &mut scratch)
-        } else {
-            self.run_loop(scheduler, scenario, trace, cancel, &mut scratch)
-        };
+        let result = self.run_loop(scheduler, scenario, trace, cancel, &mut scratch);
         self.scratch = scratch;
         result
     }
 
     /// The event loop over a compiled scenario's shared state. All
     /// per-run growable state comes from (and returns to) the scratch
-    /// arena.
+    /// arena, on every exit path.
     fn run_loop(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -296,9 +297,11 @@ impl DesSimulator {
             due,
             retries,
             ready_buf,
+            ready_tasks,
             estimates,
             views: view_scratch,
             assignments,
+            placed,
             ..
         } = &mut *s;
 
@@ -320,7 +323,7 @@ impl DesSimulator {
             let spec = &soa.specs[names.spec_index(inst.id)];
             remaining_preds[base..base + spec.preds_init.len()].copy_from_slice(&spec.preds_init);
         }
-        // The fast-record columns leave with the stats at end of run, so
+        // The completion columns leave with the stats at end of run, so
         // right-size them up front (the run's task count is known).
         done.reserve(flat_total as usize);
 
@@ -340,24 +343,6 @@ impl DesSimulator {
             Some(registry) => ExecMetrics::attach(registry, &self.platform, instances),
             None => ExecMetrics::disabled(),
         };
-        let mut ready = ReadyList::recycled(std::mem::take(ready_buf));
-        ready.set_metrics(metrics.clone());
-        // DES PEs have no reservation queues (depth 0); the busy map
-        // holds *exact* finish times — the simulator's one luxury over
-        // the emulator's estimates.
-        let mut slots = PeSlots::new(self.platform.pes.len(), 0);
-        slots.set_metrics(metrics.clone());
-
-        // ---- Fault machinery (all empty/None without a fault spec).
-        let mut fstate: Option<FaultState> = plan.map(|p| FaultState::new(p.retry.clone()));
-        let mut retry_seq = 0u64;
-        // The platform key a PE dispatches as, for degraded-dispatch
-        // detection (same comparison the threaded engine makes).
-        let pe_platform_key =
-            |pe: PeId| names.pe_column(pe).map(|col| self.platform.pes[col].platform_key.as_str());
-
-        let mut sink = CompletionSink::new();
-        sink.reserve_apps(instances.len());
         let tracer = match trace {
             Some(trace_sink) => {
                 register_trace_meta(
@@ -370,34 +355,62 @@ impl DesSimulator {
             }
             None => ExecTracer::disabled(),
         };
-        // With neither tracing nor metrics attached, completions write
-        // six integers into SoA columns and the fat records (with their
-        // refcounted `Name` clones) are materialized once, after the
-        // loop. Live consumers force inline records — same side-effect
-        // order as always.
-        let fast_records = !metrics.enabled() && !tracer.enabled();
-        // FRFS-exact policies take the dense assignment path (the
-        // per-round PE mask caps it at 64 PEs — larger platforms fall
-        // back to the general scheduler machinery).
-        let dense = scheduler.dense_fifo() && self.platform.pes.len() <= 64;
+        let mut ready = ReadyList::recycled(std::mem::take(ready_buf));
+        ready.set_metrics(metrics.clone());
+        ready.set_tracer(tracer.clone());
+        // The pending tasks as `ReadyTask`s, for `dyn` policies only: at
+        // each policy call `ready` lends the entries pushed since the last
+        // one (one `Arc` clone each). `ready` still counts them and fires
+        // the hooks.
+        let mut tasks: ReadyList<ReadyTask> = ReadyList::recycled(std::mem::take(ready_tasks));
+        // DES PEs have no reservation queues (depth 0); the busy map
+        // holds *exact* finish times — the simulator's one luxury over
+        // the emulator's estimates.
+        let mut slots = PeSlots::for_platform(&self.platform, 0);
+        slots.set_metrics(metrics.clone());
+        let mut sink = CompletionSink::new();
+        sink.reserve_apps(instances.len());
+        sink.set_tracer(tracer.clone());
+        sink.set_metrics(metrics.clone());
+
+        // ---- Fault machinery (None without a fault spec).
+        let mut faults = plan.map(|plan| DesFaults {
+            plan,
+            state: FaultState::new(plan.retry.clone()),
+            platform: &self.platform,
+            soa,
+            names,
+            instances,
+            tracer: tracer.clone(),
+            charge: self.config.overhead_per_invocation,
+            retry_seq: 0,
+        });
+
+        // Placement: a policy that declares FRFS semantics is placed by
+        // the engine straight off the SoA compatibility masks (one `u64`
+        // per node, so ≤ 64 PEs); every other case calls the policy.
+        let fifo = scheduler.dense_fifo() && self.platform.pes.len() <= 64;
         // The EWMA estimate book is scratch state, never part of the
         // run's output: skip maintaining it when nothing can read it
         // (no estimate-driven policy, no fault plan deriving hang
         // deadlines from estimates).
         let observe = scheduler.uses_estimates() || plan.is_some();
-        ready.set_tracer(tracer.clone());
-        sink.set_tracer(tracer.clone());
-        sink.set_metrics(metrics);
+        let charge = self.config.overhead_per_invocation;
+        // Live observers; without them the completion path skips every
+        // sample on one branch.
+        let observed = metrics.enabled() || tracer.enabled();
+        // `PeId` by platform column (also the task log's column map).
+        let pe_ids: Vec<PeId> = self.platform.pes.iter().map(|pe| pe.id).collect();
         let mut clock = SimTime::ZERO;
         // Scheduler PE views: recycled allocation, borrowed lifetimes.
         let mut views: Vec<PeView<'_>> = view_scratch.take();
 
-        loop {
+        let outcome: Result<(), EmuError> = 'run: loop {
             // Cooperative cancel: one relaxed load per clock window is
             // invisible at ~30M events/sec, and a stale read only delays
             // the abort by one window.
             if cancel.is_some_and(|flag| flag.load(AtomicOrdering::Relaxed)) {
-                return Err(EmuError::Canceled);
+                break 'run Err(EmuError::Canceled);
             }
             // Drain everything due at the current clock first, in one
             // same-window batch. The batch comes out in full `Ord` order,
@@ -409,44 +422,15 @@ impl DesSimulator {
             for ev in due.iter() {
                 let id = InstanceId(ev.inst as u64);
                 let node_idx = ev.node as usize;
-                let pe = self.platform.pes[ev.col as usize].id;
-                // Faulted attempt: no task record, no estimate update,
-                // no DAG progress — run the recovery policy instead
-                // (identical to the threaded engine's fault branch).
+                let pe = pe_ids[ev.col as usize];
                 if let Some(kind) = ev.fault {
-                    let plan = plan.expect("fault implies a plan");
-                    let state = fstate.as_mut().expect("fault implies fault state");
-                    sink.record_fault(ev.time, id.0, node_idx, pe, kind);
-                    let action = state.on_fault(plan, id.0, node_idx, pe, kind, ev.time);
-                    slots.release(pe);
-                    if action.quarantine && !slots.is_failed(pe) {
-                        // No PeIdle event — the PE leaves the
-                        // schedulable set for good.
-                        slots.fail(pe);
-                        sink.record_quarantine(ev.time, pe);
-                    } else {
-                        tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
-                    }
-                    if let Some((attempt, release)) = action.retry {
-                        sink.record_retry(ev.time, id.0, node_idx, attempt, release);
-                        retries.push(RetryEntry {
-                            release,
-                            seq: retry_seq,
-                            task: Task {
-                                instance: Arc::clone(&instances[ev.inst as usize]),
-                                node_idx,
-                            },
-                        });
-                        retry_seq += 1;
-                    } else if action.newly_aborted {
-                        sink.record_abort();
-                    }
+                    let faults = faults.as_mut().expect("fault implies a plan");
+                    faults.on_fault(ev, kind, &mut slots, &mut sink, retries);
                     continue;
                 }
                 // DES PEs have no reservation queues, so every
                 // completion idles its PE.
                 slots.release(pe);
-                tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
                 let spec = &soa.specs[names.spec_index(id)];
                 let cell = node_idx * soa.stride + ev.col as usize;
                 if observe {
@@ -455,22 +439,30 @@ impl DesSimulator {
                         Duration::from_nanos(ev.dur_ns),
                     );
                 }
-                if fast_records {
-                    done.push(ev.inst, ev.node, ev.col, ev.ready_at.0, ev.time.0, ev.dur_ns);
-                } else {
-                    sink.record_task(TaskRecord {
-                        instance: id,
-                        app: names.app(id).clone(),
-                        node: names.node(id, node_idx).clone(),
-                        node_idx,
-                        kernel: spec.runfunc[cell].clone(),
+                // The completion facts go to the SoA columns (the run's
+                // task log); live observers sample the same raw fields.
+                done.push(ev.inst, ev.node, ev.col, ev.ready_at.0, ev.time.0, ev.dur_ns);
+                if observed {
+                    let start = ev.time.0 - ev.dur_ns;
+                    tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
+                    metrics.task_completed(
                         pe,
-                        ready_at: ev.ready_at,
-                        start: SimTime(ev.time.0 - ev.dur_ns),
-                        finish: ev.time,
-                        modeled: Duration::from_nanos(ev.dur_ns),
-                        measured: Duration::ZERO,
-                    });
+                        SimTime(start).since(ev.ready_at),
+                        Duration::from_nanos(ev.dur_ns),
+                        Duration::ZERO,
+                        &spec.runfunc[cell],
+                    );
+                    tracer.emit(
+                        ev.time,
+                        TraceKind::TaskSlice {
+                            instance: id.0,
+                            node: ev.node,
+                            pe: pe.0,
+                            ready_ns: ev.ready_at.0,
+                            start_ns: start,
+                            finish_ns: ev.time.0,
+                        },
+                    );
                 }
                 // DAG progress: CSR successor walk over flat countdowns.
                 let base = inst_base[ev.inst as usize];
@@ -480,19 +472,13 @@ impl DesSimulator {
                     let flat = (base + succ) as usize;
                     remaining_preds[flat] -= 1;
                     if remaining_preds[flat] == 0 {
-                        ready.push(
-                            Task {
-                                instance: Arc::clone(&instances[ev.inst as usize]),
-                                node_idx: succ as usize,
-                            },
-                            ev.time,
-                        );
+                        ready.push_entry(DenseReady::new(ev.inst, succ, ev.time));
                     }
                 }
                 let left = &mut remaining_tasks[ev.inst as usize];
                 *left -= 1;
                 if *left == 0 {
-                    if fstate.as_ref().is_some_and(|st| st.had_faults(id.0)) {
+                    if faults.as_ref().is_some_and(|f| f.state.had_faults(id.0)) {
                         sink.record_survival();
                     }
                     sink.record_app(AppRecord {
@@ -510,7 +496,7 @@ impl DesSimulator {
                 retries.sort_by_key(|r| (r.release, r.seq));
                 let due_n = retries.iter().take_while(|r| r.release <= clock).count();
                 for r in retries.drain(..due_n) {
-                    ready.push(r.task, r.release);
+                    ready.push_entry(DenseReady::new(r.inst, r.node, r.release));
                 }
             }
             while next_arrival < arrival_order.len() && arrival_order[next_arrival].0 <= clock {
@@ -518,47 +504,75 @@ impl DesSimulator {
                 next_arrival += 1;
                 let inst = &instances[idx as usize];
                 tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
-                ready.push_roots(inst, at);
-            }
-
-            // Permanent failures on idle PEs take effect as the clock
-            // passes them (busy PEs die through their in-flight
-            // attempt's fault decision instead).
-            if let Some(plan) = plan {
-                for pe in &self.platform.pes {
-                    if slots.is_failed(pe.id) || slots.is_busy(pe.id) {
-                        continue;
-                    }
-                    if let Some(tf) = plan.permanent_failure_at(pe.id) {
-                        if tf <= clock {
-                            slots.fail(pe.id);
-                            sink.record_quarantine(tf, pe.id);
-                        }
-                    }
+                let spec = &soa.specs[names.spec_index(inst.id)];
+                for &root in &spec.roots {
+                    ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
                 }
             }
 
-            // Schedule at the current clock.
+            if let Some(plan) = plan {
+                let pes = self.platform.pes.iter().map(|pe| pe.id);
+                fail_idle_pes(plan, pes, clock, &mut slots, &mut sink);
+            }
+
+            // Schedule at the current clock: place ready tasks as
+            // `(entry, PE column, duration)`, then dispatch them.
             if !ready.is_empty() && slots.any_schedulable() {
-                assignments.clear();
-                if dense {
-                    // Dense FIFO path: the policy declared FRFS
-                    // semantics, so the engine computes the identical
-                    // assignment set straight off the SoA slabs — no
-                    // `PeView` materialization, no virtual dispatch.
-                    dense_fifo_assign(
-                        soa,
-                        names,
-                        &slots,
-                        &self.platform,
-                        ready.pending(),
-                        assignments,
-                    );
+                placed.clear();
+                if fifo {
+                    // Strict FIFO, first idle compatible PE in
+                    // descriptor order, stop at the first head task that
+                    // cannot start: `compat & idle`'s lowest set bit is
+                    // exactly FRFS's placement rule. The placements are
+                    // the engine's own, so they skip the contract check
+                    // and come out in `ready_idx` order.
+                    let mut idle = slots.idle_mask();
+                    for e in ready.pending().iter() {
+                        let spec = &soa.specs[names.spec_index(InstanceId(e.inst as u64))];
+                        let fits = spec.compat[e.node as usize] & idle;
+                        if fits == 0 {
+                            break;
+                        }
+                        let col = fits.trailing_zeros();
+                        idle &= !(1u64 << col);
+                        let dur_ns = spec.cost_ns[e.node as usize * soa.stride + col as usize];
+                        placed.push((*e, col, dur_ns));
+                    }
                 } else {
+                    hand_over(&mut ready, &mut tasks, instances);
                     views.clear();
                     views.extend(self.platform.pes.iter().map(|pe| slots.view(pe, clock)));
                     let ctx = SchedContext { now: clock, estimates: &*estimates };
-                    scheduler.schedule_into(ready.pending(), &views, &ctx, assignments);
+                    assignments.clear();
+                    scheduler.schedule_into(tasks.pending(), &views, &ctx, assignments);
+                    // The same contract check the emulator runs, with the
+                    // platform-key string compare replaced by the SoA
+                    // sentinel probe.
+                    let checked = validate_assignments_with(
+                        scheduler.name(),
+                        assignments,
+                        tasks.pending(),
+                        &slots,
+                        |rt, pe| match names.pe_column(pe) {
+                            Some(col) => {
+                                let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
+                                spec.cost_ns[rt.task.node_idx * soa.stride + col] != INCOMPATIBLE
+                            }
+                            None => false,
+                        },
+                    );
+                    if let Err(e) = checked {
+                        break 'run Err(e);
+                    }
+                    assignments.sort_unstable_by_key(|a| a.ready_idx);
+                    placed.extend(assignments.iter().map(|a| {
+                        let rt = &tasks.pending()[a.ready_idx];
+                        let (id, node) = (rt.task.instance.id, rt.task.node_idx);
+                        let e = DenseReady::new(id.0 as u32, node as u32, rt.ready_at);
+                        let col = names.pe_column(a.pe).expect("validated PE");
+                        let spec = &soa.specs[names.spec_index(id)];
+                        (e, col as u32, spec.cost_ns[node * soa.stride + col])
+                    }));
                 }
                 sink.note_sched_invocation();
                 if tracer.enabled() {
@@ -569,7 +583,9 @@ impl DesSimulator {
                         .iter()
                         .filter(|pe| slots.has_room(pe.id))
                         .fold(0u64, |m, pe| m | pe_mask_bit(pe.id));
-                    let chosen = assignments.iter().fold(0u64, |m, a| m | pe_mask_bit(a.pe));
+                    let chosen = placed
+                        .iter()
+                        .fold(0u64, |m, &(_, col, _)| m | pe_mask_bit(pe_ids[col as usize]));
                     tracer.emit(
                         clock,
                         TraceKind::SchedDecision {
@@ -577,105 +593,50 @@ impl DesSimulator {
                             ready: ready.len() as u32,
                             candidates,
                             chosen,
-                            assigned: assignments.len() as u32,
+                            assigned: placed.len() as u32,
                         },
                     );
                 }
-                let charge = self.config.overhead_per_invocation;
-                sink.charge_overhead(OverheadPhase::Schedule, charge);
-
-                // The same contract check the emulator runs, with the
-                // platform-key string compare replaced by the SoA
-                // sentinel probe. The dense path skips it: those
-                // assignments are the engine's own, correct by
-                // construction.
-                if !dense {
-                    validate_assignments_with(
-                        scheduler.name(),
-                        assignments,
-                        ready.pending(),
-                        &slots,
-                        |rt, pe| match names.pe_column(pe) {
-                            Some(col) => {
-                                let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
-                                spec.cost_ns[rt.task.node_idx * soa.stride + col] != INCOMPATIBLE
-                            }
-                            None => false,
-                        },
-                    )?;
-                    assignments.sort_unstable_by_key(|a| a.ready_idx);
+                if !charge.is_zero() {
+                    sink.charge_overhead(OverheadPhase::Schedule, charge);
                 }
-                for a in assignments.iter() {
-                    let rt = &ready.pending()[a.ready_idx];
-                    let id = rt.task.instance.id;
-                    let node_idx = rt.task.node_idx;
-                    let col = names.pe_column(a.pe).expect("known PE");
-                    let spec = &soa.specs[names.spec_index(id)];
-                    let cell = node_idx * soa.stride + col;
-                    let dur_ns = spec.cost_ns[cell];
-                    let start = clock + charge;
-                    let mut finish = start + Duration::from_nanos(dur_ns);
-                    tracer.emit(
-                        clock,
-                        TraceKind::TaskDispatch {
-                            instance: id.0,
-                            node: node_idx as u32,
-                            pe: a.pe.0,
-                        },
-                    );
-                    tracer.emit(clock, TraceKind::PeBusy { pe: a.pe.0 });
+                let start = clock + charge;
+                for &(e, col, dur_ns) in placed.iter() {
+                    let col = col as usize;
+                    let pe = pe_ids[col];
+                    let mut finish = SimTime(start.0.saturating_add(dur_ns));
+                    if tracer.enabled() {
+                        let (instance, node) = (e.inst as u64, e.node);
+                        tracer.emit(clock, TraceKind::TaskDispatch { instance, node, pe: pe.0 });
+                        tracer.emit(clock, TraceKind::PeBusy { pe: pe.0 });
+                    }
                     let mut fault = None;
-                    if let Some(plan) = plan {
-                        let state = fstate.as_mut().expect("plan implies fault state");
-                        let attempt = state.attempt_of(id.0, node_idx);
-                        if attempt > 1 {
-                            if let Some(prev) = state.last_fault_pe(id.0, node_idx) {
-                                if pe_platform_key(prev) != pe_platform_key(a.pe) {
-                                    sink.record_degraded(
-                                        clock,
-                                        id.0,
-                                        node_idx,
-                                        a.pe,
-                                        state.note_degraded(id.0, node_idx),
-                                    );
-                                }
-                            }
-                        }
-                        // The *estimate* (not the exact duration) feeds
-                        // the hang deadline — the same value the
-                        // threaded engine derives at its dispatch, since
-                        // both engines observe completions identically.
-                        let est = estimates
-                            .estimate(&rt.task, &self.platform.pes[col])
-                            .unwrap_or(Duration::from_micros(100));
-                        if let Some(d) = plan.decide(
-                            spec.runfunc[cell].as_str(),
-                            a.pe,
-                            id.0,
-                            node_idx,
-                            attempt,
-                            start,
-                            finish,
-                            est,
-                        ) {
+                    if let Some(faults) = faults.as_mut() {
+                        if let Some(d) = faults.decide(e, col, clock, finish, &mut sink, estimates)
+                        {
                             finish = d.time;
                             fault = Some(d.kind);
                         }
                     }
-                    slots.occupy(a.pe, finish);
+                    slots.occupy(pe, finish);
                     events.push(CompletionEvent {
                         time: finish,
-                        inst: id.0 as u32,
-                        node: node_idx as u32,
+                        inst: e.inst,
+                        node: e.node,
                         seq: event_seq,
                         col: col as u32,
-                        ready_at: rt.ready_at,
+                        ready_at: SimTime(e.ready_ns),
                         dur_ns,
                         fault,
                     });
                     event_seq += 1;
                 }
-                ready.remove(assignments);
+                if fifo {
+                    ready.remove_prefix(placed.len());
+                } else {
+                    tasks.remove(assignments);
+                    ready.return_lent(assignments.len());
+                }
             }
 
             // Advance to the next event (completion, arrival, or retry
@@ -683,294 +644,272 @@ impl DesSimulator {
             let next_completion = events.peek_time().map(SimTime);
             let next_arr = arrival_order.get(next_arrival).map(|&(t, _)| t);
             let next_retry = retries.iter().map(|r| r.release).min();
-            match [next_completion, next_arr, next_retry].into_iter().flatten().min() {
+            match next_completion.into_iter().chain(next_arr).chain(next_retry).min() {
                 Some(t) => clock = clock.max(t),
                 None => {
                     if ready.is_empty() {
-                        break;
+                        break 'run Ok(());
                     }
                     // With fault recovery active this stall may mean
                     // "these tasks lost their last compatible PE"
                     // rather than a scheduler bug; let the resolver
                     // abort those apps and re-evaluate.
-                    let resolved = match fstate.as_mut() {
-                        Some(state) => resolve_unschedulable(
+                    let resolved = match faults.as_mut() {
+                        Some(faults) if fifo => resolve_unschedulable(
                             &self.platform,
                             &mut slots,
                             &mut ready,
-                            state,
+                            &mut faults.state,
                             &mut sink,
                             names,
-                        )?,
-                        None => false,
+                            |e, col| {
+                                let spec = &soa.specs[names.spec_index(InstanceId(e.inst as u64))];
+                                spec.cost_ns[e.node as usize * soa.stride + col] != INCOMPATIBLE
+                            },
+                        ),
+                        Some(faults) => {
+                            hand_over(&mut ready, &mut tasks, instances);
+                            let held = tasks.len();
+                            let resolved = resolve_unschedulable(
+                                &self.platform,
+                                &mut slots,
+                                &mut tasks,
+                                &mut faults.state,
+                                &mut sink,
+                                names,
+                                |rt, col| {
+                                    let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
+                                    let cell = rt.task.node_idx * soa.stride + col;
+                                    spec.cost_ns[cell] != INCOMPATIBLE
+                                },
+                            );
+                            ready.return_lent(held - tasks.len());
+                            resolved
+                        }
+                        None => Ok(false),
                     };
-                    if !resolved {
-                        return Err(EmuError::Config(format!(
-                            "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no events remain",
-                            ready.len(),
-                            scheduler.name()
-                        )));
+                    match resolved {
+                        Ok(true) => {}
+                        Ok(false) => {
+                            break 'run Err(EmuError::Config(format!(
+                                "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no events remain",
+                                ready.len(),
+                                scheduler.name()
+                            )))
+                        }
+                        Err(e) => break 'run Err(e),
                     }
                 }
             }
-        }
+        };
 
-        // Return recycled buffers to the arena for the next run.
+        // Return recycled buffers to the arena for the next run, whether
+        // the run finished or stopped early.
         view_scratch.put(views);
         *ready_buf = ready.into_buffer();
+        *ready_tasks = tasks.into_buffer();
+        outcome?;
 
-        let label = format!("{} (DES)", scheduler.name());
-        if fast_records {
-            // The completion columns ARE the run's task log: hand them
-            // (with the scenario's interned names) to the stats, which
-            // materializes fat records only if a consumer reads them.
-            let dense = DenseTaskLog {
-                cols: std::mem::take(done),
-                names: Arc::clone(names_arc),
-                pes: self.platform.pes.iter().map(|pe| pe.id).collect(),
-            };
-            Ok(sink.finish_dense(&self.platform, label, instances.to_vec(), dense))
-        } else {
-            Ok(sink.finish(&self.platform, label, instances.to_vec()))
-        }
-    }
-
-    /// The dense fast loop: FRFS computed in-engine over an `Arc`-free
-    /// ready ring, PE state as one idle bitmask, and completion facts
-    /// appended straight to the SoA columns. Taken only when nothing
-    /// needs the general machinery (see the gate in
-    /// [`Self::run_compiled`]) — and pinned bit-identical to
-    /// [`Self::run_loop`] over the same inputs by the
-    /// `dense_loop_matches_general_loop` test and the cross-engine
-    /// differential suites.
-    fn run_loop_dense(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        scenario: &CompiledScenario,
-        cancel: Option<&AtomicBool>,
-        s: &mut DesScratch,
-    ) -> Result<EmulationStats, EmuError> {
-        let instances = scenario.instances();
-        let names_arc = &scenario.names;
-        let names: &NameTable = names_arc;
-        let soa = scenario.soa();
-        s.reset();
-        let DesScratch {
-            inst_base,
-            remaining_preds,
-            remaining_tasks,
-            arrival_order,
-            done,
-            events,
-            due,
-            dense_ready,
-            ..
-        } = &mut *s;
-
-        // ---- SoA instance state, identical to the general prologue.
-        let inst_top = instances.iter().map(|i| i.id.0 as usize + 1).max().unwrap_or(0);
-        remaining_tasks.resize(inst_top, 0);
-        for inst in instances {
-            remaining_tasks[inst.id.0 as usize] = soa.specs[names.spec_index(inst.id)].n_nodes;
-        }
-        inst_base.resize(inst_top, 0);
-        let mut flat_total = 0u32;
-        for i in 0..inst_top {
-            inst_base[i] = flat_total;
-            flat_total += remaining_tasks[i];
-        }
-        remaining_preds.resize(flat_total as usize, 0);
-        for inst in instances {
-            let base = inst_base[inst.id.0 as usize] as usize;
-            let spec = &soa.specs[names.spec_index(inst.id)];
-            remaining_preds[base..base + spec.preds_init.len()].copy_from_slice(&spec.preds_init);
-        }
-        // The columns leave with the stats at end of run, so right-size
-        // them up front (the run's task count is known exactly).
-        done.reserve(flat_total as usize);
-
-        arrival_order.extend(
-            instances
-                .iter()
-                .enumerate()
-                .map(|(i, inst)| (SimTime::from_duration(inst.arrival), i as u32)),
-        );
-        arrival_order.sort_unstable_by_key(|&(t, i)| (t, i));
-        let mut next_arrival = 0usize;
-        let mut event_seq = 0u64;
-
-        let mut sink = CompletionSink::new();
-        sink.reserve_apps(instances.len());
-        let n_pes = self.platform.pes.len();
-        // Idle-PE bitmask over platform columns: `free & compat`'s
-        // lowest set bit is exactly "first idle compatible PE in
-        // descriptor order" — FRFS's placement rule.
-        let all_free: u64 = if n_pes >= 64 { u64::MAX } else { (1u64 << n_pes) - 1 };
-        let mut free = all_free;
-        let charge = self.config.overhead_per_invocation;
-        let mut clock = SimTime::ZERO;
-        let mut head = 0usize;
-
-        loop {
-            if cancel.is_some_and(|flag| flag.load(AtomicOrdering::Relaxed)) {
-                return Err(EmuError::Canceled);
-            }
-            // Same-window batch drain, same full-`Ord` tie-break order
-            // as the general loop.
-            due.clear();
-            events.pop_due(clock.0, due);
-            for ev in due.iter() {
-                free |= 1u64 << ev.col;
-                let id = InstanceId(ev.inst as u64);
-                let node_idx = ev.node as usize;
-                let spec = &soa.specs[names.spec_index(id)];
-                done.push(ev.inst, ev.node, ev.col, ev.ready_at.0, ev.time.0, ev.dur_ns);
-                // DAG progress: CSR successor walk over flat countdowns.
-                let base = inst_base[ev.inst as usize];
-                let lo = spec.succ_off[node_idx] as usize;
-                let hi = spec.succ_off[node_idx + 1] as usize;
-                for &succ in &spec.succ[lo..hi] {
-                    let flat = (base + succ) as usize;
-                    remaining_preds[flat] -= 1;
-                    if remaining_preds[flat] == 0 {
-                        dense_ready.push(DenseReady {
-                            inst: ev.inst,
-                            node: succ,
-                            ready_ns: ev.time.0,
-                        });
-                    }
-                }
-                let left = &mut remaining_tasks[ev.inst as usize];
-                *left -= 1;
-                if *left == 0 {
-                    sink.record_app(AppRecord {
-                        instance: id,
-                        app: names.app(id).clone(),
-                        arrival: SimTime::from_duration(instances[ev.inst as usize].arrival),
-                        finish: ev.time,
-                        task_count: spec.n_nodes as usize,
-                    });
-                }
-            }
-            while next_arrival < arrival_order.len() && arrival_order[next_arrival].0 <= clock {
-                let (at, idx) = arrival_order[next_arrival];
-                next_arrival += 1;
-                let inst = &instances[idx as usize];
-                let spec = &soa.specs[names.spec_index(inst.id)];
-                let iid = inst.id.0 as u32;
-                for &r in &spec.roots {
-                    dense_ready.push(DenseReady { inst: iid, node: r, ready_ns: at.0 });
-                }
-            }
-
-            // Schedule at the current clock: strict FIFO, stop at the
-            // first head task with no idle compatible PE.
-            if head < dense_ready.len() && free != 0 {
-                sink.note_sched_invocation();
-                if !charge.is_zero() {
-                    // With metrics off (guaranteed on this path) a zero
-                    // charge is a no-op — skip the call entirely.
-                    sink.charge_overhead(OverheadPhase::Schedule, charge);
-                }
-                while head < dense_ready.len() {
-                    let rt = dense_ready[head];
-                    let spec = &soa.specs[names.spec_index(InstanceId(rt.inst as u64))];
-                    let m = spec.compat[rt.node as usize] & free;
-                    if m == 0 {
-                        break;
-                    }
-                    let col = m.trailing_zeros() as usize;
-                    free &= !(1u64 << col);
-                    let dur_ns = spec.cost_ns[rt.node as usize * soa.stride + col];
-                    let finish = clock + charge + Duration::from_nanos(dur_ns);
-                    events.push(CompletionEvent {
-                        time: finish,
-                        inst: rt.inst,
-                        node: rt.node,
-                        seq: event_seq,
-                        col: col as u32,
-                        ready_at: SimTime(rt.ready_ns),
-                        dur_ns,
-                        fault: None,
-                    });
-                    event_seq += 1;
-                    head += 1;
-                }
-                // Reclaim the consumed prefix once it dominates the
-                // ring (mirrors `ReadyList::remove`'s policy).
-                if head >= 64 && head * 2 >= dense_ready.len() {
-                    dense_ready.drain(..head);
-                    head = 0;
-                }
-            }
-
-            // Advance to the next event (completion or arrival).
-            let next_completion = events.peek_time().map(SimTime);
-            let next_arr = arrival_order.get(next_arrival).map(|&(t, _)| t);
-            match [next_completion, next_arr].into_iter().flatten().min() {
-                Some(t) => clock = clock.max(t),
-                None => {
-                    if head == dense_ready.len() {
-                        break;
-                    }
-                    return Err(EmuError::Config(format!(
-                        "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no events remain",
-                        dense_ready.len() - head,
-                        scheduler.name()
-                    )));
-                }
-            }
-        }
-
-        let dense = DenseTaskLog {
-            cols: std::mem::take(done),
-            names: Arc::clone(names_arc),
-            pes: self.platform.pes.iter().map(|pe| pe.id).collect(),
-        };
+        // The completion columns ARE the run's task log: hand them (with
+        // the scenario's interned names) to the stats, which materialize
+        // fat records only if a consumer reads them.
+        let log =
+            DenseTaskLog { cols: std::mem::take(done), names: Arc::clone(names_arc), pes: pe_ids };
         Ok(sink.finish_dense(
             &self.platform,
             format!("{} (DES)", scheduler.name()),
             instances.to_vec(),
-            dense,
+            log,
         ))
     }
 }
 
-/// FRFS computed inside the engine: strict FIFO over the pending queue,
-/// first idle compatible PE in descriptor order, stop at the first head
-/// that cannot start. Byte-for-byte the assignment set
-/// [`FrfsScheduler::schedule_into`](crate::sched::FrfsScheduler) would
-/// return — `slots.has_room` is exactly the `idle` flag the views would
-/// carry, and the SoA sentinel probe is exactly `task.supports(key)`
-/// (pinned by `soa_matches_grid` and the differential suites). Output is
-/// already in `ready_idx` order and engine-valid, so the caller skips
-/// both the sort and the contract check.
-fn dense_fifo_assign(
-    soa: &ScenarioSoa,
-    names: &NameTable,
-    slots: &PeSlots,
-    platform: &PlatformConfig,
-    pending: &[ReadyTask],
-    out: &mut Vec<Assignment>,
+/// Lends `ready`'s held entries to the end of `tasks` as `ReadyTask`s,
+/// keeping their sequence numbers: what a `dyn` policy reads.
+fn hand_over(
+    ready: &mut ReadyList<DenseReady>,
+    tasks: &mut ReadyList<ReadyTask>,
+    instances: &[Arc<AppInstance>],
 ) {
-    let mut taken: u64 = 0;
-    for (i, rt) in pending.iter().enumerate() {
-        let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
-        let row = rt.task.node_idx * soa.stride;
-        let mut found = false;
-        for (col, pe) in platform.pes.iter().enumerate() {
-            if taken & (1 << col) != 0 || !slots.has_room(pe.id) {
-                continue;
-            }
-            if spec.cost_ns[row + col] != INCOMPATIBLE {
-                taken |= 1 << col;
-                out.push(Assignment { ready_idx: i, pe: pe.id });
-                found = true;
-                break;
+    ready.lend(|e| {
+        let instance = Arc::clone(&instances[e.inst as usize]);
+        let task = Task { instance, node_idx: e.node as usize };
+        tasks.push_stamped(ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq });
+    });
+}
+
+/// The fault machinery of one DES run, present only with a fault plan.
+/// Its steps run out of line: fault-free runs never call them, and
+/// keeping their bodies out of the event loop keeps the loop tight.
+struct DesFaults<'a> {
+    plan: &'a FaultPlan,
+    state: FaultState,
+    platform: &'a PlatformConfig,
+    soa: &'a ScenarioSoa,
+    names: &'a NameTable,
+    instances: &'a [Arc<AppInstance>],
+    tracer: ExecTracer,
+    /// The per-invocation overhead (dispatches start this much later).
+    charge: Duration,
+    retry_seq: u64,
+}
+
+impl DesFaults<'_> {
+    /// A faulted attempt: no task record, no estimate update, no DAG
+    /// progress — the recovery policy runs instead (identical to the
+    /// threaded engine's fault branch).
+    #[cold]
+    #[inline(never)]
+    fn on_fault(
+        &mut self,
+        ev: &CompletionEvent,
+        kind: FaultKind,
+        slots: &mut PeSlots,
+        sink: &mut CompletionSink,
+        retries: &mut Vec<RetryEntry>,
+    ) {
+        let (instance, node_idx) = (ev.inst as u64, ev.node as usize);
+        let pe = self.platform.pes[ev.col as usize].id;
+        sink.record_fault(ev.time, instance, node_idx, pe, kind);
+        let action = self.state.on_fault(self.plan, instance, node_idx, pe, kind, ev.time);
+        slots.release(pe);
+        if action.quarantine && !slots.is_failed(pe) {
+            // No PeIdle event — the PE leaves the schedulable set for
+            // good.
+            slots.fail(pe);
+            sink.record_quarantine(ev.time, pe);
+        } else {
+            self.tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
+        }
+        if let Some((attempt, release)) = action.retry {
+            sink.record_retry(ev.time, instance, node_idx, attempt, release);
+            retries.push(RetryEntry { release, seq: self.retry_seq, inst: ev.inst, node: ev.node });
+            self.retry_seq += 1;
+        } else if action.newly_aborted {
+            sink.record_abort();
+        }
+    }
+
+    /// The fault decision for dispatching `e` on column `col` at
+    /// `clock`, whose attempt would naturally finish at `finish`. Also
+    /// records a degraded dispatch: a retry landing on a different PE
+    /// class than its last fault.
+    #[cold]
+    #[inline(never)]
+    fn decide(
+        &mut self,
+        e: DenseReady,
+        col: usize,
+        clock: SimTime,
+        finish: SimTime,
+        sink: &mut CompletionSink,
+        estimates: &EstimateBook,
+    ) -> Option<FaultDecision> {
+        let (instance, node_idx) = (e.inst as u64, e.node as usize);
+        let pe = &self.platform.pes[col];
+        let attempt = self.state.attempt_of(instance, node_idx);
+        if attempt > 1 {
+            if let Some(prev) = self.state.last_fault_pe(instance, node_idx) {
+                // The same platform-key comparison the threaded engine
+                // makes.
+                let prev_key =
+                    self.names.pe_column(prev).map(|c| self.platform.pes[c].platform_key.as_str());
+                if prev_key != Some(pe.platform_key.as_str()) {
+                    let first = self.state.note_degraded(instance, node_idx);
+                    sink.record_degraded(clock, instance, node_idx, pe.id, first);
+                }
             }
         }
-        if !found {
-            break;
+        // The *estimate* (not the exact duration) feeds the hang
+        // deadline — the same value the threaded engine derives at its
+        // dispatch, since both engines observe completions identically.
+        let task = Task { instance: Arc::clone(&self.instances[e.inst as usize]), node_idx };
+        let est = estimates.estimate(&task, pe).unwrap_or(Duration::from_micros(100));
+        let spec = &self.soa.specs[self.names.spec_index(InstanceId(instance))];
+        let kernel = spec.runfunc[node_idx * self.soa.stride + col].as_str();
+        self.plan.decide(
+            kernel,
+            pe.id,
+            instance,
+            node_idx,
+            attempt,
+            clock + self.charge,
+            finish,
+            est,
+        )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sched::{Assignment, FrfsScheduler, MetScheduler};
+    use crate::task::ReadyTask;
+    use dssoc_appmodel::WorkloadSpec;
+    use dssoc_platform::presets::zcu102;
+
+    /// Breaks the scheduler contract on its first call (an out-of-range
+    /// ready index), stopping the run at validation.
+    struct Rogue;
+
+    impl Scheduler for Rogue {
+        fn name(&self) -> &'static str {
+            "rogue"
+        }
+
+        fn schedule(
+            &mut self,
+            ready: &[ReadyTask],
+            pes: &[PeView<'_>],
+            _ctx: &SchedContext<'_>,
+        ) -> Vec<Assignment> {
+            vec![Assignment { ready_idx: ready.len(), pe: pes[0].pe.id }]
+        }
+    }
+
+    /// Runs that stop early — cancelled, or a contract violation — hand
+    /// the warm ready buffers back to the arena, so the next warm run
+    /// starts with their capacity.
+    #[test]
+    fn early_exits_keep_warm_buffers() {
+        let (library, _registry) = dssoc_apps::standard_library();
+        let workload = WorkloadSpec::validation([("range_detection", 20)])
+            .generate(&library)
+            .expect("workload");
+        let mut des = DesSimulator::new(zcu102(2, 1), DesConfig::default()).expect("platform");
+        let spec = des.config.scenario(
+            Arc::new(library),
+            Arc::clone(&des.platform),
+            "frfs".into(),
+            Arc::new(workload),
+        );
+        let scenario = CompiledScenario::compile_custom(spec).expect("scenario");
+        let cancel = AtomicBool::new(true);
+        let mut frfs = FrfsScheduler::new();
+        let mut met = MetScheduler::new();
+        let policies: [&mut dyn Scheduler; 2] = [&mut frfs, &mut met];
+        for scheduler in policies {
+            let name = scheduler.name();
+            let want = des.run_compiled(scheduler, &scenario, None, None).expect("warm run");
+            // (ready list, lent `ReadyTask`s) capacities.
+            let caps = |des: &DesSimulator| {
+                (des.scratch.ready_buf.capacity(), des.scratch.ready_tasks.capacity())
+            };
+            let warm = caps(&des);
+            assert!(warm.0 > 0, "{name}: the warm run grew no ready buffer");
+
+            let canceled = des.run_compiled(scheduler, &scenario, None, Some(&cancel));
+            assert!(matches!(canceled, Err(EmuError::Canceled)));
+            assert_eq!(caps(&des), warm, "{name}: cancel dropped a buffer");
+
+            let rogue = des.run_compiled(&mut Rogue, &scenario, None, None);
+            assert!(matches!(rogue, Err(EmuError::Config(_))));
+            let kept = caps(&des);
+            assert!(kept.0 >= warm.0 && kept.1 >= warm.1, "{name}: violation dropped a buffer");
+
+            let again = des.run_compiled(scheduler, &scenario, None, None).expect("warm run");
+            assert_eq!(again.makespan, want.makespan);
+            assert_eq!(caps(&des), kept, "{name}: the next warm run regrew a buffer");
         }
     }
 }

@@ -60,8 +60,8 @@ use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
 use crate::exec::{
-    pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments, CompletionSink,
-    ExecTracer, InstanceTracker, PeSlots, ReadyList,
+    fail_idle_pes, pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments,
+    CompletionSink, ExecTracer, InstanceTracker, PeSlots, ReadyList,
 };
 use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
@@ -71,7 +71,7 @@ use crate::metrics::{ExecMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
 use crate::sched::{EstimateBook, PeView, SchedContext, Scheduler};
 use crate::stats::{EmulationStats, TaskRecord};
-use crate::task::Task;
+use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
 
 /// How emulation time is tracked.
@@ -553,8 +553,12 @@ impl Emulation {
         let mut arrivals: VecDeque<Arc<AppInstance>> = instances.into();
         let mut ready = ReadyList::new();
         ready.set_metrics(metrics.clone());
-        let mut slots = PeSlots::new(handlers.len(), self.config.reservation_depth);
+        let mut slots = PeSlots::for_platform(&self.platform, self.config.reservation_depth);
         slots.set_metrics(metrics.clone());
+        // Platform compatibility of a ready task with a PE column, for
+        // the fault-recovery stall resolver.
+        let supports =
+            |rt: &ReadyTask, col: usize| rt.task.supports(&self.platform.pes[col].platform_key);
         // ready_at of dispatched tasks, consumed when the completion is
         // recorded.
         let mut ready_at_of: HashMap<(InstanceId, usize), SimTime> = HashMap::new();
@@ -868,18 +872,8 @@ impl Emulation {
             // passes them (busy PEs die through their in-flight
             // attempt's fault decision instead).
             if let Some(plan) = plan {
-                for h in handlers.iter() {
-                    let pe = h.pe_id();
-                    if slots.is_failed(pe) || slots.is_busy(pe) {
-                        continue;
-                    }
-                    if let Some(tf) = plan.permanent_failure_at(pe) {
-                        if tf <= now {
-                            slots.fail(pe);
-                            sink.record_quarantine(tf, pe);
-                        }
-                    }
-                }
+                let pes = handlers.iter().map(|h| h.pe_id());
+                fail_idle_pes(plan, pes, now, &mut slots, &mut sink);
             }
 
             let mut sched_pass = 0usize;
@@ -1056,6 +1050,7 @@ impl Emulation {
                                     state,
                                     &mut sink,
                                     names,
+                                    supports,
                                 ) {
                                     Ok(r) => r,
                                     Err(e) => {
@@ -1114,6 +1109,7 @@ impl Emulation {
                                     state,
                                     &mut sink,
                                     names,
+                                    supports,
                                 ) {
                                     Ok(r) => r,
                                     Err(e) => {

@@ -32,7 +32,7 @@ use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
 
 use crate::engine::EmuError;
-use crate::fault::FaultState;
+use crate::fault::{FaultPlan, FaultState};
 use crate::intern::{Name, NameTable};
 use crate::metrics::{ExecMetrics, OverheadPhase};
 use crate::sched::{Assignment, PeView};
@@ -147,23 +147,63 @@ pub fn preflight_compat(
     Ok(())
 }
 
-/// The ready-task list: a `Vec` with a consumed-prefix offset.
+/// An entry the [`ReadyList`] can queue: the threaded engine's
+/// [`ReadyTask`] (an `Arc` task handle) or the DES's `Arc`-free
+/// `(instance, node)` index pair. The list only needs the task key and
+/// readiness time its `task_ready` hooks report, and a place to stamp
+/// the readiness sequence number.
+pub trait ReadyEntry {
+    /// `(instance id, node index, ready time)` of the queued task.
+    fn ready_key(&self) -> (u64, u32, SimTime);
+    /// Records the readiness sequence number the list assigned.
+    fn set_seq(&mut self, seq: u64);
+}
+
+impl ReadyEntry for ReadyTask {
+    #[inline]
+    fn ready_key(&self) -> (u64, u32, SimTime) {
+        (self.task.instance.id.0, self.task.node_idx as u32, self.ready_at)
+    }
+
+    #[inline]
+    fn set_seq(&mut self, seq: u64) {
+        self.seq = seq;
+    }
+}
+
+/// The ready-task list: a `Vec` with a consumed-prefix offset, generic
+/// over its entry type.
 ///
 /// FRFS dispatches prefixes, so the common case is O(1) bookkeeping and
 /// scheduling overhead stays flat no matter how long the queue gets
 /// (paper Fig. 10b). Arbitrary-index removal (MET/EFT) compacts in one
 /// pass while preserving readiness (`seq`) order, and the consumed
 /// prefix is reclaimed once it dominates the buffer.
-#[derive(Debug, Default)]
-pub struct ReadyList {
-    items: Vec<ReadyTask>,
+#[derive(Debug)]
+pub struct ReadyList<E = ReadyTask> {
+    items: Vec<E>,
     head: usize,
+    /// Pending entries handed out by [`Self::lend`], still counted.
+    lent: usize,
     seq: u64,
     tracer: ExecTracer,
     metrics: ExecMetrics,
 }
 
-impl ReadyList {
+impl<E> Default for ReadyList<E> {
+    fn default() -> Self {
+        ReadyList {
+            items: Vec::new(),
+            head: 0,
+            lent: 0,
+            seq: 0,
+            tracer: ExecTracer::default(),
+            metrics: ExecMetrics::default(),
+        }
+    }
+}
+
+impl<E: ReadyEntry> ReadyList<E> {
     /// Prefix length below which reclamation is never attempted.
     const RECLAIM_MIN: usize = 1024;
 
@@ -175,61 +215,83 @@ impl ReadyList {
     /// A list wrapping a recycled backing buffer (cleared here), so warm
     /// engines keep the ready list's capacity across runs. Pair with
     /// [`Self::into_buffer`] at end of run.
-    pub fn recycled(mut buf: Vec<ReadyTask>) -> Self {
+    pub fn recycled(mut buf: Vec<E>) -> Self {
         buf.clear();
         ReadyList { items: buf, ..Self::default() }
     }
 
     /// Surrenders the backing buffer for reuse by a later
-    /// [`Self::recycled`] call. Pending entries (there are none at a
-    /// normal end of run) are dropped with the wrapper.
-    pub fn into_buffer(self) -> Vec<ReadyTask> {
+    /// [`Self::recycled`] call. Pending entries are dropped here.
+    pub fn into_buffer(mut self) -> Vec<E> {
+        self.items.clear();
         self.items
     }
 
-    /// Installs the run's tracer. [`Self::push`] is the single funnel
-    /// every newly ready task passes through in both engines, so this is
-    /// where `task_ready` events come from.
+    /// Installs the run's tracer. [`Self::push_entry`] is the single
+    /// funnel every newly ready task passes through in both engines, so
+    /// this is where `task_ready` events come from.
     pub fn set_tracer(&mut self, tracer: ExecTracer) {
         self.tracer = tracer;
     }
 
-    /// Installs the run's metrics handle; [`Self::push`] also funnels
-    /// the ready-depth gauge and histogram samples.
+    /// Installs the run's metrics handle; [`Self::push_entry`] also
+    /// funnels the ready-depth gauge and histogram samples.
     pub fn set_metrics(&mut self, metrics: ExecMetrics) {
         self.metrics = metrics;
     }
 
-    /// Appends a newly ready task, assigning the next sequence number.
-    pub fn push(&mut self, task: Task, ready_at: SimTime) {
-        self.tracer.emit(
-            ready_at,
-            TraceKind::TaskReady { instance: task.instance.id.0, node: task.node_idx as u32 },
-        );
-        self.items.push(ReadyTask { task, ready_at, seq: self.seq });
+    /// Appends a newly ready entry, stamping the next sequence number.
+    #[inline]
+    pub fn push_entry(&mut self, mut entry: E) {
+        if self.tracer.enabled() {
+            let (instance, node, ready_at) = entry.ready_key();
+            self.tracer.emit(ready_at, TraceKind::TaskReady { instance, node });
+        }
+        entry.set_seq(self.seq);
+        self.items.push(entry);
         self.seq += 1;
-        self.metrics.task_ready(self.len());
-    }
-
-    /// Appends all root nodes of a newly arrived instance.
-    pub fn push_roots(&mut self, inst: &Arc<AppInstance>, at: SimTime) {
-        for &r in &inst.spec.roots {
-            self.push(Task { instance: Arc::clone(inst), node_idx: r }, at);
+        if self.metrics.enabled() {
+            self.metrics.task_ready(self.len());
         }
     }
 
-    /// The tasks currently awaiting dispatch, in readiness order. The
-    /// scheduler contract's `ready_idx` indexes into this slice.
-    pub fn pending(&self) -> &[ReadyTask] {
+    /// Appends an entry that keeps the sequence number it carries — one
+    /// lent by another list, which fires its hooks. Fires none.
+    pub fn push_stamped(&mut self, entry: E) {
+        self.items.push(entry);
+    }
+
+    /// Hands every held entry to `take`, in order, and empties the list
+    /// while the entries stay pending in [`Self::len`] and its hooks: the
+    /// caller keeps them in another form (the DES's `ReadyTask`s for a
+    /// `dyn` policy) and reports each one leaving via [`Self::return_lent`].
+    pub fn lend(&mut self, take: impl FnMut(&E)) {
+        self.pending().iter().for_each(take);
+        self.lent += self.items.len() - self.head;
+        self.items.clear();
+        self.head = 0;
+    }
+
+    /// `n` lent entries left the pending set (dispatched or aborted).
+    pub fn return_lent(&mut self, n: usize) {
+        debug_assert!(n <= self.lent);
+        self.lent -= n;
+        self.metrics.tasks_unready(n);
+    }
+
+    /// The entries held here awaiting dispatch, in readiness order (lent
+    /// entries excluded). The scheduler contract's `ready_idx` indexes
+    /// into this slice.
+    pub fn pending(&self) -> &[E] {
         &self.items[self.head..]
     }
 
-    /// Number of tasks awaiting dispatch.
+    /// Number of entries awaiting dispatch, lent ones included.
     pub fn len(&self) -> usize {
-        self.items.len() - self.head
+        self.items.len() - self.head + self.lent
     }
 
-    /// True if no task awaits dispatch.
+    /// True if no entry awaits dispatch.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -240,25 +302,36 @@ impl ReadyList {
     /// indices compact in one order-preserving pass.
     pub fn remove(&mut self, assignments: &[Assignment]) {
         debug_assert!(assignments.windows(2).all(|w| w[0].ready_idx < w[1].ready_idx));
-        self.metrics.tasks_unready(assignments.len());
         let is_prefix = assignments.iter().enumerate().all(|(k, a)| a.ready_idx == k);
         if is_prefix {
-            self.head += assignments.len();
-        } else if !assignments.is_empty() {
-            let mut k = 0usize; // next dispatched assignment
-            let mut write = self.head;
-            for (idx, read) in (self.head..self.items.len()).enumerate() {
-                let dispatched = k < assignments.len() && assignments[k].ready_idx == idx;
-                if dispatched {
-                    k += 1;
-                } else {
-                    self.items.swap(read, write);
-                    write += 1;
-                }
-            }
-            self.items.truncate(write);
+            self.remove_prefix(assignments.len());
+            return;
         }
-        // Reclaim the consumed prefix once it dominates.
+        self.metrics.tasks_unready(assignments.len());
+        // One order-preserving pass drops the consumed prefix and the
+        // dispatched entries together.
+        let head = self.head;
+        let (mut pos, mut k) = (0usize, 0usize); // buffer index, next assignment
+        self.items.retain(|_| {
+            let idx = pos;
+            pos += 1;
+            if idx < head {
+                return false;
+            }
+            let dispatched = k < assignments.len() && assignments[k].ready_idx == idx - head;
+            k += usize::from(dispatched);
+            !dispatched
+        });
+        self.head = 0;
+    }
+
+    /// Removes the first `n` pending entries (a FIFO dispatch round),
+    /// reclaiming the consumed prefix once it dominates.
+    #[inline]
+    pub fn remove_prefix(&mut self, n: usize) {
+        debug_assert!(n <= self.len());
+        self.metrics.tasks_unready(n);
+        self.head += n;
         if self.head > Self::RECLAIM_MIN && self.head * 2 > self.items.len() {
             self.items.drain(..self.head);
             self.head = 0;
@@ -268,6 +341,20 @@ impl ReadyList {
     #[cfg(test)]
     pub(crate) fn buffer_len(&self) -> usize {
         self.items.len()
+    }
+}
+
+impl ReadyList<ReadyTask> {
+    /// Appends a newly ready task.
+    pub fn push(&mut self, task: Task, ready_at: SimTime) {
+        self.push_entry(ReadyTask { task, ready_at, seq: 0 });
+    }
+
+    /// Appends all root nodes of a newly arrived instance.
+    pub fn push_roots(&mut self, inst: &Arc<AppInstance>, at: SimTime) {
+        for &r in &inst.spec.roots {
+            self.push(Task { instance: Arc::clone(inst), node_idx: r }, at);
+        }
     }
 }
 
@@ -358,29 +445,70 @@ impl InstanceTracker {
 /// sparse id spaces still work): the engines query this structure
 /// several times per PE per scheduler invocation, and vector indexing
 /// keeps those queries branch-plus-load instead of a hash each.
+///
+/// It also keeps the idle PEs as a bitmask over platform columns
+/// ([`Self::idle_mask`]), which is what FIFO placement intersects with
+/// a task's compatibility mask.
 #[derive(Debug)]
 pub struct PeSlots {
-    busy: Vec<Option<SimTime>>,         // projected (or exact) finish, by PeId
+    pes: Vec<PeSlot>,                   // by PeId
     reserved: Vec<VecDeque<ReadyTask>>, // by PeId; empty until reserve()
-    failed: Vec<bool>,                  // quarantined PEs, by PeId
-    busy_count: usize,
+    cols: u64,                          // every represented column
+    busy_cols: u64,                     // columns with work in flight
+    failed_cols: u64,                   // quarantined columns
+    busy_wide: usize,                   // busy PEs past column 63
     failed_count: usize,
     depth: usize,
-    total: usize,
+    ids: Vec<PeId>, // the PEs, in column order
     metrics: ExecMetrics,
 }
 
+/// One PE's occupancy, by `PeId`.
+#[derive(Debug, Clone, Copy, Default)]
+struct PeSlot {
+    /// Projected (or exact) finish while work is in flight.
+    busy: Option<SimTime>,
+    /// The PE's column bit in the masks (0 past column 63).
+    bit: u64,
+    /// Quarantined.
+    failed: bool,
+}
+
 impl PeSlots {
-    /// All-idle state for `total` PEs with reservation-queue `depth`.
+    /// All-idle state for `total` PEs with reservation-queue `depth`,
+    /// where PE id `i` occupies platform column `i`.
     pub fn new(total: usize, depth: usize) -> Self {
+        Self::with_columns((0..total as u32).map(PeId), depth)
+    }
+
+    /// All-idle state for `platform`'s PEs with reservation-queue
+    /// `depth`; [`Self::idle_mask`] follows the descriptor order.
+    pub fn for_platform(platform: &PlatformConfig, depth: usize) -> Self {
+        Self::with_columns(platform.pes.iter().map(|pe| pe.id), depth)
+    }
+
+    fn with_columns(ids: impl Iterator<Item = PeId>, depth: usize) -> Self {
+        let ids: Vec<PeId> = ids.collect();
+        let mut pes = vec![PeSlot::default(); ids.len()];
+        let mut cols = 0u64;
+        for (col, id) in ids.iter().enumerate().filter(|&(col, _)| col < 64) {
+            let idx = id.0 as usize;
+            if idx >= pes.len() {
+                pes.resize(idx + 1, PeSlot::default());
+            }
+            pes[idx].bit = 1u64 << col;
+            cols |= 1u64 << col;
+        }
         PeSlots {
-            busy: vec![None; total],
+            pes,
             reserved: Vec::new(),
-            failed: vec![false; total],
-            busy_count: 0,
+            cols,
+            busy_cols: 0,
+            failed_cols: 0,
+            busy_wide: 0,
             failed_count: 0,
             depth,
-            total,
+            ids,
             metrics: ExecMetrics::disabled(),
         }
     }
@@ -398,22 +526,23 @@ impl PeSlots {
 
     /// Number of PEs with work in flight.
     pub fn busy_count(&self) -> usize {
-        self.busy_count
+        self.busy_cols.count_ones() as usize + self.busy_wide
     }
 
     /// True when no PE has work in flight.
     pub fn all_idle(&self) -> bool {
-        self.busy_count == 0
+        self.busy_count() == 0
     }
 
     /// True if `pe` has work in flight.
     pub fn is_busy(&self, pe: PeId) -> bool {
-        self.busy.get(pe.0 as usize).is_some_and(Option::is_some)
+        self.pes.get(pe.0 as usize).is_some_and(|p| p.busy.is_some())
     }
 
     /// The PEs currently executing (ascending id order).
     pub fn busy_pes(&self) -> Vec<PeId> {
-        self.busy.iter().enumerate().filter_map(|(i, b)| b.map(|_| PeId(i as u32))).collect()
+        let busy = self.pes.iter().enumerate().filter(|(_, p)| p.busy.is_some());
+        busy.map(|(i, _)| PeId(i as u32)).collect()
     }
 
     /// Tasks queued behind `pe`'s running task.
@@ -424,7 +553,7 @@ impl PeSlots {
     /// True if `pe` is quarantined (the fault-injection availability
     /// mask every scheduler must respect).
     pub fn is_failed(&self, pe: PeId) -> bool {
-        self.failed.get(pe.0 as usize).copied().unwrap_or(false)
+        self.pes.get(pe.0 as usize).is_some_and(|p| p.failed)
     }
 
     /// Number of quarantined PEs.
@@ -432,15 +561,30 @@ impl PeSlots {
         self.failed_count
     }
 
+    /// Idle, unquarantined PEs as a bitmask over platform columns (bit
+    /// `c` for `platform.pes[c]`). Columns ≥ 64 are not represented.
+    #[inline]
+    pub fn idle_mask(&self) -> u64 {
+        self.cols & !(self.busy_cols | self.failed_cols)
+    }
+
+    /// The slot of `pe`, growing the table for ids past its end.
+    fn slot_mut(&mut self, pe: PeId) -> &mut PeSlot {
+        let idx = pe.0 as usize;
+        if idx >= self.pes.len() {
+            self.pes.resize(idx + 1, PeSlot::default());
+        }
+        &mut self.pes[idx]
+    }
+
     /// Quarantines `pe`: it never reports idle again, so the scheduler
     /// contract forbids assigning to it for the rest of the run.
     pub fn fail(&mut self, pe: PeId) {
-        let idx = pe.0 as usize;
-        if idx >= self.failed.len() {
-            self.failed.resize(idx + 1, false);
-        }
-        if !self.failed[idx] {
-            self.failed[idx] = true;
+        let slot = self.slot_mut(pe);
+        if !slot.failed {
+            slot.failed = true;
+            let bit = slot.bit;
+            self.failed_cols |= bit;
             self.failed_count += 1;
             self.metrics.pe_quarantined();
         }
@@ -461,22 +605,16 @@ impl PeSlots {
 
     /// True if any PE can accept an assignment right now.
     pub fn any_schedulable(&self) -> bool {
-        if self.failed_count == 0 {
-            self.busy_count < self.total
-                || (self.depth > 0
-                    && self
-                        .busy
-                        .iter()
-                        .enumerate()
-                        .any(|(i, b)| b.is_some() && self.queued(PeId(i as u32)) < self.depth))
-        } else {
-            (0..self.total as u32).any(|i| self.has_room(PeId(i)))
-        }
+        // An idle live PE in the masks settles it; otherwise only PEs
+        // past column 63 or reservation-queue room can take work.
+        self.idle_mask() != 0
+            || ((self.ids.len() > 64 || self.depth > 0)
+                && self.ids.iter().any(|&pe| self.has_room(pe)))
     }
 
     /// When `pe` is projected to become available (`now` when idle).
     pub fn available_at(&self, pe: PeId, now: SimTime) -> SimTime {
-        self.busy.get(pe.0 as usize).copied().flatten().unwrap_or(now)
+        self.pes.get(pe.0 as usize).and_then(|p| p.busy).unwrap_or(now)
     }
 
     /// The scheduler's view of one PE, with the shared idle semantics
@@ -486,13 +624,14 @@ impl PeSlots {
     }
 
     /// Marks `pe` busy until `finish`.
+    #[inline]
     pub fn occupy(&mut self, pe: PeId, finish: SimTime) {
-        let idx = pe.0 as usize;
-        if idx >= self.busy.len() {
-            self.busy.resize(idx + 1, None);
-        }
-        if self.busy[idx].replace(finish).is_none() {
-            self.busy_count += 1;
+        let slot = self.slot_mut(pe);
+        if slot.busy.replace(finish).is_none() {
+            match slot.bit {
+                0 => self.busy_wide += 1,
+                bit => self.busy_cols |= bit,
+            }
             self.metrics.pe_busy();
         }
     }
@@ -500,7 +639,7 @@ impl PeSlots {
     /// Extends `pe`'s projected finish by `by` (a reservation joined its
     /// queue).
     pub fn extend(&mut self, pe: PeId, by: Duration) {
-        if let Some(Some(t)) = self.busy.get_mut(pe.0 as usize) {
+        if let Some(t) = self.pes.get_mut(pe.0 as usize).and_then(|p| p.busy.as_mut()) {
             *t += by;
         }
     }
@@ -518,17 +657,24 @@ impl PeSlots {
 
     /// Handles `pe`'s completion: pops its next reserved task (the PE
     /// stays busy and starts it immediately), or marks it idle.
+    #[inline]
     pub fn release(&mut self, pe: PeId) -> Option<ReadyTask> {
-        let next = self.reserved.get_mut(pe.0 as usize).and_then(VecDeque::pop_front);
-        if next.is_none() {
-            if let Some(slot) = self.busy.get_mut(pe.0 as usize) {
-                if slot.take().is_some() {
-                    self.busy_count -= 1;
-                    self.metrics.pe_idle();
-                }
+        if self.depth > 0 {
+            let next = self.reserved.get_mut(pe.0 as usize).and_then(VecDeque::pop_front);
+            if next.is_some() {
+                return next;
             }
         }
-        next
+        if let Some(slot) = self.pes.get_mut(pe.0 as usize) {
+            if slot.busy.take().is_some() {
+                match slot.bit {
+                    0 => self.busy_wide -= 1,
+                    bit => self.busy_cols &= !bit,
+                }
+                self.metrics.pe_idle();
+            }
+        }
+        None
     }
 }
 
@@ -664,7 +810,7 @@ impl CompletionSink {
     /// Records one finished task, charging its modeled duration to its
     /// PE's busy time.
     pub fn record_task(&mut self, rec: TaskRecord) {
-        self.metrics.task_completed(&rec);
+        self.metrics.task_completed(rec.pe, rec.wait(), rec.modeled, rec.measured, &rec.kernel);
         self.tracer.emit(
             rec.finish,
             TraceKind::TaskSlice {
@@ -681,26 +827,6 @@ impl CompletionSink {
             None => self.pe_busy.push((rec.pe, rec.modeled)),
         }
         self.tasks.push(rec);
-    }
-
-    /// Ingests finished tasks whose *live* side effects (the metrics
-    /// sample and the `task_slice` trace event) the engine already
-    /// emitted inline at completion time. Only the end-of-run
-    /// accumulation happens here: PE busy time and the record list.
-    ///
-    /// The DES batches its completions through struct-of-arrays columns
-    /// and materializes the fat records once, after the hot loop; calling
-    /// [`Self::record_task`] then would double-count metrics and traces.
-    pub fn ingest_tasks(&mut self, tasks: impl IntoIterator<Item = TaskRecord>) {
-        let tasks = tasks.into_iter();
-        self.tasks.reserve(tasks.size_hint().0);
-        for rec in tasks {
-            match self.pe_busy.iter_mut().find(|(pe, _)| *pe == rec.pe) {
-                Some((_, busy)) => *busy += rec.modeled,
-                None => self.pe_busy.push((rec.pe, rec.modeled)),
-            }
-            self.tasks.push(rec);
-        }
     }
 
     /// Pre-sizes the application record buffer (engines that know the
@@ -784,7 +910,8 @@ impl CompletionSink {
         }
     }
 
-    /// Folds the accumulated records into the run's statistics.
+    /// Folds the accumulated records into the run's statistics (the
+    /// threaded engine's path; the DES ends with [`Self::finish_dense`]).
     pub fn finish(
         self,
         platform: &PlatformConfig,
@@ -816,9 +943,10 @@ impl CompletionSink {
         }
     }
 
-    /// [`Self::finish`] for the DES fast path: the per-task facts
-    /// arrive as dense columns instead of recorded `TaskRecord`s, and
-    /// stay dense in the returned stats (see
+    /// [`Self::finish`] for the DES: the per-task facts arrive as dense
+    /// columns instead of recorded `TaskRecord`s (the DES fires the
+    /// live metrics and trace side effects inline and records nothing
+    /// here), and stay dense in the returned stats (see
     /// [`TaskLog`](crate::stats::TaskLog)). PE busy time and makespan
     /// are computed with one pass over the columns — the values are
     /// identical to what recording each task eagerly would have
@@ -830,7 +958,7 @@ impl CompletionSink {
         instances: Vec<Arc<AppInstance>>,
         dense: DenseTaskLog,
     ) -> EmulationStats {
-        debug_assert!(self.tasks.is_empty(), "fast path records no eager tasks");
+        debug_assert!(self.tasks.is_empty(), "the DES records no eager tasks");
         self.metrics.run_completed(&scheduler);
         let cols = &dense.cols;
         // Busy time per column; `seen` keeps the map keyed exactly like
@@ -876,6 +1004,32 @@ impl CompletionSink {
     }
 }
 
+/// Quarantines every idle PE among `pes` whose scheduled permanent
+/// failure has passed by `now`, for either engine (busy PEs die through
+/// their in-flight attempt's fault decision instead). Runs only under a
+/// fault plan, so it stays out of line of the engine loops.
+#[cold]
+#[inline(never)]
+pub fn fail_idle_pes(
+    plan: &FaultPlan,
+    pes: impl IntoIterator<Item = PeId>,
+    now: SimTime,
+    slots: &mut PeSlots,
+    sink: &mut CompletionSink,
+) {
+    for pe in pes {
+        if slots.is_failed(pe) || slots.is_busy(pe) {
+            continue;
+        }
+        if let Some(tf) = plan.permanent_failure_at(pe) {
+            if tf <= now {
+                slots.fail(pe);
+                sink.record_quarantine(tf, pe);
+            }
+        }
+    }
+}
+
 /// Resolves a stall with ready tasks but nothing schedulable, on behalf
 /// of either engine's fault-recovery path:
 ///
@@ -887,20 +1041,25 @@ impl CompletionSink {
 /// * otherwise → `Ok(false)`: the remaining tasks *are* schedulable on
 ///   live PEs, so the stall is a genuine scheduler deadlock and the
 ///   caller reports its usual deadlock error.
-pub fn resolve_unschedulable(
+///
+/// `supports(entry, col)` tells whether the entry's task can run on
+/// `platform.pes[col]`.
+pub fn resolve_unschedulable<E: ReadyEntry>(
     platform: &PlatformConfig,
     slots: &mut PeSlots,
-    ready: &mut ReadyList,
+    ready: &mut ReadyList<E>,
     state: &mut FaultState,
     sink: &mut CompletionSink,
     names: &NameTable,
+    supports: impl Fn(&E, usize) -> bool,
 ) -> Result<bool, EmuError> {
     let mut doomed: Vec<Assignment> = Vec::new();
-    for (idx, rt) in ready.pending().iter().enumerate() {
+    for (idx, entry) in ready.pending().iter().enumerate() {
         let live = platform
             .pes
             .iter()
-            .any(|pe| !slots.is_failed(pe.id) && rt.task.supports(&pe.platform_key));
+            .enumerate()
+            .any(|(col, pe)| !slots.is_failed(pe.id) && supports(entry, col));
         if !live {
             // ReadyList::remove only reads ready_idx; the PE field is a
             // placeholder.
@@ -925,7 +1084,7 @@ pub fn resolve_unschedulable(
         });
     }
     for a in &doomed {
-        let inst = ready.pending()[a.ready_idx].task.instance.id.0;
+        let (inst, _, _) = ready.pending()[a.ready_idx].ready_key();
         if state.abort(inst) {
             sink.record_abort();
         }

@@ -27,11 +27,11 @@ use std::time::Duration;
 
 use dssoc_appmodel::instance::AppInstance;
 use dssoc_metrics::{CounterCell, GaugeCell, HistogramCell, MetricsRegistry};
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::FaultKind;
 
 use crate::intern::Name;
-use crate::stats::{AppRecord, TaskRecord};
+use crate::stats::AppRecord;
 
 /// The four workload-manager phases overhead is charged to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -217,25 +217,35 @@ impl ExecMetrics {
         }
     }
 
-    /// A task completed: per-PE throughput and execution time, queue
-    /// wait, per-kernel execution time, and (threaded engine only, where
-    /// a real measured duration exists) modeled-vs-measured skew.
-    pub fn task_completed(&self, rec: &TaskRecord) {
+    /// A task completed on `pe` after waiting `wait` in the ready list:
+    /// per-PE throughput and execution time, queue wait, per-kernel
+    /// execution time, and (threaded engine only, where a real
+    /// `measured` duration exists) modeled-vs-measured skew. Takes the
+    /// raw fields so the DES can sample without building a
+    /// [`TaskRecord`](crate::stats::TaskRecord).
+    pub fn task_completed(
+        &self,
+        pe: PeId,
+        wait: Duration,
+        modeled: Duration,
+        measured: Duration,
+        kernel: &Name,
+    ) {
         let Some(m) = &self.inner else { return };
-        m.task_wait_ns.record(rec.wait().as_nanos() as u64);
-        if let Some(Some(pe)) = m.per_pe.get(rec.pe.0 as usize) {
-            pe.completed.inc();
-            pe.exec_ns.record(rec.modeled.as_nanos() as u64);
+        m.task_wait_ns.record(wait.as_nanos() as u64);
+        if let Some(Some(cells)) = m.per_pe.get(pe.0 as usize) {
+            cells.completed.inc();
+            cells.exec_ns.record(modeled.as_nanos() as u64);
         }
-        if !rec.kernel.as_str().is_empty() {
+        if !kernel.as_str().is_empty() {
             let mut kernels = m.kernels.borrow_mut();
-            let cell = kernels.entry(rec.kernel.clone()).or_insert_with(|| {
-                m.registry.histogram("dssoc_kernel_exec_ns", &[("kernel", &rec.kernel)]).cell()
+            let cell = kernels.entry(kernel.clone()).or_insert_with(|| {
+                m.registry.histogram("dssoc_kernel_exec_ns", &[("kernel", kernel)]).cell()
             });
-            cell.record(rec.modeled.as_nanos() as u64);
+            cell.record(modeled.as_nanos() as u64);
         }
-        if rec.measured > Duration::ZERO {
-            m.task_skew_ns.record(rec.modeled.abs_diff(rec.measured).as_nanos() as u64);
+        if measured > Duration::ZERO {
+            m.task_skew_ns.record(modeled.abs_diff(measured).as_nanos() as u64);
         }
     }
 

@@ -33,9 +33,9 @@ impl Scheduler for FrfsScheduler {
     }
 
     // `schedule_into` below implements exactly this contract and the
-    // policy is stateless across invocations, so engines may take their
-    // dense path. The DES differential suites (cross-engine, trace,
-    // metrics) pin the equivalence.
+    // policy is stateless across invocations, so engines may place FRFS
+    // tasks themselves. `tests/dense_loop.rs` and the DES differential
+    // suites (cross-engine, trace, metrics, faults) pin the equivalence.
     fn dense_fifo(&self) -> bool {
         true
     }

@@ -268,11 +268,14 @@ pub trait Scheduler: Send {
     /// in descriptor order* — i.e. its assignments are exactly what
     /// [`FrfsScheduler`] produces from the documented contract, with no
     /// internal state carried between invocations. An engine may then
-    /// compute the identical assignment set through a dense internal
-    /// path (no `PeView` materialization, no virtual dispatch, no
-    /// post-hoc contract validation); observable behavior must be
+    /// place ready tasks itself instead of calling the policy: the DES
+    /// does so on every run on a ≤64-PE platform, faults, trace and
+    /// metrics included, intersecting each task's compatibility mask
+    /// with its idle-PE mask (no `PeView` materialization, no virtual
+    /// dispatch, no contract validation). Observable behavior must be
     /// indistinguishable. `schedule`/`schedule_into` remain the source
-    /// of truth and must stay equivalent.
+    /// of truth, must stay equivalent, and are what the threaded engine
+    /// and larger platforms call.
     fn dense_fifo(&self) -> bool {
         false
     }

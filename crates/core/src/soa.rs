@@ -72,8 +72,8 @@ pub struct SpecSoa {
     pub(crate) runfunc: Vec<Name>,
     /// Per-node compatibility bitmask over PE columns (bit `c` set when
     /// `cost_ns[node * stride + c]` is compatible). Columns ≥ 64 are not
-    /// represented — the dense FIFO fast path that consumes these masks
-    /// is gated to ≤ 64-PE platforms.
+    /// represented — the DES FIFO placement that consumes these masks
+    /// runs only on ≤ 64-PE platforms.
     pub(crate) compat: Vec<u64>,
     /// DAG root nodes (no predecessors), in node-index order — what an
     /// arrival pushes onto the ready queue.

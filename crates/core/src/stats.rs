@@ -66,7 +66,7 @@ impl TaskRecord {
 }
 
 /// The dense form of a run's per-task records: the six completion
-/// columns the DES fast loop appended, plus what it takes to expand
+/// columns the DES event loop appended, plus what it takes to expand
 /// them into [`TaskRecord`]s — the scenario's interned [`NameTable`]
 /// and the column→[`PeId`] map.
 #[derive(Debug, Clone)]
@@ -114,9 +114,8 @@ impl DenseTaskLog {
 }
 
 /// Per-task records of one run: either eagerly materialized
-/// [`TaskRecord`]s (the threaded engine, and DES runs with a tracer or
-/// live metrics attached, record them inline) or the DES fast path's
-/// dense completion columns, expanded to records on first access.
+/// [`TaskRecord`]s (the threaded engine records them inline) or the
+/// DES's dense completion columns, expanded to records on first access.
 ///
 /// Cheap queries — [`len`](Self::len), [`is_empty`](Self::is_empty) —
 /// never materialize. Everything else ([`Deref`]s to `[TaskRecord]`,
@@ -316,8 +315,8 @@ pub struct EmulationStats {
     /// Workload execution time: emulation time when the last task
     /// finished.
     pub makespan: Duration,
-    /// Per-task records, in completion order (lazily materialized on
-    /// the DES fast path — see [`TaskLog`]).
+    /// Per-task records, in completion order (lazily materialized for
+    /// DES runs — see [`TaskLog`]).
     pub tasks: TaskLog,
     /// Per-application-instance records, in completion order.
     pub apps: Vec<AppRecord>,

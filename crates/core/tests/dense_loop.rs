@@ -1,23 +1,29 @@
-//! Pins the DES dense FIFO fast loop (`run_loop_dense`) to the general
-//! event loop: same workload, same FRFS policy, three execution paths —
-//! (a) the dense fast loop (plain `FrfsScheduler`, no observers),
-//! (b) the general loop driven through `schedule_into` (a wrapper hides
-//!     `dense_fifo()` so the engine cannot take any shortcut), and
-//! (c) the general loop with a metrics observer attached (eager task
-//!     records plus the mid-loop dense-assignment branch).
+//! Pins the DES FIFO placement to the policy path. The DES has one event
+//! loop with two placements: a policy that declares `dense_fifo()` (FRFS)
+//! on a ≤64-PE platform is placed by the engine from the SoA
+//! compatibility masks and the idle-PE mask, and every other policy is
+//! called through `dyn Scheduler` and validated. The reference here is
+//! `GeneralFrfs`: the same FRFS policy behind a wrapper that hides
+//! `dense_fifo()`, so the engine must take the policy path.
 //!
-//! All three must produce bit-identical stats: every task record field,
-//! app records, per-PE busy time, makespan, scheduler-invocation count,
-//! and the overhead breakdown — with and without per-invocation
-//! overhead charging, on a heterogeneous platform with staggered
-//! arrivals so scheduling interleaves with completions.
+//! Both must produce bit-identical stats — every task record field, app
+//! records, per-PE busy time, makespan, scheduler-invocation count, the
+//! overhead breakdown and the reliability counters — on a heterogeneous
+//! platform with staggered arrivals, so scheduling interleaves with
+//! completions. That holds with no observer, with live metrics, with a
+//! trace sink, and with a fault plan, each with and without
+//! per-invocation overhead charging; the metric samples and trace events
+//! themselves must match too. On a platform with more than 64 PEs FRFS
+//! takes the policy path as well, and still agrees.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::InjectionParams;
-use dssoc_appmodel::WorkloadSpec;
+use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
+use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault};
 use dssoc_core::job::CostSpec;
 use dssoc_core::prelude::*;
 use dssoc_core::sched::{Assignment, PeView, SchedContext};
@@ -25,8 +31,9 @@ use dssoc_core::stats::OverheadBreakdown;
 use dssoc_core::task::ReadyTask;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_platform::presets::zcu102;
+use dssoc_trace::TraceSession;
 
 const APPS: [&str; 4] = ["pulse_doppler", "range_detection", "wifi_tx", "wifi_rx"];
 
@@ -52,9 +59,9 @@ fn full_cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable
 }
 
 /// Delegates every scheduling decision to [`FrfsScheduler`] but keeps
-/// the default `dense_fifo() == false`, so the engine must run the
-/// general event loop with `PeView` materialization and virtual
-/// dispatch — the reference behavior the fast loop is pinned against.
+/// the default `dense_fifo() == false`, so the engine must call the
+/// policy with `PeView`s and validate its assignments — the reference
+/// behavior the FIFO placement is pinned against.
 struct GeneralFrfs(FrfsScheduler);
 
 impl Scheduler for GeneralFrfs {
@@ -133,11 +140,8 @@ fn fingerprint(stats: &EmulationStats) -> Fingerprint {
     )
 }
 
-#[test]
-fn dense_loop_matches_general_loop() {
-    let (library, _registry) = standard_library();
-    let platform = zcu102(3, 2);
-    let table = full_cost_table(&library, &platform);
+/// Staggered arrivals of all four reference apps.
+fn staggered_workload(library: &AppLibrary) -> Workload {
     let injections = APPS
         .iter()
         .map(|a| InjectionParams {
@@ -146,47 +150,169 @@ fn dense_loop_matches_general_loop() {
             probability: 0.8,
         })
         .collect();
-    let workload = WorkloadSpec::performance(injections, Duration::from_millis(2), 7)
-        .generate(&library)
-        .expect("workload");
+    WorkloadSpec::performance(injections, Duration::from_millis(2), 7)
+        .generate(library)
+        .expect("workload")
+}
+
+/// What a run is observed with.
+#[derive(Debug, Clone, Copy)]
+enum Observer {
+    None,
+    Metrics,
+    Trace,
+    Faults,
+}
+
+/// A run's stats plus what its observer recorded: the metric samples or
+/// the trace events as comparable strings (empty for the others).
+struct Observed {
+    stats: EmulationStats,
+    recorded: Vec<String>,
+}
+
+/// Runs `workload` on a fresh simulator with `observer` attached.
+fn run_observed(
+    platform: &PlatformConfig,
+    table: &CostTable,
+    overhead: Duration,
+    observer: Observer,
+    scheduler: &mut dyn Scheduler,
+    workload: &Workload,
+    library: &AppLibrary,
+) -> Observed {
+    let metrics = matches!(observer, Observer::Metrics).then(MetricsRegistry::new);
+    let session = matches!(observer, Observer::Trace).then(|| TraceSession::with_capacity(1 << 20));
+    // One accelerator dies, the other and one core fail transiently, and
+    // a third core hangs now and then: retries, quarantine, degraded
+    // dispatch and hang deadlines (which read the estimate book) all
+    // happen, and two cores survive.
+    let faults = matches!(observer, Observer::Faults).then(|| {
+        Arc::new(FaultSpec {
+            seed: 11,
+            permanent: vec![PermanentFault { pe: 3, at_us: 300.0 }],
+            transient: vec![
+                RateFault { kernel: None, pe: Some(4), probability: 0.02 },
+                RateFault { kernel: None, pe: Some(1), probability: 0.001 },
+            ],
+            hangs: vec![RateFault { kernel: None, pe: Some(2), probability: 0.001 }],
+            ..FaultSpec::default()
+        })
+    });
+    let config = DesConfig {
+        cost: CostSpec::table(table.clone()),
+        overhead_per_invocation: overhead,
+        trace: session.as_ref().map(TraceSession::sink),
+        faults,
+        metrics: metrics.clone(),
+    };
+    let mut des = DesSimulator::new(platform.clone(), config).expect("platform");
+    let stats = des.run(scheduler, workload, library).expect("simulation");
+    let mut recorded: Vec<String> = Vec::new();
+    if let Some(registry) = metrics {
+        recorded.extend(registry.snapshot().samples.iter().map(|s| format!("{s:?}")));
+    }
+    if let Some(session) = session {
+        assert_eq!(session.dropped(), 0, "trace ring overflowed");
+        recorded.extend(session.drain().iter().map(|e| format!("{} {:?}", e.ts_ns, e.kind)));
+    }
+    Observed { stats, recorded }
+}
+
+#[test]
+fn dense_loop_matches_general_loop() {
+    let (library, _registry) = standard_library();
+    let platform = zcu102(3, 2);
+    let table = full_cost_table(&library, &platform);
+    let workload = staggered_workload(&library);
 
     for overhead in [Duration::ZERO, Duration::from_nanos(700)] {
-        let config = |metrics: Option<MetricsRegistry>| DesConfig {
+        // Bare FIFO placement, cold then warm (scratch reuse).
+        let config = DesConfig {
             cost: CostSpec::table(table.clone()),
             overhead_per_invocation: overhead,
             trace: None,
             faults: None,
-            metrics,
+            metrics: None,
         };
-
-        // (a) Dense fast loop, cold then warm (scratch reuse).
-        let mut des = DesSimulator::new(platform.clone(), config(None)).expect("platform");
+        let mut des = DesSimulator::new(platform.clone(), config).expect("platform");
         let mut frfs = FrfsScheduler::new();
-        let dense_cold = des.run(&mut frfs, &workload, &library).expect("dense cold");
-        let dense_warm = des.run(&mut frfs, &workload, &library).expect("dense warm");
+        let cold = des.run(&mut frfs, &workload, &library).expect("cold");
+        let warm = des.run(&mut frfs, &workload, &library).expect("warm");
+        let want = fingerprint(&cold);
+        assert!(!cold.tasks.is_empty(), "workload produced no tasks");
+        assert_eq!(fingerprint(&warm), want, "warm run diverged (overhead {overhead:?})");
 
-        // (b) General loop: identical policy, shortcut hidden.
-        let mut des = DesSimulator::new(platform.clone(), config(None)).expect("platform");
-        let mut wrapped = GeneralFrfs(FrfsScheduler::new());
-        let general = des.run(&mut wrapped, &workload, &library).expect("general");
-
-        // (c) General loop with eager records: a metrics observer takes
-        // FRFS off the fast path but keeps its dense mid-loop branch.
-        let mut des = DesSimulator::new(platform.clone(), config(Some(MetricsRegistry::new())))
-            .expect("platform");
-        let mut frfs = FrfsScheduler::new();
-        let observed = des.run(&mut frfs, &workload, &library).expect("observed");
-
-        assert!(!general.tasks.is_empty(), "workload produced no tasks");
-        let want = fingerprint(&general);
-        for (label, stats) in
-            [("dense cold", &dense_cold), ("dense warm", &dense_warm), ("metrics", &observed)]
-        {
+        for observer in [Observer::None, Observer::Metrics, Observer::Trace, Observer::Faults] {
+            let run = |scheduler: &mut dyn Scheduler| {
+                run_observed(&platform, &table, overhead, observer, scheduler, &workload, &library)
+            };
+            let fifo = run(&mut FrfsScheduler::new());
+            let policy = run(&mut GeneralFrfs(FrfsScheduler::new()));
+            let label = format!("{observer:?}, overhead {overhead:?}");
             assert_eq!(
-                fingerprint(stats),
-                want,
-                "{label} run diverged from the general loop (overhead {overhead:?})"
+                fingerprint(&fifo.stats),
+                fingerprint(&policy.stats),
+                "FIFO placement diverged from the policy path ({label})"
             );
+            assert_eq!(
+                fifo.stats.reliability, policy.stats.reliability,
+                "reliability counters diverged ({label})"
+            );
+            assert_eq!(fifo.recorded, policy.recorded, "observer records diverged ({label})");
+            match observer {
+                // Observers never change the simulated outcome.
+                Observer::None | Observer::Metrics | Observer::Trace => {
+                    assert_eq!(fingerprint(&fifo.stats), want, "{label} changed the run")
+                }
+                Observer::Faults => {
+                    let r = &fifo.stats.reliability;
+                    assert!(
+                        r.retries > 0 && r.pes_quarantined > 0 && r.tasks_degraded > 0,
+                        "fault plan exercised too little: {r:?}"
+                    );
+                }
+            }
+            if matches!(observer, Observer::Metrics | Observer::Trace) {
+                assert!(!fifo.recorded.is_empty(), "{label}: nothing recorded");
+            }
         }
+    }
+}
+
+/// More PEs than the FIFO placement's 64-bit masks hold: FRFS must take
+/// the policy path (a truncated mask would misplace tasks) and agree
+/// with the reference, with and without metrics.
+#[test]
+fn more_than_64_pes_take_the_policy_path() {
+    let (library, _registry) = standard_library();
+    let mut platform = zcu102(1, 0);
+    let a53 = platform.pes[0].clone();
+    platform.pes = (0..70)
+        .map(|i| PeDescriptor { id: PeId(i), name: format!("Core{}", i + 1), ..a53.clone() })
+        .collect();
+    let table = full_cost_table(&library, &platform);
+    let workload = staggered_workload(&library);
+    for observer in [Observer::None, Observer::Metrics] {
+        let run = |scheduler: &mut dyn Scheduler| {
+            run_observed(
+                &platform,
+                &table,
+                Duration::ZERO,
+                observer,
+                scheduler,
+                &workload,
+                &library,
+            )
+        };
+        let frfs = run(&mut FrfsScheduler::new());
+        let policy = run(&mut GeneralFrfs(FrfsScheduler::new()));
+        assert!(!frfs.stats.tasks.is_empty(), "workload produced no tasks");
+        assert!(
+            frfs.stats.tasks.iter().any(|t| t.pe.0 >= 64),
+            "the run never used a PE past column 63"
+        );
+        assert_eq!(fingerprint(&frfs.stats), fingerprint(&policy.stats), "{observer:?}");
+        assert_eq!(frfs.recorded, policy.recorded, "{observer:?}");
     }
 }

@@ -1691,7 +1691,7 @@ mod tests {
     }
 
     /// Tens of thousands of arrivals: a DES run slow enough (>100ms
-    /// even on the dense FRFS fast path) to reliably occupy a worker
+    /// even with FRFS's engine-side placement) to reliably occupy a worker
     /// while the test submits and cancels behind it.
     fn heavy_scenario_seeded(seed: u64) -> Arc<CompiledScenario> {
         compile(WorkloadSpec::performance(
