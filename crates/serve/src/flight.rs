@@ -700,10 +700,10 @@ pub fn timeline_value(t: &JobTimeline) -> Value {
 }
 
 /// Checks that one job's timeline is complete and causally ordered:
-/// starts at `submitted`, strictly increasing seq, nondecreasing time,
-/// one terminal event (last), consistent job/span ids, no orphan
-/// attempt spans, and dispatch/engine-start causality. The chaos soak
-/// runs this over every terminal job.
+/// opens with `submitted → admitted → queued`, strictly increasing seq,
+/// nondecreasing time, one terminal event (last), consistent job/span
+/// ids, no orphan attempt spans, and dispatch/engine-start causality.
+/// The chaos soak runs this over every terminal job.
 pub fn validate_timeline(events: &[FlightEvent]) -> Result<(), String> {
     let first = events.first().ok_or("timeline is empty")?;
     if first.kind != FlightEventKind::Submitted {
@@ -714,7 +714,7 @@ pub fn validate_timeline(events: &[FlightEvent]) -> Result<(), String> {
     let mut prev_ts = 0u64;
     let mut prev_attempt = 0u32;
     let mut queued_since_dispatch = false;
-    let mut dispatched_attempt = 0u32;
+    let mut dispatched_attempt: Option<u32> = None;
     let mut terminal_at: Option<usize> = None;
     for (i, ev) in events.iter().enumerate() {
         if ev.job != job {
@@ -754,9 +754,9 @@ pub fn validate_timeline(events: &[FlightEvent]) -> Result<(), String> {
                     return Err(format!("dispatched without queue entry at seq {}", ev.seq));
                 }
                 queued_since_dispatch = false;
-                dispatched_attempt = ev.attempt;
+                dispatched_attempt = Some(ev.attempt);
             }
-            FlightEventKind::EngineStart if ev.attempt != dispatched_attempt => {
+            FlightEventKind::EngineStart if dispatched_attempt != Some(ev.attempt) => {
                 return Err(format!("engine_start for unclaimed attempt at seq {}", ev.seq));
             }
             _ => {}
@@ -776,12 +776,18 @@ pub fn validate_timeline(events: &[FlightEvent]) -> Result<(), String> {
         prev_attempt = ev.attempt;
     }
     match terminal_at {
-        None => Err("no terminal event".to_string()),
+        None => return Err("no terminal event".to_string()),
         Some(at) if at != events.len() - 1 => {
-            Err(format!("terminal event at index {at} is not last"))
+            return Err(format!("terminal event at index {at} is not last"));
         }
-        Some(_) => Ok(()),
+        Some(_) => {}
     }
+    let admission =
+        [FlightEventKind::Submitted, FlightEventKind::Admitted, FlightEventKind::Queued];
+    if !events.iter().map(|e| e.kind).take(3).eq(admission) {
+        return Err("timeline does not open with submitted → admitted → queued".to_string());
+    }
+    Ok(())
 }
 
 /// Lane liveness, as reported by `/healthz`.
@@ -1071,6 +1077,19 @@ mod tests {
         let mut no_queue = vec![mk(1, 0, Submitted, 0, 0)];
         no_queue.push(mk(2, 1, Dispatched, 1, a1));
         assert!(validate_timeline(&no_queue).unwrap_err().contains("queue"));
+        // Engine start with no dispatch before it, even at attempt 0.
+        let unclaimed = vec![
+            mk(1, 0, Submitted, 0, 0),
+            mk(2, 0, Admitted, 0, 0),
+            mk(3, 0, Queued, 0, 0),
+            mk(4, 1, EngineStart, 0, 0),
+            mk(5, 2, Cancelled, 0, 0),
+        ];
+        assert!(validate_timeline(&unclaimed).unwrap_err().contains("engine_start"));
+        // Admission skipped between submission and queueing.
+        let unadmitted =
+            vec![mk(1, 0, Submitted, 0, 0), mk(2, 0, Queued, 0, 0), mk(3, 1, Cancelled, 0, 0)];
+        assert!(validate_timeline(&unadmitted).unwrap_err().contains("admitted"));
     }
 
     #[test]

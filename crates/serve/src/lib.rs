@@ -23,6 +23,10 @@
 //!   transient failures retry with seeded backoff, worker panics are
 //!   contained to the offending job and the lane is respawned, and
 //!   terminal results expire by TTL and per-tenant retention bounds.
+//!   The job state machine is `manager/lifecycle.rs`: a pure step
+//!   function and one `apply` transition from which the queue and
+//!   tenant counters, gauges and outcome metrics are all derived, with
+//!   no threads, so it is model-checked directly.
 //! * [`flight`] — the job flight recorder: span-structured lifecycle
 //!   events (one root span per job, one child per attempt, stitched
 //!   into the engine's Chrome trace by span id) in a bounded

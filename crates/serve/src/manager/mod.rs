@@ -17,6 +17,13 @@
 //! while the in-flight quota is enforced at dispatch — an over-limit
 //! tenant's jobs stay queued and other tenants' work overtakes them.
 //!
+//! The job state machine lives in `lifecycle`, with no threads: one
+//! transition moves every job, and the queue and tenant counters, the
+//! depth gauges and the outcome metrics all follow from its state
+//! changes. This module holds the public types, the workers and the
+//! supervisor, which lock the lifecycle state, call into it, and
+//! notify.
+//!
 //! # Resilience
 //!
 //! The manager assumes jobs misbehave and contains the blast radius:
@@ -43,18 +50,21 @@
 //! * **Retention.** Terminal records expire by global count, per-tenant
 //!   count, and wall-clock TTL, so an abandoned tenant cannot pin
 //!   memory.
+//! * **Drain always ends.** A queued job that can never be claimed (its
+//!   tenant's in-flight quota is 0) is cancelled once the drain has
+//!   nothing else to wait for.
 //!
 //! [`Emulation`]: dssoc_core::engine::Emulation
 //! [`EmuError::Fault`]: dssoc_core::engine::EmuError::Fault
 
-use std::collections::{HashMap, VecDeque};
+mod lifecycle;
+
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dssoc_core::engine::EmuError;
 use dssoc_core::job::{CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache};
 use dssoc_core::sched::by_name;
 use dssoc_core::stats::EmulationStats;
@@ -62,8 +72,10 @@ use dssoc_metrics::MetricsRegistry;
 use dssoc_trace::TraceSession;
 
 use crate::flight::{
-    self, FlightConfig, FlightEvent, FlightEventKind, FlightRecorder, JobSubscription, JobTimeline,
-    LaneHealth,
+    FlightConfig, FlightEvent, FlightRecorder, JobSubscription, JobTimeline, LaneHealth,
+};
+use lifecycle::{
+    lane_name, Claimed, Env, Pick, RunDone, RunError, RunErrorKind, State, LANE_DES, LANE_THREADED,
 };
 
 /// Sizing, quota, and resilience knobs for [`JobManager::start`].
@@ -360,142 +372,6 @@ pub struct JobSnapshot {
     pub last_error: Option<String>,
 }
 
-/// Why a running job's cancel flag was raised — decides the terminal
-/// state the aborted run maps to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CancelReason {
-    User,
-    Deadline,
-}
-
-struct JobRecord {
-    tenant: String,
-    engine: Engine,
-    priority: u8,
-    fingerprint: Fingerprint,
-    scheduler: String,
-    platform: String,
-    /// Dropped when the job reaches a terminal state.
-    scenario: Option<Arc<CompiledScenario>>,
-    want_trace: bool,
-    trace_json: Option<Arc<String>>,
-    submitted: Instant,
-    started: Option<Instant>,
-    finished: Option<Instant>,
-    state: JobState,
-    /// Cooperative-cancel flag handed to the DES event loop.
-    cancel: Arc<AtomicBool>,
-    /// Why `cancel` was raised, if it was.
-    cancel_reason: Option<CancelReason>,
-    /// Absolute give-up time, from [`SubmitOptions::deadline`].
-    deadline: Option<Instant>,
-    attempts: u32,
-    last_error: Option<String>,
-    chaos: Option<ChaosMode>,
-    /// Root correlation span (flight recorder + engine-trace stitch).
-    span: u64,
-    /// The complete lifecycle event sequence. Bounded by construction:
-    /// a few submit-side events, a handful per attempt (attempts are
-    /// bounded by `retry_max_attempts`), and at most
-    /// [`MAX_AGED_EVENTS`] aging notices.
-    flight: Vec<FlightEvent>,
-    /// Whole aging levels already reported for the current queue stay.
-    aged_level: u64,
-    /// Aging notices emitted so far (capped at [`MAX_AGED_EVENTS`]).
-    aged_events: u32,
-    /// Trace-ring events dropped during the traced run (`None` until a
-    /// traced attempt finishes).
-    trace_dropped: Option<u64>,
-}
-
-/// Cap on per-job `aged` events, so an unclaimable job cannot grow its
-/// own timeline without bound.
-const MAX_AGED_EVENTS: u32 = 8;
-
-impl JobRecord {
-    fn snapshot(&self, id: u64) -> JobSnapshot {
-        JobSnapshot {
-            id,
-            tenant: self.tenant.clone(),
-            engine: self.engine,
-            priority: self.priority,
-            fingerprint: self.fingerprint,
-            scheduler: self.scheduler.clone(),
-            platform: self.platform.clone(),
-            state: self.state.clone(),
-            queue_wait: self
-                .started
-                .unwrap_or_else(Instant::now)
-                .saturating_duration_since(self.submitted),
-            run_time: match (self.started, self.finished) {
-                (Some(s), Some(f)) => Some(f.saturating_duration_since(s)),
-                _ => None,
-            },
-            trace: self.want_trace,
-            attempts: self.attempts,
-            last_error: self.last_error.clone(),
-        }
-    }
-}
-
-/// One queued-lane entry. Lanes are plain vectors scanned at claim
-/// time: queues are small (bounded by `queue_capacity`), and aging
-/// makes the effective priority time-dependent, so a heap's frozen
-/// ordering would go stale anyway. Vector storage also makes active
-/// removal (cancel, deadline expiry) an O(n) `retain` instead of a
-/// tombstone that admission would still count.
-struct QueuedEntry {
-    priority: u8,
-    seq: u64,
-    id: u64,
-    /// When the entry (re-)entered the queue; aging counts from here.
-    enqueued: Instant,
-    /// Earliest claim time (retry backoff).
-    not_before: Option<Instant>,
-}
-
-/// Effective priority under aging: the base level plus one level per
-/// `step` of queue wait. With `step == None` aging is off and base
-/// priority alone decides.
-fn effective_priority(base: u8, waited: Duration, step: Option<Duration>) -> u64 {
-    let aged = match step {
-        Some(step) if !step.is_zero() => {
-            (waited.as_nanos() / step.as_nanos()).min(u64::MAX as u128) as u64
-        }
-        _ => 0,
-    };
-    (base as u64).saturating_add(aged)
-}
-
-/// splitmix64 — the workspace-standard stateless hash (same idiom as
-/// the fault plan's decision hashing).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Deterministic jittered exponential backoff for retry `attempt`
-/// (1-based count of attempts already made): `base * 2^(attempt-1)`,
-/// jittered into `[0.5x, 1.5x)` by a seeded hash of `(seed, id,
-/// attempt)` — reproducible across runs, decorrelated across jobs.
-fn retry_backoff(seed: u64, id: u64, attempt: u32, base: Duration) -> Duration {
-    let exp = base.saturating_mul(1u32 << (attempt.saturating_sub(1)).min(10));
-    let h = splitmix64(seed ^ id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ u64::from(attempt));
-    let frac = (h >> 11) as f64 / (1u64 << 53) as f64;
-    exp.mul_f64(0.5 + frac)
-}
-
-#[derive(Default)]
-struct TenantCounters {
-    queued: usize,
-    inflight: usize,
-    submitted: u64,
-    rejected: u64,
-    cache_served: u64,
-}
-
 /// Per-tenant accounting, as reported by [`JobManager::tenants`].
 #[derive(Debug, Clone)]
 pub struct TenantSnapshot {
@@ -513,40 +389,6 @@ pub struct TenantSnapshot {
     pub cache_served: u64,
 }
 
-const LANE_THREADED: usize = 0;
-const LANE_DES: usize = 1;
-
-fn lane_of(engine: Engine) -> usize {
-    match engine {
-        Engine::Threaded => LANE_THREADED,
-        Engine::Des => LANE_DES,
-    }
-}
-
-fn lane_name(lane: usize) -> &'static str {
-    match lane {
-        LANE_THREADED => "threaded",
-        _ => "des",
-    }
-}
-
-struct State {
-    next_id: u64,
-    lanes: [Vec<QueuedEntry>; 2],
-    jobs: HashMap<u64, JobRecord>,
-    /// Submission order, for listing; lazily compacted as terminal
-    /// jobs age out of `jobs`.
-    order: VecDeque<u64>,
-    tenants: HashMap<String, TenantCounters>,
-    /// Terminal job ids in completion order, bounding `jobs` growth.
-    terminal: VecDeque<u64>,
-    queued_total: usize,
-    draining: bool,
-    /// Shutdown chose to kill queued jobs (no-drain): retries must not
-    /// re-enqueue behind the reaper.
-    kill_queued: bool,
-}
-
 struct Shared {
     state: Mutex<State>,
     /// Wakes workers: new work, a finished job freeing an in-flight
@@ -554,55 +396,31 @@ struct Shared {
     work_cv: Condvar,
     /// Wakes long-poll watchers on any terminal transition.
     done_cv: Condvar,
-    registry: MetricsRegistry,
+    /// Limits, metrics registry and flight recorder.
+    env: Env,
     cache: ResultCache,
-    config: ManagerConfig,
     /// Raised once at shutdown: the supervisor exits and stops
     /// respawning (a drained worker's exit is not a death).
     stopping: AtomicBool,
-    /// The job flight recorder (ring, log, subscribers, dumps).
-    flight: FlightRecorder,
-}
-
-/// Emits one flight event and appends it to the job's own timeline.
-/// Caller holds the state lock — that is the single-producer
-/// discipline the recorder's ring and subscriber catch-up rely on.
-/// `in_attempt` assigns the event to the current attempt's span
-/// (run-side events) instead of the root span (queue-side events).
-fn record_flight(
-    shared: &Shared,
-    st: &mut State,
-    id: u64,
-    kind: FlightEventKind,
-    in_attempt: bool,
-    error: Option<&str>,
-    at: Instant,
-) {
-    let queue_depth = st.queued_total;
-    let Some(r) = st.jobs.get_mut(&id) else { return };
-    let attempt_span = if in_attempt { flight::attempt_span(r.span, r.attempts) } else { 0 };
-    let ev = shared.flight.emit(
-        kind,
-        id,
-        r.span,
-        attempt_span,
-        r.attempts,
-        &r.tenant,
-        lane_name(lane_of(r.engine)),
-        queue_depth,
-        error,
-        at,
-    );
-    r.flight.push(ev);
 }
 
 impl Shared {
-    fn count_rejection(&self, st: &mut State, tenant: &str, err: &AdmissionError) {
-        st.tenants.entry(tenant.to_string()).or_default().rejected += 1;
-        self.registry
-            .counter("dssoc_serve_rejections", &[("tenant", tenant), ("reason", err.reason())])
-            .cell()
-            .inc();
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("manager state")
+    }
+
+    /// Runs `f` on the locked state and wakes the long-poll watchers if
+    /// it settled any job.
+    fn settle<T>(&self, f: impl FnOnce(&mut State, &Env) -> T) -> T {
+        let mut st = self.lock();
+        let settled = st.settled;
+        let out = f(&mut st, &self.env);
+        let woke = st.settled != settled;
+        drop(st);
+        if woke {
+            self.done_cv.notify_all();
+        }
+        out
     }
 }
 
@@ -630,28 +448,17 @@ impl JobManager {
         let cache = ResultCache::new(config.cache_capacity.max(1));
         cache.attach_metrics(&registry);
         let flight = FlightRecorder::new(&config.flight, registry.clone());
+        let des_workers = config.des_workers.max(1);
         let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                next_id: 1,
-                lanes: [Vec::new(), Vec::new()],
-                jobs: HashMap::new(),
-                order: VecDeque::new(),
-                tenants: HashMap::new(),
-                terminal: VecDeque::new(),
-                queued_total: 0,
-                draining: false,
-                kill_queued: false,
-            }),
+            state: Mutex::new(State::new()),
             work_cv: Condvar::new(),
             done_cv: Condvar::new(),
-            registry,
+            env: Env { config, registry, flight },
             cache,
-            config: config.clone(),
             stopping: AtomicBool::new(false),
-            flight,
         });
         let mut slots = Vec::new();
-        for (lane, count) in [(LANE_THREADED, 1), (LANE_DES, config.des_workers.max(1))] {
+        for (lane, count) in [(LANE_THREADED, 1), (LANE_DES, des_workers)] {
             for i in 0..count {
                 slots.push(WorkerSlot { lane, handle: spawn_worker(&shared, lane, i) });
             }
@@ -690,85 +497,16 @@ impl JobManager {
         opts: SubmitOptions,
     ) -> Result<JobSnapshot, AdmissionError> {
         let shared = &self.shared;
-        let mut st = shared.state.lock().expect("manager state");
-        if st.draining {
-            shared.count_rejection(&mut st, tenant, &AdmissionError::Draining);
-            return Err(AdmissionError::Draining);
+        let admitted = shared.lock().admit(&shared.env, tenant, scenario, opts, Instant::now());
+        if admitted.is_ok() {
+            shared.work_cv.notify_all();
         }
-        if st.queued_total >= shared.config.queue_capacity {
-            shared.count_rejection(&mut st, tenant, &AdmissionError::QueueFull);
-            return Err(AdmissionError::QueueFull);
-        }
-        let queued = st.tenants.entry(tenant.to_string()).or_default().queued;
-        if queued >= shared.config.max_queued_per_tenant {
-            let err = AdmissionError::TenantOverQuota(queued);
-            shared.count_rejection(&mut st, tenant, &err);
-            return Err(err);
-        }
-
-        let id = st.next_id;
-        st.next_id += 1;
-        let now = Instant::now();
-        let spec = scenario.spec();
-        let record = JobRecord {
-            tenant: tenant.to_string(),
-            engine: opts.engine,
-            priority: opts.priority,
-            fingerprint: scenario.fingerprint(),
-            scheduler: spec.scheduler.clone(),
-            platform: spec.platform.name.clone(),
-            scenario: Some(scenario),
-            want_trace: opts.trace,
-            trace_json: None,
-            submitted: now,
-            started: None,
-            finished: None,
-            state: JobState::Queued,
-            cancel: Arc::new(AtomicBool::new(false)),
-            cancel_reason: None,
-            deadline: opts.deadline.map(|d| now + d),
-            attempts: 0,
-            last_error: None,
-            chaos: opts.chaos,
-            span: shared.flight.span_of(id),
-            flight: Vec::new(),
-            aged_level: 0,
-            aged_events: 0,
-            trace_dropped: None,
-        };
-        let snapshot = record.snapshot(id);
-        st.jobs.insert(id, record);
-        st.order.push_back(id);
-        st.lanes[lane_of(opts.engine)].push(QueuedEntry {
-            priority: opts.priority,
-            seq: id,
-            id,
-            enqueued: now,
-            not_before: None,
-        });
-        st.queued_total += 1;
-        {
-            let t = st.tenants.entry(tenant.to_string()).or_default();
-            t.queued += 1;
-            t.submitted += 1;
-        }
-        shared.registry.counter("dssoc_serve_submissions", &[("tenant", tenant)]).cell().inc();
-        shared.registry.gauge("dssoc_serve_queue_depth", &[]).cell().inc();
-        // All three share the submission instant, so the timeline's
-        // `queued → dispatched` delta is exactly the queue-wait the
-        // histogram records at claim time.
-        record_flight(shared, &mut st, id, FlightEventKind::Submitted, false, None, now);
-        record_flight(shared, &mut st, id, FlightEventKind::Admitted, false, None, now);
-        record_flight(shared, &mut st, id, FlightEventKind::Queued, false, None, now);
-        drop(st);
-        shared.work_cv.notify_all();
-        Ok(snapshot)
+        admitted
     }
 
     /// A point-in-time view of one job.
     pub fn job(&self, id: u64) -> Option<JobSnapshot> {
-        let st = self.shared.state.lock().expect("manager state");
-        st.jobs.get(&id).map(|r| r.snapshot(id))
+        self.shared.lock().jobs.get(&id).map(|r| r.snapshot(id))
     }
 
     /// Blocks up to `timeout` for the job to reach a terminal state,
@@ -777,11 +515,11 @@ impl JobManager {
     /// number must not hold a connection thread to the deadline.
     pub fn wait(&self, id: u64, timeout: Duration) -> Option<JobSnapshot> {
         let deadline = Instant::now() + timeout;
-        let mut st = self.shared.state.lock().expect("manager state");
+        let mut st = self.shared.lock();
         loop {
             match st.jobs.get(&id) {
                 None => return None,
-                Some(r) if r.state.terminal() => return Some(r.snapshot(id)),
+                Some(r) if r.state().terminal() => return Some(r.snapshot(id)),
                 Some(r) => {
                     let now = Instant::now();
                     if now >= deadline {
@@ -800,13 +538,13 @@ impl JobManager {
 
     /// All known jobs in submission order (bounded by retention).
     pub fn list(&self) -> Vec<JobSnapshot> {
-        let st = self.shared.state.lock().expect("manager state");
+        let st = self.shared.lock();
         st.order.iter().filter_map(|id| st.jobs.get(id).map(|r| r.snapshot(*id))).collect()
     }
 
     /// Per-tenant accounting, sorted by tenant name.
     pub fn tenants(&self) -> Vec<TenantSnapshot> {
-        let st = self.shared.state.lock().expect("manager state");
+        let st = self.shared.lock();
         let mut out: Vec<TenantSnapshot> = st
             .tenants
             .iter()
@@ -825,9 +563,8 @@ impl JobManager {
 
     /// `(queued, running)` totals.
     pub fn depth(&self) -> (usize, usize) {
-        let st = self.shared.state.lock().expect("manager state");
-        let running = st.jobs.values().filter(|r| matches!(r.state, JobState::Running)).count();
-        (st.queued_total, running)
+        let st = self.shared.lock();
+        (st.queued_total, st.inflight_total)
     }
 
     /// Cancels a job. Queued jobs go terminal at once (and their queue
@@ -836,56 +573,27 @@ impl JobManager {
     /// ([`CancelOutcome::Cancelling`]); a running threaded job is not
     /// interruptible.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
-        let shared = &self.shared;
-        let mut st = shared.state.lock().expect("manager state");
-        let Some(record) = st.jobs.get_mut(&id) else { return CancelOutcome::NotFound };
-        match record.state {
-            JobState::Queued => {
-                cancel_queued_locked(shared, &mut st, id);
-                drop(st);
-                shared.done_cv.notify_all();
-                shared.work_cv.notify_all();
-                CancelOutcome::Cancelled
-            }
-            JobState::Running => {
-                if record.engine == Engine::Des {
-                    if record.cancel_reason.is_none() {
-                        record.cancel_reason = Some(CancelReason::User);
-                    }
-                    record.cancel.store(true, Ordering::Relaxed);
-                    record_flight(
-                        shared,
-                        &mut st,
-                        id,
-                        FlightEventKind::CancelRequested,
-                        true,
-                        None,
-                        Instant::now(),
-                    );
-                    CancelOutcome::Cancelling
-                } else {
-                    CancelOutcome::Running
-                }
-            }
-            _ => CancelOutcome::Terminal,
+        let outcome = self.shared.settle(|st, env| st.cancel(env, id, Instant::now()));
+        if outcome == CancelOutcome::Cancelled {
+            self.shared.work_cv.notify_all();
         }
+        outcome
     }
 
     /// The Chrome/Perfetto trace artifact of a traced, finished job.
     pub fn trace_artifact(&self, id: u64) -> Option<Arc<String>> {
-        let st = self.shared.state.lock().expect("manager state");
-        st.jobs.get(&id).and_then(|r| r.trace_json.clone())
+        self.shared.lock().jobs.get(&id).and_then(|r| r.trace_json.clone())
     }
 
     /// The job's complete flight record: every lifecycle event plus
     /// the span ids that stitch it to the engine trace artifact.
     pub fn timeline(&self, id: u64) -> Option<JobTimeline> {
-        let st = self.shared.state.lock().expect("manager state");
+        let st = self.shared.lock();
         st.jobs.get(&id).map(|r| JobTimeline {
             id,
             span: r.span,
             tenant: r.tenant.clone(),
-            state: r.state.name(),
+            state: r.state().name(),
             attempts: r.attempts,
             want_trace: r.want_trace,
             trace_ready: r.trace_json.is_some(),
@@ -900,26 +608,26 @@ impl JobManager {
     /// terminal. Catch-up and registration happen under the state
     /// lock, so no event can fall between them.
     pub fn subscribe(&self, id: u64, since: u64) -> Option<JobSubscription> {
-        let st = self.shared.state.lock().expect("manager state");
+        let st = self.shared.lock();
         let r = st.jobs.get(&id)?;
-        Some(self.shared.flight.subscribe(id, &r.flight, since, r.state.terminal()))
+        Some(self.shared.env.flight.subscribe(id, &r.flight, since, r.state().terminal()))
     }
 
     /// The last `n` events retained in the global flight ring (the
     /// post-mortem view behind `GET /debug/flight`).
     pub fn flight_tail(&self, n: usize) -> Vec<FlightEvent> {
-        self.shared.flight.tail(n)
+        self.shared.env.flight.tail(n)
     }
 
     /// Flight events ever recorded (retained or rotated out).
     pub fn flight_total(&self) -> u64 {
-        self.shared.flight.total()
+        self.shared.env.flight.total()
     }
 
     /// Dumps the retained flight ring to the configured dump
     /// directory, returning the written path.
     pub fn flight_dump(&self, reason: &str) -> Option<std::path::PathBuf> {
-        self.shared.flight.dump(reason)
+        self.shared.env.flight.dump(reason)
     }
 
     /// Per-lane worker liveness: configured topology vs threads
@@ -941,32 +649,14 @@ impl JobManager {
     }
 
     /// Stops admission and joins the workers. With `drain`, queued
-    /// jobs run to completion first; without, they are cancelled and
-    /// only in-flight runs finish. Idempotent.
+    /// jobs run to completion first (a job that can never be claimed
+    /// is cancelled); without, they are cancelled and only in-flight
+    /// runs finish. Idempotent.
     pub fn shutdown(&self, drain: bool) {
         let shared = &self.shared;
         shared.stopping.store(true, Ordering::SeqCst);
-        {
-            let mut st = shared.state.lock().expect("manager state");
-            st.draining = true;
-            if !drain {
-                st.kill_queued = true;
-                let queued: Vec<u64> = st
-                    .jobs
-                    .iter()
-                    .filter(|(_, r)| matches!(r.state, JobState::Queued))
-                    .map(|(id, _)| *id)
-                    .collect();
-                for id in queued {
-                    cancel_queued_locked(shared, &mut st, id);
-                }
-                for lane in &mut st.lanes {
-                    lane.clear();
-                }
-            }
-        }
+        shared.settle(|st, env| st.stop(env, drain, Instant::now()));
         shared.work_cv.notify_all();
-        shared.done_cv.notify_all();
         if self.stopped.swap(true, Ordering::SeqCst) {
             return;
         }
@@ -980,22 +670,7 @@ impl JobManager {
         // Safety net: if a lane died mid-drain with the supervisor
         // already gone, its queued jobs have no worker left. Cancel
         // them so every submitted job still goes terminal.
-        let leftovers: Vec<u64> = {
-            let st = shared.state.lock().expect("manager state");
-            st.jobs
-                .iter()
-                .filter(|(_, r)| matches!(r.state, JobState::Queued))
-                .map(|(id, _)| *id)
-                .collect()
-        };
-        if !leftovers.is_empty() {
-            let mut st = shared.state.lock().expect("manager state");
-            for id in leftovers {
-                cancel_queued_locked(shared, &mut st, id);
-            }
-            drop(st);
-            shared.done_cv.notify_all();
-        }
+        shared.settle(|st, env| st.stop(env, false, Instant::now()));
     }
 }
 
@@ -1005,381 +680,33 @@ impl Drop for JobManager {
     }
 }
 
-/// Transitions a still-queued job to `Cancelled` with full accounting.
-/// Caller holds the state lock and notifies `done_cv` after.
-fn cancel_queued_locked(shared: &Shared, st: &mut State, id: u64) {
-    let now = Instant::now();
-    let Some(r) = st.jobs.get_mut(&id) else { return };
-    if !matches!(r.state, JobState::Queued) {
-        return;
-    }
-    r.state = JobState::Cancelled;
-    r.finished = Some(now);
-    r.scenario = None;
-    let tenant = r.tenant.clone();
-    let lane = lane_of(r.engine);
-    st.lanes[lane].retain(|e| e.id != id);
-    st.queued_total -= 1;
-    st.terminal.push_back(id);
-    if let Some(t) = st.tenants.get_mut(&tenant) {
-        t.queued = t.queued.saturating_sub(1);
-    }
-    record_flight(shared, st, id, FlightEventKind::Cancelled, false, None, now);
-    expire_terminal(st, shared.config.retention);
-    shared.registry.gauge("dssoc_serve_queue_depth", &[]).cell().dec();
-    shared.registry.counter("dssoc_serve_jobs_cancelled", &[]).cell().inc();
-}
-
-/// Transitions a still-queued job past its deadline to
-/// `DeadlineExceeded` with full accounting. Caller holds the state
-/// lock and has already removed (or will remove) the lane entry.
-fn expire_queued_locked(shared: &Shared, st: &mut State, id: u64) {
-    let now = Instant::now();
-    let Some(r) = st.jobs.get_mut(&id) else { return };
-    if !matches!(r.state, JobState::Queued) {
-        return;
-    }
-    r.state = JobState::DeadlineExceeded;
-    r.finished = Some(now);
-    r.scenario = None;
-    let tenant = r.tenant.clone();
-    st.queued_total -= 1;
-    st.terminal.push_back(id);
-    if let Some(t) = st.tenants.get_mut(&tenant) {
-        t.queued = t.queued.saturating_sub(1);
-    }
-    record_flight(
-        shared,
-        st,
-        id,
-        FlightEventKind::Expired,
-        false,
-        Some("deadline exceeded while queued"),
-        now,
-    );
-    expire_terminal(st, shared.config.retention);
-    shared.registry.gauge("dssoc_serve_queue_depth", &[]).cell().dec();
-    shared.registry.counter("dssoc_serve_jobs_deadline_exceeded", &[]).cell().inc();
-}
-
-/// Forgets the oldest terminal jobs beyond the retention bound.
-fn expire_terminal(st: &mut State, retention: usize) {
-    while st.terminal.len() > retention {
-        if let Some(old) = st.terminal.pop_front() {
-            st.jobs.remove(&old);
-        }
-    }
-    // Compact the listing order once forgotten ids dominate it.
-    if st.order.len() > 2 * (st.jobs.len() + 1) {
-        let State { order, jobs, .. } = &mut *st;
-        order.retain(|id| jobs.contains_key(id));
-    }
-}
-
-/// What a worker takes off the queue: everything needed to run the
-/// attempt without touching the state lock.
-struct Claimed {
-    id: u64,
-    scenario: Arc<CompiledScenario>,
-    engine: Engine,
-    trace: bool,
-    /// 1-based attempt number (this claim included).
-    attempt: u32,
-    chaos: Option<ChaosMode>,
-    cancel: Arc<AtomicBool>,
-    /// Root correlation span, stamped into the engine trace.
-    span: u64,
-}
-
 /// Claims the next eligible job for `lane`, blocking until one exists
 /// or the manager drains dry.
-///
-/// Eligibility and order are decided by a linear scan (queues are
-/// small and aging makes priority time-dependent): dead entries are
-/// removed, queued jobs past their deadline expire on the spot,
-/// backoff holds (`not_before`) and tenants at their in-flight quota
-/// are skipped, and the survivor with the highest effective priority
-/// (FIFO within a level) wins.
 fn claim(shared: &Shared, lane: usize) -> Option<Claimed> {
-    let mut st = shared.state.lock().expect("manager state");
+    let mut st = shared.lock();
     loop {
-        let now = Instant::now();
-        // Pass 1: drop dead entries, expire overdue queued jobs.
-        let mut i = 0;
-        while i < st.lanes[lane].len() {
-            let id = st.lanes[lane][i].id;
-            let (alive, overdue) = match st.jobs.get(&id) {
-                Some(r) if matches!(r.state, JobState::Queued) => {
-                    (true, r.deadline.is_some_and(|d| d <= now))
-                }
-                _ => (false, false),
-            };
-            if !alive {
-                st.lanes[lane].swap_remove(i);
-                continue;
-            }
-            if overdue {
-                st.lanes[lane].swap_remove(i);
-                expire_queued_locked(shared, &mut st, id);
-                shared.done_cv.notify_all();
-                continue;
-            }
-            i += 1;
+        let settled = st.settled;
+        let pick = st.claim(&shared.env, lane, Instant::now());
+        if st.settled != settled {
+            shared.done_cv.notify_all();
         }
-        // Pass 2: pick the best eligible entry.
-        let mut best: Option<(u64, u64, usize)> = None; // (eff, seq, index)
-        let mut next_wake: Option<Instant> = None;
-        for (idx, e) in st.lanes[lane].iter().enumerate() {
-            if let Some(nb) = e.not_before {
-                if nb > now {
-                    next_wake = Some(next_wake.map_or(nb, |w: Instant| w.min(nb)));
-                    continue;
-                }
-            }
-            let r = &st.jobs[&e.id];
-            let inflight = st.tenants.get(&r.tenant).map(|t| t.inflight).unwrap_or(0);
-            if inflight >= shared.config.max_inflight_per_tenant {
-                continue;
-            }
-            let eff = effective_priority(
-                e.priority,
-                now.saturating_duration_since(e.enqueued),
-                shared.config.aging_step,
-            );
-            let better = match best {
-                None => true,
-                Some((b_eff, b_seq, _)) => eff > b_eff || (eff == b_eff && e.seq < b_seq),
-            };
-            if better {
-                best = Some((eff, e.seq, idx));
-            }
-        }
-        if let Some((_, _, idx)) = best {
-            let entry = st.lanes[lane].swap_remove(idx);
-            let record = st.jobs.get_mut(&entry.id).expect("picked job exists");
-            record.state = JobState::Running;
-            record.started = Some(Instant::now());
-            record.attempts += 1;
-            let claimed = Claimed {
-                id: entry.id,
-                scenario: record.scenario.clone().expect("queued job keeps scenario"),
-                engine: record.engine,
-                trace: record.want_trace,
-                attempt: record.attempts,
-                chaos: record.chaos,
-                cancel: Arc::clone(&record.cancel),
-                span: record.span,
-            };
-            let tenant = record.tenant.clone();
-            let started = record.started.expect("just set");
-            let wait = started.saturating_duration_since(record.submitted);
-            st.queued_total -= 1;
-            let counters = st.tenants.entry(tenant).or_default();
-            counters.queued = counters.queued.saturating_sub(1);
-            counters.inflight += 1;
-            shared.registry.gauge("dssoc_serve_queue_depth", &[]).cell().dec();
-            shared.registry.gauge("dssoc_serve_inflight", &[]).cell().inc();
-            shared
-                .registry
-                .histogram("dssoc_serve_queue_wait_ns", &[])
-                .cell()
-                .record(wait.as_nanos() as u64);
-            // Timestamped with the exact claim instant the histogram
-            // sample derives from, so timelines and the queue-wait
-            // histogram agree to the nanosecond.
-            record_flight(
-                shared,
-                &mut st,
-                claimed.id,
-                FlightEventKind::Dispatched,
-                true,
-                None,
-                started,
-            );
-            return Some(claimed);
-        }
-        if st.draining && st.lanes[lane].is_empty() {
-            return None;
-        }
-        // Nothing runnable. Sleep until new work arrives, an in-flight
-        // slot frees, or the earliest backoff hold expires.
-        st = match next_wake {
-            Some(wake) => {
+        st = match pick {
+            Pick::Run(claimed) => return Some(claimed),
+            Pick::Dry => return None,
+            Pick::Idle(Some(wake)) => {
                 let dur = wake.saturating_duration_since(Instant::now());
                 shared.work_cv.wait_timeout(st, dur.max(Duration::from_millis(1))).expect("state").0
             }
-            None => shared.work_cv.wait(st).expect("manager state"),
+            Pick::Idle(None) => shared.work_cv.wait(st).expect("manager state"),
         };
     }
 }
 
-/// How a failed attempt should be handled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum RunErrorKind {
-    /// Deterministic failure: retrying would reproduce it.
-    Fatal,
-    /// Transient-failure class (injected faults): worth a bounded,
-    /// backed-off retry.
-    Retryable,
-    /// The cooperative-cancel flag aborted the run.
-    Canceled,
-}
-
-struct RunError {
-    kind: RunErrorKind,
-    message: String,
-}
-
-/// Everything a successful attempt hands back to the manager.
-struct RunDone {
-    outcome: JobOutcome,
-    trace_json: Option<String>,
-    /// Trace-ring drops during the traced run (`None` when untraced),
-    /// surfaced in the job's timeline so a gappy artifact is visible.
-    trace_dropped: Option<u64>,
-}
-
-impl RunError {
-    fn fatal(message: impl Into<String>) -> RunError {
-        RunError { kind: RunErrorKind::Fatal, message: message.into() }
-    }
-
-    fn classify(e: EmuError) -> RunError {
-        let kind = match &e {
-            EmuError::Fault { .. } => RunErrorKind::Retryable,
-            EmuError::Canceled => RunErrorKind::Canceled,
-            _ => RunErrorKind::Fatal,
-        };
-        RunError { kind, message: e.to_string() }
-    }
-}
-
-/// Records one attempt's outcome: terminal transition, retry
-/// re-enqueue, or cancel/deadline mapping.
+/// Records one attempt's outcome.
 fn finish(shared: &Shared, id: u64, outcome: Result<RunDone, RunError>) {
-    let mut st = shared.state.lock().expect("manager state");
-    let kill_queued = st.kill_queued;
-    let Some(record) = st.jobs.get_mut(&id) else { return };
-    let now = Instant::now();
-    let engine = record.engine;
-    let tenant = record.tenant.clone();
-    let latency = now.saturating_duration_since(record.submitted);
-    let mut terminal = true;
-    // Deferred one step so the borrow of `record` can end before the
-    // recorder walks the whole state.
-    let flight_event: (FlightEventKind, Option<String>);
-    match outcome {
-        Ok(done) => {
-            let cached = done.outcome.cached;
-            record.finished = Some(now);
-            record.scenario = None;
-            record.trace_json = done.trace_json.map(Arc::new);
-            record.trace_dropped = done.trace_dropped;
-            record.state = JobState::Done(Box::new(done.outcome));
-            flight_event = (FlightEventKind::Completed, None);
-            shared
-                .registry
-                .counter("dssoc_serve_jobs_completed", &[("engine", engine.as_str())])
-                .cell()
-                .inc();
-            if cached {
-                st.tenants.entry(tenant.clone()).or_default().cache_served += 1;
-                shared
-                    .registry
-                    .counter("dssoc_serve_cache_served", &[("tenant", &tenant)])
-                    .cell()
-                    .inc();
-            }
-        }
-        Err(err) => {
-            record.last_error = Some(err.message.clone());
-            let retry = err.kind == RunErrorKind::Retryable
-                && record.attempts < shared.config.retry_max_attempts
-                && !kill_queued;
-            match err.kind {
-                RunErrorKind::Canceled => {
-                    record.finished = Some(now);
-                    record.scenario = None;
-                    // Deadline-driven cancels and user cancels land in
-                    // different terminal states.
-                    if record.cancel_reason == Some(CancelReason::Deadline) {
-                        record.state = JobState::DeadlineExceeded;
-                        flight_event = (FlightEventKind::Expired, Some(err.message));
-                        shared
-                            .registry
-                            .counter("dssoc_serve_jobs_deadline_exceeded", &[])
-                            .cell()
-                            .inc();
-                    } else {
-                        record.state = JobState::Cancelled;
-                        flight_event = (FlightEventKind::Cancelled, Some(err.message));
-                        shared.registry.counter("dssoc_serve_jobs_cancelled", &[]).cell().inc();
-                    }
-                }
-                RunErrorKind::Retryable if retry => {
-                    terminal = false;
-                    flight_event = (FlightEventKind::HeldForRetry, Some(err.message.clone()));
-                    let attempt = record.attempts;
-                    record.aged_level = 0; // aging restarts with the re-enqueue
-                    let hold = retry_backoff(
-                        shared.config.retry_seed,
-                        id,
-                        attempt,
-                        shared.config.retry_backoff,
-                    );
-                    record.state = JobState::Queued;
-                    let entry = QueuedEntry {
-                        priority: record.priority,
-                        seq: id,
-                        id,
-                        enqueued: now,
-                        not_before: Some(now + hold),
-                    };
-                    st.lanes[lane_of(engine)].push(entry);
-                    st.queued_total += 1;
-                    if let Some(t) = st.tenants.get_mut(&tenant) {
-                        t.queued += 1;
-                    }
-                    shared
-                        .registry
-                        .counter("dssoc_serve_jobs_retried", &[("engine", engine.as_str())])
-                        .cell()
-                        .inc();
-                    shared.registry.gauge("dssoc_serve_queue_depth", &[]).cell().inc();
-                }
-                _ => {
-                    record.finished = Some(now);
-                    record.scenario = None;
-                    flight_event = (FlightEventKind::Failed, Some(err.message.clone()));
-                    record.state = JobState::Failed(err.message);
-                    shared
-                        .registry
-                        .counter("dssoc_serve_jobs_failed", &[("engine", engine.as_str())])
-                        .cell()
-                        .inc();
-                }
-            }
-        }
-    }
-    let (kind, error) = flight_event;
-    record_flight(shared, &mut st, id, kind, true, error.as_deref(), now);
-    if terminal {
-        st.terminal.push_back(id);
-        shared
-            .registry
-            .histogram("dssoc_serve_job_latency_ns", &[("engine", engine.as_str())])
-            .cell()
-            .record(latency.as_nanos() as u64);
-    }
-    if let Some(t) = st.tenants.get_mut(&tenant) {
-        t.inflight = t.inflight.saturating_sub(1);
-    }
-    expire_terminal(&mut st, shared.config.retention);
-    shared.registry.gauge("dssoc_serve_inflight", &[]).cell().dec();
-    drop(st);
+    shared.settle(|st, env| st.finish(env, id, outcome, Instant::now()));
     // A freed in-flight slot may unblock a held-back tenant.
     shared.work_cv.notify_all();
-    shared.done_cv.notify_all();
 }
 
 fn run_job(
@@ -1467,23 +794,12 @@ fn worker_loop(shared: &Shared, lane: usize) {
     // engines keep their resource pool across jobs; every runner
     // shares the manager-wide result cache and metrics registry.
     let mut runner = JobRunner::with_cache(shared.cache.clone());
-    runner.set_metrics(Some(shared.registry.clone()));
+    runner.set_metrics(Some(shared.env.registry.clone()));
     while let Some(claimed) = claim(shared, lane) {
         let id = claimed.id;
         runner.set_cancel(Some(Arc::clone(&claimed.cancel)));
         runner.set_span(Some(claimed.span));
-        {
-            let mut st = shared.state.lock().expect("manager state");
-            record_flight(
-                shared,
-                &mut st,
-                id,
-                FlightEventKind::EngineStart,
-                true,
-                None,
-                Instant::now(),
-            );
-        }
+        shared.lock().engine_start(&shared.env, id, Instant::now());
         let outcome =
             std::panic::catch_unwind(AssertUnwindSafe(|| run_claimed(&mut runner, &claimed)));
         match outcome {
@@ -1498,6 +814,7 @@ fn worker_loop(shared: &Shared, lane: usize) {
                 // unwind — the supervisor respawns the lane fresh.
                 let msg = panic_message(payload);
                 shared
+                    .env
                     .registry
                     .counter("dssoc_serve_worker_panics", &[("lane", lane_name(lane))])
                     .cell()
@@ -1506,142 +823,24 @@ fn worker_loop(shared: &Shared, lane: usize) {
                 // Post-mortem: the retained flight ring (this job's
                 // Failed event included) goes to disk next to the
                 // other CI artifacts.
-                shared.flight.dump("panic");
+                shared.env.flight.dump("panic");
                 return;
             }
         }
     }
 }
 
-/// The supervisor: every `sweep_interval` it expires queued jobs past
-/// their deadline, raises cancel flags on overdue running DES jobs,
-/// evicts terminal records past the TTL or per-tenant bound, nudges
-/// workers whose backoff holds may have expired, and respawns any lane
-/// whose worker thread died.
+/// The supervisor: every `sweep_interval` it runs the lifecycle's sweep
+/// (deadlines, aging notices, retention), nudges workers whose backoff
+/// holds may have expired, and respawns any lane whose worker thread
+/// died.
 fn supervisor_loop(shared: &Arc<Shared>, workers: &WorkerTable) {
     while !shared.stopping.load(Ordering::SeqCst) {
-        sweep(shared);
+        shared.settle(|st, env| st.sweep(env, Instant::now()));
+        shared.work_cv.notify_all();
         respawn_dead_lanes(shared, workers);
-        std::thread::sleep(shared.config.sweep_interval);
+        std::thread::sleep(shared.env.config.sweep_interval);
     }
-}
-
-fn sweep(shared: &Shared) {
-    let mut st = shared.state.lock().expect("manager state");
-    let now = Instant::now();
-    // Queued past deadline → terminal, entries actively removed.
-    let overdue: Vec<u64> = st
-        .jobs
-        .iter()
-        .filter(|(_, r)| {
-            matches!(r.state, JobState::Queued) && r.deadline.is_some_and(|d| d <= now)
-        })
-        .map(|(id, _)| *id)
-        .collect();
-    let any_expired = !overdue.is_empty();
-    for id in overdue {
-        if let Some(r) = st.jobs.get(&id) {
-            let lane = lane_of(r.engine);
-            st.lanes[lane].retain(|e| e.id != id);
-        }
-        expire_queued_locked(shared, &mut st, id);
-    }
-    // Running DES jobs past deadline → raise the cooperative flag.
-    for r in st.jobs.values_mut() {
-        if matches!(r.state, JobState::Running)
-            && r.engine == Engine::Des
-            && r.deadline.is_some_and(|d| d <= now)
-            && r.cancel_reason.is_none()
-        {
-            r.cancel_reason = Some(CancelReason::Deadline);
-            r.cancel.store(true, Ordering::Relaxed);
-        }
-    }
-    // Aging visibility: record when a queued entry crosses one or more
-    // whole aging levels (bounded per job, so a long-parked job cannot
-    // grow its own timeline without bound).
-    if let Some(step) = shared.config.aging_step.filter(|s| !s.is_zero()) {
-        let mut aged: Vec<(u64, u64)> = Vec::new();
-        for lane in &st.lanes {
-            for e in lane {
-                let level =
-                    (now.saturating_duration_since(e.enqueued).as_nanos() / step.as_nanos()) as u64;
-                if let Some(r) = st.jobs.get(&e.id) {
-                    if matches!(r.state, JobState::Queued)
-                        && level > r.aged_level
-                        && r.aged_events < MAX_AGED_EVENTS
-                    {
-                        aged.push((e.id, level));
-                    }
-                }
-            }
-        }
-        for (id, level) in aged {
-            if let Some(r) = st.jobs.get_mut(&id) {
-                r.aged_level = level;
-                r.aged_events += 1;
-            }
-            record_flight(shared, &mut st, id, FlightEventKind::Aged, false, None, now);
-        }
-    }
-    // TTL eviction: `terminal` is completion-ordered, so expiry only
-    // ever pops from the front.
-    let ttl = shared.config.result_ttl;
-    let mut expired = 0u64;
-    while let Some(&front) = st.terminal.front() {
-        match st.jobs.get(&front) {
-            None => {
-                st.terminal.pop_front();
-            }
-            Some(r) if r.finished.is_some_and(|f| f + ttl <= now) => {
-                st.terminal.pop_front();
-                st.jobs.remove(&front);
-                expired += 1;
-            }
-            Some(_) => break,
-        }
-    }
-    // Per-tenant terminal bound: a chatty tenant cannot crowd out
-    // everyone else's retained results.
-    let bound = shared.config.max_terminal_per_tenant;
-    if bound > 0 && st.terminal.len() > bound {
-        let mut counts: HashMap<String, usize> = HashMap::new();
-        for id in &st.terminal {
-            if let Some(r) = st.jobs.get(id) {
-                *counts.entry(r.tenant.clone()).or_default() += 1;
-            }
-        }
-        if counts.values().any(|&n| n > bound) {
-            let mut evict = Vec::new();
-            for id in &st.terminal {
-                if let Some(r) = st.jobs.get(id) {
-                    if let Some(n) = counts.get_mut(&r.tenant) {
-                        if *n > bound {
-                            *n -= 1;
-                            evict.push(*id);
-                        }
-                    }
-                }
-            }
-            expired += evict.len() as u64;
-            for id in &evict {
-                st.jobs.remove(id);
-            }
-            let State { terminal, jobs, .. } = &mut *st;
-            terminal.retain(|id| jobs.contains_key(id));
-        }
-    }
-    if expired > 0 {
-        shared.registry.counter("dssoc_serve_results_expired", &[]).cell().add(expired);
-        let State { order, jobs, .. } = &mut *st;
-        order.retain(|id| jobs.contains_key(id));
-    }
-    drop(st);
-    if any_expired {
-        shared.done_cv.notify_all();
-    }
-    // Wake claimers whose backoff holds may have elapsed.
-    shared.work_cv.notify_all();
 }
 
 fn respawn_dead_lanes(shared: &Arc<Shared>, workers: &WorkerTable) {
@@ -1652,6 +851,7 @@ fn respawn_dead_lanes(shared: &Arc<Shared>, workers: &WorkerTable) {
             let dead = std::mem::replace(&mut slot.handle, fresh);
             let _ = dead.join();
             shared
+                .env
                 .registry
                 .counter("dssoc_serve_worker_respawns", &[("lane", lane_name(slot.lane))])
                 .cell()
@@ -1662,7 +862,9 @@ fn respawn_dead_lanes(shared: &Arc<Shared>, workers: &WorkerTable) {
 
 #[cfg(test)]
 mod tests {
+    use super::lifecycle::retry_backoff;
     use super::*;
+    use crate::flight::{self, FlightEventKind};
     use dssoc_appmodel::workload::{InjectionParams, WorkloadSpec};
     use dssoc_apps::standard_library;
     use dssoc_core::job::{CostSpec, ScenarioSpec};
@@ -1917,7 +1119,13 @@ mod tests {
         );
         assert_eq!(done.attempts, 1, "the run was claimed before the deadline hit");
         assert!(done.last_error.as_deref().unwrap_or("").contains("cancelled"));
+        assert_eq!(cancel_requests(&m, id), 1, "the deadline cancel is recorded once");
         m.shutdown(true);
+    }
+
+    fn cancel_requests(m: &JobManager, id: u64) -> usize {
+        let t = m.timeline(id).unwrap();
+        t.events.iter().filter(|e| e.kind == FlightEventKind::CancelRequested).count()
     }
 
     #[test]
@@ -1931,6 +1139,8 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         assert_eq!(m.cancel(id), CancelOutcome::Cancelling);
+        // A repeated cancel races the abort, but is never recorded twice.
+        assert!(matches!(m.cancel(id), CancelOutcome::Cancelling | CancelOutcome::Terminal));
         let done = m.wait(id, Duration::from_secs(30)).unwrap();
         assert!(
             matches!(done.state, JobState::Cancelled),
@@ -1938,7 +1148,30 @@ mod tests {
             done.state
         );
         assert_eq!(m.cancel(id), CancelOutcome::Terminal);
+        assert_eq!(cancel_requests(&m, id), 1, "the user cancel is recorded once");
         m.shutdown(true);
+    }
+
+    #[test]
+    fn drain_ends_when_a_queued_job_can_never_be_claimed() {
+        // In-flight quota 0: no worker may ever claim the job, so the
+        // drain has to give up on it instead of waiting forever.
+        let m = manager(ManagerConfig { max_inflight_per_tenant: 0, ..ManagerConfig::default() });
+        let id = m.submit("nora", scenario(1, 0), opts()).unwrap().id;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let drainer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || {
+                m.shutdown(true);
+                let _ = tx.send(());
+            })
+        };
+        assert!(rx.recv_timeout(Duration::from_secs(5)).is_ok(), "shutdown(true) hung");
+        drainer.join().unwrap();
+        assert!(matches!(m.job(id).unwrap().state, JobState::Cancelled));
+        let t = m.timeline(id).unwrap();
+        flight::validate_timeline(&t.events).unwrap();
+        assert_eq!(t.events.last().unwrap().kind, FlightEventKind::Cancelled);
     }
 
     #[test]
