@@ -25,8 +25,8 @@
 //! * [`JobRunner`] — the front door: give it a compiled scenario and an
 //!   [`Engine`], get a [`JobResult`] back. It keeps warm engine pools
 //!   keyed by what engine construction actually depends on, and a
-//!   bounded [`ResultCache`] keyed by fingerprint so repeated
-//!   deterministic runs are answered without running at all.
+//!   bounded [`ResultCache`] keyed by fingerprint and confirmed by value
+//!   so repeated deterministic runs are answered without running at all.
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
@@ -126,6 +126,19 @@ impl CostSpec {
 impl Default for CostSpec {
     fn default() -> Self {
         CostSpec::scaled_measured()
+    }
+}
+
+/// By value for the table-backed specs; a custom model equals only
+/// itself.
+impl PartialEq for CostSpec {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (CostSpec::ScaledMeasured(a), CostSpec::ScaledMeasured(b))
+            | (CostSpec::Table(a), CostSpec::Table(b)) => a == b,
+            (CostSpec::Model(a), CostSpec::Model(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -449,6 +462,23 @@ impl ScenarioSpec {
         Fingerprint(h)
     }
 
+    /// True when a run of this scenario on `engine` with its named
+    /// library scheduler is a pure function of the spec — the gate for
+    /// result caching. The DES always is; the threaded engine is
+    /// deterministic in [`TimingMode::Modeled`] with non-measured
+    /// overhead and a [`CostSpec::Table`] cost (the differential-test
+    /// configuration).
+    pub fn deterministic(&self, engine: Engine) -> bool {
+        match engine {
+            Engine::Des => true,
+            Engine::Threaded => {
+                self.timing == TimingMode::Modeled
+                    && !matches!(self.overhead, OverheadMode::Measured)
+                    && self.cost.is_deterministic()
+            }
+        }
+    }
+
     /// The sub-fingerprint of everything engine *construction* depends
     /// on (platform, timing, overhead, cost, reservation depth — not
     /// the workload or scheduler). [`JobRunner`] keys its warm engine
@@ -692,10 +722,22 @@ impl CompiledScenario {
     /// Compiles a spec, validating the platform, the scheduler name,
     /// and workload/platform compatibility.
     pub fn compile(spec: ScenarioSpec) -> Result<Arc<Self>, EmuError> {
+        let fingerprint = spec.fingerprint();
+        Self::compile_fingerprinted(spec, fingerprint)
+    }
+
+    /// [`Self::compile`] with the spec's fingerprint already computed
+    /// (by a caller that looked the spec up in a [`ResultCache`] first),
+    /// so a miss does not walk the spec twice. A wrong fingerprint can
+    /// only cost cache misses: hits are confirmed by value.
+    pub fn compile_fingerprinted(
+        spec: ScenarioSpec,
+        fingerprint: Fingerprint,
+    ) -> Result<Arc<Self>, EmuError> {
         if by_name(&spec.scheduler).is_none() {
             return Err(EmuError::Config(format!("unknown scheduler '{}'", spec.scheduler)));
         }
-        Self::build(spec, false)
+        Self::build(spec, fingerprint, false)
     }
 
     /// Compiles a spec whose scheduler name labels a *custom* policy
@@ -703,10 +745,15 @@ impl CompiledScenario {
     /// library-name check; results of custom scenarios are never
     /// cached.
     pub fn compile_custom(spec: ScenarioSpec) -> Result<Arc<Self>, EmuError> {
-        Self::build(spec, true)
+        let fingerprint = spec.fingerprint();
+        Self::build(spec, fingerprint, true)
     }
 
-    fn build(spec: ScenarioSpec, custom: bool) -> Result<Arc<Self>, EmuError> {
+    fn build(
+        spec: ScenarioSpec,
+        fingerprint: Fingerprint,
+        custom: bool,
+    ) -> Result<Arc<Self>, EmuError> {
         spec.platform.validate().map_err(EmuError::Config)?;
         preflight_compat(&spec.platform, &spec.workload, &spec.library)?;
         let instances: Vec<Arc<AppInstance>> =
@@ -725,7 +772,6 @@ impl CompiledScenario {
             Some(f) => Some(Arc::new(f.compile(&spec.platform).map_err(EmuError::Config)?)),
             None => None,
         };
-        let fingerprint = spec.fingerprint();
         let engine_key = spec.engine_key();
         Ok(Arc::new(CompiledScenario {
             spec,
@@ -777,24 +823,10 @@ impl CompiledScenario {
         &self.estimates
     }
 
-    /// True when a run of this scenario on `engine` is a pure function
-    /// of the spec — the gate for result caching. The DES always is;
-    /// the threaded engine is deterministic in [`TimingMode::Modeled`]
-    /// with non-measured overhead and a [`CostSpec::Table`] cost (the
-    /// differential-test configuration). Custom-policy scenarios never
-    /// are (the fingerprint cannot see the policy).
+    /// [`ScenarioSpec::deterministic`], except that custom-policy
+    /// scenarios never are (the spec cannot see the policy).
     pub fn deterministic(&self, engine: Engine) -> bool {
-        if self.custom {
-            return false;
-        }
-        match engine {
-            Engine::Des => true,
-            Engine::Threaded => {
-                self.spec.timing == TimingMode::Modeled
-                    && !matches!(self.spec.overhead, OverheadMode::Measured)
-                    && self.spec.cost.is_deterministic()
-            }
-        }
+        !self.custom && self.spec.deterministic(engine)
     }
 }
 
@@ -802,29 +834,154 @@ impl CompiledScenario {
 // Result cache
 // ---------------------------------------------------------------------------
 
+/// What a cached result is confirmed against on a hit: everything
+/// [`ScenarioSpec::fingerprint`] reads, by value, in a compact form.
+///
+/// Shared parts stay behind their `Arc`s; applications compare by
+/// identity first, so a lookup from the cached spec's library mostly
+/// compares pointers. The workload, which dominates a spec's size, is
+/// packed into varints instead of kept: an entry must not pin its
+/// scenario's generated arrivals.
+#[derive(PartialEq)]
+struct ScenarioKey {
+    /// The referenced applications, in order of first arrival.
+    apps: Vec<KeyApp>,
+    /// Per arrival, the index of its app in `apps` and its distance in
+    /// nanoseconds from the previous arrival (wrapping), as LEB128
+    /// varints.
+    arrivals: Vec<u8>,
+    time_frame: Option<Duration>,
+    platform: Arc<PlatformConfig>,
+    /// Lowercased, as scheduler names resolve case-insensitively.
+    scheduler: String,
+    timing: TimingMode,
+    overhead: OverheadMode,
+    cost: CostSpec,
+    reservation_depth: usize,
+    faults: Option<Arc<FaultSpec>>,
+}
+
+/// An application in a [`ScenarioKey`]: equal to itself, or by value
+/// over what [`hash_app`] reads of it.
+struct KeyApp(Arc<ApplicationSpec>);
+
+impl PartialEq for KeyApp {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        let same_node = |x: &NodeSpec, y: &NodeSpec| {
+            x.name == y.name
+                && x.index == y.index
+                && x.arguments == y.arguments
+                && x.predecessors == y.predecessors
+                && x.successors == y.successors
+                && x.platforms.len() == y.platforms.len()
+                && x.platforms.iter().zip(&y.platforms).all(|(p, q)| {
+                    p.key == q.key
+                        && p.runfunc == q.runfunc
+                        && p.shared_object == q.shared_object
+                        && p.mean_exec == q.mean_exec
+                })
+        };
+        Arc::ptr_eq(&self.0, &other.0)
+            || (a.name == b.name
+                && a.variables == b.variables
+                && a.nodes.len() == b.nodes.len()
+                && a.nodes.iter().zip(&b.nodes).all(|(x, y)| same_node(x, y)))
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+impl ScenarioKey {
+    /// The key of `spec`; `None` when its workload names an application
+    /// the library lacks (such a spec never compiles, so it is never
+    /// cached).
+    fn of(spec: &ScenarioSpec) -> Option<ScenarioKey> {
+        let mut apps: Vec<KeyApp> = Vec::new();
+        let mut arrivals = Vec::with_capacity(2 * spec.workload.entries.len());
+        let mut prev = 0u64;
+        for e in &spec.workload.entries {
+            let app = match apps.iter().position(|a| a.0.name == e.app_name) {
+                Some(i) => i,
+                None => {
+                    apps.push(KeyApp(spec.library.get(&e.app_name).ok()?));
+                    apps.len() - 1
+                }
+            };
+            let at = e.arrival.as_nanos() as u64;
+            put_varint(&mut arrivals, app as u64);
+            put_varint(&mut arrivals, at.wrapping_sub(prev));
+            prev = at;
+        }
+        Some(ScenarioKey {
+            apps,
+            arrivals,
+            time_frame: spec.workload.time_frame,
+            platform: Arc::clone(&spec.platform),
+            scheduler: spec.scheduler.to_ascii_lowercase(),
+            timing: spec.timing,
+            overhead: spec.overhead,
+            cost: spec.cost.clone(),
+            reservation_depth: spec.reservation_depth,
+            faults: spec.faults.clone(),
+        })
+    }
+}
+
 /// A bounded, thread-safe result cache keyed on `(fingerprint,
 /// engine)`.
 ///
 /// Deterministic scenario runs are pure functions of their spec, so the
-/// stats of a previous run answer a repeat exactly (the cache returns
-/// clones — bit-identical [`EmulationStats`]). Sweep workers share one
-/// cache by cloning the handle; hit/miss totals are published through
-/// `dssoc-metrics` as `dssoc_result_cache_hits` /
+/// stats of a previous run answer a repeat exactly. The fingerprint only
+/// finds the slot: [`Self::lookup`] confirms a hit against the
+/// [`ScenarioSpec`] by value, so two scenarios whose 64-bit fingerprints
+/// collide cost a miss, never a wrong answer. Results are held as
+/// `Arc<EmulationStats>`: under the lock a lookup only bumps refcounts,
+/// and a caller that needs its own copy clones outside it. Sweep workers
+/// share one cache by cloning the handle; hit/miss totals are published
+/// through `dssoc-metrics` as `dssoc_result_cache_hits` /
 /// `dssoc_result_cache_misses` once [`Self::attach_metrics`] is called.
 #[derive(Clone)]
 pub struct ResultCache {
     inner: Arc<Mutex<CacheInner>>,
 }
 
+/// One cached result and the key of the scenario that produced it
+/// (`None` when stored by [`ResultCache::insert`]).
+struct CacheEntry {
+    stats: Arc<EmulationStats>,
+    key: Option<Arc<ScenarioKey>>,
+}
+
 struct CacheInner {
     capacity: usize,
-    map: HashMap<(Fingerprint, Engine), EmulationStats>,
+    map: HashMap<(Fingerprint, Engine), CacheEntry>,
     /// Insertion order, for bounded eviction.
     order: VecDeque<(Fingerprint, Engine)>,
     hits: u64,
     misses: u64,
     hit_cell: Option<CounterCell>,
     miss_cell: Option<CounterCell>,
+}
+
+impl CacheInner {
+    fn count(&mut self, hit: bool) {
+        let (total, cell) = if hit {
+            (&mut self.hits, &self.hit_cell)
+        } else {
+            (&mut self.misses, &self.miss_cell)
+        };
+        *total += 1;
+        if let Some(cell) = cell {
+            cell.inc();
+        }
+    }
 }
 
 impl ResultCache {
@@ -843,11 +1000,15 @@ impl ResultCache {
         }
     }
 
+    fn lock(&self) -> std::sync::MutexGuard<'_, CacheInner> {
+        self.inner.lock().expect("result cache")
+    }
+
     /// Publishes hit/miss counters into `registry` (counter families
     /// `dssoc_result_cache_hits` and `dssoc_result_cache_misses`).
     /// Totals accumulated before attaching are carried over.
     pub fn attach_metrics(&self, registry: &MetricsRegistry) {
-        let mut inner = self.inner.lock().expect("result cache");
+        let mut inner = self.lock();
         let hit = registry.counter("dssoc_result_cache_hits", &[]).cell();
         let miss = registry.counter("dssoc_result_cache_misses", &[]).cell();
         hit.add(inner.hits);
@@ -856,54 +1017,98 @@ impl ResultCache {
         inner.miss_cell = Some(miss);
     }
 
-    /// Looks up a cached result, counting a hit or a miss.
-    pub fn get(&self, fingerprint: Fingerprint, engine: Engine) -> Option<EmulationStats> {
-        let mut inner = self.inner.lock().expect("result cache");
-        match inner.map.get(&(fingerprint, engine)).cloned() {
-            Some(stats) => {
-                inner.hits += 1;
-                if let Some(cell) = &inner.hit_cell {
-                    cell.inc();
-                }
-                Some(stats)
-            }
-            None => {
-                inner.misses += 1;
-                if let Some(cell) = &inner.miss_cell {
-                    cell.inc();
-                }
-                None
-            }
+    /// The cached result of `spec` on `engine`, confirmed by value.
+    /// `fingerprint` is `spec`'s, which the caller already holds; the
+    /// key is only built when its slot is occupied. Counts nothing: the
+    /// caller records the outcome with [`Self::count`] once it knows
+    /// whether the job is served.
+    pub fn lookup(
+        &self,
+        spec: &ScenarioSpec,
+        fingerprint: Fingerprint,
+        engine: Engine,
+    ) -> Option<Arc<EmulationStats>> {
+        let (stats, key) = {
+            let inner = self.lock();
+            let entry = inner.map.get(&(fingerprint, engine))?;
+            (Arc::clone(&entry.stats), Arc::clone(entry.key.as_ref()?))
+        };
+        (ScenarioKey::of(spec)? == *key).then_some(stats)
+    }
+
+    /// Counts one lookup of a served job as a hit or a miss.
+    pub fn count(&self, hit: bool) {
+        self.lock().count(hit);
+    }
+
+    /// Stores `spec`'s result on `engine` under `fingerprint` (`spec`'s)
+    /// with its by-value key, evicting the oldest entry when full.
+    pub fn store(
+        &self,
+        spec: &ScenarioSpec,
+        fingerprint: Fingerprint,
+        engine: Engine,
+        stats: Arc<EmulationStats>,
+    ) {
+        if let Some(key) = ScenarioKey::of(spec) {
+            self.put(fingerprint, engine, CacheEntry { stats, key: Some(Arc::new(key)) });
         }
     }
 
-    /// Stores a result, evicting the oldest entry when full.
+    /// Looks up a result stored by [`Self::insert`] under `fingerprint`
+    /// alone, counting a hit or a miss. Results stored by value
+    /// ([`Self::store`]) never answer it.
+    pub fn get(&self, fingerprint: Fingerprint, engine: Engine) -> Option<EmulationStats> {
+        let stats = {
+            let mut inner = self.lock();
+            let stats = inner
+                .map
+                .get(&(fingerprint, engine))
+                .filter(|e| e.key.is_none())
+                .map(|e| Arc::clone(&e.stats));
+            inner.count(stats.is_some());
+            stats
+        };
+        stats.map(|s| (*s).clone())
+    }
+
+    /// Stores a result under `fingerprint` alone, for [`Self::get`],
+    /// evicting the oldest entry when full.
     pub fn insert(&self, fingerprint: Fingerprint, engine: Engine, stats: EmulationStats) {
-        let mut inner = self.inner.lock().expect("result cache");
-        let key = (fingerprint, engine);
-        if inner.map.insert(key, stats).is_none() {
-            inner.order.push_back(key);
-            while inner.order.len() > inner.capacity {
-                if let Some(old) = inner.order.pop_front() {
-                    inner.map.remove(&old);
+        self.put(fingerprint, engine, CacheEntry { stats: Arc::new(stats), key: None });
+    }
+
+    fn put(&self, fingerprint: Fingerprint, engine: Engine, entry: CacheEntry) {
+        let slot = (fingerprint, engine);
+        // Returned from the locked block, so the last reference to a
+        // displaced result is freed outside the lock.
+        let _displaced = {
+            let mut inner = self.lock();
+            match inner.map.insert(slot, entry) {
+                Some(old) => Some(old),
+                None => {
+                    inner.order.push_back(slot);
+                    let full = inner.order.len() > inner.capacity;
+                    let oldest = if full { inner.order.pop_front() } else { None };
+                    oldest.and_then(|old| inner.map.remove(&old))
                 }
             }
-        }
+        };
     }
 
     /// Total lookup hits so far.
     pub fn hits(&self) -> u64 {
-        self.inner.lock().expect("result cache").hits
+        self.lock().hits
     }
 
     /// Total lookup misses so far.
     pub fn misses(&self) -> u64 {
-        self.inner.lock().expect("result cache").misses
+        self.lock().misses
     }
 
     /// Number of cached results.
     pub fn len(&self) -> usize {
-        self.inner.lock().expect("result cache").map.len()
+        self.lock().map.len()
     }
 
     /// True when nothing is cached.
@@ -1068,13 +1273,16 @@ impl JobRunner {
         let fingerprint = scenario.fingerprint;
         let cacheable = self.trace.is_none() && scenario.deterministic(engine);
         if cacheable {
-            if let Some(stats) = self.cache.get(fingerprint, engine) {
+            let hit = self.cache.lookup(&scenario.spec, fingerprint, engine);
+            self.cache.count(hit.is_some());
+            if let Some(stats) = hit {
+                let stats = EmulationStats::clone(&stats);
                 return Ok(JobResult { stats, fingerprint, engine, cached: true });
             }
         }
         let stats = self.execute(scenario, engine, scheduler, None)?;
         if cacheable {
-            self.cache.insert(fingerprint, engine, stats.clone());
+            self.cache.store(&scenario.spec, fingerprint, engine, Arc::new(stats.clone()));
         }
         Ok(JobResult { stats, fingerprint, engine, cached: false })
     }

@@ -16,10 +16,11 @@ use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
-use dssoc_core::job::{CostSpec, Engine, JobRunner, ScenarioSpec};
+use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpec};
 use dssoc_core::prelude::*;
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
+use dssoc_platform::pe::PeKind;
 use dssoc_platform::presets::zcu102;
 use dssoc_trace::TraceSession;
 
@@ -335,4 +336,81 @@ fn per_run_trace_sink_ends_with_its_run() {
         assert_eq!(jobs.cache().len(), 1, "{engine:?}: ...followed by an insert");
         assert_eq!(stats_skeleton(&traced.stats), stats_skeleton(&untraced.stats));
     }
+}
+
+/// A 64-bit fingerprint collision costs a miss, never another
+/// scenario's answer. Forced by compiling a second scenario under the
+/// first one's fingerprint: one arrival later, and separately one PE
+/// faster. The collided run executes and returns its own result, and
+/// each scenario is served from the cache only by its own entry.
+#[test]
+fn forced_fingerprint_collisions_miss_and_run_their_own_scenario() {
+    let base = deterministic_spec();
+    let mut later = base.clone();
+    let mut workload = (*base.workload).clone();
+    workload.entries.last_mut().expect("an arrival").arrival += Duration::from_secs(10);
+    later.workload = Arc::new(workload);
+
+    let mut faster = base.clone();
+    let mut platform = (*base.platform).clone();
+    let PeKind::Cpu(cpu) = &mut platform.pes[0].kind else { panic!("zcu102 PE 0 is a core") };
+    cpu.speed *= 2.0;
+    faster.platform = Arc::new(platform);
+
+    // Every node of the reference apps carries a cost, so PE speed does
+    // not reach their modeled durations: that pair's results coincide,
+    // and only its lookups can tell the scenarios apart.
+    for (a, b, results_differ) in [(base.clone(), later, true), (base, faster, false)] {
+        let fresh = |spec: &ScenarioSpec| {
+            let result = JobRunner::new().run_spec(spec.clone(), Engine::Des).expect("fresh run");
+            stats_skeleton(&result.stats)
+        };
+        let (own_a, own_b) = (fresh(&a), fresh(&b));
+        assert_eq!(own_a != own_b, results_differ);
+
+        let mut jobs = JobRunner::new();
+        let first = CompiledScenario::compile(a).expect("compile a");
+        let fp = first.fingerprint();
+        let collided = CompiledScenario::compile_fingerprinted(b, fp).expect("compile b");
+        assert!(!jobs.run(&first, Engine::Des).expect("run a").cached);
+        assert!(
+            jobs.cache().lookup(collided.spec(), fp, Engine::Des).is_none(),
+            "a colliding spec must not find the other scenario's result"
+        );
+        assert!(jobs.cache().lookup(first.spec(), fp, Engine::Des).is_some());
+
+        let ran = jobs.run(&collided, Engine::Des).expect("run b");
+        assert!(!ran.cached, "a collision is a miss");
+        assert_eq!(stats_skeleton(&ran.stats), own_b, "the collided run returns its own result");
+        // b's result took the slot: a misses once, then hits its own.
+        let again = jobs.run(&first, Engine::Des).expect("rerun a");
+        assert!(!again.cached);
+        assert_eq!(stats_skeleton(&again.stats), own_a);
+        let hit = jobs.run(&first, Engine::Des).expect("replay a");
+        assert!(hit.cached);
+        assert_eq!(stats_skeleton(&hit.stats), own_a);
+        assert_eq!((jobs.cache().hits(), jobs.cache().misses()), (1, 3));
+    }
+}
+
+/// Fingerprint-only entries (`insert`/`get`) and by-value entries
+/// (`store`/`lookup`) never answer each other's lookups, and only
+/// `get` counts on its own.
+#[test]
+fn plain_and_by_value_entries_answer_only_their_own_lookups() {
+    let spec = deterministic_spec();
+    let fp = spec.fingerprint();
+    let stats = JobRunner::new().run_spec(spec.clone(), Engine::Des).expect("run").stats;
+    let cache = dssoc_core::job::ResultCache::new(4);
+    cache.store(&spec, fp, Engine::Des, Arc::new(stats.clone()));
+    assert!(cache.get(fp, Engine::Des).is_none(), "get never answers a by-value entry");
+    let hit = cache.lookup(&spec, fp, Engine::Des).expect("by-value hit");
+    assert_eq!(stats_skeleton(&hit), stats_skeleton(&stats));
+    assert!(cache.lookup(&spec, fp, Engine::Threaded).is_none(), "the engine is part of the slot");
+    cache.insert(fp, Engine::Threaded, stats);
+    assert!(cache.lookup(&spec, fp, Engine::Threaded).is_none(), "lookup never answers insert");
+    assert!(cache.get(fp, Engine::Threaded).is_some());
+    assert_eq!((cache.hits(), cache.misses()), (1, 1), "only get counts by itself");
+    cache.count(true);
+    assert_eq!(cache.hits(), 2);
 }

@@ -4,10 +4,13 @@
 //! (preset shorthand *or* inline [`PlatformConfig`]), workload (full
 //! [`WorkloadSpec`] *or* the `"validation"` shorthand), scheduler,
 //! engine, seed, optional fault spec — plus the daemon-level knobs
-//! (priority, trace capture). Parsing compiles the scenario up front,
-//! so every validation error (unknown app, bad platform shape,
-//! incompatible workload) surfaces as a `400` with a one-line reason
-//! instead of a queued job that fails later.
+//! (priority, trace capture). [`parse_request`] builds and validates
+//! the scenario without compiling it, so the daemon can answer a cached
+//! job by value first and compile only the others, before queueing
+//! them; [`parse_job`] parses and compiles in one call. Either way every
+//! validation error (unknown app, bad platform shape, incompatible
+//! workload) surfaces as a `400` with a one-line reason instead of a
+//! queued job that fails later.
 //!
 //! ```json
 //! {
@@ -32,7 +35,7 @@ use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::WorkloadSpec;
-use dssoc_core::engine::{OverheadMode, TimingMode};
+use dssoc_core::engine::{EmuError, OverheadMode, TimingMode};
 use dssoc_core::fault::FaultSpec;
 use dssoc_core::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec};
 use dssoc_platform::cost::CostTable;
@@ -40,10 +43,20 @@ use dssoc_platform::pe::PlatformConfig;
 use serde::Deserialize;
 use serde_json::Value;
 
-use crate::manager::ChaosMode;
+use crate::manager::{ChaosMode, SubmitOptions};
 
 /// Priorities are small ordinals; anything above this is clamped.
 pub const MAX_PRIORITY: u8 = 9;
+
+/// A validated submission, not yet compiled: the built scenario plus
+/// the daemon-level execution knobs.
+#[derive(Debug)]
+pub struct ParsedRequest {
+    /// The validated scenario.
+    pub spec: ScenarioSpec,
+    /// Engine, priority, trace capture, deadline and chaos hook.
+    pub options: SubmitOptions,
+}
 
 /// A fully validated submission: the compiled scenario plus the
 /// daemon-level execution knobs.
@@ -143,11 +156,27 @@ fn parse_platform(v: &Value) -> Result<PlatformField, String> {
     }
 }
 
-/// Parses and compiles one submission body against `library`.
+/// The one-line `400` reason for a scenario that does not build or
+/// compile.
+pub(crate) fn rejected(e: EmuError) -> String {
+    format!("scenario rejected: {e}")
+}
+
+/// Parses and compiles one submission body against `library`:
+/// [`parse_request`], then [`CompiledScenario::compile`].
+pub fn parse_job(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedJob, String> {
+    let ParsedRequest { spec, options } = parse_request(body, library)?;
+    let scenario = CompiledScenario::compile(spec).map_err(rejected)?;
+    let SubmitOptions { engine, priority, trace, deadline, chaos } = options;
+    Ok(ParsedJob { scenario, engine, priority, trace, deadline, chaos })
+}
+
+/// Parses one submission body against `library` and builds its
+/// scenario, without compiling it.
 ///
 /// Every rejection reason is a single human-readable line, returned
 /// verbatim in the daemon's `400` error body.
-pub fn parse_job(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedJob, String> {
+pub fn parse_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let v: Value =
         serde_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
@@ -214,9 +243,7 @@ pub fn parse_job(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedJob, St
         }
     }
 
-    let spec = builder.build().map_err(|e| format!("scenario rejected: {e}"))?;
-    let scenario =
-        CompiledScenario::compile(spec).map_err(|e| format!("scenario rejected: {e}"))?;
+    let spec = builder.build().map_err(rejected)?;
 
     let priority = field_u64(&v, "priority")?.unwrap_or(0).min(MAX_PRIORITY as u64) as u8;
     let trace = field_bool(&v, "trace")?;
@@ -230,7 +257,7 @@ pub fn parse_job(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedJob, St
         })
         .transpose()?;
     let chaos = parse_chaos(&v)?;
-    Ok(ParsedJob { scenario, engine, priority, trace, deadline, chaos })
+    Ok(ParsedRequest { spec, options: SubmitOptions { engine, priority, trace, deadline, chaos } })
 }
 
 /// The test-only `"chaos"` hook: `"panic"` or `"flaky:<n>"`. Rejected

@@ -4,7 +4,8 @@
 //!
 //! | Method & path            | Meaning                                      |
 //! |--------------------------|----------------------------------------------|
-//! | `POST /jobs`             | Submit a job (`202`, body from [`api`])      |
+//! | `POST /jobs`             | Submit a job (`202`, body from [`api`]; a    |
+//! |                          | cache hit is already `done` in the reply)   |
 //! | `GET /jobs`              | List known jobs                              |
 //! | `GET /jobs/<id>`         | Job status (`?wait_ms=` long-polls)          |
 //! | `GET /jobs/<id>/result`  | Result of a finished job                     |
@@ -38,10 +39,10 @@ use dssoc_metrics::server::serve_one;
 use dssoc_metrics::MetricsRegistry;
 use serde_json::{json, Value};
 
-use crate::api::parse_job;
+use crate::api::{self, parse_request};
 use crate::flight;
 use crate::manager::{
-    AdmissionError, CancelOutcome, JobManager, JobSnapshot, JobState, ManagerConfig, SubmitOptions,
+    AdmissionError, CancelOutcome, JobManager, JobSnapshot, JobState, ManagerConfig, SubmitError,
 };
 
 /// Longest accepted `?wait_ms=` long-poll.
@@ -140,7 +141,7 @@ fn error_body(status: u16, message: &str) -> Response {
 }
 
 fn json_ok(status: u16, value: &Value) -> Response {
-    Response::json(status, serde_json::to_string_pretty(value).unwrap_or_default())
+    Response::json(status, serde_json::to_string(value).unwrap_or_default())
 }
 
 fn status_value(snap: &JobSnapshot) -> Value {
@@ -209,25 +210,23 @@ fn result_value(snap: &JobSnapshot) -> Option<Value> {
 
 fn submit(req: &Request, manager: &JobManager, library: &Arc<AppLibrary>) -> Response {
     let tenant = tenant_of(req);
-    let parsed = match parse_job(&req.body, library) {
-        Ok(parsed) => parsed,
+    let request = match parse_request(&req.body, library) {
+        Ok(request) => request,
         Err(why) => return error_body(400, &why),
     };
-    let opts = SubmitOptions {
-        engine: parsed.engine,
-        priority: parsed.priority,
-        trace: parsed.trace,
-        deadline: parsed.deadline,
-        chaos: parsed.chaos,
-    };
-    match manager.submit(&tenant, parsed.scenario, opts) {
+    match manager.submit_spec(&tenant, request.spec, request.options) {
         Ok(snap) => json_ok(202, &status_value(&snap)),
-        Err(err @ AdmissionError::TenantOverQuota(n)) => error_body(
+        Err(SubmitError::Invalid(e)) => error_body(400, &api::rejected(e)),
+        Err(SubmitError::Refused(err @ AdmissionError::TenantOverQuota(n))) => error_body(
             429,
             &format!("tenant '{tenant}' has {n} queued job(s), quota reached ({})", err.reason()),
         ),
-        Err(AdmissionError::QueueFull) => error_body(503, "job queue is full (queue_full)"),
-        Err(AdmissionError::Draining) => error_body(503, "daemon is draining (draining)"),
+        Err(SubmitError::Refused(AdmissionError::QueueFull)) => {
+            error_body(503, "job queue is full (queue_full)")
+        }
+        Err(SubmitError::Refused(AdmissionError::Draining)) => {
+            error_body(503, "daemon is draining (draining)")
+        }
     }
 }
 
@@ -526,6 +525,36 @@ mod tests {
         let v: Value = serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
         assert_eq!(v["attempts"].as_u64(), Some(1));
         assert!(v.get("last_error").is_none(), "clean runs carry no last_error");
+        manager.shutdown(false);
+    }
+
+    #[test]
+    fn cached_submission_is_done_in_its_receipt() {
+        let (manager, registry, library) = fixture();
+        let first = submit_and_finish(&manager, &registry, &library);
+        let body = br#"{"platform": "zcu102:2C+1F", "validation": {"range_detection": 1}}"#;
+        let resp =
+            route(&request("POST", "/jobs", body), &manager, &registry, &library, Instant::now());
+        assert_eq!(resp.status, 202);
+        let v: Value = serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let id = v["job"].as_u64().unwrap();
+        assert_ne!(id, first);
+        assert_eq!(v["status"].as_str(), Some("done"), "{v:?}");
+        assert_eq!(v["cached"].as_bool(), Some(true));
+        assert_eq!(v["attempts"].as_u64(), Some(0));
+        assert_eq!(v["queue_wait_ms"].as_f64(), Some(0.0));
+        assert_eq!(v["run_ms"].as_f64(), Some(0.0));
+        let resp = route(
+            &request("GET", &format!("/jobs/{id}/timeline"), b""),
+            &manager,
+            &registry,
+            &library,
+            Instant::now(),
+        );
+        let v: Value = serde_json::from_str(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let events: Vec<&str> =
+            v["events"].as_array().unwrap().iter().map(|e| e["event"].as_str().unwrap()).collect();
+        assert_eq!(events, ["submitted", "admitted", "cache_hit", "completed"]);
         manager.shutdown(false);
     }
 

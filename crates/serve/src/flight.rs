@@ -73,6 +73,9 @@ pub enum FlightEventKind {
     Submitted,
     /// Admission control accepted it.
     Admitted,
+    /// Admission answered it from the result cache; `completed`
+    /// follows at the same instant.
+    CacheHit,
     /// It entered (or re-entered) the lane queue.
     Queued,
     /// Queue aging raised its effective priority by at least a level.
@@ -102,6 +105,7 @@ impl FlightEventKind {
         match self {
             FlightEventKind::Submitted => "submitted",
             FlightEventKind::Admitted => "admitted",
+            FlightEventKind::CacheHit => "cache_hit",
             FlightEventKind::Queued => "queued",
             FlightEventKind::Aged => "aged",
             FlightEventKind::HeldForRetry => "held_for_retry",
@@ -700,7 +704,8 @@ pub fn timeline_value(t: &JobTimeline) -> Value {
 }
 
 /// Checks that one job's timeline is complete and causally ordered:
-/// opens with `submitted → admitted → queued`, strictly increasing seq,
+/// opens with `submitted → admitted → queued`, or reads exactly
+/// `submitted → admitted → cache_hit → completed`; strictly increasing seq,
 /// nondecreasing time, one terminal event (last), consistent job/span
 /// ids, no orphan attempt spans, and dispatch/engine-start causality.
 /// The chaos soak runs this over every terminal job.
@@ -782,9 +787,14 @@ pub fn validate_timeline(events: &[FlightEvent]) -> Result<(), String> {
         }
         Some(_) => {}
     }
-    let admission =
-        [FlightEventKind::Submitted, FlightEventKind::Admitted, FlightEventKind::Queued];
-    if !events.iter().map(|e| e.kind).take(3).eq(admission) {
+    use FlightEventKind::{Admitted, CacheHit, Completed, Queued, Submitted};
+    let kinds = events.iter().map(|e| e.kind);
+    if events.iter().any(|e| e.kind == CacheHit) {
+        if !kinds.eq([Submitted, Admitted, CacheHit, Completed]) {
+            return Err("a cache hit does not read submitted → admitted → cache_hit → completed"
+                .to_string());
+        }
+    } else if !kinds.take(3).eq([Submitted, Admitted, Queued]) {
         return Err("timeline does not open with submitted → admitted → queued".to_string());
     }
     Ok(())
@@ -1049,6 +1059,13 @@ mod tests {
             mk(10, 50, Completed, 2, a2),
         ];
         validate_timeline(&good).unwrap();
+        let hit = vec![
+            mk(1, 0, Submitted, 0, 0),
+            mk(2, 0, Admitted, 0, 0),
+            mk(3, 0, CacheHit, 0, 0),
+            mk(4, 0, Completed, 0, 0),
+        ];
+        validate_timeline(&hit).unwrap();
     }
 
     #[test]
@@ -1090,6 +1107,35 @@ mod tests {
         let unadmitted =
             vec![mk(1, 0, Submitted, 0, 0), mk(2, 0, Queued, 0, 0), mk(3, 1, Cancelled, 0, 0)];
         assert!(validate_timeline(&unadmitted).unwrap_err().contains("admitted"));
+        // A cache hit after the job was queued.
+        let hit_after_queue = vec![
+            mk(1, 0, Submitted, 0, 0),
+            mk(2, 0, Admitted, 0, 0),
+            mk(3, 0, Queued, 0, 0),
+            mk(4, 0, CacheHit, 0, 0),
+            mk(5, 0, Completed, 0, 0),
+        ];
+        assert!(validate_timeline(&hit_after_queue).unwrap_err().contains("cache_hit"));
+        // A cache hit that is then dispatched to a worker.
+        let hit_then_dispatched = vec![
+            mk(1, 0, Submitted, 0, 0),
+            mk(2, 0, Admitted, 0, 0),
+            mk(3, 0, CacheHit, 0, 0),
+            mk(4, 1, Dispatched, 1, a1),
+            mk(5, 2, Completed, 1, a1),
+        ];
+        assert!(validate_timeline(&hit_then_dispatched).unwrap_err().contains("dispatched"));
+        // A cache hit that ends other than completed, or not at all.
+        let hit_failed = vec![
+            mk(1, 0, Submitted, 0, 0),
+            mk(2, 0, Admitted, 0, 0),
+            mk(3, 0, CacheHit, 0, 0),
+            mk(4, 0, Failed, 0, 0),
+        ];
+        assert!(validate_timeline(&hit_failed).unwrap_err().contains("cache_hit"));
+        let hit_unfinished =
+            vec![mk(1, 0, Submitted, 0, 0), mk(2, 0, Admitted, 0, 0), mk(3, 0, CacheHit, 0, 0)];
+        assert!(validate_timeline(&hit_unfinished).unwrap_err().contains("no terminal"));
     }
 
     #[test]

@@ -9,16 +9,18 @@
 //!
 //! The stack, bottom to top:
 //!
-//! * [`api`] — the submission wire format: JSON in, a compiled
-//!   [`CompiledScenario`] out (or a one-line `400` reason). Platforms
+//! * [`api`] — the submission wire format: JSON in, a built
+//!   [`ScenarioSpec`] plus job knobs out (or a one-line `400` reason);
+//!   `parse_job` also compiles it into a [`CompiledScenario`]. Platforms
 //!   may be preset shorthands or inline configs; workloads may be
 //!   full [`WorkloadSpec`]s or the `"validation"` shorthand.
 //! * [`manager`] — bounded priority queue with aging, per-tenant
 //!   admission control (`429` on quota breach), and a *supervised*
 //!   worker pool: one threaded-lane worker owning a persistent
-//!   resource pool, N DES workers, all sharing one fingerprint-keyed
-//!   [`ResultCache`] so an identical submission — from any tenant —
-//!   is answered without re-execution. Jobs carry optional deadlines
+//!   resource pool, N DES workers, all sharing one fingerprint-keyed,
+//!   value-confirmed [`ResultCache`] so an identical submission — from
+//!   any tenant — is answered at submit, without compiling, queueing or
+//!   re-execution. Jobs carry optional deadlines
 //!   (queued expiry + cooperative cancel of running DES jobs),
 //!   transient failures retry with seeded backoff, worker panics are
 //!   contained to the offending job and the lane is respawned, and
@@ -43,6 +45,7 @@
 //! histograms, and the engines' own execution families.
 //!
 //! [`CompiledScenario`]: dssoc_core::job::CompiledScenario
+//! [`ScenarioSpec`]: dssoc_core::job::ScenarioSpec
 //! [`WorkloadSpec`]: dssoc_appmodel::workload::WorkloadSpec
 //! [`ResultCache`]: dssoc_core::job::ResultCache
 
@@ -51,12 +54,12 @@ pub mod daemon;
 pub mod flight;
 pub mod manager;
 
-pub use api::{parse_job, ParsedJob};
+pub use api::{parse_job, parse_request, ParsedJob, ParsedRequest};
 pub use daemon::{Daemon, ServeConfig};
 pub use flight::{
     validate_timeline, FlightConfig, FlightEvent, FlightEventKind, FlightLogTarget, JobTimeline,
 };
 pub use manager::{
     AdmissionError, CancelOutcome, ChaosMode, JobManager, JobOutcome, JobSnapshot, JobState,
-    ManagerConfig, SubmitOptions, TenantSnapshot,
+    ManagerConfig, SubmitError, SubmitOptions, TenantSnapshot,
 };

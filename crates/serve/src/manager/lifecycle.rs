@@ -2,13 +2,14 @@
 //! the job records, the one state transition, lane selection (aging,
 //! backoff, quota) and retention.
 //!
-//! Every state change is an [`Event`] run through [`step`], a pure
-//! function from a job to its next state and the flight event that
-//! records the change, and then through [`State::apply`], the only code
-//! that writes a job's state. `apply` derives every side effect from
-//! the `(from, to)` pair: lane entries, the queued / in-flight /
-//! terminal counts and the gauges that mirror them, outcome counters
-//! and histograms, the flight event, and retention. The manager's
+//! Every state change, admission included, is an [`Event`] run through
+//! [`step`], a pure function from a job to its next state and the
+//! flight event that records the change, and then through
+//! [`State::apply`], the only code that writes a job's state. `apply`
+//! derives every side effect from the `(from, to)` pair: lane entries,
+//! the queued / in-flight / terminal counts and the gauges that mirror
+//! them, outcome counters and histograms, the flight events, and
+//! retention. The manager's
 //! threads lock [`State`], call in here, and notify.
 
 use std::collections::{HashMap, VecDeque};
@@ -17,7 +18,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dssoc_core::engine::EmuError;
-use dssoc_core::job::{CompiledScenario, Engine, Fingerprint};
+use dssoc_core::job::{CompiledScenario, Engine, Fingerprint, ScenarioSpec};
 use dssoc_metrics::MetricsRegistry;
 
 use super::{
@@ -78,7 +79,8 @@ pub(crate) struct JobRecord {
     pub(crate) started: Option<Instant>,
     pub(crate) finished: Option<Instant>,
     /// Written only by [`State::apply`]; read through [`JobRecord::state`].
-    state: JobState,
+    /// `None` only while admission creates the record.
+    state: Option<JobState>,
     /// Cooperative-cancel flag handed to the DES event loop.
     pub(crate) cancel: Arc<AtomicBool>,
     /// Why `cancel` was raised, if it was.
@@ -106,7 +108,7 @@ pub(crate) struct JobRecord {
 
 impl JobRecord {
     pub(crate) fn state(&self) -> &JobState {
-        &self.state
+        self.state.as_ref().expect("admitted jobs have a state")
     }
 
     pub(crate) fn snapshot(&self, id: u64) -> JobSnapshot {
@@ -118,9 +120,11 @@ impl JobRecord {
             fingerprint: self.fingerprint,
             scheduler: self.scheduler.clone(),
             platform: self.platform.clone(),
-            state: self.state.clone(),
+            state: self.state().clone(),
+            // A job that ended without starting waited until it ended.
             queue_wait: self
                 .started
+                .or(self.finished)
                 .unwrap_or_else(Instant::now)
                 .saturating_duration_since(self.submitted),
             run_time: match (self.started, self.finished) {
@@ -262,8 +266,20 @@ pub(crate) enum Pick {
     Dry,
 }
 
+/// What admission puts into a lane, or answers at once.
+pub(crate) enum Work<'a> {
+    /// A compiled scenario for a worker to run.
+    Run(Arc<CompiledScenario>),
+    /// A result the cache already holds for `spec`.
+    Cached { spec: &'a ScenarioSpec, fingerprint: Fingerprint, outcome: Box<JobOutcome> },
+}
+
 /// Everything that can move a job.
 enum Event {
+    /// Admission puts the job on its lane.
+    Admit,
+    /// Admission found the job's result in the cache.
+    CacheHit(Box<JobOutcome>),
     /// A worker takes the job off its lane.
     Claim,
     /// The attempt succeeded.
@@ -285,14 +301,22 @@ enum Event {
 
 /// The transition `event` causes for `job` at `now`: the next state and
 /// the flight event recording it, or `None` when the event does not
-/// apply. Cancelling a running DES job keeps it `Running` and records
+/// apply. A cache hit goes from admission straight to `Done`.
+/// Cancelling a running DES job keeps it `Running` and records
 /// `cancel_requested` once, whichever the reason; the aborted run then
 /// settles it.
 fn step(job: &JobRecord, event: Event, now: Instant) -> Option<(JobState, FlightEventKind)> {
     use FlightEventKind as F;
+    let Some(state) = &job.state else {
+        return match event {
+            Event::Admit => Some((JobState::Queued, F::Queued)),
+            Event::CacheHit(outcome) => Some((JobState::Done(outcome), F::Completed)),
+            _ => None,
+        };
+    };
     let overdue = job.deadline.is_some_and(|d| d <= now);
     let cancellable = job.engine == Engine::Des && job.cancel_reason.is_none();
-    Some(match (&job.state, event) {
+    Some(match (state, event) {
         (JobState::Queued, Event::Claim) => (JobState::Running, F::Dispatched),
         (JobState::Queued, Event::UserCancel | Event::Kill) => (JobState::Cancelled, F::Cancelled),
         (JobState::Queued, Event::Deadline) if overdue => (JobState::DeadlineExceeded, F::Expired),
@@ -353,13 +377,13 @@ impl State {
         }
     }
 
-    /// Admits one job for `tenant` into its lane, or rejects it with the
-    /// reason.
+    /// Admits one job for `tenant`, into its lane or, for a cache hit,
+    /// straight to `Done`; or rejects it with the reason.
     pub(crate) fn admit(
         &mut self,
         env: &Env,
         tenant: &str,
-        scenario: Arc<CompiledScenario>,
+        work: Work<'_>,
         opts: SubmitOptions,
         now: Instant,
     ) -> Result<JobSnapshot, AdmissionError> {
@@ -387,21 +411,29 @@ impl State {
 
         let id = self.next_id;
         self.next_id += 1;
-        let spec = scenario.spec();
+        let (spec, fingerprint) = match &work {
+            Work::Run(scenario) => (scenario.spec(), scenario.fingerprint()),
+            Work::Cached { spec, fingerprint, .. } => (*spec, *fingerprint),
+        };
+        let (scheduler, platform) = (spec.scheduler.clone(), spec.platform.name.clone());
+        let (scenario, event) = match work {
+            Work::Run(scenario) => (Some(scenario), Event::Admit),
+            Work::Cached { outcome, .. } => (None, Event::CacheHit(outcome)),
+        };
         let job = JobRecord {
             tenant: tenant.to_string(),
             engine: opts.engine,
             priority: opts.priority,
-            fingerprint: scenario.fingerprint(),
-            scheduler: spec.scheduler.clone(),
-            platform: spec.platform.name.clone(),
-            scenario: Some(scenario),
+            fingerprint,
+            scheduler,
+            platform,
+            scenario,
             want_trace: opts.trace,
             trace_json: None,
             submitted: now,
             started: None,
             finished: None,
-            state: JobState::Queued,
+            state: None,
             cancel: Arc::new(AtomicBool::new(false)),
             cancel_reason: None,
             deadline: opts.deadline.map(|d| now + d),
@@ -414,18 +446,16 @@ impl State {
             aged_events: 0,
             trace_dropped: None,
         };
-        let snapshot = job.snapshot(id);
         self.jobs.insert(id, job);
         self.order.push_back(id);
-        self.enqueue(env, id, None, now);
-        // All three share the submission instant, so the timeline's
-        // `queued → dispatched` delta is exactly the queue-wait the
-        // histogram records at claim time.
-        for kind in [FlightEventKind::Submitted, FlightEventKind::Admitted, FlightEventKind::Queued]
-        {
+        // Every admission event shares the submission instant, so the
+        // timeline's `queued → dispatched` delta is exactly the
+        // queue-wait the histogram records at claim time.
+        for kind in [FlightEventKind::Submitted, FlightEventKind::Admitted] {
             self.emit(env, id, kind, false, None, now);
         }
-        Ok(snapshot)
+        self.fire(env, id, event, now);
+        Ok(self.jobs[&id].snapshot(id))
     }
 
     /// Runs `event` through [`step`] and [`State::apply`]; a no-op when
@@ -449,13 +479,16 @@ impl State {
     /// job's state.
     fn apply(&mut self, env: &Env, id: u64, to: JobState, flight: FlightEventKind, now: Instant) {
         let job = self.jobs.get_mut(&id).expect("transitions target retained jobs");
-        let from = std::mem::replace(&mut job.state, to);
-        let was_running = matches!(from, JobState::Running);
-        let running = matches!(job.state, JobState::Running);
-        let terminal = job.state.terminal();
+        let from = job.state.replace(to);
+        let admitted = from.is_none();
+        let was_queued = matches!(from, Some(JobState::Queued));
+        let was_running = matches!(from, Some(JobState::Running));
+        let queued = matches!(job.state, Some(JobState::Queued));
+        let running = matches!(job.state, Some(JobState::Running));
+        let terminal = job.state().terminal();
         let engine = [("engine", job.engine.as_str())];
         let tenant = self.tenants.get_mut(&job.tenant).expect("admitted tenants have counters");
-        if matches!(from, JobState::Queued) {
+        if was_queued {
             let lane = &mut self.lanes[lane_of(job.engine)];
             let at = lane.iter().position(|e| e.id == id).expect("queued jobs hold a lane entry");
             lane.swap_remove(at);
@@ -482,21 +515,26 @@ impl State {
             self.inflight_total -= 1;
             tenant.inflight -= 1;
             env.registry.gauge("dssoc_serve_inflight", &[]).cell().dec();
-            if terminal {
+        }
+        if terminal {
+            if admitted {
+                job.started = Some(now); // a cache hit runs for no time
+            }
+            // A job that ran, or was answered from the cache, records
+            // its latency; one that never left the queue does not.
+            if !was_queued {
                 let latency = now.saturating_duration_since(job.submitted);
                 env.registry
                     .histogram("dssoc_serve_job_latency_ns", &engine)
                     .cell()
                     .record(latency.as_nanos() as u64);
             }
-        }
-        if terminal {
             job.finished = Some(now);
             job.scenario = None;
             tenant.terminal += 1;
             self.terminal.push_back(id);
             self.settled += 1;
-            let counter = match &job.state {
+            let counter = match job.state() {
                 JobState::Done(outcome) => {
                     if outcome.cached {
                         tenant.cache_served += 1;
@@ -515,19 +553,26 @@ impl State {
         }
         // Run-side failures carry the attempt's error; a queued job's
         // expiry says why it never ran.
-        let error = if was_running && !running && !matches!(job.state, JobState::Done(_)) {
+        let error = if was_running && !running && !matches!(job.state(), JobState::Done(_)) {
             job.last_error.clone()
-        } else if matches!(job.state, JobState::DeadlineExceeded) {
+        } else if matches!(job.state(), JobState::DeadlineExceeded) {
             Some("deadline exceeded while queued".to_string())
         } else {
             None
         };
-        if matches!(job.state, JobState::Queued) {
-            job.aged_level = 0; // aging restarts with the re-enqueue
-            env.registry.counter("dssoc_serve_jobs_retried", &engine).cell().inc();
-            let config = &env.config;
-            let hold = retry_backoff(config.retry_seed, id, job.attempts, config.retry_backoff);
-            self.enqueue(env, id, Some(now + hold), now);
+        if queued {
+            let mut not_before = None;
+            if was_running {
+                job.aged_level = 0; // aging restarts with the re-enqueue
+                env.registry.counter("dssoc_serve_jobs_retried", &engine).cell().inc();
+                let config = &env.config;
+                let hold = retry_backoff(config.retry_seed, id, job.attempts, config.retry_backoff);
+                not_before = Some(now + hold);
+            }
+            self.enqueue(env, id, not_before, now);
+        }
+        if admitted && terminal {
+            self.emit(env, id, FlightEventKind::CacheHit, false, None, now);
         }
         self.emit(env, id, flight, was_running || running, error.as_deref(), now);
         if terminal {
@@ -535,8 +580,8 @@ impl State {
         }
     }
 
-    /// Puts job `id` on its lane: the one way into `Queued`, taken at
-    /// admission and by a retry.
+    /// Puts job `id` on its lane: the side effect of entering `Queued`,
+    /// at admission or on a retry.
     fn enqueue(&mut self, env: &Env, id: u64, not_before: Option<Instant>, now: Instant) {
         let job = &self.jobs[&id];
         let entry = QueuedEntry { id, priority: job.priority, enqueued: now, not_before };
@@ -679,7 +724,7 @@ impl State {
     /// A cancellation request for job `id`.
     pub(crate) fn cancel(&mut self, env: &Env, id: u64, now: Instant) -> CancelOutcome {
         let Some(job) = self.jobs.get(&id) else { return CancelOutcome::NotFound };
-        let outcome = match (&job.state, job.engine) {
+        let outcome = match (job.state(), job.engine) {
             (JobState::Queued, _) => CancelOutcome::Cancelled,
             (JobState::Running, Engine::Des) => CancelOutcome::Cancelling,
             (JobState::Running, Engine::Threaded) => CancelOutcome::Running,
@@ -696,7 +741,7 @@ impl State {
         let overdue: Vec<u64> = self
             .jobs
             .iter()
-            .filter(|(_, job)| !job.state.terminal() && job.deadline.is_some_and(|d| d <= now))
+            .filter(|(_, job)| !job.state().terminal() && job.deadline.is_some_and(|d| d <= now))
             .map(|(id, _)| *id)
             .collect();
         for id in overdue {
@@ -728,14 +773,15 @@ impl State {
     }
 
     /// Forgets terminal records, oldest first, in one pass: past the
-    /// global `retention` count on every call, and on a `sweep` also
+    /// global `retention` count (never the newest record, which its
+    /// submitter has yet to read) on every call, and on a `sweep` also
     /// past the per-tenant bound or the TTL (those count as
     /// `dssoc_serve_results_expired`).
     fn retain(&mut self, env: &Env, now: Instant, sweep: bool) {
         let config = &env.config;
         let ttl = config.result_ttl;
         let bound = config.max_terminal_per_tenant;
-        let mut excess = self.terminal.len().max(config.retention) - config.retention;
+        let mut excess = self.terminal.len().saturating_sub(config.retention.max(1));
         let State { terminal, jobs, tenants, order, .. } = self;
         let expires = |job: &JobRecord| job.finished.is_some_and(|f| f + ttl <= now);
         let due = sweep
@@ -831,6 +877,7 @@ mod tests {
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Submit { tenant: usize, threaded: bool, priority: u8, deadline_ms: Option<u64> },
+        CacheHit { tenant: usize, threaded: bool },
         Claim { threaded: bool },
         Finish { pick: usize, how: How },
         Cancel { id: u64 },
@@ -840,7 +887,7 @@ mod tests {
 
     fn op(x: u64) -> Op {
         let arg = x >> 8;
-        match x % 8 {
+        match x % 9 {
             0 | 1 => Op::Submit {
                 tenant: (arg % 3) as usize,
                 threaded: arg & 0x8 != 0,
@@ -854,6 +901,7 @@ mod tests {
             },
             5 => Op::Cancel { id: arg % 12 },
             6 => Op::Sweep,
+            7 => Op::CacheHit { tenant: (arg % 3) as usize, threaded: arg & 0x8 != 0 },
             _ => Op::Advance { ms: arg % 30 },
         }
     }
@@ -875,6 +923,20 @@ mod tests {
             flight: FlightConfig { capacity: 64, log: None, dump_dir: None },
             ..ManagerConfig::default()
         }
+    }
+
+    fn outcome(cached: bool) -> Box<JobOutcome> {
+        Box::new(JobOutcome {
+            makespan_ns: 1,
+            apps_completed: 1,
+            apps_total: 1,
+            tasks: 1,
+            sched_invocations: 1,
+            cached,
+            utilization: Vec::new(),
+            faults_injected: 0,
+            apps_aborted: 0,
+        })
     }
 
     struct Model {
@@ -924,17 +986,7 @@ mod tests {
             let error = |kind| Err(RunError { kind, message: format!("{how:?} attempt") });
             let outcome = match how {
                 How::Ok => Ok(RunDone {
-                    outcome: JobOutcome {
-                        makespan_ns: 1,
-                        apps_completed: 1,
-                        apps_total: 1,
-                        tasks: 1,
-                        sched_invocations: 1,
-                        cached: pick.is_multiple_of(2),
-                        utilization: Vec::new(),
-                        faults_injected: 0,
-                        apps_aborted: 0,
-                    },
+                    outcome: *outcome(pick.is_multiple_of(2)),
                     trace_json: None,
                     trace_dropped: None,
                 }),
@@ -954,7 +1006,18 @@ mod tests {
                     let mut opts = SubmitOptions::new(engine).priority(priority);
                     opts.deadline = deadline_ms.map(Duration::from_millis);
                     let tenant = ["ann", "bo", "cy"][tenant];
-                    let _ = self.st.admit(&self.env, tenant, scenario(), opts, now);
+                    let _ = self.st.admit(&self.env, tenant, Work::Run(scenario()), opts, now);
+                }
+                Op::CacheHit { tenant, threaded } => {
+                    let engine = if threaded { Engine::Threaded } else { Engine::Des };
+                    let scenario = scenario();
+                    let hit = Work::Cached {
+                        spec: scenario.spec(),
+                        fingerprint: scenario.fingerprint(),
+                        outcome: outcome(true),
+                    };
+                    let tenant = ["ann", "bo", "cy"][tenant];
+                    let _ = self.st.admit(&self.env, tenant, hit, SubmitOptions::new(engine), now);
                 }
                 Op::Claim { threaded } => {
                     self.claim(if threaded { LANE_THREADED } else { LANE_DES });

@@ -4,7 +4,11 @@
 //!
 //! Topology follows what the engines can actually share. All workers
 //! clone one [`ResultCache`] handle, so any worker's deterministic run
-//! answers every tenant's identical resubmission. The *threaded* lane
+//! answers every tenant's identical resubmission. Most such answers
+//! never reach a worker: [`JobManager::submit_spec`] looks a cacheable
+//! job up by value before compiling it, and admits a hit straight to
+//! `done`. The worker-side lookup still catches identical jobs that
+//! missed while both were in flight. The *threaded* lane
 //! is a single worker owning one persistent [`JobRunner`]: its warm
 //! [`Emulation`] engines hold the real resource-pool threads, and two
 //! threaded jobs time-sharing the host would corrupt each other's
@@ -65,7 +69,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dssoc_core::job::{CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache};
+use dssoc_core::engine::EmuError;
+use dssoc_core::job::{
+    CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioSpec,
+};
 use dssoc_core::sched::by_name;
 use dssoc_core::stats::EmulationStats;
 use dssoc_metrics::MetricsRegistry;
@@ -75,7 +82,8 @@ use crate::flight::{
     FlightConfig, FlightEvent, FlightRecorder, JobSubscription, JobTimeline, LaneHealth,
 };
 use lifecycle::{
-    lane_name, Claimed, Env, Pick, RunDone, RunError, RunErrorKind, State, LANE_DES, LANE_THREADED,
+    lane_name, Claimed, Env, Pick, RunDone, RunError, RunErrorKind, State, Work, LANE_DES,
+    LANE_THREADED,
 };
 
 /// Sizing, quota, and resilience knobs for [`JobManager::start`].
@@ -93,7 +101,7 @@ pub struct ManagerConfig {
     /// Result-cache capacity (shared across all workers).
     pub cache_capacity: usize,
     /// Terminal jobs retained for status/result queries before the
-    /// oldest are forgotten.
+    /// oldest are forgotten (the newest is always kept).
     pub retention: usize,
     /// Queue-aging slope: a queued job gains one effective priority
     /// level per `aging_step` of wait. `None` disables aging (strict
@@ -164,6 +172,15 @@ impl AdmissionError {
             AdmissionError::TenantOverQuota(_) => "tenant_quota",
         }
     }
+}
+
+/// Why [`JobManager::submit_spec`] did not admit a job.
+#[derive(Debug)]
+pub enum SubmitError {
+    /// The scenario does not compile (the daemon answers `400`).
+    Invalid(EmuError),
+    /// Admission control turned the job away.
+    Refused(AdmissionError),
 }
 
 /// Outcome of a cancellation request.
@@ -497,11 +514,48 @@ impl JobManager {
         opts: SubmitOptions,
     ) -> Result<JobSnapshot, AdmissionError> {
         let shared = &self.shared;
-        let admitted = shared.lock().admit(&shared.env, tenant, scenario, opts, Instant::now());
+        let work = Work::Run(scenario);
+        let admitted = shared.lock().admit(&shared.env, tenant, work, opts, Instant::now());
         if admitted.is_ok() {
             shared.work_cv.notify_all();
         }
         admitted
+    }
+
+    /// Admits one job for `tenant` from its uncompiled spec.
+    ///
+    /// A job the cache may answer (a deterministic `(spec, engine)`
+    /// pair, untraced, with no chaos hook) is looked up by value first.
+    /// A hit is admitted straight to `done`, with no compile, no queue
+    /// and no worker; admission refusals still apply. Anything else is
+    /// compiled, so an invalid scenario is refused here, and queued as
+    /// by [`Self::submit`].
+    pub fn submit_spec(
+        &self,
+        tenant: &str,
+        spec: ScenarioSpec,
+        opts: SubmitOptions,
+    ) -> Result<JobSnapshot, SubmitError> {
+        let shared = &self.shared;
+        let compiled = if opts.trace || opts.chaos.is_some() || !spec.deterministic(opts.engine) {
+            CompiledScenario::compile(spec)
+        } else {
+            let fingerprint = spec.fingerprint();
+            if let Some(stats) = shared.cache.lookup(&spec, fingerprint, opts.engine) {
+                let outcome = Box::new(JobOutcome::from_stats(&stats, true));
+                let hit = Work::Cached { spec: &spec, fingerprint, outcome };
+                let admitted = shared.lock().admit(&shared.env, tenant, hit, opts, Instant::now());
+                // Counted once served; a miss is counted by the worker
+                // that runs the job.
+                if admitted.is_ok() {
+                    shared.cache.count(true);
+                }
+                return admitted.map_err(SubmitError::Refused);
+            }
+            CompiledScenario::compile_fingerprinted(spec, fingerprint)
+        };
+        let scenario = compiled.map_err(SubmitError::Invalid)?;
+        self.submit(tenant, scenario, opts).map_err(SubmitError::Refused)
     }
 
     /// A point-in-time view of one job.
@@ -730,8 +784,7 @@ fn run_job(
             &session.meta(),
             &session.producers(),
         );
-        let text =
-            serde_json::to_string_pretty(&json).map_err(|e| RunError::fatal(e.to_string()))?;
+        let text = serde_json::to_string(&json).map_err(|e| RunError::fatal(e.to_string()))?;
         Ok(RunDone {
             outcome: JobOutcome::from_stats(&result.stats, false),
             trace_json: Some(text),
@@ -959,6 +1012,91 @@ mod tests {
             assert_eq!(t.inflight, 0, "tenant {} leaked inflight slots", t.tenant);
         }
         m.shutdown(true);
+    }
+
+    /// A cacheable body submitted N times across two tenants runs once:
+    /// the repeats are answered at submit, counted as one hit each, and
+    /// read `submitted → admitted → cache_hit → completed` with no
+    /// attempt, queue wait or run time. A traced or chaos resubmission
+    /// of the same body still goes to a worker.
+    #[test]
+    fn cached_resubmissions_are_answered_at_submit() {
+        const N: usize = 6;
+        let registry = MetricsRegistry::new();
+        let m = JobManager::start(ManagerConfig::default(), registry.clone());
+        let library = Arc::new(standard_library().0);
+        let body = br#"{"platform": "zcu102:2C+1F", "validation": {"range_detection": 2}}"#;
+        let request = || crate::api::parse_request(body, &library).unwrap();
+        let submit = |tenant: &str| {
+            let req = request();
+            m.submit_spec(tenant, req.spec, req.options).unwrap()
+        };
+        let tenants = ["alice", "bob"];
+        let first = submit(tenants[0]);
+        assert!(matches!(first.state, JobState::Queued), "the first submission misses");
+        let ran = m.wait(first.id, Duration::from_secs(30)).unwrap();
+        let JobState::Done(original) = ran.state else { panic!("first job: {:?}", ran.state) };
+        assert!(!original.cached);
+        for i in 1..N {
+            let hit = submit(tenants[i % 2]);
+            let JobState::Done(outcome) = &hit.state else {
+                panic!("a cached resubmission is done in its receipt: {:?}", hit.state)
+            };
+            assert!(outcome.cached);
+            assert_eq!(outcome.makespan_ns, original.makespan_ns, "bit-identical");
+            assert_eq!(hit.attempts, 0);
+            assert_eq!(hit.queue_wait, Duration::ZERO);
+            assert_eq!(hit.run_time, Some(Duration::ZERO));
+            let t = m.timeline(hit.id).unwrap();
+            flight::validate_timeline(&t.events).unwrap();
+            let kinds: Vec<FlightEventKind> = t.events.iter().map(|e| e.kind).collect();
+            use FlightEventKind::{Admitted, CacheHit, Completed, Submitted};
+            assert_eq!(kinds, [Submitted, Admitted, CacheHit, Completed]);
+        }
+        let snap = registry.snapshot();
+        let value = |name: &str| snap.value(name, &[]);
+        assert_eq!(value("dssoc_result_cache_misses"), Some(1.0), "one lookup per job");
+        assert_eq!(value("dssoc_result_cache_hits"), Some((N - 1) as f64));
+        let histogram = |name: &str, labels: &[(&str, &str)]| {
+            snap.get(name, labels).unwrap().histogram.clone().unwrap().count
+        };
+        assert_eq!(histogram("dssoc_serve_queue_wait_ns", &[]), 1, "only the run queued");
+        assert_eq!(histogram("dssoc_serve_job_latency_ns", &[("engine", "des")]), N as u64);
+        let served: Vec<(String, u64, u64)> =
+            m.tenants().into_iter().map(|t| (t.tenant, t.submitted, t.cache_served)).collect();
+        let (alice, bob) = ((N as u64).div_ceil(2), N as u64 / 2);
+        assert_eq!(served, [("alice".into(), alice, alice - 1), ("bob".into(), bob, bob)]);
+
+        // Traced or chaos resubmissions are not answered at submit.
+        let mut traced = request();
+        traced.options.trace = true;
+        let mut flaky = request();
+        flaky.options.chaos = Some(ChaosMode::Flaky(1));
+        for req in [traced, flaky] {
+            let queued = m.submit_spec("carol", req.spec, req.options).unwrap();
+            assert!(matches!(queued.state, JobState::Queued), "{:?}", queued.state);
+            let done = m.wait(queued.id, Duration::from_secs(30)).unwrap();
+            assert!(matches!(done.state, JobState::Done(_)), "{:?}", done.state);
+            assert!(done.attempts >= 1, "ran on a worker");
+            let t = m.timeline(queued.id).unwrap();
+            flight::validate_timeline(&t.events).unwrap();
+            assert!(t.events.iter().any(|e| e.kind == FlightEventKind::Dispatched));
+        }
+        let snap = registry.snapshot();
+        assert_eq!(snap.value("dssoc_result_cache_misses", &[]), Some(1.0));
+        m.shutdown(true);
+    }
+
+    #[test]
+    fn queue_wait_of_a_job_that_never_started_is_final() {
+        // In-flight quota 0: the job stays queued until cancelled.
+        let m = manager(ManagerConfig { max_inflight_per_tenant: 0, ..ManagerConfig::default() });
+        let id = m.submit("olga", scenario(1, 0), opts()).unwrap().id;
+        assert_eq!(m.cancel(id), CancelOutcome::Cancelled);
+        let first = m.job(id).unwrap().queue_wait;
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(m.job(id).unwrap().queue_wait, first, "the wait ended with the job");
+        m.shutdown(false);
     }
 
     #[test]
