@@ -8,24 +8,25 @@
 //! that loop once, on either engine: the [`EngineConfig`] it is built
 //! with picks the threaded emulator or the discrete-event baseline (the
 //! design-space-exploration configuration, where grids get large and
-//! per-cell cost is pure compute). Cells are lowered to
-//! [`ScenarioSpec`]s and executed through a [`JobRunner`]: each distinct
-//! scenario fingerprint is compiled exactly once (name tables, cost
-//! slabs, fault plans), warm engines are shared per engine fingerprint
-//! so consecutive cells reuse the persistent PE resource pool instead of
-//! respawning threads, and deterministic repeats replay from the
-//! runner's [`ResultCache`].
+//! per-cell cost is pure compute). Each cell is lowered to a
+//! [`ScenarioSpec`], compiled (name tables, cost slabs, fault plans) on
+//! the thread that runs it, and executed through a [`JobRunner`]: the
+//! cell's iterations share that one [`CompiledScenario`], warm engines
+//! are shared per engine fingerprint so consecutive cells reuse the
+//! persistent PE resource pool instead of respawning threads, and
+//! deterministic repeats replay from the runner's [`ResultCache`]. The
+//! runner keeps no compiled scenario once its cell is done: sweep grids
+//! are mostly distinct cells, and a duplicate costs one compile before
+//! the cache answers it.
 //!
 //! [`SweepRunner::run_batch_parallel`] distributes the grid over a small
-//! pool of worker threads. Scenarios are compiled once on the calling
-//! thread and shared by `Arc` — workers share one [`CompiledScenario`]
-//! per distinct fingerprint and one [`ResultCache`], but own their warm
-//! engines. Cells are independent (each run starts from fresh
-//! instances), so results are identical to the sequential
-//! [`SweepRunner::run_batch`] whenever the underlying engine runs are
-//! deterministic, and they come back in cell order either way.
+//! pool of worker threads. Each worker compiles the cells it claims and
+//! owns its warm engines; all workers share one [`ResultCache`]. Cells
+//! are independent (each run starts from fresh instances), so results
+//! are identical to the sequential [`SweepRunner::run_batch`] whenever
+//! the underlying engine runs are deterministic, and they come back in
+//! cell order either way.
 
-use std::collections::HashMap;
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -39,7 +40,7 @@ use dssoc_trace::TraceSink;
 use crate::des::DesConfig;
 use crate::engine::{EmuError, EmulationConfig};
 use crate::fault::FaultSpec;
-use crate::job::{CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioSpec};
+use crate::job::{CompiledScenario, Engine, JobRunner, ResultCache, ScenarioSpec};
 use crate::sched::{by_name, Scheduler};
 use crate::stats::EmulationStats;
 
@@ -297,6 +298,20 @@ fn scheduler_factory<'c>(
     Ok(move || first.take().unwrap_or_else(|| by_name(scheduler).expect("resolved above")))
 }
 
+/// Runs `run` as one cell of a batch, reporting its start and its
+/// finish (wall time, success) into `progress` when one is installed.
+fn tracked(
+    progress: Option<&SweepProgress>,
+    run: impl FnOnce() -> Result<CellResult, EmuError>,
+) -> Result<CellResult, EmuError> {
+    let Some(p) = progress else { return run() };
+    let start = Instant::now();
+    p.cell_started();
+    let result = run();
+    p.cell_finished(start.elapsed(), result.is_ok());
+    result
+}
+
 /// Work-stealing fan-out for [`SweepRunner::run_batch_parallel`]: `workers` threads pull
 /// cells off a shared index, each running them through its own
 /// `make_worker()` closure (one warm engine pool per worker). Results
@@ -311,7 +326,7 @@ fn run_cells_parallel<W, F>(
 ) -> Result<Vec<CellResult>, EmuError>
 where
     F: Fn() -> W + Sync,
-    W: FnMut(usize, &SweepCell) -> Result<CellResult, EmuError>,
+    W: FnMut(&SweepCell) -> Result<CellResult, EmuError>,
 {
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -324,22 +339,12 @@ where
         for _ in 0..workers {
             scope.spawn(|| {
                 let mut run = make_worker();
-                loop {
-                    if stop.load(Ordering::Relaxed) {
-                        break;
-                    }
+                while !stop.load(Ordering::Relaxed) {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= cells.len() {
                         break;
                     }
-                    let cell_start = Instant::now();
-                    if let Some(p) = progress {
-                        p.cell_started();
-                    }
-                    let result = run(i, &cells[i]);
-                    if let Some(p) = progress {
-                        p.cell_finished(cell_start.elapsed(), result.is_ok());
-                    }
+                    let result = tracked(progress, || run(&cells[i]));
                     if result.is_err() {
                         stop.store(true, Ordering::Relaxed);
                     }
@@ -348,61 +353,39 @@ where
             });
         }
     });
-    let mut out = Vec::with_capacity(cells.len());
-    for slot in slots {
-        match slot.into_inner().expect("result slot") {
-            Some(Ok(r)) => out.push(r),
-            Some(Err(e)) => return Err(e),
-            // Unclaimed cell: only possible after an error stopped the
-            // batch; the failing cell sits at a higher index.
-            None => break,
-        }
-    }
-    // An error at a higher index than every completed cell: find it.
-    if out.len() < cells.len() {
-        return Err(EmuError::Config(format!(
-            "parallel sweep stopped after {} of {} cells",
-            out.len(),
-            cells.len()
-        )));
-    }
-    Ok(out)
+    // Indices are claimed in order and a claimed cell always fills its
+    // slot, so empty slots only follow the first error, where collecting
+    // stops.
+    slots
+        .into_iter()
+        .map(|slot| slot.into_inner().expect("result slot").expect("claimed before any error"))
+        .collect()
 }
 
-/// Memoized compile: one [`CompiledScenario`] per distinct content
-/// fingerprint. The `custom` flag separates custom-scheduler
-/// compilations (which skip the scheduler-name check and are never
-/// served from the result cache) from library-scheduler ones.
-fn scenario_for(
-    scenarios: &mut HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
-    spec: ScenarioSpec,
+/// Runs one cell on the calling thread: lowers it to a spec under
+/// `config`, compiles it (`custom` skips the scheduler-name check, for
+/// policies from a factory, and keeps its runs out of the result
+/// cache), then runs the iterations through `jobs`. Warm-up runs are
+/// discarded, the final measured iteration records into the cell's
+/// sink if it is the designated trace target, and deterministic
+/// repeats replay from the job runner's cache.
+fn run_cell_on(
+    jobs: &mut JobRunner,
+    config: &EngineConfig,
+    apps: &Arc<AppLibrary>,
+    trace: &Option<(String, TraceSink)>,
+    cell: &SweepCell,
     custom: bool,
-) -> Result<Arc<CompiledScenario>, EmuError> {
-    let key = (spec.fingerprint(), custom);
-    if let Some(scenario) = scenarios.get(&key) {
-        return Ok(Arc::clone(scenario));
-    }
+    make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
+) -> Result<CellResult, EmuError> {
+    let spec = config.scenario(apps, cell);
     let scenario = if custom {
         CompiledScenario::compile_custom(spec)?
     } else {
         CompiledScenario::compile(spec)?
     };
-    scenarios.insert(key, Arc::clone(&scenario));
-    Ok(scenario)
-}
-
-/// The per-cell iteration loop: warm-up runs are
-/// discarded, the final measured iteration records into `traced` if the
-/// cell is the designated trace target, and every run goes through the
-/// [`JobRunner`] (so deterministic repeats replay from its cache).
-fn run_cell_on(
-    jobs: &mut JobRunner,
-    engine: Engine,
-    cell: &SweepCell,
-    scenario: &Arc<CompiledScenario>,
-    traced: Option<TraceSink>,
-    make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-) -> Result<CellResult, EmuError> {
+    let engine = config.engine();
+    let traced = trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, sink)| sink);
     let warmup = usize::from(cell.warmup);
     let total = cell.iterations + warmup;
     let mut makespans = Vec::with_capacity(cell.iterations);
@@ -411,11 +394,11 @@ fn run_cell_on(
         let mut sched = make_scheduler();
         // Trace only the final measured iteration, so the exported
         // timeline isn't a concatenation of repeats.
-        let result = match &traced {
+        let result = match traced {
             Some(sink) if i + 1 == total => {
-                jobs.run_traced(scenario, engine, sched.as_mut(), sink.clone())?
+                jobs.run_traced(&scenario, engine, sched.as_mut(), sink.clone())?
             }
-            _ => jobs.run_with(scenario, engine, sched.as_mut())?,
+            _ => jobs.run_with(&scenario, engine, sched.as_mut())?,
         };
         if i >= warmup {
             makespans.push(result.stats.makespan.as_secs_f64() * 1e3);
@@ -499,14 +482,14 @@ impl EngineConfig {
 ///
 /// Each cell is lowered to a [`ScenarioSpec`] (the runner's engine
 /// configuration plus the cell's platform/scheduler/workload/faults)
-/// and compiled at most once per distinct fingerprint. The embedded
-/// [`JobRunner`] keeps one warm engine per engine fingerprint — cells
-/// on the same platform/config, and repeated iterations within a cell,
-/// share its threaded resource pool or its DES scratch arena (event
-/// queue, ready rings, SoA completion columns, estimate book) — and
-/// replays deterministic repeats from its [`ResultCache`]. DES cells
-/// always replay; threaded cells do when their timing, overhead and
-/// cost are deterministic.
+/// and compiled where it runs; the runner keeps no compiled scenario
+/// after its cell finishes. The embedded [`JobRunner`] keeps one warm
+/// engine per engine fingerprint — cells on the same platform/config,
+/// and repeated iterations within a cell, share its threaded resource
+/// pool or its DES scratch arena (event queue, ready rings, SoA
+/// completion columns, estimate book) — and replays deterministic
+/// repeats from its [`ResultCache`]. DES cells always replay; threaded
+/// cells do when their timing, overhead and cost are deterministic.
 pub struct SweepRunner<'a> {
     library: &'a AppLibrary,
     /// Arc'd view of the library, shared into every [`ScenarioSpec`]
@@ -515,7 +498,6 @@ pub struct SweepRunner<'a> {
     config: EngineConfig,
     /// Job front door: warm engines plus the shared result cache.
     pub(crate) jobs: JobRunner,
-    scenarios: HashMap<(Fingerprint, bool), Arc<CompiledScenario>>,
     /// `(cell label, sink)` of the one designated trace target, if any.
     trace: Option<(String, TraceSink)>,
     /// Live batch progress, shared with whoever installed it.
@@ -538,7 +520,6 @@ impl<'a> SweepRunner<'a> {
             apps: Arc::new(library.clone()),
             jobs: config.jobs(ResultCache::default()),
             config,
-            scenarios: HashMap::new(),
             trace: None,
             progress: None,
         }
@@ -586,7 +567,8 @@ impl<'a> SweepRunner<'a> {
     /// instance per iteration; the name is resolved once).
     pub fn run_cell(&mut self, cell: &SweepCell) -> Result<CellResult, EmuError> {
         let mut factory = scheduler_factory(&cell.scheduler)?;
-        self.run_cell_inner(cell, false, &mut factory)
+        let SweepRunner { jobs, config, apps, trace, .. } = self;
+        run_cell_on(jobs, config, apps, trace, cell, false, &mut factory)
     }
 
     /// Runs one cell with a custom scheduler factory (called once per
@@ -598,52 +580,30 @@ impl<'a> SweepRunner<'a> {
         cell: &SweepCell,
         make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
     ) -> Result<CellResult, EmuError> {
-        self.run_cell_inner(cell, true, make_scheduler)
-    }
-
-    fn run_cell_inner(
-        &mut self,
-        cell: &SweepCell,
-        custom: bool,
-        make_scheduler: &mut dyn FnMut() -> Box<dyn Scheduler>,
-    ) -> Result<CellResult, EmuError> {
-        let spec = self.config.scenario(&self.apps, cell);
-        let scenario = scenario_for(&mut self.scenarios, spec, custom)?;
-        let traced = traced_sink(&self.trace, cell);
-        let engine = self.config.engine();
-        run_cell_on(&mut self.jobs, engine, cell, &scenario, traced, make_scheduler)
+        let SweepRunner { jobs, config, apps, trace, .. } = self;
+        run_cell_on(jobs, config, apps, trace, cell, true, make_scheduler)
     }
 
     /// Runs every cell of a grid in order, stopping at the first error.
     pub fn run_batch(&mut self, cells: &[SweepCell]) -> Result<Vec<CellResult>, EmuError> {
-        if let Some(p) = self.progress.clone() {
+        let progress = self.progress.clone();
+        if let Some(p) = &progress {
             p.begin_batch(cells.len(), 1);
-            return cells
-                .iter()
-                .map(|c| {
-                    let start = Instant::now();
-                    p.cell_started();
-                    let result = self.run_cell(c);
-                    p.cell_finished(start.elapsed(), result.is_ok());
-                    result
-                })
-                .collect();
         }
-        cells.iter().map(|c| self.run_cell(c)).collect()
+        cells.iter().map(|c| tracked(progress.as_ref(), || self.run_cell(c))).collect()
     }
 
     /// Runs a grid across `workers` threads (see [`default_workers`]),
     /// returning results in cell order.
     ///
-    /// Every distinct scenario is compiled once on the calling thread;
-    /// workers share the compiled artifacts and this runner's
-    /// [`ResultCache`] by `Arc` (so deterministic duplicate cells across
-    /// workers collapse into shared hits), but own their warm engines —
-    /// resource pools or DES scratch arenas are never shared or
-    /// contended across workers. DES cells are pure single-threaded
-    /// compute, so DES grids scale with cores. With one worker — or a
-    /// single cell — this is exactly [`Self::run_batch`] on `self`,
-    /// reusing its engines.
+    /// Each worker compiles the cells it claims and owns its warm
+    /// engines — resource pools or DES scratch arenas are never shared
+    /// or contended across workers — while all workers share this
+    /// runner's [`ResultCache`] by `Arc` (so deterministic duplicate
+    /// cells across workers collapse into shared hits). DES cells are
+    /// pure single-threaded compute, so DES grids scale with cores.
+    /// With one worker — or a single cell — this is exactly
+    /// [`Self::run_batch`] on `self`, reusing its engines.
     pub fn run_batch_parallel(
         &mut self,
         cells: &[SweepCell],
@@ -653,29 +613,16 @@ impl<'a> SweepRunner<'a> {
         if workers <= 1 {
             return self.run_batch(cells);
         }
-        let mut compiled = Vec::with_capacity(cells.len());
-        for cell in cells {
-            let spec = self.config.scenario(&self.apps, cell);
-            compiled.push(scenario_for(&mut self.scenarios, spec, false)?);
-        }
-        let compiled = &compiled;
-        let trace = &self.trace;
+        let (config, apps, trace) = (&self.config, &self.apps, &self.trace);
         let cache = self.jobs.cache();
-        let config = &self.config;
         run_cells_parallel(cells, workers, self.progress.as_ref(), || {
             let mut jobs = config.jobs(cache.clone());
-            move |i: usize, cell: &SweepCell| {
+            move |cell: &SweepCell| {
                 let mut factory = scheduler_factory(&cell.scheduler)?;
-                let traced = traced_sink(trace, cell);
-                run_cell_on(&mut jobs, config.engine(), cell, &compiled[i], traced, &mut factory)
+                run_cell_on(&mut jobs, config, apps, trace, cell, false, &mut factory)
             }
         })
     }
-}
-
-/// The sink of the designated trace target, if `cell` is it.
-fn traced_sink(trace: &Option<(String, TraceSink)>, cell: &SweepCell) -> Option<TraceSink> {
-    trace.as_ref().filter(|(label, _)| *label == cell.label).map(|(_, sink)| sink.clone())
 }
 
 #[cfg(test)]
@@ -800,6 +747,27 @@ mod tests {
         assert_eq!(runner.cache().misses(), 1);
         assert_eq!(results[0].makespans_ms, results[1].makespans_ms);
         assert_eq!(results[1].label, "b", "labels stay per-cell even on cache hits");
+    }
+
+    #[test]
+    fn runner_keeps_no_workload_alive_after_its_cells() {
+        let (library, workload) = tiny_setup();
+        let configs: [EngineConfig; 2] = [quiet_config().into(), DesConfig::default().into()];
+        for config in configs {
+            let mut runner = SweepRunner::with_config(&library, config);
+            let cell = || SweepCell::new(zcu102(1, 0), "frfs", Arc::clone(&workload));
+            runner.run_cell(&cell()).unwrap();
+            runner.run_cell_with(&cell(), &mut || Box::new(FrfsScheduler::new())).unwrap();
+            runner.run_batch(&[cell(), cell().iterations(2)]).unwrap();
+            let grid = vec![cell(), SweepCell::new(zcu102(2, 0), "met", Arc::clone(&workload))];
+            runner.run_batch_parallel(&grid, 2).unwrap();
+            drop(grid);
+            assert_eq!(
+                Arc::strong_count(&workload),
+                1,
+                "the runner still holds a cell's workload after its batches"
+            );
+        }
     }
 
     #[test]

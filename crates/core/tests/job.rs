@@ -1,11 +1,11 @@
 //! Scenario fingerprint and result-cache properties.
 //!
-//! The fingerprint is the key the whole job layer hangs on: the sweep
-//! runners memoize compiled scenarios by it and the [`ResultCache`]
-//! replays stats by it, so it must be *structural* — equal for any two
-//! specs describing the same scenario by value, regardless of `Arc`
-//! identity or construction order — and it must move under every single
-//! field that can change a run's outcome.
+//! The fingerprint is the key the whole job layer hangs on: the
+//! [`ResultCache`] finds a replayable result by it (and confirms the
+//! hit by value), so it must be *structural* — equal for any two specs
+//! describing the same scenario by value, regardless of `Arc` identity
+//! or construction order — and it must move under every single field
+//! that can change a run's outcome.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -222,12 +222,15 @@ fn chaos_soak_survives_panics_retries_deadlines_and_slow_clients() {
     }
     // Each panicking worker dumped the flight ring for post-mortems
     // (the dump fires before the thread exits, so once the respawn
-    // counter confirms the deaths the files are on disk).
+    // counter confirms the deaths the files are on disk). Dumps carry
+    // the writing process's id, so earlier runs' files in the shared
+    // directory cannot satisfy this check.
+    let prefix = format!("flight-panic-{}-", std::process::id());
     let dumped = std::fs::read_dir(&dump_dir).expect("dump dir").flatten().any(|e| {
         let name = e.file_name().to_string_lossy().into_owned();
-        name.starts_with("flight-panic-") && name.ends_with(".json")
+        name.starts_with(&prefix) && name.ends_with(".json")
     });
-    assert!(dumped, "panicking workers must leave a flight-panic-*.json dump in {dump_dir:?}");
+    assert!(dumped, "panicking workers must leave a {prefix}*.json dump in {dump_dir:?}");
 
     // A normal job still completes on the respawned pool.
     let after = job_id(&post_job(addr, "chaos-after", &job_mix(99)[0].1));
