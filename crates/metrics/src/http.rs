@@ -2,14 +2,18 @@
 //! endpoint ([`MetricsServer`]) and the emulation-as-a-service daemon
 //! (`dssoc-serve`).
 //!
-//! This is deliberately not a web framework: one `TcpListener` accept
-//! loop on a background thread, one short-lived handler thread per
-//! connection (the serve daemon fields several concurrent pollers; a
-//! serial loop would head-of-line block them), bounded request parsing
-//! (request line, headers, `Content-Length` body), and a plain
-//! [`Response`] writer. Binding port 0 picks a free port;
-//! [`HttpServer::addr`] reports what was bound. Dropping the server
-//! stops the accept loop (a self-connect unblocks the accept).
+//! This is deliberately not a web framework: a leader/followers pool of
+//! threads that each block in `accept` themselves and serve the one
+//! request (`Connection: close`) of the connection they take, bounded
+//! request parsing (request line, headers, `Content-Length` body), and
+//! a plain [`Response`] writer. A thread that takes a connection first
+//! makes sure another thread is still accepting (spawning one only if
+//! it was the last), so a blocked handler — a long-poll or an event
+//! stream — never stalls other clients; afterwards it goes back to
+//! `accept`, or exits if enough threads already wait there. Binding
+//! port 0 picks a free port; [`HttpServer::addr`] reports what was
+//! bound. Dropping the server closes the port (self-connects unblock
+//! the waiting accepts) while in-flight requests finish.
 //!
 //! A tiny blocking client ([`request`]) rounds the module out so the
 //! CLI's `submit` subcommand and the integration tests need no external
@@ -19,9 +23,7 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Per-connection hardening limits: how much, and for how long, one
@@ -194,17 +196,62 @@ pub fn status_reason(status: u16) -> &'static str {
 /// Request handler shared across connection threads.
 pub type Handler = dyn Fn(&Request) -> Response + Send + Sync;
 
+/// Most pool threads left blocked in `accept` between requests. A
+/// thread that finishes its request while this many are already
+/// waiting exits instead of rejoining. Bursts still get one thread per
+/// concurrent connection; only the idle cache is bounded.
+const IDLE_CAP: usize = 4;
+
 /// Handle to a running HTTP endpoint; dropping it shuts the endpoint
 /// down (in-flight connection threads finish their one request).
 pub struct HttpServer {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<JoinHandle<()>>,
+    pool: Arc<Pool>,
+}
+
+/// What every pool thread shares.
+struct Pool {
+    name: String,
+    handler: Arc<Handler>,
+    limits: HttpLimits,
+    state: Mutex<PoolState>,
+    /// Signalled when a thread leaves the accepting set after shutdown.
+    left: Condvar,
+}
+
+struct PoolState {
+    /// The listener; `None` once the server is dropped. A thread holds
+    /// its own clone only while it accepts, so the port closes as soon
+    /// as the last accepting thread lets go, whatever handlers still run.
+    listener: Option<Arc<TcpListener>>,
+    /// Threads in (or on their way into) `accept`, each holding a clone
+    /// of `listener`.
+    accepting: usize,
+}
+
+impl Pool {
+    fn state(&self) -> MutexGuard<'_, PoolState> {
+        // Every update is one field write, so a poisoned guard still
+        // holds a consistent state.
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Starts one more pool thread. It takes over the `accepting` slot
+    /// and the listener clone it is handed; if the spawn fails, the
+    /// clone is dropped with the closure and the caller gives the slot
+    /// back.
+    fn spawn(self: &Arc<Self>, listener: Arc<TcpListener>) -> std::io::Result<()> {
+        let pool = Arc::clone(self);
+        std::thread::Builder::new()
+            .name(self.name.clone())
+            .spawn(move || serve_connections(&pool, listener))
+            .map(drop)
+    }
 }
 
 impl HttpServer {
     /// Binds `addr` (e.g. `127.0.0.1:0`) and dispatches every request
-    /// to `handler` until dropped. `name` labels the accept thread.
+    /// to `handler` until dropped. `name` labels the server's threads.
     pub fn start<A: ToSocketAddrs>(
         name: &str,
         addr: A,
@@ -220,14 +267,17 @@ impl HttpServer {
         handler: Arc<Handler>,
         limits: HttpLimits,
     ) -> std::io::Result<HttpServer> {
-        let listener = TcpListener::bind(addr)?;
+        let listener = Arc::new(TcpListener::bind(addr)?);
         let local = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name(name.to_string())
-            .spawn(move || accept_loop(listener, handler, stop_flag, limits))?;
-        Ok(HttpServer { addr: local, stop, handle: Some(handle) })
+        let pool = Arc::new(Pool {
+            name: name.to_string(),
+            handler,
+            limits,
+            state: Mutex::new(PoolState { listener: Some(Arc::clone(&listener)), accepting: 1 }),
+            left: Condvar::new(),
+        });
+        pool.spawn(listener)?;
+        Ok(HttpServer { addr: local, pool })
     }
 
     /// The bound address (resolves port 0 to the actual port).
@@ -238,43 +288,89 @@ impl HttpServer {
 
 impl Drop for HttpServer {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Unblock the accept so the loop observes the stop flag.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
+        let mut state = self.pool.state();
+        state.listener = None;
+        // Wake every thread blocked in `accept`: each connection wakes
+        // one, which sees the listener gone and lets go of its clone.
+        // Waiting for all of them means the port is closed, and no
+        // thread is left in `accept`, once `drop` returns.
+        while state.accepting > 0 {
+            let blocked = state.accepting;
+            drop(state);
+            for _ in 0..blocked {
+                let _ = TcpStream::connect(self.addr);
+            }
+            state = self.pool.state();
+            state = self
+                .pool
+                .left
+                .wait_timeout_while(state, Duration::from_millis(100), |s| s.accepting > 0)
+                .unwrap_or_else(PoisonError::into_inner)
+                .0;
         }
     }
 }
 
-fn accept_loop(
-    listener: TcpListener,
-    handler: Arc<Handler>,
-    stop: Arc<AtomicBool>,
-    limits: HttpLimits,
-) {
-    for conn in listener.incoming() {
-        if stop.load(Ordering::Acquire) {
-            break;
+/// One pool thread: accept a connection, make sure another thread is
+/// still accepting, serve the one request, then accept again, unless
+/// enough threads already wait or the server was dropped.
+///
+/// No thread leaves the accepting set before another is in it, so
+/// handlers that block (a `?wait_ms` long-poll, a chunked stream) never
+/// stop new connections from being accepted.
+fn serve_connections(pool: &Arc<Pool>, mut listener: Arc<TcpListener>) {
+    loop {
+        let accepted = listener.accept();
+        drop(listener);
+        let mut state = pool.state();
+        state.accepting -= 1;
+        let replacement = match &state.listener {
+            None => {
+                // Dropped: whatever was accepted is closed unanswered.
+                pool.left.notify_all();
+                return;
+            }
+            Some(shared) if state.accepting == 0 => Some(Arc::clone(shared)),
+            Some(_) => None,
+        };
+        state.accepting += usize::from(replacement.is_some());
+        drop(state);
+        if let Some(replacement) = replacement {
+            if pool.spawn(replacement).is_err() {
+                // Nobody accepts until this thread rejoins: connections
+                // wait in the backlog meanwhile.
+                pool.state().accepting -= 1;
+                pool.left.notify_all();
+            }
         }
-        if let Ok(mut stream) = conn {
-            let handler = Arc::clone(&handler);
-            let limits = limits.clone();
-            // One thread per connection: requests are short (submit,
-            // poll, scrape) but may overlap, and a long-poll must not
-            // stall other clients.
-            let _ = std::thread::Builder::new().name("http-conn".into()).spawn(move || {
-                let response = match read_request(&mut stream, &limits) {
-                    Ok(request) => handler(&request),
-                    Err(ParseError::TooLarge) => Response::text(413, "payload too large\n"),
-                    Err(ParseError::Timeout) => Response::text(408, "request timeout\n"),
-                    Err(ParseError::Malformed(why)) => Response::text(400, format!("{why}\n")),
-                    Err(ParseError::Io) => return,
-                };
-                let _ = write_response(&mut stream, &response, &limits);
-            });
+        if let Ok((stream, _)) = accepted {
+            serve_one(stream, pool);
+        }
+        let mut state = pool.state();
+        match &state.listener {
+            Some(shared) if state.accepting < IDLE_CAP => {
+                listener = Arc::clone(shared);
+                state.accepting += 1;
+            }
+            _ => return,
         }
     }
+}
+
+/// Reads one request from `stream`, answers it and closes the
+/// connection.
+fn serve_one(mut stream: TcpStream, pool: &Pool) {
+    // A response is written whole, or flushed chunk by chunk when
+    // streamed: Nagle's algorithm could only delay it.
+    let _ = stream.set_nodelay(true);
+    let response = match read_request(&mut stream, &pool.limits) {
+        Ok(request) => (pool.handler)(&request),
+        Err(ParseError::TooLarge) => Response::text(413, "payload too large\n"),
+        Err(ParseError::Timeout) => Response::text(408, "request timeout\n"),
+        Err(ParseError::Malformed(why)) => Response::text(400, format!("{why}\n")),
+        Err(ParseError::Io) => return,
+    };
+    let _ = write_response(&mut stream, &response, &pool.limits);
 }
 
 enum ParseError {
@@ -366,11 +462,7 @@ fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, 
             headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         }
     }
-    let content_length = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(0);
+    let content_length = body_length(&headers)?;
     if content_length > limits.max_body_bytes {
         return Err(ParseError::TooLarge);
     }
@@ -385,6 +477,34 @@ fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, 
     }
     body.truncate(content_length);
     Ok(Request { method, path, query, headers, body })
+}
+
+/// The body length the headers declare. Framing the request cannot
+/// pin down is rejected rather than read as an empty body: a
+/// `Content-Length` that is not a plain decimal, two that disagree, or
+/// any `Transfer-Encoding` (chunked request bodies are not supported).
+fn body_length(headers: &[(String, String)]) -> Result<usize, ParseError> {
+    let mut length = None;
+    for (name, value) in headers {
+        match name.as_str() {
+            "content-length" => {
+                if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                    return Err(ParseError::Malformed("invalid content-length"));
+                }
+                // All digits: only a value past `usize` fails to parse.
+                let n = value.parse::<usize>().map_err(|_| ParseError::TooLarge)?;
+                if length.is_some_and(|m| m != n) {
+                    return Err(ParseError::Malformed("conflicting content-length"));
+                }
+                length = Some(n);
+            }
+            "transfer-encoding" => {
+                return Err(ParseError::Malformed("transfer-encoding is not supported"))
+            }
+            _ => {}
+        }
+    }
+    Ok(length.unwrap_or(0))
 }
 
 fn find_head_end(buf: &[u8]) -> Option<usize> {
@@ -455,15 +575,18 @@ fn write_response(
         stream.write_all(b"0\r\n\r\n")?;
         return stream.flush();
     }
-    let head = format!(
+    // Head and body in one write: one segment for a small response.
+    let mut wire = Vec::with_capacity(128 + response.body.len());
+    write!(
+        wire,
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         status_reason(response.status),
         response.content_type,
         response.body.len()
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(&response.body)?;
+    )?;
+    wire.extend_from_slice(&response.body);
+    stream.write_all(&wire)?;
     stream.flush()
 }
 
@@ -727,6 +850,192 @@ mod tests {
         let addr = server.addr();
         drop(server);
         assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+    }
+
+    /// Raw request bytes in, raw response out.
+    fn exchange(server: &HttpServer, raw: &[u8]) -> String {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.write_all(raw).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut out = String::new();
+        stream.read_to_string(&mut out).unwrap();
+        out
+    }
+
+    #[test]
+    fn ambiguous_body_framing_is_a_400() {
+        let server = echo_server();
+        for (raw, why) in [
+            (
+                &b"POST /jobs HTTP/1.1\r\nContent-Length: 12x\r\n\r\n{}"[..],
+                "invalid content-length",
+            ),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: -1\r\n\r\n{}", "invalid content-length"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length: +2\r\n\r\n{}", "invalid content-length"),
+            (b"POST /jobs HTTP/1.1\r\nContent-Length:\r\n\r\n", "invalid content-length"),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 7\r\n\r\n{}",
+                "conflicting content-length",
+            ),
+            (
+                b"POST /jobs HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n",
+                "transfer-encoding is not supported",
+            ),
+            (
+                b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\nTransfer-Encoding: chunked\r\n\r\n{}",
+                "transfer-encoding is not supported",
+            ),
+        ] {
+            let out = exchange(&server, raw);
+            let text = String::from_utf8_lossy(raw);
+            assert!(out.starts_with("HTTP/1.1 400"), "{text:?} -> {out}");
+            assert!(out.ends_with(&format!("\r\n\r\n{why}\n")), "{text:?} -> {out}");
+        }
+    }
+
+    #[test]
+    fn consistent_content_lengths_reach_the_handler() {
+        let server = echo_server();
+        let empty = exchange(&server, b"POST /jobs HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
+        assert!(empty.starts_with("HTTP/1.1 200"), "{empty}");
+        assert!(empty.contains("\"method\":\"POST\""), "{empty}");
+        assert!(empty.contains("\"body_len\":0"), "{empty}");
+        let repeated = exchange(
+            &server,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 2\r\ncontent-length: 2\r\n\r\n{}",
+        );
+        assert!(repeated.starts_with("HTTP/1.1 200"), "{repeated}");
+        assert!(repeated.contains("\"body_len\":2"), "{repeated}");
+    }
+
+    #[test]
+    fn a_content_length_past_usize_is_a_413() {
+        let server = echo_server();
+        let out = exchange(
+            &server,
+            b"POST /jobs HTTP/1.1\r\nContent-Length: 99999999999999999999999\r\n\r\n",
+        );
+        assert!(out.starts_with("HTTP/1.1 413"), "{out}");
+    }
+
+    #[test]
+    fn sequential_requests_reuse_pool_threads() {
+        let seen = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let record = Arc::clone(&seen);
+        let handler: Arc<Handler> = Arc::new(move |_req: &Request| {
+            record.lock().unwrap().insert(std::thread::current().id());
+            Response::text(200, "ok\n")
+        });
+        let server = HttpServer::start("http-test-reuse", "127.0.0.1:0", handler).expect("bind");
+        for _ in 0..200 {
+            assert_eq!(request(server.addr(), "GET", "/", &[], None).unwrap().status, 200);
+        }
+        let threads = seen.lock().unwrap().len();
+        assert!(threads <= IDLE_CAP + 1, "200 sequential requests took {threads} threads");
+    }
+
+    /// Holds requests for `/hold` in the handler until opened, counting
+    /// how many are held.
+    #[derive(Default)]
+    struct Gate {
+        state: Mutex<(usize, bool)>,
+        changed: Condvar,
+    }
+
+    impl Gate {
+        fn hold(&self) {
+            let mut state = self.state.lock().unwrap();
+            state.0 += 1;
+            self.changed.notify_all();
+            while !state.1 {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn await_held(&self, n: usize) {
+            let state = self.state.lock().unwrap();
+            let (state, timeout) = self
+                .changed
+                .wait_timeout_while(state, Duration::from_secs(10), |s| s.0 < n)
+                .unwrap();
+            assert!(!timeout.timed_out(), "only {} of {n} requests reached the handler", state.0);
+        }
+
+        fn open(&self) {
+            self.state.lock().unwrap().1 = true;
+            self.changed.notify_all();
+        }
+    }
+
+    fn gated_server(gate: &Arc<Gate>) -> HttpServer {
+        let gate = Arc::clone(gate);
+        let handler: Arc<Handler> = Arc::new(move |req: &Request| {
+            if req.path == "/hold" {
+                gate.hold();
+            }
+            Response::text(200, "ok\n")
+        });
+        HttpServer::start("http-test-gate", "127.0.0.1:0", handler).expect("bind")
+    }
+
+    #[test]
+    fn blocked_handlers_beyond_the_idle_cap_do_not_stop_accepting() {
+        let gate = Arc::new(Gate::default());
+        let server = gated_server(&gate);
+        let addr = server.addr();
+        let held: Vec<_> = (0..IDLE_CAP + 4)
+            .map(|_| std::thread::spawn(move || request(addr, "GET", "/hold", &[], None)))
+            .collect();
+        gate.await_held(IDLE_CAP + 4);
+        let started = Instant::now();
+        let resp = request(addr, "GET", "/", &[], None).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        gate.open();
+        for h in held {
+            let resp = h.join().unwrap().unwrap();
+            assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
+        }
+    }
+
+    #[test]
+    fn drop_with_a_request_in_flight_closes_the_port_and_still_answers() {
+        let gate = Arc::new(Gate::default());
+        let server = gated_server(&gate);
+        let addr = server.addr();
+        let pool = Arc::clone(&server.pool);
+        let client = std::thread::spawn(move || request(addr, "GET", "/hold", &[], None));
+        gate.await_held(1);
+        drop(server);
+        assert!(TcpStream::connect_timeout(&addr, Duration::from_millis(200)).is_err());
+        {
+            let state = pool.state();
+            assert!(state.listener.is_none());
+            assert_eq!(state.accepting, 0, "a thread is still in accept");
+        }
+        gate.open();
+        let resp = client.join().unwrap().unwrap();
+        assert_eq!((resp.status, resp.body.as_str()), (200, "ok\n"));
+    }
+
+    #[test]
+    fn stalled_clients_do_not_delay_others() {
+        let server = echo_server();
+        // Partial heads, then silence, from more clients than the pool
+        // keeps idle. The accept queue is FIFO, so each is taken by a
+        // pool thread before the request below.
+        let stalled: Vec<TcpStream> = (0..IDLE_CAP + 2)
+            .map(|_| {
+                let mut s = TcpStream::connect(server.addr()).unwrap();
+                s.write_all(b"GET /jobs HT").unwrap();
+                s
+            })
+            .collect();
+        let started = Instant::now();
+        let resp = request(server.addr(), "GET", "/probe", &[], None).unwrap();
+        assert_eq!(resp.status, 200);
+        assert!(started.elapsed() < Duration::from_secs(1), "{:?}", started.elapsed());
+        drop(stalled);
     }
 
     #[test]

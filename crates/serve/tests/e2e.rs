@@ -435,3 +435,47 @@ fn long_poll_returns_promptly_once_done() {
     );
     d.shutdown();
 }
+
+#[test]
+fn long_pollers_do_not_starve_the_listener() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    // In-flight quota 0 keeps the job queued, so every poll waits out
+    // its window unless the job is cancelled.
+    let d = daemon(ManagerConfig { max_inflight_per_tenant: 0, ..ManagerConfig::default() });
+    let addr = d.addr();
+    let id = job_id(&post_job(addr, "hana", DES_JOB));
+    // Whole requests are written before `/healthz` connects, and the
+    // accept queue is FIFO: every poller is taken by a server thread
+    // before the probe is.
+    let pollers: Vec<TcpStream> = (0..8)
+        .map(|_| {
+            let mut s = TcpStream::connect(addr).expect("connect poller");
+            write!(
+                s,
+                "GET /jobs/{id}?wait_ms=3000 HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\n\r\n"
+            )
+            .expect("send long-poll");
+            s
+        })
+        .collect();
+    let started = std::time::Instant::now();
+    let health = request(addr, "GET", "/healthz", &[], None).expect("healthz");
+    assert!(health.is_success(), "{}", health.body);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "healthz behind 8 long-polls took {:?}",
+        started.elapsed()
+    );
+    let cancel = request(addr, "POST", &format!("/jobs/{id}/cancel"), &[], None).unwrap();
+    assert_eq!(cancel.status, 200, "{}", cancel.body);
+    for mut s in pollers {
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut out = String::new();
+        s.read_to_string(&mut out).expect("long-poll answer");
+        assert!(out.starts_with("HTTP/1.1 200"), "{out}");
+        assert!(out.contains("\"cancelled\""), "{out}");
+    }
+    d.shutdown();
+}
