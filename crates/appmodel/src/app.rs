@@ -14,7 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::ModelError;
-use crate::json::{AppJson, VariableJson};
+use crate::json::AppJson;
+use crate::memory::VarDecls;
 use crate::registry::{Kernel, KernelRegistry};
 
 /// A node's supported platform with its kernel resolved.
@@ -24,6 +25,8 @@ pub struct ResolvedPlatform {
     pub key: String,
     /// The runfunc symbol name (used for cost-table lookups and stats).
     pub runfunc: String,
+    /// `runfunc`'s process-wide id (see [`runfunc_id`](crate::registry::runfunc_id)).
+    pub runfunc_id: u32,
     /// The shared object the kernel came from.
     pub shared_object: String,
     /// The resolved kernel.
@@ -77,8 +80,8 @@ impl NodeSpec {
 pub struct ApplicationSpec {
     /// The application's `AppName`.
     pub name: String,
-    /// Variable declarations (used to allocate instance memory).
-    pub variables: BTreeMap<String, VariableJson>,
+    /// Variable declarations, shared by every instance's memory.
+    pub variables: Arc<VarDecls>,
     /// Nodes in deterministic (JSON-name) order.
     pub nodes: Vec<NodeSpec>,
     /// Indices of nodes with no predecessors (the "head nodes" injected
@@ -93,9 +96,7 @@ impl ApplicationSpec {
     /// list); the union is used and mirrored, so hand-written DAGs need
     /// not duplicate every edge — the paper's Listing 1 declares both.
     pub fn from_json(json: &AppJson, registry: &KernelRegistry) -> Result<Arc<Self>, ModelError> {
-        for (name, decl) in &json.variables {
-            decl.validate(name)?;
-        }
+        let variables = Arc::new(VarDecls::new(&json.variables)?);
 
         let names: Vec<&String> = json.dag.keys().collect();
         let index_of: BTreeMap<&str, usize> =
@@ -148,6 +149,7 @@ impl ApplicationSpec {
                 platforms.push(ResolvedPlatform {
                     key: p.name.clone(),
                     runfunc: p.runfunc.clone(),
+                    runfunc_id: crate::registry::runfunc_id(&p.runfunc),
                     shared_object: so.to_string(),
                     kernel,
                     mean_exec: p.mean_exec_us.map(|us| Duration::from_secs_f64(us * 1e-6)),
@@ -186,12 +188,7 @@ impl ApplicationSpec {
         }
 
         let roots = nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect();
-        Ok(Arc::new(ApplicationSpec {
-            name: json.app_name.clone(),
-            variables: json.variables.clone(),
-            nodes,
-            roots,
-        }))
+        Ok(Arc::new(ApplicationSpec { name: json.app_name.clone(), variables, nodes, roots }))
     }
 
     /// Number of tasks one instance of this application contributes.
@@ -266,7 +263,7 @@ impl std::fmt::Debug for AppLibrary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::{NodeJson, PlatformJson};
+    use crate::json::{NodeJson, PlatformJson, VariableJson};
     use crate::memory::TaskCtx;
 
     fn noop(_: &TaskCtx<'_>) -> Result<(), ModelError> {

@@ -42,7 +42,7 @@ impl AppInstance {
         id: InstanceId,
         arrival: Duration,
     ) -> Result<AppInstance, ModelError> {
-        let memory = AppMemory::from_decls(&spec.variables)?;
+        let memory = AppMemory::for_decls(Arc::clone(&spec.variables));
         Ok(AppInstance { id, spec, memory, arrival })
     }
 

@@ -35,6 +35,6 @@ pub use app::{AppLibrary, ApplicationSpec, NodeSpec, ResolvedPlatform};
 pub use error::ModelError;
 pub use instance::{AppInstance, InstanceId};
 pub use json::{AppJson, NodeJson, PlatformJson, VariableJson};
-pub use memory::{AccelPort, AppMemory, TaskCtx};
+pub use memory::{AccelPort, AppMemory, TaskCtx, VarDecls};
 pub use registry::{Kernel, KernelFn, KernelRegistry};
 pub use workload::{InjectionParams, OperationMode, Workload, WorkloadEntry, WorkloadSpec};

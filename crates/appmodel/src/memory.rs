@@ -24,47 +24,97 @@ use dssoc_platform::accel::AccelJobReport;
 use crate::error::ModelError;
 use crate::json::VariableJson;
 
-/// Backing store for one variable.
-struct Variable {
-    decl: VariableJson,
-    data: RwLock<Vec<u8>>,
+/// One application's variable declarations, validated once and shared
+/// (by `Arc`) by its spec and every instance's [`AppMemory`], which
+/// keeps only its own data buffers. Variables are held in name order.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct VarDecls {
+    names: Vec<String>,
+    decls: Vec<VariableJson>,
 }
 
-/// The shared variable memory of one application instance.
+impl VarDecls {
+    /// Validates `decls` and takes them in name order.
+    pub fn new(decls: &BTreeMap<String, VariableJson>) -> Result<Self, ModelError> {
+        for (name, decl) in decls {
+            decl.validate(name)?;
+        }
+        Ok(VarDecls {
+            names: decls.keys().cloned().collect(),
+            decls: decls.values().cloned().collect(),
+        })
+    }
+
+    /// Number of declared variables.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when no variable is declared.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// `(name, declaration)` pairs in name order.
+    pub fn iter(&self) -> impl Iterator<Item = (&str, &VariableJson)> {
+        self.names.iter().map(String::as_str).zip(&self.decls)
+    }
+
+    /// The declaration of `name`.
+    pub fn get(&self, name: &str) -> Option<&VariableJson> {
+        self.index_of(name).map(|i| &self.decls[i])
+    }
+
+    fn index_of(&self, name: &str) -> Option<usize> {
+        self.names.binary_search_by(|n| n.as_str().cmp(name)).ok()
+    }
+}
+
+/// The shared variable memory of one application instance: a data
+/// buffer per declared variable, in the declarations' order.
 pub struct AppMemory {
-    vars: BTreeMap<String, Variable>,
+    decls: Arc<VarDecls>,
+    data: Vec<RwLock<Vec<u8>>>,
 }
 
 impl AppMemory {
     /// Allocates and initializes storage for every declared variable.
     pub fn from_decls(decls: &BTreeMap<String, VariableJson>) -> Result<Arc<Self>, ModelError> {
-        let mut vars = BTreeMap::new();
-        for (name, decl) in decls {
-            decl.validate(name)?;
-            let mut data = vec![0u8; decl.storage_bytes()];
-            data[..decl.val.len()].copy_from_slice(&decl.val);
-            vars.insert(name.clone(), Variable { decl: decl.clone(), data: RwLock::new(data) });
-        }
-        Ok(Arc::new(AppMemory { vars }))
+        Ok(Self::for_decls(Arc::new(VarDecls::new(decls)?)))
+    }
+
+    /// Allocates and initializes storage for every variable of an
+    /// already validated declaration table, sharing the table.
+    pub fn for_decls(decls: Arc<VarDecls>) -> Arc<Self> {
+        let data = decls
+            .decls
+            .iter()
+            .map(|decl| {
+                let mut data = vec![0u8; decl.storage_bytes()];
+                data[..decl.val.len()].copy_from_slice(&decl.val);
+                RwLock::new(data)
+            })
+            .collect();
+        Arc::new(AppMemory { decls, data })
     }
 
     /// Names of all variables, sorted.
     pub fn names(&self) -> Vec<&str> {
-        self.vars.keys().map(String::as_str).collect()
+        self.decls.names.iter().map(String::as_str).collect()
     }
 
     /// The declaration of a variable.
     pub fn decl(&self, name: &str) -> Option<&VariableJson> {
-        self.vars.get(name).map(|v| &v.decl)
+        self.decls.get(name)
     }
 
     /// Total allocated bytes across all variables.
     pub fn total_bytes(&self) -> usize {
-        self.vars.values().map(|v| v.decl.storage_bytes()).sum()
+        self.decls.decls.iter().map(VariableJson::storage_bytes).sum()
     }
 
-    fn var(&self, name: &str) -> Result<&Variable, ModelError> {
-        self.vars.get(name).ok_or_else(|| ModelError::TypeError {
+    fn var(&self, name: &str) -> Result<&RwLock<Vec<u8>>, ModelError> {
+        self.decls.index_of(name).map(|i| &self.data[i]).ok_or_else(|| ModelError::TypeError {
             variable: name.to_string(),
             reason: "variable not declared".into(),
         })
@@ -72,14 +122,14 @@ impl AppMemory {
 
     /// Copies out a variable's bytes.
     pub fn read_bytes(&self, name: &str) -> Result<Vec<u8>, ModelError> {
-        Ok(self.var(name)?.data.read().clone())
+        Ok(self.var(name)?.read().clone())
     }
 
     /// Writes `bytes` into the variable starting at offset 0. Fails if the
     /// payload exceeds the allocation.
     pub fn write_bytes(&self, name: &str, bytes: &[u8]) -> Result<(), ModelError> {
         let var = self.var(name)?;
-        let mut guard = var.data.write();
+        let mut guard = var.write();
         if bytes.len() > guard.len() {
             return Err(ModelError::TypeError {
                 variable: name.to_string(),
@@ -102,7 +152,7 @@ impl AppMemory {
         f: impl FnOnce(&mut [u8]) -> R,
     ) -> Result<R, ModelError> {
         let var = self.var(name)?;
-        let mut guard = var.data.write();
+        let mut guard = var.write();
         Ok(f(&mut guard))
     }
 
@@ -114,7 +164,7 @@ impl AppMemory {
         len: usize,
     ) -> Result<Vec<u8>, ModelError> {
         let var = self.var(name)?;
-        let guard = var.data.read();
+        let guard = var.read();
         guard.get(offset..offset + len).map(<[u8]>::to_vec).ok_or_else(|| ModelError::TypeError {
             variable: name.to_string(),
             reason: format!(
@@ -133,7 +183,7 @@ impl AppMemory {
         bytes: &[u8],
     ) -> Result<(), ModelError> {
         let var = self.var(name)?;
-        let mut guard = var.data.write();
+        let mut guard = var.write();
         let end = offset + bytes.len();
         if end > guard.len() {
             return Err(ModelError::TypeError {
@@ -179,7 +229,7 @@ impl AppMemory {
         count: usize,
     ) -> Result<Vec<Complex32>, ModelError> {
         let var = self.var(name)?;
-        let guard = var.data.read();
+        let guard = var.read();
         let need = if count == 0 { 0 } else { (start + (count - 1) * stride + 1) * 8 };
         if need > guard.len() {
             return Err(ModelError::TypeError {
@@ -208,7 +258,7 @@ impl AppMemory {
         values: &[Complex32],
     ) -> Result<(), ModelError> {
         let var = self.var(name)?;
-        let mut guard = var.data.write();
+        let mut guard = var.write();
         let need =
             if values.is_empty() { 0 } else { (start + (values.len() - 1) * stride + 1) * 8 };
         if need > guard.len() {
@@ -317,7 +367,7 @@ impl AppMemory {
 impl std::fmt::Debug for AppMemory {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppMemory")
-            .field("variables", &self.vars.len())
+            .field("variables", &self.data.len())
             .field("total_bytes", &self.total_bytes())
             .finish()
     }

@@ -27,6 +27,26 @@ pub trait Kernel: Send + Sync {
     fn run(&self, ctx: &TaskCtx<'_>) -> Result<(), ModelError>;
 }
 
+/// A process-wide dense id for the runfunc name `name`: equal names get
+/// equal ids, whichever library or registry they come from, and ids
+/// count up from zero. Resolution assigns each platform entry its id
+/// once ([`ResolvedPlatform::runfunc_id`]), so per-kernel state on a
+/// per-task path can be a vector indexed by id instead of a map hashing
+/// the name.
+///
+/// [`ResolvedPlatform::runfunc_id`]: crate::app::ResolvedPlatform::runfunc_id
+pub fn runfunc_id(name: &str) -> u32 {
+    static IDS: std::sync::OnceLock<parking_lot::Mutex<HashMap<String, u32>>> =
+        std::sync::OnceLock::new();
+    let mut ids = IDS.get_or_init(Default::default).lock();
+    if let Some(&id) = ids.get(name) {
+        return id;
+    }
+    let id = ids.len() as u32;
+    ids.insert(name.to_string(), id);
+    id
+}
+
 /// Plain-function kernel type accepted by
 /// [`KernelRegistry::register_fn`].
 pub type KernelFn = fn(&TaskCtx<'_>) -> Result<(), ModelError>;

@@ -226,7 +226,7 @@ impl Workload {
                 Some((s, m)) => (Arc::clone(s), Arc::clone(m)),
                 None => {
                     let s = library.get(&entry.app_name)?;
-                    let m = AppMemory::from_decls(&s.variables)?;
+                    let m = AppMemory::for_decls(Arc::clone(&s.variables));
                     specs.insert(entry.app_name.as_str(), (Arc::clone(&s), Arc::clone(&m)));
                     (s, m)
                 }

@@ -14,11 +14,14 @@
 //! ```sh
 //! cargo bench -p dssoc-bench --bench engines
 //! cargo bench -p dssoc-bench --bench engines -- --test   # warm-pool smoke
+//! cargo bench -p dssoc-bench --bench engines -- --test --ceiling 100000
 //! ```
 //!
 //! The `--test` smoke runs the warm-pool case a few times, checks that it
 //! spawns no thread after the first run and matches the DES makespan,
-//! and prints the per-task wall time.
+//! and prints the per-task wall time of the best run. `--ceiling
+//! <ns/task>` turns it into a perf gate: the smoke fails when that time
+//! lands above the ceiling.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -128,8 +131,9 @@ fn bench_engines(c: &mut Criterion) {
 }
 
 /// The `--test` smoke: the warm-pool case must reuse its threads and
-/// agree with the DES, and its per-task wall time is printed.
-fn warm_pool_smoke() {
+/// agree with the DES, and its per-task wall time is printed — and held
+/// under `ceiling` ns/task when one is given.
+fn warm_pool_smoke(ceiling: Option<f64>) {
     let (library, _registry) = standard_library();
     let workload = workload(&library);
     let (mut emu, scenario) = warm_pool(&library, &workload);
@@ -156,17 +160,28 @@ fn warm_pool_smoke() {
         assert_eq!(stats.makespan, expected, "warm-pool run diverged from the DES");
     }
     assert_eq!(threads_spawned_total(), spawned, "a warm pool must not spawn threads");
-    println!(
-        "engines warm_pool smoke: {tasks} tasks, best run {best:?}, {:.0} ns/task",
-        best.as_nanos() as f64 / tasks.max(1) as f64
-    );
+    let ns_per_task = best.as_nanos() as f64 / tasks.max(1) as f64;
+    println!("engines warm_pool smoke: {tasks} tasks, best run {best:?}, {ns_per_task:.0} ns/task");
+    if let Some(ceiling) = ceiling {
+        if ns_per_task > ceiling {
+            eprintln!("perf ceiling FAILED: warm {ns_per_task:.0} ns/task > ceiling {ceiling:.0}");
+            std::process::exit(1);
+        }
+        println!("perf ceiling ok: warm {ns_per_task:.0} ns/task <= ceiling {ceiling:.0}");
+    }
 }
 
 criterion_group!(benches, bench_engines);
 
 fn main() {
-    if std::env::args().any(|a| a == "--test") {
-        warm_pool_smoke();
+    let args: Vec<String> = std::env::args().collect();
+    if args.iter().any(|a| a == "--test") {
+        let ceiling = args
+            .iter()
+            .position(|a| a == "--ceiling")
+            .and_then(|i| args.get(i + 1))
+            .and_then(|v| v.parse().ok());
+        warm_pool_smoke(ceiling);
         return;
     }
     benches();

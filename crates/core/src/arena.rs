@@ -1,40 +1,50 @@
-//! Warm per-simulator scratch for the DES hot loop.
+//! Warm per-engine scratch for the engines' hot loops.
 //!
-//! PR 3 made a single DES run allocation-free *within* the run; this
-//! module makes it allocation-free *across* runs. [`DesScratch`] owns
-//! every growable buffer the hot loop touches — the calendar queue, the
-//! SoA instance-state arrays, the ready list's backing store and the
-//! scheduler's view of it, the completion columns, retry and placement
-//! staging — and lives inside [`DesSimulator`], so warm [`JobRunner`]
-//! engines and repeat-iteration sweep cells reuse the same capacity run
-//! after run. [`DesScratch::reset`] clears lengths but never frees:
-//! after the first run at a given
-//! problem size, subsequent runs perform no heap allocation in the
-//! simulation loop. The one deliberate exception is [`DoneColumns`] —
-//! completed-task columns leave the arena with the run's stats (they
-//! back the lazily-materialized task log), so each run pays exactly one
-//! right-sized reservation for them up front instead of reusing the
-//! previous run's storage.
+//! This module makes both engines' runs allocation-free *across* runs,
+//! not just within one.
+//! [`RunScratch`] owns every growable buffer an engine loop touches — the
+//! DES calendar queue, the flat DAG countdowns, the ready list's backing
+//! store and the scheduler's view of it, the completion columns, retry
+//! and placement staging, and the threaded engine's collected
+//! completions and per-PE in-flight state — and lives inside
+//! [`DesSimulator`] and [`Emulation`], so warm [`JobRunner`] engines,
+//! warm resource pools and repeat-iteration sweep cells reuse the same
+//! capacity run after run. [`RunScratch::reset`] clears lengths but
+//! never frees: after the first run at a given problem size, subsequent
+//! runs perform no heap allocation in the engine loop. The one
+//! deliberate exception is [`DoneColumns`] — completed-task columns
+//! leave the arena with the run's stats (they back the lazily-
+//! materialized task log), so each run pays exactly one right-sized
+//! reservation for them up front instead of reusing the previous run's
+//! storage.
 //!
 //! Also here: [`CompletionEvent`], the 64-byte POD the calendar queue
 //! carries (ordered by the engine-wide `(time, key, seq)` tie-break);
-//! [`DoneColumns`], struct-of-arrays storage for completed-task facts
-//! that are materialized into [`TaskRecord`]s only if someone reads the
-//! per-task log; [`DenseReady`], the `Arc`-free entry the DES ready
-//! list queues; and [`ViewScratch`], which recycles the
-//! `Vec<PeView<'_>>` scheduler-view allocation across runs despite its
-//! borrowed lifetime.
+//! `Collected`, a completion the threaded engine read from a resource
+//! handler; [`DoneColumns`], struct-of-arrays storage for completed-task
+//! facts that are materialized into [`TaskRecord`]s only if someone reads
+//! the per-task log; [`DenseReady`], the `Arc`-free entry both engines'
+//! ready lists queue; `DagState`, the flat per-run DAG countdowns; and
+//! [`ViewScratch`], which recycles the `Vec<PeView<'_>>` scheduler-view
+//! allocation across runs despite its borrowed lifetime.
 //!
 //! [`DesSimulator`]: crate::des::DesSimulator
+//! [`Emulation`]: crate::engine::Emulation
 //! [`JobRunner`]: crate::job::JobRunner
 //! [`TaskRecord`]: crate::stats::TaskRecord
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use dssoc_appmodel::error::ModelError;
+use dssoc_appmodel::instance::AppInstance;
 use dssoc_trace::FaultKind;
 
 use crate::calq::{CalendarQueue, Timed};
-use crate::exec::ReadyEntry;
-use crate::job::Fingerprint;
+use crate::exec::{ReadyEntry, ReadyList};
+use crate::job::{CompiledScenario, Fingerprint};
 use crate::sched::{Assignment, EstimateBook, PeView};
+use crate::soa::SpecSoa;
 use crate::task::ReadyTask;
 use crate::time::SimTime;
 
@@ -102,11 +112,11 @@ impl Timed for CompletionEvent {
     }
 }
 
-/// One entry of the DES [`ReadyList`](crate::exec::ReadyList): the task
-/// as an index pair plus its readiness timestamp and sequence number.
-/// No `Arc` handle — pushing a task onto the ready list is a plain store
-/// with no refcount traffic. The DES builds [`ReadyTask`]s from these
-/// only when it calls a `dyn` scheduler.
+/// One entry of an engine's [`ReadyList`]: the task as an index pair
+/// plus its readiness timestamp and sequence number. No `Arc` handle —
+/// pushing a task onto the ready list is a plain store with no refcount
+/// traffic. The engines build [`ReadyTask`]s from these only when they
+/// call a `dyn` scheduler.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DenseReady {
     /// Instance id (`InstanceId.0`).
@@ -153,12 +163,41 @@ pub(crate) struct RetryEntry {
     pub node: u32,
 }
 
+/// A completion the threaded engine collected from a resource handler,
+/// waiting for the emulation clock to reach its `finish`. Plain data
+/// apart from a failed kernel's error: the task is its `(inst, node)`
+/// pair and `col` the PE's platform column.
+#[derive(Debug)]
+pub(crate) struct Collected {
+    /// When the completion takes effect (the fault manifestation time
+    /// when `fault` is set).
+    pub finish: SimTime,
+    /// Instance id (`InstanceId.0`).
+    pub inst: u32,
+    /// DAG node index within the instance.
+    pub node: u32,
+    /// PE column in `platform.pes`.
+    pub col: u32,
+    /// Emulation time the attempt started.
+    pub start: SimTime,
+    /// Modeled execution duration.
+    pub modeled: Duration,
+    /// Host wall-clock duration of the functional execution.
+    pub measured: Duration,
+    /// `Some` when the fault plan rewrote this attempt's outcome.
+    pub fault: Option<FaultKind>,
+    /// The kernel's error, when it failed outside fault recovery.
+    pub error: Option<ModelError>,
+}
+
 /// Struct-of-arrays storage for completed-task facts.
 ///
 /// The hot loop appends six integers per completion; the fat
 /// [`TaskRecord`](crate::stats::TaskRecord)s (with their `Name` clone
 /// refcounts) are materialized only if someone reads the run's
-/// [`TaskLog`](crate::stats::TaskLog).
+/// [`TaskLog`](crate::stats::TaskLog). The threaded engine also fills
+/// the two host columns (`start_ns`, `measured_ns`); the DES leaves them
+/// empty, which reads as "start = finish − duration, nothing measured".
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DoneColumns {
     pub inst: Vec<u32>,
@@ -167,6 +206,11 @@ pub(crate) struct DoneColumns {
     pub ready_ns: Vec<u64>,
     pub finish_ns: Vec<u64>,
     pub dur_ns: Vec<u64>,
+    /// Start times (wall-clock timing finishes at collection, not at
+    /// start + duration).
+    pub start_ns: Vec<u64>,
+    /// Host-measured kernel times.
+    pub measured_ns: Vec<u64>,
 }
 
 impl DoneColumns {
@@ -203,6 +247,13 @@ impl DoneColumns {
         self.dur_ns.reserve(n);
     }
 
+    /// [`Self::reserve`] for the two host columns as well.
+    pub fn reserve_host(&mut self, n: usize) {
+        self.reserve(n);
+        self.start_ns.reserve(n);
+        self.measured_ns.reserve(n);
+    }
+
     pub fn len(&self) -> usize {
         self.inst.len()
     }
@@ -214,13 +265,88 @@ impl DoneColumns {
         self.ready_ns.clear();
         self.finish_ns.clear();
         self.dur_ns.clear();
+        self.start_ns.clear();
+        self.measured_ns.clear();
+    }
+}
+
+/// Per-run DAG progress in flat arrays: task `(inst, node)` has flat id
+/// `inst_base[inst] + node`.
+#[derive(Debug, Default)]
+pub(crate) struct DagState {
+    /// `instance id -> base flat task id` (prefix sums of node counts).
+    pub inst_base: Vec<u32>,
+    /// Per flat task id: predecessors still outstanding.
+    pub remaining_preds: Vec<u32>,
+    /// Per instance id: tasks still incomplete (app finishes at zero).
+    pub remaining_tasks: Vec<u32>,
+}
+
+impl DagState {
+    /// Lays out the countdowns for `instances` of `scenario`; returns the
+    /// run's task count.
+    fn prepare(&mut self, scenario: &CompiledScenario, instances: &[Arc<AppInstance>]) -> u32 {
+        let (soa, names) = (scenario.soa(), scenario.names());
+        let inst_top = instances.iter().map(|i| i.id.0 as usize + 1).max().unwrap_or(0);
+        self.remaining_tasks.resize(inst_top, 0);
+        for inst in instances {
+            self.remaining_tasks[inst.id.0 as usize] = soa.specs[names.spec_index(inst.id)].n_nodes;
+        }
+        self.inst_base.resize(inst_top, 0);
+        let mut flat_total = 0u32;
+        for i in 0..inst_top {
+            self.inst_base[i] = flat_total;
+            flat_total += self.remaining_tasks[i];
+        }
+        self.remaining_preds.resize(flat_total as usize, 0);
+        for inst in instances {
+            let base = self.inst_base[inst.id.0 as usize] as usize;
+            let spec = &soa.specs[names.spec_index(inst.id)];
+            self.remaining_preds[base..base + spec.preds_init.len()]
+                .copy_from_slice(&spec.preds_init);
+        }
+        flat_total
+    }
+
+    /// Records task `(inst, node)` of `spec` finishing at `at`: each
+    /// successor whose last predecessor this was joins `ready`. True
+    /// when it was the instance's last task.
+    #[inline]
+    pub fn complete(
+        &mut self,
+        spec: &SpecSoa,
+        inst: u32,
+        node: u32,
+        at: SimTime,
+        ready: &mut ReadyList<DenseReady>,
+    ) -> bool {
+        // CSR successor walk over flat countdowns.
+        let base = self.inst_base[inst as usize];
+        let lo = spec.succ_off[node as usize] as usize;
+        let hi = spec.succ_off[node as usize + 1] as usize;
+        for &succ in &spec.succ[lo..hi] {
+            let flat = (base + succ) as usize;
+            self.remaining_preds[flat] -= 1;
+            if self.remaining_preds[flat] == 0 {
+                ready.push_entry(DenseReady::new(inst, succ, at));
+            }
+        }
+        let left = &mut self.remaining_tasks[inst as usize];
+        *left -= 1;
+        *left == 0
+    }
+
+    fn clear(&mut self) {
+        self.inst_base.clear();
+        self.remaining_preds.clear();
+        self.remaining_tasks.clear();
     }
 }
 
 /// Recycles the scheduler's `Vec<PeView<'_>>` allocation across runs.
 ///
 /// The views borrow `PeDescriptor`s with the run's lifetime, so the
-/// vector cannot be stored in [`DesScratch`] as-is. Since the buffer is
+/// vector cannot be stored in [`RunScratch`] as-is. Since the buffer is
 /// always *empty* at the take/put boundary, only the allocation (not
 /// any borrowed data) crosses runs, making the lifetime cast sound.
 #[derive(Debug, Default)]
@@ -247,28 +373,31 @@ impl ViewScratch {
     }
 }
 
-/// Every growable buffer the DES hot loop touches, owned by the
-/// simulator so capacity survives across runs (see module docs).
+/// Every growable buffer an engine loop touches, owned by the engine so
+/// capacity survives across runs (see module docs). Each engine uses
+/// the fields it needs; the rest stay empty.
 ///
 /// `reset` clears everything except the estimate book, whose reuse
 /// policy (values-only reset vs full rebuild) is decided per run from
-/// `est_src`.
+/// `est_src` in [`Self::begin`].
 #[derive(Debug)]
-pub(crate) struct DesScratch {
-    /// `instance id -> base flat task id` (prefix sums of node counts).
-    pub inst_base: Vec<u32>,
-    /// Per flat task id: predecessors still outstanding.
-    pub remaining_preds: Vec<u32>,
-    /// Per instance id: tasks still incomplete (app finishes at zero).
-    pub remaining_tasks: Vec<u32>,
-    /// `(arrival, instance slice index)`, sorted; drained by cursor.
+pub(crate) struct RunScratch {
+    /// Flat DAG countdowns.
+    pub dag: DagState,
+    /// DES: `(arrival, instance slice index)`, sorted; drained by cursor.
     pub arrival_order: Vec<(SimTime, u32)>,
     /// Completed-task columns, materialized to records at end of run.
     pub done: DoneColumns,
-    /// The completion event calendar queue.
+    /// DES: the completion event calendar queue.
     pub events: CalendarQueue<CompletionEvent>,
-    /// Same-timestamp batch drained from `events` each iteration.
+    /// DES: same-timestamp batch drained from `events` each iteration.
     pub due: Vec<CompletionEvent>,
+    /// Threaded engine: completions collected from the handlers, not
+    /// yet due.
+    pub collected: Vec<Collected>,
+    /// Threaded engine: readiness time of the task in flight on each PE
+    /// column (what its task record reports).
+    pub ready_at: Vec<SimTime>,
     /// Faulted tasks waiting out retry backoff.
     pub retries: Vec<RetryEntry>,
     /// Backing storage for the run's `ReadyList`.
@@ -288,18 +417,21 @@ pub(crate) struct DesScratch {
     pub assignments: Vec<Assignment>,
     /// One scheduling round's placements: `(entry, PE column, duration ns)`.
     pub placed: Vec<(DenseReady, u32, u64)>,
+    /// Threaded engine: the round's placements on idle PEs, `(PE column,
+    /// entry)`, handed to their resource managers once the round is timed.
+    pub handoff: Vec<(u32, DenseReady)>,
 }
 
-impl Default for DesScratch {
+impl Default for RunScratch {
     fn default() -> Self {
-        DesScratch {
-            inst_base: Vec::new(),
-            remaining_preds: Vec::new(),
-            remaining_tasks: Vec::new(),
+        RunScratch {
+            dag: DagState::default(),
             arrival_order: Vec::new(),
             done: DoneColumns::default(),
             events: CalendarQueue::new(),
             due: Vec::new(),
+            collected: Vec::new(),
+            ready_at: Vec::new(),
             retries: Vec::new(),
             ready_buf: Vec::new(),
             ready_tasks: Vec::new(),
@@ -308,26 +440,56 @@ impl Default for DesScratch {
             views: ViewScratch::default(),
             assignments: Vec::new(),
             placed: Vec::new(),
+            handoff: Vec::new(),
         }
     }
 }
 
-impl DesScratch {
+impl RunScratch {
     /// Clears all per-run state, retaining capacity. The estimate book
-    /// is left to the run prologue (its reset depends on `est_src`).
+    /// is left to [`Self::begin`] (its reset depends on `est_src`).
     pub fn reset(&mut self) {
-        self.inst_base.clear();
-        self.remaining_preds.clear();
-        self.remaining_tasks.clear();
+        self.dag.clear();
         self.arrival_order.clear();
         self.done.clear();
         self.events.clear();
         self.due.clear();
+        self.collected.clear();
+        self.ready_at.clear();
         self.retries.clear();
         self.ready_buf.clear();
         self.ready_tasks.clear();
         self.assignments.clear();
         self.placed.clear();
+        self.handoff.clear();
+    }
+
+    /// Takes back the ready lists' buffers at the end of a run, whether
+    /// it finished or stopped early.
+    pub fn recycle(&mut self, ready: ReadyList<DenseReady>, tasks: ReadyList<ReadyTask>) {
+        self.ready_buf = ready.into_buffer();
+        self.ready_tasks = tasks.into_buffer();
+    }
+
+    /// Resets the arena for one run of `scenario` over `instances` (the
+    /// scenario's shared images or fresh private ones — ids and spec
+    /// mapping are the same): lays out the DAG countdowns, right-sizes
+    /// the completion columns, and restores the estimate book. Returns
+    /// the run's task count.
+    pub fn begin(&mut self, scenario: &CompiledScenario, instances: &[Arc<AppInstance>]) -> usize {
+        self.reset();
+        // Estimate-book reuse: during a run only `observe_at` touches the
+        // book (slots are resolved at scenario compile), so a book whose
+        // slot map came from this same scenario needs only its values
+        // restored — a memcpy instead of rebuilding two hash maps.
+        let est_ident = Some(scenario.fingerprint());
+        if self.est_src == est_ident {
+            self.estimates.reset_values_from(scenario.estimates_ref());
+        } else {
+            self.estimates.reset_from(scenario.estimates_ref());
+        }
+        self.est_src = est_ident;
+        self.dag.prepare(scenario, instances) as usize
     }
 }
 
@@ -349,12 +511,12 @@ mod tests {
         }
     }
 
-    /// The simulator must stay `Send` with the scratch inside it —
+    /// The engines must stay `Send` with the scratch inside them —
     /// `JobRunner` engines move across sweep worker threads.
     #[test]
     fn scratch_is_send() {
         fn assert_send<T: Send>() {}
-        assert_send::<DesScratch>();
+        assert_send::<RunScratch>();
     }
 
     /// Event ordering ignores payload fields — only the shared
@@ -416,10 +578,10 @@ mod tests {
     /// allocation-free guarantee.
     #[test]
     fn reset_retains_capacity() {
-        let mut s = DesScratch::default();
-        s.inst_base.extend(0..100);
-        s.remaining_preds.extend(0..100);
-        s.remaining_tasks.extend(0..100);
+        let mut s = RunScratch::default();
+        s.dag.inst_base.extend(0..100);
+        s.dag.remaining_preds.extend(0..100);
+        s.dag.remaining_tasks.extend(0..100);
         s.arrival_order.extend((0..100).map(|i| (SimTime(i), i as u32)));
         for i in 0..100 {
             s.done.push(i, 0, 0, 0, i as u64, 1);
@@ -427,13 +589,13 @@ mod tests {
         }
         s.due.push(ev(1, 0, 0, 0));
         s.assignments.push(Assignment { ready_idx: 0, pe: dssoc_platform::pe::PeId(0) });
-        let caps = (s.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity());
+        let caps = (s.dag.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity());
         s.reset();
-        assert_eq!(s.inst_base.len(), 0);
+        assert_eq!(s.dag.inst_base.len(), 0);
         assert_eq!(s.done.len(), 0);
         assert!(s.events.is_empty());
         assert_eq!(
-            (s.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity()),
+            (s.dag.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity()),
             caps
         );
         // Refill after reset: still works, no stale state.

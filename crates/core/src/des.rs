@@ -58,7 +58,7 @@
 //!   handling runs out of line, so fault-free runs never pay for its
 //!   code in the loop;
 //! * every growable buffer lives in a warm per-simulator
-//!   [`DesScratch`](crate::arena::DesScratch) arena that resets between
+//!   [`RunScratch`](crate::arena::RunScratch) arena that resets between
 //!   runs without freeing (and gets its buffers back even when a run
 //!   stops early), so warm [`JobRunner`](crate::job::JobRunner) engines
 //!   and repeat-iteration sweep cells run the hot loop allocation-free
@@ -77,27 +77,25 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
-use crate::arena::{CompletionEvent, DenseReady, DesScratch, RetryEntry};
+use crate::arena::{CompletionEvent, DenseReady, RetryEntry, RunScratch};
 use crate::engine::{EmuError, OverheadMode, TimingMode};
 use crate::exec::{
-    fail_idle_pes, pe_mask_bit, register_trace_meta, resolve_unschedulable,
-    validate_assignments_with, CompletionSink, ExecTracer, PeSlots, ReadyList,
+    fail_idle_pes, hand_over, place_fifo, release_retries, stage_assignments, CompletionSink,
+    PeSlots, RunFaults, RunParts,
 };
-use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
+use crate::fault::{FaultDecision, FaultSpec};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
-use crate::metrics::{ExecMetrics, OverheadPhase};
+use crate::metrics::OverheadPhase;
 use crate::sched::{EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
-use crate::soa::{ScenarioSoa, INCOMPATIBLE};
-use crate::stats::{AppRecord, DenseTaskLog, EmulationStats};
-use crate::task::{ReadyTask, Task};
+use crate::stats::{DenseTaskLog, EmulationStats};
 use crate::time::SimTime;
 
 /// DES configuration.
@@ -182,7 +180,7 @@ impl std::fmt::Debug for DesConfig {
 
 /// The discrete-event simulator.
 ///
-/// Holds a warm [`DesScratch`] arena, so a long-lived simulator (a
+/// Holds a warm [`RunScratch`] arena, so a long-lived simulator (a
 /// [`JobRunner`](crate::job::JobRunner) engine, a sweep worker) reuses
 /// every hot-loop buffer across runs — which is why [`Self::run`] and
 /// [`Self::run_compiled`] take `&mut self`.
@@ -190,7 +188,7 @@ pub struct DesSimulator {
     platform: Arc<PlatformConfig>,
     config: DesConfig,
     /// Warm per-simulator buffers, reset (not freed) between runs.
-    scratch: DesScratch,
+    scratch: RunScratch,
 }
 
 impl DesSimulator {
@@ -202,7 +200,7 @@ impl DesSimulator {
     ) -> Result<Self, EmuError> {
         let platform = platform.into();
         platform.validate().map_err(EmuError::Config)?;
-        Ok(DesSimulator { platform, config, scratch: DesScratch::default() })
+        Ok(DesSimulator { platform, config, scratch: RunScratch::default() })
     }
 
     /// The platform being simulated.
@@ -267,65 +265,38 @@ impl DesSimulator {
         scenario: &CompiledScenario,
         trace: Option<&TraceSink>,
         cancel: Option<&AtomicBool>,
-        s: &mut DesScratch,
+        s: &mut RunScratch,
     ) -> Result<EmulationStats, EmuError> {
         let instances = scenario.instances();
         let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
         let soa = scenario.soa();
         let plan = scenario.plan();
-        s.reset();
-        // Estimate-book reuse: during a run only `observe_at` touches the
-        // book (slots are resolved at scenario compile), so a book whose
-        // slot map came from this same scenario needs only its values
-        // restored — a memcpy instead of rebuilding two hash maps.
-        let est_ident = Some(scenario.fingerprint());
-        if s.est_src == est_ident {
-            s.estimates.reset_values_from(scenario.estimates_ref());
-        } else {
-            s.estimates.reset_from(scenario.estimates_ref());
-        }
-        s.est_src = est_ident;
+        // The completion columns leave with the stats at end of run, so
+        // right-size them up front (the run's task count is known).
+        let total = s.begin(scenario, instances);
+        s.done.reserve(total);
 
-        let DesScratch {
-            inst_base,
-            remaining_preds,
-            remaining_tasks,
+        // DES PEs have no reservation queues (depth 0); the busy map
+        // holds *exact* finish times — the simulator's one luxury over
+        // the emulator's estimates.
+        let label = format!("{} (DES)", scheduler.name());
+        let trace = trace.map(|t| (t, label.as_str(), "des"));
+        let mut p =
+            RunParts::new(&self.platform, 0, self.config.metrics.as_ref(), trace, instances, s);
+        let RunScratch {
+            dag,
             arrival_order,
             done,
             events,
             due,
             retries,
-            ready_buf,
-            ready_tasks,
             estimates,
             views: view_scratch,
             assignments,
             placed,
             ..
         } = &mut *s;
-
-        // ---- SoA instance state: flat task ids `inst_base[id] + node`.
-        let inst_top = instances.iter().map(|i| i.id.0 as usize + 1).max().unwrap_or(0);
-        remaining_tasks.resize(inst_top, 0);
-        for inst in instances {
-            remaining_tasks[inst.id.0 as usize] = soa.specs[names.spec_index(inst.id)].n_nodes;
-        }
-        inst_base.resize(inst_top, 0);
-        let mut flat_total = 0u32;
-        for i in 0..inst_top {
-            inst_base[i] = flat_total;
-            flat_total += remaining_tasks[i];
-        }
-        remaining_preds.resize(flat_total as usize, 0);
-        for inst in instances {
-            let base = inst_base[inst.id.0 as usize] as usize;
-            let spec = &soa.specs[names.spec_index(inst.id)];
-            remaining_preds[base..base + spec.preds_init.len()].copy_from_slice(&spec.preds_init);
-        }
-        // The completion columns leave with the stats at end of run, so
-        // right-size them up front (the run's task count is known).
-        done.reserve(flat_total as usize);
 
         // Arrivals are known up front: sorted once by (time, instance
         // order) and drained by cursor, they never pay queue traffic.
@@ -339,52 +310,9 @@ impl DesSimulator {
         let mut next_arrival = 0usize;
         let mut event_seq = 0u64;
 
-        let metrics = match &self.config.metrics {
-            Some(registry) => ExecMetrics::attach(registry, &self.platform, instances),
-            None => ExecMetrics::disabled(),
-        };
-        let tracer = match trace {
-            Some(trace_sink) => {
-                register_trace_meta(
-                    trace_sink,
-                    &self.platform,
-                    &format!("{} (DES)", scheduler.name()),
-                    instances,
-                );
-                ExecTracer::attach(trace_sink, "des")
-            }
-            None => ExecTracer::disabled(),
-        };
-        let mut ready = ReadyList::recycled(std::mem::take(ready_buf));
-        ready.set_metrics(metrics.clone());
-        ready.set_tracer(tracer.clone());
-        // The pending tasks as `ReadyTask`s, for `dyn` policies only: at
-        // each policy call `ready` lends the entries pushed since the last
-        // one (one `Arc` clone each). `ready` still counts them and fires
-        // the hooks.
-        let mut tasks: ReadyList<ReadyTask> = ReadyList::recycled(std::mem::take(ready_tasks));
-        // DES PEs have no reservation queues (depth 0); the busy map
-        // holds *exact* finish times — the simulator's one luxury over
-        // the emulator's estimates.
-        let mut slots = PeSlots::for_platform(&self.platform, 0);
-        slots.set_metrics(metrics.clone());
-        let mut sink = CompletionSink::new();
-        sink.reserve_apps(instances.len());
-        sink.set_tracer(tracer.clone());
-        sink.set_metrics(metrics.clone());
-
         // ---- Fault machinery (None without a fault spec).
-        let mut faults = plan.map(|plan| DesFaults {
-            plan,
-            state: FaultState::new(plan.retry.clone()),
-            platform: &self.platform,
-            soa,
-            names,
-            instances,
-            tracer: tracer.clone(),
-            charge: self.config.overhead_per_invocation,
-            retry_seq: 0,
-        });
+        let mut faults =
+            plan.map(|plan| RunFaults::new(plan, &self.platform, soa, names, p.tracer.clone()));
 
         // Placement: a policy that declares FRFS semantics is placed by
         // the engine straight off the SoA compatibility masks (one `u64`
@@ -398,7 +326,7 @@ impl DesSimulator {
         let charge = self.config.overhead_per_invocation;
         // Live observers; without them the completion path skips every
         // sample on one branch.
-        let observed = metrics.enabled() || tracer.enabled();
+        let observed = p.metrics.enabled() || p.tracer.enabled();
         // `PeId` by platform column (also the task log's column map).
         let pe_ids: Vec<PeId> = self.platform.pes.iter().map(|pe| pe.id).collect();
         let mut clock = SimTime::ZERO;
@@ -425,12 +353,12 @@ impl DesSimulator {
                 let pe = pe_ids[ev.col as usize];
                 if let Some(kind) = ev.fault {
                     let faults = faults.as_mut().expect("fault implies a plan");
-                    faults.on_fault(ev, kind, &mut slots, &mut sink, retries);
+                    on_fault(faults, ev, kind, &mut p.slots, &mut p.sink, retries);
                     continue;
                 }
                 // DES PEs have no reservation queues, so every
                 // completion idles its PE.
-                slots.release(pe);
+                p.slots.release(pe);
                 let spec = &soa.specs[names.spec_index(id)];
                 let cell = node_idx * soa.stride + ev.col as usize;
                 if observe {
@@ -443,182 +371,85 @@ impl DesSimulator {
                 // task log); live observers sample the same raw fields.
                 done.push(ev.inst, ev.node, ev.col, ev.ready_at.0, ev.time.0, ev.dur_ns);
                 if observed {
-                    let start = ev.time.0 - ev.dur_ns;
-                    tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
-                    metrics.task_completed(
-                        pe,
-                        SimTime(start).since(ev.ready_at),
-                        Duration::from_nanos(ev.dur_ns),
-                        Duration::ZERO,
-                        &spec.runfunc[cell],
-                    );
-                    tracer.emit(
-                        ev.time,
-                        TraceKind::TaskSlice {
-                            instance: id.0,
-                            node: ev.node,
-                            pe: pe.0,
-                            ready_ns: ev.ready_at.0,
-                            start_ns: start,
-                            finish_ns: ev.time.0,
-                        },
-                    );
+                    let dur = Duration::from_nanos(ev.dur_ns);
+                    p.tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
+                    let (start, kernel) = (SimTime(ev.time.0 - ev.dur_ns), &spec.runfunc[cell]);
+                    let (inst, node) = (id.0, ev.node);
+                    let (ready_at, finish, zero) = (ev.ready_at, ev.time, Duration::ZERO);
+                    p.sink.observe_task(pe, inst, node, ready_at, start, finish, dur, zero, kernel);
                 }
-                // DAG progress: CSR successor walk over flat countdowns.
-                let base = inst_base[ev.inst as usize];
-                let lo = spec.succ_off[node_idx] as usize;
-                let hi = spec.succ_off[node_idx + 1] as usize;
-                for &succ in &spec.succ[lo..hi] {
-                    let flat = (base + succ) as usize;
-                    remaining_preds[flat] -= 1;
-                    if remaining_preds[flat] == 0 {
-                        ready.push_entry(DenseReady::new(ev.inst, succ, ev.time));
-                    }
-                }
-                let left = &mut remaining_tasks[ev.inst as usize];
-                *left -= 1;
-                if *left == 0 {
-                    if faults.as_ref().is_some_and(|f| f.state.had_faults(id.0)) {
-                        sink.record_survival();
-                    }
-                    sink.record_app(AppRecord {
-                        instance: id,
-                        app: names.app(id).clone(),
-                        arrival: SimTime::from_duration(instances[ev.inst as usize].arrival),
-                        finish: ev.time,
-                        task_count: spec.n_nodes as usize,
-                    });
+                if dag.complete(spec, ev.inst, ev.node, ev.time, &mut p.ready) {
+                    let inst = &instances[ev.inst as usize];
+                    let state = faults.as_ref().map(|f| &f.state);
+                    p.sink.finish_instance(inst, names.app(id), ev.time, spec.n_nodes, state);
                 }
             }
             // Release due retries into the ready list, in deterministic
             // (release, seq) order — before arrivals, like the emulator.
             if !retries.is_empty() {
-                retries.sort_by_key(|r| (r.release, r.seq));
-                let due_n = retries.iter().take_while(|r| r.release <= clock).count();
-                for r in retries.drain(..due_n) {
-                    ready.push_entry(DenseReady::new(r.inst, r.node, r.release));
-                }
+                release_retries(retries, clock, &mut p.ready);
             }
             while next_arrival < arrival_order.len() && arrival_order[next_arrival].0 <= clock {
                 let (at, idx) = arrival_order[next_arrival];
                 next_arrival += 1;
                 let inst = &instances[idx as usize];
-                tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
+                p.tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
                 let spec = &soa.specs[names.spec_index(inst.id)];
                 for &root in &spec.roots {
-                    ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
+                    p.ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
                 }
             }
 
             if let Some(plan) = plan {
-                let pes = self.platform.pes.iter().map(|pe| pe.id);
-                fail_idle_pes(plan, pes, clock, &mut slots, &mut sink);
+                fail_idle_pes(plan, &self.platform, clock, &mut p.slots, &mut p.sink);
             }
 
             // Schedule at the current clock: place ready tasks as
             // `(entry, PE column, duration)`, then dispatch them.
-            if !ready.is_empty() && slots.any_schedulable() {
+            if !p.ready.is_empty() && p.slots.any_schedulable() {
                 placed.clear();
                 if fifo {
-                    // Strict FIFO, first idle compatible PE in
-                    // descriptor order, stop at the first head task that
-                    // cannot start: `compat & idle`'s lowest set bit is
-                    // exactly FRFS's placement rule. The placements are
-                    // the engine's own, so they skip the contract check
-                    // and come out in `ready_idx` order.
-                    let mut idle = slots.idle_mask();
-                    for e in ready.pending().iter() {
-                        let spec = &soa.specs[names.spec_index(InstanceId(e.inst as u64))];
-                        let fits = spec.compat[e.node as usize] & idle;
-                        if fits == 0 {
-                            break;
-                        }
-                        let col = fits.trailing_zeros();
-                        idle &= !(1u64 << col);
-                        let dur_ns = spec.cost_ns[e.node as usize * soa.stride + col as usize];
-                        placed.push((*e, col, dur_ns));
-                    }
+                    place_fifo(p.ready.pending(), p.slots.idle_mask(), soa, names, placed);
                 } else {
-                    hand_over(&mut ready, &mut tasks, instances);
+                    hand_over(&mut p.ready, &mut p.tasks, instances);
                     views.clear();
-                    views.extend(self.platform.pes.iter().map(|pe| slots.view(pe, clock)));
+                    views.extend(self.platform.pes.iter().map(|pe| p.slots.view(pe, clock)));
                     let ctx = SchedContext { now: clock, estimates: &*estimates };
                     assignments.clear();
-                    scheduler.schedule_into(tasks.pending(), &views, &ctx, assignments);
-                    // The same contract check the emulator runs, with the
-                    // platform-key string compare replaced by the SoA
-                    // sentinel probe.
-                    let checked = validate_assignments_with(
-                        scheduler.name(),
-                        assignments,
-                        tasks.pending(),
-                        &slots,
-                        |rt, pe| match names.pe_column(pe) {
-                            Some(col) => {
-                                let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
-                                spec.cost_ns[rt.task.node_idx * soa.stride + col] != INCOMPATIBLE
-                            }
-                            None => false,
-                        },
-                    );
-                    if let Err(e) = checked {
+                    scheduler.schedule_into(p.tasks.pending(), &views, &ctx, assignments);
+                    let (name, pending) = (scheduler.name(), p.tasks.pending());
+                    if let Err(e) =
+                        stage_assignments(name, assignments, pending, &p.slots, names, soa, placed)
+                    {
                         break 'run Err(e);
                     }
-                    assignments.sort_unstable_by_key(|a| a.ready_idx);
-                    placed.extend(assignments.iter().map(|a| {
-                        let rt = &tasks.pending()[a.ready_idx];
-                        let (id, node) = (rt.task.instance.id, rt.task.node_idx);
-                        let e = DenseReady::new(id.0 as u32, node as u32, rt.ready_at);
-                        let col = names.pe_column(a.pe).expect("validated PE");
-                        let spec = &soa.specs[names.spec_index(id)];
-                        (e, col as u32, spec.cost_ns[node * soa.stride + col])
-                    }));
                 }
-                sink.note_sched_invocation();
-                if tracer.enabled() {
-                    // `has_room` is exactly the `idle` the views carry.
-                    let candidates = self
-                        .platform
-                        .pes
-                        .iter()
-                        .filter(|pe| slots.has_room(pe.id))
-                        .fold(0u64, |m, pe| m | pe_mask_bit(pe.id));
-                    let chosen = placed
-                        .iter()
-                        .fold(0u64, |m, &(_, col, _)| m | pe_mask_bit(pe_ids[col as usize]));
-                    tracer.emit(
-                        clock,
-                        TraceKind::SchedDecision {
-                            invocation: sink.sched_invocations,
-                            ready: ready.len() as u32,
-                            candidates,
-                            chosen,
-                            assigned: placed.len() as u32,
-                        },
-                    );
+                p.sink.note_sched_invocation();
+                if p.tracer.enabled() {
+                    p.sink.trace_decision(clock, &self.platform, &p.slots, placed, p.ready.len());
                 }
                 if !charge.is_zero() {
-                    sink.charge_overhead(OverheadPhase::Schedule, charge);
+                    p.sink.charge_overhead(OverheadPhase::Schedule, charge);
                 }
                 let start = clock + charge;
                 for &(e, col, dur_ns) in placed.iter() {
                     let col = col as usize;
                     let pe = pe_ids[col];
                     let mut finish = SimTime(start.0.saturating_add(dur_ns));
-                    if tracer.enabled() {
+                    if p.tracer.enabled() {
                         let (instance, node) = (e.inst as u64, e.node);
-                        tracer.emit(clock, TraceKind::TaskDispatch { instance, node, pe: pe.0 });
-                        tracer.emit(clock, TraceKind::PeBusy { pe: pe.0 });
+                        p.tracer.emit(clock, TraceKind::TaskDispatch { instance, node, pe: pe.0 });
+                        p.tracer.emit(clock, TraceKind::PeBusy { pe: pe.0 });
                     }
                     let mut fault = None;
                     if let Some(faults) = faults.as_mut() {
-                        if let Some(d) = faults.decide(e, col, clock, finish, &mut sink, estimates)
-                        {
+                        let times = (clock, start, finish);
+                        if let Some(d) = decide(faults, e, col, times, &mut p.sink, estimates) {
                             finish = d.time;
                             fault = Some(d.kind);
                         }
                     }
-                    slots.occupy(pe, finish);
+                    p.slots.occupy(pe, finish);
                     events.push(CompletionEvent {
                         time: finish,
                         inst: e.inst,
@@ -632,10 +463,10 @@ impl DesSimulator {
                     event_seq += 1;
                 }
                 if fifo {
-                    ready.remove_prefix(placed.len());
+                    p.ready.remove_prefix(placed.len());
                 } else {
-                    tasks.remove(assignments);
-                    ready.return_lent(assignments.len());
+                    p.tasks.remove(assignments);
+                    p.ready.return_lent(assignments.len());
                 }
             }
 
@@ -647,57 +478,16 @@ impl DesSimulator {
             match next_completion.into_iter().chain(next_arr).chain(next_retry).min() {
                 Some(t) => clock = clock.max(t),
                 None => {
-                    if ready.is_empty() {
+                    if p.ready.is_empty() {
                         break 'run Ok(());
                     }
-                    // With fault recovery active this stall may mean
-                    // "these tasks lost their last compatible PE"
-                    // rather than a scheduler bug; let the resolver
-                    // abort those apps and re-evaluate.
-                    let resolved = match faults.as_mut() {
-                        Some(faults) if fifo => resolve_unschedulable(
-                            &self.platform,
-                            &mut slots,
-                            &mut ready,
-                            &mut faults.state,
-                            &mut sink,
-                            names,
-                            |e, col| {
-                                let spec = &soa.specs[names.spec_index(InstanceId(e.inst as u64))];
-                                spec.cost_ns[e.node as usize * soa.stride + col] != INCOMPATIBLE
-                            },
-                        ),
-                        Some(faults) => {
-                            hand_over(&mut ready, &mut tasks, instances);
-                            let held = tasks.len();
-                            let resolved = resolve_unschedulable(
-                                &self.platform,
-                                &mut slots,
-                                &mut tasks,
-                                &mut faults.state,
-                                &mut sink,
-                                names,
-                                |rt, col| {
-                                    let spec = &soa.specs[names.spec_index(rt.task.instance.id)];
-                                    let cell = rt.task.node_idx * soa.stride + col;
-                                    spec.cost_ns[cell] != INCOMPATIBLE
-                                },
-                            );
-                            ready.return_lent(held - tasks.len());
-                            resolved
-                        }
-                        None => Ok(false),
-                    };
-                    match resolved {
-                        Ok(true) => {}
-                        Ok(false) => {
-                            break 'run Err(EmuError::Config(format!(
-                                "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no events remain",
-                                ready.len(),
-                                scheduler.name()
-                            )))
-                        }
-                        Err(e) => break 'run Err(e),
+                    let state = faults.as_mut().map(|f| &mut f.state);
+                    let name = scheduler.name();
+                    let platform = &self.platform;
+                    if let Err(e) =
+                        p.resolve_stall(fifo, platform, instances, state, names, soa, name)
+                    {
+                        break 'run Err(e);
                     }
                 }
             }
@@ -706,16 +496,18 @@ impl DesSimulator {
         // Return recycled buffers to the arena for the next run, whether
         // the run finished or stopped early.
         view_scratch.put(views);
-        *ready_buf = ready.into_buffer();
-        *ready_tasks = tasks.into_buffer();
+        s.recycle(p.ready, p.tasks);
         outcome?;
 
         // The completion columns ARE the run's task log: hand them (with
         // the scenario's interned names) to the stats, which materialize
         // fat records only if a consumer reads them.
-        let log =
-            DenseTaskLog { cols: std::mem::take(done), names: Arc::clone(names_arc), pes: pe_ids };
-        Ok(sink.finish_dense(
+        let log = DenseTaskLog {
+            cols: std::mem::take(&mut s.done),
+            names: Arc::clone(names_arc),
+            pes: pe_ids,
+        };
+        Ok(p.sink.finish(
             &self.platform,
             format!("{} (DES)", scheduler.name()),
             instances.to_vec(),
@@ -724,120 +516,52 @@ impl DesSimulator {
     }
 }
 
-/// Lends `ready`'s held entries to the end of `tasks` as `ReadyTask`s,
-/// keeping their sequence numbers: what a `dyn` policy reads.
-fn hand_over(
-    ready: &mut ReadyList<DenseReady>,
-    tasks: &mut ReadyList<ReadyTask>,
-    instances: &[Arc<AppInstance>],
+/// A faulted attempt firing: the recovery policy runs, the PE is freed
+/// or quarantined (the threaded engine's fault branch, minus
+/// reservation queues).
+#[cold]
+#[inline(never)]
+fn on_fault(
+    f: &mut RunFaults,
+    ev: &CompletionEvent,
+    kind: FaultKind,
+    slots: &mut PeSlots,
+    sink: &mut CompletionSink,
+    retries: &mut Vec<RetryEntry>,
 ) {
-    ready.lend(|e| {
-        let instance = Arc::clone(&instances[e.inst as usize]);
-        let task = Task { instance, node_idx: e.node as usize };
-        tasks.push_stamped(ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq });
-    });
+    let pe = f.platform.pes[ev.col as usize].id;
+    let action = f.on_fault(ev.time, ev.inst as u64, ev.node as usize, pe, kind, sink);
+    slots.release(pe);
+    if action.quarantine && !slots.is_failed(pe) {
+        // No PeIdle event — the PE leaves the schedulable set for good.
+        slots.fail(pe);
+        sink.record_quarantine(ev.time, pe);
+    } else {
+        f.tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
+    }
+    f.settle(action, ev.time, ev.inst, ev.node, sink, retries);
 }
 
-/// The fault machinery of one DES run, present only with a fault plan.
-/// Its steps run out of line: fault-free runs never call them, and
-/// keeping their bodies out of the event loop keeps the loop tight.
-struct DesFaults<'a> {
-    plan: &'a FaultPlan,
-    state: FaultState,
-    platform: &'a PlatformConfig,
-    soa: &'a ScenarioSoa,
-    names: &'a NameTable,
-    instances: &'a [Arc<AppInstance>],
-    tracer: ExecTracer,
-    /// The per-invocation overhead (dispatches start this much later).
-    charge: Duration,
-    retry_seq: u64,
-}
-
-impl DesFaults<'_> {
-    /// A faulted attempt: no task record, no estimate update, no DAG
-    /// progress — the recovery policy runs instead (identical to the
-    /// threaded engine's fault branch).
-    #[cold]
-    #[inline(never)]
-    fn on_fault(
-        &mut self,
-        ev: &CompletionEvent,
-        kind: FaultKind,
-        slots: &mut PeSlots,
-        sink: &mut CompletionSink,
-        retries: &mut Vec<RetryEntry>,
-    ) {
-        let (instance, node_idx) = (ev.inst as u64, ev.node as usize);
-        let pe = self.platform.pes[ev.col as usize].id;
-        sink.record_fault(ev.time, instance, node_idx, pe, kind);
-        let action = self.state.on_fault(self.plan, instance, node_idx, pe, kind, ev.time);
-        slots.release(pe);
-        if action.quarantine && !slots.is_failed(pe) {
-            // No PeIdle event — the PE leaves the schedulable set for
-            // good.
-            slots.fail(pe);
-            sink.record_quarantine(ev.time, pe);
-        } else {
-            self.tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
-        }
-        if let Some((attempt, release)) = action.retry {
-            sink.record_retry(ev.time, instance, node_idx, attempt, release);
-            retries.push(RetryEntry { release, seq: self.retry_seq, inst: ev.inst, node: ev.node });
-            self.retry_seq += 1;
-        } else if action.newly_aborted {
-            sink.record_abort();
-        }
-    }
-
-    /// The fault decision for dispatching `e` on column `col` at
-    /// `clock`, whose attempt would naturally finish at `finish`. Also
-    /// records a degraded dispatch: a retry landing on a different PE
-    /// class than its last fault.
-    #[cold]
-    #[inline(never)]
-    fn decide(
-        &mut self,
-        e: DenseReady,
-        col: usize,
-        clock: SimTime,
-        finish: SimTime,
-        sink: &mut CompletionSink,
-        estimates: &EstimateBook,
-    ) -> Option<FaultDecision> {
-        let (instance, node_idx) = (e.inst as u64, e.node as usize);
-        let pe = &self.platform.pes[col];
-        let attempt = self.state.attempt_of(instance, node_idx);
-        if attempt > 1 {
-            if let Some(prev) = self.state.last_fault_pe(instance, node_idx) {
-                // The same platform-key comparison the threaded engine
-                // makes.
-                let prev_key =
-                    self.names.pe_column(prev).map(|c| self.platform.pes[c].platform_key.as_str());
-                if prev_key != Some(pe.platform_key.as_str()) {
-                    let first = self.state.note_degraded(instance, node_idx);
-                    sink.record_degraded(clock, instance, node_idx, pe.id, first);
-                }
-            }
-        }
-        // The *estimate* (not the exact duration) feeds the hang
-        // deadline — the same value the threaded engine derives at its
-        // dispatch, since both engines observe completions identically.
-        let task = Task { instance: Arc::clone(&self.instances[e.inst as usize]), node_idx };
-        let est = estimates.estimate(&task, pe).unwrap_or(Duration::from_micros(100));
-        let spec = &self.soa.specs[self.names.spec_index(InstanceId(instance))];
-        let kernel = spec.runfunc[node_idx * self.soa.stride + col].as_str();
-        self.plan.decide(
-            kernel,
-            pe.id,
-            instance,
-            node_idx,
-            attempt,
-            clock + self.charge,
-            finish,
-            est,
-        )
-    }
+/// The fault decision for dispatching `e` on column `col` at `clock`,
+/// the attempt starting at `start` (after the invocation's overhead
+/// charge) and naturally finishing at `finish`; also records a degraded
+/// dispatch.
+#[cold]
+#[inline(never)]
+fn decide(
+    f: &mut RunFaults,
+    e: DenseReady,
+    col: usize,
+    (clock, start, finish): (SimTime, SimTime, SimTime),
+    sink: &mut CompletionSink,
+    estimates: &EstimateBook,
+) -> Option<FaultDecision> {
+    let (instance, node) = (e.inst as u64, e.node as usize);
+    let attempt = f.note_dispatch(instance, node, col, clock, sink);
+    let pe = &f.platform.pes[col];
+    let est = f.soa.estimate(f.names, estimates, (e.inst, e.node), col, pe);
+    let kernel = f.kernel(instance, node, col);
+    f.plan.decide(kernel, pe.id, instance, node, attempt, start, finish, est)
 }
 
 #[cfg(test)]

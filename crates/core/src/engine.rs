@@ -29,6 +29,40 @@
 //! `STATUS_WRITE_COST` per task, the modeled cost of polling status
 //! fields on the target, whatever the host did to notice a completion.
 //!
+//! # Performance
+//!
+//! In `Modeled` timing the manager usually has one task in flight, so
+//! everything it and a resource-manager thread do between a completion
+//! and the next dispatch adds straight to a run's wall time. That path
+//! runs on the DES's dense run state (see [`crate::des`]) and does no
+//! per-task host work beyond the protocol itself:
+//!
+//! * the ready list holds `Arc`-free `(instance, node)` entries; a
+//!   `dense_fifo()` policy on a ≤64-PE platform without reservation
+//!   queues is placed from [`PeSlots`]' idle-column mask, and every other
+//!   policy is called through `schedule_into` on the `ReadyTask`s the
+//!   list lends it, with a reused assignment buffer;
+//! * per-PE state (the in-flight task's readiness, the wedged set, fault
+//!   metadata) is vectors indexed by platform column, estimates are read
+//!   and observed at the scenario's pre-resolved estimate slots, and DAG
+//!   progress is the flat countdown arrays the DES uses;
+//! * completions go to struct-of-arrays columns that become the run's
+//!   task log, materialized into records only if a consumer reads them;
+//! * every buffer lives in a warm per-pool `RunScratch` arena, so a
+//!   warm `Emulation` runs its loop allocation-free across runs;
+//! * fault handling runs out of line; fault-free runs never execute it;
+//! * a productive pass that leaves nothing due goes straight to the
+//!   completion wait instead of an empty monitor/update pass;
+//! * phase timestamps are taken only under [`OverheadMode::Measured`],
+//!   the one mode that charges them;
+//! * the resource-manager thread borrows the task's node, arguments and
+//!   kernel instead of copying them, and keys its outlier average by the
+//!   runfunc's process-wide id.
+//!
+//! `tests/alloc_per_task.rs` bounds the heap allocations of a warm run
+//! per task, and CI's `engines` smoke gates the warm hand-off's
+//! ns/task.
+//!
 //! # Timing modes
 //!
 //! * [`TimingMode::WallClock`] — the paper's literal behaviour: emulation
@@ -46,8 +80,6 @@
 //!
 //! [`CostTable`]: dssoc_platform::cost::CostTable
 
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -56,21 +88,23 @@ use dssoc_appmodel::error::ModelError;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::MetricsRegistry;
-use dssoc_platform::pe::{PeId, PlatformConfig};
+use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
+use crate::arena::{Collected, DenseReady, RunScratch};
 use crate::exec::{
-    fail_idle_pes, pe_mask_bit, register_trace_meta, resolve_unschedulable, validate_assignments,
-    CompletionSink, ExecTracer, InstanceTracker, PeSlots, ReadyList,
+    fail_idle_pes, hand_over, place_fifo, release_retries, stage_assignments, CompletionSink,
+    RunFaults, RunParts,
 };
-use crate::fault::{FaultDecision, FaultPlan, FaultSpec, FaultState};
+use crate::fault::{FaultDecision, FaultPlan, FaultSpec};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
-use crate::metrics::{ExecMetrics, OverheadPhase};
+use crate::metrics::OverheadPhase;
 use crate::resource::ResourcePool;
-use crate::sched::{EstimateBook, PeView, SchedContext, Scheduler};
-use crate::stats::{EmulationStats, TaskRecord};
+use crate::sched::{EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::soa::ScenarioSoa;
+use crate::stats::{DenseTaskLog, EmulationStats};
 use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
 
@@ -315,27 +349,19 @@ const STATUS_WRITE_COST: Duration = Duration::from_nanos(300);
 /// manager's wait on the pool's completion counter).
 const HANDLER_POLL_COST: Duration = Duration::from_nanos(800);
 
-struct PendingCompletion {
-    finish: SimTime,
-    pe: PeId,
-    /// `Some` when the fault plan rewrote this attempt's outcome:
-    /// `finish` is then the fault manifestation time.
-    fault: Option<FaultKind>,
-    completion: TaskCompletion,
-}
-
-/// Dispatch-time metadata for the task currently running on a PE, kept
-/// only when fault injection is on: the fault decision and the
-/// wall-clock watchdog both need the attempt's estimate and start.
-struct RunningMeta {
-    task: Task,
+/// Dispatch-time facts about the attempt in flight on a PE, kept only
+/// when fault injection is on: the fault decision and the wall-clock
+/// watchdog both need the attempt's estimate and start.
+struct Running {
+    inst: u32,
+    node: u32,
     est: Duration,
     start: SimTime,
     wall: Instant,
     attempt: u32,
 }
 
-impl RunningMeta {
+impl Running {
     /// The wall-clock instant past which the watchdog declares this
     /// attempt's manager thread wedged.
     fn deadline(&self, plan: &FaultPlan) -> Instant {
@@ -343,75 +369,92 @@ impl RunningMeta {
     }
 }
 
-/// A faulted task waiting out its retry backoff. `seq` breaks release-
-/// time ties deterministically (fault processing order).
-struct RetryEntry {
-    release: SimTime,
-    seq: u64,
-    task: Task,
+/// The threaded engine's side of a run's fault machinery: the shared
+/// [`RunFaults`] plus the attempt in flight per PE column. Every step is
+/// out of line; fault-free runs never reach one.
+struct EmuFaults<'r> {
+    run: RunFaults<'r>,
+    running: Vec<Option<Running>>,
 }
 
-/// The platform key of a PE, for degraded-dispatch detection (a retry
-/// landing on a different key than the PE it faulted on).
-fn pe_key(handlers: &[Arc<ResourceHandler>], id: PeId) -> Option<&str> {
-    handlers.iter().find(|h| h.pe_id() == id).map(|h| h.pe.platform_key.as_str())
-}
-
-/// Handles `pe` freeing up at `at`: starts its next reserved task (the
-/// reservation-queue fast path, shared by normal and faulted
-/// completions) or marks it idle. With fault state, records the new
-/// attempt's dispatch metadata and degraded-dispatch event.
-#[allow(clippy::too_many_arguments)]
-fn release_pe(
-    pe: PeId,
-    at: SimTime,
-    handlers: &[Arc<ResourceHandler>],
-    slots: &mut PeSlots,
-    estimates: &EstimateBook,
-    ready_at_of: &mut HashMap<(InstanceId, usize), SimTime>,
-    tracer: &ExecTracer,
-    running: &mut HashMap<PeId, RunningMeta>,
-    fstate: Option<&mut FaultState>,
-    sink: &mut CompletionSink,
-) {
-    let Some(next) = slots.release(pe) else {
-        tracer.emit(at, TraceKind::PeIdle { pe: pe.0 });
-        return;
-    };
-    let handler = handlers.iter().find(|h| h.pe_id() == pe).expect("known PE");
-    let est = estimates.estimate(&next.task, &handler.pe).unwrap_or(Duration::from_micros(100));
-    slots.occupy(pe, at + est);
-    ready_at_of.insert(next.task.key(), next.ready_at);
-    tracer.emit(
-        at,
-        TraceKind::TaskDispatch {
-            instance: next.task.instance.id.0,
-            node: next.task.node_idx as u32,
-            pe: pe.0,
-        },
-    );
-    if let Some(state) = fstate {
-        let (instance, node) = (next.task.instance.id.0, next.task.node_idx);
-        let attempt = state.attempt_of(instance, node);
-        if attempt > 1 {
-            if let Some(prev) = state.last_fault_pe(instance, node) {
-                if pe_key(handlers, prev) != pe_key(handlers, pe) {
-                    sink.record_degraded(
-                        at,
-                        instance,
-                        node,
-                        pe,
-                        state.note_degraded(instance, node),
-                    );
-                }
-            }
-        }
-        running.insert(
-            pe,
-            RunningMeta { task: next.task.clone(), est, start: at, wall: Instant::now(), attempt },
-        );
+impl EmuFaults<'_> {
+    /// Notes the dispatch of `(inst, node)` on `col` at `at`: records a
+    /// degraded dispatch and the attempt's metadata.
+    #[cold]
+    #[inline(never)]
+    fn dispatched(
+        &mut self,
+        col: usize,
+        (inst, node): (u32, u32),
+        at: SimTime,
+        est: Duration,
+        sink: &mut CompletionSink,
+    ) {
+        let attempt = self.run.note_dispatch(inst as u64, node as usize, col, at, sink);
+        let wall = Instant::now();
+        self.running[col] = Some(Running { inst, node, est, start: at, wall, attempt });
     }
-    handler.dispatch(TaskAssignment { task: next.task, start: at });
+
+    /// The fault decision for the attempt `c` reports from `col`, which
+    /// would naturally finish at `natural`: a real kernel error is a
+    /// retryable exec fault; otherwise the plan decides.
+    #[cold]
+    #[inline(never)]
+    fn decide(
+        &mut self,
+        col: usize,
+        c: &TaskCompletion,
+        natural: SimTime,
+    ) -> Option<FaultDecision> {
+        let m = self.running[col].take().expect("dispatched task has metadata");
+        if c.result.is_err() {
+            return Some(FaultDecision { time: natural, kind: FaultKind::Exec });
+        }
+        let (inst, node) = (m.inst as u64, m.node as usize);
+        let kernel = self.run.kernel(inst, node, col);
+        let pe = self.run.platform.pes[col].id;
+        self.run.plan.decide(kernel, pe, inst, node, m.attempt, c.start, natural, m.est)
+    }
+
+    /// Wall-clock watchdog: a dispatched kernel that has blown far past
+    /// its estimate in *real* time has wedged its manager thread.
+    /// Synthesizes a faulted completion at the virtual deadline and stops
+    /// waiting on the thread (it is skipped by end-of-run drains and
+    /// remembered across runs) — the alternative is deadlocking the whole
+    /// emulation.
+    #[cold]
+    #[inline(never)]
+    fn watchdog(&mut self, wedged: &mut [bool], collected: &mut Vec<Collected>) {
+        let now = Instant::now();
+        for (col, slot) in self.running.iter_mut().enumerate() {
+            let overdue =
+                slot.as_ref().is_some_and(|m| !wedged[col] && now >= m.deadline(self.run.plan));
+            if !overdue {
+                continue;
+            }
+            let m = slot.take().expect("checked above");
+            let virtual_overrun = mul_duration(m.est, self.run.plan.watchdog_factor);
+            collected.push(Collected {
+                finish: m.start + virtual_overrun,
+                inst: m.inst,
+                node: m.node,
+                col: col as u32,
+                start: m.start,
+                modeled: virtual_overrun,
+                measured: m.wall.elapsed(),
+                fault: Some(FaultKind::Watchdog),
+                error: None,
+            });
+            wedged[col] = true;
+        }
+    }
+
+    /// The earliest watchdog deadline of a live attempt, bounding the
+    /// manager's wait so a wedged thread is still caught.
+    fn deadline(&self, wedged: &[bool]) -> Option<Instant> {
+        let live = self.running.iter().enumerate().filter(|&(col, _)| !wedged[col]);
+        live.filter_map(|(_, m)| m.as_ref()).map(|m| m.deadline(self.run.plan)).min()
+    }
 }
 
 /// The emulation driver: a thin per-run loop over a persistent
@@ -421,16 +464,20 @@ fn release_pe(
 /// handlers plus one named resource-manager thread per PE); each
 /// [`Self::run`] call executes one workload against it and the threads
 /// park between runs, so a batch sweep pays thread-spawn cost once. The
-/// pool is shut down and joined when the `Emulation` is dropped.
+/// pool is shut down and joined when the `Emulation` is dropped. A warm
+/// `RunScratch` arena rides along, so consecutive runs reuse the
+/// workload manager's buffers too.
 pub struct Emulation {
     platform: Arc<PlatformConfig>,
     config: EmulationConfig,
     pool: ResourcePool,
-    /// PEs whose resource-manager thread wedged (watchdog fired and the
-    /// thread never reported back). They are excluded from end-of-run
-    /// drains and start subsequent runs quarantined; a PE is removed
-    /// again once its thread finally posts the stale completion.
-    wedged: RefCell<HashSet<PeId>>,
+    /// By PE column: the resource-manager thread wedged (watchdog fired
+    /// and the thread never reported back). Such PEs are excluded from
+    /// end-of-run drains and start subsequent runs quarantined; a PE is
+    /// cleared again once its thread finally posts the stale completion.
+    wedged: Vec<bool>,
+    /// Warm per-pool buffers, reset (not freed) between runs.
+    scratch: RunScratch,
 }
 
 impl Emulation {
@@ -454,7 +501,8 @@ impl Emulation {
         if let Some(sink) = &config.trace {
             pool.attach_trace(sink);
         }
-        Ok(Emulation { platform, config, pool, wedged: RefCell::new(HashSet::new()) })
+        let wedged = vec![false; platform.pes.len()];
+        Ok(Emulation { platform, config, pool, wedged, scratch: RunScratch::default() })
     }
 
     /// The platform being emulated.
@@ -484,12 +532,12 @@ impl Emulation {
         self.run_compiled(scheduler, &scenario, None)
     }
 
-    /// Runs a precompiled scenario, reusing its name table and fault
-    /// plan. Kernels mutate instance memory, so the threaded engine
-    /// instantiates fresh private instances per run; ids and spec
-    /// mapping match the scenario's shared images by construction,
-    /// which is what keeps the precompiled [`NameTable`] valid.
-    /// Compatibility was preflighted at compile time.
+    /// Runs a precompiled scenario, reusing its name table, SoA
+    /// compatibility and estimate tables, and fault plan. Kernels mutate
+    /// instance memory, so the threaded engine instantiates fresh private
+    /// instances per run; ids and spec mapping match the scenario's
+    /// shared images by construction, which is what keeps the precompiled
+    /// tables valid. Compatibility was preflighted at compile time.
     ///
     /// `trace` records this run only — the driver and every resource
     /// manager — in place of the configured sink, which is back in
@@ -506,20 +554,23 @@ impl Emulation {
         if let Some(sink) = trace {
             self.pool.attach_trace(sink);
         }
-        let result = self.workload_manager(
-            scheduler,
-            instances,
-            self.pool.handlers(),
-            scenario.names(),
-            scenario.plan(),
-            trace.or(self.config.trace.as_ref()),
-        );
+        // Split the warm scratch and the wedged set out of `self` (so the
+        // loop can borrow `&self` and them disjointly); both return.
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut wedged = std::mem::take(&mut self.wedged);
+        // Empty only if an earlier run panicked mid-loop.
+        wedged.resize(self.platform.pes.len(), false);
+        let sink = trace.or(self.config.trace.as_ref());
+        let result =
+            self.workload_manager(scheduler, scenario, instances, sink, &mut scratch, &mut wedged);
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
             // every PE is idle again for the next run on this pool —
             // except wedged manager threads, which would never report.
-            self.pool.drain_except(&self.wedged.borrow());
+            self.pool.drain_except(&wedged);
         }
+        self.scratch = scratch;
+        self.wedged = wedged;
         if trace.is_some() {
             match &self.config.trace {
                 Some(sink) => self.pool.attach_trace(sink),
@@ -529,330 +580,169 @@ impl Emulation {
         result
     }
 
-    /// The workload-manager loop (runs on the calling thread — the
-    /// emulation's "overlay processor"). `names` and `plan` are the
-    /// compiled scenario's shared precomputations.
+    /// Sets up one run's workload manager over the warm arena, runs its
+    /// loop, and folds the outcome into the run's statistics.
     fn workload_manager(
         &self,
         scheduler: &mut dyn Scheduler,
+        scenario: &CompiledScenario,
         instances: Vec<Arc<AppInstance>>,
-        handlers: &[Arc<ResourceHandler>],
-        names: &NameTable,
-        plan: Option<&FaultPlan>,
         trace: Option<&TraceSink>,
+        s: &mut RunScratch,
+        wedged: &mut [bool],
     ) -> Result<EmulationStats, EmuError> {
-        let timing = self.config.timing;
-        let overlay_speed = self.platform.overlay.speed;
-
-        let mut tracker = InstanceTracker::new(&instances, names);
-        let kept_instances = instances.clone();
-        let metrics = match &self.config.metrics {
-            Some(registry) => ExecMetrics::attach(registry, &self.platform, &kept_instances),
-            None => ExecMetrics::disabled(),
-        };
-        let mut arrivals: VecDeque<Arc<AppInstance>> = instances.into();
-        let mut ready = ReadyList::new();
-        ready.set_metrics(metrics.clone());
-        let mut slots = PeSlots::for_platform(&self.platform, self.config.reservation_depth);
-        slots.set_metrics(metrics.clone());
-        // Platform compatibility of a ready task with a PE column, for
-        // the fault-recovery stall resolver.
-        let supports =
-            |rt: &ReadyTask, col: usize| rt.task.supports(&self.platform.pes[col].platform_key);
-        // ready_at of dispatched tasks, consumed when the completion is
-        // recorded.
-        let mut ready_at_of: HashMap<(InstanceId, usize), SimTime> = HashMap::new();
-        let mut pending: Vec<PendingCompletion> = Vec::new();
-        let mut estimates = EstimateBook::new();
-
-        // ---- Fault machinery (all empty/None without a fault spec).
-        let mut fstate: Option<FaultState> = plan.map(|p| FaultState::new(p.retry.clone()));
-        let mut retries: Vec<RetryEntry> = Vec::new();
-        let mut retry_seq = 0u64;
-        let mut running: HashMap<PeId, RunningMeta> = HashMap::new();
-        // PEs whose manager thread wedged in an earlier run on this
-        // pool: their eventual (stale) completions are discarded, and
-        // they start this run quarantined.
-        let mut stale: HashSet<PeId> = self.wedged.borrow().clone();
-        for &pe in &stale {
-            slots.fail(pe);
+        let platform = &*self.platform;
+        let total = s.begin(scenario, &instances);
+        s.done.reserve_host(total);
+        s.ready_at.resize(platform.pes.len(), SimTime::ZERO);
+        let trace = trace.map(|t| (t, scheduler.name(), "workload-manager"));
+        let (registry, depth) = (self.config.metrics.as_ref(), self.config.reservation_depth);
+        let mut p = RunParts::new(platform, depth, registry, trace, &instances, s);
+        // PEs whose manager thread wedged in an earlier run on this pool
+        // start this run quarantined; their eventual (stale) completions
+        // are discarded.
+        for (col, _) in wedged.iter().enumerate().filter(|(_, &w)| w) {
+            p.slots.fail(platform.pes[col].id);
         }
+        let (names, soa) = (scenario.names(), scenario.soa());
+        let faults = scenario.plan().map(|plan| EmuFaults {
+            run: RunFaults::new(plan, platform, soa, names, p.tracer.clone()),
+            running: (0..platform.pes.len()).map(|_| None).collect(),
+        });
+        let views = s.views.take();
+        let mut m = Manager {
+            emu: self,
+            platform,
+            handlers: self.pool.handlers(),
+            instances: &instances,
+            names,
+            soa,
+            s,
+            wedged,
+            observed: p.metrics.enabled() || p.tracer.enabled(),
+            p,
+            faults,
+            views,
+            vclock: SimTime::ZERO,
+            next_arrival: 0,
+        };
+        let outcome = m.run(scheduler);
+        let Manager { s, p, views, .. } = m;
+        // Return recycled buffers to the arena for the next run, whether
+        // the run finished or stopped early.
+        s.views.put(views);
+        s.recycle(p.ready, p.tasks);
+        outcome?;
+        // The completion columns ARE the run's task log (materialized
+        // into records only if a consumer reads them).
+        let log = DenseTaskLog {
+            cols: std::mem::take(&mut s.done),
+            names: Arc::clone(&scenario.names),
+            pes: platform.pes.iter().map(|pe| pe.id).collect(),
+        };
+        Ok(p.sink.finish(platform, scheduler.name().to_string(), instances, log))
+    }
+}
 
+/// One run's workload-manager state (the emulation's "overlay
+/// processor", running on the calling thread) and the steps of its loop.
+struct Manager<'r> {
+    emu: &'r Emulation,
+    platform: &'r PlatformConfig,
+    handlers: &'r [Arc<ResourceHandler>],
+    instances: &'r [Arc<AppInstance>],
+    names: &'r NameTable,
+    soa: &'r ScenarioSoa,
+    s: &'r mut RunScratch,
+    wedged: &'r mut [bool],
+    p: RunParts,
+    /// Live metrics or a trace are on: completions are sampled.
+    observed: bool,
+    faults: Option<EmuFaults<'r>>,
+    views: Vec<PeView<'r>>,
+    vclock: SimTime,
+    /// Cursor into `instances`, which arrive in order.
+    next_arrival: usize,
+}
+
+impl<'r> Manager<'r> {
+    /// The workload-manager loop: monitor, update, inject, schedule,
+    /// dispatch; then wait for a report or advance the clock.
+    fn run(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), EmuError> {
+        let emu = self.emu;
+        let (timing, overhead) = (emu.config.timing, emu.config.overhead);
+        // Phase timestamps are read only when the overhead charge is
+        // measured; every other mode charges nothing or a constant.
+        let timed = matches!(overhead, OverheadMode::Measured);
+        let k = 1.0 / self.platform.overlay.speed;
+        let depth = emu.config.reservation_depth;
+        // Placement: a policy that declares FRFS semantics is placed by
+        // the engine off the SoA compatibility masks (one `u64` per node,
+        // so ≤ 64 PEs) when no reservation queue can take work on a busy
+        // PE; every other case calls the policy.
+        let fifo = scheduler.dense_fifo() && self.platform.pes.len() <= 64 && depth == 0;
+        let (mut sampler_mu, mut sampler_s, mut sampler_d) =
+            (PhaseSampler::new(), PhaseSampler::new(), PhaseSampler::new());
+        let completions = emu.pool.completions();
         // Reference start time (paper: captured at emulation start).
         let wall_start = Instant::now();
-        let mut vclock = SimTime::ZERO;
 
-        let mut sink = CompletionSink::new();
-        let tracer = match trace {
-            Some(trace_sink) => {
-                register_trace_meta(trace_sink, &self.platform, scheduler.name(), &kept_instances);
-                ExecTracer::attach(trace_sink, "workload-manager")
-            }
-            None => ExecTracer::disabled(),
-        };
-        ready.set_tracer(tracer.clone());
-        sink.set_tracer(tracer.clone());
-        sink.set_metrics(metrics);
-        let mut sampler_mu = PhaseSampler::new();
-        let mut sampler_s = PhaseSampler::new();
-        let mut sampler_d = PhaseSampler::new();
-        let mut failure: Option<EmuError> = None;
-        // Scratch buffer for the scheduler's per-invocation PE views.
-        let mut views: Vec<PeView<'_>> = Vec::with_capacity(handlers.len());
-
-        let completions = self.pool.completions();
-        'outer: loop {
+        loop {
             // Read before the monitor scan, so a completion the scan
             // misses still ends the wait below.
             let seen = completions.posted();
             let mut now = match timing {
                 TimingMode::WallClock => SimTime::from_duration(wall_start.elapsed()),
-                TimingMode::Modeled => vclock,
+                TimingMode::Modeled => self.vclock,
             };
-            let mut progress = false;
             // Quiet = every in-flight task has already posted its
             // completion, so no PE thread is executing on the host and
             // phase measurements are preemption-free (the paper's
             // dedicated-manager-core situation).
-            let quiet = slots.busy_count() == pending.len();
+            let quiet = self.p.slots.busy_count() == self.s.collected.len();
 
-            // ---- Monitor: read every resource handler's status field
-            // under its lock (the paper's poll).
-            let t_mon = Instant::now();
-            for h in handlers.iter() {
-                if let Some(c) = h.try_collect() {
-                    let pe = h.pe_id();
-                    if stale.remove(&pe) {
-                        // A wedged manager thread finally reported: the
-                        // result belongs to an abandoned attempt.
-                        // Discard it — the thread is usable again next
-                        // run, but the PE stays quarantined in this one.
-                        self.wedged.borrow_mut().remove(&pe);
-                        continue;
-                    }
-                    let meta = running.remove(&pe);
-                    let natural = match timing {
-                        TimingMode::WallClock => now,
-                        TimingMode::Modeled => c.start + c.modeled,
-                    };
-                    let mut fault = None;
-                    let mut finish = natural;
-                    if let Some(plan) = plan {
-                        let m = meta.as_ref().expect("dispatched task has metadata");
-                        let decision = if c.result.is_err() {
-                            // A real kernel error under the recovery
-                            // policy is a retryable exec fault.
-                            Some(FaultDecision { time: natural, kind: FaultKind::Exec })
-                        } else {
-                            let kernel = names
-                                .runfunc(c.task.instance.id, c.task.node_idx, pe)
-                                .cloned()
-                                .unwrap_or_default();
-                            plan.decide(
-                                kernel.as_str(),
-                                pe,
-                                c.task.instance.id.0,
-                                c.task.node_idx,
-                                m.attempt,
-                                c.start,
-                                natural,
-                                m.est,
-                            )
-                        };
-                        if let Some(d) = decision {
-                            finish = d.time;
-                            fault = Some(d.kind);
-                        }
-                    }
-                    pending.push(PendingCompletion { finish, pe, fault, completion: c });
-                }
-            }
-            // Wall-clock watchdog: a dispatched kernel that has blown
-            // far past its estimate in *real* time has wedged its
-            // manager thread. Synthesize a faulted completion at the
-            // virtual deadline and stop waiting on the thread (it is
-            // skipped by end-of-run drains and remembered across runs)
-            // — the alternative is deadlocking the whole emulation.
-            if let Some(plan) = plan {
-                let wedged: Vec<PeId> = running
-                    .iter()
-                    .filter(|(pe, m)| !stale.contains(pe) && Instant::now() >= m.deadline(plan))
-                    .map(|(pe, _)| *pe)
-                    .collect();
-                for pe in wedged {
-                    let m = running.remove(&pe).expect("listed above");
-                    let virtual_overrun = mul_duration(m.est, plan.watchdog_factor);
-                    pending.push(PendingCompletion {
-                        finish: m.start + virtual_overrun,
-                        pe,
-                        fault: Some(FaultKind::Watchdog),
-                        completion: TaskCompletion {
-                            task: m.task,
-                            start: m.start,
-                            modeled: virtual_overrun,
-                            measured: m.wall.elapsed(),
-                            accel_reports: Vec::new(),
-                            result: Ok(()),
-                        },
-                    });
-                    stale.insert(pe);
-                    self.wedged.borrow_mut().insert(pe);
-                }
-            }
-            let monitor_raw = t_mon.elapsed();
+            let t_mon = timed.then(Instant::now);
+            self.monitor(timing, now);
+            let monitor_raw = t_mon.map_or(Duration::ZERO, |t| t.elapsed());
 
-            // ---- Update: process completions that are due, in
-            // deterministic (finish, task) order; append newly unblocked
-            // tasks to the ready list.
-            let t_upd = Instant::now();
-            pending.sort_by(|a, b| {
-                (a.finish, a.completion.task.key()).cmp(&(b.finish, b.completion.task.key()))
-            });
-            while let Some(pos) = pending.iter().position(|p| p.finish <= now) {
-                let p = pending.remove(pos);
-                progress = true;
-                // Faulted attempt: no task record, no estimate update,
-                // no DAG progress — the work was lost. Run the recovery
-                // policy instead.
-                if let Some(kind) = p.fault {
-                    let plan = plan.expect("fault implies a plan");
-                    let state = fstate.as_mut().expect("fault implies fault state");
-                    let c = p.completion;
-                    let (instance, node) = (c.task.instance.id.0, c.task.node_idx);
-                    ready_at_of.remove(&c.task.key());
-                    sink.record_fault(p.finish, instance, node, p.pe, kind);
-                    let action = state.on_fault(plan, instance, node, p.pe, kind, p.finish);
-                    if action.quarantine && !slots.is_failed(p.pe) {
-                        // Requeue work reserved behind the dead PE, then
-                        // retire it: no PeIdle event — the PE leaves the
-                        // schedulable set for good.
-                        for rt in slots.take_reserved(p.pe) {
-                            ready.push(rt.task, p.finish);
-                        }
-                        slots.release(p.pe);
-                        slots.fail(p.pe);
-                        sink.record_quarantine(p.finish, p.pe);
-                    } else {
-                        release_pe(
-                            p.pe,
-                            p.finish,
-                            handlers,
-                            &mut slots,
-                            &estimates,
-                            &mut ready_at_of,
-                            &tracer,
-                            &mut running,
-                            Some(state),
-                            &mut sink,
-                        );
-                    }
-                    if let Some((attempt, release)) = action.retry {
-                        sink.record_retry(p.finish, instance, node, attempt, release);
-                        retries.push(RetryEntry { release, seq: retry_seq, task: c.task });
-                        retry_seq += 1;
-                    } else if action.newly_aborted {
-                        sink.record_abort();
-                    }
-                    continue;
-                }
-                // Reservation queue: the PE itself starts its next
-                // queued task at the completion instant — no scheduler
-                // invocation, no charged overhead (the point of the
-                // paper's proposed work queues).
-                release_pe(
-                    p.pe,
-                    p.finish,
-                    handlers,
-                    &mut slots,
-                    &estimates,
-                    &mut ready_at_of,
-                    &tracer,
-                    &mut running,
-                    fstate.as_mut(),
-                    &mut sink,
-                );
-                let c = p.completion;
-                if let Err(e) = &c.result {
-                    failure = Some(EmuError::TaskFailed {
-                        app: c.task.app_name().to_string(),
-                        node: c.task.node().name.clone(),
-                        reason: e.to_string(),
-                    });
-                    break 'outer;
-                }
-                let pe = handlers.iter().find(|h| h.pe_id() == p.pe).expect("known PE");
-                let kernel = names
-                    .runfunc(c.task.instance.id, c.task.node_idx, p.pe)
-                    .cloned()
-                    .unwrap_or_default();
-                estimates.observe(&kernel, pe.pe.class_name(), c.modeled);
-                sink.record_task(TaskRecord {
-                    instance: c.task.instance.id,
-                    app: names.app(c.task.instance.id).clone(),
-                    node: names.node(c.task.instance.id, c.task.node_idx).clone(),
-                    node_idx: c.task.node_idx,
-                    kernel,
-                    pe: p.pe,
-                    ready_at: ready_at_of.remove(&c.task.key()).unwrap_or(c.start),
-                    start: c.start,
-                    finish: p.finish,
-                    modeled: c.modeled,
-                    measured: c.measured,
-                });
-                if let Some(rec) = tracker.complete_task(&c.task, p.finish, &mut ready) {
-                    if fstate.as_ref().is_some_and(|s| s.had_faults(c.task.instance.id.0)) {
-                        sink.record_survival();
-                    }
-                    sink.record_app(rec);
-                }
+            let t_upd = timed.then(Instant::now);
+            let mut progress = self.update(now)?;
+            if !self.s.retries.is_empty() {
+                progress |= release_retries(&mut self.s.retries, now, &mut self.p.ready) > 0;
             }
-
-            // ---- Release due retries into the ready list, in
-            // deterministic (release, seq) order.
-            if !retries.is_empty() {
-                retries.sort_by_key(|r| (r.release, r.seq));
-                while retries.first().is_some_and(|r| r.release <= now) {
-                    let r = retries.remove(0);
-                    ready.push(r.task, r.release);
-                    progress = true;
-                }
-            }
-
-            // ---- Inject: applications whose arrival time has passed.
-            while arrivals.front().is_some_and(|a| SimTime::from_duration(a.arrival) <= now) {
-                let inst = arrivals.pop_front().expect("checked front");
-                let at = SimTime::from_duration(inst.arrival);
-                tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
-                ready.push_roots(&inst, at);
-                progress = true;
-            }
-            let update_raw = t_upd.elapsed();
+            progress |= self.inject(now);
+            let update_raw = t_upd.map_or(Duration::ZERO, |t| t.elapsed());
 
             // Charge monitor/update overhead on productive iterations.
             // (Idle polls are not charged — the paper's overhead metric
             // covers the work done around task completions and arrivals,
             // not the spin-wait between them.)
             if progress {
-                let (m, u) = match self.config.overhead {
-                    OverheadMode::Measured => {
-                        let k = 1.0 / overlay_speed;
-                        let mu = sampler_mu.sample(monitor_raw + update_raw, quiet)
-                            + HANDLER_POLL_COST * handlers.len() as u32;
-                        let m_frac = monitor_raw.as_secs_f64()
-                            / (monitor_raw + update_raw).as_secs_f64().max(1e-12);
-                        (
-                            mul_duration(mul_duration(mu, m_frac), k),
-                            mul_duration(mul_duration(mu, 1.0 - m_frac), k),
-                        )
-                    }
-                    OverheadMode::Fixed(_) | OverheadMode::None => (Duration::ZERO, Duration::ZERO),
+                let (m, u) = if timed {
+                    let mu = sampler_mu.sample(monitor_raw + update_raw, quiet)
+                        + HANDLER_POLL_COST * self.handlers.len() as u32;
+                    let m_frac = monitor_raw.as_secs_f64()
+                        / (monitor_raw + update_raw).as_secs_f64().max(1e-12);
+                    (
+                        mul_duration(mul_duration(mu, m_frac), k),
+                        mul_duration(mul_duration(mu, 1.0 - m_frac), k),
+                    )
+                } else {
+                    (Duration::ZERO, Duration::ZERO)
                 };
-                sink.charge_overhead(OverheadPhase::Monitor, m);
-                sink.charge_overhead(OverheadPhase::Update, u);
+                self.p.sink.charge_overhead(OverheadPhase::Monitor, m);
+                self.p.sink.charge_overhead(OverheadPhase::Update, u);
                 if timing == TimingMode::Modeled {
                     now += m + u;
-                    vclock = now;
+                    self.vclock = now;
                 }
+            }
+
+            // Permanent failures on idle PEs take effect as the clock
+            // passes them (busy PEs die through their in-flight
+            // attempt's fault decision instead).
+            if let Some(f) = &self.faults {
+                fail_idle_pes(f.run.plan, self.platform, now, &mut self.p.slots, &mut self.p.sink);
             }
 
             // ---- Schedule + dispatch. The scheduling and dispatch
@@ -867,280 +757,408 @@ impl Emulation {
             // slot per PE, so the scheduling phase repeats until the
             // policy stops assigning or no schedulable slot remains —
             // each pass paying its own overhead charge.
-
-            // Permanent failures on idle PEs take effect as the clock
-            // passes them (busy PEs die through their in-flight
-            // attempt's fault decision instead).
-            if let Some(plan) = plan {
-                let pes = handlers.iter().map(|h| h.pe_id());
-                fail_idle_pes(plan, pes, now, &mut slots, &mut sink);
-            }
-
             let mut sched_pass = 0usize;
-            loop {
-                if !(progress && !ready.is_empty() && slots.any_schedulable()) {
-                    break;
-                }
-                if sched_pass > 0 && slots.depth() == 0 {
+            while progress && !self.p.ready.is_empty() && self.p.slots.any_schedulable() {
+                if sched_pass > 0 && depth == 0 {
                     // Without queues one pass is complete (the policy saw
                     // every idle PE already).
                     break;
                 }
                 sched_pass += 1;
-                let t_sched = Instant::now();
-                views.clear();
-                views.extend(handlers.iter().map(|h| slots.view(&h.pe, now)));
-                let ctx = SchedContext { now, estimates: &estimates };
-                let mut assignments = scheduler.schedule(ready.pending(), &views, &ctx);
-                sink.note_sched_invocation();
-                let schedule_raw = t_sched.elapsed();
-                if tracer.enabled() {
-                    let candidates =
-                        views.iter().filter(|v| v.idle).fold(0u64, |m, v| m | pe_mask_bit(v.pe.id));
-                    let chosen = assignments.iter().fold(0u64, |m, a| m | pe_mask_bit(a.pe));
-                    tracer.emit(
-                        now,
-                        TraceKind::SchedDecision {
-                            invocation: sink.sched_invocations,
-                            ready: ready.len() as u32,
-                            candidates,
-                            chosen,
-                            assigned: assignments.len() as u32,
-                        },
-                    );
-                }
-
+                let t_sched = timed.then(Instant::now);
+                self.place(scheduler, fifo, now);
+                self.p.sink.note_sched_invocation();
+                let schedule_raw = t_sched.map_or(Duration::ZERO, |t| t.elapsed());
+                let decided_at = now;
                 // Charge the policy's own cost before dispatching.
-                let s_charge = match self.config.overhead {
+                let s_charge = match overhead {
                     OverheadMode::Measured => {
-                        mul_duration(sampler_s.sample(schedule_raw, quiet), 1.0 / overlay_speed)
+                        mul_duration(sampler_s.sample(schedule_raw, quiet), k)
                     }
                     OverheadMode::Fixed(d) => d,
                     OverheadMode::None => Duration::ZERO,
                 };
-                sink.charge_overhead(OverheadPhase::Schedule, s_charge);
+                self.p.sink.charge_overhead(OverheadPhase::Schedule, s_charge);
                 if timing == TimingMode::Modeled {
                     now += s_charge;
-                    vclock = now;
+                    self.vclock = now;
                 }
 
-                let t_disp = Instant::now();
-                // Validate the scheduler contract before touching state.
-                if let Err(e) = validate_assignments(
-                    scheduler.name(),
-                    &assignments,
-                    ready.pending(),
-                    &slots,
-                    &self.platform,
-                ) {
-                    failure = Some(e);
-                    break 'outer;
-                }
+                let t_disp = timed.then(Instant::now);
+                let placed = self.stage(scheduler, fifo, decided_at, now)?;
                 // The handler hand-off itself is *not* timed: waking a
                 // sleeping host thread costs a futex syscall here,
                 // whereas on the emulated SoC the dispatch communication
                 // is a locked status-field write that the polling
                 // resource manager observes — that cost is charged as a
                 // fixed term per dispatch instead.
-                assignments.sort_by_key(|a| a.ready_idx);
-                let mut to_dispatch = Vec::with_capacity(assignments.len());
-                for a in &assignments {
-                    let rt = ready.pending()[a.ready_idx].clone();
-                    let handler = handlers.iter().find(|h| h.pe_id() == a.pe).expect("validated");
-                    let est = estimates
-                        .estimate(&rt.task, &handler.pe)
-                        .unwrap_or(Duration::from_micros(100));
-                    if slots.is_busy(a.pe) {
-                        // PE busy but with reservation room: enqueue.
-                        slots.extend(a.pe, est);
-                        slots.reserve(a.pe, rt);
-                    } else {
-                        slots.occupy(a.pe, now + est);
-                        ready_at_of.insert(rt.task.key(), rt.ready_at);
-                        tracer.emit(
-                            now,
-                            TraceKind::TaskDispatch {
-                                instance: rt.task.instance.id.0,
-                                node: rt.task.node_idx as u32,
-                                pe: a.pe.0,
-                            },
-                        );
-                        tracer.emit(now, TraceKind::PeBusy { pe: a.pe.0 });
-                        if let Some(state) = fstate.as_mut() {
-                            let (instance, node) = (rt.task.instance.id.0, rt.task.node_idx);
-                            let attempt = state.attempt_of(instance, node);
-                            if attempt > 1 {
-                                if let Some(prev) = state.last_fault_pe(instance, node) {
-                                    if pe_key(handlers, prev) != pe_key(handlers, a.pe) {
-                                        sink.record_degraded(
-                                            now,
-                                            instance,
-                                            node,
-                                            a.pe,
-                                            state.note_degraded(instance, node),
-                                        );
-                                    }
-                                }
-                            }
-                            running.insert(
-                                a.pe,
-                                RunningMeta {
-                                    task: rt.task.clone(),
-                                    est,
-                                    start: now,
-                                    wall: Instant::now(),
-                                    attempt,
-                                },
-                            );
-                        }
-                        to_dispatch.push((handler, TaskAssignment { task: rt.task, start: now }));
-                    }
-                    progress = true;
+                let handoffs = self.s.handoff.len() as u32;
+                let dispatch_raw =
+                    t_disp.map_or(Duration::ZERO, |t| t.elapsed() + STATUS_WRITE_COST * handoffs);
+                for (col, e) in self.s.handoff.drain(..) {
+                    let task = Task {
+                        instance: Arc::clone(&self.instances[e.inst as usize]),
+                        node_idx: e.node as usize,
+                    };
+                    self.handlers[col as usize].dispatch(TaskAssignment { task, start: now });
                 }
-                ready.remove(&assignments);
-                let dispatch_raw = t_disp.elapsed() + STATUS_WRITE_COST * to_dispatch.len() as u32;
-                for (handler, assignment) in to_dispatch {
-                    handler.dispatch(assignment);
-                }
-                let d_charge = match self.config.overhead {
+                let d_charge = match overhead {
                     OverheadMode::Measured => {
-                        mul_duration(sampler_d.sample(dispatch_raw, quiet), 1.0 / overlay_speed)
+                        mul_duration(sampler_d.sample(dispatch_raw, quiet), k)
                     }
                     OverheadMode::Fixed(_) | OverheadMode::None => Duration::ZERO,
                 };
-                sink.charge_overhead(OverheadPhase::Dispatch, d_charge);
+                self.p.sink.charge_overhead(OverheadPhase::Dispatch, d_charge);
                 if timing == TimingMode::Modeled {
                     now += d_charge;
-                    vclock = now;
+                    self.vclock = now;
                 }
-                if assignments.is_empty() {
+                if placed == 0 {
                     break;
                 }
             }
 
             // ---- Termination.
-            if arrivals.is_empty()
-                && ready.is_empty()
-                && slots.all_idle()
-                && pending.is_empty()
-                && retries.is_empty()
+            let in_flight = self.p.slots.busy_count();
+            if self.next_arrival == self.instances.len()
+                && self.p.ready.is_empty()
+                && in_flight == 0
+                && self.s.collected.is_empty()
+                && self.s.retries.is_empty()
             {
-                break;
+                return Ok(());
             }
 
-            // ---- Advance time / wait for reports.
-            if !progress {
-                match timing {
-                    TimingMode::WallClock => {
-                        if arrivals.is_empty()
-                            && pending.is_empty()
-                            && retries.is_empty()
-                            && slots.all_idle()
-                            && !ready.is_empty()
-                        {
-                            // With fault recovery active this stall may
-                            // mean "these tasks lost their last
-                            // compatible PE" rather than a scheduler
-                            // bug; let the resolver abort those apps.
-                            let resolved = match fstate.as_mut() {
-                                Some(state) => match resolve_unschedulable(
-                                    &self.platform,
-                                    &mut slots,
-                                    &mut ready,
-                                    state,
-                                    &mut sink,
-                                    names,
-                                    supports,
-                                ) {
-                                    Ok(r) => r,
-                                    Err(e) => {
-                                        failure = Some(e);
-                                        break 'outer;
-                                    }
-                                },
-                                None => false,
-                            };
-                            if !resolved {
-                                failure = Some(EmuError::Config(format!(
-                                    "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no work is in flight",
-                                    ready.len(),
-                                    scheduler.name()
-                                )));
-                                break 'outer;
-                            }
-                            continue;
-                        }
-                        std::thread::yield_now();
+            // ---- Advance time / wait for reports. A productive modeled
+            // pass that left nothing due at the clock (fault-free, so no
+            // retries or permanent failures can fall due either) would be
+            // followed by an empty monitor/update pass; go straight to
+            // the wait or clock advance that pass would end in.
+            let settled = !progress
+                || (timing == TimingMode::Modeled && self.faults.is_none() && !self.due(now));
+            if !settled {
+                continue;
+            }
+            match timing {
+                TimingMode::WallClock => {
+                    if self.next_arrival == self.instances.len()
+                        && self.s.collected.is_empty()
+                        && self.s.retries.is_empty()
+                        && in_flight == 0
+                        && !self.p.ready.is_empty()
+                    {
+                        // With fault recovery active this stall may mean
+                        // "these tasks lost their last compatible PE"
+                        // rather than a scheduler bug; let the resolver
+                        // abort those apps.
+                        self.resolve_stall(fifo, scheduler.name())?;
+                        continue;
                     }
-                    TimingMode::Modeled => {
-                        if pending.len() < slots.busy_count() {
-                            // Some in-flight task hasn't reported its
-                            // modeled duration yet; the virtual clock
-                            // cannot safely advance. Wait for a report —
-                            // with faults on, no longer than the first
-                            // watchdog deadline, so a wedged thread is
-                            // still caught.
-                            let deadline = plan.and_then(|plan| {
-                                running
-                                    .iter()
-                                    .filter(|(pe, _)| !stale.contains(pe))
-                                    .map(|(_, m)| m.deadline(plan))
-                                    .min()
-                            });
-                            completions.wait_past(seen, deadline);
-                            continue;
-                        }
-                        let mut next = SimTime::MAX;
-                        if let Some(a) = arrivals.front() {
-                            next = next.min(SimTime::from_duration(a.arrival));
-                        }
-                        for p in &pending {
-                            next = next.min(p.finish);
-                        }
-                        for r in &retries {
-                            next = next.min(r.release);
-                        }
-                        if next == SimTime::MAX {
-                            let resolved = match fstate.as_mut() {
-                                Some(state) => match resolve_unschedulable(
-                                    &self.platform,
-                                    &mut slots,
-                                    &mut ready,
-                                    state,
-                                    &mut sink,
-                                    names,
-                                    supports,
-                                ) {
-                                    Ok(r) => r,
-                                    Err(e) => {
-                                        failure = Some(e);
-                                        break 'outer;
-                                    }
-                                },
-                                None => false,
-                            };
-                            if !resolved {
-                                failure = Some(EmuError::Config(format!(
-                                    "deadlock: {} ready task(s) but scheduler '{}' dispatches nothing and no work is in flight",
-                                    ready.len(),
-                                    scheduler.name()
-                                )));
-                                break 'outer;
-                            }
-                            continue;
-                        }
-                        vclock = vclock.max(next);
+                    std::thread::yield_now();
+                }
+                TimingMode::Modeled => {
+                    if self.s.collected.len() < in_flight {
+                        // Some in-flight task hasn't reported its modeled
+                        // duration yet; the virtual clock cannot safely
+                        // advance. Wait for a report — with faults on, no
+                        // longer than the first watchdog deadline, so a
+                        // wedged thread is still caught.
+                        let deadline = self.faults.as_ref().and_then(|f| f.deadline(self.wedged));
+                        completions.wait_past(seen, deadline);
+                        continue;
+                    }
+                    let next_arrival = self.instances.get(self.next_arrival).map(arrival_of);
+                    let next_finish = self.s.collected.iter().map(|c| c.finish).min();
+                    let next_retry = self.s.retries.iter().map(|r| r.release).min();
+                    match next_arrival.into_iter().chain(next_finish).chain(next_retry).min() {
+                        Some(t) => self.vclock = self.vclock.max(t),
+                        None => self.resolve_stall(fifo, scheduler.name())?,
                     }
                 }
             }
         }
-
-        if let Some(e) = failure {
-            return Err(e);
-        }
-
-        Ok(sink.finish(&self.platform, scheduler.name().to_string(), kept_instances))
     }
+
+    /// Monitor: reads every resource handler's status field under its
+    /// lock (the paper's poll), collecting completions with their fault
+    /// decisions; then runs the wall-clock watchdog.
+    fn monitor(&mut self, timing: TimingMode, now: SimTime) {
+        for (col, h) in self.handlers.iter().enumerate() {
+            let Some(c) = h.try_collect() else { continue };
+            if self.wedged[col] {
+                // A wedged manager thread finally reported: the result
+                // belongs to an abandoned attempt. Discard it — the
+                // thread is usable again next run, but the PE stays
+                // quarantined in this one.
+                self.wedged[col] = false;
+                continue;
+            }
+            let natural = match timing {
+                TimingMode::WallClock => now,
+                TimingMode::Modeled => c.start + c.modeled,
+            };
+            let decision = match self.faults.as_mut() {
+                Some(f) => f.decide(col, &c, natural),
+                None => None,
+            };
+            self.s.collected.push(Collected {
+                finish: decision.map_or(natural, |d| d.time),
+                inst: c.task.instance.id.0 as u32,
+                node: c.task.node_idx as u32,
+                col: col as u32,
+                start: c.start,
+                modeled: c.modeled,
+                measured: c.measured,
+                fault: decision.map(|d| d.kind),
+                error: c.result.err(),
+            });
+        }
+        if let Some(f) = self.faults.as_mut() {
+            f.watchdog(self.wedged, &mut self.s.collected);
+        }
+    }
+
+    /// Update: processes the collected completions that are due, in
+    /// deterministic (finish, task) order, appending newly unblocked
+    /// tasks to the ready list. Returns whether any was due.
+    fn update(&mut self, now: SimTime) -> Result<bool, EmuError> {
+        let mut collected = std::mem::take(&mut self.s.collected);
+        collected.sort_unstable_by_key(|c| (c.finish, c.inst, c.node));
+        let due = collected.iter().take_while(|c| c.finish <= now).count();
+        let mut outcome = Ok(due > 0);
+        for c in collected.drain(..due) {
+            if let Some(kind) = c.fault {
+                self.on_fault(&c, kind);
+                continue;
+            }
+            let col = c.col as usize;
+            let ready_at = self.s.ready_at[col];
+            // Reservation queue: the PE itself starts its next queued
+            // task at the completion instant — no scheduler invocation,
+            // no charged overhead (the point of the paper's proposed work
+            // queues).
+            self.release(col, c.finish);
+            if let Some(e) = &c.error {
+                let id = InstanceId(c.inst as u64);
+                outcome = Err(EmuError::TaskFailed {
+                    app: self.names.app(id).to_string(),
+                    node: self.names.node(id, c.node as usize).to_string(),
+                    reason: e.to_string(),
+                });
+                break;
+            }
+            self.complete(&c, ready_at);
+        }
+        self.s.collected = collected;
+        outcome
+    }
+
+    /// Books a successful completion: estimate, task log, live
+    /// observers, DAG progress and a finished application.
+    fn complete(&mut self, c: &Collected, ready_at: SimTime) {
+        let (id, soa) = (InstanceId(c.inst as u64), self.soa);
+        let spec = &soa.specs[self.names.spec_index(id)];
+        let cell = c.node as usize * soa.stride + c.col as usize;
+        self.s.estimates.observe_at(EstimateSlot::from_raw(spec.est_slot[cell]), c.modeled);
+        let done = &mut self.s.done;
+        let dur_ns = c.modeled.as_nanos() as u64;
+        done.push(c.inst, c.node, c.col, ready_at.0, c.finish.0, dur_ns);
+        done.start_ns.push(c.start.0);
+        done.measured_ns.push(c.measured.as_nanos() as u64);
+        if self.observed {
+            let pe = self.platform.pes[c.col as usize].id;
+            let (start, finish, kernel) = (c.start, c.finish, &spec.runfunc[cell]);
+            let (inst, node, modeled, measured) = (id.0, c.node, c.modeled, c.measured);
+            let sink = &self.p.sink;
+            sink.observe_task(pe, inst, node, ready_at, start, finish, modeled, measured, kernel);
+        }
+        if self.s.dag.complete(spec, c.inst, c.node, c.finish, &mut self.p.ready) {
+            let inst = &self.instances[c.inst as usize];
+            let state = self.faults.as_ref().map(|f| &f.run.state);
+            self.p.sink.finish_instance(inst, self.names.app(id), c.finish, spec.n_nodes, state);
+        }
+    }
+
+    /// A faulted attempt: the recovery policy runs instead of a
+    /// completion. A quarantined PE's reserved work re-enters the ready
+    /// list; otherwise the PE frees up as after a completion.
+    #[cold]
+    #[inline(never)]
+    fn on_fault(&mut self, c: &Collected, kind: FaultKind) {
+        let f = self.faults.as_mut().expect("fault implies a plan");
+        let col = c.col as usize;
+        let pe = self.platform.pes[col].id;
+        let (inst, node) = (c.inst as u64, c.node as usize);
+        let action = f.run.on_fault(c.finish, inst, node, pe, kind, &mut self.p.sink);
+        if action.quarantine && !self.p.slots.is_failed(pe) {
+            // Requeue work reserved behind the dead PE, then retire it:
+            // no PeIdle event — the PE leaves the schedulable set for
+            // good.
+            for rt in self.p.slots.take_reserved(pe) {
+                let (i, n) = (rt.task.instance.id.0 as u32, rt.task.node_idx as u32);
+                self.p.ready.push_entry(DenseReady::new(i, n, c.finish));
+            }
+            self.p.slots.release(pe);
+            self.p.slots.fail(pe);
+            self.p.sink.record_quarantine(c.finish, pe);
+        } else {
+            self.release(col, c.finish);
+        }
+        let f = self.faults.as_mut().expect("fault implies a plan");
+        f.run.settle(action, c.finish, c.inst, c.node, &mut self.p.sink, &mut self.s.retries);
+    }
+
+    /// Inject: applications whose arrival time has passed. Returns
+    /// whether any arrived.
+    fn inject(&mut self, now: SimTime) -> bool {
+        let first = self.next_arrival;
+        while let Some(inst) = self.instances.get(self.next_arrival) {
+            let at = arrival_of(inst);
+            if at > now {
+                break;
+            }
+            self.next_arrival += 1;
+            self.p.tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
+            let spec = &self.soa.specs[self.names.spec_index(inst.id)];
+            for &root in &spec.roots {
+                self.p.ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
+            }
+        }
+        self.next_arrival > first
+    }
+
+    /// True when a collected completion or an arrival is due at `now`.
+    fn due(&self, now: SimTime) -> bool {
+        self.s.collected.iter().any(|c| c.finish <= now)
+            || self.instances.get(self.next_arrival).is_some_and(|i| arrival_of(i) <= now)
+    }
+
+    /// One scheduling decision at `now`: FIFO placement into `placed`,
+    /// or the policy's assignments over the lent `ReadyTask`s.
+    fn place(&mut self, scheduler: &mut dyn Scheduler, fifo: bool, now: SimTime) {
+        self.s.placed.clear();
+        self.s.assignments.clear();
+        if fifo {
+            let idle = self.p.slots.idle_mask();
+            place_fifo(self.p.ready.pending(), idle, self.soa, self.names, &mut self.s.placed);
+            return;
+        }
+        hand_over(&mut self.p.ready, &mut self.p.tasks, self.instances);
+        let (slots, platform) = (&self.p.slots, self.platform);
+        self.views.clear();
+        self.views.extend(platform.pes.iter().map(|pe| slots.view(pe, now)));
+        let ctx = SchedContext { now, estimates: &self.s.estimates };
+        scheduler.schedule_into(self.p.tasks.pending(), &self.views, &ctx, &mut self.s.assignments);
+    }
+
+    /// Validates a policy's assignments and records the decision taken
+    /// at `decided_at`, then books every placement at `now`: a busy PE
+    /// with reservation room queues the task, an idle one is occupied and
+    /// staged for hand-off. Returns how many tasks were placed.
+    fn stage(
+        &mut self,
+        scheduler: &dyn Scheduler,
+        fifo: bool,
+        decided_at: SimTime,
+        now: SimTime,
+    ) -> Result<usize, EmuError> {
+        if !fifo {
+            stage_assignments(
+                scheduler.name(),
+                &mut self.s.assignments,
+                self.p.tasks.pending(),
+                &self.p.slots,
+                self.names,
+                self.soa,
+                &mut self.s.placed,
+            )?;
+        }
+        if self.p.tracer.enabled() {
+            let (placed, ready) = (&self.s.placed, self.p.ready.len());
+            self.p.sink.trace_decision(decided_at, self.platform, &self.p.slots, placed, ready);
+        }
+        let placed = std::mem::take(&mut self.s.placed);
+        for &(e, col, _) in &placed {
+            let col = col as usize;
+            let pe = self.platform.pes[col].id;
+            let est = self.estimate(e.inst, e.node, col);
+            if self.p.slots.is_busy(pe) {
+                // PE busy but with reservation room: enqueue.
+                self.p.slots.extend(pe, est);
+                let task = Task {
+                    instance: Arc::clone(&self.instances[e.inst as usize]),
+                    node_idx: e.node as usize,
+                };
+                let rt = ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq };
+                self.p.slots.reserve(pe, rt);
+            } else {
+                self.occupy(col, e, now, est, true);
+                self.s.handoff.push((col as u32, e));
+            }
+        }
+        let n = placed.len();
+        self.s.placed = placed;
+        if fifo {
+            self.p.ready.remove_prefix(n);
+        } else {
+            self.p.tasks.remove(&self.s.assignments);
+            self.p.ready.return_lent(n);
+        }
+        Ok(n)
+    }
+
+    /// The estimate of `(inst, node)` on PE column `col`.
+    fn estimate(&self, inst: u32, node: u32, col: usize) -> Duration {
+        let pe = &self.platform.pes[col];
+        self.soa.estimate(self.names, &self.s.estimates, (inst, node), col, pe)
+    }
+
+    /// Books `e` starting on PE column `col` at `at`, projected to run
+    /// for `est` (the hand-off itself is the caller's).
+    fn occupy(&mut self, col: usize, e: DenseReady, at: SimTime, est: Duration, busy_event: bool) {
+        let pe = self.platform.pes[col].id;
+        self.p.slots.occupy(pe, at + est);
+        self.s.ready_at[col] = SimTime(e.ready_ns);
+        if self.p.tracer.enabled() {
+            let (instance, node) = (e.inst as u64, e.node);
+            self.p.tracer.emit(at, TraceKind::TaskDispatch { instance, node, pe: pe.0 });
+            if busy_event {
+                self.p.tracer.emit(at, TraceKind::PeBusy { pe: pe.0 });
+            }
+        }
+        if let Some(f) = self.faults.as_mut() {
+            f.dispatched(col, (e.inst, e.node), at, est, &mut self.p.sink);
+        }
+    }
+
+    /// Handles PE column `col` freeing up at `at`: starts its next
+    /// reserved task (the reservation-queue fast path, shared by normal
+    /// and faulted completions) or marks it idle.
+    fn release(&mut self, col: usize, at: SimTime) {
+        let pe = self.platform.pes[col].id;
+        let Some(next) = self.p.slots.release(pe) else {
+            self.p.tracer.emit(at, TraceKind::PeIdle { pe: pe.0 });
+            return;
+        };
+        let (inst, node) = (next.task.instance.id.0 as u32, next.task.node_idx as u32);
+        let est = self.estimate(inst, node, col);
+        self.occupy(col, DenseReady::new(inst, node, next.ready_at), at, est, false);
+        self.handlers[col].dispatch(TaskAssignment { task: next.task, start: at });
+    }
+
+    /// Resolves a stall: fault recovery aborts what lost its last
+    /// compatible PE, or the run ends in a deadlock error.
+    fn resolve_stall(&mut self, fifo: bool, scheduler: &str) -> Result<(), EmuError> {
+        let state = self.faults.as_mut().map(|f| &mut f.run.state);
+        let (platform, instances, names, soa) =
+            (self.platform, self.instances, self.names, self.soa);
+        self.p.resolve_stall(fifo, platform, instances, state, names, soa, scheduler)
+    }
+}
+
+/// An instance's arrival on the emulation clock.
+fn arrival_of(inst: &Arc<AppInstance>) -> SimTime {
+    SimTime::from_duration(inst.arrival)
 }
 
 fn mul_duration(d: Duration, k: f64) -> Duration {

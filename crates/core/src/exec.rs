@@ -10,15 +10,15 @@
 //!
 //! * [`ReadyList`] — the ready-task queue with its consumed-prefix
 //!   offset and reclamation rule (the paper's flat-FRFS-overhead trick),
-//! * [`InstanceTracker`] — per-instance predecessor and remaining-task
-//!   counts, turning completions into newly ready tasks and finished
-//!   applications,
 //! * [`PeSlots`] — the busy-PE map plus the reservation queues of the
 //!   future-work work-queue feature,
+//! * placement: the engine-side FIFO placement over the idle-PE mask
+//!   for `dense_fifo()` policies, and for every other policy the hand-over
+//!   of ready entries, the scheduler-contract check and the staging of
+//!   its assignments,
 //! * [`CompletionSink`] — the statistics accumulator feeding
 //!   [`EmulationStats`],
-//! * [`preflight_compat`] / [`validate_assignments`] — the deadlock
-//!   guard and the scheduler-contract check.
+//! * [`preflight_compat`] and the fault-recovery stall resolver.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -26,19 +26,21 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::instance::AppInstance;
+use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::workload::Workload;
+use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
 
+use crate::arena::{DenseReady, RetryEntry, RunScratch};
 use crate::engine::EmuError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::intern::{Name, NameTable};
 use crate::metrics::{ExecMetrics, OverheadPhase};
 use crate::sched::{Assignment, PeView};
+use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{
     AppRecord, DenseTaskLog, EmulationStats, OverheadBreakdown, ReliabilityCounters, TaskLog,
-    TaskRecord,
 };
 use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
@@ -147,8 +149,8 @@ pub fn preflight_compat(
     Ok(())
 }
 
-/// An entry the [`ReadyList`] can queue: the threaded engine's
-/// [`ReadyTask`] (an `Arc` task handle) or the DES's `Arc`-free
+/// An entry the [`ReadyList`] can queue: a [`ReadyTask`] (an `Arc` task
+/// handle, what a `dyn` policy reads) or the engines' `Arc`-free
 /// `(instance, node)` index pair. The list only needs the task key and
 /// readiness time its `task_ready` hooks report, and a place to stamp
 /// the readiness sequence number.
@@ -349,92 +351,6 @@ impl ReadyList<ReadyTask> {
     pub fn push(&mut self, task: Task, ready_at: SimTime) {
         self.push_entry(ReadyTask { task, ready_at, seq: 0 });
     }
-
-    /// Appends all root nodes of a newly arrived instance.
-    pub fn push_roots(&mut self, inst: &Arc<AppInstance>, at: SimTime) {
-        for &r in &inst.spec.roots {
-            self.push(Task { instance: Arc::clone(inst), node_idx: r }, at);
-        }
-    }
-}
-
-/// Per-instance DAG progress: predecessor counts, remaining tasks, and
-/// arrival times. Completions flow through [`Self::complete_task`],
-/// which unblocks successors into the [`ReadyList`] and reports
-/// finished applications.
-///
-/// Instance ids are dense (both `Workload::instantiate` flavours number
-/// instances `0..n`), so state lives in a plain `Vec` indexed by id —
-/// completion bookkeeping never hashes.
-#[derive(Debug)]
-pub struct InstanceTracker {
-    states: Vec<Option<InstanceState>>,
-}
-
-#[derive(Debug)]
-struct InstanceState {
-    remaining_preds: Vec<usize>,
-    remaining_tasks: usize,
-    arrival: SimTime,
-    app: Name,
-}
-
-impl InstanceTracker {
-    /// Builds tracking state for a run's instances. The app names in
-    /// `names` are carried into the [`AppRecord`]s this tracker emits,
-    /// so completion bookkeeping never clones a `String`.
-    pub fn new(instances: &[Arc<AppInstance>], names: &NameTable) -> Self {
-        let top = instances.iter().map(|inst| inst.id.0 as usize + 1).max().unwrap_or(0);
-        let mut states: Vec<Option<InstanceState>> = Vec::new();
-        states.resize_with(top, || None);
-        for inst in instances {
-            states[inst.id.0 as usize] = Some(InstanceState {
-                remaining_preds: inst.spec.nodes.iter().map(|n| n.predecessors.len()).collect(),
-                remaining_tasks: inst.spec.nodes.len(),
-                arrival: SimTime::from_duration(inst.arrival),
-                app: names.app(inst.id).clone(),
-            });
-        }
-        InstanceTracker { states }
-    }
-
-    /// Records `task` finishing at `finish`: successors whose
-    /// predecessors are now all complete join the ready list, and the
-    /// finished application (if this was its last task) is returned.
-    pub fn complete_task(
-        &mut self,
-        task: &Task,
-        finish: SimTime,
-        ready: &mut ReadyList,
-    ) -> Option<AppRecord> {
-        self.complete(&task.instance, task.node_idx, finish, ready)
-    }
-
-    /// [`Self::complete_task`] without the `Task` wrapper, for engines
-    /// that track completions as `(instance, node)` pairs.
-    pub fn complete(
-        &mut self,
-        instance: &Arc<AppInstance>,
-        node_idx: usize,
-        finish: SimTime,
-        ready: &mut ReadyList,
-    ) -> Option<AppRecord> {
-        let state = self.states[instance.id.0 as usize].as_mut().expect("known instance");
-        for &s in &instance.spec.nodes[node_idx].successors {
-            state.remaining_preds[s] -= 1;
-            if state.remaining_preds[s] == 0 {
-                ready.push(Task { instance: Arc::clone(instance), node_idx: s }, finish);
-            }
-        }
-        state.remaining_tasks -= 1;
-        (state.remaining_tasks == 0).then(|| AppRecord {
-            instance: instance.id,
-            app: state.app.clone(),
-            arrival: state.arrival,
-            finish,
-            task_count: instance.spec.nodes.len(),
-        })
-    }
 }
 
 /// The busy-PE map plus reservation queues (the paper's proposed
@@ -537,12 +453,6 @@ impl PeSlots {
     /// True if `pe` has work in flight.
     pub fn is_busy(&self, pe: PeId) -> bool {
         self.pes.get(pe.0 as usize).is_some_and(|p| p.busy.is_some())
-    }
-
-    /// The PEs currently executing (ascending id order).
-    pub fn busy_pes(&self) -> Vec<PeId> {
-        let busy = self.pes.iter().enumerate().filter(|(_, p)| p.busy.is_some());
-        busy.map(|(i, _)| PeId(i as u32)).collect()
     }
 
     /// Tasks queued behind `pe`'s running task.
@@ -678,39 +588,71 @@ impl PeSlots {
     }
 }
 
-/// Enforces the scheduler contract on one batch of assignments before
-/// any state is touched: indices in bounds, PEs with room, no double
-/// assignment of a PE or a task, platform compatibility. Both engines
-/// run exactly this check.
+/// Engine-side FIFO placement for a `dense_fifo()` policy on a ≤64-PE
+/// platform: strict FIFO, first idle compatible PE in descriptor order,
+/// stopping at the first head task that cannot start — `compat & idle`'s
+/// lowest set bit is exactly FRFS's placement rule. Stages `(entry, PE
+/// column, modeled cost ns)` into `placed` in `ready_idx` order; the
+/// placements are the engine's own, so they skip the contract check.
+#[inline]
+pub(crate) fn place_fifo(
+    pending: &[DenseReady],
+    mut idle: u64,
+    soa: &ScenarioSoa,
+    names: &NameTable,
+    placed: &mut Vec<(DenseReady, u32, u64)>,
+) {
+    for e in pending {
+        let spec = &soa.specs[names.spec_index(InstanceId(e.inst as u64))];
+        let fits = spec.compat[e.node as usize] & idle;
+        if fits == 0 {
+            break;
+        }
+        let col = fits.trailing_zeros();
+        idle &= !(1u64 << col);
+        let dur_ns = spec.cost_ns[e.node as usize * soa.stride + col as usize];
+        placed.push((*e, col, dur_ns));
+    }
+}
+
+/// Lends `ready`'s held entries to the end of `tasks` as `ReadyTask`s,
+/// keeping their sequence numbers: what a `dyn` policy reads.
+pub(crate) fn hand_over(
+    ready: &mut ReadyList<DenseReady>,
+    tasks: &mut ReadyList<ReadyTask>,
+    instances: &[Arc<AppInstance>],
+) {
+    ready.lend(|e| {
+        let instance = Arc::clone(&instances[e.inst as usize]);
+        let task = Task { instance, node_idx: e.node as usize };
+        tasks.push_stamped(ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq });
+    });
+}
+
+/// Enforces the scheduler contract on a `dyn` policy's `assignments`
+/// over the lent `tasks` before any state is touched — indices in
+/// bounds, PEs with room, no double assignment of a PE or a task,
+/// platform compatibility (the SoA sentinel probe) — then stages them
+/// into `placed` as `(entry, PE column, modeled cost ns)` in `ready_idx`
+/// order (sorting `assignments` that way too). Both engines run exactly
+/// this check.
 ///
 /// Allocation-free: duplicate detection scans the already-validated
 /// prefix of `assignments` instead of building side tables. Batches are
 /// bounded by the PE count (times queue depth), so the scan is tiny.
-pub fn validate_assignments(
+pub(crate) fn stage_assignments(
     scheduler_name: &str,
-    assignments: &[Assignment],
-    pending: &[ReadyTask],
+    assignments: &mut [Assignment],
+    tasks: &[ReadyTask],
     slots: &PeSlots,
-    platform: &PlatformConfig,
+    names: &NameTable,
+    soa: &ScenarioSoa,
+    placed: &mut Vec<(DenseReady, u32, u64)>,
 ) -> Result<(), EmuError> {
-    validate_assignments_with(scheduler_name, assignments, pending, slots, |rt, pe| {
-        platform.pes.iter().any(|p| p.id == pe && rt.task.supports(&p.platform_key))
-    })
-}
-
-/// [`validate_assignments`] with a caller-supplied compatibility test.
-/// The default test walks the platform's PE descriptors and compares
-/// platform-key strings; engines holding precomputed compatibility
-/// tables (the DES SoA cost slabs, where a sentinel marks incompatible
-/// pairs) pass an O(1) array probe instead. `compat(rt, pe)` must also
-/// reject PEs the platform does not contain.
-pub fn validate_assignments_with(
-    scheduler_name: &str,
-    assignments: &[Assignment],
-    pending: &[ReadyTask],
-    slots: &PeSlots,
-    compat: impl Fn(&ReadyTask, PeId) -> bool,
-) -> Result<(), EmuError> {
+    let cost = |rt: &ReadyTask, col: usize| {
+        soa.specs[names.spec_index(rt.task.instance.id)].cost_ns
+            [rt.task.node_idx * soa.stride + col]
+    };
     for (k, a) in assignments.iter().enumerate() {
         // Assignments earlier in this batch targeting the same PE: they
         // consume reservation-queue room (busy PE) or the PE itself.
@@ -720,30 +662,150 @@ pub fn validate_assignments_with(
         } else {
             same_pe_before == 0
         };
-        let ok = a.ready_idx < pending.len()
+        let ok = a.ready_idx < tasks.len()
             && room
             && !slots.is_failed(a.pe)
             && !assignments[..k].iter().any(|b| b.ready_idx == a.ready_idx)
-            && compat(&pending[a.ready_idx], a.pe);
+            && names.pe_column(a.pe).is_some_and(|c| cost(&tasks[a.ready_idx], c) != INCOMPATIBLE);
         if !ok {
             return Err(EmuError::Config(format!(
                 "scheduler '{scheduler_name}' violated the assignment contract ({a:?})"
             )));
         }
     }
+    assignments.sort_unstable_by_key(|a| a.ready_idx);
+    placed.extend(assignments.iter().map(|a| {
+        let rt = &tasks[a.ready_idx];
+        let e = DenseReady::new(rt.task.instance.id.0 as u32, rt.task.node_idx as u32, rt.ready_at);
+        let col = names.pe_column(a.pe).expect("validated PE");
+        (e, col as u32, cost(rt, col))
+    }));
     Ok(())
 }
 
-/// Statistics accumulator shared by both engines: task and application
-/// records, per-PE busy time, overhead, and invocation counts, folded
-/// into an [`EmulationStats`] when the run ends.
+/// Moves the retries released by `now` into the ready list, in
+/// deterministic (release, seq) order; returns how many.
+pub(crate) fn release_retries(
+    retries: &mut Vec<RetryEntry>,
+    now: SimTime,
+    ready: &mut ReadyList<DenseReady>,
+) -> usize {
+    retries.sort_by_key(|r| (r.release, r.seq));
+    let due = retries.iter().take_while(|r| r.release <= now).count();
+    for r in retries.drain(..due) {
+        ready.push_entry(DenseReady::new(r.inst, r.node, r.release));
+    }
+    due
+}
+
+/// The per-run pieces both engine loops start from: the live observers,
+/// the ready lists (on the warm arena's recycled buffers), the PE slots
+/// and the statistics sink, wired together.
+pub(crate) struct RunParts {
+    pub ready: ReadyList<DenseReady>,
+    /// The pending tasks as `ReadyTask`s, for `dyn` policies only: at
+    /// each policy call `ready` lends the entries pushed since the last
+    /// one (one `Arc` clone each). `ready` still counts them and fires
+    /// the hooks.
+    pub tasks: ReadyList<ReadyTask>,
+    pub slots: PeSlots,
+    pub sink: CompletionSink,
+    pub tracer: ExecTracer,
+    pub metrics: ExecMetrics,
+}
+
+impl RunParts {
+    /// Sets up one run over `instances` on `platform` with
+    /// reservation-queue `depth`; `trace` is the sink with the run's
+    /// policy label and the engine's producer name. Pair with
+    /// [`RunScratch::recycle`].
+    pub fn new(
+        platform: &PlatformConfig,
+        depth: usize,
+        registry: Option<&MetricsRegistry>,
+        trace: Option<(&TraceSink, &str, &str)>,
+        instances: &[Arc<AppInstance>],
+        s: &mut RunScratch,
+    ) -> Self {
+        let metrics = match registry {
+            Some(registry) => ExecMetrics::attach(registry, platform, instances),
+            None => ExecMetrics::disabled(),
+        };
+        let tracer = match trace {
+            Some((trace_sink, policy, producer)) => {
+                register_trace_meta(trace_sink, platform, policy, instances);
+                ExecTracer::attach(trace_sink, producer)
+            }
+            None => ExecTracer::disabled(),
+        };
+        let mut ready = ReadyList::recycled(std::mem::take(&mut s.ready_buf));
+        ready.set_metrics(metrics.clone());
+        ready.set_tracer(tracer.clone());
+        let tasks = ReadyList::recycled(std::mem::take(&mut s.ready_tasks));
+        let mut slots = PeSlots::for_platform(platform, depth);
+        slots.set_metrics(metrics.clone());
+        let mut sink = CompletionSink::new();
+        sink.apps.reserve(instances.len());
+        sink.set_tracer(tracer.clone());
+        sink.set_metrics(metrics.clone());
+        RunParts { ready, tasks, slots, sink, tracer, metrics }
+    }
+
+    /// Resolves a stall — ready tasks, nothing in flight, nothing due:
+    /// with fault recovery on (`faults`), tasks that lost their last
+    /// compatible PE abort their applications and the loop goes on
+    /// (`Ok`); otherwise the policy dispatches nothing, a deadlock. The
+    /// pending entries are in `ready` under FIFO placement, else lent to
+    /// `tasks` (everything still in `ready` is handed over first).
+    #[allow(clippy::too_many_arguments)]
+    pub fn resolve_stall(
+        &mut self,
+        fifo: bool,
+        platform: &PlatformConfig,
+        instances: &[Arc<AppInstance>],
+        faults: Option<&mut FaultState>,
+        names: &NameTable,
+        soa: &ScenarioSoa,
+        scheduler: &str,
+    ) -> Result<(), EmuError> {
+        let resolved = match faults {
+            Some(state) if fifo => {
+                let (slots, sink) = (&mut self.slots, &mut self.sink);
+                resolve_unschedulable(platform, slots, &mut self.ready, state, sink, names, soa)?
+            }
+            Some(state) => {
+                hand_over(&mut self.ready, &mut self.tasks, instances);
+                let (held, slots, sink) = (self.tasks.len(), &mut self.slots, &mut self.sink);
+                let resolved = resolve_unschedulable(
+                    platform,
+                    slots,
+                    &mut self.tasks,
+                    state,
+                    sink,
+                    names,
+                    soa,
+                );
+                self.ready.return_lent(held - self.tasks.len());
+                resolved?
+            }
+            None => false,
+        };
+        if resolved {
+            return Ok(());
+        }
+        Err(EmuError::Config(format!(
+            "deadlock: {} ready task(s) but scheduler '{scheduler}' dispatches nothing and no work is in flight",
+            self.ready.len(),
+        )))
+    }
+}
+
+/// Statistics accumulator shared by both engines: application records,
+/// overhead, invocation and reliability counters, folded with the run's
+/// completion columns into an [`EmulationStats`] when the run ends.
 #[derive(Debug, Default)]
 pub struct CompletionSink {
-    tasks: Vec<TaskRecord>,
     apps: Vec<AppRecord>,
-    // Linear-scan map: platforms have a handful of PEs, so scanning a
-    // short vec beats hashing the id on every completion.
-    pe_busy: Vec<(PeId, Duration)>,
     tracer: ExecTracer,
     metrics: ExecMetrics,
     /// Accumulated workload-manager overhead.
@@ -807,32 +869,77 @@ impl CompletionSink {
         self.metrics.survival();
     }
 
-    /// Records one finished task, charging its modeled duration to its
-    /// PE's busy time.
-    pub fn record_task(&mut self, rec: TaskRecord) {
-        self.metrics.task_completed(rec.pe, rec.wait(), rec.modeled, rec.measured, &rec.kernel);
-        self.tracer.emit(
-            rec.finish,
-            TraceKind::TaskSlice {
-                instance: rec.instance.0,
-                node: rec.node_idx as u32,
-                pe: rec.pe.0,
-                ready_ns: rec.ready_at.0,
-                start_ns: rec.start.0,
-                finish_ns: rec.finish.0,
-            },
-        );
-        match self.pe_busy.iter_mut().find(|(pe, _)| *pe == rec.pe) {
-            Some((_, busy)) => *busy += rec.modeled,
-            None => self.pe_busy.push((rec.pe, rec.modeled)),
-        }
-        self.tasks.push(rec);
+    /// Samples one completed task into the live observers — the task
+    /// metric families and the trace's `task_slice` — from its raw
+    /// fields. Engines skip the call when neither observer is on.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn observe_task(
+        &self,
+        pe: PeId,
+        instance: u64,
+        node: u32,
+        ready_at: SimTime,
+        start: SimTime,
+        finish: SimTime,
+        modeled: Duration,
+        measured: Duration,
+        kernel: &Name,
+    ) {
+        self.metrics.task_completed(pe, start.since(ready_at), modeled, measured, kernel);
+        let (ready_ns, start_ns, finish_ns) = (ready_at.0, start.0, finish.0);
+        let slice =
+            TraceKind::TaskSlice { instance, node, pe: pe.0, ready_ns, start_ns, finish_ns };
+        self.tracer.emit(finish, slice);
     }
 
-    /// Pre-sizes the application record buffer (engines that know the
-    /// instance count up front call this once instead of growing it).
-    pub fn reserve_apps(&mut self, n: usize) {
-        self.apps.reserve(n);
+    /// Records instance `inst` finishing its last task at `finish`, and,
+    /// when one of its attempts faulted (`faults`), that it survived.
+    pub(crate) fn finish_instance(
+        &mut self,
+        inst: &AppInstance,
+        app: &Name,
+        finish: SimTime,
+        task_count: u32,
+        faults: Option<&FaultState>,
+    ) {
+        if faults.is_some_and(|f| f.had_faults(inst.id.0)) {
+            self.record_survival();
+        }
+        self.record_app(AppRecord {
+            instance: inst.id,
+            app: app.clone(),
+            arrival: SimTime::from_duration(inst.arrival),
+            finish,
+            task_count: task_count as usize,
+        });
+    }
+
+    /// Emits the scheduling decision taken at `at`: the PEs with room
+    /// (exactly the `idle` the policy's views carry) and the PE columns
+    /// `placed` chose.
+    pub(crate) fn trace_decision(
+        &self,
+        at: SimTime,
+        platform: &PlatformConfig,
+        slots: &PeSlots,
+        placed: &[(DenseReady, u32, u64)],
+        ready: usize,
+    ) {
+        let pes = platform.pes.iter();
+        let candidates =
+            pes.filter(|pe| slots.has_room(pe.id)).fold(0u64, |m, pe| m | pe_mask_bit(pe.id));
+        let pe = |col: u32| platform.pes[col as usize].id;
+        let chosen = placed.iter().fold(0u64, |m, p| m | pe_mask_bit(pe(p.1)));
+        self.tracer.emit(
+            at,
+            TraceKind::SchedDecision {
+                invocation: self.sched_invocations,
+                ready: ready as u32,
+                candidates,
+                chosen,
+                assigned: placed.len() as u32,
+            },
+        );
     }
 
     /// Records one finished application.
@@ -843,7 +950,8 @@ impl CompletionSink {
     }
 
     /// Records one faulted execution attempt (trace event + per-kind
-    /// counters). Faulted attempts produce no [`TaskRecord`] and charge
+    /// counters). Faulted attempts produce no
+    /// [`TaskRecord`](crate::stats::TaskRecord) and charge
     /// no PE busy time — the work was lost.
     pub fn record_fault(
         &mut self,
@@ -910,60 +1018,23 @@ impl CompletionSink {
         }
     }
 
-    /// Folds the accumulated records into the run's statistics (the
-    /// threaded engine's path; the DES ends with [`Self::finish_dense`]).
-    pub fn finish(
-        self,
-        platform: &PlatformConfig,
-        scheduler: String,
-        instances: Vec<Arc<AppInstance>>,
-    ) -> EmulationStats {
-        self.metrics.run_completed(&scheduler);
-        let makespan = self
-            .apps
-            .iter()
-            .map(|a| a.finish)
-            .chain(self.tasks.iter().map(|t| t.finish))
-            .max()
-            .unwrap_or(SimTime::ZERO)
-            .as_duration();
-        EmulationStats {
-            platform: platform.name.clone(),
-            scheduler,
-            makespan,
-            tasks: self.tasks.into(),
-            apps: self.apps,
-            pe_busy: self.pe_busy.into_iter().collect(),
-            pe_names: platform.pes.iter().map(|pe| (pe.id, pe.name.clone())).collect(),
-            sched_invocations: self.sched_invocations,
-            overhead: self.overhead,
-            reliability: self.reliability,
-            instances,
-            app_agg: std::sync::OnceLock::new(),
-        }
-    }
-
-    /// [`Self::finish`] for the DES: the per-task facts arrive as dense
-    /// columns instead of recorded `TaskRecord`s (the DES fires the
-    /// live metrics and trace side effects inline and records nothing
-    /// here), and stay dense in the returned stats (see
-    /// [`TaskLog`](crate::stats::TaskLog)). PE busy time and makespan
-    /// are computed with one pass over the columns — the values are
-    /// identical to what recording each task eagerly would have
-    /// accumulated.
-    pub(crate) fn finish_dense(
+    /// Folds the run into its statistics. The per-task facts arrive as
+    /// dense columns (each engine fires the live metrics and trace side
+    /// effects of a completion inline and records nothing here), and stay
+    /// dense in the returned stats (see [`TaskLog`](crate::stats::TaskLog)).
+    /// PE busy time and makespan are computed with one pass over the
+    /// columns: a PE's busy time is the sum of its tasks' modeled
+    /// durations, and it appears in the map once it ran a task, even a
+    /// zero-duration one.
+    pub(crate) fn finish(
         self,
         platform: &PlatformConfig,
         scheduler: String,
         instances: Vec<Arc<AppInstance>>,
         dense: DenseTaskLog,
     ) -> EmulationStats {
-        debug_assert!(self.tasks.is_empty(), "the DES records no eager tasks");
         self.metrics.run_completed(&scheduler);
         let cols = &dense.cols;
-        // Busy time per column; `seen` keeps the map keyed exactly like
-        // the eager path (a PE appears once it ran a task, even a
-        // zero-duration one).
         let mut busy = vec![0u64; dense.pes.len()];
         let mut seen = vec![false; dense.pes.len()];
         for k in 0..cols.len() {
@@ -971,13 +1042,13 @@ impl CompletionSink {
             busy[c] += cols.dur_ns[k];
             seen[c] = true;
         }
-        // Completions leave the calendar queue in time order, so the
-        // last column entry holds the latest task finish.
+        // Completions are not recorded in finish order in every timing
+        // mode, so the latest finish is a maximum, not the last entry.
         let makespan = self
             .apps
             .iter()
             .map(|a| a.finish)
-            .chain(cols.finish_ns.last().map(|&t| SimTime(t)))
+            .chain(cols.finish_ns.iter().max().map(|&t| SimTime(t)))
             .max()
             .unwrap_or(SimTime::ZERO)
             .as_duration();
@@ -1004,7 +1075,111 @@ impl CompletionSink {
     }
 }
 
-/// Quarantines every idle PE among `pes` whose scheduled permanent
+/// The fault machinery of one engine run, present only with a fault
+/// plan: the plan, the recovery state, and the steps both engines take
+/// identically around them. The steps run out of line: fault-free runs
+/// never call them, and keeping their bodies out of the engine loops
+/// keeps the loops tight.
+pub(crate) struct RunFaults<'a> {
+    pub plan: &'a FaultPlan,
+    pub state: FaultState,
+    pub platform: &'a PlatformConfig,
+    pub soa: &'a ScenarioSoa,
+    pub names: &'a NameTable,
+    pub tracer: ExecTracer,
+    retry_seq: u64,
+}
+
+impl<'a> RunFaults<'a> {
+    pub fn new(
+        plan: &'a FaultPlan,
+        platform: &'a PlatformConfig,
+        soa: &'a ScenarioSoa,
+        names: &'a NameTable,
+        tracer: ExecTracer,
+    ) -> Self {
+        let state = FaultState::new(plan.retry.clone());
+        RunFaults { plan, state, platform, soa, names, tracer, retry_seq: 0 }
+    }
+
+    /// The runfunc task `(instance, node)` executes on PE column `col`
+    /// (empty where incompatible) — what fault rules match on.
+    pub fn kernel(&self, instance: u64, node: usize, col: usize) -> &'a str {
+        let spec = &self.soa.specs[self.names.spec_index(InstanceId(instance))];
+        spec.runfunc[node * self.soa.stride + col].as_str()
+    }
+
+    /// Notes the dispatch of `(instance, node)` on PE column `col` at
+    /// `at` and returns its 1-based attempt number. A retry landing on a
+    /// PE of another platform key than the one it last faulted on is
+    /// recorded as a degraded dispatch.
+    #[cold]
+    #[inline(never)]
+    pub fn note_dispatch(
+        &mut self,
+        instance: u64,
+        node: usize,
+        col: usize,
+        at: SimTime,
+        sink: &mut CompletionSink,
+    ) -> u32 {
+        let pe = &self.platform.pes[col];
+        let attempt = self.state.attempt_of(instance, node);
+        if attempt > 1 {
+            if let Some(prev) = self.state.last_fault_pe(instance, node) {
+                let prev_key =
+                    self.names.pe_column(prev).map(|c| self.platform.pes[c].platform_key.as_str());
+                if prev_key != Some(pe.platform_key.as_str()) {
+                    let first = self.state.note_degraded(instance, node);
+                    sink.record_degraded(at, instance, node, pe.id, first);
+                }
+            }
+        }
+        attempt
+    }
+
+    /// A faulted attempt of `(instance, node)` on `pe` at `at`: no task
+    /// record, no estimate update, no DAG progress — the work was lost.
+    /// Records the fault and runs the recovery policy; the engine then
+    /// frees or quarantines the PE and calls [`Self::settle`].
+    #[cold]
+    #[inline(never)]
+    pub fn on_fault(
+        &mut self,
+        at: SimTime,
+        instance: u64,
+        node: usize,
+        pe: PeId,
+        kind: FaultKind,
+        sink: &mut CompletionSink,
+    ) -> crate::fault::FaultAction {
+        sink.record_fault(at, instance, node, pe, kind);
+        self.state.on_fault(self.plan, instance, node, pe, kind, at)
+    }
+
+    /// Books a fault's outcome for task `(inst, node)`: its retry (it
+    /// re-enters the ready list at the release time) or its
+    /// application's abort.
+    pub fn settle(
+        &mut self,
+        action: crate::fault::FaultAction,
+        at: SimTime,
+        inst: u32,
+        node: u32,
+        sink: &mut CompletionSink,
+        retries: &mut Vec<RetryEntry>,
+    ) {
+        if let Some((attempt, release)) = action.retry {
+            sink.record_retry(at, inst as u64, node as usize, attempt, release);
+            retries.push(RetryEntry { release, seq: self.retry_seq, inst, node });
+            self.retry_seq += 1;
+        } else if action.newly_aborted {
+            sink.record_abort();
+        }
+    }
+}
+
+/// Quarantines every idle PE of `platform` whose scheduled permanent
 /// failure has passed by `now`, for either engine (busy PEs die through
 /// their in-flight attempt's fault decision instead). Runs only under a
 /// fault plan, so it stays out of line of the engine loops.
@@ -1012,12 +1187,12 @@ impl CompletionSink {
 #[inline(never)]
 pub fn fail_idle_pes(
     plan: &FaultPlan,
-    pes: impl IntoIterator<Item = PeId>,
+    platform: &PlatformConfig,
     now: SimTime,
     slots: &mut PeSlots,
     sink: &mut CompletionSink,
 ) {
-    for pe in pes {
+    for pe in platform.pes.iter().map(|pe| pe.id) {
         if slots.is_failed(pe) || slots.is_busy(pe) {
             continue;
         }
@@ -1042,24 +1217,24 @@ pub fn fail_idle_pes(
 ///   live PEs, so the stall is a genuine scheduler deadlock and the
 ///   caller reports its usual deadlock error.
 ///
-/// `supports(entry, col)` tells whether the entry's task can run on
-/// `platform.pes[col]`.
-pub fn resolve_unschedulable<E: ReadyEntry>(
+/// Compatibility is the SoA sentinel probe.
+pub(crate) fn resolve_unschedulable<E: ReadyEntry>(
     platform: &PlatformConfig,
     slots: &mut PeSlots,
     ready: &mut ReadyList<E>,
     state: &mut FaultState,
     sink: &mut CompletionSink,
     names: &NameTable,
-    supports: impl Fn(&E, usize) -> bool,
+    soa: &ScenarioSoa,
 ) -> Result<bool, EmuError> {
     let mut doomed: Vec<Assignment> = Vec::new();
     for (idx, entry) in ready.pending().iter().enumerate() {
-        let live = platform
-            .pes
-            .iter()
-            .enumerate()
-            .any(|(col, pe)| !slots.is_failed(pe.id) && supports(entry, col));
+        let (inst, node, _) = entry.ready_key();
+        let spec = &soa.specs[names.spec_index(InstanceId(inst))];
+        let live = platform.pes.iter().enumerate().any(|(col, pe)| {
+            !slots.is_failed(pe.id)
+                && spec.cost_ns[node as usize * soa.stride + col] != INCOMPATIBLE
+        });
         if !live {
             // ReadyList::remove only reads ready_idx; the PE field is a
             // placeholder.
@@ -1071,7 +1246,7 @@ pub fn resolve_unschedulable<E: ReadyEntry>(
     }
     if slots.failed_count() == platform.pes.len() {
         let (instance, node, pe) = state.last_context().unwrap_or((0, 0, PeId(0)));
-        let id = dssoc_appmodel::instance::InstanceId(instance);
+        let id = InstanceId(instance);
         return Err(EmuError::Fault {
             app: names.app(id).as_str().to_string(),
             node: names.node(id, node).as_str().to_string(),

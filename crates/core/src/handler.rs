@@ -26,12 +26,24 @@
 //!   posted completion bumps, with the same spin-then-park wait. Each
 //!   wait can be bounded by a deadline (the fault watchdog's).
 //!
-//! Spinning only pays when each spinner has a host core to itself. A
-//! pool spins when its PE-thread count is at most the host's available
-//! parallelism; otherwise its threads park at once, as a plain condvar
-//! hand-off would. On an oversubscribed host a spinner would steal the
-//! very core a kernel (or the manager) needs, which distorts the
-//! host-measured figures of `Measured`-overhead runs.
+//! Spinning only pays when a spinner does not take the core the thread
+//! it waits for needs. A pool spins when its PE-thread count is at most
+//! the host's available parallelism; otherwise its threads park at
+//! once, as a plain condvar hand-off would. On an oversubscribed host a
+//! spinner would steal the very core a kernel (or the manager) needs,
+//! which distorts the host-measured figures of `Measured`-overhead runs.
+//!
+//! The workload manager is not counted, although it spins too (in
+//! `Completions::wait_past`): a pool with as many PE threads as cores
+//! runs one spinner more than there are cores — three on a two-core host
+//! for a 2-PE pool. That is deliberate. Each spinner yields every
+//! `SPINS_PER_YIELD` polls, so one that shares a core with a thread
+//! that has work lets it run, and no spin outlasts `SPIN_BUDGET`.
+//! Counting the manager (`spin_enabled(pes + 1)`) was measured and is
+//! worse: it makes 2-PE pools on a two-core host park at once, and on
+//! `emu_sweep` that shape went from 88–92 to 38–46 jobs/s, with p50
+//! latency from 10.5–11.1 to 21–29 ms (three alternating pairs of runs)
+//! — every hand-off then paid two futex wake-ups.
 
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering::SeqCst};
 use std::sync::Arc;
@@ -58,7 +70,9 @@ const SPIN_BUDGET: Duration = Duration::from_micros(50);
 const SPINS_PER_YIELD: u32 = 64;
 
 /// Whether a pool of `pe_threads` resource-manager threads spins before
-/// parking: only when every thread can have a host core of its own.
+/// parking: only when every PE thread can have a host core of its own.
+/// The spinning workload manager is not counted (see the module docs for
+/// why, and what counting it was measured to cost).
 pub(crate) fn spin_enabled(pe_threads: usize) -> bool {
     pe_threads <= std::thread::available_parallelism().map_or(1, |n| n.get())
 }

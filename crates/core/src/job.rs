@@ -319,7 +319,7 @@ fn hash_platform(mut h: u64, p: &PlatformConfig) -> u64 {
 fn hash_app(mut h: u64, spec: &ApplicationSpec) -> u64 {
     h = mix_str(h, &spec.name);
     h = mix(h, spec.variables.len() as u64);
-    for (name, v) in &spec.variables {
+    for (name, v) in spec.variables.iter() {
         h = mix_str(h, name);
         h = mix(h, v.bytes as u64);
         h = mix(h, v.is_ptr as u64);

@@ -93,10 +93,7 @@ pub use soa::{ScenarioSoa, INCOMPATIBLE};
 
 pub use des::{DesConfig, DesSimulator};
 pub use engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
-pub use exec::{
-    pe_mask_bit, register_trace_meta, CompletionSink, ExecTracer, InstanceTracker, PeSlots,
-    ReadyList,
-};
+pub use exec::{pe_mask_bit, register_trace_meta, CompletionSink, ExecTracer, PeSlots, ReadyList};
 pub use fault::{
     FaultAction, FaultDecision, FaultPlan, FaultSpec, FaultState, PermanentFault, RateFault,
     RetryPolicy,

@@ -27,9 +27,10 @@ use std::time::{Duration, Instant};
 
 use dssoc_appmodel::error::ModelError;
 use dssoc_appmodel::memory::{AccelPort, TaskCtx};
+use dssoc_appmodel::registry::runfunc_id;
 use dssoc_platform::accel::{AccelJobReport, FftAccelerator};
 use dssoc_platform::cost::CostModel;
-use dssoc_platform::pe::{ContentionModel, PeId, PeKind, PlatformConfig};
+use dssoc_platform::pe::{ContentionModel, PeKind, PlatformConfig};
 use dssoc_platform::placement::Placement;
 use dssoc_trace::{DmaPhase, EventKind as TraceKind, TraceSink};
 
@@ -81,7 +82,9 @@ pub fn threads_spawned_total() -> u64 {
 /// [`ResourceHandler::wait_for_assignment`] between runs and are shut
 /// down and joined on [`Drop`]. While a run is on, they spin briefly
 /// before parking when the pool has no more threads than the host has
-/// cores (see the [`handler`](crate::handler) module).
+/// cores — the workload manager, which spins too, is deliberately not
+/// counted (see the [`handler`](crate::handler) module for the rule and
+/// the measurement behind it).
 pub struct ResourcePool {
     handlers: Vec<Arc<ResourceHandler>>,
     threads: Vec<JoinHandle<()>>,
@@ -97,6 +100,10 @@ impl ResourcePool {
         timing: TimingMode,
     ) -> Result<Self, EmuError> {
         let placement = Placement::compute(platform);
+        // PE threads only: the workload manager spins as well, but
+        // counting it makes every pool with as many PEs as cores park at
+        // once, which more than halves `emu_sweep` throughput on such
+        // pools (measured; see the `handler` module docs).
         let spin = spin_enabled(platform.pes.len());
         let completions = Completions::new(spin);
         let handlers: Vec<Arc<ResourceHandler>> = platform
@@ -159,16 +166,16 @@ impl ResourcePool {
     /// violation, task failure) so in-flight work cannot leak into the
     /// next run on this pool.
     pub fn drain(&self) {
-        self.drain_except(&std::collections::HashSet::new());
+        self.drain_except(&[]);
     }
 
     /// [`Self::drain`], skipping PEs whose manager thread is known
-    /// wedged (a fault watchdog fired on them): waiting on those would
-    /// block forever, and their eventual stale completions are
-    /// discarded by the next run instead.
-    pub fn drain_except(&self, skip: &std::collections::HashSet<PeId>) {
-        for h in &self.handlers {
-            if skip.contains(&h.pe_id()) {
+    /// wedged (a fault watchdog fired on them; `skip[i]` for the PE of
+    /// handler `i`): waiting on those would block forever, and their
+    /// eventual stale completions are discarded by the next run instead.
+    pub fn drain_except(&self, skip: &[bool]) {
+        for (i, h) in self.handlers.iter().enumerate() {
+            if skip.get(i).copied().unwrap_or(false) {
                 continue;
             }
             loop {
@@ -254,8 +261,9 @@ fn busy_wait_until(t0: Instant, total: Duration) {
 /// The resource-manager thread body. Returns when the workload manager
 /// shuts the handler down.
 pub fn resource_manager_loop(ctx: RmContext) {
-    // Per-runfunc running averages for outlier clamping.
-    let mut kernel_ewma: std::collections::HashMap<String, f64> = std::collections::HashMap::new();
+    // Per-kernel running averages for outlier clamping, indexed by the
+    // runfunc's process-wide id (NaN until the kernel first runs here).
+    let mut kernel_ewma: Vec<f64> = Vec::new();
     // Accelerator PEs own their device for the lifetime of the thread.
     let port: Option<FftPort> = match &ctx.handler.pe.kind {
         PeKind::Accel(model) if model.kind == "fft" => {
@@ -265,22 +273,23 @@ pub fn resource_manager_loop(ctx: RmContext) {
     };
 
     while let Some(assignment) = ctx.handler.wait_for_assignment() {
-        let task = assignment.task;
-        let node = task.node().clone();
+        // The node, its arguments and its kernel are borrowed from the
+        // task's instance for the whole execution: nothing per task is
+        // copied.
+        let node = assignment.task.node();
         let platform = node.platform(&ctx.handler.pe.platform_key);
 
         let t0 = Instant::now();
-        let (result, reports, runfunc) = match platform {
+        let (result, reports) = match platform {
             Some(p) => {
                 let task_ctx = TaskCtx::new(
-                    &task.instance.memory,
+                    &assignment.task.instance.memory,
                     &node.name,
                     &node.arguments,
                     port.as_ref().map(|p| p as &dyn AccelPort),
                 );
                 let r = p.kernel.run(&task_ctx);
-                let reports = task_ctx.take_accel_reports();
-                (r, reports, p.runfunc.clone())
+                (r, task_ctx.take_accel_reports())
             }
             None => (
                 Err(ModelError::KernelFailed {
@@ -291,26 +300,28 @@ pub fn resource_manager_loop(ctx: RmContext) {
                     ),
                 }),
                 Vec::new(),
-                String::new(),
             ),
         };
+        let runfunc = platform.map_or("", |p| p.runfunc.as_str());
         // On an oversubscribed host a concurrent PE thread can preempt
         // this one mid-kernel, inflating the wall measurement; clamp
         // outliers against this kernel's running average (each paper PE
         // has a dedicated core, so its measurements are preemption-free).
         let raw_measured = t0.elapsed();
-        let measured = match kernel_ewma.get_mut(&runfunc) {
-            Some(avg) => {
-                let clamped = raw_measured.as_secs_f64().min(*avg * 3.0);
-                *avg = 0.8 * *avg + 0.2 * clamped;
-                Duration::from_secs_f64(clamped)
-            }
-            None => {
-                kernel_ewma.insert(runfunc.clone(), raw_measured.as_secs_f64());
-                raw_measured
-            }
+        let id = platform.map_or_else(|| runfunc_id(""), |p| p.runfunc_id) as usize;
+        if id >= kernel_ewma.len() {
+            kernel_ewma.resize(id + 1, f64::NAN);
+        }
+        let avg = &mut kernel_ewma[id];
+        let measured = if avg.is_nan() {
+            *avg = raw_measured.as_secs_f64();
+            raw_measured
+        } else {
+            let clamped = raw_measured.as_secs_f64().min(*avg * 3.0);
+            *avg = 0.8 * *avg + 0.2 * clamped;
+            Duration::from_secs_f64(clamped)
         };
-        let modeled = modeled_duration(&ctx, &runfunc, measured, &reports);
+        let modeled = modeled_duration(&ctx, runfunc, measured, &reports);
 
         if ctx.timing == TimingMode::WallClock {
             // Embody the model in real time, as the paper's testbed does.
@@ -359,7 +370,7 @@ pub fn resource_manager_loop(ctx: RmContext) {
         });
 
         ctx.handler.post_completion(TaskCompletion {
-            task,
+            task: assignment.task,
             start: assignment.start,
             modeled,
             measured,

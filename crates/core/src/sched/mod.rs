@@ -114,7 +114,7 @@ pub struct EstimateBook {
     // runfunc -> PE class -> slot in `values` (nested so lookups borrow).
     slots: HashMap<String, HashMap<String, EstimateSlot, FnvBuild>, FnvBuild>,
     // EWMA durations; `None` = slot reserved but nothing observed yet.
-    values: Vec<Option<Duration>>,
+    pub(crate) values: Vec<Option<Duration>>,
 }
 
 impl EstimateBook {

@@ -13,7 +13,9 @@
 //!   DES validation path.
 //! * `est_slot` — the raw estimate-book slot each completion observation
 //!   lands in (aligned with `cost_ns`; only meaningful where
-//!   compatible).
+//!   compatible), and `est_prior_ns`, the JSON per-platform estimate that
+//!   takes precedence over the book's observations — together what
+//!   [`ScenarioSoa::estimate`] needs to answer without a string key.
 //! * `runfunc` — the interned runfunc [`Name`] per pair (the empty
 //!   default name where incompatible, matching what the dispatch path
 //!   resolved before).
@@ -32,11 +34,12 @@
 //! [`NameTable::spec_index`]: crate::intern::NameTable::spec_index
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use dssoc_appmodel::app::ApplicationSpec;
-use dssoc_appmodel::instance::AppInstance;
+use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_platform::cost::CostModel;
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeDescriptor, PlatformConfig};
 
 use crate::intern::{Name, NameTable};
 use crate::job::dispatch_duration;
@@ -47,6 +50,9 @@ use crate::sched::EstimateBook;
 /// `Duration::as_nanos()` clamped into `u64`, and a real `u64::MAX` ns
 /// cost (584 years) would saturate the clock long before mattering.
 pub const INCOMPATIBLE: u64 = u64::MAX;
+
+/// Sentinel in [`SpecSoa::est_prior_ns`]: no JSON estimate.
+pub(crate) const NO_PRIOR: u64 = u64::MAX;
 
 /// One application spec's per-`(node, PE)` data as parallel dense
 /// arrays (see module docs). All slabs are indexed
@@ -68,6 +74,9 @@ pub struct SpecSoa {
     /// Raw estimate-book slots aligned with `cost_ns` (zero where
     /// incompatible — never read there).
     pub(crate) est_slot: Vec<u32>,
+    /// The JSON `mean_exec` estimate in ns per pair, [`NO_PRIOR`] where
+    /// the JSON gives none (or the pair is incompatible).
+    pub(crate) est_prior_ns: Vec<u64>,
     /// Interned runfunc per pair (`Name::default()` where incompatible).
     pub(crate) runfunc: Vec<Name>,
     /// Per-node compatibility bitmask over PE columns (bit `c` set when
@@ -113,6 +122,27 @@ impl ScenarioSoa {
         ScenarioSoa { stride: platform.pes.len(), specs }
     }
 
+    /// [`EstimateBook::estimate`] for task `(inst, node)` on PE column
+    /// `col` (PE `pe`) — the JSON estimate, else `book`'s observations,
+    /// else a speed-scaled default — by the pair's pre-resolved slot
+    /// instead of its string key.
+    pub(crate) fn estimate(
+        &self,
+        names: &NameTable,
+        book: &EstimateBook,
+        (inst, node): (u32, u32),
+        col: usize,
+        pe: &PeDescriptor,
+    ) -> Duration {
+        let spec = &self.specs[names.spec_index(InstanceId(inst as u64))];
+        let cell = node as usize * self.stride + col;
+        match spec.est_prior_ns[cell] {
+            NO_PRIOR => book.values[spec.est_slot[cell] as usize]
+                .unwrap_or_else(|| Duration::from_secs_f64(100e-6 / pe.speed())),
+            prior => Duration::from_nanos(prior),
+        }
+    }
+
     /// Number of distinct application specs.
     pub fn spec_count(&self) -> usize {
         self.specs.len()
@@ -145,6 +175,7 @@ impl SpecSoa {
         }
         let mut cost_ns = vec![INCOMPATIBLE; n * stride];
         let mut est_slot = vec![0u32; n * stride];
+        let mut est_prior_ns = vec![NO_PRIOR; n * stride];
         let mut runfunc = vec![Name::default(); n * stride];
         for (node_idx, node) in spec.nodes.iter().enumerate() {
             for (col, pe) in platform.pes.iter().enumerate() {
@@ -153,6 +184,9 @@ impl SpecSoa {
                     let dur = dispatch_duration(cost, node, pe);
                     cost_ns[k] = dur.as_nanos().min(u64::MAX as u128 - 1) as u64;
                     est_slot[k] = estimates.slot_of(&p.runfunc, pe.class_name()).raw();
+                    if let Some(d) = p.mean_exec {
+                        est_prior_ns[k] = d.as_nanos().min(NO_PRIOR as u128 - 1) as u64;
+                    }
                     runfunc[k] =
                         names.runfunc_by_spec(spec_idx, node_idx, col).cloned().unwrap_or_default();
                 }
@@ -177,6 +211,7 @@ impl SpecSoa {
             succ,
             cost_ns,
             est_slot,
+            est_prior_ns,
             runfunc,
             compat,
             roots,

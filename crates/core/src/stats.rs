@@ -65,10 +65,10 @@ impl TaskRecord {
     }
 }
 
-/// The dense form of a run's per-task records: the six completion
-/// columns the DES event loop appended, plus what it takes to expand
-/// them into [`TaskRecord`]s — the scenario's interned [`NameTable`]
-/// and the column→[`PeId`] map.
+/// The dense form of a run's per-task records: the completion columns
+/// an engine loop appended, plus what it takes to expand them into
+/// [`TaskRecord`]s — the scenario's interned [`NameTable`] and the
+/// column→[`PeId`] map.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseTaskLog {
     /// Struct-of-arrays completion facts, in completion order.
@@ -80,13 +80,14 @@ pub(crate) struct DenseTaskLog {
 }
 
 impl DenseTaskLog {
-    /// Expands the columns into fat records, in the same completion
-    /// order (and with the same field values) the eager
-    /// `record_task` path would have produced.
+    /// Expands the columns into fat records, in completion order. Runs
+    /// without the host columns (the DES) started `dur_ns` before they
+    /// finished and measured nothing.
     fn materialize(&self) -> Vec<TaskRecord> {
         let c = &self.cols;
         (0..c.len())
             .map(|k| {
+                let start = c.start_ns.get(k).map_or(c.finish_ns[k] - c.dur_ns[k], |&s| s);
                 let id = InstanceId(c.inst[k] as u64);
                 let node_idx = c.node[k] as usize;
                 let col = c.col[k] as usize;
@@ -103,19 +104,19 @@ impl DenseTaskLog {
                         .unwrap_or_default(),
                     pe: self.pes[col],
                     ready_at: SimTime(c.ready_ns[k]),
-                    start: SimTime(c.finish_ns[k] - c.dur_ns[k]),
+                    start: SimTime(start),
                     finish: SimTime(c.finish_ns[k]),
                     modeled: Duration::from_nanos(c.dur_ns[k]),
-                    measured: Duration::ZERO,
+                    measured: Duration::from_nanos(c.measured_ns.get(k).copied().unwrap_or(0)),
                 }
             })
             .collect()
     }
 }
 
-/// Per-task records of one run: either eagerly materialized
-/// [`TaskRecord`]s (the threaded engine records them inline) or the
-/// DES's dense completion columns, expanded to records on first access.
+/// Per-task records of one run: either given as [`TaskRecord`]s or an
+/// engine's dense completion columns, expanded to records on first
+/// access.
 ///
 /// Cheap queries — [`len`](Self::len), [`is_empty`](Self::is_empty) —
 /// never materialize. Everything else ([`Deref`]s to `[TaskRecord]`,
