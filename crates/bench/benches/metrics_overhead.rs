@@ -3,13 +3,15 @@
 //!
 //! * **record path** — ns/op of one counter-cell increment and one
 //!   histogram-cell record (single-writer cells, relaxed load+store;
-//!   the engines pay one of these per instrumented event), plus the
-//!   cost of a full registry snapshot while producers exist;
+//!   the engines pay these when they fold a run's completions into
+//!   their cells), plus the cost of a full registry snapshot while
+//!   producers exist;
 //! * **end to end** — the same 4-PE validation run with metrics off vs
 //!   on, for both engines. The budget is <3% added wall time on the
 //!   threaded engine (see README.md for the measured numbers). The DES
 //!   runs the same event loop either way, so its off/on delta is the
-//!   cost of the samples alone.
+//!   cost of registering an engine's cells (each iteration builds a
+//!   new simulator) plus the fold.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;

@@ -53,8 +53,9 @@
 //!   per entry), and its assignments are validated;
 //! * completed-task facts always go to struct-of-arrays columns that
 //!   become the run's task log, materialized into [`TaskRecord`]s only if
-//!   a consumer reads them; live metrics and trace events are sampled
-//!   from the same raw fields behind one branch per completion. Fault
+//!   a consumer reads them; trace events are emitted from the same raw
+//!   fields behind one branch per completion, and live metrics are
+//!   folded from the columns in batches (see [`crate::metrics`]). Fault
 //!   handling runs out of line, so fault-free runs never pay for its
 //!   code in the loop;
 //! * every growable buffer lives in a warm per-simulator
@@ -93,7 +94,7 @@ use crate::exec::{
 use crate::fault::{FaultDecision, FaultSpec};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
-use crate::metrics::OverheadPhase;
+use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::sched::{EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::stats::{DenseTaskLog, EmulationStats};
 use crate::time::SimTime;
@@ -118,9 +119,10 @@ pub struct DesConfig {
     /// faulty runs.
     pub faults: Option<Arc<FaultSpec>>,
     /// Optional live-metrics registry. The DES publishes the same
-    /// metric families as the threaded engine through the shared
-    /// scheduling core, so dashboards and the cross-engine metrics
-    /// differential test see one schema.
+    /// metric families as the threaded engine from the shared
+    /// scheduling core's run state, so dashboards and the cross-engine
+    /// metrics differential test see one schema. The simulator
+    /// registers its cells once, when it is built.
     pub metrics: Option<MetricsRegistry>,
 }
 
@@ -189,6 +191,8 @@ pub struct DesSimulator {
     config: DesConfig,
     /// Warm per-simulator buffers, reset (not freed) between runs.
     scratch: RunScratch,
+    /// The simulator's metric cells, with `config.metrics`.
+    metrics: Option<EngineMetrics>,
 }
 
 impl DesSimulator {
@@ -200,7 +204,8 @@ impl DesSimulator {
     ) -> Result<Self, EmuError> {
         let platform = platform.into();
         platform.validate().map_err(EmuError::Config)?;
-        Ok(DesSimulator { platform, config, scratch: RunScratch::default() })
+        let metrics = config.metrics.as_ref().map(|r| EngineMetrics::new(r, &platform));
+        Ok(DesSimulator { platform, config, scratch: RunScratch::default(), metrics })
     }
 
     /// The platform being simulated.
@@ -247,18 +252,21 @@ impl DesSimulator {
         trace: Option<&TraceSink>,
         cancel: Option<&AtomicBool>,
     ) -> Result<EmulationStats, EmuError> {
-        // Split the warm scratch out of `self` (so the loop can borrow
-        // `&self` and the arena disjointly); it always returns.
+        // Split the warm scratch and the metric cells out of `self` (so
+        // the loop can borrow `&self` and them disjointly); both return.
         let mut scratch = std::mem::take(&mut self.scratch);
+        let mut metrics = self.metrics.take();
         let trace = trace.or(self.config.trace.as_ref());
-        let result = self.run_loop(scheduler, scenario, trace, cancel, &mut scratch);
+        let result =
+            self.run_loop(scheduler, scenario, trace, cancel, &mut scratch, metrics.as_mut());
         self.scratch = scratch;
+        self.metrics = metrics;
         result
     }
 
     /// The event loop over a compiled scenario's shared state. All
     /// per-run growable state comes from (and returns to) the scratch
-    /// arena, on every exit path.
+    /// arena, and the run is published to `metrics`, on every exit path.
     fn run_loop(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -266,6 +274,7 @@ impl DesSimulator {
         trace: Option<&TraceSink>,
         cancel: Option<&AtomicBool>,
         s: &mut RunScratch,
+        mut metrics: Option<&mut EngineMetrics>,
     ) -> Result<EmulationStats, EmuError> {
         let instances = scenario.instances();
         let names_arc = &scenario.names;
@@ -282,8 +291,8 @@ impl DesSimulator {
         // the emulator's estimates.
         let label = format!("{} (DES)", scheduler.name());
         let trace = trace.map(|t| (t, label.as_str(), "des"));
-        let mut p =
-            RunParts::new(&self.platform, 0, self.config.metrics.as_ref(), trace, instances, s);
+        let m = metrics.as_deref_mut();
+        let mut p = RunParts::new(&self.platform, 0, m, names, trace, instances, s);
         let RunScratch {
             dag,
             arrival_order,
@@ -324,9 +333,8 @@ impl DesSimulator {
         // deadlines from estimates).
         let observe = scheduler.uses_estimates() || plan.is_some();
         let charge = self.config.overhead_per_invocation;
-        // Live observers; without them the completion path skips every
-        // sample on one branch.
-        let observed = p.metrics.enabled() || p.tracer.enabled();
+        // Untraced, the completion path skips every event on one branch.
+        let traced = p.tracer.enabled();
         // `PeId` by platform column (also the task log's column map).
         let pe_ids: Vec<PeId> = self.platform.pes.iter().map(|pe| pe.id).collect();
         let mut clock = SimTime::ZERO;
@@ -368,15 +376,13 @@ impl DesSimulator {
                     );
                 }
                 // The completion facts go to the SoA columns (the run's
-                // task log); live observers sample the same raw fields.
+                // task log, and what the metrics fold reads); the trace
+                // reads the same raw fields.
                 done.push(ev.inst, ev.node, ev.col, ev.ready_at.0, ev.time.0, ev.dur_ns);
-                if observed {
-                    let dur = Duration::from_nanos(ev.dur_ns);
+                if traced {
                     p.tracer.emit(ev.time, TraceKind::PeIdle { pe: pe.0 });
-                    let (start, kernel) = (SimTime(ev.time.0 - ev.dur_ns), &spec.runfunc[cell]);
-                    let (inst, node) = (id.0, ev.node);
-                    let (ready_at, finish, zero) = (ev.ready_at, ev.time, Duration::ZERO);
-                    p.sink.observe_task(pe, inst, node, ready_at, start, finish, dur, zero, kernel);
+                    let start = SimTime(ev.time.0 - ev.dur_ns);
+                    p.sink.trace_task(pe, (id.0, ev.node), ev.ready_at, start, ev.time);
                 }
                 if dag.complete(spec, ev.inst, ev.node, ev.time, &mut p.ready) {
                     let inst = &instances[ev.inst as usize];
@@ -402,6 +408,9 @@ impl DesSimulator {
 
             if let Some(plan) = plan {
                 fail_idle_pes(plan, &self.platform, clock, &mut p.slots, &mut p.sink);
+            }
+            if let Some(m) = metrics.as_deref_mut().filter(|m| m.due(done.len())) {
+                m.publish(&mut p, done, names, soa);
             }
 
             // Schedule at the current clock: place ready tasks as
@@ -493,8 +502,11 @@ impl DesSimulator {
             }
         };
 
-        // Return recycled buffers to the arena for the next run, whether
-        // the run finished or stopped early.
+        // Publish the run and return recycled buffers to the arena for
+        // the next run, whether the run finished or stopped early.
+        if let Some(m) = metrics {
+            m.end_run(&mut p, done, names, soa, outcome.is_ok().then_some(label.as_str()));
+        }
         view_scratch.put(views);
         s.recycle(p.ready, p.tasks);
         outcome?;
@@ -507,12 +519,7 @@ impl DesSimulator {
             names: Arc::clone(names_arc),
             pes: pe_ids,
         };
-        Ok(p.sink.finish(
-            &self.platform,
-            format!("{} (DES)", scheduler.name()),
-            instances.to_vec(),
-            log,
-        ))
+        Ok(p.sink.finish(&self.platform, label, instances.to_vec(), log))
     }
 }
 

@@ -47,7 +47,9 @@
 //!   and observed at the scenario's pre-resolved estimate slots, and DAG
 //!   progress is the flat countdown arrays the DES uses;
 //! * completions go to struct-of-arrays columns that become the run's
-//!   task log, materialized into records only if a consumer reads them;
+//!   task log, materialized into records only if a consumer reads them,
+//!   and live metrics are folded from those columns in batches into
+//!   cells the `Emulation` registered once (see [`crate::metrics`]);
 //! * every buffer lives in a warm per-pool `RunScratch` arena, so a
 //!   warm `Emulation` runs its loop allocation-free across runs;
 //! * fault handling runs out of line; fault-free runs never execute it;
@@ -100,7 +102,7 @@ use crate::fault::{FaultDecision, FaultPlan, FaultSpec};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
-use crate::metrics::OverheadPhase;
+use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
 use crate::sched::{EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::soa::ScenarioSoa;
@@ -478,6 +480,8 @@ pub struct Emulation {
     wedged: Vec<bool>,
     /// Warm per-pool buffers, reset (not freed) between runs.
     scratch: RunScratch,
+    /// The emulation's metric cells, with `config.metrics`.
+    metrics: Option<EngineMetrics>,
 }
 
 impl Emulation {
@@ -502,7 +506,9 @@ impl Emulation {
             pool.attach_trace(sink);
         }
         let wedged = vec![false; platform.pes.len()];
-        Ok(Emulation { platform, config, pool, wedged, scratch: RunScratch::default() })
+        let metrics = config.metrics.as_ref().map(|r| EngineMetrics::new(r, &platform));
+        let scratch = RunScratch::default();
+        Ok(Emulation { platform, config, pool, wedged, scratch, metrics })
     }
 
     /// The platform being emulated.
@@ -554,15 +560,17 @@ impl Emulation {
         if let Some(sink) = trace {
             self.pool.attach_trace(sink);
         }
-        // Split the warm scratch and the wedged set out of `self` (so the
-        // loop can borrow `&self` and them disjointly); both return.
+        // Split the warm scratch, the wedged set and the metric cells out
+        // of `self` (so the loop can borrow `&self` and them
+        // disjointly); all return.
         let mut scratch = std::mem::take(&mut self.scratch);
         let mut wedged = std::mem::take(&mut self.wedged);
+        let mut metrics = self.metrics.take();
         // Empty only if an earlier run panicked mid-loop.
         wedged.resize(self.platform.pes.len(), false);
         let sink = trace.or(self.config.trace.as_ref());
-        let result =
-            self.workload_manager(scheduler, scenario, instances, sink, &mut scratch, &mut wedged);
+        let (s, m) = (&mut scratch, metrics.as_mut());
+        let result = self.workload_manager(scheduler, scenario, instances, sink, s, &mut wedged, m);
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
             // every PE is idle again for the next run on this pool —
@@ -571,6 +579,7 @@ impl Emulation {
         }
         self.scratch = scratch;
         self.wedged = wedged;
+        self.metrics = metrics;
         if trace.is_some() {
             match &self.config.trace {
                 Some(sink) => self.pool.attach_trace(sink),
@@ -581,7 +590,9 @@ impl Emulation {
     }
 
     /// Sets up one run's workload manager over the warm arena, runs its
-    /// loop, and folds the outcome into the run's statistics.
+    /// loop, and folds the outcome into the run's statistics and its
+    /// metrics.
+    #[allow(clippy::too_many_arguments)]
     fn workload_manager(
         &self,
         scheduler: &mut dyn Scheduler,
@@ -590,21 +601,23 @@ impl Emulation {
         trace: Option<&TraceSink>,
         s: &mut RunScratch,
         wedged: &mut [bool],
+        mut metrics: Option<&mut EngineMetrics>,
     ) -> Result<EmulationStats, EmuError> {
         let platform = &*self.platform;
         let total = s.begin(scenario, &instances);
         s.done.reserve_host(total);
         s.ready_at.resize(platform.pes.len(), SimTime::ZERO);
         let trace = trace.map(|t| (t, scheduler.name(), "workload-manager"));
-        let (registry, depth) = (self.config.metrics.as_ref(), self.config.reservation_depth);
-        let mut p = RunParts::new(platform, depth, registry, trace, &instances, s);
+        let depth = self.config.reservation_depth;
+        let (names, soa) = (scenario.names(), scenario.soa());
+        let m = metrics.as_deref_mut();
+        let mut p = RunParts::new(platform, depth, m, names, trace, &instances, s);
         // PEs whose manager thread wedged in an earlier run on this pool
         // start this run quarantined; their eventual (stale) completions
         // are discarded.
         for (col, _) in wedged.iter().enumerate().filter(|(_, &w)| w) {
             p.slots.fail(platform.pes[col].id);
         }
-        let (names, soa) = (scenario.names(), scenario.soa());
         let faults = scenario.plan().map(|plan| EmuFaults {
             run: RunFaults::new(plan, platform, soa, names, p.tracer.clone()),
             running: (0..platform.pes.len()).map(|_| None).collect(),
@@ -619,7 +632,7 @@ impl Emulation {
             soa,
             s,
             wedged,
-            observed: p.metrics.enabled() || p.tracer.enabled(),
+            metrics,
             p,
             faults,
             views,
@@ -627,9 +640,13 @@ impl Emulation {
             next_arrival: 0,
         };
         let outcome = m.run(scheduler);
-        let Manager { s, p, views, .. } = m;
-        // Return recycled buffers to the arena for the next run, whether
-        // the run finished or stopped early.
+        let Manager { s, mut p, views, metrics, .. } = m;
+        // Publish the run and return recycled buffers to the arena for
+        // the next run, whether the run finished or stopped early.
+        if let Some(m) = metrics {
+            let finished = outcome.is_ok().then_some(scheduler.name());
+            m.end_run(&mut p, &s.done, names, soa, finished);
+        }
         s.views.put(views);
         s.recycle(p.ready, p.tasks);
         outcome?;
@@ -655,9 +672,9 @@ struct Manager<'r> {
     soa: &'r ScenarioSoa,
     s: &'r mut RunScratch,
     wedged: &'r mut [bool],
+    /// The run's metrics, folded every `PUBLISH_EVERY` completions.
+    metrics: Option<&'r mut EngineMetrics>,
     p: RunParts,
-    /// Live metrics or a trace are on: completions are sampled.
-    observed: bool,
     faults: Option<EmuFaults<'r>>,
     views: Vec<PeView<'r>>,
     vclock: SimTime,
@@ -712,6 +729,9 @@ impl<'r> Manager<'r> {
             }
             progress |= self.inject(now);
             let update_raw = t_upd.map_or(Duration::ZERO, |t| t.elapsed());
+            if let Some(m) = self.metrics.as_deref_mut().filter(|m| m.due(self.s.done.len())) {
+                m.publish(&mut self.p, &self.s.done, self.names, self.soa);
+            }
 
             // Charge monitor/update overhead on productive iterations.
             // (Idle polls are not charged — the paper's overhead metric
@@ -953,8 +973,8 @@ impl<'r> Manager<'r> {
         outcome
     }
 
-    /// Books a successful completion: estimate, task log, live
-    /// observers, DAG progress and a finished application.
+    /// Books a successful completion: estimate, task log, trace, DAG
+    /// progress and a finished application.
     fn complete(&mut self, c: &Collected, ready_at: SimTime) {
         let (id, soa) = (InstanceId(c.inst as u64), self.soa);
         let spec = &soa.specs[self.names.spec_index(id)];
@@ -965,12 +985,9 @@ impl<'r> Manager<'r> {
         done.push(c.inst, c.node, c.col, ready_at.0, c.finish.0, dur_ns);
         done.start_ns.push(c.start.0);
         done.measured_ns.push(c.measured.as_nanos() as u64);
-        if self.observed {
+        if self.p.tracer.enabled() {
             let pe = self.platform.pes[c.col as usize].id;
-            let (start, finish, kernel) = (c.start, c.finish, &spec.runfunc[cell]);
-            let (inst, node, modeled, measured) = (id.0, c.node, c.modeled, c.measured);
-            let sink = &self.p.sink;
-            sink.observe_task(pe, inst, node, ready_at, start, finish, modeled, measured, kernel);
+            self.p.sink.trace_task(pe, (id.0, c.node), ready_at, c.start, c.finish);
         }
         if self.s.dag.complete(spec, c.inst, c.node, c.finish, &mut self.p.ready) {
             let inst = &self.instances[c.inst as usize];

@@ -28,7 +28,7 @@ use std::time::Duration;
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::workload::Workload;
-use dssoc_metrics::MetricsRegistry;
+use dssoc_metrics::HistogramData;
 use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
 
@@ -36,7 +36,7 @@ use crate::arena::{DenseReady, RetryEntry, RunScratch};
 use crate::engine::EmuError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::intern::{Name, NameTable};
-use crate::metrics::{ExecMetrics, OverheadPhase};
+use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::sched::{Assignment, PeView};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{
@@ -152,7 +152,7 @@ pub fn preflight_compat(
 /// An entry the [`ReadyList`] can queue: a [`ReadyTask`] (an `Arc` task
 /// handle, what a `dyn` policy reads) or the engines' `Arc`-free
 /// `(instance, node)` index pair. The list only needs the task key and
-/// readiness time its `task_ready` hooks report, and a place to stamp
+/// readiness time its `task_ready` trace event reports, and a place to stamp
 /// the readiness sequence number.
 pub trait ReadyEntry {
     /// `(instance id, node index, ready time)` of the queued task.
@@ -189,7 +189,9 @@ pub struct ReadyList<E = ReadyTask> {
     lent: usize,
     seq: u64,
     tracer: ExecTracer,
-    metrics: ExecMetrics,
+    /// The ready depth after each [`Self::push_entry`], when recorded
+    /// (see [`Self::record_depth`]).
+    depth_samples: Option<HistogramData>,
 }
 
 impl<E> Default for ReadyList<E> {
@@ -200,7 +202,7 @@ impl<E> Default for ReadyList<E> {
             lent: 0,
             seq: 0,
             tracer: ExecTracer::default(),
-            metrics: ExecMetrics::default(),
+            depth_samples: None,
         }
     }
 }
@@ -236,10 +238,17 @@ impl<E: ReadyEntry> ReadyList<E> {
         self.tracer = tracer;
     }
 
-    /// Installs the run's metrics handle; [`Self::push_entry`] also
-    /// funnels the ready-depth gauge and histogram samples.
-    pub fn set_metrics(&mut self, metrics: ExecMetrics) {
-        self.metrics = metrics;
+    /// Records the list's length after every [`Self::push_entry`] into a
+    /// plain histogram, for the metrics fold to take with
+    /// [`Self::take_depth_samples`].
+    pub fn record_depth(&mut self) {
+        self.depth_samples = Some(HistogramData::new());
+    }
+
+    /// The depth samples recorded since the last call (empty when not
+    /// recording).
+    pub fn take_depth_samples(&mut self) -> HistogramData {
+        self.depth_samples.as_mut().map(std::mem::take).unwrap_or_default()
     }
 
     /// Appends a newly ready entry, stamping the next sequence number.
@@ -252,19 +261,21 @@ impl<E: ReadyEntry> ReadyList<E> {
         entry.set_seq(self.seq);
         self.items.push(entry);
         self.seq += 1;
-        if self.metrics.enabled() {
-            self.metrics.task_ready(self.len());
+        let depth = self.len() as u64;
+        if let Some(samples) = &mut self.depth_samples {
+            samples.record(depth);
         }
     }
 
     /// Appends an entry that keeps the sequence number it carries — one
-    /// lent by another list, which fires its hooks. Fires none.
+    /// lent by another list, which traced and counted it. Records
+    /// nothing.
     pub fn push_stamped(&mut self, entry: E) {
         self.items.push(entry);
     }
 
     /// Hands every held entry to `take`, in order, and empties the list
-    /// while the entries stay pending in [`Self::len`] and its hooks: the
+    /// while the entries stay pending in [`Self::len`]: the
     /// caller keeps them in another form (the DES's `ReadyTask`s for a
     /// `dyn` policy) and reports each one leaving via [`Self::return_lent`].
     pub fn lend(&mut self, take: impl FnMut(&E)) {
@@ -278,7 +289,6 @@ impl<E: ReadyEntry> ReadyList<E> {
     pub fn return_lent(&mut self, n: usize) {
         debug_assert!(n <= self.lent);
         self.lent -= n;
-        self.metrics.tasks_unready(n);
     }
 
     /// The entries held here awaiting dispatch, in readiness order (lent
@@ -309,7 +319,6 @@ impl<E: ReadyEntry> ReadyList<E> {
             self.remove_prefix(assignments.len());
             return;
         }
-        self.metrics.tasks_unready(assignments.len());
         // One order-preserving pass drops the consumed prefix and the
         // dispatched entries together.
         let head = self.head;
@@ -332,7 +341,6 @@ impl<E: ReadyEntry> ReadyList<E> {
     #[inline]
     pub fn remove_prefix(&mut self, n: usize) {
         debug_assert!(n <= self.len());
-        self.metrics.tasks_unready(n);
         self.head += n;
         if self.head > Self::RECLAIM_MIN && self.head * 2 > self.items.len() {
             self.items.drain(..self.head);
@@ -376,7 +384,6 @@ pub struct PeSlots {
     failed_count: usize,
     depth: usize,
     ids: Vec<PeId>, // the PEs, in column order
-    metrics: ExecMetrics,
 }
 
 /// One PE's occupancy, by `PeId`.
@@ -425,14 +432,7 @@ impl PeSlots {
             failed_count: 0,
             depth,
             ids,
-            metrics: ExecMetrics::disabled(),
         }
-    }
-
-    /// Installs the run's metrics handle; busy/idle/quarantine
-    /// transitions drive the PE gauges from here in both engines.
-    pub fn set_metrics(&mut self, metrics: ExecMetrics) {
-        self.metrics = metrics;
     }
 
     /// The configured reservation-queue depth.
@@ -496,7 +496,6 @@ impl PeSlots {
             let bit = slot.bit;
             self.failed_cols |= bit;
             self.failed_count += 1;
-            self.metrics.pe_quarantined();
         }
     }
 
@@ -542,7 +541,6 @@ impl PeSlots {
                 0 => self.busy_wide += 1,
                 bit => self.busy_cols |= bit,
             }
-            self.metrics.pe_busy();
         }
     }
 
@@ -581,7 +579,6 @@ impl PeSlots {
                     0 => self.busy_wide -= 1,
                     bit => self.busy_cols &= !bit,
                 }
-                self.metrics.pe_idle();
             }
         }
         None
@@ -698,39 +695,34 @@ pub(crate) fn release_retries(
     due
 }
 
-/// The per-run pieces both engine loops start from: the live observers,
-/// the ready lists (on the warm arena's recycled buffers), the PE slots
-/// and the statistics sink, wired together.
+/// The per-run pieces both engine loops start from: the tracer, the
+/// ready lists (on the warm arena's recycled buffers), the PE slots and
+/// the statistics sink, wired together.
 pub(crate) struct RunParts {
     pub ready: ReadyList<DenseReady>,
     /// The pending tasks as `ReadyTask`s, for `dyn` policies only: at
     /// each policy call `ready` lends the entries pushed since the last
-    /// one (one `Arc` clone each). `ready` still counts them and fires
-    /// the hooks.
+    /// one (one `Arc` clone each). `ready` still counts them.
     pub tasks: ReadyList<ReadyTask>,
     pub slots: PeSlots,
     pub sink: CompletionSink,
     pub tracer: ExecTracer,
-    pub metrics: ExecMetrics,
 }
 
 impl RunParts {
-    /// Sets up one run over `instances` on `platform` with
-    /// reservation-queue `depth`; `trace` is the sink with the run's
-    /// policy label and the engine's producer name. Pair with
-    /// [`RunScratch::recycle`].
+    /// Sets up one run over `instances` (named by `names`) on `platform`
+    /// with reservation-queue `depth`, published to `metrics`; `trace`
+    /// is the sink with the run's policy label and the engine's producer
+    /// name. Pair with [`RunScratch::recycle`].
     pub fn new(
         platform: &PlatformConfig,
         depth: usize,
-        registry: Option<&MetricsRegistry>,
+        metrics: Option<&mut EngineMetrics>,
+        names: &NameTable,
         trace: Option<(&TraceSink, &str, &str)>,
         instances: &[Arc<AppInstance>],
         s: &mut RunScratch,
     ) -> Self {
-        let metrics = match registry {
-            Some(registry) => ExecMetrics::attach(registry, platform, instances),
-            None => ExecMetrics::disabled(),
-        };
         let tracer = match trace {
             Some((trace_sink, policy, producer)) => {
                 register_trace_meta(trace_sink, platform, policy, instances);
@@ -739,16 +731,17 @@ impl RunParts {
             None => ExecTracer::disabled(),
         };
         let mut ready = ReadyList::recycled(std::mem::take(&mut s.ready_buf));
-        ready.set_metrics(metrics.clone());
+        if let Some(m) = metrics {
+            m.begin_run(names);
+            ready.record_depth();
+        }
         ready.set_tracer(tracer.clone());
         let tasks = ReadyList::recycled(std::mem::take(&mut s.ready_tasks));
-        let mut slots = PeSlots::for_platform(platform, depth);
-        slots.set_metrics(metrics.clone());
+        let slots = PeSlots::for_platform(platform, depth);
         let mut sink = CompletionSink::new();
         sink.apps.reserve(instances.len());
         sink.set_tracer(tracer.clone());
-        sink.set_metrics(metrics.clone());
-        RunParts { ready, tasks, slots, sink, tracer, metrics }
+        RunParts { ready, tasks, slots, sink, tracer }
     }
 
     /// Resolves a stall — ready tasks, nothing in flight, nothing due:
@@ -802,12 +795,16 @@ impl RunParts {
 
 /// Statistics accumulator shared by both engines: application records,
 /// overhead, invocation and reliability counters, folded with the run's
-/// completion columns into an [`EmulationStats`] when the run ends.
+/// completion columns into an [`EmulationStats`] when the run ends. The
+/// engines' metrics are folded from the same state (see
+/// [`crate::metrics`]).
 #[derive(Debug, Default)]
 pub struct CompletionSink {
     apps: Vec<AppRecord>,
     tracer: ExecTracer,
-    metrics: ExecMetrics,
+    /// Degraded dispatches, every one (the reliability counter counts
+    /// distinct tasks).
+    pub(crate) degraded_dispatches: u64,
     /// Accumulated workload-manager overhead.
     pub overhead: OverheadBreakdown,
     /// Number of scheduler invocations.
@@ -831,21 +828,17 @@ impl CompletionSink {
         self.tracer = tracer;
     }
 
-    /// Installs the run's metrics handle. Like the tracer, every
-    /// completion/fault/overhead sample in both engines funnels through
-    /// this sink, so the engines publish identical metric families.
-    pub fn set_metrics(&mut self, metrics: ExecMetrics) {
-        self.metrics = metrics;
+    /// The application records so far, in completion order.
+    pub(crate) fn apps(&self) -> &[AppRecord] {
+        &self.apps
     }
 
-    /// One scheduler invocation (also feeds the live counter).
+    /// One scheduler invocation.
     pub fn note_sched_invocation(&mut self) {
         self.sched_invocations += 1;
-        self.metrics.sched_invocation();
     }
 
-    /// Charges `d` of workload-manager overhead to `phase`, in both the
-    /// end-of-run breakdown and the live per-phase counters.
+    /// Charges `d` of workload-manager overhead to `phase`.
     pub fn charge_overhead(&mut self, phase: OverheadPhase, d: Duration) {
         match phase {
             OverheadPhase::Monitor => self.overhead.monitor += d,
@@ -853,39 +846,29 @@ impl CompletionSink {
             OverheadPhase::Schedule => self.overhead.schedule += d,
             OverheadPhase::Dispatch => self.overhead.dispatch += d,
         }
-        self.metrics.overhead(phase, d);
     }
 
     /// Records an application abort (fault recovery ran out of options
     /// for one of its tasks).
     pub fn record_abort(&mut self) {
         self.reliability.apps_aborted += 1;
-        self.metrics.abort();
     }
 
     /// Records an application completing despite injected faults.
     pub fn record_survival(&mut self) {
         self.reliability.apps_completed_despite_faults += 1;
-        self.metrics.survival();
     }
 
-    /// Samples one completed task into the live observers — the task
-    /// metric families and the trace's `task_slice` — from its raw
-    /// fields. Engines skip the call when neither observer is on.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn observe_task(
+    /// Emits one completed task's `task_slice` from its raw fields.
+    /// Engines skip the call when the run is not traced.
+    pub(crate) fn trace_task(
         &self,
         pe: PeId,
-        instance: u64,
-        node: u32,
+        (instance, node): (u64, u32),
         ready_at: SimTime,
         start: SimTime,
         finish: SimTime,
-        modeled: Duration,
-        measured: Duration,
-        kernel: &Name,
     ) {
-        self.metrics.task_completed(pe, start.since(ready_at), modeled, measured, kernel);
         let (ready_ns, start_ns, finish_ns) = (ready_at.0, start.0, finish.0);
         let slice =
             TraceKind::TaskSlice { instance, node, pe: pe.0, ready_ns, start_ns, finish_ns };
@@ -945,7 +928,6 @@ impl CompletionSink {
     /// Records one finished application.
     pub fn record_app(&mut self, rec: AppRecord) {
         self.tracer.emit(rec.finish, TraceKind::AppFinish { instance: rec.instance.0 });
-        self.metrics.app_completed(&rec);
         self.apps.push(rec);
     }
 
@@ -962,7 +944,6 @@ impl CompletionSink {
         kind: FaultKind,
     ) {
         self.tracer.emit(at, TraceKind::Fault { instance, node: node as u32, pe: pe.0, kind });
-        self.metrics.fault(kind);
         let r = &mut self.reliability;
         r.faults_injected += 1;
         match kind {
@@ -988,7 +969,6 @@ impl CompletionSink {
             at,
             TraceKind::Retry { instance, node: node as u32, attempt, release_ns: release.0 },
         );
-        self.metrics.retry();
         self.reliability.retries += 1;
     }
 
@@ -996,7 +976,6 @@ impl CompletionSink {
     /// detection time).
     pub fn record_quarantine(&mut self, at: SimTime, pe: PeId) {
         self.tracer.emit(at, TraceKind::Quarantine { pe: pe.0 });
-        self.metrics.quarantine();
         self.reliability.pes_quarantined += 1;
     }
 
@@ -1012,15 +991,15 @@ impl CompletionSink {
         first: bool,
     ) {
         self.tracer.emit(at, TraceKind::DegradedDispatch { instance, node: node as u32, pe: pe.0 });
-        self.metrics.degraded();
+        self.degraded_dispatches += 1;
         if first {
             self.reliability.tasks_degraded += 1;
         }
     }
 
     /// Folds the run into its statistics. The per-task facts arrive as
-    /// dense columns (each engine fires the live metrics and trace side
-    /// effects of a completion inline and records nothing here), and stay
+    /// dense columns (each engine emits a completion's trace events
+    /// inline and records nothing here), and stay
     /// dense in the returned stats (see [`TaskLog`](crate::stats::TaskLog)).
     /// PE busy time and makespan are computed with one pass over the
     /// columns: a PE's busy time is the sum of its tasks' modeled
@@ -1033,7 +1012,6 @@ impl CompletionSink {
         instances: Vec<Arc<AppInstance>>,
         dense: DenseTaskLog,
     ) -> EmulationStats {
-        self.metrics.run_completed(&scheduler);
         let cols = &dense.cols;
         let mut busy = vec![0u64; dense.pes.len()];
         let mut seen = vec![false; dense.pes.len()];

@@ -45,7 +45,7 @@
 //! latency from 10.5–11.1 to 21–29 ms (three alternating pairs of runs)
 //! — every hand-off then paid two futex wake-ups.
 
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicU8, Ordering::SeqCst};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -261,6 +261,10 @@ pub struct ResourceHandler {
     /// events without touching the dispatch/completion protocol, and the
     /// writer (`Send` but not `Sync`) crosses to that thread through it.
     trace: Mutex<Option<TraceWriter>>,
+    /// Whether `trace` holds a writer, so an untraced thread skips its
+    /// lock. Written under that lock between runs; the dispatch hand-off
+    /// orders it before the resource-manager thread's next read.
+    traced: AtomicBool,
 }
 
 impl ResourceHandler {
@@ -291,6 +295,7 @@ impl ResourceHandler {
             park: SpinPark::new(spin),
             completions,
             trace: Mutex::new(None),
+            traced: AtomicBool::new(false),
         })
     }
 
@@ -303,13 +308,19 @@ impl ResourceHandler {
 
     /// Installs (or removes) this PE's trace producer.
     pub(crate) fn set_trace(&self, writer: Option<TraceWriter>) {
-        *self.trace.lock() = writer;
+        let mut trace = self.trace.lock();
+        self.traced.store(writer.is_some(), Ordering::Release);
+        *trace = writer;
     }
 
-    /// Runs `f` against the installed trace writer, if any. The lock is
-    /// uncontended in steady state (the manager thread is the only
-    /// per-event caller; attach/detach happen between runs).
+    /// Runs `f` against the installed trace writer, if any. Untraced, it
+    /// takes no lock; traced, the lock is uncontended in steady state
+    /// (the resource-manager thread is the only per-event caller;
+    /// attach/detach happen between runs).
     pub(crate) fn with_trace(&self, f: impl FnOnce(&TraceWriter)) {
+        if !self.traced.load(Ordering::Acquire) {
+            return;
+        }
         if let Some(w) = self.trace.lock().as_ref() {
             f(w);
         }

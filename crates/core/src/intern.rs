@@ -226,6 +226,11 @@ impl NameTable {
         &self.spec(inst).app
     }
 
+    /// The application name of spec index `spec`.
+    pub(crate) fn spec_app(&self, spec: usize) -> &Name {
+        &self.specs[spec].app
+    }
+
     /// The display name of `inst`'s DAG node `node_idx`.
     pub fn node(&self, inst: InstanceId, node_idx: usize) -> &Name {
         &self.spec(inst).nodes[node_idx]

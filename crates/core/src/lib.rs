@@ -104,7 +104,7 @@ pub use job::{
     platform_preset, CompiledScenario, CostSpec, Engine, Fingerprint, JobResult, JobRunner,
     ResultCache, ScenarioBuilder, ScenarioSpec,
 };
-pub use metrics::{ExecMetrics, OverheadPhase};
+pub use metrics::OverheadPhase;
 pub use resource::{threads_spawned_total, ResourcePool};
 pub use sched::{
     Assignment, EftScheduler, EstimateBook, EstimateSlot, FrfsScheduler, MetScheduler, PeView,

@@ -289,7 +289,10 @@ pub fn resource_manager_loop(ctx: RmContext) {
                     port.as_ref().map(|p| p as &dyn AccelPort),
                 );
                 let r = p.kernel.run(&task_ctx);
-                (r, task_ctx.take_accel_reports())
+                // Only a kernel with a device port can file reports.
+                let reports =
+                    if port.is_some() { task_ctx.take_accel_reports() } else { Vec::new() };
+                (r, reports)
             }
             None => (
                 Err(ModelError::KernelFailed {

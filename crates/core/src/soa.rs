@@ -19,6 +19,9 @@
 //! * `runfunc` — the interned runfunc [`Name`] per pair (the empty
 //!   default name where incompatible, matching what the dispatch path
 //!   resolved before).
+//! * `kernel_id` — the runfunc's process-wide id per pair
+//!   ([`runfunc_id`]; [`NO_KERNEL`] where incompatible or unnamed), what
+//!   the metrics fold indexes its per-kernel cells by.
 //! * `preds_init` / `succ_off`+`succ` — the DAG in CSR form, so
 //!   completion-time successor walks are two array reads plus a
 //!   contiguous slice scan instead of a pointer chase through
@@ -32,6 +35,7 @@
 //!
 //! [`CompiledScenario`]: crate::job::CompiledScenario
 //! [`NameTable::spec_index`]: crate::intern::NameTable::spec_index
+//! [`runfunc_id`]: dssoc_appmodel::registry::runfunc_id
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -53,6 +57,9 @@ pub const INCOMPATIBLE: u64 = u64::MAX;
 
 /// Sentinel in [`SpecSoa::est_prior_ns`]: no JSON estimate.
 pub(crate) const NO_PRIOR: u64 = u64::MAX;
+
+/// Sentinel in [`SpecSoa::kernel_id`]: no named runfunc.
+pub(crate) const NO_KERNEL: u32 = u32::MAX;
 
 /// One application spec's per-`(node, PE)` data as parallel dense
 /// arrays (see module docs). All slabs are indexed
@@ -79,6 +86,9 @@ pub struct SpecSoa {
     pub(crate) est_prior_ns: Vec<u64>,
     /// Interned runfunc per pair (`Name::default()` where incompatible).
     pub(crate) runfunc: Vec<Name>,
+    /// The runfunc's process-wide id per pair, [`NO_KERNEL`] where
+    /// incompatible or the runfunc is unnamed.
+    pub(crate) kernel_id: Vec<u32>,
     /// Per-node compatibility bitmask over PE columns (bit `c` set when
     /// `cost_ns[node * stride + c]` is compatible). Columns ≥ 64 are not
     /// represented — the DES FIFO placement that consumes these masks
@@ -177,6 +187,7 @@ impl SpecSoa {
         let mut est_slot = vec![0u32; n * stride];
         let mut est_prior_ns = vec![NO_PRIOR; n * stride];
         let mut runfunc = vec![Name::default(); n * stride];
+        let mut kernel_id = vec![NO_KERNEL; n * stride];
         for (node_idx, node) in spec.nodes.iter().enumerate() {
             for (col, pe) in platform.pes.iter().enumerate() {
                 if let Some(p) = node.platform(&pe.platform_key) {
@@ -189,6 +200,9 @@ impl SpecSoa {
                     }
                     runfunc[k] =
                         names.runfunc_by_spec(spec_idx, node_idx, col).cloned().unwrap_or_default();
+                    if !runfunc[k].as_str().is_empty() {
+                        kernel_id[k] = p.runfunc_id;
+                    }
                 }
             }
         }
@@ -213,6 +227,7 @@ impl SpecSoa {
             est_slot,
             est_prior_ns,
             runfunc,
+            kernel_id,
             compat,
             roots,
         }
@@ -267,10 +282,12 @@ mod tests {
                             assert_eq!(spec.est_slot[k], slot.raw());
                             let rf = names.runfunc(inst.id, node_idx, pe.id).unwrap();
                             assert_eq!(&spec.runfunc[k], rf);
+                            assert_eq!(spec.kernel_id[k], p.runfunc_id);
                         }
                         None => {
                             assert_eq!(spec.cost_ns[k], INCOMPATIBLE);
                             assert!(spec.runfunc[k].as_str().is_empty());
+                            assert_eq!(spec.kernel_id[k], NO_KERNEL);
                         }
                     }
                     // Sentinel test ≡ supports() — the swap the DES

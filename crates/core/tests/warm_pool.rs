@@ -11,10 +11,17 @@
 //! workload manager's warm scratch arena (ready buffers, DAG countdowns,
 //! collected completions, estimate book, per-PE state) across scenario
 //! changes and failures.
+//!
+//! Every reference app carries JSON estimates, which take precedence over
+//! the learned (EWMA) estimate book, so a second case strips them from
+//! one app: under MET and EFT its placements then follow the book, and a
+//! warm run that started from the previous run's observations instead of
+//! the scenario's prototype would place differently from a cold one.
 
 use std::sync::Arc;
 use std::time::Duration;
 
+use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::workload::InjectionParams;
 use dssoc_appmodel::{AppLibrary, WorkloadSpec};
 use dssoc_apps::standard_library;
@@ -201,6 +208,76 @@ fn warm_pool_changing_scenarios_matches_cold_runs() {
                     let mut policy = by_name(scheduler).unwrap();
                     let des_run = des.run_compiled(policy.as_mut(), &scenario, None, None).unwrap();
                     assert_same(&got, &des_run, &format!("{what} vs DES"));
+                }
+            }
+        }
+    }
+}
+
+/// `library` with `app`'s JSON estimates stripped, so its tasks are
+/// estimated from the learned book.
+fn without_estimates(library: &AppLibrary, app: &str) -> AppLibrary {
+    let spec = library.get(app).expect("reference app");
+    let mut nodes = spec.nodes.clone();
+    for platform in nodes.iter_mut().flat_map(|n| n.platforms.iter_mut()) {
+        platform.mean_exec = None;
+    }
+    let mut stripped = library.clone();
+    stripped.register(Arc::new(ApplicationSpec {
+        name: spec.name.clone(),
+        variables: Arc::clone(&spec.variables),
+        nodes,
+        roots: spec.roots.clone(),
+    }));
+    stripped
+}
+
+#[test]
+fn warm_pool_learned_estimates_match_cold_runs() {
+    let (library, _registry) = standard_library();
+    // range_detection's FFT nodes run on a CPU or the accelerator: which
+    // one MET and EFT pick depends on the learned estimates.
+    let library = Arc::new(without_estimates(&library, APPS[0]));
+    for (cores, ffts) in [(1, 1), (2, 1)] {
+        let platform = Arc::new(zcu102(cores, ffts));
+        let table = cost_table(&library, &platform);
+        let mut warm = Emulation::with_config(Arc::clone(&platform), config(&table, None)).unwrap();
+        let mut des = DesSimulator::new(
+            Arc::clone(&platform),
+            DesConfig { cost: CostSpec::table(table.clone()), ..DesConfig::default() },
+        )
+        .unwrap();
+        for scheduler in ["met", "eft"] {
+            for (step, i) in [0usize, 1].into_iter().enumerate() {
+                let spec = config(&table, None).scenario(
+                    Arc::clone(&library),
+                    Arc::clone(&platform),
+                    scheduler.to_string(),
+                    Arc::new(workload(&library, i)),
+                );
+                let scenario = CompiledScenario::compile(spec).unwrap();
+                let mut cold =
+                    Emulation::with_config(Arc::clone(&platform), config(&table, None)).unwrap();
+                let policy = || by_name(scheduler).unwrap();
+                let want = cold.run_compiled(policy().as_mut(), &scenario, None).unwrap();
+                let want_des = DesSimulator::new(
+                    Arc::clone(&platform),
+                    DesConfig { cost: CostSpec::table(table.clone()), ..DesConfig::default() },
+                )
+                .unwrap()
+                .run_compiled(policy().as_mut(), &scenario, None, None)
+                .unwrap();
+                // Each scenario twice in a row: the repeat reuses the
+                // book's slot map and must still restore its values.
+                for repeat in 0..2 {
+                    let what = format!(
+                        "{}/{scheduler}/workload {i}/step {step}/repeat {repeat}",
+                        platform.name
+                    );
+                    let got = warm.run_compiled(policy().as_mut(), &scenario, None).unwrap();
+                    assert_same(&got, &want, &format!("{what}: warm vs cold"));
+                    let got = des.run_compiled(policy().as_mut(), &scenario, None, None).unwrap();
+                    assert_same(&got, &want_des, &format!("{what}: warm DES vs cold DES"));
                 }
             }
         }

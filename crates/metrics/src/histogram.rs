@@ -226,6 +226,24 @@ impl HistogramCell {
             self.slot.max.store(value, Ordering::Relaxed);
         }
     }
+
+    /// Records every sample of `data` at once — exactly as if each had
+    /// gone through [`Self::record`] (see [`HistogramData::merge`]).
+    pub fn merge(&self, data: &HistogramData) {
+        let add = |slot: &AtomicU64, n: u64| {
+            slot.store(slot.load(Ordering::Relaxed).wrapping_add(n), Ordering::Relaxed)
+        };
+        for (bucket, &n) in self.slot.buckets.iter().zip(data.buckets.iter()) {
+            if n > 0 {
+                add(bucket, n);
+            }
+        }
+        add(&self.slot.count, data.count);
+        add(&self.slot.sum, data.sum);
+        if data.max > self.slot.max.load(Ordering::Relaxed) {
+            self.slot.max.store(data.max, Ordering::Relaxed);
+        }
+    }
 }
 
 impl Drop for HistogramCell {
@@ -312,6 +330,21 @@ mod tests {
             for &v in left.iter().chain(right.iter()) { concat.record(v); }
 
             prop_assert_eq!(a, concat);
+        }
+
+        /// A cell fed by `merge` holds what one fed sample by sample holds.
+        #[test]
+        fn cell_merge_equals_recording(
+            first in proptest::collection::vec(any::<u64>(), 0..100),
+            batch in proptest::collection::vec(any::<u64>(), 0..100),
+        ) {
+            let (merged, recorded) = (Histogram::new(), Histogram::new());
+            let (m, r) = (merged.cell(), recorded.cell());
+            let mut data = HistogramData::new();
+            for &v in &first { m.record(v); r.record(v); }
+            for &v in &batch { data.record(v); r.record(v); }
+            m.merge(&data);
+            prop_assert_eq!(merged.data(), recorded.data());
         }
     }
 }

@@ -22,6 +22,20 @@
 //! - [`server`] — a dependency-free HTTP endpoint ([`MetricsServer`])
 //!   serving `/metrics` and `/snapshot.json`.
 //!
+//! ## Publish lag
+//!
+//! A snapshot shows what producers have published, which need not be
+//! every sample they have taken. The emulation engines (`dssoc-core`'s
+//! `metrics` module) register their cells once per engine, keep a run's
+//! counts in plain run state, and fold them into the cells in batches:
+//! at every run exit, and mid-run whenever 256 completions are
+//! unpublished, checked once per engine loop pass. A mid-run scrape of
+//! an engine's families therefore trails the run by fewer than 256
+//! completions plus the event window being processed; once a run has
+//! returned, its values are final. Each fold is single-writer relaxed
+//! stores like any other record, so a concurrent snapshot sees every
+//! counter move forward monotonically.
+//!
 //! ```
 //! use dssoc_metrics::MetricsRegistry;
 //!
