@@ -17,6 +17,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
+use std::sync::RwLockReadGuard;
 
 use dssoc_dsp::complex::Complex32;
 use dssoc_platform::accel::AccelJobReport;
@@ -114,10 +115,8 @@ impl AppMemory {
     }
 
     fn var(&self, name: &str) -> Result<&RwLock<Vec<u8>>, ModelError> {
-        self.decls.index_of(name).map(|i| &self.data[i]).ok_or_else(|| ModelError::TypeError {
-            variable: name.to_string(),
-            reason: "variable not declared".into(),
-        })
+        let var = self.decls.index_of(name).map(|i| &self.data[i]);
+        var.ok_or_else(|| type_error(name, "variable not declared".into()))
     }
 
     /// Copies out a variable's bytes.
@@ -128,20 +127,7 @@ impl AppMemory {
     /// Writes `bytes` into the variable starting at offset 0. Fails if the
     /// payload exceeds the allocation.
     pub fn write_bytes(&self, name: &str, bytes: &[u8]) -> Result<(), ModelError> {
-        let var = self.var(name)?;
-        let mut guard = var.write();
-        if bytes.len() > guard.len() {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!(
-                    "write of {} bytes exceeds allocation of {}",
-                    bytes.len(),
-                    guard.len()
-                ),
-            });
-        }
-        guard[..bytes.len()].copy_from_slice(bytes);
-        Ok(())
+        self.write_prefix(name, bytes.len(), |out| out.copy_from_slice(bytes))
     }
 
     /// Runs `f` with a mutable view of the variable's bytes (for in-place
@@ -163,16 +149,7 @@ impl AppMemory {
         offset: usize,
         len: usize,
     ) -> Result<Vec<u8>, ModelError> {
-        let var = self.var(name)?;
-        let guard = var.read();
-        guard.get(offset..offset + len).map(<[u8]>::to_vec).ok_or_else(|| ModelError::TypeError {
-            variable: name.to_string(),
-            reason: format!(
-                "range {offset}..{} exceeds allocation of {}",
-                offset + len,
-                guard.len()
-            ),
-        })
+        self.read_range(name, offset, len, <[u8]>::to_vec)
     }
 
     /// Writes `bytes` into a variable starting at byte `offset`.
@@ -182,20 +159,7 @@ impl AppMemory {
         offset: usize,
         bytes: &[u8],
     ) -> Result<(), ModelError> {
-        let var = self.var(name)?;
-        let mut guard = var.write();
-        let end = offset + bytes.len();
-        if end > guard.len() {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!(
-                    "write range {offset}..{end} exceeds allocation of {}",
-                    guard.len()
-                ),
-            });
-        }
-        guard[offset..end].copy_from_slice(bytes);
-        Ok(())
+        self.write_range(name, offset, bytes.len(), |out| out.copy_from_slice(bytes))
     }
 
     /// Reads `n` complex samples starting at complex-element index
@@ -206,16 +170,7 @@ impl AppMemory {
         elem: usize,
         n: usize,
     ) -> Result<Vec<Complex32>, ModelError> {
-        let bytes = self.read_bytes_at(name, elem * 8, n * 8)?;
-        Ok(bytes
-            .chunks_exact(8)
-            .map(|c| {
-                Complex32::new(
-                    f32::from_le_bytes(c[..4].try_into().unwrap()),
-                    f32::from_le_bytes(c[4..].try_into().unwrap()),
-                )
-            })
-            .collect())
+        self.read_range(name, elem * 8, n * 8, decode_complex)
     }
 
     /// Reads `count` complex samples at element indices `start`,
@@ -232,10 +187,8 @@ impl AppMemory {
         let guard = var.read();
         let need = if count == 0 { 0 } else { (start + (count - 1) * stride + 1) * 8 };
         if need > guard.len() {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!("strided read needs {need} bytes, allocation is {}", guard.len()),
-            });
+            let reason = format!("strided read needs {need} bytes, allocation is {}", guard.len());
+            return Err(type_error(name, reason));
         }
         let mut out = Vec::with_capacity(count);
         for k in 0..count {
@@ -262,10 +215,8 @@ impl AppMemory {
         let need =
             if values.is_empty() { 0 } else { (start + (values.len() - 1) * stride + 1) * 8 };
         if need > guard.len() {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!("strided write needs {need} bytes, allocation is {}", guard.len()),
-            });
+            let reason = format!("strided write needs {need} bytes, allocation is {}", guard.len());
+            return Err(type_error(name, reason));
         }
         for (k, v) in values.iter().enumerate() {
             let off = (start + k * stride) * 8;
@@ -282,23 +233,16 @@ impl AppMemory {
         elem: usize,
         values: &[Complex32],
     ) -> Result<(), ModelError> {
-        let mut bytes = Vec::with_capacity(values.len() * 8);
-        for v in values {
-            bytes.extend_from_slice(&v.re.to_le_bytes());
-            bytes.extend_from_slice(&v.im.to_le_bytes());
-        }
-        self.write_bytes_at(name, elem * 8, &bytes)
+        self.write_range(name, elem * 8, values.len() * 8, |out| encode_complex(out, values))
     }
 
     /// Reads a little-endian `u32` from the first four bytes.
     pub fn read_u32(&self, name: &str) -> Result<u32, ModelError> {
-        let bytes = self.read_bytes(name)?;
-        bytes.get(..4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).ok_or_else(|| {
-            ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!("need 4 bytes for u32, have {}", bytes.len()),
-            }
-        })
+        let guard = self.var(name)?.read();
+        guard
+            .get(..4)
+            .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+            .ok_or_else(|| type_error(name, format!("need 4 bytes for u32, have {}", guard.len())))
     }
 
     /// Writes a little-endian `u32` into the first four bytes.
@@ -318,49 +262,122 @@ impl AppMemory {
 
     /// Interprets the whole allocation as little-endian `f32`s.
     pub fn read_f32_vec(&self, name: &str) -> Result<Vec<f32>, ModelError> {
-        let bytes = self.read_bytes(name)?;
-        if bytes.len() % 4 != 0 {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!("{} bytes is not a whole number of f32s", bytes.len()),
-            });
-        }
-        Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+        let guard = self.whole_f32s(name)?;
+        Ok(guard.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
     /// Writes a slice of `f32`s starting at offset 0.
     pub fn write_f32_slice(&self, name: &str, values: &[f32]) -> Result<(), ModelError> {
-        let mut bytes = Vec::with_capacity(values.len() * 4);
-        for v in values {
-            bytes.extend_from_slice(&v.to_le_bytes());
-        }
-        self.write_bytes(name, &bytes)
+        self.write_prefix(name, values.len() * 4, |out| {
+            for (c, v) in out.chunks_exact_mut(4).zip(values) {
+                c.copy_from_slice(&v.to_le_bytes());
+            }
+        })
     }
 
     /// Interprets the first `n` complex samples (8 bytes each,
     /// interleaved re/im `f32`). `n = usize::MAX` reads the full
     /// allocation.
     pub fn read_complex_vec(&self, name: &str, n: usize) -> Result<Vec<Complex32>, ModelError> {
-        let floats = self.read_f32_vec(name)?;
-        let avail = floats.len() / 2;
+        let guard = self.whole_f32s(name)?;
+        let avail = guard.len() / 8;
         let take = if n == usize::MAX { avail } else { n };
         if take > avail {
-            return Err(ModelError::TypeError {
-                variable: name.to_string(),
-                reason: format!("requested {take} complex samples, allocation holds {avail}"),
-            });
+            let reason = format!("requested {take} complex samples, allocation holds {avail}");
+            return Err(type_error(name, reason));
         }
-        Ok(floats[..take * 2].chunks_exact(2).map(|p| Complex32::new(p[0], p[1])).collect())
+        Ok(decode_complex(&guard[..take * 8]))
     }
 
     /// Writes complex samples (interleaved) starting at offset 0.
     pub fn write_complex_slice(&self, name: &str, values: &[Complex32]) -> Result<(), ModelError> {
-        let mut floats = Vec::with_capacity(values.len() * 2);
-        for v in values {
-            floats.push(v.re);
-            floats.push(v.im);
+        self.write_prefix(name, values.len() * 8, |out| encode_complex(out, values))
+    }
+
+    /// The read-locked bytes of a variable that holds whole `f32`s.
+    fn whole_f32s(&self, name: &str) -> Result<RwLockReadGuard<'_, Vec<u8>>, ModelError> {
+        let guard = self.var(name)?.read();
+        if guard.len() % 4 != 0 {
+            let reason = format!("{} bytes is not a whole number of f32s", guard.len());
+            return Err(type_error(name, reason));
         }
-        self.write_f32_slice(name, &floats)
+        Ok(guard)
+    }
+
+    /// `read` over `len` bytes from byte `offset`, under the read lock.
+    fn read_range<R>(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+        read: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R, ModelError> {
+        let guard = self.var(name)?.read();
+        guard.get(offset..offset + len).map(read).ok_or_else(|| {
+            let end = offset + len;
+            type_error(name, format!("range {offset}..{end} exceeds allocation of {}", guard.len()))
+        })
+    }
+
+    /// `fill` over `len` bytes from byte `offset`, under the write lock.
+    fn write_range(
+        &self,
+        name: &str,
+        offset: usize,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), ModelError> {
+        let mut guard = self.var(name)?.write();
+        let end = offset + len;
+        if end > guard.len() {
+            let reason =
+                format!("write range {offset}..{end} exceeds allocation of {}", guard.len());
+            return Err(type_error(name, reason));
+        }
+        fill(&mut guard[offset..end]);
+        Ok(())
+    }
+
+    /// `fill` over the first `len` bytes, under the write lock.
+    fn write_prefix(
+        &self,
+        name: &str,
+        len: usize,
+        fill: impl FnOnce(&mut [u8]),
+    ) -> Result<(), ModelError> {
+        let mut guard = self.var(name)?.write();
+        if len > guard.len() {
+            let reason = format!("write of {len} bytes exceeds allocation of {}", guard.len());
+            return Err(type_error(name, reason));
+        }
+        fill(&mut guard[..len]);
+        Ok(())
+    }
+}
+
+fn type_error(variable: &str, reason: String) -> ModelError {
+    ModelError::TypeError { variable: variable.to_string(), reason }
+}
+
+/// Decodes interleaved little-endian `(re, im)` `f32` pairs.
+fn decode_complex(bytes: &[u8]) -> Vec<Complex32> {
+    bytes
+        .chunks_exact(8)
+        .map(|c| {
+            Complex32::new(
+                f32::from_le_bytes(c[..4].try_into().unwrap()),
+                f32::from_le_bytes(c[4..].try_into().unwrap()),
+            )
+        })
+        .collect()
+}
+
+/// Encodes `values` as interleaved little-endian `(re, im)` `f32` pairs
+/// into `out`, which holds exactly `8 * values.len()` bytes.
+fn encode_complex(out: &mut [u8], values: &[Complex32]) {
+    for (c, v) in out.chunks_exact_mut(8).zip(values) {
+        c[..4].copy_from_slice(&v.re.to_le_bytes());
+        c[4..].copy_from_slice(&v.im.to_le_bytes());
     }
 }
 
@@ -558,25 +575,13 @@ impl<'a> TaskCtx<'a> {
             return Err(ModelError::NoAccelerator { wanted: "fft".into() });
         }
         let samples = self.memory.read_complex_vec(input, n)?;
-        let mut buf = Vec::with_capacity(samples.len() * 8);
-        for s in &samples {
-            buf.extend_from_slice(&s.re.to_le_bytes());
-            buf.extend_from_slice(&s.im.to_le_bytes());
-        }
+        let mut buf = vec![0u8; samples.len() * 8];
+        encode_complex(&mut buf, &samples);
         let report = port
             .fft_bytes(&mut buf, inverse)
             .map_err(|e| ModelError::KernelFailed { kernel: self.node.to_string(), reason: e })?;
         self.reports.lock().push(report);
-        let out: Vec<Complex32> = buf
-            .chunks_exact(8)
-            .map(|c| {
-                Complex32::new(
-                    f32::from_le_bytes(c[..4].try_into().unwrap()),
-                    f32::from_le_bytes(c[4..].try_into().unwrap()),
-                )
-            })
-            .collect();
-        self.memory.write_complex_slice(output, &out)
+        self.memory.write_complex_slice(output, &decode_complex(&buf))
     }
 
     /// Runs a forward/inverse FFT on the attached accelerator over a raw
@@ -702,6 +707,148 @@ mod tests {
         assert_eq!(m.read_complex_at("buf", 3, 2).unwrap(), xs.to_vec());
         assert_eq!(m.read_complex_at("buf", 2, 1).unwrap(), vec![Complex32::ZERO]);
         assert!(m.write_complex_at("buf", 7, &xs).is_err(), "element 8 is out of range");
+    }
+
+    /// The copy-through-buffers forms of the decoding accessors, kept
+    /// as oracles: the in-place accessors must return the same values
+    /// and errors and leave the same bytes.
+    mod copied {
+        use super::*;
+
+        fn bytes_of(values: &[Complex32]) -> Vec<u8> {
+            values.iter().flat_map(|v| [v.re.to_le_bytes(), v.im.to_le_bytes()]).flatten().collect()
+        }
+
+        pub fn read_u32(m: &AppMemory, name: &str) -> Result<u32, ModelError> {
+            let bytes = m.read_bytes(name)?;
+            bytes.get(..4).map(|b| u32::from_le_bytes(b.try_into().unwrap())).ok_or_else(|| {
+                ModelError::TypeError {
+                    variable: name.to_string(),
+                    reason: format!("need 4 bytes for u32, have {}", bytes.len()),
+                }
+            })
+        }
+
+        pub fn read_complex_vec(
+            m: &AppMemory,
+            name: &str,
+            n: usize,
+        ) -> Result<Vec<Complex32>, ModelError> {
+            let floats = m.read_f32_vec(name)?;
+            let avail = floats.len() / 2;
+            let take = if n == usize::MAX { avail } else { n };
+            if take > avail {
+                return Err(ModelError::TypeError {
+                    variable: name.to_string(),
+                    reason: format!("requested {take} complex samples, allocation holds {avail}"),
+                });
+            }
+            Ok(floats[..take * 2].chunks_exact(2).map(|p| Complex32::new(p[0], p[1])).collect())
+        }
+
+        pub fn read_complex_at(
+            m: &AppMemory,
+            name: &str,
+            elem: usize,
+            n: usize,
+        ) -> Result<Vec<Complex32>, ModelError> {
+            let bytes = m.read_bytes_at(name, elem * 8, n * 8)?;
+            Ok(decode_complex(&bytes))
+        }
+
+        pub fn read_f32_vec(m: &AppMemory, name: &str) -> Result<Vec<f32>, ModelError> {
+            let bytes = m.read_bytes(name)?;
+            if bytes.len() % 4 != 0 {
+                return Err(ModelError::TypeError {
+                    variable: name.to_string(),
+                    reason: format!("{} bytes is not a whole number of f32s", bytes.len()),
+                });
+            }
+            Ok(bytes.chunks_exact(4).map(|c| f32::from_le_bytes(c.try_into().unwrap())).collect())
+        }
+
+        pub fn write_f32_slice(
+            m: &AppMemory,
+            name: &str,
+            values: &[f32],
+        ) -> Result<(), ModelError> {
+            m.write_bytes(name, &values.iter().flat_map(|v| v.to_le_bytes()).collect::<Vec<u8>>())
+        }
+
+        pub fn write_complex_slice(
+            m: &AppMemory,
+            name: &str,
+            values: &[Complex32],
+        ) -> Result<(), ModelError> {
+            m.write_bytes(name, &bytes_of(values))
+        }
+
+        pub fn write_complex_at(
+            m: &AppMemory,
+            name: &str,
+            elem: usize,
+            values: &[Complex32],
+        ) -> Result<(), ModelError> {
+            m.write_bytes_at(name, elem * 8, &bytes_of(values))
+        }
+    }
+
+    /// Compares decoded samples by bit pattern (the bytes may hold NaNs).
+    fn bits(r: Result<Vec<Complex32>, ModelError>) -> Result<Vec<(u32, u32)>, ModelError> {
+        r.map(|v| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn in_place_accessors_match_the_copying_forms(
+            len in 1u32..41,
+            fill in proptest::prelude::any::<u64>(),
+            n in 0usize..7,
+            whole in proptest::prelude::any::<bool>(),
+            elem in 0usize..6,
+            raw in proptest::collection::vec((-4i32..5, -4i32..5), 0..6),
+        ) {
+            let init: Vec<u8> = (0..len as u64).map(|i| (fill >> (i % 57)) as u8).collect();
+            let decls = BTreeMap::from([("v".to_string(), VariableJson::scalar(len, init))]);
+            let (a, b) = (AppMemory::from_decls(&decls).unwrap(), AppMemory::from_decls(&decls).unwrap());
+            let values: Vec<Complex32> =
+                raw.iter().map(|&(re, im)| Complex32::new(re as f32 * 0.5, im as f32)).collect();
+            let n = if whole { usize::MAX } else { n };
+            for name in ["v", "ghost"] {
+                proptest::prop_assert_eq!(a.read_u32(name), copied::read_u32(&b, name));
+                proptest::prop_assert_eq!(a.read_f32(name).map(f32::to_bits), copied::read_u32(&b, name));
+                proptest::prop_assert_eq!(
+                    bits(a.read_complex_vec(name, n)),
+                    bits(copied::read_complex_vec(&b, name, n))
+                );
+                let at = n.min(8);
+                proptest::prop_assert_eq!(
+                    bits(a.read_complex_at(name, elem, at)),
+                    bits(copied::read_complex_at(&b, name, elem, at))
+                );
+                proptest::prop_assert_eq!(
+                    a.write_complex_slice(name, &values),
+                    copied::write_complex_slice(&b, name, &values)
+                );
+                proptest::prop_assert_eq!(a.read_bytes("v"), b.read_bytes("v"));
+                let floats: Vec<f32> = values.iter().map(|c| c.re).collect();
+                proptest::prop_assert_eq!(
+                    a.write_f32_slice(name, &floats),
+                    copied::write_f32_slice(&b, name, &floats)
+                );
+                proptest::prop_assert_eq!(
+                    a.read_f32_vec(name).map(|v| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>()),
+                    copied::read_f32_vec(&b, name).map(|v| v.iter().map(|f| f.to_bits()).collect())
+                );
+                proptest::prop_assert_eq!(
+                    a.write_complex_at(name, elem, &values),
+                    copied::write_complex_at(&b, name, elem, &values)
+                );
+                proptest::prop_assert_eq!(a.read_bytes("v"), b.read_bytes("v"));
+            }
+        }
     }
 
     #[test]

@@ -121,13 +121,13 @@ impl WorkloadSpec {
                             params.app, params.probability
                         )));
                     }
-                    let mut t = Duration::ZERO;
-                    while t < *time_frame {
+                    let mut t = Some(Duration::ZERO);
+                    while let Some(at) = t.filter(|at| at < time_frame) {
                         if rng.gen::<f64>() < params.probability {
                             entries
-                                .push(WorkloadEntry { app_name: params.app.clone(), arrival: t });
+                                .push(WorkloadEntry { app_name: params.app.clone(), arrival: at });
                         }
-                        t += params.period;
+                        t = at.checked_add(params.period);
                     }
                 }
                 entries.sort_by_key(|e| e.arrival);
@@ -358,6 +358,21 @@ mod tests {
         for w in wl.entries.windows(2) {
             assert!(w[0].arrival <= w[1].arrival);
         }
+    }
+
+    #[test]
+    fn performance_mode_stops_where_the_clock_would_overflow() {
+        let spec = WorkloadSpec::performance(
+            vec![InjectionParams {
+                app: "radar".into(),
+                period: Duration::from_secs(u64::MAX / 2 + 1),
+                probability: 1.0,
+            }],
+            Duration::MAX,
+            1,
+        );
+        // Arrivals at 0 and one period; the next would overflow.
+        assert_eq!(spec.generate(&library()).unwrap().len(), 2);
     }
 
     #[test]

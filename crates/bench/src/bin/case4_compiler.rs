@@ -45,8 +45,9 @@ fn fft_node_time_ms(
     let mut recognized = 0usize;
     for _ in 0..reps {
         let mut emu = Emulation::new(zcu102(3, ffts)).expect("platform");
-        let stats = emu.run(&mut MetScheduler::new(), &wl, &library).expect("run");
-        let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+        let (stats, images) =
+            emu.run_with_images(&mut MetScheduler::new(), &wl, &library).expect("run");
+        let mem = images.memory(stats.apps[0].instance).unwrap();
         assert_eq!(read_scalar(mem, "lag"), delay as f64, "output must stay correct");
         let t: f64 = stats
             .tasks

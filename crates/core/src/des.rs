@@ -519,7 +519,7 @@ impl DesSimulator {
             names: Arc::clone(names_arc),
             pes: pe_ids,
         };
-        Ok(p.sink.finish(&self.platform, label, instances.to_vec(), log))
+        Ok(p.sink.finish(&self.platform, label, log))
     }
 }
 

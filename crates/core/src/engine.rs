@@ -65,6 +65,18 @@
 //! per task, and CI's `engines` smoke gates the warm hand-off's
 //! ns/task.
 //!
+//! # What a run returns
+//!
+//! Every run instantiates fresh private instances, because kernels
+//! write their memory. [`Emulation::run`] and [`Emulation::run_compiled`]
+//! return the compact [`EmulationStats`] summary and free those
+//! instances when the run returns, so results kept by a cache, a sweep
+//! or the serve daemon never pin a variable arena (a pulse-Doppler
+//! image is 1.84 MB). [`Emulation::run_with_images`] is the one entry
+//! point that also hands back the final memory, as [`InstanceImages`],
+//! for functional checks. The job layer never calls it, so the images
+//! are never cached.
+//!
 //! # Timing modes
 //!
 //! * [`TimingMode::WallClock`] — the paper's literal behaviour: emulation
@@ -106,7 +118,7 @@ use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
 use crate::sched::{EstimateSlot, PeView, SchedContext, Scheduler};
 use crate::soa::ScenarioSoa;
-use crate::stats::{DenseTaskLog, EmulationStats};
+use crate::stats::{DenseTaskLog, EmulationStats, InstanceImages};
 use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
 
@@ -517,17 +529,31 @@ impl Emulation {
     }
 
     /// Runs a workload to completion under `scheduler`, returning the
-    /// collected statistics: lowers the configuration to a
-    /// [`ScenarioSpec`], compiles it (labelled with the scheduler's
-    /// name), and runs it with [`Self::run_compiled`]. The persistent
-    /// resource pool is reused: consecutive runs on the same `Emulation`
-    /// dispatch to the same threads.
+    /// run's summary: [`Self::run_with_images`] without the images. The
+    /// persistent resource pool is reused: consecutive runs on the same
+    /// `Emulation` dispatch to the same threads.
     pub fn run(
         &mut self,
         scheduler: &mut dyn Scheduler,
         workload: &Workload,
         library: &AppLibrary,
     ) -> Result<EmulationStats, EmuError> {
+        self.run_with_images(scheduler, workload, library).map(|(stats, _)| stats)
+    }
+
+    /// Runs a workload to completion under `scheduler`, returning the
+    /// run's summary and the final memory of every instance — the one
+    /// way to read what the kernels computed (validation mode's
+    /// functional check). Lowers the configuration to a
+    /// [`ScenarioSpec`], compiles it (labelled with the scheduler's
+    /// name) and runs it like [`Self::run_compiled`]. Nothing caches
+    /// the images: they live as long as the caller keeps them.
+    pub fn run_with_images(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        workload: &Workload,
+        library: &AppLibrary,
+    ) -> Result<(EmulationStats, InstanceImages), EmuError> {
         let spec = self.config.scenario(
             Arc::new(library.clone()),
             Arc::clone(&self.platform),
@@ -535,15 +561,17 @@ impl Emulation {
             Arc::new(workload.clone()),
         );
         let scenario = CompiledScenario::compile_custom(spec)?;
-        self.run_compiled(scheduler, &scenario, None)
+        self.run_scenario(scheduler, &scenario, None)
     }
 
     /// Runs a precompiled scenario, reusing its name table, SoA
-    /// compatibility and estimate tables, and fault plan. Kernels mutate
-    /// instance memory, so the threaded engine instantiates fresh private
-    /// instances per run; ids and spec mapping match the scenario's
-    /// shared images by construction, which is what keeps the precompiled
-    /// tables valid. Compatibility was preflighted at compile time.
+    /// compatibility and estimate tables, and fault plan, and returns
+    /// the run's summary. Kernels mutate instance memory, so the
+    /// threaded engine instantiates fresh private instances per run; ids
+    /// and spec mapping match the scenario's shared images by
+    /// construction, which is what keeps the precompiled tables valid.
+    /// The private instances are freed when the run returns. Compatibility
+    /// was preflighted at compile time.
     ///
     /// `trace` records this run only — the driver and every resource
     /// manager — in place of the configured sink, which is back in
@@ -554,6 +582,17 @@ impl Emulation {
         scenario: &CompiledScenario,
         trace: Option<&TraceSink>,
     ) -> Result<EmulationStats, EmuError> {
+        self.run_scenario(scheduler, scenario, trace).map(|(stats, _)| stats)
+    }
+
+    /// One run of a compiled scenario on fresh private instances,
+    /// returned with the summary.
+    fn run_scenario(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        scenario: &CompiledScenario,
+        trace: Option<&TraceSink>,
+    ) -> Result<(EmulationStats, InstanceImages), EmuError> {
         let spec = scenario.spec();
         let instances: Vec<Arc<AppInstance>> =
             spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
@@ -570,7 +609,8 @@ impl Emulation {
         wedged.resize(self.platform.pes.len(), false);
         let sink = trace.or(self.config.trace.as_ref());
         let (s, m) = (&mut scratch, metrics.as_mut());
-        let result = self.workload_manager(scheduler, scenario, instances, sink, s, &mut wedged, m);
+        let result =
+            self.workload_manager(scheduler, scenario, &instances, sink, s, &mut wedged, m);
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
             // every PE is idle again for the next run on this pool —
@@ -586,7 +626,7 @@ impl Emulation {
                 None => self.pool.detach_trace(),
             }
         }
-        result
+        result.map(|stats| (stats, InstanceImages(instances)))
     }
 
     /// Sets up one run's workload manager over the warm arena, runs its
@@ -597,21 +637,21 @@ impl Emulation {
         &self,
         scheduler: &mut dyn Scheduler,
         scenario: &CompiledScenario,
-        instances: Vec<Arc<AppInstance>>,
+        instances: &[Arc<AppInstance>],
         trace: Option<&TraceSink>,
         s: &mut RunScratch,
         wedged: &mut [bool],
         mut metrics: Option<&mut EngineMetrics>,
     ) -> Result<EmulationStats, EmuError> {
         let platform = &*self.platform;
-        let total = s.begin(scenario, &instances);
+        let total = s.begin(scenario, instances);
         s.done.reserve_host(total);
         s.ready_at.resize(platform.pes.len(), SimTime::ZERO);
         let trace = trace.map(|t| (t, scheduler.name(), "workload-manager"));
         let depth = self.config.reservation_depth;
         let (names, soa) = (scenario.names(), scenario.soa());
         let m = metrics.as_deref_mut();
-        let mut p = RunParts::new(platform, depth, m, names, trace, &instances, s);
+        let mut p = RunParts::new(platform, depth, m, names, trace, instances, s);
         // PEs whose manager thread wedged in an earlier run on this pool
         // start this run quarantined; their eventual (stale) completions
         // are discarded.
@@ -627,7 +667,7 @@ impl Emulation {
             emu: self,
             platform,
             handlers: self.pool.handlers(),
-            instances: &instances,
+            instances,
             names,
             soa,
             s,
@@ -657,7 +697,7 @@ impl Emulation {
             names: Arc::clone(&scenario.names),
             pes: platform.pes.iter().map(|pe| pe.id).collect(),
         };
-        Ok(p.sink.finish(platform, scheduler.name().to_string(), instances, log))
+        Ok(p.sink.finish(platform, scheduler.name().to_string(), log))
     }
 }
 

@@ -1009,7 +1009,6 @@ impl CompletionSink {
         self,
         platform: &PlatformConfig,
         scheduler: String,
-        instances: Vec<Arc<AppInstance>>,
         dense: DenseTaskLog,
     ) -> EmulationStats {
         let cols = &dense.cols;
@@ -1046,7 +1045,6 @@ impl CompletionSink {
             sched_invocations: self.sched_invocations,
             overhead: self.overhead,
             reliability: self.reliability,
-            instances,
             tasks: TaskLog::from_dense(dense),
             app_agg: std::sync::OnceLock::new(),
         }

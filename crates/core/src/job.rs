@@ -158,12 +158,20 @@ impl std::fmt::Debug for CostSpec {
 // Platform presets by name
 // ---------------------------------------------------------------------------
 
+/// Most FFT accelerators a `zcu102:` preset shorthand may ask for. Each
+/// is a PE, with its own resource-manager thread in the threaded
+/// engine, so an unchecked count in a served body would allocate (and
+/// spawn) without bound.
+const MAX_PRESET_FFTS: usize = 16;
+
 /// Parses a platform-preset shorthand — `zcu102:<cores>C+<ffts>F` or
 /// `odroid:<big>B+<little>L` — into a validated [`PlatformConfig`].
 ///
 /// This is the single source of truth for preset resolution: the CLI's
 /// `--platform` flag and the figure harnesses both route through it
-/// (they used to duplicate the bounds checks and error strings).
+/// (they used to duplicate the bounds checks and error strings). A
+/// ZCU102 shape takes at most 16 FFT accelerators; larger platforms are
+/// described inline.
 pub fn platform_preset(spec: &str) -> Result<PlatformConfig, String> {
     let (board, shape) = spec
         .split_once(':')
@@ -188,6 +196,9 @@ pub fn platform_preset(spec: &str) -> Result<PlatformConfig, String> {
             let (c, f) = parse_pair('C', 'F')?;
             if c > 3 {
                 return Err("zcu102 supports at most 3 resource-pool cores".into());
+            }
+            if f > MAX_PRESET_FFTS {
+                return Err(format!("zcu102 presets take at most {MAX_PRESET_FFTS} FFTs"));
             }
             if c + f == 0 {
                 return Err("platform needs at least one PE".into());
@@ -943,7 +954,11 @@ impl ScenarioKey {
 /// [`ScenarioSpec`] by value, so two scenarios whose 64-bit fingerprints
 /// collide cost a miss, never a wrong answer. Results are held as
 /// `Arc<EmulationStats>`: under the lock a lookup only bumps refcounts,
-/// and a caller that needs its own copy clones outside it. Sweep workers
+/// and a caller that needs its own copy clones outside it. An entry is
+/// a run's compact summary — it holds no instance memory, so a full
+/// cache of pulse-Doppler results stays a few tens of MB
+/// (`tests/cache_bytes.rs` bounds it) — and a copy shares the entry's
+/// task-log columns. Sweep workers
 /// share one cache by cloning the handle; hit/miss totals are published
 /// through `dssoc-metrics` as `dssoc_result_cache_hits` /
 /// `dssoc_result_cache_misses` once [`Self::attach_metrics`] is called.
@@ -1130,7 +1145,8 @@ impl Default for ResultCache {
 /// The outcome of one job.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// The run's statistics (a cache-returned clone on a hit).
+    /// The run's summary (on a hit, a copy of the cached entry that
+    /// shares its task-log columns).
     pub stats: EmulationStats,
     /// The scenario fingerprint the result is keyed under.
     pub fingerprint: Fingerprint,
@@ -1392,7 +1408,6 @@ mod tests {
             sched_invocations: 0,
             overhead: Default::default(),
             reliability: Default::default(),
-            instances: Vec::new(),
             app_agg: OnceLock::new(),
         }
     }
@@ -1430,6 +1445,9 @@ mod tests {
         assert!(platform_preset("riscv:1C+0F").is_err());
         assert!(platform_preset("odroid:5B+0L").is_err());
         assert!(platform_preset("zcu102:0C+0F").is_err());
+        assert!(platform_preset("zcu102:1C+16F").is_ok());
+        assert!(platform_preset("zcu102:1C+17F").is_err());
+        assert!(platform_preset("zcu102:1C+18446744073709551615F").is_err());
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! | [`resource`] | §II-D, Fig. 4 | per-PE resource-manager threads, persistent [`resource::ResourcePool`] |
 //! | [`handler`] | §II-C | idle/run/complete handler protocol, spin-then-park hand-off |
 //! | [`sched`] | §II-C | FRFS, MET, EFT, RANDOM + `Scheduler` trait |
-//! | [`stats`] | §III | task/app records, utilization, overhead |
+//! | [`stats`] | §III | run summary (task/app records, utilization, overhead); instance images |
 //! | [`des`] | §III-D | discrete-event baseline (DS3-class) |
 //! | [`calq`], [`arena`], [`soa`] | — | DES hot-loop core: calendar queue, warm scratch arena, SoA scenario state |
 //! | [`job`] | — | Arc-shared scenario specs, compile-once scenarios, fingerprints, `JobRunner`, result cache |
@@ -69,6 +69,9 @@
 //! cache. [`sweep::SweepRunner`] does it for grids of cells, on whichever
 //! engine its [`sweep::EngineConfig`] names. A per-run trace sink or
 //! cancel flag is an argument of `run_compiled`, never engine state.
+//! Every path returns the compact [`stats::EmulationStats`] summary; the
+//! instances' final memory comes only from
+//! [`Emulation::run_with_images`], which nothing caches.
 
 pub mod arena;
 pub mod calq;
@@ -111,8 +114,8 @@ pub use sched::{
     RandomScheduler, SchedContext, Scheduler,
 };
 pub use stats::{
-    AppAggregate, AppRecord, EmulationStats, OverheadBreakdown, ReliabilityCounters,
-    StatsPercentiles, TaskRecord,
+    AppAggregate, AppRecord, EmulationStats, InstanceImages, OverheadBreakdown,
+    ReliabilityCounters, StatsPercentiles, TaskRecord,
 };
 pub use sweep::{
     default_workers, CellResult, DesSweepRunner, EngineConfig, ProgressWatcher, SweepCell,

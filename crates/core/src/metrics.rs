@@ -31,8 +31,9 @@
 //! scheduling step. A mid-run scrape therefore trails the run by fewer
 //! than 256 completions plus the one event window being processed.
 //! Once a run returns — finished, failed or cancelled — every value is
-//! final, and `dssoc_ready_depth` and `dssoc_pes_busy` are back where
-//! the run found them.
+//! final, and the three gauges are back where the run found them: a
+//! quarantine lasts for the rest of its run, and the run's count stays
+//! in the `dssoc_quarantines` counter.
 //!
 //! Both engines fold the same columns and the same sink, so they publish
 //! the same families with the same values on deterministic configs,
@@ -126,11 +127,8 @@ fn outcome_counts(sink: &CompletionSink) -> [u64; OUTCOMES.len()] {
 }
 
 /// The gauges folded from run state: ready depth, busy PEs,
-/// quarantined PEs.
+/// quarantined PEs. Each returns to zero at every run exit.
 const GAUGES: [&str; 3] = ["dssoc_ready_depth", "dssoc_pes_busy", "dssoc_pes_quarantined"];
-
-/// How many of [`GAUGES`] (a prefix) return to zero at every run exit.
-const RUN_GAUGES: usize = 2;
 
 /// Per-PE cells, by platform column.
 struct PeCells {
@@ -306,9 +304,8 @@ impl EngineMetrics {
     }
 
     /// Publishes the rest of a run that stopped, however it stopped,
-    /// returns the ready-depth and busy-PE gauges to where the run found
-    /// them, and counts the run under its scheduler label if it
-    /// `finished`.
+    /// returns the gauges to where the run found them, and counts the
+    /// run under its scheduler label if it `finished`.
     pub fn end_run(
         &mut self,
         p: &mut RunParts,
@@ -325,8 +322,7 @@ impl EngineMetrics {
     }
 
     fn release_run_gauges(&mut self) {
-        let (cells, held) = (&self.gauges[..RUN_GAUGES], &mut self.run.gauges[..RUN_GAUGES]);
-        for (cell, held) in cells.iter().zip(held) {
+        for (cell, held) in self.gauges.iter().zip(&mut self.run.gauges) {
             cell.add(-std::mem::take(held));
         }
     }

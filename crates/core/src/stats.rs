@@ -7,12 +7,21 @@
 //! execution time (Figs. 9a, 10a, 11), per-PE utilization (Fig. 9b),
 //! per-application latency and task counts (Table I), and average
 //! scheduling overhead (Fig. 10b).
+//!
+//! What a run returns is a compact summary, [`EmulationStats`]: it
+//! holds no instance memory, so a result cache, a sweep or a daemon can
+//! keep hundreds of them without pinning the run's variable arenas. The
+//! final memory of every instance — validation mode's functional check
+//! (paper §II-B) — comes only from
+//! [`Emulation::run_with_images`](crate::engine::Emulation::run_with_images)
+//! as [`InstanceImages`], which nothing caches or stores.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::memory::AppMemory;
 use dssoc_metrics::HistogramData;
 use dssoc_platform::pe::PeId;
 
@@ -123,15 +132,17 @@ impl DenseTaskLog {
 /// so iteration/indexing/slicing all work) expands the columns once
 /// and caches the result, which is why sweep and job-layer consumers
 /// that read only aggregates never pay for 4k `Name` refcounts per run.
+/// Clones share the columns (a cached result and the copy a cache hit
+/// hands out hold one set) and materialize their records separately.
 #[derive(Debug, Clone, Default)]
 pub struct TaskLog {
-    dense: Option<DenseTaskLog>,
+    dense: Option<Arc<DenseTaskLog>>,
     records: OnceLock<Vec<TaskRecord>>,
 }
 
 impl TaskLog {
     pub(crate) fn from_dense(dense: DenseTaskLog) -> TaskLog {
-        TaskLog { dense: Some(dense), records: OnceLock::new() }
+        TaskLog { dense: Some(Arc::new(dense)), records: OnceLock::new() }
     }
 
     /// Number of task records (without materializing).
@@ -159,6 +170,15 @@ impl TaskLog {
     /// Iterates the records (materializing if needed).
     pub fn iter(&self) -> std::slice::Iter<'_, TaskRecord> {
         self.records().iter()
+    }
+
+    /// Each record's application name, in completion order, read from
+    /// the dense columns when there are any (without materializing).
+    fn app_names(&self) -> impl Iterator<Item = &Name> {
+        let dense = self.dense.as_deref();
+        let cols = dense.map(|d| d.cols.inst.iter().map(|&i| d.names.app(InstanceId(i as u64))));
+        let records = dense.is_none().then(|| self.records().iter().map(|t| &t.app));
+        cols.into_iter().flatten().chain(records.into_iter().flatten())
     }
 }
 
@@ -306,7 +326,8 @@ pub struct StatsPercentiles {
     pub app_latency: HistogramData,
 }
 
-/// Everything collected from one emulation run.
+/// The summary of one emulation run: everything the case studies read,
+/// and no instance memory (see the module docs).
 #[derive(Debug, Clone)]
 pub struct EmulationStats {
     /// Platform name (e.g. `zcu102-3C+2F`).
@@ -332,9 +353,6 @@ pub struct EmulationStats {
     /// Fault-injection and recovery counters (all zeros without a fault
     /// spec).
     pub reliability: ReliabilityCounters,
-    /// The executed application instances, including their final variable
-    /// memory — validation mode's functional-verification handle.
-    pub instances: Vec<Arc<AppInstance>>,
     /// Lazily-built per-app aggregates (see [`Self::app_aggregates`]).
     pub(crate) app_agg: OnceLock<BTreeMap<Name, AppAggregate>>,
 }
@@ -363,10 +381,11 @@ impl EmulationStats {
     }
 
     /// Per-app aggregates, built on first use with a single pass over
-    /// the task and app record vectors. Every per-app accessor reads
-    /// this map, so reporting loops that ask about each app in turn
-    /// (Table I does) cost O(n + apps·log apps) total instead of
-    /// rescanning all n records once per app.
+    /// the app records and the task log's columns (task records are not
+    /// materialized). Every per-app accessor reads this map, so
+    /// reporting loops that ask about each app in turn (Table I does)
+    /// cost O(n + apps·log apps) total instead of rescanning all n
+    /// records once per app.
     pub fn app_aggregates(&self) -> &BTreeMap<Name, AppAggregate> {
         self.app_agg.get_or_init(|| {
             let mut map: BTreeMap<Name, AppAggregate> = BTreeMap::new();
@@ -375,8 +394,8 @@ impl EmulationStats {
                 agg.instances += 1;
                 agg.total_latency += a.latency();
             }
-            for t in &self.tasks {
-                map.entry(t.app.clone()).or_default().tasks += 1;
+            for app in self.tasks.app_names() {
+                map.entry(app.clone()).or_default().tasks += 1;
             }
             map
         })
@@ -414,12 +433,6 @@ impl EmulationStats {
         self.apps.len()
     }
 
-    /// The final variable memory of one instance (functional
-    /// verification after a validation-mode run).
-    pub fn instance_memory(&self, id: InstanceId) -> Option<&dssoc_appmodel::memory::AppMemory> {
-        self.instances.iter().find(|i| i.id == id).map(|i| i.memory.as_ref())
-    }
-
     /// A compact human-readable summary (used by the examples).
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
@@ -452,6 +465,22 @@ impl EmulationStats {
             );
         }
         s
+    }
+}
+
+/// The final variable memory of every instance of one threaded-engine
+/// run, for functional checks (golden decodes, the range-detection
+/// lag). Only [`Emulation::run_with_images`] returns it; it is never
+/// part of an [`EmulationStats`], so no cache or sweep holds it.
+///
+/// [`Emulation::run_with_images`]: crate::engine::Emulation::run_with_images
+#[derive(Debug)]
+pub struct InstanceImages(pub(crate) Vec<Arc<AppInstance>>);
+
+impl InstanceImages {
+    /// The final variable memory of instance `id`.
+    pub fn memory(&self, id: InstanceId) -> Option<&AppMemory> {
+        self.0.iter().find(|i| i.id == id).map(|i| i.memory.as_ref())
     }
 }
 
@@ -516,7 +545,6 @@ mod tests {
                 dispatch: Duration::from_micros(1),
             },
             reliability: ReliabilityCounters::default(),
-            instances: Vec::new(),
             app_agg: OnceLock::new(),
         }
     }

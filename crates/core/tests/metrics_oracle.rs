@@ -6,7 +6,8 @@
 //!
 //! Also: runs that stop early — a scheduler contract violation, a
 //! mid-run cancel — must leave the ready-depth and busy-PE gauges where
-//! they found them, on both engines.
+//! they found them, on both engines; and repeated runs on one warm
+//! engine must not add up the quarantined-PE gauge.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -223,7 +224,7 @@ fn every_family_matches_the_run_stats() {
             // Gauges once the run returned, and the depth samples.
             assert_eq!(value("dssoc_ready_depth", &[]), 0.0, "{what}");
             assert_eq!(value("dssoc_pes_busy", &[]), 0.0, "{what}");
-            assert_eq!(value("dssoc_pes_quarantined", &[]), r.pes_quarantined as f64, "{what}");
+            assert_eq!(value("dssoc_pes_quarantined", &[]), 0.0, "{what}");
             let observed = value("dssoc_ready_depth_observed", &[]);
             assert_eq!(value("dssoc_tasks_ready", &[]), observed, "{what}: one sample per push");
             assert!(observed >= stats.tasks.len() as f64, "{what}");
@@ -331,4 +332,57 @@ fn early_exits_return_the_run_gauges_to_zero() {
     des.run(&mut FrfsScheduler::new(), &workload, &library).expect("clean DES run");
     emu.run(&mut FrfsScheduler::new(), &workload, &library).expect("clean threaded run");
     assert_eq!(run_gauges(&registry), (0.0, 0.0), "clean runs");
+}
+
+/// Three runs on one warm engine, each losing the FFT accelerator for
+/// good: every run quarantines it (the `dssoc_quarantines` counter
+/// reads 1, 2, 3), and the quarantined-PE gauge reads 0 after each,
+/// on both engines.
+#[test]
+fn warm_runs_do_not_add_up_the_quarantine_gauge() {
+    let (library, _kernels) = standard_library();
+    let platform = zcu102(2, 1);
+    let table = cost_table(&library, &platform);
+    let workload = WorkloadSpec::validation([("range_detection", 4usize)])
+        .generate(&library)
+        .expect("workload");
+    let faults = Arc::new(FaultSpec {
+        permanent: vec![PermanentFault { pe: 2, at_us: 0.0 }],
+        ..FaultSpec::default()
+    });
+    for des in [true, false] {
+        let registry = MetricsRegistry::new();
+        let mut runs: Box<dyn FnMut() -> EmulationStats> = if des {
+            let config = DesConfig {
+                cost: CostSpec::table(table.clone()),
+                faults: Some(Arc::clone(&faults)),
+                metrics: Some(registry.clone()),
+                ..DesConfig::default()
+            };
+            let mut sim = DesSimulator::new(platform.clone(), config).expect("platform");
+            let (workload, library) = (workload.clone(), library.clone());
+            Box::new(move || sim.run(&mut FrfsScheduler::new(), &workload, &library).expect("run"))
+        } else {
+            let config = EmulationConfig {
+                timing: TimingMode::Modeled,
+                overhead: OverheadMode::None,
+                cost: CostSpec::table(table.clone()),
+                reservation_depth: 0,
+                trace: None,
+                faults: Some(Arc::clone(&faults)),
+                metrics: Some(registry.clone()),
+            };
+            let mut emu = Emulation::with_config(platform.clone(), config).expect("platform");
+            let (workload, library) = (workload.clone(), library.clone());
+            Box::new(move || emu.run(&mut FrfsScheduler::new(), &workload, &library).expect("run"))
+        };
+        for run in 1..=3 {
+            let stats = runs();
+            assert_eq!(stats.reliability.pes_quarantined, 1, "des={des} run {run}");
+            let snap = registry.snapshot();
+            let value = |name| snap.value(name, &[]).expect("registered at engine build");
+            assert_eq!(value("dssoc_quarantines"), run as f64, "des={des} run {run}");
+            assert_eq!(value("dssoc_pes_quarantined"), 0.0, "des={des} run {run}");
+        }
+    }
 }

@@ -365,14 +365,15 @@ fn serve_one(mut stream: TcpStream, pool: &Pool) {
     let _ = stream.set_nodelay(true);
     let response = match read_request(&mut stream, &pool.limits) {
         Ok(request) => (pool.handler)(&request),
-        Err(ParseError::TooLarge) => Response::text(413, "payload too large\n"),
-        Err(ParseError::Timeout) => Response::text(408, "request timeout\n"),
-        Err(ParseError::Malformed(why)) => Response::text(400, format!("{why}\n")),
-        Err(ParseError::Io) => return,
+        Err(e) => match e.response() {
+            Some(response) => response,
+            None => return,
+        },
     };
     let _ = write_response(&mut stream, &response, &pool.limits);
 }
 
+#[derive(Debug)]
 enum ParseError {
     /// The socket failed or the peer vanished mid-request; nothing to
     /// answer.
@@ -384,18 +385,47 @@ enum ParseError {
     Malformed(&'static str),
 }
 
+impl ParseError {
+    /// The one-line 4xx answering the rejected request; `None` when the
+    /// peer is gone and there is nobody to answer.
+    fn response(self) -> Option<Response> {
+        match self {
+            ParseError::Io => None,
+            ParseError::TooLarge => Some(Response::text(413, "payload too large\n")),
+            ParseError::Timeout => Some(Response::text(408, "request timeout\n")),
+            ParseError::Malformed(why) => Some(Response::text(400, format!("{why}\n"))),
+        }
+    }
+}
+
 impl From<std::io::Error> for ParseError {
     fn from(_: std::io::Error) -> Self {
         ParseError::Io
     }
 }
 
-/// One deadline-aware socket read. The per-read timeout is clamped to
-/// the time left on the whole-request deadline, so a client trickling
-/// bytes can't reset the clock: however fast the bytes dribble in, the
+/// A byte source whose reads can be bounded in time: a socket, or in
+/// tests a byte slice.
+trait TimedRead: Read {
+    /// Bounds the next reads to `timeout` each.
+    fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()>;
+}
+
+impl TimedRead for TcpStream {
+    fn set_timeout(&mut self, timeout: Duration) -> std::io::Result<()> {
+        self.set_read_timeout(Some(timeout))
+    }
+}
+
+/// Bytes one read asks for.
+const READ_CHUNK: usize = 1024;
+
+/// One deadline-aware read. The per-read timeout is clamped to the time
+/// left on the whole-request deadline, so a client trickling bytes
+/// can't reset the clock: however fast the bytes dribble in, the
 /// request completes or times out by `deadline`.
 fn read_some(
-    stream: &mut TcpStream,
+    stream: &mut impl TimedRead,
     chunk: &mut [u8],
     deadline: Instant,
     limits: &HttpLimits,
@@ -404,7 +434,7 @@ fn read_some(
     if remaining.is_zero() {
         return Err(ParseError::Timeout);
     }
-    stream.set_read_timeout(Some(limits.io_timeout.min(remaining)))?;
+    stream.set_timeout(limits.io_timeout.min(remaining))?;
     match stream.read(chunk) {
         Ok(n) => Ok(n),
         Err(e)
@@ -417,11 +447,13 @@ fn read_some(
     }
 }
 
-/// Reads and parses one request (head + `Content-Length` body).
-fn read_request(stream: &mut TcpStream, limits: &HttpLimits) -> Result<Request, ParseError> {
+/// Reads and parses one request (head + `Content-Length` body). What it
+/// buffers is bounded by `limits`: the head by `max_head_bytes` plus one
+/// read, the body by `max_body_bytes` plus one read.
+fn read_request(stream: &mut impl TimedRead, limits: &HttpLimits) -> Result<Request, ParseError> {
     let deadline = Instant::now() + limits.request_deadline;
     let mut buf = Vec::with_capacity(512);
-    let mut chunk = [0u8; 1024];
+    let mut chunk = [0u8; READ_CHUNK];
     let head_end = loop {
         if let Some(pos) = find_head_end(&buf) {
             break pos;
@@ -679,6 +711,242 @@ fn decode_chunked(raw: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Byte-level properties of the request reader, fed from byte
+    /// slices: whatever arrives, it never panics, its heap stays within
+    /// a bound linear in the [`HttpLimits`], and every rejection is a
+    /// one-line 4xx.
+    mod bytes {
+        use super::*;
+        use proptest::prelude::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        /// Counts each thread's live heap bytes and their peak.
+        struct PerThread;
+
+        thread_local! {
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+            static PEAK: Cell<isize> = const { Cell::new(0) };
+        }
+
+        fn note(delta: isize) {
+            let _ = LIVE.try_with(|live| {
+                live.set(live.get() + delta);
+                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+            });
+        }
+
+        // SAFETY: every method forwards its arguments unchanged to `System`;
+        // the counting touches no memory the allocator hands out.
+        unsafe impl GlobalAlloc for PerThread {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size() as isize);
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                note(-(layout.size() as isize));
+                System.dealloc(ptr, layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size as isize - layout.size() as isize);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: PerThread = PerThread;
+
+        impl TimedRead for &[u8] {
+            fn set_timeout(&mut self, _: Duration) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        /// Small limits, so generated inputs cross them.
+        fn limits() -> HttpLimits {
+            HttpLimits { max_head_bytes: 512, max_body_bytes: 768, ..HttpLimits::default() }
+        }
+
+        /// The heap a request may take: a head (at most `max_head_bytes`
+        /// plus one read) parsed into per-line and per-parameter strings
+        /// costs a small multiple of its size; the body its length
+        /// plus one read, doubled by growth.
+        fn heap_bound(limits: &HttpLimits) -> usize {
+            64 * (limits.max_head_bytes + READ_CHUNK) + 2 * (limits.max_body_bytes + READ_CHUNK)
+        }
+
+        /// Reads `bytes` as one request and checks the properties.
+        fn read(bytes: &[u8]) -> Result<Option<Request>, TestCaseError> {
+            let limits = limits();
+            let before = LIVE.with(Cell::get);
+            PEAK.with(|peak| peak.set(before));
+            let result = read_request(&mut &bytes[..], &limits);
+            let peak = (PEAK.with(Cell::get) - before) as usize;
+            let bound = heap_bound(&limits);
+            prop_assert!(peak <= bound, "{} input bytes took {peak} heap bytes", bytes.len());
+            let e = match result {
+                Ok(request) => {
+                    prop_assert!(request.body.len() <= limits.max_body_bytes);
+                    return Ok(Some(request));
+                }
+                Err(e) => e,
+            };
+            let what = format!("{e:?}");
+            let Some(response) = e.response() else {
+                return Err(TestCaseError::fail(format!("a slice read failed: {what}")));
+            };
+            prop_assert!((400..500).contains(&response.status), "{what}: {}", response.status);
+            let body = String::from_utf8(response.body).expect("reasons are text");
+            prop_assert!(body.ends_with('\n') && body.lines().count() == 1, "{what}: {body:?}");
+            Ok(None)
+        }
+
+        /// Fragments requests are made of, for inputs with structure.
+        const TOKENS: [&[u8]; 24] = [
+            b"GET",
+            b"POST",
+            b"delete",
+            b" ",
+            b"/",
+            b"/jobs/3",
+            b"?",
+            b"&",
+            b"=",
+            b"wait_ms",
+            b"\r\n",
+            b"\n",
+            b"\r\n\r\n",
+            b":",
+            b"Content-Length",
+            b"content-length: 5",
+            b"Transfer-Encoding: chunked",
+            b"0",
+            b"17",
+            b"99999999999999999999999",
+            b"x",
+            b"\xff\xfe",
+            b"{}",
+            b"HTTP/1.1",
+        ];
+
+        /// A well-formed request and what it must parse to.
+        struct Valid {
+            bytes: Vec<u8>,
+            method: String,
+            path: String,
+            query: Vec<(String, String)>,
+            headers: Vec<(String, String)>,
+            body: Vec<u8>,
+        }
+
+        fn valid(
+            method: usize,
+            segments: &[u8],
+            query: &[(u8, u8)],
+            headers: &[(u8, u8)],
+            body: &[u8],
+        ) -> Valid {
+            let method = ["GET", "POST", "DELETE", "PUT"][method].to_string();
+            let word = |c: u8, n: u8| (b'a' + c % 26).to_string().repeat(1 + (n % 3) as usize);
+            let path: String = segments.iter().map(|&c| format!("/{}", word(c, c))).collect();
+            let path = if path.is_empty() { "/".to_string() } else { path };
+            let query: Vec<(String, String)> =
+                query.iter().map(|&(k, v)| (word(k, v), v.to_string())).collect();
+            let mut headers: Vec<(String, String)> = headers
+                .iter()
+                .map(|&(k, v)| (format!("x-{}", word(k, v)), v.to_string()))
+                .collect();
+            headers.push(("content-length".to_string(), body.len().to_string()));
+            let mut text = format!("{method} {path}");
+            for (i, (k, v)) in query.iter().enumerate() {
+                text.push_str(&format!("{}{k}={v}", if i == 0 { '?' } else { '&' }));
+            }
+            text.push_str(" HTTP/1.1\r\n");
+            for (k, v) in &headers {
+                text.push_str(&format!("{k}: {v}\r\n"));
+            }
+            text.push_str("\r\n");
+            let mut bytes = text.into_bytes();
+            bytes.extend_from_slice(body);
+            Valid { bytes, method, path, query, headers, body: body.to_vec() }
+        }
+
+        /// Applies `(kind, at, byte)` mutations: overwrite, insert or
+        /// delete a byte, cut the input short, or splice in a line break
+        /// or a second copy of a stretch.
+        fn mutate(mut bytes: Vec<u8>, mutations: &[(u8, usize, u8)]) -> Vec<u8> {
+            for &(kind, at, byte) in mutations {
+                let at = at % (bytes.len() + 1);
+                match kind % 6 {
+                    0 if at < bytes.len() => bytes[at] = byte,
+                    1 => bytes.insert(at, byte),
+                    2 if at < bytes.len() => {
+                        bytes.remove(at);
+                    }
+                    3 => bytes.truncate(at),
+                    4 => {
+                        bytes.splice(at..at, *b"\r\n");
+                    }
+                    _ => {
+                        let end = (at + byte as usize).min(bytes.len());
+                        let stretch = bytes[at..end].to_vec();
+                        bytes.splice(at..at, stretch);
+                    }
+                }
+            }
+            bytes
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_are_answered_within_bounds(
+                bytes in proptest::collection::vec(any::<u8>(), 0..3000),
+            ) {
+                read(&bytes)?;
+            }
+
+            /// Runs of fragments, up to a few hundred KB: well past the
+            /// limits, so a reader that stopped enforcing them shows.
+            #[test]
+            fn token_soup_is_answered_within_bounds(
+                picks in proptest::collection::vec((0usize..TOKENS.len(), 1usize..3000), 0..60),
+            ) {
+                let bytes: Vec<u8> =
+                    picks.iter().flat_map(|&(i, n)| TOKENS[i].repeat(n)).collect();
+                read(&bytes)?;
+            }
+
+            #[test]
+            fn valid_requests_parse_and_mutants_are_answered_within_bounds(
+                method in 0usize..4,
+                segments in proptest::collection::vec(any::<u8>(), 0..4),
+                query in proptest::collection::vec(any::<(u8, u8)>(), 0..4),
+                headers in proptest::collection::vec(any::<(u8, u8)>(), 0..5),
+                body in proptest::collection::vec(any::<u8>(), 0..900),
+                mutations in proptest::collection::vec(any::<(u8, usize, u8)>(), 1..5),
+            ) {
+                let v = valid(method, &segments, &query, &headers, &body);
+                let fits = v.body.len() <= limits().max_body_bytes;
+                match read(&v.bytes)? {
+                    Some(r) => {
+                        prop_assert!(fits, "an oversized body was accepted");
+                        prop_assert_eq!(&r.method, &v.method);
+                        prop_assert_eq!(&r.path, &v.path);
+                        prop_assert_eq!(&r.query, &v.query);
+                        prop_assert_eq!(&r.headers, &v.headers);
+                        prop_assert_eq!(&r.body, &v.body);
+                    }
+                    None => prop_assert!(!fits, "a valid request was rejected"),
+                }
+                read(&mutate(v.bytes, &mutations))?;
+            }
+        }
+    }
 
     fn echo_server() -> HttpServer {
         let handler: Arc<Handler> = Arc::new(|req: &Request| {

@@ -34,7 +34,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::workload::WorkloadSpec;
+use dssoc_appmodel::workload::{OperationMode, WorkloadSpec};
 use dssoc_core::engine::{EmuError, OverheadMode, TimingMode};
 use dssoc_core::fault::FaultSpec;
 use dssoc_core::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec};
@@ -47,6 +47,12 @@ use crate::manager::{ChaosMode, SubmitOptions};
 
 /// Priorities are small ordinals; anything above this is clamped.
 pub const MAX_PRIORITY: u8 = 9;
+
+/// Most application instances one submission may ask for (in
+/// performance mode, injection attempts). Checked before the workload
+/// is generated, so a count in a body cannot make parsing allocate
+/// without bound.
+const MAX_INSTANCES: u64 = 1 << 16;
 
 /// A validated submission, not yet compiled: the built scenario plus
 /// the daemon-level execution knobs.
@@ -133,7 +139,28 @@ fn parse_workload(v: &Value) -> Result<WorkloadSpec, String> {
     if let Some(seed) = field_u64(v, "seed")? {
         spec.seed = seed;
     }
+    let n = requested_instances(&spec);
+    if n > MAX_INSTANCES {
+        return Err(format!("workload asks for {n} instances, more than {MAX_INSTANCES}"));
+    }
     Ok(spec)
+}
+
+/// The instances `spec` would generate at most: its validation counts,
+/// or its injection attempts over the time frame.
+fn requested_instances(spec: &WorkloadSpec) -> u64 {
+    match &spec.mode {
+        OperationMode::Validation { counts } => {
+            counts.values().fold(0u64, |n, &c| n.saturating_add(c as u64))
+        }
+        OperationMode::Performance { injections, time_frame } => {
+            injections.iter().fold(0u64, |n, inj| {
+                let period = inj.period.as_nanos().max(1);
+                let attempts = time_frame.as_nanos().div_ceil(period);
+                n.saturating_add(u64::try_from(attempts).unwrap_or(u64::MAX))
+            })
+        }
+    }
 }
 
 /// The platform field: a preset shorthand string (`"zcu102:2C+1F"`)
@@ -175,8 +202,13 @@ pub fn parse_job(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedJob, St
 /// scenario, without compiling it.
 ///
 /// Every rejection reason is a single human-readable line, returned
-/// verbatim in the daemon's `400` error body.
+/// verbatim in the daemon's `400` error body: line breaks in quoted
+/// client text are escaped.
 pub fn parse_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest, String> {
+    build_request(body, library).map_err(|why| why.replace('\r', "\\r").replace('\n', "\\n"))
+}
+
+fn build_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest, String> {
     let text = std::str::from_utf8(body).map_err(|_| "body is not UTF-8".to_string())?;
     let v: Value =
         serde_json::from_str(text).map_err(|e| format!("body is not valid JSON: {e}"))?;
@@ -205,11 +237,11 @@ pub fn parse_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedReq
             Engine::Threaded => OverheadMode::Measured,
         },
         Some(val) => {
-            let us = val
+            let overhead = val
                 .as_f64()
-                .filter(|us| us.is_finite() && *us >= 0.0)
+                .and_then(|us| Duration::try_from_secs_f64(us * 1e-6).ok())
                 .ok_or("field 'overhead_us' must be a non-negative number")?;
-            OverheadMode::Fixed(Duration::from_secs_f64(us * 1e-6))
+            OverheadMode::Fixed(overhead)
         }
     };
     let cost = match field_str(&v, "cost")? {
@@ -469,5 +501,229 @@ mod tests {
         let a = parse_job(body, &lib).unwrap();
         let b = parse_job(body, &lib).unwrap();
         assert_eq!(a.scenario.fingerprint(), b.scenario.fingerprint());
+    }
+
+    /// Byte-level properties of [`parse_request`]: whatever the body, it
+    /// never panics, its heap stays within a bound linear in the body
+    /// plus the largest workload a body may ask for, and every
+    /// rejection reason is one line.
+    mod bytes {
+        use super::*;
+        use proptest::prelude::*;
+        use std::alloc::{GlobalAlloc, Layout, System};
+        use std::cell::Cell;
+
+        /// Counts each thread's live heap bytes and their peak.
+        struct PerThread;
+
+        thread_local! {
+            static LIVE: Cell<isize> = const { Cell::new(0) };
+            static PEAK: Cell<isize> = const { Cell::new(0) };
+        }
+
+        fn note(delta: isize) {
+            let _ = LIVE.try_with(|live| {
+                live.set(live.get() + delta);
+                let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+            });
+        }
+
+        // SAFETY: every method forwards its arguments unchanged to `System`;
+        // the counting touches no memory the allocator hands out.
+        unsafe impl GlobalAlloc for PerThread {
+            unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+                note(layout.size() as isize);
+                System.alloc(layout)
+            }
+
+            unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+                note(-(layout.size() as isize));
+                System.dealloc(ptr, layout)
+            }
+
+            unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+                note(new_size as isize - layout.size() as isize);
+                System.realloc(ptr, layout, new_size)
+            }
+        }
+
+        #[global_allocator]
+        static GLOBAL: PerThread = PerThread;
+
+        /// Heap of the largest workload a body may ask for: an arrival
+        /// per instance, and the vector's growth.
+        const WORKLOAD_BYTES: usize = 2 * MAX_INSTANCES as usize * 64;
+
+        /// The standard library, built once for all cases.
+        fn shared() -> Arc<AppLibrary> {
+            static LIBRARY: std::sync::OnceLock<Arc<AppLibrary>> = std::sync::OnceLock::new();
+            Arc::clone(LIBRARY.get_or_init(library))
+        }
+
+        /// Parses `body` and checks the properties.
+        fn parse(body: &[u8], library: &Arc<AppLibrary>) -> Result<(), TestCaseError> {
+            let before = LIVE.with(Cell::get);
+            PEAK.with(|peak| peak.set(before));
+            let result = parse_request(body, library);
+            let peak = (PEAK.with(Cell::get) - before) as usize;
+            let bound = 64 * body.len() + WORKLOAD_BYTES;
+            prop_assert!(peak <= bound, "{} body bytes took {peak} heap bytes", body.len());
+            if let Err(why) = result {
+                prop_assert!(!why.is_empty() && !why.contains(['\n', '\r']), "{why:?}");
+            }
+            Ok(())
+        }
+
+        /// Well-formed bodies the mutants start from.
+        const VALID: [&str; 5] = [
+            r#"{"engine":"des","platform":"zcu102:2C+1F","scheduler":"eft","validation":{"range_detection":3,"wifi_rx":1},"seed":7}"#,
+            r#"{"platform":"odroid:2B+1L","workload":{"mode":{"Performance":{"injections":[{"app":"wifi_tx","period":{"secs":0,"nanos":400000},"probability":0.5}],"time_frame":{"secs":0,"nanos":20000000}}},"seed":3},"priority":4}"#,
+            r#"{"engine":"threaded","platform":"zcu102:3C+1F","validation":{"wifi_tx":2},"cost":"table","overhead_us":5,"reservation_depth":1,"trace":true}"#,
+            r#"{"platform":"zcu102:2C+1F","validation":{"range_detection":2},"faults":{"seed":11,"permanent":[{"pe":2,"at_us":400.0}],"transient":[{"kernel":null,"pe":null,"probability":0.25}]},"deadline_ms":500}"#,
+            r#"{"platform":{"name":"x","pes":[]},"validation":{"pulse_doppler":1},"timing":"wallclock"}"#,
+        ];
+
+        /// JSON fragments, for bodies with structure.
+        const TOKENS: [&str; 32] = [
+            "{",
+            "}",
+            "[",
+            "]",
+            ":",
+            ",",
+            "\"platform\"",
+            "\"zcu102:2C+1F\"",
+            "\"odroid:9B+0L\"",
+            "\"validation\"",
+            "\"wifi_tx\"",
+            "\"pulse_doppler\"",
+            "\"workload\"",
+            "\"engine\"",
+            "\"threaded\"",
+            "\"overhead_us\"",
+            "\"secs\"",
+            "\"nanos\"",
+            "\"a\\nb\"",
+            "1",
+            "0",
+            "-1",
+            "1e300",
+            "99999999999999999999",
+            "18446744073709551615",
+            "4294967295",
+            "null",
+            "true",
+            "\"seed\"",
+            "\"faults\"",
+            "\"scheduler\"",
+            " ",
+        ];
+
+        /// Odd string contents for a string literal to take.
+        const STRINGS: [&str; 8] = [
+            "",
+            "a\\nb",
+            "thr\\u000aeaded",
+            "\\r",
+            "zcu102:3C+99F",
+            "odroid:1B+1L",
+            "9",
+            "\\u2028",
+        ];
+
+        /// The `(start, end)` byte spans of `body`'s number literals
+        /// (`numbers`) or of its string literals' contents.
+        fn spans(body: &[u8], numbers: bool) -> Vec<(usize, usize)> {
+            let (mut out, mut i) = (Vec::new(), 0);
+            while i < body.len() {
+                let start = i;
+                if body[i] == b'"' {
+                    i += 1;
+                    while i < body.len() && body[i] != b'"' {
+                        i += 1;
+                    }
+                    if !numbers {
+                        out.push((start + 1, i));
+                    }
+                } else if numbers && body[i].is_ascii_digit() {
+                    while i + 1 < body.len() && body[i + 1].is_ascii_digit() {
+                        i += 1;
+                    }
+                    out.push((start, i + 1));
+                }
+                i += 1;
+            }
+            out
+        }
+
+        /// Applies `(kind, at, byte)` mutations: overwrite, insert or
+        /// delete an ASCII byte (arbitrary bytes have their own test), cut
+        /// the body short, give a number literal `1..=8` random digits,
+        /// or give a string literal odd contents.
+        fn mutate(mut body: Vec<u8>, mutations: &[(u8, usize, u8)]) -> Vec<u8> {
+            for &(kind, at, byte) in mutations {
+                let pos = at % (body.len() + 1);
+                match kind % 8 {
+                    0 if pos < body.len() => body[pos] = byte % 128,
+                    1 => body.insert(pos, byte % 128),
+                    2 if pos < body.len() => {
+                        body.remove(pos);
+                    }
+                    3 => body.truncate(pos),
+                    4..=7 => {
+                        let numbers = kind % 8 < 6;
+                        let spans = spans(&body, numbers);
+                        let Some(&(start, end)) = spans.get(at % spans.len().max(1)) else {
+                            continue;
+                        };
+                        let new = if numbers {
+                            let digits = 1 + byte as usize % 8;
+                            (0..digits).map(|k| b'1' + ((at >> (4 * k)) % 9) as u8).collect()
+                        } else {
+                            STRINGS[byte as usize % STRINGS.len()].as_bytes().to_vec()
+                        };
+                        body.splice(start..end, new);
+                    }
+                    _ => {}
+                }
+            }
+            body
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn arbitrary_bodies_are_answered_within_bounds(
+                body in proptest::collection::vec(any::<u8>(), 0..2000),
+            ) {
+                parse(&body, &shared())?;
+            }
+
+            /// Runs of fragments, nesting included (to thousands of
+            /// levels, past the JSON parser's recursion limit).
+            #[test]
+            fn token_soup_is_answered_within_bounds(
+                picks in proptest::collection::vec((0usize..TOKENS.len(), 1usize..3000), 0..40),
+            ) {
+                let body: String = picks.iter().map(|&(i, n)| TOKENS[i].repeat(n)).collect();
+                parse(body.as_bytes(), &shared())?;
+            }
+
+            #[test]
+            fn mutated_valid_bodies_are_answered_within_bounds(
+                pick in 0usize..VALID.len(),
+                mutations in proptest::collection::vec(any::<(u8, usize, u8)>(), 1..3),
+            ) {
+                let library = shared();
+                let valid = VALID[pick].as_bytes();
+                prop_assert!(
+                    pick == VALID.len() - 1 || parse_request(valid, &library).is_ok(),
+                    "{}",
+                    VALID[pick]
+                );
+                parse(&mutate(valid.to_vec(), &mutations), &library)?;
+            }
+        }
     }
 }

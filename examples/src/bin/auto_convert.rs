@@ -37,8 +37,9 @@ fn run_variant(
         .generate(&library)
         .expect("workload");
     let mut emu = Emulation::new(zcu102(cores, ffts)).expect("platform");
-    let stats = emu.run(&mut MetScheduler::new(), &wl, &library).expect("run");
-    let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+    let (stats, images) =
+        emu.run_with_images(&mut MetScheduler::new(), &wl, &library).expect("run");
+    let mem = images.memory(stats.apps[0].instance).unwrap();
     assert_eq!(read_scalar(mem, "lag"), delay as f64, "output must stay correct");
     stats
 }

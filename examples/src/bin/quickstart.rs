@@ -85,14 +85,16 @@ fn main() {
 
     // 4. Emulate on a 2-core + 1-FFT ZCU102-style configuration.
     let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
-    let stats = emulation.run(&mut FrfsScheduler::new(), &workload, &library).expect("emulation");
+    let (stats, images) = emulation
+        .run_with_images(&mut FrfsScheduler::new(), &workload, &library)
+        .expect("emulation");
 
     println!("== quickstart: 3x hello_dssoc on {} ==", stats.platform);
     print!("{}", stats.summary());
 
     // 5. Functional verification: the tone was planted in bin 17.
     for app in &stats.apps {
-        let mem = stats.instance_memory(app.instance).unwrap();
+        let mem = images.memory(app.instance).unwrap();
         let bin = mem.read_u32("peak_bin").unwrap();
         println!(
             "  {}: peak bin = {} (expected 17) latency {:.1} us",

@@ -29,14 +29,15 @@ fn main() {
 
     for (cores, ffts) in [(1usize, 0usize), (1, 1), (2, 1), (3, 0), (3, 2)] {
         let mut emulation = Emulation::new(zcu102(cores, ffts)).expect("platform");
-        let stats =
-            emulation.run(&mut FrfsScheduler::new(), &workload, &library).expect("emulation");
+        let (stats, images) = emulation
+            .run_with_images(&mut FrfsScheduler::new(), &workload, &library)
+            .expect("emulation");
         print_run_row(&format!("{cores}C+{ffts}F"), &stats);
         print_utilization(&stats);
 
         // Verify every instance found the planted target.
         for app in &stats.apps {
-            let mem = stats.instance_memory(app.instance).unwrap();
+            let mem = images.memory(app.instance).unwrap();
             assert_eq!(
                 mem.read_u32("lag").unwrap() as usize,
                 params.target_delay,

@@ -30,11 +30,13 @@ fn main() {
         .generate(&library)
         .expect("workload");
     let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
-    let stats = emulation.run(&mut MetScheduler::new(), &workload, &library).expect("emulation");
+    let (stats, images) = emulation
+        .run_with_images(&mut MetScheduler::new(), &workload, &library)
+        .expect("emulation");
     println!("== emulated wifi_tx + wifi_rx on {} ==", stats.platform);
     print!("{}", stats.summary());
     for app in stats.apps.iter().filter(|a| a.app == "wifi_rx") {
-        let mem = stats.instance_memory(app.instance).unwrap();
+        let mem = images.memory(app.instance).unwrap();
         assert_eq!(mem.read_u32("crc_ok").unwrap(), 1);
         let payload = pack_bits(&mem.read_bytes("payload_out").unwrap());
         println!(

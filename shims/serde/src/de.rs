@@ -168,6 +168,10 @@ impl Deserialize for Duration {
             .get("nanos")
             .ok_or_else(|| Error::missing_field("nanos", "Duration"))
             .and_then(u32::from_value)?;
+        // `Duration::new` panics when the nanos carry past `u64::MAX`
+        // seconds; upstream serde reports it instead.
+        secs.checked_add(u64::from(nanos / 1_000_000_000))
+            .ok_or_else(|| Error::custom("overflow deserializing Duration"))?;
         Ok(Duration::new(secs, nanos))
     }
 }

@@ -181,6 +181,25 @@ mod tests {
     }
 
     #[test]
+    fn nesting_is_bounded_at_the_upstream_limit() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(from_str::<Value>(&nested(128)).is_ok());
+        let err = from_str::<Value>(&nested(129)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit exceeded"), "{err}");
+        // Deep enough to overflow the stack without the limit.
+        assert!(from_str::<Value>(&"[{\"a\":".repeat(1 << 20)).is_err());
+    }
+
+    #[test]
+    fn durations_that_overflow_are_errors() {
+        let d: std::time::Duration = from_str(r#"{"secs": 3, "nanos": 1500000000}"#).unwrap();
+        assert_eq!(d, std::time::Duration::from_millis(4500));
+        let text = r#"{"secs": 18446744073709551615, "nanos": 1000000000}"#;
+        let err = from_str::<std::time::Duration>(text).unwrap_err();
+        assert!(err.to_string().contains("overflow deserializing Duration"), "{err}");
+    }
+
+    #[test]
     fn rejects_bad_documents() {
         for bad in ["", "{", "[1,]", "{\"a\":}", "nul", "\"\\q\"", "1e", "--1"] {
             assert!(from_str::<Value>(bad).is_err(), "{bad:?} should fail");

@@ -8,7 +8,7 @@ use std::time::Duration;
 use dssoc_appmodel::{AppLibrary, Workload, WorkloadSpec};
 use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::job::CostSpec;
-use dssoc_core::stats::EmulationStats;
+use dssoc_core::stats::{EmulationStats, InstanceImages};
 use dssoc_core::Scheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
@@ -34,30 +34,31 @@ pub fn default_config() -> EmulationConfig {
 }
 
 /// Runs a validation workload of `counts` on `platform` under
-/// `scheduler` and returns the stats.
+/// `scheduler` and returns the summary and the instances' final memory.
 pub fn run_validation(
     platform: PlatformConfig,
     scheduler: &mut dyn Scheduler,
     library: &AppLibrary,
     counts: &[(&str, usize)],
     config: EmulationConfig,
-) -> EmulationStats {
+) -> (EmulationStats, InstanceImages) {
     let wl = WorkloadSpec::validation(counts.iter().map(|&(n, c)| (n.to_string(), c)))
         .generate(library)
         .expect("workload generation");
     run_workload(platform, scheduler, library, &wl, config)
 }
 
-/// Runs an arbitrary workload and returns the stats.
+/// Runs an arbitrary workload and returns the summary and the
+/// instances' final memory.
 pub fn run_workload(
     platform: PlatformConfig,
     scheduler: &mut dyn Scheduler,
     library: &AppLibrary,
     workload: &Workload,
     config: EmulationConfig,
-) -> EmulationStats {
+) -> (EmulationStats, InstanceImages) {
     let mut emu = Emulation::with_config(platform, config).expect("platform config");
-    emu.run(scheduler, workload, library).expect("emulation run")
+    emu.run_with_images(scheduler, workload, library).expect("emulation run")
 }
 
 /// A cost table assigning `per_task` to every `(kernel, class)` pair in

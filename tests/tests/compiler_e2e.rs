@@ -27,8 +27,8 @@ fn run_converted(
     let wl =
         WorkloadSpec::validation([(opts.app_name.clone(), 1usize)]).generate(&library).unwrap();
     let mut emu = Emulation::with_config(zcu102(cores, ffts), default_config()).unwrap();
-    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &library).unwrap();
-    let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+    let (stats, images) = emu.run_with_images(&mut FrfsScheduler::new(), &wl, &library).unwrap();
+    let mem = images.memory(stats.apps[0].instance).unwrap();
     let lag = read_scalar(mem, "lag");
     (lag, stats)
 }
@@ -75,8 +75,8 @@ fn accelerator_substitution_runs_on_the_device() {
         .generate(&library)
         .unwrap();
     let mut emu = Emulation::with_config(zcu102(1, 1), default_config()).unwrap();
-    let stats = emu.run(&mut MetScheduler::new(), &wl, &library).unwrap();
-    let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+    let (stats, images) = emu.run_with_images(&mut MetScheduler::new(), &wl, &library).unwrap();
+    let mem = images.memory(stats.apps[0].instance).unwrap();
     assert_eq!(read_scalar(mem, "lag"), 30.0);
     let accel_tasks = stats.tasks.iter().filter(|t| t.kernel.starts_with("accel_fft_")).count();
     assert!(accel_tasks > 0, "no substituted kernel reached the accelerator");

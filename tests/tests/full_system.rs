@@ -12,7 +12,7 @@ use dssoc_platform::presets::zcu102;
 #[test]
 fn table1_workload_runs_on_3c2f() {
     let (lib, _reg) = standard_library();
-    let stats = run_validation(
+    let (stats, _) = run_validation(
         zcu102(3, 2),
         &mut FrfsScheduler::new(),
         &lib,
@@ -22,6 +22,12 @@ fn table1_workload_runs_on_3c2f() {
     assert_eq!(stats.completed_apps(), 3);
     assert_eq!(stats.tasks.len(), 6 + 7 + 9);
     assert!(stats.makespan > std::time::Duration::ZERO);
+    // Per-app counts come from the dense task log (Table I).
+    for (app, tasks) in [("range_detection", 6), ("wifi_tx", 7), ("wifi_rx", 9)] {
+        assert_eq!(stats.app_task_count(app), tasks, "{app}");
+        let from_records = stats.tasks.iter().filter(|t| t.app == app).count();
+        assert_eq!(from_records, tasks, "{app}");
+    }
 }
 
 #[test]
@@ -32,7 +38,7 @@ fn range_detection_functionally_correct_through_emulator() {
             if cores + ffts == 0 {
                 continue;
             }
-            let stats = run_validation(
+            let (stats, images) = run_validation(
                 zcu102(cores, ffts),
                 &mut FrfsScheduler::new(),
                 &lib,
@@ -41,7 +47,7 @@ fn range_detection_functionally_correct_through_emulator() {
             );
             let expected = range_detection::Params::default().target_delay as u32;
             for app in &stats.apps {
-                let mem = stats.instance_memory(app.instance).expect("instance kept");
+                let mem = images.memory(app.instance).expect("instance kept");
                 assert_eq!(
                     mem.read_u32("lag").unwrap(),
                     expected,
@@ -57,7 +63,7 @@ fn range_detection_functionally_correct_through_emulator() {
 fn wifi_rx_decodes_correctly_through_emulator() {
     let (lib, _reg) = standard_library();
     // Include the accelerator so the FFT node can land on the device.
-    let stats = run_validation(
+    let (stats, images) = run_validation(
         zcu102(2, 1),
         &mut MetScheduler::new(),
         &lib,
@@ -66,7 +72,7 @@ fn wifi_rx_decodes_correctly_through_emulator() {
     );
     let payload = wifi::Params::default().payload;
     for app in &stats.apps {
-        let mem = stats.instance_memory(app.instance).unwrap();
+        let mem = images.memory(app.instance).unwrap();
         assert_eq!(mem.read_u32("crc_ok").unwrap(), 1);
         let bits = mem.read_bytes("payload_out").unwrap();
         assert_eq!(dssoc_dsp::util::pack_bits(&bits), payload);
@@ -76,7 +82,7 @@ fn wifi_rx_decodes_correctly_through_emulator() {
 #[test]
 fn wifi_tx_produces_reference_frame_through_emulator() {
     let (lib, _reg) = standard_library();
-    let stats = run_validation(
+    let (stats, images) = run_validation(
         zcu102(2, 1),
         &mut FrfsScheduler::new(),
         &lib,
@@ -85,7 +91,7 @@ fn wifi_tx_produces_reference_frame_through_emulator() {
     );
     let p = wifi::Params::default();
     let golden = wifi::reference_tx(&p.payload);
-    let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+    let mem = images.memory(stats.apps[0].instance).unwrap();
     let tx = mem.read_complex_vec("tx_time", wifi::FFT_SIZE).unwrap();
     assert!(dssoc_dsp::util::signals_close(&tx, &golden, 1e-4));
 }
@@ -94,7 +100,7 @@ fn wifi_tx_produces_reference_frame_through_emulator() {
 fn pulse_doppler_resolves_target_through_emulator() {
     let (lib, _reg) = standard_library();
     // One full 770-task instance on a 3C+2F platform.
-    let stats = run_validation(
+    let (stats, images) = run_validation(
         zcu102(3, 2),
         &mut FrfsScheduler::new(),
         &lib,
@@ -103,7 +109,7 @@ fn pulse_doppler_resolves_target_through_emulator() {
     );
     assert_eq!(stats.tasks.len(), 770);
     let p = pulse_doppler::Params::default();
-    let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+    let mem = images.memory(stats.apps[0].instance).unwrap();
     assert_eq!(mem.read_u32("range_bin").unwrap() as usize, p.expected_range_bin());
     assert_eq!(mem.read_u32("doppler_bin").unwrap() as usize, p.expected_doppler_bin());
 }
@@ -113,7 +119,7 @@ fn accelerator_actually_executes_fft_tasks() {
     let (lib, _reg) = standard_library();
     // MET prefers the device when its estimate is lower; force usage by
     // providing an accelerator-rich platform and checking PE records.
-    let stats = run_validation(
+    let (stats, images) = run_validation(
         zcu102(1, 2),
         &mut FrfsScheduler::new(),
         &lib,
@@ -126,7 +132,7 @@ fn accelerator_actually_executes_fft_tasks() {
     // And the results are still correct.
     let expected = range_detection::Params::default().target_delay as u32;
     for app in &stats.apps {
-        let mem = stats.instance_memory(app.instance).unwrap();
+        let mem = images.memory(app.instance).unwrap();
         assert_eq!(mem.read_u32("lag").unwrap(), expected);
     }
 }
@@ -169,7 +175,7 @@ fn performance_mode_full_mix() {
 #[test]
 fn utilization_reported_per_pe() {
     let (lib, _reg) = standard_library();
-    let stats = run_validation(
+    let (stats, _) = run_validation(
         zcu102(2, 1),
         &mut FrfsScheduler::new(),
         &lib,

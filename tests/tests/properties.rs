@@ -119,11 +119,11 @@ proptest! {
             _ => Box::new(RandomScheduler::seeded(dag.edge_seed)),
         };
         let wl = WorkloadSpec::validation([("random_dag", 1usize)]).generate(&lib).unwrap();
-        let stats = emu.run(scheduler.as_mut(), &wl, &lib).unwrap();
+        let (stats, images) = emu.run_with_images(scheduler.as_mut(), &wl, &lib).unwrap();
 
         prop_assert_eq!(stats.tasks.len(), total);
         // Every kernel ran exactly once: each per-node counter is 1.
-        let mem = stats.instance_memory(stats.apps[0].instance).unwrap();
+        let mem = images.memory(stats.apps[0].instance).unwrap();
         let spec0 = lib.get("random_dag").unwrap();
         for n in &spec0.nodes {
             prop_assert_eq!(mem.read_u32(&format!("cnt_{}", n.name)).unwrap(), 1u32, "node {}", n.name);
