@@ -11,19 +11,20 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec};
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
 use dssoc_appmodel::{KernelRegistry, Workload, WorkloadSpec};
+use dssoc_core::arena::DenseReady;
 use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
-use dssoc_core::job::CostSpec;
-use dssoc_core::sched::{by_name, EstimateBook, FrfsScheduler, PeView, SchedContext};
-use dssoc_core::task::{ReadyTask, Task};
+use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
+use dssoc_core::sched::{by_name, Assignment, FrfsScheduler, PeView, ReadyView, SchedContext};
 use dssoc_core::SimTime;
+use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
 
-/// Builds `n` independent ready tasks (all cpu-capable, every third also
-/// fft-capable), mirroring a loaded SDR ready queue.
-fn ready_tasks(n: usize) -> Vec<ReadyTask> {
+/// Compiles one instance of an `n`-node app of independent tasks (all
+/// cpu-capable, every third also fft-capable), mirroring a loaded SDR
+/// ready queue, onto `platform`.
+fn ready_scenario(n: usize, platform: &PlatformConfig) -> Arc<CompiledScenario> {
     let mut reg = KernelRegistry::new();
     reg.register_fn("b.so", "k", |_| Ok(()));
     let mut dag = BTreeMap::new();
@@ -53,27 +54,33 @@ fn ready_tasks(n: usize) -> Vec<ReadyTask> {
         variables: BTreeMap::new(),
         dag,
     };
-    let spec = ApplicationSpec::from_json(&json, &reg).unwrap();
-    let inst =
-        Arc::new(AppInstance::instantiate(spec, InstanceId(0), std::time::Duration::ZERO).unwrap());
-    (0..n)
-        .map(|i| ReadyTask {
-            task: Task { instance: Arc::clone(&inst), node_idx: i },
-            ready_at: SimTime(i as u64),
-            seq: i as u64,
-        })
-        .collect()
+    let mut library = AppLibrary::new();
+    library.register(ApplicationSpec::from_json(&json, &reg).unwrap());
+    let workload = WorkloadSpec::validation([("bench", 1usize)]).generate(&library).unwrap();
+    let spec = ScenarioSpec::builder()
+        .library(library)
+        .platform(platform.clone())
+        .workload(workload)
+        .build()
+        .unwrap();
+    CompiledScenario::compile(spec).unwrap()
 }
 
 fn bench_policies(c: &mut Criterion) {
     let platform = zcu102(3, 2);
-    let book = EstimateBook::new();
     let mut g = c.benchmark_group("scheduler_invocation");
     for len in [16usize, 128, 1024, 4096] {
-        let ready = ready_tasks(len);
+        let scenario = ready_scenario(len, &platform);
+        let inst = scenario.instances()[0].id.0 as u32;
+        let entries: Vec<DenseReady> = (0..len as u32)
+            .map(|i| DenseReady { inst, node: i, ready_ns: i as u64, seq: i as u64 })
+            .collect();
+        let (soa, names, book) = (scenario.soa(), scenario.names(), scenario.estimates_ref());
+        let ready = ReadyView::new(&entries, soa, names, book);
         for policy in ["frfs", "met", "eft", "random"] {
             g.bench_with_input(BenchmarkId::new(policy, len), &len, |b, _| {
                 let mut sched = by_name(policy).unwrap();
+                let mut out: Vec<Assignment> = Vec::new();
                 b.iter(|| {
                     // One idle core + one idle accelerator: the loaded
                     // steady state right after a completion.
@@ -87,8 +94,14 @@ fn bench_policies(c: &mut Criterion) {
                             available_at: SimTime(100_000),
                         })
                         .collect();
-                    let ctx = SchedContext { now: SimTime(200_000), estimates: &book };
-                    black_box(sched.schedule(&ready, &views, &ctx))
+                    out.clear();
+                    sched.schedule_into(
+                        &ready,
+                        &views,
+                        &SchedContext { now: SimTime(200_000) },
+                        &mut out,
+                    );
+                    black_box(out.len())
                 })
             });
         }

@@ -41,11 +41,10 @@ use dssoc_appmodel::instance::AppInstance;
 use dssoc_trace::FaultKind;
 
 use crate::calq::{CalendarQueue, Timed};
-use crate::exec::{ReadyEntry, ReadyList};
+use crate::exec::ReadyList;
 use crate::job::{CompiledScenario, Fingerprint};
 use crate::sched::{Assignment, EstimateBook, PeView};
 use crate::soa::SpecSoa;
-use crate::task::ReadyTask;
 use crate::time::SimTime;
 
 /// A task completion (or fault) scheduled on the DES calendar queue.
@@ -115,10 +114,10 @@ impl Timed for CompletionEvent {
 /// One entry of an engine's [`ReadyList`]: the task as an index pair
 /// plus its readiness timestamp and sequence number. No `Arc` handle —
 /// pushing a task onto the ready list is a plain store with no refcount
-/// traffic. The engines build [`ReadyTask`]s from these only when they
-/// call a `dyn` scheduler.
+/// traffic, and policies read these entries directly through a
+/// [`ReadyView`](crate::sched::ReadyView).
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct DenseReady {
+pub struct DenseReady {
     /// Instance id (`InstanceId.0`).
     pub inst: u32,
     /// DAG node index within the instance.
@@ -135,18 +134,6 @@ impl DenseReady {
     /// list stamps `seq` on push).
     pub fn new(inst: u32, node: u32, ready_at: SimTime) -> Self {
         DenseReady { inst, node, ready_ns: ready_at.0, seq: 0 }
-    }
-}
-
-impl ReadyEntry for DenseReady {
-    #[inline]
-    fn ready_key(&self) -> (u64, u32, SimTime) {
-        (self.inst as u64, self.node, SimTime(self.ready_ns))
-    }
-
-    #[inline]
-    fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
     }
 }
 
@@ -318,7 +305,7 @@ impl DagState {
         inst: u32,
         node: u32,
         at: SimTime,
-        ready: &mut ReadyList<DenseReady>,
+        ready: &mut ReadyList,
     ) -> bool {
         // CSR successor walk over flat countdowns.
         let base = self.inst_base[inst as usize];
@@ -402,9 +389,6 @@ pub(crate) struct RunScratch {
     pub retries: Vec<RetryEntry>,
     /// Backing storage for the run's `ReadyList`.
     pub ready_buf: Vec<DenseReady>,
-    /// Backing storage for the `ReadyTask`s the ready list lends a `dyn`
-    /// scheduler (the argument it reads).
-    pub ready_tasks: Vec<ReadyTask>,
     /// Warm estimate book, reset from the scenario prototype each run.
     pub estimates: EstimateBook,
     /// Which compiled scenario `estimates`' slot map came from. When it
@@ -434,7 +418,6 @@ impl Default for RunScratch {
             ready_at: Vec::new(),
             retries: Vec::new(),
             ready_buf: Vec::new(),
-            ready_tasks: Vec::new(),
             estimates: EstimateBook::new(),
             est_src: None,
             views: ViewScratch::default(),
@@ -458,17 +441,15 @@ impl RunScratch {
         self.ready_at.clear();
         self.retries.clear();
         self.ready_buf.clear();
-        self.ready_tasks.clear();
         self.assignments.clear();
         self.placed.clear();
         self.handoff.clear();
     }
 
-    /// Takes back the ready lists' buffers at the end of a run, whether
+    /// Takes back the ready list's buffer at the end of a run, whether
     /// it finished or stopped early.
-    pub fn recycle(&mut self, ready: ReadyList<DenseReady>, tasks: ReadyList<ReadyTask>) {
+    pub fn recycle(&mut self, ready: ReadyList) {
         self.ready_buf = ready.into_buffer();
-        self.ready_tasks = tasks.into_buffer();
     }
 
     /// Resets the arena for one run of `scenario` over `instances` (the

@@ -48,9 +48,10 @@
 //!   [`Scheduler::dense_fifo`] on a ≤64-PE platform is placed by the
 //!   engine: `compat & idle` with trailing zeros, over the idle-column
 //!   mask [`PeSlots`] keeps — no `PeView`s, no virtual call, no contract
-//!   check. Every other policy is called through `dyn Scheduler` on a
-//!   `ReadyTask`s the ready list lends it at each call (one `Arc` clone
-//!   per entry), and its assignments are validated;
+//!   check. Every other policy is called through `dyn Scheduler` with a
+//!   [`ReadyView`] of the ready list's own entries over the SoA tables
+//!   (no per-entry copy or `Arc` clone), and its assignments are
+//!   validated;
 //! * completed-task facts always go to struct-of-arrays columns that
 //!   become the run's task log, materialized into [`TaskRecord`]s only if
 //!   a consumer reads them; trace events are emitted from the same raw
@@ -88,14 +89,14 @@ use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 use crate::arena::{CompletionEvent, DenseReady, RetryEntry, RunScratch};
 use crate::engine::{EmuError, OverheadMode, TimingMode};
 use crate::exec::{
-    fail_idle_pes, hand_over, place_fifo, release_retries, stage_assignments, CompletionSink,
-    PeSlots, RunFaults, RunParts,
+    fail_idle_pes, place_fifo, release_retries, stage_assignments, CompletionSink, PeSlots,
+    RunFaults, RunParts,
 };
 use crate::fault::{FaultDecision, FaultSpec};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{EngineMetrics, OverheadPhase};
-use crate::sched::{EstimateBook, EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::sched::{EstimateBook, EstimateSlot, PeView, ReadyView, SchedContext, Scheduler};
 use crate::stats::{DenseTaskLog, EmulationStats};
 use crate::time::SimTime;
 
@@ -328,10 +329,10 @@ impl DesSimulator {
         // per node, so ≤ 64 PEs); every other case calls the policy.
         let fifo = scheduler.dense_fifo() && self.platform.pes.len() <= 64;
         // The EWMA estimate book is scratch state, never part of the
-        // run's output: skip maintaining it when nothing can read it
-        // (no estimate-driven policy, no fault plan deriving hang
-        // deadlines from estimates).
-        let observe = scheduler.uses_estimates() || plan.is_some();
+        // run's output: skip maintaining it when nothing can read it (no
+        // estimate-driven policy and no fault plan deriving hang
+        // deadlines from estimates, or JSON estimates for every pair).
+        let observe = (scheduler.uses_estimates() || plan.is_some()) && soa.reads_book();
         let charge = self.config.overhead_per_invocation;
         // Untraced, the completion path skips every event on one branch.
         let traced = p.tracer.enabled();
@@ -420,13 +421,17 @@ impl DesSimulator {
                 if fifo {
                     place_fifo(p.ready.pending(), p.slots.idle_mask(), soa, names, placed);
                 } else {
-                    hand_over(&mut p.ready, &mut p.tasks, instances);
                     views.clear();
                     views.extend(self.platform.pes.iter().map(|pe| p.slots.view(pe, clock)));
-                    let ctx = SchedContext { now: clock, estimates: &*estimates };
+                    let ready = ReadyView::new(p.ready.pending(), soa, names, estimates);
                     assignments.clear();
-                    scheduler.schedule_into(p.tasks.pending(), &views, &ctx, assignments);
-                    let (name, pending) = (scheduler.name(), p.tasks.pending());
+                    scheduler.schedule_into(
+                        &ready,
+                        &views,
+                        &SchedContext { now: clock },
+                        assignments,
+                    );
+                    let (name, pending) = (scheduler.name(), p.ready.pending());
                     if let Err(e) =
                         stage_assignments(name, assignments, pending, &p.slots, names, soa, placed)
                     {
@@ -474,8 +479,7 @@ impl DesSimulator {
                 if fifo {
                     p.ready.remove_prefix(placed.len());
                 } else {
-                    p.tasks.remove(assignments);
-                    p.ready.return_lent(assignments.len());
+                    p.ready.remove(assignments);
                 }
             }
 
@@ -492,10 +496,7 @@ impl DesSimulator {
                     }
                     let state = faults.as_mut().map(|f| &mut f.state);
                     let name = scheduler.name();
-                    let platform = &self.platform;
-                    if let Err(e) =
-                        p.resolve_stall(fifo, platform, instances, state, names, soa, name)
-                    {
+                    if let Err(e) = p.resolve_stall(&self.platform, state, names, soa, name) {
                         break 'run Err(e);
                     }
                 }
@@ -508,7 +509,7 @@ impl DesSimulator {
             m.end_run(&mut p, done, names, soa, outcome.is_ok().then_some(label.as_str()));
         }
         view_scratch.put(views);
-        s.recycle(p.ready, p.tasks);
+        s.recycle(p.ready);
         outcome?;
 
         // The completion columns ARE the run's task log: hand them (with
@@ -566,7 +567,7 @@ fn decide(
     let (instance, node) = (e.inst as u64, e.node as usize);
     let attempt = f.note_dispatch(instance, node, col, clock, sink);
     let pe = &f.platform.pes[col];
-    let est = f.soa.estimate(f.names, estimates, (e.inst, e.node), col, pe);
+    let est = f.soa.estimate(f.names, estimates, (e.inst, e.node), col);
     let kernel = f.kernel(instance, node, col);
     f.plan.decide(kernel, pe.id, instance, node, attempt, start, finish, est)
 }
@@ -575,7 +576,6 @@ fn decide(
 mod tests {
     use super::*;
     use crate::sched::{Assignment, FrfsScheduler, MetScheduler};
-    use crate::task::ReadyTask;
     use dssoc_appmodel::WorkloadSpec;
     use dssoc_platform::presets::zcu102;
 
@@ -588,19 +588,20 @@ mod tests {
             "rogue"
         }
 
-        fn schedule(
+        fn schedule_into(
             &mut self,
-            ready: &[ReadyTask],
+            ready: &ReadyView<'_>,
             pes: &[PeView<'_>],
-            _ctx: &SchedContext<'_>,
-        ) -> Vec<Assignment> {
-            vec![Assignment { ready_idx: ready.len(), pe: pes[0].pe.id }]
+            _ctx: &SchedContext,
+            out: &mut Vec<Assignment>,
+        ) {
+            out.push(Assignment { ready_idx: ready.len(), pe: pes[0].pe.id });
         }
     }
 
     /// Runs that stop early — cancelled, or a contract violation — hand
-    /// the warm ready buffers back to the arena, so the next warm run
-    /// starts with their capacity.
+    /// the warm ready buffer back to the arena, so the next warm run
+    /// starts with its capacity.
     #[test]
     fn early_exits_keep_warm_buffers() {
         let (library, _registry) = dssoc_apps::standard_library();
@@ -622,12 +623,9 @@ mod tests {
         for scheduler in policies {
             let name = scheduler.name();
             let want = des.run_compiled(scheduler, &scenario, None, None).expect("warm run");
-            // (ready list, lent `ReadyTask`s) capacities.
-            let caps = |des: &DesSimulator| {
-                (des.scratch.ready_buf.capacity(), des.scratch.ready_tasks.capacity())
-            };
+            let caps = |des: &DesSimulator| des.scratch.ready_buf.capacity();
             let warm = caps(&des);
-            assert!(warm.0 > 0, "{name}: the warm run grew no ready buffer");
+            assert!(warm > 0, "{name}: the warm run grew no ready buffer");
 
             let canceled = des.run_compiled(scheduler, &scenario, None, Some(&cancel));
             assert!(matches!(canceled, Err(EmuError::Canceled)));
@@ -636,7 +634,7 @@ mod tests {
             let rogue = des.run_compiled(&mut Rogue, &scenario, None, None);
             assert!(matches!(rogue, Err(EmuError::Config(_))));
             let kept = caps(&des);
-            assert!(kept.0 >= warm.0 && kept.1 >= warm.1, "{name}: violation dropped a buffer");
+            assert!(kept >= warm, "{name}: violation dropped a buffer");
 
             let again = des.run_compiled(scheduler, &scenario, None, None).expect("warm run");
             assert_eq!(again.makespan, want.makespan);

@@ -40,8 +40,8 @@
 //! * the ready list holds `Arc`-free `(instance, node)` entries; a
 //!   `dense_fifo()` policy on a ≤64-PE platform without reservation
 //!   queues is placed from [`PeSlots`]' idle-column mask, and every other
-//!   policy is called through `schedule_into` on the `ReadyTask`s the
-//!   list lends it, with a reused assignment buffer;
+//!   policy is called through `schedule_into` with a [`ReadyView`] of
+//!   the list's own entries and a reused assignment buffer;
 //! * per-PE state (the in-flight task's readiness, the wedged set, fault
 //!   metadata) is vectors indexed by platform column, estimates are read
 //!   and observed at the scenario's pre-resolved estimate slots, and DAG
@@ -107,8 +107,8 @@ use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
 
 use crate::arena::{Collected, DenseReady, RunScratch};
 use crate::exec::{
-    fail_idle_pes, hand_over, place_fifo, release_retries, stage_assignments, CompletionSink,
-    RunFaults, RunParts,
+    fail_idle_pes, place_fifo, release_retries, stage_assignments, CompletionSink, RunFaults,
+    RunParts,
 };
 use crate::fault::{FaultDecision, FaultPlan, FaultSpec};
 use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
@@ -116,10 +116,10 @@ use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::resource::ResourcePool;
-use crate::sched::{EstimateSlot, PeView, SchedContext, Scheduler};
+use crate::sched::{EstimateSlot, PeView, ReadyView, SchedContext, Scheduler};
 use crate::soa::ScenarioSoa;
 use crate::stats::{DenseTaskLog, EmulationStats, InstanceImages};
-use crate::task::{ReadyTask, Task};
+use crate::task::Task;
 use crate::time::SimTime;
 
 /// How emulation time is tracked.
@@ -688,7 +688,7 @@ impl Emulation {
             m.end_run(&mut p, &s.done, names, soa, finished);
         }
         s.views.put(views);
-        s.recycle(p.ready, p.tasks);
+        s.recycle(p.ready);
         outcome?;
         // The completion columns ARE the run's task log (materialized
         // into records only if a consumer reads them).
@@ -825,10 +825,14 @@ impl<'r> Manager<'r> {
                     break;
                 }
                 sched_pass += 1;
+                if !fifo {
+                    self.refresh_views(now);
+                }
+                // The charge times the policy's decision only.
                 let t_sched = timed.then(Instant::now);
                 self.place(scheduler, fifo, now);
-                self.p.sink.note_sched_invocation();
                 let schedule_raw = t_sched.map_or(Duration::ZERO, |t| t.elapsed());
+                self.p.sink.note_sched_invocation();
                 let decided_at = now;
                 // Charge the policy's own cost before dispatching.
                 let s_charge = match overhead {
@@ -911,7 +915,7 @@ impl<'r> Manager<'r> {
                         // "these tasks lost their last compatible PE"
                         // rather than a scheduler bug; let the resolver
                         // abort those apps.
-                        self.resolve_stall(fifo, scheduler.name())?;
+                        self.resolve_stall(scheduler.name())?;
                         continue;
                     }
                     std::thread::yield_now();
@@ -932,7 +936,7 @@ impl<'r> Manager<'r> {
                     let next_retry = self.s.retries.iter().map(|r| r.release).min();
                     match next_arrival.into_iter().chain(next_finish).chain(next_retry).min() {
                         Some(t) => self.vclock = self.vclock.max(t),
-                        None => self.resolve_stall(fifo, scheduler.name())?,
+                        None => self.resolve_stall(scheduler.name())?,
                     }
                 }
             }
@@ -1051,9 +1055,8 @@ impl<'r> Manager<'r> {
             // Requeue work reserved behind the dead PE, then retire it:
             // no PeIdle event — the PE leaves the schedulable set for
             // good.
-            for rt in self.p.slots.take_reserved(pe) {
-                let (i, n) = (rt.task.instance.id.0 as u32, rt.task.node_idx as u32);
-                self.p.ready.push_entry(DenseReady::new(i, n, c.finish));
+            for e in self.p.slots.take_reserved(pe) {
+                self.p.ready.push_entry(DenseReady::new(e.inst, e.node, c.finish));
             }
             self.p.slots.release(pe);
             self.p.slots.fail(pe);
@@ -1090,8 +1093,16 @@ impl<'r> Manager<'r> {
             || self.instances.get(self.next_arrival).is_some_and(|i| arrival_of(i) <= now)
     }
 
+    /// Rebuilds the policy's PE views at `now`.
+    fn refresh_views(&mut self, now: SimTime) {
+        let (slots, platform) = (&self.p.slots, self.platform);
+        self.views.clear();
+        self.views.extend(platform.pes.iter().map(|pe| slots.view(pe, now)));
+    }
+
     /// One scheduling decision at `now`: FIFO placement into `placed`,
-    /// or the policy's assignments over the lent `ReadyTask`s.
+    /// or the policy's assignments over a view of the ready list (with
+    /// the PE views [`Self::refresh_views`] built).
     fn place(&mut self, scheduler: &mut dyn Scheduler, fifo: bool, now: SimTime) {
         self.s.placed.clear();
         self.s.assignments.clear();
@@ -1100,12 +1111,9 @@ impl<'r> Manager<'r> {
             place_fifo(self.p.ready.pending(), idle, self.soa, self.names, &mut self.s.placed);
             return;
         }
-        hand_over(&mut self.p.ready, &mut self.p.tasks, self.instances);
-        let (slots, platform) = (&self.p.slots, self.platform);
-        self.views.clear();
-        self.views.extend(platform.pes.iter().map(|pe| slots.view(pe, now)));
-        let ctx = SchedContext { now, estimates: &self.s.estimates };
-        scheduler.schedule_into(self.p.tasks.pending(), &self.views, &ctx, &mut self.s.assignments);
+        let ready = ReadyView::new(self.p.ready.pending(), self.soa, self.names, &self.s.estimates);
+        let ctx = SchedContext { now };
+        scheduler.schedule_into(&ready, &self.views, &ctx, &mut self.s.assignments);
     }
 
     /// Validates a policy's assignments and records the decision taken
@@ -1123,7 +1131,7 @@ impl<'r> Manager<'r> {
             stage_assignments(
                 scheduler.name(),
                 &mut self.s.assignments,
-                self.p.tasks.pending(),
+                self.p.ready.pending(),
                 &self.p.slots,
                 self.names,
                 self.soa,
@@ -1142,12 +1150,7 @@ impl<'r> Manager<'r> {
             if self.p.slots.is_busy(pe) {
                 // PE busy but with reservation room: enqueue.
                 self.p.slots.extend(pe, est);
-                let task = Task {
-                    instance: Arc::clone(&self.instances[e.inst as usize]),
-                    node_idx: e.node as usize,
-                };
-                let rt = ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq };
-                self.p.slots.reserve(pe, rt);
+                self.p.slots.reserve(pe, e);
             } else {
                 self.occupy(col, e, now, est, true);
                 self.s.handoff.push((col as u32, e));
@@ -1158,16 +1161,14 @@ impl<'r> Manager<'r> {
         if fifo {
             self.p.ready.remove_prefix(n);
         } else {
-            self.p.tasks.remove(&self.s.assignments);
-            self.p.ready.return_lent(n);
+            self.p.ready.remove(&self.s.assignments);
         }
         Ok(n)
     }
 
     /// The estimate of `(inst, node)` on PE column `col`.
     fn estimate(&self, inst: u32, node: u32, col: usize) -> Duration {
-        let pe = &self.platform.pes[col];
-        self.soa.estimate(self.names, &self.s.estimates, (inst, node), col, pe)
+        self.soa.estimate(self.names, &self.s.estimates, (inst, node), col)
     }
 
     /// Books `e` starting on PE column `col` at `at`, projected to run
@@ -1197,19 +1198,18 @@ impl<'r> Manager<'r> {
             self.p.tracer.emit(at, TraceKind::PeIdle { pe: pe.0 });
             return;
         };
-        let (inst, node) = (next.task.instance.id.0 as u32, next.task.node_idx as u32);
-        let est = self.estimate(inst, node, col);
-        self.occupy(col, DenseReady::new(inst, node, next.ready_at), at, est, false);
-        self.handlers[col].dispatch(TaskAssignment { task: next.task, start: at });
+        let est = self.estimate(next.inst, next.node, col);
+        self.occupy(col, next, at, est, false);
+        let instance = Arc::clone(&self.instances[next.inst as usize]);
+        let task = Task { instance, node_idx: next.node as usize };
+        self.handlers[col].dispatch(TaskAssignment { task, start: at });
     }
 
     /// Resolves a stall: fault recovery aborts what lost its last
     /// compatible PE, or the run ends in a deadlock error.
-    fn resolve_stall(&mut self, fifo: bool, scheduler: &str) -> Result<(), EmuError> {
+    fn resolve_stall(&mut self, scheduler: &str) -> Result<(), EmuError> {
         let state = self.faults.as_mut().map(|f| &mut f.run.state);
-        let (platform, instances, names, soa) =
-            (self.platform, self.instances, self.names, self.soa);
-        self.p.resolve_stall(fifo, platform, instances, state, names, soa, scheduler)
+        self.p.resolve_stall(self.platform, state, self.names, self.soa, scheduler)
     }
 }
 

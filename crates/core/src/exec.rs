@@ -13,9 +13,9 @@
 //! * [`PeSlots`] — the busy-PE map plus the reservation queues of the
 //!   future-work work-queue feature,
 //! * placement: the engine-side FIFO placement over the idle-PE mask
-//!   for `dense_fifo()` policies, and for every other policy the hand-over
-//!   of ready entries, the scheduler-contract check and the staging of
-//!   its assignments,
+//!   for `dense_fifo()` policies, and for every other policy the
+//!   scheduler-contract check and the staging of the assignments it
+//!   made over a [`ReadyView`](crate::sched::ReadyView) of the list,
 //! * [`CompletionSink`] — the statistics accumulator feeding
 //!   [`EmulationStats`],
 //! * [`preflight_compat`] and the fault-recovery stall resolver.
@@ -42,7 +42,6 @@ use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{
     AppRecord, DenseTaskLog, EmulationStats, OverheadBreakdown, ReliabilityCounters, TaskLog,
 };
-use crate::task::{ReadyTask, Task};
 use crate::time::SimTime;
 
 /// Optional per-run trace recording handle shared by the pieces of one
@@ -149,44 +148,18 @@ pub fn preflight_compat(
     Ok(())
 }
 
-/// An entry the [`ReadyList`] can queue: a [`ReadyTask`] (an `Arc` task
-/// handle, what a `dyn` policy reads) or the engines' `Arc`-free
-/// `(instance, node)` index pair. The list only needs the task key and
-/// readiness time its `task_ready` trace event reports, and a place to stamp
-/// the readiness sequence number.
-pub trait ReadyEntry {
-    /// `(instance id, node index, ready time)` of the queued task.
-    fn ready_key(&self) -> (u64, u32, SimTime);
-    /// Records the readiness sequence number the list assigned.
-    fn set_seq(&mut self, seq: u64);
-}
-
-impl ReadyEntry for ReadyTask {
-    #[inline]
-    fn ready_key(&self) -> (u64, u32, SimTime) {
-        (self.task.instance.id.0, self.task.node_idx as u32, self.ready_at)
-    }
-
-    #[inline]
-    fn set_seq(&mut self, seq: u64) {
-        self.seq = seq;
-    }
-}
-
-/// The ready-task list: a `Vec` with a consumed-prefix offset, generic
-/// over its entry type.
+/// The ready-task list: a `Vec` of [`DenseReady`] entries with a
+/// consumed-prefix offset.
 ///
 /// FRFS dispatches prefixes, so the common case is O(1) bookkeeping and
 /// scheduling overhead stays flat no matter how long the queue gets
 /// (paper Fig. 10b). Arbitrary-index removal (MET/EFT) compacts in one
 /// pass while preserving readiness (`seq`) order, and the consumed
 /// prefix is reclaimed once it dominates the buffer.
-#[derive(Debug)]
-pub struct ReadyList<E = ReadyTask> {
-    items: Vec<E>,
+#[derive(Debug, Default)]
+pub struct ReadyList {
+    items: Vec<DenseReady>,
     head: usize,
-    /// Pending entries handed out by [`Self::lend`], still counted.
-    lent: usize,
     seq: u64,
     tracer: ExecTracer,
     /// The ready depth after each [`Self::push_entry`], when recorded
@@ -194,20 +167,7 @@ pub struct ReadyList<E = ReadyTask> {
     depth_samples: Option<HistogramData>,
 }
 
-impl<E> Default for ReadyList<E> {
-    fn default() -> Self {
-        ReadyList {
-            items: Vec::new(),
-            head: 0,
-            lent: 0,
-            seq: 0,
-            tracer: ExecTracer::default(),
-            depth_samples: None,
-        }
-    }
-}
-
-impl<E: ReadyEntry> ReadyList<E> {
+impl ReadyList {
     /// Prefix length below which reclamation is never attempted.
     const RECLAIM_MIN: usize = 1024;
 
@@ -219,14 +179,14 @@ impl<E: ReadyEntry> ReadyList<E> {
     /// A list wrapping a recycled backing buffer (cleared here), so warm
     /// engines keep the ready list's capacity across runs. Pair with
     /// [`Self::into_buffer`] at end of run.
-    pub fn recycled(mut buf: Vec<E>) -> Self {
+    pub fn recycled(mut buf: Vec<DenseReady>) -> Self {
         buf.clear();
         ReadyList { items: buf, ..Self::default() }
     }
 
     /// Surrenders the backing buffer for reuse by a later
     /// [`Self::recycled`] call. Pending entries are dropped here.
-    pub fn into_buffer(mut self) -> Vec<E> {
+    pub fn into_buffer(mut self) -> Vec<DenseReady> {
         self.items.clear();
         self.items
     }
@@ -253,12 +213,12 @@ impl<E: ReadyEntry> ReadyList<E> {
 
     /// Appends a newly ready entry, stamping the next sequence number.
     #[inline]
-    pub fn push_entry(&mut self, mut entry: E) {
+    pub fn push_entry(&mut self, mut entry: DenseReady) {
         if self.tracer.enabled() {
-            let (instance, node, ready_at) = entry.ready_key();
-            self.tracer.emit(ready_at, TraceKind::TaskReady { instance, node });
+            let (instance, node) = (entry.inst as u64, entry.node);
+            self.tracer.emit(SimTime(entry.ready_ns), TraceKind::TaskReady { instance, node });
         }
-        entry.set_seq(self.seq);
+        entry.seq = self.seq;
         self.items.push(entry);
         self.seq += 1;
         let depth = self.len() as u64;
@@ -267,40 +227,15 @@ impl<E: ReadyEntry> ReadyList<E> {
         }
     }
 
-    /// Appends an entry that keeps the sequence number it carries — one
-    /// lent by another list, which traced and counted it. Records
-    /// nothing.
-    pub fn push_stamped(&mut self, entry: E) {
-        self.items.push(entry);
-    }
-
-    /// Hands every held entry to `take`, in order, and empties the list
-    /// while the entries stay pending in [`Self::len`]: the
-    /// caller keeps them in another form (the DES's `ReadyTask`s for a
-    /// `dyn` policy) and reports each one leaving via [`Self::return_lent`].
-    pub fn lend(&mut self, take: impl FnMut(&E)) {
-        self.pending().iter().for_each(take);
-        self.lent += self.items.len() - self.head;
-        self.items.clear();
-        self.head = 0;
-    }
-
-    /// `n` lent entries left the pending set (dispatched or aborted).
-    pub fn return_lent(&mut self, n: usize) {
-        debug_assert!(n <= self.lent);
-        self.lent -= n;
-    }
-
-    /// The entries held here awaiting dispatch, in readiness order (lent
-    /// entries excluded). The scheduler contract's `ready_idx` indexes
-    /// into this slice.
-    pub fn pending(&self) -> &[E] {
+    /// The entries awaiting dispatch, in readiness order. The scheduler
+    /// contract's `ready_idx` indexes into this slice.
+    pub fn pending(&self) -> &[DenseReady] {
         &self.items[self.head..]
     }
 
-    /// Number of entries awaiting dispatch, lent ones included.
+    /// Number of entries awaiting dispatch.
     pub fn len(&self) -> usize {
-        self.items.len() - self.head + self.lent
+        self.items.len() - self.head
     }
 
     /// True if no entry awaits dispatch.
@@ -354,13 +289,6 @@ impl<E: ReadyEntry> ReadyList<E> {
     }
 }
 
-impl ReadyList<ReadyTask> {
-    /// Appends a newly ready task.
-    pub fn push(&mut self, task: Task, ready_at: SimTime) {
-        self.push_entry(ReadyTask { task, ready_at, seq: 0 });
-    }
-}
-
 /// The busy-PE map plus reservation queues (the paper's proposed
 /// PE-level work queues): which PEs have work in flight, when they are
 /// projected to free up, and which tasks are queued behind them.
@@ -375,12 +303,12 @@ impl ReadyList<ReadyTask> {
 /// a task's compatibility mask.
 #[derive(Debug)]
 pub struct PeSlots {
-    pes: Vec<PeSlot>,                   // by PeId
-    reserved: Vec<VecDeque<ReadyTask>>, // by PeId; empty until reserve()
-    cols: u64,                          // every represented column
-    busy_cols: u64,                     // columns with work in flight
-    failed_cols: u64,                   // quarantined columns
-    busy_wide: usize,                   // busy PEs past column 63
+    pes: Vec<PeSlot>,                    // by PeId
+    reserved: Vec<VecDeque<DenseReady>>, // by PeId; empty until reserve()
+    cols: u64,                           // every represented column
+    busy_cols: u64,                      // columns with work in flight
+    failed_cols: u64,                    // quarantined columns
+    busy_wide: usize,                    // busy PEs past column 63
     failed_count: usize,
     depth: usize,
     ids: Vec<PeId>, // the PEs, in column order
@@ -502,14 +430,15 @@ impl PeSlots {
     /// Drains `pe`'s reservation queue (tasks queued behind a task that
     /// just faulted must re-enter the ready list when the PE is
     /// quarantined).
-    pub fn take_reserved(&mut self, pe: PeId) -> VecDeque<ReadyTask> {
+    pub fn take_reserved(&mut self, pe: PeId) -> VecDeque<DenseReady> {
         self.reserved.get_mut(pe.0 as usize).map(std::mem::take).unwrap_or_default()
     }
 
     /// True if the scheduler may assign to `pe`: not quarantined, and
     /// idle or busy with reservation-queue room.
     pub fn has_room(&self, pe: PeId) -> bool {
-        !self.is_failed(pe) && (!self.is_busy(pe) || self.queued(pe) < self.depth)
+        let slot = self.pes.get(pe.0 as usize).copied().unwrap_or_default();
+        !slot.failed && (slot.busy.is_none() || self.queued(pe) < self.depth)
     }
 
     /// True if any PE can accept an assignment right now.
@@ -554,19 +483,19 @@ impl PeSlots {
 
     /// Queues a task behind `pe`'s running task. Invariant: only valid
     /// while the PE is busy and its queue has room.
-    pub fn reserve(&mut self, pe: PeId, rt: ReadyTask) {
+    pub fn reserve(&mut self, pe: PeId, entry: DenseReady) {
         debug_assert!(self.is_busy(pe) && self.queued(pe) < self.depth);
         let idx = pe.0 as usize;
         if idx >= self.reserved.len() {
             self.reserved.resize_with(idx + 1, VecDeque::new);
         }
-        self.reserved[idx].push_back(rt);
+        self.reserved[idx].push_back(entry);
     }
 
     /// Handles `pe`'s completion: pops its next reserved task (the PE
     /// stays busy and starts it immediately), or marks it idle.
     #[inline]
-    pub fn release(&mut self, pe: PeId) -> Option<ReadyTask> {
+    pub fn release(&mut self, pe: PeId) -> Option<DenseReady> {
         if self.depth > 0 {
             let next = self.reserved.get_mut(pe.0 as usize).and_then(VecDeque::pop_front);
             if next.is_some() {
@@ -612,27 +541,13 @@ pub(crate) fn place_fifo(
     }
 }
 
-/// Lends `ready`'s held entries to the end of `tasks` as `ReadyTask`s,
-/// keeping their sequence numbers: what a `dyn` policy reads.
-pub(crate) fn hand_over(
-    ready: &mut ReadyList<DenseReady>,
-    tasks: &mut ReadyList<ReadyTask>,
-    instances: &[Arc<AppInstance>],
-) {
-    ready.lend(|e| {
-        let instance = Arc::clone(&instances[e.inst as usize]);
-        let task = Task { instance, node_idx: e.node as usize };
-        tasks.push_stamped(ReadyTask { task, ready_at: SimTime(e.ready_ns), seq: e.seq });
-    });
-}
-
-/// Enforces the scheduler contract on a `dyn` policy's `assignments`
-/// over the lent `tasks` before any state is touched — indices in
-/// bounds, PEs with room, no double assignment of a PE or a task,
-/// platform compatibility (the SoA sentinel probe) — then stages them
-/// into `placed` as `(entry, PE column, modeled cost ns)` in `ready_idx`
-/// order (sorting `assignments` that way too). Both engines run exactly
-/// this check.
+/// Enforces the scheduler contract on a policy's `assignments` over the
+/// `pending` ready entries it was shown, before any state is touched —
+/// indices in bounds, PEs with room, no double assignment of a PE or a
+/// task, platform compatibility (the SoA sentinel probe) — then stages
+/// them into `placed` as `(entry, PE column, modeled cost ns)` in
+/// `ready_idx` order (sorting `assignments` that way too). Both engines
+/// run exactly this check.
 ///
 /// Allocation-free: duplicate detection scans the already-validated
 /// prefix of `assignments` instead of building side tables. Batches are
@@ -640,15 +555,15 @@ pub(crate) fn hand_over(
 pub(crate) fn stage_assignments(
     scheduler_name: &str,
     assignments: &mut [Assignment],
-    tasks: &[ReadyTask],
+    pending: &[DenseReady],
     slots: &PeSlots,
     names: &NameTable,
     soa: &ScenarioSoa,
     placed: &mut Vec<(DenseReady, u32, u64)>,
 ) -> Result<(), EmuError> {
-    let cost = |rt: &ReadyTask, col: usize| {
-        soa.specs[names.spec_index(rt.task.instance.id)].cost_ns
-            [rt.task.node_idx * soa.stride + col]
+    let cost = |e: &DenseReady, col: usize| {
+        soa.specs[names.spec_index(InstanceId(e.inst as u64))].cost_ns
+            [e.node as usize * soa.stride + col]
     };
     for (k, a) in assignments.iter().enumerate() {
         // Assignments earlier in this batch targeting the same PE: they
@@ -659,11 +574,13 @@ pub(crate) fn stage_assignments(
         } else {
             same_pe_before == 0
         };
-        let ok = a.ready_idx < tasks.len()
+        let ok = a.ready_idx < pending.len()
             && room
             && !slots.is_failed(a.pe)
             && !assignments[..k].iter().any(|b| b.ready_idx == a.ready_idx)
-            && names.pe_column(a.pe).is_some_and(|c| cost(&tasks[a.ready_idx], c) != INCOMPATIBLE);
+            && names
+                .pe_column(a.pe)
+                .is_some_and(|c| cost(&pending[a.ready_idx], c) != INCOMPATIBLE);
         if !ok {
             return Err(EmuError::Config(format!(
                 "scheduler '{scheduler_name}' violated the assignment contract ({a:?})"
@@ -672,10 +589,9 @@ pub(crate) fn stage_assignments(
     }
     assignments.sort_unstable_by_key(|a| a.ready_idx);
     placed.extend(assignments.iter().map(|a| {
-        let rt = &tasks[a.ready_idx];
-        let e = DenseReady::new(rt.task.instance.id.0 as u32, rt.task.node_idx as u32, rt.ready_at);
+        let e = pending[a.ready_idx];
         let col = names.pe_column(a.pe).expect("validated PE");
-        (e, col as u32, cost(rt, col))
+        (e, col as u32, cost(&e, col))
     }));
     Ok(())
 }
@@ -685,7 +601,7 @@ pub(crate) fn stage_assignments(
 pub(crate) fn release_retries(
     retries: &mut Vec<RetryEntry>,
     now: SimTime,
-    ready: &mut ReadyList<DenseReady>,
+    ready: &mut ReadyList,
 ) -> usize {
     retries.sort_by_key(|r| (r.release, r.seq));
     let due = retries.iter().take_while(|r| r.release <= now).count();
@@ -696,14 +612,10 @@ pub(crate) fn release_retries(
 }
 
 /// The per-run pieces both engine loops start from: the tracer, the
-/// ready lists (on the warm arena's recycled buffers), the PE slots and
+/// ready list (on the warm arena's recycled buffer), the PE slots and
 /// the statistics sink, wired together.
 pub(crate) struct RunParts {
-    pub ready: ReadyList<DenseReady>,
-    /// The pending tasks as `ReadyTask`s, for `dyn` policies only: at
-    /// each policy call `ready` lends the entries pushed since the last
-    /// one (one `Arc` clone each). `ready` still counts them.
-    pub tasks: ReadyList<ReadyTask>,
+    pub ready: ReadyList,
     pub slots: PeSlots,
     pub sink: CompletionSink,
     pub tracer: ExecTracer,
@@ -736,50 +648,29 @@ impl RunParts {
             ready.record_depth();
         }
         ready.set_tracer(tracer.clone());
-        let tasks = ReadyList::recycled(std::mem::take(&mut s.ready_tasks));
         let slots = PeSlots::for_platform(platform, depth);
         let mut sink = CompletionSink::new();
         sink.apps.reserve(instances.len());
         sink.set_tracer(tracer.clone());
-        RunParts { ready, tasks, slots, sink, tracer }
+        RunParts { ready, slots, sink, tracer }
     }
 
     /// Resolves a stall — ready tasks, nothing in flight, nothing due:
     /// with fault recovery on (`faults`), tasks that lost their last
     /// compatible PE abort their applications and the loop goes on
-    /// (`Ok`); otherwise the policy dispatches nothing, a deadlock. The
-    /// pending entries are in `ready` under FIFO placement, else lent to
-    /// `tasks` (everything still in `ready` is handed over first).
-    #[allow(clippy::too_many_arguments)]
+    /// (`Ok`); otherwise the policy dispatches nothing, a deadlock.
     pub fn resolve_stall(
         &mut self,
-        fifo: bool,
         platform: &PlatformConfig,
-        instances: &[Arc<AppInstance>],
         faults: Option<&mut FaultState>,
         names: &NameTable,
         soa: &ScenarioSoa,
         scheduler: &str,
     ) -> Result<(), EmuError> {
         let resolved = match faults {
-            Some(state) if fifo => {
+            Some(state) => {
                 let (slots, sink) = (&mut self.slots, &mut self.sink);
                 resolve_unschedulable(platform, slots, &mut self.ready, state, sink, names, soa)?
-            }
-            Some(state) => {
-                hand_over(&mut self.ready, &mut self.tasks, instances);
-                let (held, slots, sink) = (self.tasks.len(), &mut self.slots, &mut self.sink);
-                let resolved = resolve_unschedulable(
-                    platform,
-                    slots,
-                    &mut self.tasks,
-                    state,
-                    sink,
-                    names,
-                    soa,
-                );
-                self.ready.return_lent(held - self.tasks.len());
-                resolved?
             }
             None => false,
         };
@@ -1194,10 +1085,10 @@ pub fn fail_idle_pes(
 ///   caller reports its usual deadlock error.
 ///
 /// Compatibility is the SoA sentinel probe.
-pub(crate) fn resolve_unschedulable<E: ReadyEntry>(
+pub(crate) fn resolve_unschedulable(
     platform: &PlatformConfig,
     slots: &mut PeSlots,
-    ready: &mut ReadyList<E>,
+    ready: &mut ReadyList,
     state: &mut FaultState,
     sink: &mut CompletionSink,
     names: &NameTable,
@@ -1205,7 +1096,7 @@ pub(crate) fn resolve_unschedulable<E: ReadyEntry>(
 ) -> Result<bool, EmuError> {
     let mut doomed: Vec<Assignment> = Vec::new();
     for (idx, entry) in ready.pending().iter().enumerate() {
-        let (inst, node, _) = entry.ready_key();
+        let (inst, node) = (entry.inst as u64, entry.node);
         let spec = &soa.specs[names.spec_index(InstanceId(inst))];
         let live = platform.pes.iter().enumerate().any(|(col, pe)| {
             !slots.is_failed(pe.id)
@@ -1235,7 +1126,7 @@ pub(crate) fn resolve_unschedulable<E: ReadyEntry>(
         });
     }
     for a in &doomed {
-        let (inst, _, _) = ready.pending()[a.ready_idx].ready_key();
+        let inst = ready.pending()[a.ready_idx].inst as u64;
         if state.abort(inst) {
             sink.record_abort();
         }
@@ -1247,22 +1138,23 @@ pub(crate) fn resolve_unschedulable<E: ReadyEntry>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::testutil::ready_tasks;
     use proptest::prelude::*;
 
-    /// Builds a ReadyList of `n` tasks with seq 0..n (reusing a small
-    /// task fixture; ordering logic only looks at `seq`).
+    /// An entry for node `i % 8` of instance 0 (ordering logic only looks
+    /// at `seq`, which the list stamps).
+    fn entry(i: usize) -> DenseReady {
+        DenseReady::new(0, (i % 8) as u32, SimTime(i as u64))
+    }
+
+    /// Builds a ReadyList of `n` tasks with seq 0..n.
     fn filled(n: usize) -> ReadyList {
-        let fixture = ready_tasks(8, 100.0);
         let mut list = ReadyList::new();
-        for i in 0..n {
-            list.push(fixture[i % fixture.len()].task.clone(), SimTime(i as u64));
-        }
+        (0..n).for_each(|i| list.push_entry(entry(i)));
         list
     }
 
     fn seqs(list: &ReadyList) -> Vec<u64> {
-        list.pending().iter().map(|rt| rt.seq).collect()
+        list.pending().iter().map(|e| e.seq).collect()
     }
 
     #[test]
@@ -1309,13 +1201,12 @@ mod tests {
         /// pending slice in strictly increasing seq order and removes
         /// exactly the chosen entries — the invariant FRFS relies on.
         fn ready_list_preserves_seq_order(ops in proptest::collection::vec((1u8..6, proptest::prelude::any::<u64>()), 1..40)) {
-            let fixture = ready_tasks(8, 100.0);
             let mut list = ReadyList::new();
             let mut model: Vec<u64> = Vec::new();
             let mut next_seq = 0u64;
             for (pushes, mask) in ops {
                 for _ in 0..pushes {
-                    list.push(fixture[(next_seq % 8) as usize].task.clone(), SimTime(next_seq));
+                    list.push_entry(entry(next_seq as usize));
                     model.push(next_seq);
                     next_seq += 1;
                 }
@@ -1329,7 +1220,7 @@ mod tests {
                 let removed: Vec<u64> = chosen.iter().map(|&i| model[i]).collect();
                 list.remove(&asg);
                 model.retain(|s| !removed.contains(s));
-                let got: Vec<u64> = list.pending().iter().map(|rt| rt.seq).collect();
+                let got = seqs(&list);
                 prop_assert_eq!(&got, &model);
                 prop_assert!(got.windows(2).all(|w| w[0] < w[1]), "seq order broken: {:?}", got);
             }
@@ -1347,8 +1238,7 @@ mod tests {
         assert_eq!(slots.available_at(pe, SimTime(5)), SimTime(100));
         assert!(slots.has_room(pe), "depth 1 leaves queue room");
 
-        let rt = ready_tasks(1, 100.0).pop().unwrap();
-        slots.reserve(pe, rt);
+        slots.reserve(pe, entry(0));
         slots.extend(pe, Duration::from_nanos(50));
         assert_eq!(slots.available_at(pe, SimTime(5)), SimTime(150));
         assert!(!slots.has_room(pe), "queue full at depth 1");
@@ -1375,13 +1265,13 @@ mod tests {
         assert!(slots.any_schedulable(), "the live PE remains schedulable");
 
         // A quarantined idle PE reports idle=false to the scheduler.
-        let cfg = crate::sched::testutil::platform_2c1f();
+        let cfg = dssoc_platform::presets::zcu102(2, 1);
         assert!(!slots.view(&cfg.pes[0], SimTime(0)).idle);
         assert!(slots.view(&cfg.pes[1], SimTime(0)).idle);
 
         // Queued work behind a quarantined PE can be reclaimed.
         slots.occupy(b, SimTime(100));
-        slots.reserve(b, ready_tasks(1, 100.0).pop().unwrap());
+        slots.reserve(b, entry(0));
         slots.fail(b);
         assert_eq!(slots.take_reserved(b).len(), 1);
         assert!(slots.take_reserved(b).is_empty());

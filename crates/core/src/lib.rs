@@ -111,7 +111,7 @@ pub use metrics::OverheadPhase;
 pub use resource::{threads_spawned_total, ResourcePool};
 pub use sched::{
     Assignment, EftScheduler, EstimateBook, EstimateSlot, FrfsScheduler, MetScheduler, PeView,
-    RandomScheduler, SchedContext, Scheduler,
+    RandomScheduler, ReadyRow, ReadyView, SchedContext, Scheduler,
 };
 pub use stats::{
     AppAggregate, AppRecord, EmulationStats, InstanceImages, OverheadBreakdown,
@@ -121,7 +121,7 @@ pub use sweep::{
     default_workers, CellResult, DesSweepRunner, EngineConfig, ProgressWatcher, SweepCell,
     SweepProgress, SweepProgressSnapshot, SweepRunner,
 };
-pub use task::{ReadyTask, Task};
+pub use task::Task;
 pub use time::SimTime;
 
 /// The most commonly used items, re-exported for `use dssoc_core::prelude::*`.

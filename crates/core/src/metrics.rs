@@ -354,8 +354,7 @@ mod tests {
     use crate::des::{DesConfig, DesSimulator};
     use crate::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
     use crate::job::CostSpec;
-    use crate::sched::{Assignment, FrfsScheduler, PeView, SchedContext, Scheduler};
-    use crate::task::ReadyTask;
+    use crate::sched::{Assignment, FrfsScheduler, PeView, ReadyView, SchedContext, Scheduler};
     use dssoc_appmodel::WorkloadSpec;
     use dssoc_platform::cost::CostTable;
     use dssoc_platform::presets::zcu102;
@@ -384,20 +383,20 @@ mod tests {
             "scraper"
         }
 
-        fn schedule(
+        fn schedule_into(
             &mut self,
-            ready: &[ReadyTask],
+            ready: &ReadyView<'_>,
             pes: &[PeView<'_>],
-            ctx: &SchedContext<'_>,
-        ) -> Vec<Assignment> {
+            ctx: &SchedContext,
+            out: &mut Vec<Assignment>,
+        ) {
             let seen = completed(&self.registry);
             let done = self.dispatched - pes.iter().filter(|v| !v.idle).count();
             assert!(seen <= done, "published {seen} of {done} completions");
             assert!(done - seen < PUBLISH_EVERY, "published {seen} of {done} completions");
             self.live += usize::from(seen > 0);
-            let assignments = FrfsScheduler::new().schedule(ready, pes, ctx);
-            self.dispatched += assignments.len();
-            assignments
+            FrfsScheduler::new().schedule_into(ready, pes, ctx, out);
+            self.dispatched += out.len();
         }
     }
 

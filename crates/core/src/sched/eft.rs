@@ -13,20 +13,23 @@
 //! a task whose earliest finish lands on a busy PE waits for it (that is
 //! the EFT decision) and is reconsidered next round.
 
-use std::time::Duration;
-
-use crate::sched::{Assignment, PeView, SchedContext, Scheduler};
-use crate::task::ReadyTask;
+use crate::sched::{Assignment, PeView, ReadyView, SchedContext, Scheduler};
 use crate::time::SimTime;
 
 /// Earliest Finish Time scheduler.
 #[derive(Debug, Default, Clone)]
-pub struct EftScheduler;
+pub struct EftScheduler {
+    /// Projected availability per PE, advanced as a round places tasks.
+    avail: Vec<SimTime>,
+    /// Whether the current round may still dispatch to the PE (idle and
+    /// not yet given a task this round).
+    dispatchable: Vec<bool>,
+}
 
 impl EftScheduler {
     /// Creates the policy.
     pub fn new() -> Self {
-        EftScheduler
+        Self::default()
     }
 }
 
@@ -35,42 +38,38 @@ impl Scheduler for EftScheduler {
         "EFT"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        // Projected availability per PE, advanced as this round places tasks.
-        let mut avail: Vec<SimTime> = pes.iter().map(|v| v.available_at.max(ctx.now)).collect();
-        // Whether the *current* dispatch may use the PE (it must be idle
-        // and not already given a task this round).
-        let mut dispatchable: Vec<bool> = pes.iter().map(|v| v.idle).collect();
-
-        let mut out = Vec::new();
-        for (i, rt) in ready.iter().enumerate() {
-            let task = &rt.task;
+        ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
+        self.avail.clear();
+        self.avail.extend(pes.iter().map(|v| v.available_at.max(ctx.now)));
+        self.dispatchable.clear();
+        self.dispatchable.extend(pes.iter().map(|v| v.idle));
+        for i in 0..ready.len() {
+            let row = ready.row(i);
             // Full O(PEs) scan with cost lookups — deliberate, this IS
-            // the algorithm's cost.
-            let mut best: Option<(usize, SimTime, Duration)> = None;
-            for (p, view) in pes.iter().enumerate() {
-                let Some(exec) = ctx.estimates.estimate(task, view.pe) else { continue };
-                let finish = avail[p] + exec;
-                match best {
-                    Some((_, bf, _)) if finish >= bf => {}
-                    _ => best = Some((p, finish, exec)),
+            // the algorithm's cost. The first earliest finish wins ties.
+            let mut best: Option<(usize, SimTime)> = None;
+            for (col, &avail) in self.avail.iter().enumerate() {
+                let Some(exec) = row.estimate(col) else { continue };
+                let finish = avail + exec;
+                if best.is_none_or(|(_, b)| finish < b) {
+                    best = Some((col, finish));
                 }
             }
-            let Some((p, finish, _exec)) = best else { continue };
+            let Some((col, finish)) = best else { continue };
             // Commit the projection so later tasks see the load.
-            avail[p] = finish;
-            if dispatchable[p] {
-                dispatchable[p] = false;
-                out.push(Assignment { ready_idx: i, pe: pes[p].pe.id });
+            self.avail[col] = finish;
+            if self.dispatchable[col] {
+                self.dispatchable[col] = false;
+                out.push(Assignment { ready_idx: i, pe: pes[col].pe.id });
             }
             // else: EFT chose a busy PE — the task waits for it.
         }
-        out
     }
 }
 
@@ -78,22 +77,12 @@ impl Scheduler for EftScheduler {
 mod tests {
     use super::*;
     use crate::sched::testutil::*;
-    use crate::sched::EstimateBook;
-
-    fn ctx(book: &EstimateBook) -> SchedContext<'_> {
-        SchedContext { now: SimTime::ZERO, estimates: book }
-    }
 
     #[test]
     fn spreads_load_across_pes() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
-        // Four fft-capable... (tasks 0 and 2) and two cpu-only tasks.
-        let ready = ready_tasks(4, 30.0);
-        let book = EstimateBook::new();
-        let mut s = EftScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
-        assert_contract(&ready, &views, &out);
+        // Two fft-capable tasks (0 and 2) and two cpu-only ones.
+        let fx = Fixture::new(4, 30.0);
+        let out = call(&mut EftScheduler::new(), &fx.view(), &fx.idle_views());
         // All three PEs should be used this round.
         assert_eq!(out.len(), 3);
         let mut pes_used: Vec<_> = out.iter().map(|a| a.pe).collect();
@@ -104,58 +93,47 @@ mod tests {
 
     #[test]
     fn defers_task_to_preferred_busy_pe() {
-        let cfg = platform_2c1f();
-        let mut views = idle_views(&cfg);
         // The accelerator is busy but frees up almost immediately, while
         // CPU execution would take 100x longer: EFT waits for the device.
+        let fx = Fixture::new(1, 5.0); // fft exec: 5 us, cpu: 100 us
+        let mut views = fx.idle_views();
         views[2].idle = false;
         views[2].available_at = SimTime(1_000); // 1 us from now
-        let ready = ready_tasks(1, 5.0); // fft exec: 5 us, cpu: 100 us
-        let book = EstimateBook::new();
-        let mut s = EftScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
+        let out = call(&mut EftScheduler::new(), &fx.view(), &views);
         assert!(out.is_empty(), "task should wait for the soon-free accelerator");
     }
 
     #[test]
     fn takes_idle_pe_when_busy_one_is_far_out() {
-        let cfg = platform_2c1f();
-        let mut views = idle_views(&cfg);
+        let fx = Fixture::new(1, 5.0);
+        let mut views = fx.idle_views();
         views[2].idle = false;
         views[2].available_at = SimTime(10_000_000); // 10 ms out
-        let ready = ready_tasks(1, 5.0);
-        let book = EstimateBook::new();
-        let mut s = EftScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
+        let out = call(&mut EftScheduler::new(), &fx.view(), &views);
+        let pes = &fx.platform.pes;
         assert_eq!(out.len(), 1, "a CPU core finishing sooner should win");
-        assert!(out[0].pe == cfg.pes[0].id || out[0].pe == cfg.pes[1].id);
+        assert!(out[0].pe == pes[0].id || out[0].pe == pes[1].id);
     }
 
     #[test]
     fn projections_accumulate_within_round() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
         // Two fft-capable tasks, accelerator much cheaper: the first
         // takes it, the second sees the projection and goes to a core
         // only if that finishes earlier than queueing on the device.
         // fft = 30, cpu = 100: queued-fft finish = 60 < 100 -> second
         // task also "chooses" the accelerator and is deferred.
-        let mut ready = ready_tasks(4, 30.0);
-        ready.remove(3);
-        ready.remove(1);
-        let book = EstimateBook::new();
-        let mut s = EftScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
+        let mut fx = Fixture::new(4, 30.0);
+        fx.entries.remove(3);
+        fx.entries.remove(1);
+        let out = call(&mut EftScheduler::new(), &fx.view(), &fx.idle_views());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].pe, cfg.pes[2].id);
+        assert_eq!(out[0].pe, fx.platform.pes[2].id);
     }
 
     #[test]
     fn empty_ready_list() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
-        let book = EstimateBook::new();
-        let mut s = EftScheduler::new();
-        assert!(s.schedule(&[], &views, &ctx(&book)).is_empty());
+        let mut fx = Fixture::new(1, 30.0);
+        fx.entries.clear();
+        assert!(call(&mut EftScheduler::new(), &fx.view(), &fx.idle_views()).is_empty());
     }
 }

@@ -11,17 +11,20 @@
 
 use std::time::Duration;
 
-use crate::sched::{Assignment, PeView, SchedContext, Scheduler};
-use crate::task::ReadyTask;
+use crate::sched::{Assignment, PeView, ReadyView, SchedContext, Scheduler};
 
 /// Minimum Execution Time scheduler.
 #[derive(Debug, Default, Clone)]
-pub struct MetScheduler;
+pub struct MetScheduler {
+    /// Reused per-invocation scratch: the columns of the PEs still free
+    /// this round, ascending.
+    free: Vec<usize>,
+}
 
 impl MetScheduler {
     /// Creates the policy.
     pub fn new() -> Self {
-        MetScheduler
+        Self::default()
     }
 }
 
@@ -30,31 +33,33 @@ impl Scheduler for MetScheduler {
         "MET"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        let mut taken = vec![false; pes.len()];
-        let mut out = Vec::new();
+        _ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
+        self.free.clear();
+        self.free.extend(pes.iter().enumerate().filter(|(_, v)| v.idle).map(|(col, _)| col));
         // Deliberately no early exit: MET evaluates the whole ready
         // queue each invocation — this IS the O(n) cost the paper
         // measures.
-        for (i, rt) in ready.iter().enumerate() {
-            let task = &rt.task;
-            let best = pes
-                .iter()
-                .enumerate()
-                .filter(|(p, v)| v.idle && !taken[*p] && task.supports(&v.pe.platform_key))
-                .min_by_key(|(_, v)| ctx.estimates.estimate(task, v.pe).unwrap_or(Duration::MAX))
-                .map(|(p, _)| p);
-            if let Some(slot) = best {
-                taken[slot] = true;
-                out.push(Assignment { ready_idx: i, pe: pes[slot].pe.id });
+        for i in 0..ready.len() {
+            let row = ready.row(i);
+            // The first PE with the smallest estimate wins ties.
+            let mut best: Option<(usize, Duration)> = None;
+            for (k, &col) in self.free.iter().enumerate() {
+                let Some(est) = row.estimate(col) else { continue };
+                if best.is_none_or(|(_, b)| est < b) {
+                    best = Some((k, est));
+                }
+            }
+            if let Some((k, _)) = best {
+                let col = self.free.remove(k);
+                out.push(Assignment { ready_idx: i, pe: pes[col].pe.id });
             }
         }
-        out
     }
 }
 
@@ -62,68 +67,44 @@ impl Scheduler for MetScheduler {
 mod tests {
     use super::*;
     use crate::sched::testutil::*;
-    use crate::sched::EstimateBook;
-    use crate::time::SimTime;
-
-    fn ctx(book: &EstimateBook) -> SchedContext<'_> {
-        SchedContext { now: SimTime::ZERO, estimates: book }
-    }
 
     #[test]
     fn picks_cheapest_pe_per_task() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
         // FFT estimate (30 us) cheaper than CPU (100 us): even tasks
         // should prefer the accelerator.
-        let ready = ready_tasks(1, 30.0);
-        let book = EstimateBook::new();
-        let mut s = MetScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
-        assert_contract(&ready, &views, &out);
+        let fx = Fixture::new(1, 30.0);
+        let out = call(&mut MetScheduler::new(), &fx.view(), &fx.idle_views());
         assert_eq!(out.len(), 1);
-        assert_eq!(out[0].pe, cfg.pes[2].id, "fft PE is the MET choice");
+        assert_eq!(out[0].pe, fx.platform.pes[2].id, "fft PE is the MET choice");
     }
 
     #[test]
     fn avoids_expensive_accelerator() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
         // FFT estimate (500 us) pricier than CPU (100 us): stay on cores.
-        let ready = ready_tasks(1, 500.0);
-        let book = EstimateBook::new();
-        let mut s = MetScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
-        assert_eq!(out[0].pe, cfg.pes[0].id);
+        let fx = Fixture::new(1, 500.0);
+        let out = call(&mut MetScheduler::new(), &fx.view(), &fx.idle_views());
+        assert_eq!(out[0].pe, fx.platform.pes[0].id);
     }
 
     #[test]
     fn falls_back_when_cheapest_taken() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
         // Two fft-capable tasks, one cheap accelerator: the second task
         // settles for a core.
-        let mut ready = ready_tasks(4, 30.0);
-        ready.remove(3);
-        ready.remove(1); // keep the two even (fft-capable) tasks
-        let book = EstimateBook::new();
-        let mut s = MetScheduler::new();
-        let out = s.schedule(&ready, &views, &ctx(&book));
-        assert_contract(&ready, &views, &out);
+        let mut fx = Fixture::new(4, 30.0);
+        fx.entries.remove(3);
+        fx.entries.remove(1); // keep the two even (fft-capable) tasks
+        let out = call(&mut MetScheduler::new(), &fx.view(), &fx.idle_views());
+        let pes = &fx.platform.pes;
         assert_eq!(out.len(), 2);
-        assert_eq!(out[0].pe, cfg.pes[2].id);
-        assert!(out[1].pe == cfg.pes[0].id || out[1].pe == cfg.pes[1].id);
+        assert_eq!(out[0].pe, pes[2].id);
+        assert!(out[1].pe == pes[0].id || out[1].pe == pes[1].id);
     }
 
     #[test]
     fn leaves_task_when_nothing_idle() {
-        let cfg = platform_2c1f();
-        let mut views = idle_views(&cfg);
-        for v in &mut views {
-            v.idle = false;
-        }
-        let ready = ready_tasks(2, 30.0);
-        let book = EstimateBook::new();
-        let mut s = MetScheduler::new();
-        assert!(s.schedule(&ready, &views, &ctx(&book)).is_empty());
+        let fx = Fixture::new(2, 30.0);
+        let mut views = fx.idle_views();
+        views.iter_mut().for_each(|v| v.idle = false);
+        assert!(call(&mut MetScheduler::new(), &fx.view(), &views).is_empty());
     }
 }

@@ -6,12 +6,21 @@
 //! minimum execution time (MET), first ready-first start (FRFS), earliest
 //! finish time (EFT), and random (RANDOM)." (paper §II-C)
 //!
-//! A policy receives the ready task list and a view of every PE's
-//! availability (the paper's resource-handler states), and returns
-//! task→PE assignments. Integrating a new algorithm means implementing
-//! [`Scheduler`] — the emulation engine dispatches whatever it returns,
-//! enforcing the safety contract (idle PEs only, no double assignment,
-//! platform compatibility) with debug assertions.
+//! A policy receives a [`ReadyView`] of the ready list and a [`PeView`]
+//! of every PE's availability (the paper's resource-handler states), and
+//! appends task→PE [`Assignment`]s. Integrating a new algorithm means
+//! implementing [`Scheduler::schedule_into`] — the emulation engine
+//! dispatches whatever it returns, after checking the safety contract
+//! (PEs with room only, no double assignment, platform compatibility).
+//!
+//! The view reads the engines' own run state: the seq-ordered ready
+//! entries and the compiled scenario's dense `[node][PE column]` tables
+//! ([`ScenarioSoa`]). Compatibility is the modeled-cost sentinel and an
+//! estimate a few array reads, so a policy pays for its own algorithm
+//! — MET's scan of every (ready task, idle compatible PE) pair, EFT's of
+//! every (ready task, compatible PE) pair — and not for string lookups.
+//! The library policies keep their per-call scratch in `self` and
+//! allocate nothing per call.
 
 mod eft;
 mod frfs;
@@ -26,17 +35,23 @@ pub use random::RandomScheduler;
 use std::collections::HashMap;
 use std::time::Duration;
 
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_platform::pe::{PeDescriptor, PeId};
 
-use crate::task::{ReadyTask, Task};
+use crate::arena::DenseReady;
+use crate::intern::{Name, NameTable};
+use crate::soa::{ScenarioSoa, SpecSoa, INCOMPATIBLE};
 use crate::time::SimTime;
 
-/// What the scheduler sees of one PE.
+/// What the scheduler sees of one PE. Engines pass one view per PE in
+/// platform order, so `pes[c]` is PE column `c` of the [`ReadyView`]
+/// queries.
 #[derive(Debug, Clone)]
 pub struct PeView<'a> {
     /// The PE's descriptor (type, speed, platform key).
     pub pe: &'a PeDescriptor,
-    /// True if the resource handler reports *idle*.
+    /// True if the PE can take an assignment now: idle, or busy with
+    /// reservation-queue room; never when quarantined.
     pub idle: bool,
     /// Estimated emulation time at which the PE becomes available:
     /// `now` when idle, otherwise the running task's projected finish.
@@ -46,7 +61,7 @@ pub struct PeView<'a> {
 /// One task→PE mapping decided by a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Assignment {
-    /// Index into the ready slice passed to [`Scheduler::schedule`].
+    /// Index into the [`ReadyView`] passed to [`Scheduler::schedule_into`].
     pub ready_idx: usize,
     /// Destination PE (must be idle and compatible).
     pub pe: PeId,
@@ -124,7 +139,7 @@ impl EstimateBook {
     }
 
     /// The slot for `(runfunc, class)`, reserving one on first sight.
-    /// Reserving is not observing: [`Self::estimate`] ignores slots
+    /// Reserving is not observing: [`ReadyView::estimate`] ignores slots
     /// without observations.
     pub fn slot_of(&mut self, runfunc: &str, class: &str) -> EstimateSlot {
         let per_class = match self.slots.get_mut(runfunc) {
@@ -163,28 +178,6 @@ impl EstimateBook {
         });
     }
 
-    /// Estimates `task`'s execution time on `pe`.
-    ///
-    /// Priority: the JSON's per-platform `mean_exec_us`, then the
-    /// observed EWMA, then a speed-scaled default (100 µs of host work) —
-    /// so cost-aware policies degrade gracefully on unprofiled kernels.
-    /// Returns `None` if the task does not support the PE at all.
-    pub fn estimate(&self, task: &Task, pe: &PeDescriptor) -> Option<Duration> {
-        let platform = task.node().platform(&pe.platform_key)?;
-        if let Some(d) = platform.mean_exec {
-            return Some(d);
-        }
-        if let Some(d) = self
-            .slots
-            .get(&platform.runfunc)
-            .and_then(|m| m.get(pe.class_name()))
-            .and_then(|slot| self.values[slot.0 as usize])
-        {
-            return Some(d);
-        }
-        Some(Duration::from_secs_f64(100e-6 / pe.speed()))
-    }
-
     /// Makes this book a copy of `proto` (slot map and values), reusing
     /// existing allocations where the collections allow. The warm-run
     /// reset path for books whose slot map came from a *different*
@@ -216,12 +209,124 @@ impl EstimateBook {
 }
 
 /// Per-invocation context handed to policies.
-#[derive(Debug)]
-pub struct SchedContext<'a> {
+#[derive(Debug, Clone, Copy)]
+pub struct SchedContext {
     /// Current emulation time.
     pub now: SimTime,
-    /// Learned execution-time estimates.
-    pub estimates: &'a EstimateBook,
+}
+
+/// The ready list as a policy reads it: the engine's pending entries in
+/// readiness (`seq`) order, with their per-PE compatibility and
+/// execution-time estimates from the compiled scenario's dense tables.
+/// Index `i` is what [`Assignment::ready_idx`] refers to; PE column
+/// `col` is `pes[col]` of the same call.
+#[derive(Debug, Clone, Copy)]
+pub struct ReadyView<'a> {
+    entries: &'a [DenseReady],
+    soa: &'a ScenarioSoa,
+    names: &'a NameTable,
+    estimates: &'a EstimateBook,
+}
+
+impl<'a> ReadyView<'a> {
+    /// A view of `entries` (seq-ordered, as engines hold them) over a
+    /// compiled scenario's tables and the run's learned estimates.
+    pub fn new(
+        entries: &'a [DenseReady],
+        soa: &'a ScenarioSoa,
+        names: &'a NameTable,
+        estimates: &'a EstimateBook,
+    ) -> Self {
+        ReadyView { entries, soa, names, estimates }
+    }
+
+    /// Number of ready tasks.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// True if no task is ready.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// When ready task `i` became ready.
+    pub fn ready_at(&self, i: usize) -> SimTime {
+        SimTime(self.entries[i].ready_ns)
+    }
+
+    /// Readiness sequence number of ready task `i` (ascending in `i`).
+    pub fn seq(&self, i: usize) -> u64 {
+        self.entries[i].seq
+    }
+
+    /// `(instance, DAG node index)` of ready task `i`.
+    pub fn task(&self, i: usize) -> (InstanceId, usize) {
+        let e = &self.entries[i];
+        (InstanceId(e.inst as u64), e.node as usize)
+    }
+
+    /// The application name of ready task `i`.
+    pub fn app(&self, i: usize) -> &'a Name {
+        self.names.app(InstanceId(self.entries[i].inst as u64))
+    }
+
+    /// The DAG node name of ready task `i`.
+    pub fn node_name(&self, i: usize) -> &'a Name {
+        let (inst, node) = self.task(i);
+        self.names.node(inst, node)
+    }
+
+    /// Ready task `i`'s per-PE cells, resolved once for a scan over
+    /// PE columns.
+    #[inline]
+    pub fn row(&self, i: usize) -> ReadyRow<'a> {
+        let e = &self.entries[i];
+        let spec = &self.soa.specs[self.names.spec_index(InstanceId(e.inst as u64))];
+        let base = e.node as usize * self.soa.stride;
+        ReadyRow { soa: self.soa, spec, base, estimates: self.estimates }
+    }
+
+    /// True if ready task `i` can run on PE column `col`.
+    pub fn compatible(&self, i: usize, col: usize) -> bool {
+        self.row(i).compatible(col)
+    }
+
+    /// Ready task `i`'s estimated execution time on PE column `col`, or
+    /// `None` where it cannot run there (see [`ReadyRow::estimate`]).
+    pub fn estimate(&self, i: usize, col: usize) -> Option<Duration> {
+        self.row(i).estimate(col)
+    }
+}
+
+/// One ready task's cells of the scenario's `[node][PE column]` tables
+/// (see [`ReadyView::row`]).
+#[derive(Debug, Clone, Copy)]
+pub struct ReadyRow<'a> {
+    soa: &'a ScenarioSoa,
+    spec: &'a SpecSoa,
+    base: usize,
+    estimates: &'a EstimateBook,
+}
+
+impl ReadyRow<'_> {
+    /// True if the task can run on PE column `col`: its modeled cost
+    /// there is not the [`INCOMPATIBLE`] sentinel.
+    #[inline]
+    pub fn compatible(&self, col: usize) -> bool {
+        self.spec.cost_ns[self.base + col] != INCOMPATIBLE
+    }
+
+    /// The task's estimated execution time on PE column `col`, `None`
+    /// where it cannot run there. Priority: the JSON's per-platform
+    /// `mean_exec_us`, then the observed EWMA, then a speed-scaled
+    /// default (100 µs of host work) — so cost-aware policies degrade
+    /// gracefully on unprofiled kernels.
+    #[inline]
+    pub fn estimate(&self, col: usize) -> Option<Duration> {
+        self.compatible(col)
+            .then(|| self.soa.cell_estimate(self.spec, self.base + col, col, self.estimates))
+    }
 }
 
 /// A scheduling policy.
@@ -229,62 +334,48 @@ pub trait Scheduler: Send {
     /// Policy name for reports.
     fn name(&self) -> &'static str;
 
-    /// Maps ready tasks onto PEs. Contract:
+    /// Maps ready tasks onto PEs by appending to `out` (empty on entry;
+    /// engines reuse it across calls). Contract:
     ///
     /// * only assign to PEs with `idle == true`;
     /// * at most one assignment per PE and per ready task;
-    /// * `ready[a.ready_idx]` must support `pe.platform_key`.
+    /// * `ready.compatible(a.ready_idx, c)` must hold for `a.pe`'s column `c`.
     ///
-    /// The engine guarantees `ready` is ordered by ascending `seq`
-    /// (readiness order), so policies can rely on slice order instead of
-    /// sorting — which is what keeps FRFS's per-invocation cost
-    /// proportional to the PE count (the paper's flat Fig. 10b line).
+    /// `ready` is ordered by ascending `seq` (readiness order), so
+    /// policies can rely on index order instead of sorting — which is
+    /// what keeps FRFS's per-invocation cost proportional to the PE
+    /// count (the paper's flat Fig. 10b line).
     ///
     /// Tasks left unassigned stay in the ready list for the next round.
-    fn schedule(
-        &mut self,
-        ready: &[ReadyTask],
-        pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment>;
-
-    /// Allocation-aware variant: append assignments to `out` (cleared by
-    /// the caller) instead of returning a fresh vector. Hot-loop engines
-    /// call this with a reused buffer; the default forwards to
-    /// [`Self::schedule`], so existing policies need no change. Policies
-    /// on an engine's per-event path should override it and implement
-    /// `schedule` as a thin wrapper.
     fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
+        ctx: &SchedContext,
         out: &mut Vec<Assignment>,
-    ) {
-        out.extend(self.schedule(ready, pes, ctx));
-    }
+    );
 
     /// True when this policy is *strict FIFO, first idle compatible PE
     /// in descriptor order* — i.e. its assignments are exactly what
     /// [`FrfsScheduler`] produces from the documented contract, with no
     /// internal state carried between invocations. An engine may then
-    /// place ready tasks itself instead of calling the policy: the DES
-    /// does so on every run on a ≤64-PE platform, faults, trace and
-    /// metrics included, intersecting each task's compatibility mask
-    /// with its idle-PE mask (no `PeView` materialization, no virtual
-    /// dispatch, no contract validation). Observable behavior must be
-    /// indistinguishable. `schedule`/`schedule_into` remain the source
-    /// of truth, must stay equivalent, and are what the threaded engine
-    /// and larger platforms call.
+    /// place ready tasks itself instead of calling the policy: both
+    /// engines do so on a ≤64-PE platform (the threaded one without
+    /// reservation queues), faults, trace and metrics included,
+    /// intersecting each task's compatibility mask with its idle-PE mask
+    /// (no `PeView` materialization, no virtual dispatch, no contract
+    /// validation). Observable behavior must be indistinguishable.
+    /// `schedule_into` remains the source of truth, must stay
+    /// equivalent, and is what larger platforms call.
     fn dense_fifo(&self) -> bool {
         false
     }
 
-    /// True when the policy reads `ctx.estimates`. Engines use this to
-    /// skip maintaining the learned-estimate EWMA when nothing can
-    /// observe it (the book is scratch state, not part of the run's
-    /// output). The conservative default is `true`; only policies that
-    /// provably never touch `ctx.estimates` should override.
+    /// True when the policy reads estimates ([`ReadyView::estimate`]).
+    /// Engines use this to skip maintaining the learned-estimate EWMA
+    /// when nothing can observe it (the book is scratch state, not part
+    /// of the run's output). The conservative default is `true`; only
+    /// policies that provably never read estimates should override.
     fn uses_estimates(&self) -> bool {
         true
     }
@@ -302,35 +393,26 @@ pub fn by_name(name: &str) -> Option<Box<dyn Scheduler>> {
     }
 }
 
-/// Shared helper: indices of idle PEs compatible with `task`.
-pub(crate) fn idle_compatible<'a>(
-    task: &'a Task,
-    pes: &'a [PeView<'a>],
-) -> impl Iterator<Item = usize> + 'a {
-    pes.iter()
-        .enumerate()
-        .filter(move |(_, v)| v.idle && task.supports(&v.pe.platform_key))
-        .map(|(i, _)| i)
-}
-
 #[cfg(test)]
 pub(crate) mod testutil {
     //! Shared fixtures for scheduler unit tests.
 
     use super::*;
+    use crate::intern::Interner;
     use dssoc_appmodel::app::ApplicationSpec;
-    use dssoc_appmodel::instance::{AppInstance, InstanceId};
+    use dssoc_appmodel::instance::AppInstance;
     use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
     use dssoc_appmodel::registry::KernelRegistry;
+    use dssoc_platform::cost::CostTable;
     use dssoc_platform::pe::PlatformConfig;
     use dssoc_platform::presets::zcu102;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
-    /// Builds `n` independent ready tasks; node `i` supports "cpu", and
-    /// even-indexed nodes also support "fft". Per-platform estimates:
-    /// cpu = 100 µs, fft = `fft_us` µs.
-    pub fn ready_tasks(n: usize, fft_us: f64) -> Vec<ReadyTask> {
+    /// One instance of `n` independent nodes; node `i` supports "cpu",
+    /// and even-indexed nodes also support "fft". Per-platform
+    /// estimates: cpu = 100 µs, fft = `fft_us` µs.
+    pub fn fixture_instance(n: usize, fft_us: f64) -> Arc<AppInstance> {
         let mut reg = KernelRegistry::new();
         reg.register_fn("t.so", "kc", |_| Ok(()));
         reg.register_fn("t.so", "ka", |_| Ok(()));
@@ -362,41 +444,67 @@ pub(crate) mod testutil {
             dag,
         };
         let spec = ApplicationSpec::from_json(&json, &reg).unwrap();
-        let inst = Arc::new(
-            AppInstance::instantiate(spec, InstanceId(0), std::time::Duration::ZERO).unwrap(),
-        );
-        (0..n)
-            .map(|i| ReadyTask {
-                task: Task { instance: Arc::clone(&inst), node_idx: i },
-                ready_at: SimTime(i as u64),
-                seq: i as u64,
-            })
-            .collect()
+        Arc::new(AppInstance::instantiate(spec, InstanceId(0), std::time::Duration::ZERO).unwrap())
     }
 
-    /// A 2-CPU + 1-FFT platform and all-idle views of it.
-    pub fn platform_2c1f() -> PlatformConfig {
-        zcu102(2, 1)
+    /// [`fixture_instance`]'s nodes, all ready (node `i` with seq `i`),
+    /// compiled against a 2-CPU + 1-FFT platform.
+    pub struct Fixture {
+        pub platform: PlatformConfig,
+        pub names: NameTable,
+        pub soa: ScenarioSoa,
+        pub book: EstimateBook,
+        pub entries: Vec<DenseReady>,
     }
 
-    /// Builds all-idle PE views for a platform.
-    pub fn idle_views(cfg: &PlatformConfig) -> Vec<PeView<'_>> {
-        cfg.pes.iter().map(|pe| PeView { pe, idle: true, available_at: SimTime::ZERO }).collect()
+    impl Fixture {
+        pub fn new(n: usize, fft_us: f64) -> Self {
+            let platform = zcu102(2, 1);
+            let instances = vec![fixture_instance(n, fft_us)];
+            let names = NameTable::build(&instances, &platform, &mut Interner::new());
+            let mut book = EstimateBook::new();
+            let table = CostTable::new();
+            let soa = ScenarioSoa::build(&instances, &names, &platform, &table, &mut book);
+            let entries = (0..n as u32)
+                .map(|i| DenseReady { inst: 0, node: i, ready_ns: i as u64, seq: i as u64 })
+                .collect();
+            Fixture { platform, names, soa, book, entries }
+        }
+
+        /// The policy's view of the (possibly trimmed) entries.
+        pub fn view(&self) -> ReadyView<'_> {
+            ReadyView::new(&self.entries, &self.soa, &self.names, &self.book)
+        }
+
+        /// All-idle PE views of the platform.
+        pub fn idle_views(&self) -> Vec<PeView<'_>> {
+            let pes = self.platform.pes.iter();
+            pes.map(|pe| PeView { pe, idle: true, available_at: SimTime::ZERO }).collect()
+        }
+    }
+
+    /// One policy call at time zero; checks the contract on the result.
+    pub fn call(
+        s: &mut dyn Scheduler,
+        ready: &ReadyView<'_>,
+        pes: &[PeView<'_>],
+    ) -> Vec<Assignment> {
+        let mut out = Vec::new();
+        s.schedule_into(ready, pes, &SchedContext { now: SimTime::ZERO }, &mut out);
+        assert_contract(ready, pes, &out);
+        out
     }
 
     /// Checks the scheduler contract on a result.
-    pub fn assert_contract(ready: &[ReadyTask], pes: &[PeView<'_>], out: &[Assignment]) {
+    pub fn assert_contract(ready: &ReadyView<'_>, pes: &[PeView<'_>], out: &[Assignment]) {
         let mut used_pe = std::collections::HashSet::new();
         let mut used_task = std::collections::HashSet::new();
         for a in out {
-            let view = pes.iter().find(|v| v.pe.id == a.pe).expect("assignment to unknown PE");
-            assert!(view.idle, "assigned to busy PE");
+            let col = pes.iter().position(|v| v.pe.id == a.pe).expect("assignment to unknown PE");
+            assert!(pes[col].idle, "assigned to busy PE");
             assert!(used_pe.insert(a.pe), "PE assigned twice");
             assert!(used_task.insert(a.ready_idx), "task assigned twice");
-            assert!(
-                ready[a.ready_idx].task.supports(&view.pe.platform_key),
-                "incompatible assignment"
-            );
+            assert!(ready.compatible(a.ready_idx, col), "incompatible assignment");
         }
     }
 }
@@ -419,44 +527,45 @@ mod tests {
 
     #[test]
     fn estimate_book_priorities() {
-        let cfg = platform_2c1f();
-        let ready = ready_tasks(2, 70.0);
-        let cpu_pe = &cfg.pes[0];
-        let fft_pe = &cfg.pes[2];
-        let mut book = EstimateBook::new();
-
+        let mut fx = Fixture::new(2, 70.0);
+        let us = std::time::Duration::from_micros;
         // JSON mean_exec wins even after observations.
-        let t0 = &ready[0].task;
-        assert_eq!(book.estimate(t0, cpu_pe).unwrap(), std::time::Duration::from_micros(100));
-        assert_eq!(book.estimate(t0, fft_pe).unwrap(), std::time::Duration::from_micros(70));
-
-        // Odd task doesn't support fft.
-        assert!(book.estimate(&ready[1].task, fft_pe).is_none());
+        fx.book.observe("kc", fx.platform.pes[0].class_name(), us(5));
+        let ready = fx.view();
+        assert_eq!(ready.estimate(0, 0), Some(us(100)));
+        assert_eq!(ready.estimate(0, 2), Some(us(70)));
+        // The odd task doesn't support fft.
+        assert!(!ready.compatible(1, 2));
+        assert_eq!(ready.estimate(1, 2), None);
+        assert_eq!((ready.app(1).as_str(), ready.node_name(1).as_str()), ("fixture", "n001"));
+        assert_eq!(
+            (ready.task(1), ready.seq(1), ready.ready_at(1)),
+            ((InstanceId(0), 1), 1, SimTime(1))
+        );
 
         // EWMA path: a kernel with no JSON estimate.
-        book.observe("kx", "cortex-a53", std::time::Duration::from_micros(40));
-        book.observe("kx", "cortex-a53", std::time::Duration::from_micros(80));
+        let mut book = EstimateBook::new();
+        book.observe("kx", "cortex-a53", us(40));
+        book.observe("kx", "cortex-a53", us(80));
         let d = book.values[book.slots["kx"]["cortex-a53"].0 as usize].unwrap();
-        assert!(
-            d > std::time::Duration::from_micros(40) && d < std::time::Duration::from_micros(80)
-        );
+        assert!(d > us(40) && d < us(80));
         assert_eq!(book.len(), 1);
     }
 
     #[test]
     fn idle_compatible_filters() {
-        let cfg = platform_2c1f();
-        let mut views = idle_views(&cfg);
-        let ready = ready_tasks(2, 70.0);
+        let fx = Fixture::new(2, 70.0);
+        let mut views = fx.idle_views();
+        let ready = fx.view();
+        let idle_compatible = |views: &[PeView<'_>], i: usize| -> Vec<usize> {
+            (0..views.len()).filter(|&col| views[col].idle && ready.compatible(i, col)).collect()
+        };
         // Even task: all three PEs compatible.
-        let all: Vec<usize> = idle_compatible(&ready[0].task, &views).collect();
-        assert_eq!(all.len(), 3);
+        assert_eq!(idle_compatible(&views, 0), vec![0, 1, 2]);
         // Odd task: only the two CPU PEs.
-        let cpus: Vec<usize> = idle_compatible(&ready[1].task, &views).collect();
-        assert_eq!(cpus.len(), 2);
+        assert_eq!(idle_compatible(&views, 1), vec![0, 1]);
         // Busy PEs are excluded.
         views[0].idle = false;
-        let fewer: Vec<usize> = idle_compatible(&ready[0].task, &views).collect();
-        assert_eq!(fewer.len(), 2);
+        assert_eq!(idle_compatible(&views, 0), vec![1, 2]);
     }
 }

@@ -6,19 +6,27 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::sched::{idle_compatible, Assignment, PeView, SchedContext, Scheduler};
-use crate::task::ReadyTask;
+use crate::sched::{Assignment, PeView, ReadyView, SchedContext, Scheduler};
 
 /// Uniformly random scheduler (seedable for reproducibility).
 #[derive(Debug, Clone)]
 pub struct RandomScheduler {
     rng: StdRng,
+    /// Reused per-invocation scratch: the columns of the PEs still free
+    /// this round, ascending.
+    free: Vec<usize>,
+    /// Reused per-task scratch: positions in `free` the task can run on.
+    candidates: Vec<usize>,
 }
 
 impl RandomScheduler {
     /// Creates the policy with a fixed seed.
     pub fn seeded(seed: u64) -> Self {
-        RandomScheduler { rng: StdRng::seed_from_u64(seed) }
+        RandomScheduler {
+            rng: StdRng::seed_from_u64(seed),
+            free: Vec::new(),
+            candidates: Vec::new(),
+        }
     }
 }
 
@@ -31,30 +39,30 @@ impl Scheduler for RandomScheduler {
         false
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        _ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        let mut taken = vec![false; pes.len()];
-        let mut free = pes.iter().filter(|v| v.idle).count();
-        let mut out = Vec::new();
-        for (i, rt) in ready.iter().enumerate() {
-            if free == 0 {
+        _ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
+        self.free.clear();
+        self.free.extend(pes.iter().enumerate().filter(|(_, v)| v.idle).map(|(col, _)| col));
+        for i in 0..ready.len() {
+            if self.free.is_empty() {
                 break;
             }
-            let candidates: Vec<usize> =
-                idle_compatible(&rt.task, pes).filter(|&p| !taken[p]).collect();
-            if candidates.is_empty() {
+            let row = ready.row(i);
+            self.candidates.clear();
+            let open = self.free.iter().enumerate().filter(|&(_, &col)| row.compatible(col));
+            self.candidates.extend(open.map(|(k, _)| k));
+            if self.candidates.is_empty() {
                 continue;
             }
-            let slot = candidates[self.rng.gen_range(0..candidates.len())];
-            taken[slot] = true;
-            free -= 1;
-            out.push(Assignment { ready_idx: i, pe: pes[slot].pe.id });
+            let k = self.candidates[self.rng.gen_range(0..self.candidates.len())];
+            let col = self.free.remove(k);
+            out.push(Assignment { ready_idx: i, pe: pes[col].pe.id });
         }
-        out
     }
 }
 
@@ -62,38 +70,26 @@ impl Scheduler for RandomScheduler {
 mod tests {
     use super::*;
     use crate::sched::testutil::*;
-    use crate::sched::EstimateBook;
-    use crate::time::SimTime;
     use std::collections::HashSet;
-
-    fn ctx(book: &EstimateBook) -> SchedContext<'_> {
-        SchedContext { now: SimTime::ZERO, estimates: book }
-    }
 
     #[test]
     fn honors_contract() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
-        let ready = ready_tasks(6, 70.0);
-        let book = EstimateBook::new();
+        let fx = Fixture::new(6, 70.0);
+        let views = fx.idle_views();
         let mut s = RandomScheduler::seeded(1);
         for _ in 0..20 {
-            let out = s.schedule(&ready, &views, &ctx(&book));
-            assert_contract(&ready, &views, &out);
+            let out = call(&mut s, &fx.view(), &views);
             assert_eq!(out.len(), 3, "all three PEs get work with 6 ready tasks");
         }
     }
 
     #[test]
     fn is_seed_reproducible_and_actually_random() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
-        let ready = ready_tasks(6, 70.0);
-        let book = EstimateBook::new();
-
+        let fx = Fixture::new(6, 70.0);
+        let views = fx.idle_views();
         let run = |seed: u64| {
             let mut s = RandomScheduler::seeded(seed);
-            (0..10).map(|_| s.schedule(&ready, &views, &ctx(&book))).collect::<Vec<_>>()
+            (0..10).map(|_| call(&mut s, &fx.view(), &views)).collect::<Vec<_>>()
         };
         assert_eq!(run(7), run(7));
 
@@ -110,15 +106,13 @@ mod tests {
 
     #[test]
     fn cpu_only_task_never_lands_on_accelerator() {
-        let cfg = platform_2c1f();
-        let views = idle_views(&cfg);
-        let ready = ready_tasks(2, 70.0); // task 1 is cpu-only
-        let book = EstimateBook::new();
+        let fx = Fixture::new(2, 70.0); // task 1 is cpu-only
+        let views = fx.idle_views();
         let mut s = RandomScheduler::seeded(3);
         for _ in 0..50 {
-            let out = s.schedule(&ready, &views, &ctx(&book));
+            let out = call(&mut s, &fx.view(), &views);
             for a in out.iter().filter(|a| a.ready_idx == 1) {
-                assert_ne!(a.pe, cfg.pes[2].id);
+                assert_ne!(a.pe, fx.platform.pes[2].id);
             }
         }
     }

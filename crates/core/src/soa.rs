@@ -43,7 +43,7 @@ use std::time::Duration;
 use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_platform::cost::CostModel;
-use dssoc_platform::pe::{PeDescriptor, PlatformConfig};
+use dssoc_platform::pe::PlatformConfig;
 
 use crate::intern::{Name, NameTable};
 use crate::job::dispatch_duration;
@@ -107,6 +107,12 @@ pub struct ScenarioSoa {
     /// Row stride of the per-pair slabs: the platform's PE count.
     pub(crate) stride: usize,
     pub(crate) specs: Vec<SpecSoa>,
+    /// The estimate of last resort per PE column: 100 µs of host work
+    /// scaled by the PE's speed.
+    default_est: Vec<Duration>,
+    /// Some compatible cell has no JSON estimate, so estimates there
+    /// read the learned book (see [`Self::reads_book`]).
+    reads_book: bool,
 }
 
 impl ScenarioSoa {
@@ -129,28 +135,54 @@ impl ScenarioSoa {
                 specs.push(SpecSoa::build(&inst.spec, names, idx, platform, cost, estimates));
             }
         }
-        ScenarioSoa { stride: platform.pes.len(), specs }
+        let default_est =
+            platform.pes.iter().map(|pe| Duration::from_secs_f64(100e-6 / pe.speed())).collect();
+        let reads_book = specs.iter().any(|spec| {
+            spec.cost_ns
+                .iter()
+                .zip(&spec.est_prior_ns)
+                .any(|(&c, &p)| c != INCOMPATIBLE && p == NO_PRIOR)
+        });
+        ScenarioSoa { stride: platform.pes.len(), specs, default_est, reads_book }
     }
 
-    /// [`EstimateBook::estimate`] for task `(inst, node)` on PE column
-    /// `col` (PE `pe`) — the JSON estimate, else `book`'s observations,
-    /// else a speed-scaled default — by the pair's pre-resolved slot
-    /// instead of its string key.
+    /// The estimate for task `(inst, node)` on PE column `col` (which
+    /// must be compatible): the JSON estimate, else `book`'s
+    /// observations, else the column's speed-scaled default — by the
+    /// pair's pre-resolved slot instead of its string key. What
+    /// [`ReadyRow::estimate`](crate::sched::ReadyRow::estimate) answers
+    /// policies, and what reservation projections and hang deadlines use.
     pub(crate) fn estimate(
         &self,
         names: &NameTable,
         book: &EstimateBook,
         (inst, node): (u32, u32),
         col: usize,
-        pe: &PeDescriptor,
     ) -> Duration {
         let spec = &self.specs[names.spec_index(InstanceId(inst as u64))];
-        let cell = node as usize * self.stride + col;
+        self.cell_estimate(spec, node as usize * self.stride + col, col, book)
+    }
+
+    /// [`Self::estimate`] at `spec`'s slab index `cell` (in column `col`).
+    #[inline]
+    pub(crate) fn cell_estimate(
+        &self,
+        spec: &SpecSoa,
+        cell: usize,
+        col: usize,
+        book: &EstimateBook,
+    ) -> Duration {
         match spec.est_prior_ns[cell] {
-            NO_PRIOR => book.values[spec.est_slot[cell] as usize]
-                .unwrap_or_else(|| Duration::from_secs_f64(100e-6 / pe.speed())),
+            NO_PRIOR => book.values[spec.est_slot[cell] as usize].unwrap_or(self.default_est[col]),
             prior => Duration::from_nanos(prior),
         }
+    }
+
+    /// True when some estimate comes from the learned book: without it
+    /// every compatible pair has a JSON estimate, no estimate ever reads
+    /// the book, and an engine may skip observing completions.
+    pub(crate) fn reads_book(&self) -> bool {
+        self.reads_book
     }
 
     /// Number of distinct application specs.
@@ -238,7 +270,7 @@ impl SpecSoa {
 mod tests {
     use super::*;
     use crate::intern::Interner;
-    use crate::sched::testutil::ready_tasks;
+    use crate::sched::testutil::fixture_instance;
     use crate::task::Task;
     use dssoc_platform::cost::CostTable;
     use dssoc_platform::presets::zcu102;
@@ -252,9 +284,9 @@ mod tests {
     #[test]
     fn soa_matches_grid() {
         let platform = zcu102(2, 1);
-        // ready_tasks: even-indexed nodes also support "fft", so the
+        // fixture_instance: even-indexed nodes also support "fft", so the
         // compatibility pattern is non-trivial.
-        let instances = vec![ready_tasks(6, 70.0)[0].task.instance.clone()];
+        let instances = vec![fixture_instance(6, 70.0)];
         let mut interner = Interner::new();
         let names = NameTable::build(&instances, &platform, &mut interner);
         // One table entry: cells resolve through the cost model and

@@ -9,8 +9,6 @@ use std::sync::Arc;
 use dssoc_appmodel::app::NodeSpec;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 
-use crate::time::SimTime;
-
 /// One schedulable task: a node of a specific application instance.
 #[derive(Clone)]
 pub struct Task {
@@ -47,18 +45,6 @@ impl std::fmt::Debug for Task {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Task({}/{}:{})", self.instance.id, self.app_name(), self.node().name)
     }
-}
-
-/// A task waiting in the ready list, with its provenance for ordering.
-#[derive(Debug, Clone)]
-pub struct ReadyTask {
-    /// The task itself.
-    pub task: Task,
-    /// When all its predecessors completed (emulation time).
-    pub ready_at: SimTime,
-    /// Monotone sequence number assigned as tasks become ready — FRFS
-    /// dispatches in this order.
-    pub seq: u64,
 }
 
 #[cfg(test)]

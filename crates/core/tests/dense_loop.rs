@@ -26,9 +26,8 @@ use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault};
 use dssoc_core::job::CostSpec;
 use dssoc_core::prelude::*;
-use dssoc_core::sched::{Assignment, PeView, SchedContext};
+use dssoc_core::sched::{Assignment, PeView, ReadyView, SchedContext};
 use dssoc_core::stats::OverheadBreakdown;
-use dssoc_core::task::ReadyTask;
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
@@ -69,20 +68,11 @@ impl Scheduler for GeneralFrfs {
         self.0.name()
     }
 
-    fn schedule(
-        &mut self,
-        ready: &[ReadyTask],
-        pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        self.0.schedule(ready, pes, ctx)
-    }
-
     fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
+        ctx: &SchedContext,
         out: &mut Vec<Assignment>,
     ) {
         self.0.schedule_into(ready, pes, ctx, out)

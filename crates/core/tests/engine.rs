@@ -10,8 +10,7 @@ use dssoc_appmodel::{AppLibrary, InjectionParams, KernelRegistry, ModelError, Wo
 use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::job::CostSpec;
-use dssoc_core::sched::{Assignment, PeView, SchedContext, Scheduler};
-use dssoc_core::task::ReadyTask;
+use dssoc_core::sched::{Assignment, PeView, ReadyView, SchedContext, Scheduler};
 use dssoc_core::{EftScheduler, FrfsScheduler, MetScheduler, RandomScheduler};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::presets::{odroid_xu3, zcu102};
@@ -362,13 +361,13 @@ impl Scheduler for LazyScheduler {
     fn name(&self) -> &'static str {
         "LAZY"
     }
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        _: &[ReadyTask],
+        _: &ReadyView<'_>,
         _: &[PeView<'_>],
-        _: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        Vec::new()
+        _: &SchedContext,
+        _: &mut Vec<Assignment>,
+    ) {
     }
 }
 
@@ -390,21 +389,19 @@ impl Scheduler for RogueScheduler {
     fn name(&self) -> &'static str {
         "ROGUE"
     }
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        _: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
+        _: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
         if ready.len() >= 2 {
             if let Some(v) = pes.iter().find(|v| v.idle) {
-                return vec![
-                    Assignment { ready_idx: 0, pe: v.pe.id },
-                    Assignment { ready_idx: 1, pe: v.pe.id },
-                ];
+                out.push(Assignment { ready_idx: 0, pe: v.pe.id });
+                out.push(Assignment { ready_idx: 1, pe: v.pe.id });
             }
         }
-        Vec::new()
     }
 }
 

@@ -19,8 +19,7 @@ use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
 use dssoc_core::fault::{PermanentFault, RateFault};
 use dssoc_core::prelude::*;
-use dssoc_core::sched::{by_name, Assignment, PeView, SchedContext};
-use dssoc_core::task::ReadyTask;
+use dssoc_core::sched::{by_name, Assignment, PeView, ReadyView, SchedContext};
 use dssoc_metrics::{HistogramData, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
@@ -247,22 +246,26 @@ impl Scheduler for StopsMidFlight {
         "stops-mid-flight"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
+        ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
         if pes.iter().any(|v| !v.idle) {
             self.calls += 1;
         }
         if self.calls >= self.at {
             match &self.cancel {
                 Some(flag) => flag.store(true, Ordering::Relaxed),
-                None => return vec![Assignment { ready_idx: ready.len(), pe: pes[0].pe.id }],
+                None => {
+                    out.push(Assignment { ready_idx: ready.len(), pe: pes[0].pe.id });
+                    return;
+                }
             }
         }
-        FrfsScheduler::new().schedule(ready, pes, ctx)
+        FrfsScheduler::new().schedule_into(ready, pes, ctx, out)
     }
 }
 

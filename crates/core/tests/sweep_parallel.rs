@@ -12,8 +12,7 @@ use dssoc_appmodel::WorkloadSpec;
 use dssoc_apps::standard_library;
 use dssoc_core::job::CostSpec;
 use dssoc_core::prelude::*;
-use dssoc_core::sched::{Assignment, PeView, SchedContext, Scheduler};
-use dssoc_core::task::ReadyTask;
+use dssoc_core::sched::{Assignment, PeView, ReadyView, SchedContext, Scheduler};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
@@ -144,13 +143,13 @@ impl Scheduler for NeverScheduler {
         "NEVER"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        _ready: &[ReadyTask],
+        _ready: &ReadyView<'_>,
         _pes: &[PeView<'_>],
-        _ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        Vec::new()
+        _ctx: &SchedContext,
+        _out: &mut Vec<Assignment>,
+    ) {
     }
 }
 

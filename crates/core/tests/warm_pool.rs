@@ -29,9 +29,8 @@ use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
 use dssoc_core::job::{CompiledScenario, CostSpec};
-use dssoc_core::sched::{by_name, Assignment, PeView, SchedContext, Scheduler};
+use dssoc_core::sched::{by_name, Assignment, PeView, ReadyView, SchedContext, Scheduler};
 use dssoc_core::stats::EmulationStats;
-use dssoc_core::task::ReadyTask;
 use dssoc_core::FrfsScheduler;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
@@ -115,18 +114,20 @@ impl Scheduler for FailsMidFlight {
         "fails-mid-flight"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
+        ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
         self.calls += 1;
         let busy = pes.len() == 1 || pes.iter().any(|v| !v.idle);
         if self.calls >= self.fail_at && busy {
-            return vec![Assignment { ready_idx: ready.len(), pe: pes[0].pe.id }];
+            out.push(Assignment { ready_idx: ready.len(), pe: pes[0].pe.id });
+            return;
         }
-        self.inner.schedule(ready, pes, ctx)
+        self.inner.schedule_into(ready, pes, ctx, out)
     }
 }
 

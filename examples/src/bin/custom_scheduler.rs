@@ -15,45 +15,49 @@ use std::time::Duration;
 use dssoc_appmodel::{InjectionParams, WorkloadSpec};
 use dssoc_apps::standard_library;
 use dssoc_core::prelude::*;
-use dssoc_core::sched::{Assignment, PeView, SchedContext};
-use dssoc_core::task::ReadyTask;
+use dssoc_core::sched::{Assignment, PeView, ReadyView, SchedContext};
 use dssoc_examples::print_run_row;
 use dssoc_platform::presets::zcu102;
 
-/// Radar tasks jump the queue; everything else is FRFS.
-struct RadarPriorityScheduler;
+/// Radar tasks jump the queue; everything else is FRFS. The scratch
+/// vectors live in the policy, so a call allocates nothing once warm.
+#[derive(Default)]
+struct RadarPriorityScheduler {
+    order: Vec<usize>,
+    free: Vec<bool>,
+}
 
 impl Scheduler for RadarPriorityScheduler {
     fn name(&self) -> &'static str {
         "RADAR-PRIO"
     }
 
-    fn schedule(
+    fn schedule_into(
         &mut self,
-        ready: &[ReadyTask],
+        ready: &ReadyView<'_>,
         pes: &[PeView<'_>],
-        _ctx: &SchedContext<'_>,
-    ) -> Vec<Assignment> {
-        let mut taken = vec![false; pes.len()];
-        let mut out = Vec::new();
+        _ctx: &SchedContext,
+        out: &mut Vec<Assignment>,
+    ) {
+        self.free.clear();
+        self.free.extend(pes.iter().map(|v| v.idle));
         // Radar tasks first (by readiness order), then the rest.
-        let mut order: Vec<usize> = (0..ready.len()).collect();
-        order.sort_by_key(|&i| {
-            let radar = ready[i].task.app_name() == "range_detection";
-            (if radar { 0u8 } else { 1u8 }, ready[i].seq)
-        });
-        for i in order {
-            let task = &ready[i].task;
-            let slot = pes
-                .iter()
-                .enumerate()
-                .find(|(p, view)| view.idle && !taken[*p] && task.supports(&view.pe.platform_key));
-            if let Some((p, view)) = slot {
-                taken[p] = true;
-                out.push(Assignment { ready_idx: i, pe: view.pe.id });
+        self.order.clear();
+        self.order.extend(0..ready.len());
+        self.order.sort_by_key(|&i| (ready.app(i).as_str() != "range_detection", ready.seq(i)));
+        for &i in &self.order {
+            // `pes[col]` is PE column `col` of the ready view's queries.
+            let row = ready.row(i);
+            if let Some(col) = (0..pes.len()).find(|&col| self.free[col] && row.compatible(col)) {
+                self.free[col] = false;
+                out.push(Assignment { ready_idx: i, pe: pes[col].pe.id });
             }
         }
-        out
+    }
+
+    // The policy never reads estimates, so engines may skip learning them.
+    fn uses_estimates(&self) -> bool {
+        false
     }
 }
 
@@ -84,7 +88,7 @@ fn main() {
     let mut radar_latency = Vec::new();
     for (label, mut scheduler) in [
         ("FRFS", Box::new(FrfsScheduler::new()) as Box<dyn Scheduler>),
-        ("RADAR-PRIO", Box::new(RadarPriorityScheduler)),
+        ("RADAR-PRIO", Box::new(RadarPriorityScheduler::default())),
     ] {
         let mut emulation = Emulation::new(zcu102(2, 1)).expect("platform");
         let stats = emulation.run(scheduler.as_mut(), &workload, &library).expect("emulation");
