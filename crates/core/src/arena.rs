@@ -385,6 +385,9 @@ pub(crate) struct RunScratch {
     /// Threaded engine: readiness time of the task in flight on each PE
     /// column (what its task record reports).
     pub ready_at: Vec<SimTime>,
+    /// Threaded engine: start time of the task in flight on each PE
+    /// column.
+    pub started: Vec<SimTime>,
     /// Faulted tasks waiting out retry backoff.
     pub retries: Vec<RetryEntry>,
     /// Backing storage for the run's `ReadyList`.
@@ -416,6 +419,7 @@ impl Default for RunScratch {
             due: Vec::new(),
             collected: Vec::new(),
             ready_at: Vec::new(),
+            started: Vec::new(),
             retries: Vec::new(),
             ready_buf: Vec::new(),
             estimates: EstimateBook::new(),
@@ -439,6 +443,7 @@ impl RunScratch {
         self.due.clear();
         self.collected.clear();
         self.ready_at.clear();
+        self.started.clear();
         self.retries.clear();
         self.ready_buf.clear();
         self.assignments.clear();

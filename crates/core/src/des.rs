@@ -100,7 +100,11 @@ use crate::sched::{EstimateBook, EstimateSlot, PeView, ReadyView, SchedContext, 
 use crate::stats::{DenseTaskLog, EmulationStats};
 use crate::time::SimTime;
 
-/// DES configuration.
+/// DES configuration: the observers a [`DesSimulator`] is built with
+/// (trace, metrics), and the scenario defaults (cost, per-invocation
+/// overhead, faults) that [`DesSimulator::run`] and sweep runners lower
+/// into each run's [`ScenarioSpec`]. A run reads its cost, overhead and
+/// faults from its compiled scenario only.
 #[derive(Clone)]
 pub struct DesConfig {
     /// Cost source for task durations (typically a calibrated
@@ -333,7 +337,12 @@ impl DesSimulator {
         // estimate-driven policy and no fault plan deriving hang
         // deadlines from estimates, or JSON estimates for every pair).
         let observe = (scheduler.uses_estimates() || plan.is_some()) && soa.reads_book();
-        let charge = self.config.overhead_per_invocation;
+        // The scenario's fixed per-invocation charge; the DES treats the
+        // other modes as free scheduling.
+        let charge = match scenario.spec().overhead {
+            OverheadMode::Fixed(d) => d,
+            OverheadMode::Measured | OverheadMode::None => Duration::ZERO,
+        };
         // Untraced, the completion path skips every event on one branch.
         let traced = p.tracer.enabled();
         // `PeId` by platform column (also the task log's column map).

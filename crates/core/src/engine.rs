@@ -85,12 +85,14 @@
 //!   by real cores.
 //! * [`TimingMode::Modeled`] — the emulation clock is virtual: kernels
 //!   still execute functionally on real threads (outputs are real), but
-//!   task durations are charged from the cost model and the clock only
-//!   advances when every in-flight task has reported (a conservative
-//!   parallel discrete-event scheme). This is what lets a 2-core host
-//!   emulate a 7-PE DSSoC with correct *relative* timing — and it is
-//!   deterministic when paired with a [`CostTable`] and
-//!   [`OverheadMode::Fixed`]/[`OverheadMode::None`].
+//!   task durations are charged from the compiled scenario's costs and
+//!   the clock only advances when every in-flight task has reported (a
+//!   conservative parallel discrete-event scheme); when an overhead
+//!   charge moves it past the start of a task still executing, nothing
+//!   at the new time is decided before that task reports. This is what
+//!   lets a 2-core host emulate a 7-PE DSSoC with correct *relative*
+//!   timing — and it is deterministic when paired with a [`CostTable`]
+//!   and [`OverheadMode::Fixed`]/[`OverheadMode::None`].
 //!
 //! [`CostTable`]: dssoc_platform::cost::CostTable
 
@@ -111,7 +113,7 @@ use crate::exec::{
     RunParts,
 };
 use crate::fault::{FaultDecision, FaultPlan, FaultSpec};
-use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion};
+use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion, TaskCost};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{EngineMetrics, OverheadPhase};
@@ -128,8 +130,8 @@ pub enum TimingMode {
     /// Host wall time; PE threads busy-wait/sleep out their modeled
     /// durations (the paper's literal behaviour on its testbeds).
     WallClock,
-    /// Virtual emulation clock driven by the cost model; functional
-    /// execution still happens for real.
+    /// Virtual emulation clock driven by the scenario's costs;
+    /// functional execution still happens for real.
     Modeled,
 }
 
@@ -148,17 +150,18 @@ pub enum OverheadMode {
     None,
 }
 
-/// Engine configuration.
+/// Engine configuration: the observers an [`Emulation`] is built with
+/// (trace, metrics), and the scenario defaults that [`Emulation::run`],
+/// [`Emulation::run_with_images`] and sweep runners lower into each
+/// run's [`ScenarioSpec`]. A run reads timing, overhead, cost,
+/// reservation depth and faults from its compiled scenario only.
 #[derive(Clone)]
 pub struct EmulationConfig {
     /// Timing mode.
     pub timing: TimingMode,
     /// Overhead charging mode.
     pub overhead: OverheadMode,
-    /// Cost specification for CPU task durations in
-    /// [`TimingMode::Modeled`]; resolved to a
-    /// [`CostModel`](dssoc_platform::cost::CostModel) when the resource
-    /// pool is spawned.
+    /// Cost specification for task durations.
     pub cost: CostSpec,
     /// PE-level reservation-queue depth — the paper's stated future work
     /// ("abstractions like PE-level work queues to enable lower-overhead
@@ -512,8 +515,7 @@ impl Emulation {
     ) -> Result<Self, EmuError> {
         let platform = platform.into();
         platform.validate().map_err(EmuError::Config)?;
-        let cost = config.cost.resolve();
-        let pool = ResourcePool::spawn(&platform, &cost, config.timing)?;
+        let pool = ResourcePool::spawn(&platform)?;
         if let Some(sink) = &config.trace {
             pool.attach_trace(sink);
         }
@@ -647,8 +649,10 @@ impl Emulation {
         let total = s.begin(scenario, instances);
         s.done.reserve_host(total);
         s.ready_at.resize(platform.pes.len(), SimTime::ZERO);
+        s.started.resize(platform.pes.len(), SimTime::ZERO);
         let trace = trace.map(|t| (t, scheduler.name(), "workload-manager"));
-        let depth = self.config.reservation_depth;
+        let spec = scenario.spec();
+        let depth = spec.reservation_depth;
         let (names, soa) = (scenario.names(), scenario.soa());
         let m = metrics.as_deref_mut();
         let mut p = RunParts::new(platform, depth, m, names, trace, instances, s);
@@ -663,8 +667,14 @@ impl Emulation {
             running: (0..platform.pes.len()).map(|_| None).collect(),
         });
         let views = s.views.take();
+        // The EWMA estimate book is scratch state, never part of the
+        // run's output: maintain it only when something can read it (the
+        // DES's rule).
+        let observe = (scheduler.uses_estimates() || faults.is_some()) && soa.reads_book();
         let mut m = Manager {
             emu: self,
+            spec,
+            observe,
             platform,
             handlers: self.pool.handlers(),
             instances,
@@ -705,6 +715,10 @@ impl Emulation {
 /// processor", running on the calling thread) and the steps of its loop.
 struct Manager<'r> {
     emu: &'r Emulation,
+    /// The run's scenario: timing, overhead, cost and reservation depth.
+    spec: &'r ScenarioSpec,
+    /// Whether completions are observed into the estimate book.
+    observe: bool,
     platform: &'r PlatformConfig,
     handlers: &'r [Arc<ResourceHandler>],
     instances: &'r [Arc<AppInstance>],
@@ -727,12 +741,12 @@ impl<'r> Manager<'r> {
     /// dispatch; then wait for a report or advance the clock.
     fn run(&mut self, scheduler: &mut dyn Scheduler) -> Result<(), EmuError> {
         let emu = self.emu;
-        let (timing, overhead) = (emu.config.timing, emu.config.overhead);
+        let (timing, overhead) = (self.spec.timing, self.spec.overhead);
         // Phase timestamps are read only when the overhead charge is
         // measured; every other mode charges nothing or a constant.
         let timed = matches!(overhead, OverheadMode::Measured);
         let k = 1.0 / self.platform.overlay.speed;
-        let depth = emu.config.reservation_depth;
+        let depth = self.spec.reservation_depth;
         // Placement: a policy that declares FRFS semantics is placed by
         // the engine off the SoA compatibility masks (one `u64` per node,
         // so ≤ 64 PEs) when no reservation queue can take work on a busy
@@ -747,11 +761,27 @@ impl<'r> Manager<'r> {
         loop {
             // Read before the monitor scan, so a completion the scan
             // misses still ends the wait below.
-            let seen = completions.posted();
+            let mut seen = completions.posted();
             let mut now = match timing {
                 TimingMode::WallClock => SimTime::from_duration(wall_start.elapsed()),
                 TimingMode::Modeled => self.vclock,
             };
+            // The virtual clock is conservative: an overhead charge can
+            // move it past the start of a task still executing on the
+            // host, which may finish at or before `now`. Nothing at
+            // `now` is decided before every such task has reported, so
+            // the outcome never depends on how fast the host ran it.
+            if timing == TimingMode::Modeled {
+                while self.unreported_before(now) {
+                    self.monitor(timing, now);
+                    if !self.unreported_before(now) {
+                        break;
+                    }
+                    let deadline = self.faults.as_ref().and_then(|f| f.deadline(self.wedged));
+                    completions.wait_past(seen, deadline);
+                    seen = completions.posted();
+                }
+            }
             // Quiet = every in-flight task has already posted its
             // completion, so no PE thread is executing on the host and
             // phase measurements are preemption-free (the paper's
@@ -859,13 +889,11 @@ impl<'r> Manager<'r> {
                 let handoffs = self.s.handoff.len() as u32;
                 let dispatch_raw =
                     t_disp.map_or(Duration::ZERO, |t| t.elapsed() + STATUS_WRITE_COST * handoffs);
-                for (col, e) in self.s.handoff.drain(..) {
-                    let task = Task {
-                        instance: Arc::clone(&self.instances[e.inst as usize]),
-                        node_idx: e.node as usize,
-                    };
-                    self.handlers[col as usize].dispatch(TaskAssignment { task, start: now });
+                for i in 0..self.s.handoff.len() {
+                    let (col, e) = self.s.handoff[i];
+                    self.hand_off(col as usize, e, now);
                 }
+                self.s.handoff.clear();
                 let d_charge = match overhead {
                     OverheadMode::Measured => {
                         mul_duration(sampler_d.sample(dispatch_raw, quiet), k)
@@ -1022,8 +1050,10 @@ impl<'r> Manager<'r> {
     fn complete(&mut self, c: &Collected, ready_at: SimTime) {
         let (id, soa) = (InstanceId(c.inst as u64), self.soa);
         let spec = &soa.specs[self.names.spec_index(id)];
-        let cell = c.node as usize * soa.stride + c.col as usize;
-        self.s.estimates.observe_at(EstimateSlot::from_raw(spec.est_slot[cell]), c.modeled);
+        if self.observe {
+            let cell = c.node as usize * soa.stride + c.col as usize;
+            self.s.estimates.observe_at(EstimateSlot::from_raw(spec.est_slot[cell]), c.modeled);
+        }
         let done = &mut self.s.done;
         let dur_ns = c.modeled.as_nanos() as u64;
         done.push(c.inst, c.node, c.col, ready_at.0, c.finish.0, dur_ns);
@@ -1085,6 +1115,19 @@ impl<'r> Manager<'r> {
             }
         }
         self.next_arrival > first
+    }
+
+    /// True when a task in flight since before `now` has not reported
+    /// yet. Each busy column has at most one collected completion.
+    fn unreported_before(&self, now: SimTime) -> bool {
+        let (s, slots) = (&*self.s, &self.p.slots);
+        if s.collected.len() >= slots.busy_count() {
+            return false;
+        }
+        let pes = &self.platform.pes;
+        let early = |col: usize| s.started[col] < now && slots.is_busy(pes[col].id);
+        let running = (0..pes.len()).filter(|&col| early(col)).count();
+        running > s.collected.iter().filter(|c| early(c.col as usize)).count()
     }
 
     /// True when a collected completion or an arrival is due at `now`.
@@ -1177,6 +1220,7 @@ impl<'r> Manager<'r> {
         let pe = self.platform.pes[col].id;
         self.p.slots.occupy(pe, at + est);
         self.s.ready_at[col] = SimTime(e.ready_ns);
+        self.s.started[col] = at;
         if self.p.tracer.enabled() {
             let (instance, node) = (e.inst as u64, e.node);
             self.p.tracer.emit(at, TraceKind::TaskDispatch { instance, node, pe: pe.0 });
@@ -1200,9 +1244,22 @@ impl<'r> Manager<'r> {
         };
         let est = self.estimate(next.inst, next.node, col);
         self.occupy(col, next, at, est, false);
-        let instance = Arc::clone(&self.instances[next.inst as usize]);
-        let task = Task { instance, node_idx: next.node as usize };
-        self.handlers[col].dispatch(TaskAssignment { task, start: at });
+        self.hand_off(col, next, at);
+    }
+
+    /// Dispatches `e` to PE column `col`'s resource manager, starting at
+    /// `start`, with its cost and timing from the scenario.
+    fn hand_off(&self, col: usize, e: DenseReady, start: SimTime) {
+        let cost = match self.spec.cost {
+            CostSpec::Table(_) => {
+                TaskCost::Modeled(Duration::from_nanos(self.soa.cost_ns(self.names, e, col)))
+            }
+            CostSpec::ScaledMeasured => TaskCost::ScaledMeasured,
+        };
+        let instance = Arc::clone(&self.instances[e.inst as usize]);
+        let task = Task { instance, node_idx: e.node as usize };
+        let embody = self.spec.timing == TimingMode::WallClock;
+        self.handlers[col].dispatch(TaskAssignment { task, start, cost, embody });
     }
 
     /// Resolves a stall: fault recovery aborts what lost its last

@@ -190,6 +190,17 @@ pub enum PeStatus {
     Complete,
 }
 
+/// What a dispatched task costs on its PE, from the compiled scenario.
+/// An accelerator's latency reports win over either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TaskCost {
+    /// The scenario's modeled duration of this `(node, PE)` cell — the
+    /// number the DES charges.
+    Modeled(Duration),
+    /// The host-measured kernel time scaled by the PE's speed.
+    ScaledMeasured,
+}
+
 /// A dispatch from the workload manager to a resource manager.
 #[derive(Debug, Clone)]
 pub struct TaskAssignment {
@@ -197,6 +208,13 @@ pub struct TaskAssignment {
     pub task: Task,
     /// Emulation time at which the task starts on the PE.
     pub start: SimTime,
+    /// What the task costs.
+    pub cost: TaskCost,
+    /// Embody the modeled duration in wall time (busy-wait or sleep out
+    /// the residual), as under [`TimingMode::WallClock`].
+    ///
+    /// [`TimingMode::WallClock`]: crate::engine::TimingMode::WallClock
+    pub embody: bool,
 }
 
 /// A completion report from a resource manager back to the workload
@@ -473,6 +491,10 @@ mod tests {
         Task { instance: inst, node_idx: 0 }
     }
 
+    fn assignment(task: Task, start: SimTime) -> TaskAssignment {
+        TaskAssignment { task, start, cost: TaskCost::ScaledMeasured, embody: false }
+    }
+
     fn handler() -> Arc<ResourceHandler> {
         ResourceHandler::new(zcu102(1, 0).pes[0].clone())
     }
@@ -483,7 +505,7 @@ mod tests {
         assert_eq!(h.status(), PeStatus::Idle);
         assert!(h.try_collect().is_none());
 
-        h.dispatch(TaskAssignment { task: dummy_task(), start: SimTime::ZERO });
+        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
         assert_eq!(h.status(), PeStatus::Run);
 
         // Simulate the resource manager taking the work and completing it.
@@ -508,8 +530,8 @@ mod tests {
     #[should_panic(expected = "non-idle")]
     fn double_dispatch_panics() {
         let h = handler();
-        h.dispatch(TaskAssignment { task: dummy_task(), start: SimTime::ZERO });
-        h.dispatch(TaskAssignment { task: dummy_task(), start: SimTime::ZERO });
+        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
+        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
     }
 
     #[test]
@@ -551,7 +573,7 @@ mod tests {
                 // Let the worker's spin budget run out so it parks.
                 thread::sleep(Duration::from_micros(200));
             }
-            h.dispatch(TaskAssignment { task: task.clone(), start: SimTime(i) });
+            h.dispatch(assignment(task.clone(), SimTime(i)));
             let c = loop {
                 let seen = h.completions.posted();
                 if let Some(c) = h.try_collect() {

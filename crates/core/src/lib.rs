@@ -68,7 +68,10 @@
 //! [`job::JobRunner`] does the same with warm engines and a result
 //! cache. [`sweep::SweepRunner`] does it for grids of cells, on whichever
 //! engine its [`sweep::EngineConfig`] names. A per-run trace sink or
-//! cancel flag is an argument of `run_compiled`, never engine state.
+//! cancel flag is an argument of `run_compiled`, never engine state,
+//! and so are timing, overhead, cost and reservation depth: a run reads
+//! them from its compiled scenario, so an engine depends only on its
+//! platform.
 //! Every path returns the compact [`stats::EmulationStats`] summary; the
 //! instances' final memory comes only from
 //! [`Emulation::run_with_images`], which nothing caches.
@@ -101,7 +104,7 @@ pub use fault::{
     FaultAction, FaultDecision, FaultPlan, FaultSpec, FaultState, PermanentFault, RateFault,
     RetryPolicy,
 };
-pub use handler::{PeStatus, ResourceHandler, TaskAssignment, TaskCompletion};
+pub use handler::{PeStatus, ResourceHandler, TaskAssignment, TaskCompletion, TaskCost};
 pub use intern::{Interner, Name, NameTable};
 pub use job::{
     platform_preset, CompiledScenario, CostSpec, Engine, Fingerprint, JobResult, JobRunner,

@@ -5,8 +5,9 @@
 //! task, executes it, and posts a completion:
 //!
 //! * **CPU PE** — the kernel executes directly on the thread; the modeled
-//!   duration is the cost model's answer (by default the host-measured
-//!   functional time scaled by the core's relative speed).
+//!   duration is the assignment's [`TaskCost`]: the compiled scenario's
+//!   cell cost, or the host-measured functional time scaled by the
+//!   core's relative speed.
 //! * **Accelerator PE** — the kernel stages data to the device through the
 //!   thread's [`AccelPort`] (DDR→device DMA, compute, device→DDR DMA);
 //!   the modeled duration comes from the device's latency reports. When
@@ -15,10 +16,13 @@
 //!   by the sharing factor and a context-switch penalty is charged per
 //!   extra sharer — the preemption cycle the paper describes.
 //!
-//! In wall-clock timing mode the thread additionally *embodies* the model
-//! on the host: it busy-waits the residual for slow cores and sleeps
-//! while the "device" processes, exactly as the paper migrates
-//! accelerator manager threads to the sleep state.
+//! When the assignment asks (wall-clock timing), the thread also
+//! *embodies* the model on the host: it busy-waits the residual for slow
+//! cores and sleeps while the "device" processes, exactly as the paper
+//! migrates accelerator manager threads to the sleep state.
+//!
+//! A pool depends only on its platform: each assignment carries its cost
+//! and whether to embody it, read from the run's compiled scenario.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -29,13 +33,14 @@ use dssoc_appmodel::error::ModelError;
 use dssoc_appmodel::memory::{AccelPort, TaskCtx};
 use dssoc_appmodel::registry::runfunc_id;
 use dssoc_platform::accel::{AccelJobReport, FftAccelerator};
-use dssoc_platform::cost::CostModel;
 use dssoc_platform::pe::{ContentionModel, PeKind, PlatformConfig};
 use dssoc_platform::placement::Placement;
 use dssoc_trace::{DmaPhase, EventKind as TraceKind, TraceSink};
 
-use crate::engine::{EmuError, TimingMode};
-use crate::handler::{spin_enabled, Completions, PeStatus, ResourceHandler, TaskCompletion};
+use crate::engine::EmuError;
+use crate::handler::{
+    spin_enabled, Completions, PeStatus, ResourceHandler, TaskCompletion, TaskCost,
+};
 
 /// [`AccelPort`] implementation backed by the simulated FFT device.
 pub struct FftPort {
@@ -94,11 +99,7 @@ pub struct ResourcePool {
 
 impl ResourcePool {
     /// Spawns one handler + manager thread per PE of `platform`.
-    pub fn spawn(
-        platform: &PlatformConfig,
-        cost: &Arc<dyn CostModel>,
-        timing: TimingMode,
-    ) -> Result<Self, EmuError> {
+    pub fn spawn(platform: &PlatformConfig) -> Result<Self, EmuError> {
         let placement = Placement::compute(platform);
         // PE threads only: the workload manager spins as well, but
         // counting it makes every pool with as many PEs as cores park at
@@ -115,8 +116,6 @@ impl ResourcePool {
         for h in &handlers {
             let ctx = RmContext {
                 handler: Arc::clone(h),
-                cost: Arc::clone(cost),
-                timing,
                 sharers: placement.sharers_of(h.pe_id()),
                 contention: platform.contention.clone(),
             };
@@ -205,10 +204,6 @@ impl Drop for ResourcePool {
 pub struct RmContext {
     /// The handler connecting this thread to the workload manager.
     pub handler: Arc<ResourceHandler>,
-    /// Cost model for CPU task durations.
-    pub cost: Arc<dyn CostModel>,
-    /// Timing mode (whether to embody modeled durations in wall time).
-    pub timing: TimingMode,
     /// How many manager threads share this thread's host core (1 =
     /// dedicated).
     pub sharers: usize,
@@ -222,13 +217,13 @@ pub struct RmContext {
 /// authoritative. The host-core sharing factor stretches the DMA phases
 /// (the manager thread must be scheduled on its core to drive each
 /// transfer) and adds `context_switch * (sharers - 1)` per invocation.
+/// Otherwise the task costs what its assignment says.
 pub fn modeled_duration(
     ctx: &RmContext,
-    runfunc: &str,
+    cost: TaskCost,
     measured: Duration,
     reports: &[AccelJobReport],
 ) -> Duration {
-    let pe = &ctx.handler.pe;
     if !reports.is_empty() {
         let k = ctx.sharers.max(1) as u32;
         let mut total = Duration::ZERO;
@@ -238,15 +233,11 @@ pub fn modeled_duration(
         }
         return total;
     }
-    match &pe.kind {
-        PeKind::Cpu(_) => ctx
-            .cost
-            .task_duration(runfunc, pe, measured)
-            .unwrap_or_else(|| Duration::from_secs_f64(measured.as_secs_f64() / pe.speed())),
-        // An accelerator PE whose kernel never touched the device: treat
-        // the host execution like a speed-1 core (the manager thread did
-        // the work itself).
-        PeKind::Accel(_) => ctx.cost.task_duration(runfunc, pe, measured).unwrap_or(measured),
+    match cost {
+        TaskCost::Modeled(d) => d,
+        TaskCost::ScaledMeasured => {
+            Duration::from_secs_f64(measured.as_secs_f64() / ctx.handler.pe.speed())
+        }
     }
 }
 
@@ -305,7 +296,6 @@ pub fn resource_manager_loop(ctx: RmContext) {
                 Vec::new(),
             ),
         };
-        let runfunc = platform.map_or("", |p| p.runfunc.as_str());
         // On an oversubscribed host a concurrent PE thread can preempt
         // this one mid-kernel, inflating the wall measurement; clamp
         // outliers against this kernel's running average (each paper PE
@@ -324,9 +314,9 @@ pub fn resource_manager_loop(ctx: RmContext) {
             *avg = 0.8 * *avg + 0.2 * clamped;
             Duration::from_secs_f64(clamped)
         };
-        let modeled = modeled_duration(&ctx, runfunc, measured, &reports);
+        let modeled = modeled_duration(&ctx, assignment.cost, measured, &reports);
 
-        if ctx.timing == TimingMode::WallClock {
+        if assignment.embody {
             // Embody the model in real time, as the paper's testbed does.
             match &ctx.handler.pe.kind {
                 PeKind::Cpu(_) => busy_wait_until(t0, modeled),
@@ -386,15 +376,12 @@ pub fn resource_manager_loop(ctx: RmContext) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dssoc_platform::cost::ScaledMeasuredCost;
     use dssoc_platform::presets::{zcu102, zcu102_fft_accel, A53_SPEED};
 
     fn rm_ctx(cores: usize, ffts: usize, pe_idx: usize, sharers: usize) -> RmContext {
         let cfg = zcu102(cores, ffts);
         RmContext {
             handler: ResourceHandler::new(cfg.pes[pe_idx].clone()),
-            cost: Arc::new(ScaledMeasuredCost::default()),
-            timing: TimingMode::Modeled,
             sharers,
             contention: ContentionModel::default(),
         }
@@ -403,9 +390,15 @@ mod tests {
     #[test]
     fn cpu_duration_scales_by_speed() {
         let ctx = rm_ctx(1, 0, 0, 1);
-        let d = modeled_duration(&ctx, "k", Duration::from_millis(1), &[]);
+        let d = modeled_duration(&ctx, TaskCost::ScaledMeasured, Duration::from_millis(1), &[]);
         let expect = Duration::from_secs_f64(1e-3 / A53_SPEED);
         assert!((d.as_secs_f64() - expect.as_secs_f64()).abs() < 1e-9);
+        // A modeled cost ignores the measurement.
+        let cost = TaskCost::Modeled(Duration::from_micros(42));
+        assert_eq!(
+            modeled_duration(&ctx, cost, Duration::from_secs(9), &[]),
+            Duration::from_micros(42)
+        );
     }
 
     #[test]
@@ -417,7 +410,8 @@ mod tests {
             dma_out: Duration::from_micros(30),
         };
         // Host-measured time is irrelevant for accelerator tasks.
-        let d = modeled_duration(&ctx, "k", Duration::from_secs(1), &[report]);
+        let cost = TaskCost::Modeled(Duration::from_secs(1));
+        let d = modeled_duration(&ctx, cost, Duration::from_secs(1), &[report]);
         assert_eq!(d, Duration::from_micros(65));
     }
 
@@ -430,7 +424,7 @@ mod tests {
             compute: Duration::from_micros(5),
             dma_out: Duration::from_micros(30),
         };
-        let d = modeled_duration(&ctx, "k", Duration::ZERO, &[report]);
+        let d = modeled_duration(&ctx, TaskCost::ScaledMeasured, Duration::ZERO, &[report]);
         // (30+30)*2 + 5 + 10 = 135 us
         assert_eq!(d, Duration::from_micros(135));
     }
@@ -443,7 +437,7 @@ mod tests {
             compute: Duration::from_micros(10),
             dma_out: Duration::from_micros(10),
         };
-        let d = modeled_duration(&ctx, "k", Duration::ZERO, &[r, r]);
+        let d = modeled_duration(&ctx, TaskCost::ScaledMeasured, Duration::ZERO, &[r, r]);
         assert_eq!(d, Duration::from_micros(60));
     }
 

@@ -399,6 +399,7 @@ pub(crate) mod testutil {
 
     use super::*;
     use crate::intern::Interner;
+    use crate::job::CostSpec;
     use dssoc_appmodel::app::ApplicationSpec;
     use dssoc_appmodel::instance::AppInstance;
     use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
@@ -463,8 +464,8 @@ pub(crate) mod testutil {
             let instances = vec![fixture_instance(n, fft_us)];
             let names = NameTable::build(&instances, &platform, &mut Interner::new());
             let mut book = EstimateBook::new();
-            let table = CostTable::new();
-            let soa = ScenarioSoa::build(&instances, &names, &platform, &table, &mut book);
+            let cost = CostSpec::table(CostTable::new());
+            let soa = ScenarioSoa::build(&instances, &names, &platform, &cost, &mut book);
             let entries = (0..n as u32)
                 .map(|i| DenseReady { inst: 0, node: i, ready_ns: i as u64, seq: i as u64 })
                 .collect();

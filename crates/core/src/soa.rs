@@ -42,11 +42,11 @@ use std::time::Duration;
 
 use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
-use dssoc_platform::cost::CostModel;
 use dssoc_platform::pe::PlatformConfig;
 
+use crate::arena::DenseReady;
 use crate::intern::{Name, NameTable};
-use crate::job::dispatch_duration;
+use crate::job::CostSpec;
 use crate::sched::EstimateBook;
 
 /// Sentinel in [`SpecSoa::cost_ns`] for `(node, PE)` pairs the node does
@@ -125,7 +125,7 @@ impl ScenarioSoa {
         instances: &[Arc<AppInstance>],
         names: &NameTable,
         platform: &PlatformConfig,
-        cost: &dyn CostModel,
+        cost: &CostSpec,
         estimates: &mut EstimateBook,
     ) -> ScenarioSoa {
         let mut specs: Vec<SpecSoa> = Vec::with_capacity(names.spec_count());
@@ -161,6 +161,13 @@ impl ScenarioSoa {
     ) -> Duration {
         let spec = &self.specs[names.spec_index(InstanceId(inst as u64))];
         self.cell_estimate(spec, node as usize * self.stride + col, col, book)
+    }
+
+    /// The modeled duration in ns of ready entry `e` on PE column `col`
+    /// (which must be compatible): its `cost_ns` cell.
+    pub(crate) fn cost_ns(&self, names: &NameTable, e: DenseReady, col: usize) -> u64 {
+        let spec = &self.specs[names.spec_index(InstanceId(e.inst as u64))];
+        spec.cost_ns[e.node as usize * self.stride + col]
     }
 
     /// [`Self::estimate`] at `spec`'s slab index `cell` (in column `col`).
@@ -203,7 +210,7 @@ impl SpecSoa {
         names: &NameTable,
         spec_idx: usize,
         platform: &PlatformConfig,
-        cost: &dyn CostModel,
+        cost: &CostSpec,
         estimates: &mut EstimateBook,
     ) -> SpecSoa {
         let n = spec.nodes.len();
@@ -224,7 +231,7 @@ impl SpecSoa {
             for (col, pe) in platform.pes.iter().enumerate() {
                 if let Some(p) = node.platform(&pe.platform_key) {
                     let k = node_idx * stride + col;
-                    let dur = dispatch_duration(cost, node, pe);
+                    let dur = cost.cell_cost(node, pe);
                     cost_ns[k] = dur.as_nanos().min(u64::MAX as u128 - 1) as u64;
                     est_slot[k] = estimates.slot_of(&p.runfunc, pe.class_name()).raw();
                     if let Some(d) = p.mean_exec {
@@ -276,8 +283,8 @@ mod tests {
     use dssoc_platform::presets::zcu102;
     use std::time::Duration;
 
-    /// Every slab cell must equal its oracle — the dispatch duration and
-    /// estimate slot resolved straight from the cost model and the book
+    /// Every slab cell must equal its oracle — the cell cost and
+    /// estimate slot resolved straight from the cost spec and the book
     /// — with the sentinel exactly where the node has no implementation
     /// for the PE's platform. That equivalence is what lets the DES swap
     /// lookups.
@@ -289,12 +296,13 @@ mod tests {
         let instances = vec![fixture_instance(6, 70.0)];
         let mut interner = Interner::new();
         let names = NameTable::build(&instances, &platform, &mut interner);
-        // One table entry: cells resolve through the cost model and
-        // through the JSON estimate fallback.
+        // One table entry: cells resolve through the table and through
+        // the JSON estimate fallback.
         let mut table = CostTable::new();
         table.set("kc", platform.pes[0].class_name(), Duration::from_micros(42));
+        let cost = CostSpec::table(table);
         let mut estimates = EstimateBook::new();
-        let soa = ScenarioSoa::build(&instances, &names, &platform, &table, &mut estimates);
+        let soa = ScenarioSoa::build(&instances, &names, &platform, &cost, &mut estimates);
         let reserved = format!("{estimates:?}");
 
         assert_eq!(soa.spec_count(), 1);
@@ -308,7 +316,7 @@ mod tests {
                     let k = node_idx * soa.stride + col;
                     match node.platform(&pe.platform_key) {
                         Some(p) => {
-                            let dur = dispatch_duration(&table, node, pe);
+                            let dur = cost.cell_cost(node, pe);
                             assert_eq!(spec.cost_ns[k], dur.as_nanos() as u64);
                             let slot = estimates.slot_of(&p.runfunc, pe.class_name());
                             assert_eq!(spec.est_slot[k], slot.raw());

@@ -12,8 +12,8 @@
 //! [`ScenarioSpec`], compiled (name tables, cost slabs, fault plans) on
 //! the thread that runs it, and executed through a [`JobRunner`]: the
 //! cell's iterations share that one [`CompiledScenario`], warm engines
-//! are shared per engine fingerprint so consecutive cells reuse the
-//! persistent PE resource pool instead of respawning threads, and
+//! are shared per platform so consecutive cells reuse the persistent PE
+//! resource pool instead of respawning threads, and
 //! deterministic repeats replay from the runner's [`ResultCache`]. The
 //! runner keeps no compiled scenario once its cell is done: sweep grids
 //! are mostly distinct cells, and a duplicate costs one compile before
@@ -423,7 +423,7 @@ pub enum EngineConfig {
     /// The threaded emulation engine.
     Threaded(EmulationConfig),
     /// The discrete-event baseline: no threads, no kernel execution,
-    /// durations from the configured cost model, always deterministic.
+    /// durations from the configured cost spec, always deterministic.
     Des(DesConfig),
 }
 
@@ -484,9 +484,9 @@ impl EngineConfig {
 /// configuration plus the cell's platform/scheduler/workload/faults)
 /// and compiled where it runs; the runner keeps no compiled scenario
 /// after its cell finishes. The embedded [`JobRunner`] keeps one warm
-/// engine per engine fingerprint — cells on the same platform/config,
-/// and repeated iterations within a cell, share its threaded resource
-/// pool or its DES scratch arena (event queue, ready rings, SoA
+/// engine per platform (up to its warm-PE budget) — cells on the same
+/// platform, and repeated iterations within a cell, share its threaded
+/// resource pool or its DES scratch arena (event queue, ready rings, SoA
 /// completion columns, estimate book) — and replays deterministic
 /// repeats from its [`ResultCache`]. DES cells always replay; threaded
 /// cells do when their timing, overhead and cost are deterministic.

@@ -179,6 +179,71 @@ fn engines_agree_through_job_runner() {
     }
 }
 
+/// Everything a deterministic run reports about its schedule, by task.
+type Schedule = Vec<(u64, usize, PeId, u64, u64, u64, Duration)>;
+
+fn schedule(s: &EmulationStats) -> Schedule {
+    s.tasks
+        .iter()
+        .map(|t| (t.instance.0, t.node_idx, t.pe, t.ready_at.0, t.start.0, t.finish.0, t.modeled))
+        .collect()
+}
+
+/// A cost table that lacks entries — what the serve API sends for
+/// `"cost": "table"` — charges both engines the same compiled cell
+/// cost: the JSON estimate, else 100 µs scaled by the PE's speed. So a
+/// threaded job in modeled timing with a fixed overhead (one the result
+/// cache accepts as deterministic) repeats bit for bit on a fresh
+/// engine — a cached answer is what a fresh run returns — and with a
+/// zero charge (`"overhead_us": 0`) it equals the DES bit for bit. (A
+/// nonzero charge is modeled differently by the two engines: the
+/// threaded manager's clock advances by it, the DES only delays the
+/// dispatched tasks.) The charged runs also queue work on busy PEs: the
+/// charge moves the clock past tasks still executing on the host, and
+/// the outcome must not depend on when they report.
+#[test]
+fn engines_agree_on_a_table_without_entries() {
+    let (library, _registry) = standard_library();
+    let workload =
+        WorkloadSpec::validation(APPS.map(|a| (a, 1usize))).generate(&library).expect("workload");
+    for scheduler in ["frfs", "met"] {
+        let compile = |overhead_us: u64, depth: usize| {
+            let spec = ScenarioSpec::builder()
+                .library(library.clone())
+                .platform(zcu102(3, 0))
+                .scheduler(scheduler)
+                .workload(workload.clone())
+                .timing(TimingMode::Modeled)
+                .overhead(OverheadMode::Fixed(Duration::from_micros(overhead_us)))
+                .reservation_depth(depth)
+                .cost(CostSpec::table(CostTable::new()))
+                .build()
+                .expect("spec");
+            CompiledScenario::compile(spec).expect("compile")
+        };
+        let fresh = |scenario: &Arc<CompiledScenario>, engine| {
+            assert!(scenario.deterministic(engine), "the cache accepts this job");
+            JobRunner::new().run(scenario, engine).expect("run").stats
+        };
+        let (free, charged) = (compile(0, 0), compile(20, 1));
+        let pairs = [
+            ("threaded vs DES", fresh(&free, Engine::Threaded), fresh(&free, Engine::Des)),
+            (
+                "fresh vs fresh",
+                fresh(&charged, Engine::Threaded),
+                fresh(&charged, Engine::Threaded),
+            ),
+        ];
+        for (what, got, want) in &pairs {
+            assert_eq!(got.makespan, want.makespan, "{scheduler}: {what}: makespan");
+            assert_eq!(got.overhead, want.overhead, "{scheduler}: {what}: overhead");
+            assert_eq!(got.pe_busy, want.pe_busy, "{scheduler}: {what}: PE busy time");
+            assert_eq!(schedule(got), schedule(want), "{scheduler}: {what}: task log");
+            assert_eq!(got.completed_apps(), APPS.len());
+        }
+    }
+}
+
 /// Sorted `(instance, node, pe, start, finish)` tuples of every task
 /// slice in `events` — the schedule skeleton a trace records.
 fn slice_tuples(events: &[dssoc_trace::TraceEvent]) -> Vec<(u64, u32, u32, u64, u64)> {

@@ -296,6 +296,7 @@ fn early_exits_return_the_run_gauges_to_zero() {
         .platform(platform.clone())
         .scheduler("frfs")
         .workload(Arc::new(workload.clone()))
+        .overhead(OverheadMode::None)
         .cost(CostSpec::table(table.clone()))
         .build()
         .expect("scenario");

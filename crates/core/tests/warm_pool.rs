@@ -17,6 +17,12 @@
 //! one app: under MET and EFT its placements then follow the book, and a
 //! warm run that started from the previous run's observations instead of
 //! the scenario's prototype would place differently from a cold one.
+//!
+//! A warm engine depends only on its platform: a third case alternates
+//! timing, overhead, cost and reservation depth on one warm engine per
+//! kind against cold runs, and a fourth drives a job runner past its
+//! warm-PE budget and checks that the least recently used engine's
+//! threads are gone.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,12 +34,14 @@ use dssoc_apps::standard_library;
 use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
-use dssoc_core::job::{CompiledScenario, CostSpec};
+use dssoc_core::job::{
+    CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpec, WARM_PE_BUDGET,
+};
 use dssoc_core::sched::{by_name, Assignment, PeView, ReadyView, SchedContext, Scheduler};
 use dssoc_core::stats::EmulationStats;
-use dssoc_core::FrfsScheduler;
+use dssoc_core::{threads_spawned_total, FrfsScheduler};
 use dssoc_platform::cost::CostTable;
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_platform::presets::zcu102;
 
 const APPS: [&str; 3] = ["range_detection", "wifi_tx", "wifi_rx"];
@@ -283,4 +291,124 @@ fn warm_pool_learned_estimates_match_cold_runs() {
             }
         }
     }
+}
+
+/// One warm engine per kind runs scenarios that alternate every per-run
+/// knob — timing, overhead, cost and reservation depth — on one
+/// platform. Each deterministic result equals a cold runner's; the
+/// host-measured ones (wall-clock timing, measured overhead or
+/// scaled-measured cost) run every task. The platform keeps one warm
+/// engine per kind, and the threaded one spawns its threads once.
+#[test]
+fn one_warm_engine_per_kind_alternates_every_knob() {
+    let (library, _registry) = standard_library();
+    let library = Arc::new(library);
+    let platform = Arc::new(zcu102(2, 0));
+    let full = CostSpec::table(cost_table(&library, &platform));
+    let empty = CostSpec::table(CostTable::new());
+    let us = |n| OverheadMode::Fixed(Duration::from_micros(n));
+    let (modeled, wall) = (TimingMode::Modeled, TimingMode::WallClock);
+    let knobs = [
+        (modeled, OverheadMode::None, full.clone(), 0),
+        (wall, OverheadMode::Measured, CostSpec::ScaledMeasured, 1),
+        (modeled, us(7), empty.clone(), 1),
+        (modeled, OverheadMode::Measured, full.clone(), 0),
+        (modeled, us(2), full, 2),
+        (modeled, us(3), CostSpec::ScaledMeasured, 0),
+        (modeled, OverheadMode::None, empty, 0),
+    ];
+    let mut warm = JobRunner::new();
+    for (step, (timing, overhead, cost, depth)) in knobs.into_iter().enumerate() {
+        let spec = ScenarioSpec::builder()
+            .library(Arc::clone(&library))
+            .platform(Arc::clone(&platform))
+            .scheduler(["frfs", "met", "eft"][step % 3])
+            .workload(workload(&library, step))
+            .timing(timing)
+            .overhead(overhead)
+            .cost(cost.clone())
+            .reservation_depth(depth)
+            .build()
+            .unwrap();
+        let scenario = CompiledScenario::compile(spec).unwrap();
+        let what = format!("step {step}: {timing:?}/{overhead:?}/{cost:?}/depth {depth}");
+        for engine in [Engine::Threaded, Engine::Des] {
+            let spawned = threads_spawned_total();
+            let got = warm.run(&scenario, engine).unwrap_or_else(|e| panic!("{what}: {e}"));
+            let pool = if step == 0 && engine == Engine::Threaded { platform.pes.len() } else { 0 };
+            assert_eq!(threads_spawned_total() - spawned, pool as u64, "{what}: threads spawned");
+            assert!(!got.cached, "{what}: every scenario is new");
+            let want = JobRunner::new().run(&scenario, engine).unwrap().stats;
+            if scenario.deterministic(engine) {
+                assert_same(&got.stats, &want, &format!("{what}: {engine} warm vs cold"));
+            } else {
+                assert_eq!(got.stats.completed_apps(), want.completed_apps(), "{what}");
+                assert_eq!(got.stats.tasks.len(), want.tasks.len(), "{what}: tasks");
+            }
+        }
+    }
+    assert_eq!(warm.warm_engines(), (1, 1), "distinct knobs on one platform share its engines");
+}
+
+/// A CPU-only platform of `n` A53 cores named `{tag}c{i}`, so its
+/// resource-manager threads (`rm-{tag}c{i}`) can be told apart from
+/// every other test's.
+fn tagged_platform(tag: &str, n: usize) -> Arc<PlatformConfig> {
+    let mut platform = zcu102(1, 0);
+    let a53 = platform.pes[0].clone();
+    platform.name = format!("{tag}-{n}C");
+    platform.pes = (0..n)
+        .map(|i| PeDescriptor { id: PeId(i as u32), name: format!("{tag}c{i}"), ..a53.clone() })
+        .collect();
+    Arc::new(platform)
+}
+
+/// Live threads of this process whose name starts with `rm-{tag}c`.
+#[cfg(target_os = "linux")]
+fn live_threads_of(tag: &str) -> usize {
+    let prefix = format!("rm-{tag}c");
+    std::fs::read_dir("/proc/self/task")
+        .expect("task list")
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with(&prefix))
+        .count()
+}
+
+/// Three 30-PE platforms exceed the 64-PE warm budget: building the
+/// third engine evicts the least recently used one — not the oldest —
+/// and the evicted engine's threads are joined before the run returns.
+#[cfg(target_os = "linux")]
+#[test]
+fn exceeding_the_pe_budget_evicts_the_least_recently_used_engine() {
+    const PES: usize = 30;
+    const { assert!(2 * PES <= WARM_PE_BUDGET && 3 * PES > WARM_PE_BUDGET) };
+    let (library, _registry) = standard_library();
+    let library = Arc::new(library);
+    let tags = ["lrua", "lrub", "lruc"];
+    let platforms = tags.map(|tag| tagged_platform(tag, PES));
+    let mut jobs = JobRunner::new();
+    // Each run a new scenario (step), so none is answered from the
+    // result cache without touching its engine.
+    let mut step = 0;
+    let mut run_on = |i: usize| {
+        step += 1;
+        let spec = ScenarioSpec::builder()
+            .library(Arc::clone(&library))
+            .platform(Arc::clone(&platforms[i]))
+            .workload(workload(&library, step))
+            .overhead(OverheadMode::None)
+            .cost(CostSpec::table(CostTable::new()))
+            .build()
+            .unwrap();
+        let scenario = CompiledScenario::compile(spec).unwrap();
+        assert!(jobs.run(&scenario, Engine::Threaded).unwrap().stats.completed_apps() > 0);
+        let live = tags.map(live_threads_of);
+        (jobs.warm_engines(), live)
+    };
+    assert_eq!(run_on(0), ((1, 0), [PES, 0, 0]));
+    assert_eq!(run_on(1), ((2, 0), [PES, PES, 0]));
+    // The first platform again: now the second is the least recently
+    // used, and the third platform's engine pushes it out.
+    assert_eq!(run_on(0), ((2, 0), [PES, PES, 0]));
+    assert_eq!(run_on(2), ((2, 0), [PES, 0, PES]), "the LRU engine's threads were joined");
 }

@@ -1,21 +1,14 @@
-//! Task-duration cost models.
+//! Deterministic per-`(kernel, PE class)` task costs.
 //!
-//! The emulation engine supports two ways of charging task execution time
-//! to the emulation clock:
-//!
-//! * [`ScaledMeasuredCost`] — "real application, modeled platform": the
-//!   kernel's functional execution is timed on the host and the duration
-//!   is divided by the PE's relative speed. This is the default and keeps
-//!   the emulator's defining property (it executes *real* workloads, not
-//!   statistical profiles).
-//! * [`CostTable`] — fully deterministic per-`(kernel, PE class)` costs,
-//!   as a discrete-event simulator would use. This is what the DES
-//!   baseline engine consumes and what differential tests pin both
-//!   engines to.
+//! A [`CostTable`] is what a discrete-event simulator charges per task,
+//! and what differential tests pin both engines to. The other way to
+//! charge a task — "real application, modeled platform": the kernel's
+//! host-measured time divided by the PE's relative speed — needs no
+//! data, so it lives with the engine that measures (`dssoc-core`).
 //!
 //! Accelerator invocations are *always* charged from the
-//! [`crate::accel::AccelJobReport`] latency model regardless of cost
-//! model, because the functional FFT on the host says nothing about the
+//! [`crate::accel::AccelJobReport`] latency model, whatever the cost,
+//! because the functional FFT on the host says nothing about the
 //! device's DMA and pipeline behaviour.
 
 use serde::{Deserialize, Serialize};
@@ -23,47 +16,6 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use crate::pe::PeDescriptor;
-
-/// Strategy mapping a task's functional execution to a modeled duration.
-pub trait CostModel: Send + Sync {
-    /// Modeled duration of `kernel` on `pe`, given the host-measured
-    /// functional execution time. Returns `None` when the model has no
-    /// answer (the engine then falls back to scaled measurement).
-    fn task_duration(
-        &self,
-        kernel: &str,
-        pe: &PeDescriptor,
-        measured: Duration,
-    ) -> Option<Duration>;
-
-    /// A static estimate for schedulers (MET/EFT) that must predict costs
-    /// *before* running the task. `None` means "unknown" — schedulers then
-    /// fall back to platform-relative speed heuristics.
-    fn estimate(&self, kernel: &str, pe: &PeDescriptor) -> Option<Duration>;
-}
-
-/// Scales host-measured kernel time by the PE's relative speed.
-#[derive(Debug, Clone, Default)]
-pub struct ScaledMeasuredCost {
-    /// Optional estimates used by cost-aware schedulers; measured
-    /// durations still come from scaling.
-    pub estimates: CostTable,
-}
-
-impl CostModel for ScaledMeasuredCost {
-    fn task_duration(
-        &self,
-        _kernel: &str,
-        pe: &PeDescriptor,
-        measured: Duration,
-    ) -> Option<Duration> {
-        Some(Duration::from_secs_f64(measured.as_secs_f64() / pe.speed()))
-    }
-
-    fn estimate(&self, kernel: &str, pe: &PeDescriptor) -> Option<Duration> {
-        self.estimates.estimate(kernel, pe)
-    }
-}
 
 /// Deterministic per-`(kernel, class)` duration table.
 ///
@@ -123,36 +75,9 @@ impl CostTable {
     }
 }
 
-impl CostModel for CostTable {
-    fn task_duration(
-        &self,
-        kernel: &str,
-        pe: &PeDescriptor,
-        _measured: Duration,
-    ) -> Option<Duration> {
-        self.estimate(kernel, pe)
-    }
-
-    fn estimate(&self, kernel: &str, pe: &PeDescriptor) -> Option<Duration> {
-        CostTable::estimate(self, kernel, pe)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::presets::zcu102;
-
-    #[test]
-    fn scaled_cost_divides_by_speed() {
-        let plat = zcu102(1, 0);
-        let pe = &plat.pes[0]; // a53 core, speed < 1
-        let model = ScaledMeasuredCost::default();
-        let d = model.task_duration("k", pe, Duration::from_millis(1)).unwrap();
-        assert!(d > Duration::from_millis(1), "A53 is slower than the host");
-        let expect = Duration::from_secs_f64(1e-3 / pe.speed());
-        assert!((d.as_secs_f64() - expect.as_secs_f64()).abs() < 1e-9);
-    }
 
     #[test]
     fn table_lookup_and_merge() {
@@ -170,17 +95,6 @@ mod tests {
         t.merge(&other);
         assert_eq!(t.get("fft128", "cortex-a53"), Some(Duration::from_micros(99)));
         assert_eq!(t.len(), 3);
-    }
-
-    #[test]
-    fn table_as_cost_model_ignores_measurement() {
-        let plat = zcu102(1, 0);
-        let pe = &plat.pes[0];
-        let mut t = CostTable::new();
-        t.set("k", pe.class_name(), Duration::from_micros(42));
-        let d = CostModel::task_duration(&t, "k", pe, Duration::from_secs(9)).unwrap();
-        assert_eq!(d, Duration::from_micros(42));
-        assert_eq!(CostModel::task_duration(&t, "unknown", pe, Duration::ZERO), None);
     }
 
     #[test]

@@ -27,7 +27,13 @@
 //! threaded jobs default to the paper's measured configuration
 //! (modeled timing, measured overhead, scaled-measured cost) and
 //! become cacheable only when the client pins `"cost": "table"` and a
-//! fixed `"overhead_us"`.
+//! fixed `"overhead_us"` (with modeled timing). Such a job charges
+//! every task its compiled cost — the table entry, else the app's JSON
+//! estimate, else a speed-scaled default, as the DES does — so a
+//! cached answer is exactly what a fresh run returns.
+//!
+//! An inline platform may have at most 64 PEs (the daemon's warm-engine
+//! budget): each is a resource-manager thread in the threaded engine.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -37,7 +43,7 @@ use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::{OperationMode, WorkloadSpec};
 use dssoc_core::engine::{EmuError, OverheadMode, TimingMode};
 use dssoc_core::fault::FaultSpec;
-use dssoc_core::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec};
+use dssoc_core::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec, WARM_PE_BUDGET};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use serde::Deserialize;
@@ -53,6 +59,11 @@ pub const MAX_PRIORITY: u8 = 9;
 /// is generated, so a count in a body cannot make parsing allocate
 /// without bound.
 const MAX_INSTANCES: u64 = 1 << 16;
+
+/// Most PEs an inline platform may have: the daemon's warm threaded
+/// engines hold at most this many PEs (one thread each) together, and
+/// one job's engine must fit. Preset shorthands stay well below it.
+const MAX_INLINE_PES: usize = WARM_PE_BUDGET;
 
 /// A validated submission, not yet compiled: the built scenario plus
 /// the daemon-level execution knobs.
@@ -176,6 +187,10 @@ fn parse_platform(v: &Value) -> Result<PlatformField, String> {
         Some(obj @ Value::Object(_)) => {
             let config = PlatformConfig::from_value(obj)
                 .map_err(|e| format!("field 'platform' is not a valid PlatformConfig: {e}"))?;
+            let n = config.pes.len();
+            if n > MAX_INLINE_PES {
+                return Err(format!("inline platform has {n} PEs, more than {MAX_INLINE_PES}"));
+            }
             Ok(PlatformField::Inline(Box::new(config)))
         }
         Some(_) => Err("field 'platform' must be a preset string or a config object".into()),
@@ -247,10 +262,10 @@ fn build_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest
     let cost = match field_str(&v, "cost")? {
         None => match engine {
             Engine::Des => CostSpec::table(CostTable::new()),
-            Engine::Threaded => CostSpec::scaled_measured(),
+            Engine::Threaded => CostSpec::ScaledMeasured,
         },
         Some("table") => CostSpec::table(CostTable::new()),
-        Some("measured") => CostSpec::scaled_measured(),
+        Some("measured") => CostSpec::ScaledMeasured,
         Some(other) => return Err(format!("unknown cost '{other}' (use table or measured)")),
     };
 
@@ -350,6 +365,35 @@ mod tests {
         .unwrap();
         let job = parse_job(body.as_bytes(), &library()).unwrap();
         assert_eq!(job.scenario.spec().platform.name, config.name);
+    }
+
+    /// An inline platform over the PE bound is a 400 at parse time; no
+    /// engine is built and no thread starts.
+    #[test]
+    fn inline_platform_pe_count_is_bounded() {
+        let lib = library();
+        let body = |pes: usize| {
+            let mut config = dssoc_platform::presets::zcu102(1, 0);
+            let pe = config.pes[0].clone();
+            config.pes = (0..pes)
+                .map(|i| {
+                    let mut pe = pe.clone();
+                    pe.id = dssoc_platform::pe::PeId(i as u32);
+                    pe.name = format!("cpu{i}");
+                    pe
+                })
+                .collect();
+            serde_json::to_string(&serde_json::json!({
+                "engine": "threaded",
+                "platform": serde_json::to_value(&config),
+                "validation": { "wifi_tx": 1 }
+            }))
+            .unwrap()
+        };
+        let at = parse_request(body(MAX_INLINE_PES).as_bytes(), &lib);
+        assert!(at.is_ok(), "{:?}", at.err());
+        let over = parse_request(body(MAX_INLINE_PES + 1).as_bytes(), &lib).unwrap_err();
+        assert!(over.contains(&format!("more than {MAX_INLINE_PES}")), "{over}");
     }
 
     #[test]
