@@ -14,6 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::ModelError;
+use crate::hash::{fnv1a, mix, mix_opt_dur, mix_str};
 use crate::json::AppJson;
 use crate::memory::VarDecls;
 use crate::registry::{Kernel, KernelRegistry};
@@ -76,6 +77,10 @@ impl NodeSpec {
 }
 
 /// A validated application ready to instantiate.
+///
+/// Built only through [`Self::new`] (or [`Self::from_json`]), which
+/// derives the roots and the content hash from the rest, and handed out
+/// behind an `Arc`, so the two always describe the fields beside them.
 #[derive(Debug)]
 pub struct ApplicationSpec {
     /// The application's `AppName`.
@@ -87,9 +92,62 @@ pub struct ApplicationSpec {
     /// Indices of nodes with no predecessors (the "head nodes" injected
     /// into the ready list on application arrival).
     pub roots: Vec<usize>,
+    content_hash: u64,
 }
 
 impl ApplicationSpec {
+    /// Assembles a spec from already validated parts, deriving its roots
+    /// and hashing its content once.
+    pub fn new(name: String, variables: Arc<VarDecls>, nodes: Vec<NodeSpec>) -> Arc<Self> {
+        let roots = nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect();
+        let mut spec = ApplicationSpec { name, variables, nodes, roots, content_hash: 0 };
+        spec.content_hash = spec.hash_content();
+        Arc::new(spec)
+    }
+
+    /// A structural hash of everything a run reads of this application
+    /// (name, variables, and every node's name, arguments, edges and
+    /// platforms), computed once when the spec is built. Equal specs
+    /// hash equal whatever their `Arc` identity; scenario fingerprints
+    /// fold it in instead of walking the nodes.
+    pub fn content_hash(&self) -> u64 {
+        self.content_hash
+    }
+
+    fn hash_content(&self) -> u64 {
+        let mut h = mix_str(0x5ce0_a9d1_57ab_1e01, &self.name);
+        h = mix(h, self.variables.len() as u64);
+        for (name, v) in self.variables.iter() {
+            h = mix_str(h, name);
+            h = mix(h, v.bytes as u64);
+            h = mix(h, v.is_ptr as u64);
+            h = mix(h, v.ptr_alloc_bytes as u64);
+            h = mix(mix(h, v.val.len() as u64), fnv1a(&v.val));
+        }
+        h = mix(h, self.nodes.len() as u64);
+        for node in &self.nodes {
+            h = mix_str(h, &node.name);
+            h = mix(h, node.index as u64);
+            for arg in &node.arguments {
+                h = mix_str(h, arg);
+            }
+            for &p in &node.predecessors {
+                h = mix(h, p as u64);
+            }
+            for &s in &node.successors {
+                h = mix(h, s as u64);
+            }
+            h = mix(h, node.platforms.len() as u64);
+            for p in &node.platforms {
+                h = mix_str(h, &p.key);
+                h = mix_str(h, &p.runfunc);
+                h = mix_str(h, &p.shared_object);
+                h = mix_opt_dur(h, p.mean_exec);
+            }
+        }
+        h
+    }
+
     /// Parses and validates a JSON application against a kernel registry.
     ///
     /// Edges may be declared on either endpoint (predecessor or successor
@@ -187,8 +245,7 @@ impl ApplicationSpec {
             return Err(ModelError::Cyclic { node: nodes[stuck].name.clone() });
         }
 
-        let roots = nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect();
-        Ok(Arc::new(ApplicationSpec { name: json.app_name.clone(), variables, nodes, roots }))
+        Ok(ApplicationSpec::new(json.app_name.clone(), variables, nodes))
     }
 
     /// Number of tasks one instance of this application contributes.
@@ -235,7 +292,12 @@ impl AppLibrary {
     /// Fetches an application by `AppName`, with the paper's
     /// missing-application error behaviour.
     pub fn get(&self, name: &str) -> Result<Arc<ApplicationSpec>, ModelError> {
-        self.apps.get(name).cloned().ok_or_else(|| ModelError::UnknownApplication(name.to_string()))
+        self.find(name).cloned().ok_or_else(|| ModelError::UnknownApplication(name.to_string()))
+    }
+
+    /// Borrows an application by `AppName`, if registered.
+    pub fn find(&self, name: &str) -> Option<&Arc<ApplicationSpec>> {
+        self.apps.get(name)
     }
 
     /// All registered application names.
@@ -348,6 +410,26 @@ mod tests {
         assert_eq!(d.predecessors.len(), 2);
         assert!(d.supports("cpu"));
         assert!(!d.supports("fft"));
+    }
+
+    /// Equal specs hash equal whatever their `Arc`; any field a run
+    /// reads moves the hash.
+    #[test]
+    fn content_hash_follows_content() {
+        let reg = registry_with(&["ka", "kb", "kc", "kd"]);
+        let a = ApplicationSpec::from_json(&diamond_json(), &reg).unwrap();
+        let b = ApplicationSpec::from_json(&diamond_json(), &reg).unwrap();
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert_eq!(a.content_hash(), b.content_hash());
+        let mut nodes = a.nodes.clone();
+        nodes[3].platforms[0].mean_exec = Some(Duration::from_nanos(1));
+        let c = ApplicationSpec::new(a.name.clone(), Arc::clone(&a.variables), nodes);
+        assert_ne!(a.content_hash(), c.content_hash());
+        assert_eq!(c.roots, a.roots);
+        let mut renamed = diamond_json();
+        renamed.app_name = "kite".into();
+        let d = ApplicationSpec::from_json(&renamed, &reg).unwrap();
+        assert_ne!(a.content_hash(), d.content_hash());
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   heap-style pointer allocations) with typed, lock-guarded accessors
 //!   that kernels use through a [`memory::TaskCtx`].
 //! * [`app`] — parsed and validated application specifications (DAG
-//!   topology checks, symbol resolution, argument checking).
+//!   topology checks, symbol resolution, argument checking), each
+//!   content-hashed once when built ([`hash`] holds the mixers).
 //! * [`instance`] — instantiated applications: a spec plus freshly
 //!   initialized memory and an arrival timestamp.
 //! * [`workload`] — workload generation in the paper's two operation
@@ -25,6 +26,7 @@
 
 pub mod app;
 pub mod error;
+pub mod hash;
 pub mod instance;
 pub mod json;
 pub mod memory;
@@ -37,4 +39,4 @@ pub use instance::{AppInstance, InstanceId};
 pub use json::{AppJson, NodeJson, PlatformJson, VariableJson};
 pub use memory::{AccelPort, AppMemory, TaskCtx, VarDecls};
 pub use registry::{Kernel, KernelFn, KernelRegistry};
-pub use workload::{InjectionParams, OperationMode, Workload, WorkloadEntry, WorkloadSpec};
+pub use workload::{Arrival, InjectionParams, OperationMode, Workload, WorkloadSpec};

@@ -166,10 +166,10 @@ proptest! {
         prop_assert!(counts.get("a").copied().unwrap_or(0) <= 100);
         prop_assert!(counts.get("b").copied().unwrap_or(0) <= 40);
         // sorted and inside the frame
-        for w in wl.entries.windows(2) {
-            prop_assert!(w[0].arrival <= w[1].arrival);
+        for w in wl.arrivals().windows(2) {
+            prop_assert!(w[0].at_ns <= w[1].at_ns);
         }
-        prop_assert!(wl.entries.iter().all(|e| e.arrival < frame));
+        prop_assert!(wl.arrivals().iter().all(|a| a.at() < frame));
         // deterministic
         prop_assert_eq!(&spec.generate(&lib).unwrap(), &wl);
         // instances get sequential ids

@@ -185,11 +185,18 @@ pub(crate) struct Collected {
 /// [`TaskLog`](crate::stats::TaskLog). The threaded engine also fills
 /// the two host columns (`start_ns`, `measured_ns`); the DES leaves them
 /// empty, which reads as "start = finish − duration, nothing measured".
+///
+/// Node indices and PE columns fit 16 bits ([`MAX_NODES`] and
+/// [`MAX_PES`], checked at compile): a cached result keeps these
+/// columns, so every byte per task counts against the cache's memory.
+///
+/// [`MAX_NODES`]: crate::job::MAX_NODES
+/// [`MAX_PES`]: crate::job::MAX_PES
 #[derive(Debug, Default, Clone)]
 pub(crate) struct DoneColumns {
     pub inst: Vec<u32>,
-    pub node: Vec<u32>,
-    pub col: Vec<u32>,
+    pub node: Vec<u16>,
+    pub col: Vec<u16>,
     pub ready_ns: Vec<u64>,
     pub finish_ns: Vec<u64>,
     pub dur_ns: Vec<u64>,
@@ -212,8 +219,8 @@ impl DoneColumns {
         dur_ns: u64,
     ) {
         self.inst.push(inst);
-        self.node.push(node);
-        self.col.push(col);
+        self.node.push(node as u16);
+        self.col.push(col as u16);
         self.ready_ns.push(ready_ns);
         self.finish_ns.push(finish_ns);
         self.dur_ns.push(dur_ns);

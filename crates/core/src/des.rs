@@ -397,7 +397,7 @@ impl DesSimulator {
                 if dag.complete(spec, ev.inst, ev.node, ev.time, &mut p.ready) {
                     let inst = &instances[ev.inst as usize];
                     let state = faults.as_ref().map(|f| &f.state);
-                    p.sink.finish_instance(inst, names.app(id), ev.time, spec.n_nodes, state);
+                    p.sink.finish_instance(inst, ev.time, state);
                 }
             }
             // Release due retries into the ready list, in deterministic

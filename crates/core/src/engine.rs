@@ -1066,7 +1066,7 @@ impl<'r> Manager<'r> {
         if self.s.dag.complete(spec, c.inst, c.node, c.finish, &mut self.p.ready) {
             let inst = &self.instances[c.inst as usize];
             let state = self.faults.as_ref().map(|f| &f.run.state);
-            self.p.sink.finish_instance(inst, self.names.app(id), c.finish, spec.n_nodes, state);
+            self.p.sink.finish_instance(inst, c.finish, state);
         }
     }
 

@@ -25,9 +25,8 @@ use std::rc::Rc;
 use std::sync::Arc;
 use std::time::Duration;
 
-use dssoc_appmodel::app::AppLibrary;
+use dssoc_appmodel::app::ApplicationSpec;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
-use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::HistogramData;
 use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
@@ -35,12 +34,13 @@ use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
 use crate::arena::{DenseReady, RetryEntry, RunScratch};
 use crate::engine::EmuError;
 use crate::fault::{FaultPlan, FaultState};
-use crate::intern::{Name, NameTable};
+use crate::intern::NameTable;
 use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::sched::{Assignment, PeView};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
 use crate::stats::{
-    AppRecord, DenseTaskLog, EmulationStats, OverheadBreakdown, ReliabilityCounters, TaskLog,
+    AppColumns, AppLog, DenseTaskLog, EmulationStats, OverheadBreakdown, ReliabilityCounters,
+    TaskLog,
 };
 use crate::time::SimTime;
 
@@ -123,24 +123,20 @@ pub fn register_trace_meta(
 }
 
 /// Pre-flight deadlock guard shared by both engines: every node of every
-/// requested application must have at least one compatible PE in the
-/// platform, or the run would stall with permanently unschedulable
-/// tasks.
+/// application a workload resolves to (see
+/// [`Workload::resolve`](dssoc_appmodel::workload::Workload::resolve))
+/// must have at least one compatible PE in the platform, or the run
+/// would stall with permanently unschedulable tasks.
 pub fn preflight_compat(
     platform: &PlatformConfig,
-    workload: &Workload,
-    library: &AppLibrary,
+    apps: &[Arc<ApplicationSpec>],
 ) -> Result<(), EmuError> {
-    let mut seen_apps: Vec<&str> = workload.entries.iter().map(|e| e.app_name.as_str()).collect();
-    seen_apps.sort_unstable();
-    seen_apps.dedup();
-    for app in &seen_apps {
-        let spec = library.get(app)?;
+    for spec in apps {
         for node in &spec.nodes {
             if !platform.pes.iter().any(|pe| node.supports(&pe.platform_key)) {
                 return Err(EmuError::Config(format!(
                     "node '{}' of app '{}' supports none of the platform's PE types",
-                    node.name, app
+                    node.name, spec.name
                 )));
             }
         }
@@ -691,7 +687,7 @@ impl RunParts {
 /// [`crate::metrics`]).
 #[derive(Debug, Default)]
 pub struct CompletionSink {
-    apps: Vec<AppRecord>,
+    apps: AppColumns,
     tracer: ExecTracer,
     /// Degraded dispatches, every one (the reliability counter counts
     /// distinct tasks).
@@ -720,7 +716,7 @@ impl CompletionSink {
     }
 
     /// The application records so far, in completion order.
-    pub(crate) fn apps(&self) -> &[AppRecord] {
+    pub(crate) fn apps(&self) -> &AppColumns {
         &self.apps
     }
 
@@ -771,21 +767,15 @@ impl CompletionSink {
     pub(crate) fn finish_instance(
         &mut self,
         inst: &AppInstance,
-        app: &Name,
         finish: SimTime,
-        task_count: u32,
         faults: Option<&FaultState>,
     ) {
         if faults.is_some_and(|f| f.had_faults(inst.id.0)) {
             self.record_survival();
         }
-        self.record_app(AppRecord {
-            instance: inst.id,
-            app: app.clone(),
-            arrival: SimTime::from_duration(inst.arrival),
-            finish,
-            task_count: task_count as usize,
-        });
+        self.tracer.emit(finish, TraceKind::AppFinish { instance: inst.id.0 });
+        let arrival = SimTime::from_duration(inst.arrival);
+        self.apps.push(inst.id.0 as u32, arrival.0, finish.0);
     }
 
     /// Emits the scheduling decision taken at `at`: the PEs with room
@@ -814,12 +804,6 @@ impl CompletionSink {
                 assigned: placed.len() as u32,
             },
         );
-    }
-
-    /// Records one finished application.
-    pub fn record_app(&mut self, rec: AppRecord) {
-        self.tracer.emit(rec.finish, TraceKind::AppFinish { instance: rec.instance.0 });
-        self.apps.push(rec);
     }
 
     /// Records one faulted execution attempt (trace event + per-kind
@@ -914,17 +898,16 @@ impl CompletionSink {
         // mode, so the latest finish is a maximum, not the last entry.
         let makespan = self
             .apps
+            .finish_ns
             .iter()
-            .map(|a| a.finish)
-            .chain(cols.finish_ns.iter().max().map(|&t| SimTime(t)))
+            .chain(cols.finish_ns.iter())
             .max()
-            .unwrap_or(SimTime::ZERO)
-            .as_duration();
+            .map_or(Duration::ZERO, |&t| SimTime(t).as_duration());
         EmulationStats {
             platform: platform.name.clone(),
             scheduler,
             makespan,
-            apps: self.apps,
+            apps: AppLog::from_dense(self.apps, Arc::clone(&dense.names)),
             pe_busy: dense
                 .pes
                 .iter()

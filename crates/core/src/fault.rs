@@ -34,6 +34,7 @@
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
+use dssoc_appmodel::hash::{fnv1a, mix, splitmix64};
 use dssoc_platform::pe::{PeId, PlatformConfig};
 use dssoc_trace::FaultKind;
 
@@ -43,29 +44,6 @@ use crate::time::SimTime;
 /// and hang draws for the same attempt must be independent.
 const TAG_TRANSIENT: u64 = 0x7472616e; // "tran"
 const TAG_HANG: u64 = 0x68616e67; // "hang"
-
-/// One splitmix64 step — the standard finalizer (Steele et al.), also
-/// used here as the mixing function for decision hashing.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-fn mix(h: u64, v: u64) -> u64 {
-    splitmix64(h ^ v)
-}
-
-/// FNV-1a over a string, for folding kernel names into the decision
-/// hash without iterating byte-by-byte through splitmix.
-fn fnv1a(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in s.as_bytes() {
-        h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
 
 /// A scheduled permanent PE failure.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,7 +300,7 @@ impl FaultPlan {
         attempt: u32,
     ) -> f64 {
         let mut h = splitmix64(self.seed ^ tag);
-        h = mix(h, fnv1a(kernel));
+        h = mix(h, fnv1a(kernel.as_bytes()));
         h = mix(h, u64::from(pe.0));
         h = mix(h, instance);
         h = mix(h, node as u64);

@@ -14,11 +14,11 @@
 //! hash-map lookups and `Arc` clones only.
 
 use std::borrow::Borrow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use dssoc_appmodel::app::ApplicationSpec;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_platform::pe::{PeId, PlatformConfig};
 
 /// A cheaply clonable, interned string (see module docs).
@@ -170,9 +170,12 @@ struct SpecNames {
 }
 
 impl NameTable {
-    /// Precomputes the names for one run's instances on `platform`.
+    /// Precomputes the names of `specs` (a workload's resolved app
+    /// table) on `platform`; `spec_of[i]` is the index in `specs` of
+    /// instance `i`'s application.
     pub fn build(
-        instances: &[Arc<AppInstance>],
+        specs: &[Arc<ApplicationSpec>],
+        spec_of: Vec<u32>,
         platform: &PlatformConfig,
         interner: &mut Interner,
     ) -> Self {
@@ -181,23 +184,12 @@ impl NameTable {
         for (i, pe) in platform.pes.iter().enumerate() {
             pe_column[pe.id.0 as usize] = i as u32;
         }
-        let mut specs: Vec<SpecNames> = Vec::new();
-        let mut by_spec: HashMap<*const ApplicationSpec, u32> = HashMap::new();
-        let inst_top = instances.iter().map(|i| i.id.0 as usize + 1).max().unwrap_or(0);
-        let mut by_instance = vec![0u32; inst_top];
-        for inst in instances {
-            let idx = *by_spec.entry(Arc::as_ptr(&inst.spec)).or_insert_with(|| {
-                specs.push(SpecNames::build(&inst.spec, platform, interner));
-                (specs.len() - 1) as u32
-            });
-            by_instance[inst.id.0 as usize] = idx;
-        }
-        NameTable { specs, by_instance, pe_column }
+        let specs = specs.iter().map(|s| SpecNames::build(s, platform, interner)).collect();
+        NameTable { specs, by_instance: spec_of, pe_column }
     }
 
-    /// Number of distinct [`ApplicationSpec`]s in the table. Spec
-    /// indices are assigned in first-encounter order over the instance
-    /// slice passed to [`Self::build`], `0..spec_count()`.
+    /// Number of distinct [`ApplicationSpec`]s in the table: the specs
+    /// passed to [`Self::build`], in order.
     pub fn spec_count(&self) -> usize {
         self.specs.len()
     }
@@ -229,6 +221,11 @@ impl NameTable {
     /// The application name of spec index `spec`.
     pub(crate) fn spec_app(&self, spec: usize) -> &Name {
         &self.specs[spec].app
+    }
+
+    /// The number of DAG nodes of `inst`'s application.
+    pub(crate) fn node_count(&self, inst: InstanceId) -> usize {
+        self.spec(inst).nodes.len()
     }
 
     /// The display name of `inst`'s DAG node `node_idx`.

@@ -30,11 +30,12 @@
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec, NodeSpec};
+use dssoc_appmodel::hash::{mix, mix_dur, mix_f64, mix_opt_dur, mix_str};
 use dssoc_appmodel::instance::AppInstance;
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::{CounterCell, MetricsRegistry};
@@ -207,48 +208,6 @@ impl Fingerprint {
     }
 }
 
-// The same splitmix64 finalizer the fault plan's counter RNG uses: a
-// strong, dependency-free 64-bit mixer.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
-
-/// Folds one word into the running hash.
-fn mix(h: u64, v: u64) -> u64 {
-    splitmix64(h ^ v)
-}
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
-fn mix_str(h: u64, s: &str) -> u64 {
-    mix(mix(h, s.len() as u64), fnv1a(s.as_bytes()))
-}
-
-fn mix_f64(h: u64, x: f64) -> u64 {
-    mix(h, x.to_bits())
-}
-
-fn mix_dur(h: u64, d: Duration) -> u64 {
-    mix(h, d.as_nanos() as u64)
-}
-
-fn mix_opt_dur(h: u64, d: Option<Duration>) -> u64 {
-    match d {
-        Some(d) => mix_dur(mix(h, 1), d),
-        None => mix(h, 0),
-    }
-}
-
 fn hash_cost_table(mut h: u64, t: &CostTable) -> u64 {
     // BTreeMaps iterate in key order, so the walk is canonical.
     h = mix(h, t.entries.len() as u64);
@@ -283,40 +242,6 @@ fn hash_platform(mut h: u64, p: &PlatformConfig) -> u64 {
                 h = mix_dur(h, a.pipeline_latency);
                 h = mix(h, a.max_points as u64);
             }
-        }
-    }
-    h
-}
-
-fn hash_app(mut h: u64, spec: &ApplicationSpec) -> u64 {
-    h = mix_str(h, &spec.name);
-    h = mix(h, spec.variables.len() as u64);
-    for (name, v) in spec.variables.iter() {
-        h = mix_str(h, name);
-        h = mix(h, v.bytes as u64);
-        h = mix(h, v.is_ptr as u64);
-        h = mix(h, v.ptr_alloc_bytes as u64);
-        h = mix(mix(h, v.val.len() as u64), fnv1a(&v.val));
-    }
-    h = mix(h, spec.nodes.len() as u64);
-    for node in &spec.nodes {
-        h = mix_str(h, &node.name);
-        h = mix(h, node.index as u64);
-        for arg in &node.arguments {
-            h = mix_str(h, arg);
-        }
-        for &p in &node.predecessors {
-            h = mix(h, p as u64);
-        }
-        for &s in &node.successors {
-            h = mix(h, s as u64);
-        }
-        h = mix(h, node.platforms.len() as u64);
-        for p in &node.platforms {
-            h = mix_str(h, &p.key);
-            h = mix_str(h, &p.runfunc);
-            h = mix_str(h, &p.shared_object);
-            h = mix_opt_dur(h, p.mean_exec);
         }
     }
     h
@@ -393,29 +318,36 @@ impl ScenarioSpec {
     ///
     /// Two specs fingerprint equal iff they describe the same scenario
     /// *by value*: the hash walks field contents in a fixed canonical
-    /// order (apps sorted by name, table entries in key order), so it
-    /// is independent of `Arc` identity, of how the spec was built, and
-    /// of registration order in the library. Only workload-referenced
-    /// applications contribute — registering unrelated apps does not
-    /// disturb the fingerprint.
+    /// order (table entries in key order), so it is independent of `Arc`
+    /// identity, of how the spec was built, and of registration order in
+    /// the library. Only workload-referenced applications contribute —
+    /// registering unrelated apps does not disturb the fingerprint — and
+    /// each by the content hash computed when it was built. The workload
+    /// table is sorted by name, so arrivals fold in as `(app index,
+    /// ns)` integer pairs.
     pub fn fingerprint(&self) -> Fingerprint {
         let mut h = 0x5ce0_a9d1_57ab_1e00u64;
         h = hash_platform(mix(h, 1), &self.platform);
-        // Referenced apps, by sorted name (a BTreeSet dedups + orders).
-        let apps: BTreeSet<&str> =
-            self.workload.entries.iter().map(|e| e.app_name.as_str()).collect();
+        let apps = self.workload.apps();
         h = mix(h, apps.len() as u64);
         for name in apps {
-            h = mix_str(h, name);
-            if let Ok(spec) = self.library.get(name) {
-                h = hash_app(h, &spec);
+            h = match self.library.find(name) {
+                Some(spec) => mix(h, spec.content_hash()),
+                None => mix_str(mix(h, 0), name),
+            };
+        }
+        let arrivals = self.workload.arrivals();
+        h = mix(h, arrivals.len() as u64);
+        // Arrival `i` folds into lane `i % 4`: four independent chains,
+        // so consecutive arrivals' mixing overlaps instead of queueing.
+        let mut lanes = [1, 2, 3, 4].map(|lane| mix(h, lane));
+        for chunk in arrivals.chunks(4) {
+            for (lane, a) in lanes.iter_mut().zip(chunk) {
+                *lane = mix(mix(*lane, a.app as u64), a.at_ns);
             }
         }
-        h = mix(h, self.workload.entries.len() as u64);
-        for e in &self.workload.entries {
-            h = mix_dur(mix_str(h, &e.app_name), e.arrival);
-        }
-        h = mix_opt_dur(h, self.workload.time_frame);
+        h = lanes.into_iter().fold(h, mix);
+        h = mix_opt_dur(h, self.workload.time_frame());
         // Scheduler resolution is case-insensitive, so "FRFS" and
         // "frfs" are the same scenario.
         h = mix_str(h, &self.scheduler.to_ascii_lowercase());
@@ -610,6 +542,14 @@ impl std::str::FromStr for Engine {
     }
 }
 
+/// Most PEs a compiled scenario's platform may have: a run records each
+/// completion's PE column in 16 bits.
+pub const MAX_PES: usize = 1 << 16;
+
+/// Most DAG nodes an application of a compiled scenario may have: a run
+/// records each completion's node index in 16 bits.
+pub const MAX_NODES: usize = 1 << 16;
+
 /// A [`ScenarioSpec`] with everything a run reads but never changes
 /// precompiled once: compatibility preflight, shared instance images,
 /// interned name table, SoA dispatch-cost slabs, slot-assigned estimate
@@ -690,14 +630,19 @@ impl CompiledScenario {
         custom: bool,
     ) -> Result<Arc<Self>, EmuError> {
         spec.platform.validate().map_err(EmuError::Config)?;
-        preflight_compat(&spec.platform, &spec.workload, &spec.library)?;
+        let specs = spec.workload.resolve(&spec.library)?;
+        if spec.platform.pes.len() > MAX_PES || specs.iter().any(|s| s.nodes.len() > MAX_NODES) {
+            return Err(EmuError::Config(format!(
+                "a scenario may have at most {MAX_PES} PEs and {MAX_NODES} nodes per application"
+            )));
+        }
+        preflight_compat(&spec.platform, &specs)?;
         let instances: Vec<Arc<AppInstance>> =
-            spec.workload.instantiate_shared(&spec.library)?.into_iter().map(Arc::new).collect();
-        let mut interner = Interner::new();
-        let names = NameTable::build(&instances, &spec.platform, &mut interner);
+            spec.workload.instantiate_shared(&specs).into_iter().map(Arc::new).collect();
+        let spec_of = spec.workload.arrivals().iter().map(|a| a.app).collect();
+        let names = NameTable::build(&specs, spec_of, &spec.platform, &mut Interner::new());
         let mut estimates = EstimateBook::new();
-        let soa =
-            ScenarioSoa::build(&instances, &names, &spec.platform, &spec.cost, &mut estimates);
+        let soa = ScenarioSoa::build(&specs, &names, &spec.platform, &spec.cost, &mut estimates);
         let plan = match &spec.faults {
             Some(f) => Some(Arc::new(f.compile(&spec.platform).map_err(EmuError::Config)?)),
             None => None,
@@ -772,7 +717,7 @@ impl CompiledScenario {
 /// scenario's generated arrivals.
 #[derive(PartialEq)]
 struct ScenarioKey {
-    /// The referenced applications, in order of first arrival.
+    /// The workload's applications, in table (name) order.
     apps: Vec<KeyApp>,
     /// Per arrival, the index of its app in `apps` and its distance in
     /// nanoseconds from the previous arrival (wrapping), as LEB128
@@ -790,7 +735,8 @@ struct ScenarioKey {
 }
 
 /// An application in a [`ScenarioKey`]: equal to itself, or by value
-/// over what [`hash_app`] reads of it.
+/// over what its content hash reads (unequal at once when the hashes
+/// differ).
 struct KeyApp(Arc<ApplicationSpec>);
 
 impl PartialEq for KeyApp {
@@ -811,11 +757,17 @@ impl PartialEq for KeyApp {
                 })
         };
         Arc::ptr_eq(&self.0, &other.0)
-            || (a.name == b.name
+            || (a.content_hash() == b.content_hash()
+                && a.name == b.name
                 && a.variables == b.variables
                 && a.nodes.len() == b.nodes.len()
                 && a.nodes.iter().zip(&b.nodes).all(|(x, y)| same_node(x, y)))
     }
+}
+
+/// The length of `v` as a LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
 }
 
 fn put_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -831,26 +783,26 @@ impl ScenarioKey {
     /// the library lacks (such a spec never compiles, so it is never
     /// cached).
     fn of(spec: &ScenarioSpec) -> Option<ScenarioKey> {
-        let mut apps: Vec<KeyApp> = Vec::new();
-        let mut arrivals = Vec::with_capacity(2 * spec.workload.entries.len());
-        let mut prev = 0u64;
-        for e in &spec.workload.entries {
-            let app = match apps.iter().position(|a| a.0.name == e.app_name) {
-                Some(i) => i,
-                None => {
-                    apps.push(KeyApp(spec.library.get(&e.app_name).ok()?));
-                    apps.len() - 1
-                }
-            };
-            let at = e.arrival.as_nanos() as u64;
-            put_varint(&mut arrivals, app as u64);
-            put_varint(&mut arrivals, at.wrapping_sub(prev));
-            prev = at;
+        let apps = spec.workload.apps().iter();
+        let apps = apps.map(|name| Some(KeyApp(Arc::clone(spec.library.find(name)?))));
+        let apps = apps.collect::<Option<Vec<KeyApp>>>()?;
+        // Each arrival's app index and its distance from the previous
+        // arrival, sized exactly so the buffer is one allocation.
+        let pairs = spec.workload.arrivals().iter().scan(0u64, |prev, a| {
+            let delta = a.at_ns.wrapping_sub(*prev);
+            *prev = a.at_ns;
+            Some((a.app as u64, delta))
+        });
+        let bytes = pairs.clone().map(|(app, d)| varint_len(app) + varint_len(d)).sum();
+        let mut arrivals = Vec::with_capacity(bytes);
+        for (app, delta) in pairs {
+            put_varint(&mut arrivals, app);
+            put_varint(&mut arrivals, delta);
         }
         Some(ScenarioKey {
             apps,
             arrivals,
-            time_frame: spec.workload.time_frame,
+            time_frame: spec.workload.time_frame(),
             platform: Arc::clone(&spec.platform),
             scheduler: spec.scheduler.to_ascii_lowercase(),
             timing: spec.timing,
@@ -1352,7 +1304,7 @@ mod tests {
             scheduler: String::new(),
             makespan: Duration::ZERO,
             tasks: Default::default(),
-            apps: Vec::new(),
+            apps: Default::default(),
             pe_busy: BTreeMap::new(),
             pe_names: BTreeMap::new(),
             sched_invocations: 0,
@@ -1457,7 +1409,7 @@ mod tests {
     #[test]
     fn builder_validates_platform_and_scheduler() {
         let library = Arc::new(AppLibrary::new());
-        let workload = Arc::new(Workload { entries: Vec::new(), time_frame: None });
+        let workload = Arc::new(Workload::default());
         let err = ScenarioSpec::builder()
             .library(Arc::clone(&library))
             .workload(Arc::clone(&workload))
@@ -1486,13 +1438,7 @@ mod tests {
     #[test]
     fn fingerprint_ignores_arc_identity_and_case() {
         let library = Arc::new(AppLibrary::new());
-        let workload = Workload {
-            entries: vec![dssoc_appmodel::workload::WorkloadEntry {
-                app_name: "a".into(),
-                arrival: Duration::ZERO,
-            }],
-            time_frame: None,
-        };
+        let workload = Workload::new([("a", Duration::ZERO)], None);
         let build = |sched: &str| ScenarioSpec {
             library: Arc::new((*library).clone()),
             platform: Arc::new(zcu102(2, 1)),

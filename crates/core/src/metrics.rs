@@ -279,10 +279,11 @@ impl EngineMetrics {
         self.run.tasks = done.len();
 
         let apps = p.sink.apps();
-        for rec in &apps[self.run.apps..] {
-            let cells = &self.apps[self.run.app_of_spec[names.spec_index(rec.instance)] as usize];
+        for k in self.run.apps..apps.len() {
+            let spec = names.spec_index(InstanceId(apps.inst[k] as u64));
+            let cells = &self.apps[self.run.app_of_spec[spec] as usize];
             cells.completed.inc();
-            cells.latency_ns.record(rec.latency().as_nanos() as u64);
+            cells.latency_ns.record(apps.latency_ns(k));
         }
         self.run.apps = apps.len();
 

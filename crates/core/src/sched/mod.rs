@@ -461,11 +461,11 @@ pub(crate) mod testutil {
     impl Fixture {
         pub fn new(n: usize, fft_us: f64) -> Self {
             let platform = zcu102(2, 1);
-            let instances = vec![fixture_instance(n, fft_us)];
-            let names = NameTable::build(&instances, &platform, &mut Interner::new());
+            let specs = [Arc::clone(&fixture_instance(n, fft_us).spec)];
+            let names = NameTable::build(&specs, vec![0], &platform, &mut Interner::new());
             let mut book = EstimateBook::new();
             let cost = CostSpec::table(CostTable::new());
-            let soa = ScenarioSoa::build(&instances, &names, &platform, &cost, &mut book);
+            let soa = ScenarioSoa::build(&specs, &names, &platform, &cost, &mut book);
             let entries = (0..n as u32)
                 .map(|i| DenseReady { inst: 0, node: i, ready_ns: i as u64, seq: i as u64 })
                 .collect();

@@ -28,8 +28,9 @@
 //!   `NodeSpec`s.
 //!
 //! Instances of one application share their spec's slab (spec indices
-//! come from [`NameTable::spec_index`], first-encounter order), so the
-//! memory cost is per *distinct application*, not per instance.
+//! come from [`NameTable::spec_index`], the workload's app-table
+//! order), so the memory cost is per *distinct application*, not per
+//! instance.
 //! [`CompiledScenario`] builds one [`ScenarioSoa`] at compile time and
 //! `Arc`-shares it across runs, workers, and sweep cells.
 //!
@@ -41,7 +42,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::ApplicationSpec;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_platform::pe::PlatformConfig;
 
 use crate::arena::DenseReady;
@@ -116,25 +117,22 @@ pub struct ScenarioSoa {
 }
 
 impl ScenarioSoa {
-    /// Resolves every `(spec, node, PE)` dispatch cost of `instances` on
-    /// `platform` into SoA slabs, reserving estimate-book slots as it
-    /// goes. `names` must be built over the same instance slice: spec
-    /// indices are assigned in first-encounter order, so the first
-    /// instance of each spec fills exactly the next slab.
+    /// Resolves every `(spec, node, PE)` dispatch cost of `specs` (a
+    /// workload's resolved app table) on `platform` into SoA slabs,
+    /// reserving estimate-book slots as it goes. `names` must be built
+    /// over the same table, so slab `i` is spec index `i`.
     pub(crate) fn build(
-        instances: &[Arc<AppInstance>],
+        specs: &[Arc<ApplicationSpec>],
         names: &NameTable,
         platform: &PlatformConfig,
         cost: &CostSpec,
         estimates: &mut EstimateBook,
     ) -> ScenarioSoa {
-        let mut specs: Vec<SpecSoa> = Vec::with_capacity(names.spec_count());
-        for inst in instances {
-            let idx = names.spec_index(inst.id);
-            if idx == specs.len() {
-                specs.push(SpecSoa::build(&inst.spec, names, idx, platform, cost, estimates));
-            }
-        }
+        let specs: Vec<SpecSoa> = specs
+            .iter()
+            .enumerate()
+            .map(|(idx, spec)| SpecSoa::build(spec, names, idx, platform, cost, estimates))
+            .collect();
         let default_est =
             platform.pes.iter().map(|pe| Duration::from_secs_f64(100e-6 / pe.speed())).collect();
         let reads_book = specs.iter().any(|spec| {
@@ -294,15 +292,15 @@ mod tests {
         // fixture_instance: even-indexed nodes also support "fft", so the
         // compatibility pattern is non-trivial.
         let instances = vec![fixture_instance(6, 70.0)];
-        let mut interner = Interner::new();
-        let names = NameTable::build(&instances, &platform, &mut interner);
+        let specs = [Arc::clone(&instances[0].spec)];
+        let names = NameTable::build(&specs, vec![0], &platform, &mut Interner::new());
         // One table entry: cells resolve through the table and through
         // the JSON estimate fallback.
         let mut table = CostTable::new();
         table.set("kc", platform.pes[0].class_name(), Duration::from_micros(42));
         let cost = CostSpec::table(table);
         let mut estimates = EstimateBook::new();
-        let soa = ScenarioSoa::build(&instances, &names, &platform, &cost, &mut estimates);
+        let soa = ScenarioSoa::build(&specs, &names, &platform, &cost, &mut estimates);
         let reserved = format!("{estimates:?}");
 
         assert_eq!(soa.spec_count(), 1);

@@ -229,6 +229,144 @@ impl AppRecord {
     }
 }
 
+/// What an engine records per finished application instance, in
+/// completion order: the instance, its arrival and its finish, as
+/// integers. The name and task count of an [`AppRecord`] come from the
+/// scenario's [`NameTable`] when the records are expanded.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct AppColumns {
+    pub inst: Vec<u32>,
+    pub arrival_ns: Vec<u64>,
+    pub finish_ns: Vec<u64>,
+}
+
+impl AppColumns {
+    pub fn push(&mut self, inst: u32, arrival_ns: u64, finish_ns: u64) {
+        self.inst.push(inst);
+        self.arrival_ns.push(arrival_ns);
+        self.finish_ns.push(finish_ns);
+    }
+
+    pub fn reserve(&mut self, n: usize) {
+        self.inst.reserve(n);
+        self.arrival_ns.reserve(n);
+        self.finish_ns.reserve(n);
+    }
+
+    pub fn len(&self) -> usize {
+        self.inst.len()
+    }
+
+    /// Record `k`'s end-to-end latency in nanoseconds.
+    pub fn latency_ns(&self, k: usize) -> u64 {
+        self.finish_ns[k].saturating_sub(self.arrival_ns[k])
+    }
+}
+
+#[derive(Debug)]
+struct DenseAppLog {
+    cols: AppColumns,
+    names: Arc<NameTable>,
+}
+
+/// Per-application-instance records of one run: either given as
+/// [`AppRecord`]s or an engine's dense columns (20 bytes per instance
+/// instead of a 48-byte record with a name pointer), expanded to
+/// records on first access — like [`TaskLog`]. [`len`](Self::len),
+/// [`EmulationStats::completed_apps`] and the per-app aggregates never
+/// expand them.
+#[derive(Debug, Clone, Default)]
+pub struct AppLog {
+    dense: Option<Arc<DenseAppLog>>,
+    records: OnceLock<Vec<AppRecord>>,
+}
+
+impl AppLog {
+    pub(crate) fn from_dense(cols: AppColumns, names: Arc<NameTable>) -> AppLog {
+        AppLog { dense: Some(Arc::new(DenseAppLog { cols, names })), records: OnceLock::new() }
+    }
+
+    /// Number of records (without materializing).
+    pub fn len(&self) -> usize {
+        match (&self.dense, self.records.get()) {
+            (Some(d), _) => d.cols.len(),
+            (None, Some(r)) => r.len(),
+            (None, None) => 0,
+        }
+    }
+
+    /// True when no instance finished (without materializing).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The records as a slice, expanding dense columns on first call.
+    pub fn records(&self) -> &[AppRecord] {
+        self.records.get_or_init(|| {
+            let Some(d) = &self.dense else { return Vec::new() };
+            let c = &d.cols;
+            (0..c.len())
+                .map(|k| {
+                    let id = InstanceId(c.inst[k] as u64);
+                    AppRecord {
+                        instance: id,
+                        app: d.names.app(id).clone(),
+                        arrival: SimTime(c.arrival_ns[k]),
+                        finish: SimTime(c.finish_ns[k]),
+                        task_count: d.names.node_count(id),
+                    }
+                })
+                .collect()
+        })
+    }
+
+    /// Iterates the records (materializing if needed).
+    pub fn iter(&self) -> std::slice::Iter<'_, AppRecord> {
+        self.records().iter()
+    }
+
+    /// Each record's application name and latency, in completion order,
+    /// read from the dense columns when there are any (without
+    /// materializing).
+    fn latencies(&self) -> impl Iterator<Item = (&Name, Duration)> {
+        let dense = self.dense.as_deref();
+        let cols = dense.map(|d| {
+            let c = &d.cols;
+            (0..c.len()).map(move |k| {
+                let app = d.names.app(InstanceId(c.inst[k] as u64));
+                (app, Duration::from_nanos(c.latency_ns(k)))
+            })
+        });
+        let records = dense.is_none().then(|| self.records().iter().map(|a| (&a.app, a.latency())));
+        cols.into_iter().flatten().chain(records.into_iter().flatten())
+    }
+}
+
+impl From<Vec<AppRecord>> for AppLog {
+    fn from(records: Vec<AppRecord>) -> AppLog {
+        let log = AppLog::default();
+        let _ = log.records.set(records);
+        log
+    }
+}
+
+impl std::ops::Deref for AppLog {
+    type Target = [AppRecord];
+
+    fn deref(&self) -> &[AppRecord] {
+        self.records()
+    }
+}
+
+impl<'a> IntoIterator for &'a AppLog {
+    type Item = &'a AppRecord;
+    type IntoIter = std::slice::Iter<'a, AppRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.records().iter()
+    }
+}
+
 /// Scheduling-overhead breakdown, accumulated across workload-manager
 /// iterations (the paper's definition: monitoring completion status,
 /// updating the ready queue, running the scheduling algorithm, and
@@ -340,8 +478,9 @@ pub struct EmulationStats {
     /// Per-task records, in completion order (lazily materialized for
     /// DES runs — see [`TaskLog`]).
     pub tasks: TaskLog,
-    /// Per-application-instance records, in completion order.
-    pub apps: Vec<AppRecord>,
+    /// Per-application-instance records, in completion order (lazily
+    /// materialized for engine runs — see [`AppLog`]).
+    pub apps: AppLog,
     /// Accumulated busy time per PE.
     pub pe_busy: BTreeMap<PeId, Duration>,
     /// PE display names for reporting.
@@ -389,10 +528,10 @@ impl EmulationStats {
     pub fn app_aggregates(&self) -> &BTreeMap<Name, AppAggregate> {
         self.app_agg.get_or_init(|| {
             let mut map: BTreeMap<Name, AppAggregate> = BTreeMap::new();
-            for a in &self.apps {
-                let agg = map.entry(a.app.clone()).or_default();
+            for (app, latency) in self.apps.latencies() {
+                let agg = map.entry(app.clone()).or_default();
                 agg.instances += 1;
-                agg.total_latency += a.latency();
+                agg.total_latency += latency;
             }
             for app in self.tasks.app_names() {
                 map.entry(app.clone()).or_default().tasks += 1;
@@ -422,8 +561,8 @@ impl EmulationStats {
             view.task_wait.record(t.wait().as_nanos() as u64);
             view.task_exec.record(t.modeled.as_nanos() as u64);
         }
-        for a in &self.apps {
-            view.app_latency.record(a.latency().as_nanos() as u64);
+        for (_, latency) in self.apps.latencies() {
+            view.app_latency.record(latency.as_nanos() as u64);
         }
         view
     }
@@ -534,7 +673,8 @@ mod tests {
                 arrival: SimTime(0),
                 finish: SimTime(3_000),
                 task_count: 2,
-            }],
+            }]
+            .into(),
             pe_busy,
             pe_names,
             sched_invocations: 4,

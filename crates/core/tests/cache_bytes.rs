@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::workload::{Workload, WorkloadEntry};
+use dssoc_appmodel::workload::Workload;
 use dssoc_core::engine::{OverheadMode, TimingMode};
 use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioSpec};
 use dssoc_platform::cost::CostTable;
@@ -89,14 +89,11 @@ fn scenario(
     platform: &Arc<PlatformConfig>,
     cost: &CostSpec,
 ) -> ScenarioSpec {
-    let entry = WorkloadEntry {
-        app_name: "pulse_doppler".into(),
-        arrival: Duration::from_micros(i as u64),
-    };
+    let arrival = ("pulse_doppler", Duration::from_micros(i as u64));
     ScenarioSpec::builder()
         .library(Arc::clone(library))
         .platform(Arc::clone(platform))
-        .workload(Workload { entries: vec![entry], time_frame: None })
+        .workload(Workload::new([arrival], None))
         .timing(TimingMode::Modeled)
         .overhead(OverheadMode::None)
         .cost(cost.clone())

@@ -13,7 +13,7 @@ use std::time::Duration;
 use proptest::prelude::*;
 
 use dssoc_appmodel::app::AppLibrary;
-use dssoc_appmodel::WorkloadSpec;
+use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
 use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpec};
@@ -347,9 +347,10 @@ fn per_run_trace_sink_ends_with_its_run() {
 fn forced_fingerprint_collisions_miss_and_run_their_own_scenario() {
     let base = deterministic_spec();
     let mut later = base.clone();
-    let mut workload = (*base.workload).clone();
-    workload.entries.last_mut().expect("an arrival").arrival += Duration::from_secs(10);
-    later.workload = Arc::new(workload);
+    let mut arrivals: Vec<(&str, Duration)> =
+        base.workload.arrivals().iter().map(|&a| (base.workload.app_of(a), a.at())).collect();
+    arrivals.last_mut().expect("an arrival").1 += Duration::from_secs(10);
+    later.workload = Arc::new(Workload::new(arrivals, base.workload.time_frame()));
 
     let mut faster = base.clone();
     let mut platform = (*base.platform).clone();

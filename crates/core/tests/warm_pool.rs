@@ -232,12 +232,7 @@ fn without_estimates(library: &AppLibrary, app: &str) -> AppLibrary {
         platform.mean_exec = None;
     }
     let mut stripped = library.clone();
-    stripped.register(Arc::new(ApplicationSpec {
-        name: spec.name.clone(),
-        variables: Arc::clone(&spec.variables),
-        nodes,
-        roots: spec.roots.clone(),
-    }));
+    stripped.register(ApplicationSpec::new(spec.name.clone(), Arc::clone(&spec.variables), nodes));
     stripped
 }
 

@@ -23,7 +23,9 @@
 //! ```
 //!
 //! Engine defaults keep the common cases deterministic-and-cacheable:
-//! DES jobs get a table cost and no overhead charge unless overridden;
+//! DES jobs get a table cost and no overhead charge unless overridden
+//! (a DES job may not ask for `"cost": "measured"`: it measures no
+//! kernel, so every task would cost zero);
 //! threaded jobs default to the paper's measured configuration
 //! (modeled timing, measured overhead, scaled-measured cost) and
 //! become cacheable only when the client pins `"cost": "table"` and a
@@ -265,6 +267,11 @@ fn build_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest
             Engine::Threaded => CostSpec::ScaledMeasured,
         },
         Some("table") => CostSpec::table(CostTable::new()),
+        Some("measured") if engine == Engine::Des => {
+            return Err("cost 'measured' needs the threaded engine: the DES measures no \
+                        kernel, so every task would cost zero (use \"cost\": \"table\")"
+                .into());
+        }
         Some("measured") => CostSpec::ScaledMeasured,
         Some(other) => return Err(format!("unknown cost '{other}' (use table or measured)")),
     };
@@ -415,7 +422,7 @@ mod tests {
         }"#;
         let lib = library();
         let job = parse_job(body, &lib).unwrap();
-        assert!(job.scenario.spec().workload.time_frame.is_some());
+        assert!(job.scenario.spec().workload.time_frame().is_some());
         // Top-level seed overrides the nested one: the same body with
         // a different override fingerprints differently.
         let body_no_override = String::from_utf8_lossy(body).replace("\"seed\": 42", "\"seed\": 1");
@@ -472,6 +479,14 @@ mod tests {
             (
                 br#"{"platform": "zcu102:2C+1F", "validation": {"wifi_tx": 1}, "overhead_us": -2}"#,
                 "overhead_us",
+            ),
+            (
+                br#"{"platform": "zcu102:2C+1F", "validation": {"wifi_tx": 2}, "cost": "measured"}"#,
+                "needs the threaded engine",
+            ),
+            (
+                br#"{"engine": "des", "platform": "zcu102:2C+1F", "validation": {"wifi_tx": 2}, "cost": "measured"}"#,
+                "needs the threaded engine",
             ),
         ];
         for (body, needle) in cases {
@@ -594,9 +609,11 @@ mod tests {
         #[global_allocator]
         static GLOBAL: PerThread = PerThread;
 
-        /// Heap of the largest workload a body may ask for: an arrival
-        /// per instance, and the vector's growth.
-        const WORKLOAD_BYTES: usize = 2 * MAX_INSTANCES as usize * 64;
+        /// Heap of the largest workload a body may ask for: one
+        /// `(app index, ns)` arrival per instance, reserved once, and
+        /// the scratch copy that merges the injections' runs.
+        const WORKLOAD_BYTES: usize =
+            2 * MAX_INSTANCES as usize * std::mem::size_of::<dssoc_appmodel::workload::Arrival>();
 
         /// The standard library, built once for all cases.
         fn shared() -> Arc<AppLibrary> {
@@ -732,6 +749,32 @@ mod tests {
                 }
             }
             body
+        }
+
+        /// The largest workloads a body may ask for, in either mode,
+        /// parse within the bound.
+        #[test]
+        fn the_largest_workloads_parse_within_bounds() {
+            let library = shared();
+            let validation = format!(
+                r#"{{"platform":"zcu102:2C+1F","validation":{{"wifi_tx":{},"range_detection":{}}}}}"#,
+                MAX_INSTANCES / 2,
+                MAX_INSTANCES / 2
+            );
+            let inject = |app: &str| {
+                format!(r#"{{"app":"{app}","period":{{"secs":0,"nanos":2000}},"probability":1.0}}"#)
+            };
+            let performance = format!(
+                r#"{{"platform":"zcu102:2C+1F","workload":{{"mode":{{"Performance":{{"injections":[{},{}],"time_frame":{{"secs":0,"nanos":{}}}}}}},"seed":1}}}}"#,
+                inject("wifi_tx"),
+                inject("range_detection"),
+                MAX_INSTANCES * 1000
+            );
+            for body in [validation, performance] {
+                let parsed = parse_request(body.as_bytes(), &library).expect("at the limit");
+                assert_eq!(parsed.spec.workload.len() as u64, MAX_INSTANCES);
+                parse(body.as_bytes(), &library).expect("within bounds");
+            }
         }
 
         proptest! {

@@ -39,6 +39,7 @@ use std::sync::{Arc, Condvar, Mutex, OnceLock, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use dssoc_appmodel::hash::splitmix64;
 use dssoc_metrics::MetricsRegistry;
 use serde_json::{json, Value};
 
@@ -46,14 +47,6 @@ use serde_json::{json, Value};
 /// loses events (counted, reported in the stream) instead of growing
 /// without bound or blocking the emitters.
 pub const SUBSCRIBER_BUFFER: usize = 256;
-
-/// splitmix64 — the workspace-standard stateless hash.
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
-}
 
 /// The attempt span derived from a job's root span (1-based attempt).
 pub fn attempt_span(root: u64, attempt: u32) -> u64 {

@@ -17,6 +17,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use dssoc_appmodel::hash::splitmix64;
 use dssoc_core::engine::EmuError;
 use dssoc_core::job::{CompiledScenario, Engine, Fingerprint, ScenarioSpec};
 use dssoc_metrics::MetricsRegistry;
@@ -162,15 +163,6 @@ fn effective_priority(base: u8, waited: Duration, step: Option<Duration>) -> u64
         _ => 0,
     };
     (base as u64).saturating_add(aged)
-}
-
-/// splitmix64 — the workspace-standard stateless hash (same idiom as
-/// the fault plan's decision hashing).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Deterministic jittered exponential backoff for retry `attempt`

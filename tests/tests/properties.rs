@@ -207,11 +207,11 @@ proptest! {
         let frame = Duration::from_millis(frame_ms);
         let slots = frame.as_micros().div_ceil(period_us as u128) as usize;
         prop_assert!(wl.len() <= slots);
-        for w in wl.entries.windows(2) {
-            prop_assert!(w[0].arrival <= w[1].arrival);
+        for w in wl.arrivals().windows(2) {
+            prop_assert!(w[0].at_ns <= w[1].at_ns);
         }
-        for e in &wl.entries {
-            prop_assert!(e.arrival < frame);
+        for a in wl.arrivals() {
+            prop_assert!(a.at() < frame);
         }
         if prob == 1.0 {
             prop_assert_eq!(wl.len(), slots);
