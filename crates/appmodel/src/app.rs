@@ -14,8 +14,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::ModelError;
-use crate::hash::{fnv1a, mix, mix_opt_dur, mix_str};
-use crate::json::AppJson;
+use crate::hash::{hash_bytes, Canon};
+use crate::json::{AppJson, VariableJson};
 use crate::memory::VarDecls;
 use crate::registry::{Kernel, KernelRegistry};
 
@@ -101,51 +101,66 @@ impl ApplicationSpec {
     pub fn new(name: String, variables: Arc<VarDecls>, nodes: Vec<NodeSpec>) -> Arc<Self> {
         let roots = nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect();
         let mut spec = ApplicationSpec { name, variables, nodes, roots, content_hash: 0 };
-        spec.content_hash = spec.hash_content();
+        spec.content_hash = hash_bytes(&spec.encoding());
         Arc::new(spec)
     }
 
-    /// A structural hash of everything a run reads of this application
-    /// (name, variables, and every node's name, arguments, edges and
-    /// platforms), computed once when the spec is built. Equal specs
-    /// hash equal whatever their `Arc` identity; scenario fingerprints
-    /// fold it in instead of walking the nodes.
+    /// The hash of the app's canonical encoding, computed once when the
+    /// spec is built: equal specs hash equal whatever their `Arc`
+    /// identity, and scenario fingerprints fold it in instead of walking
+    /// the nodes.
     pub fn content_hash(&self) -> u64 {
         self.content_hash
     }
 
-    fn hash_content(&self) -> u64 {
-        let mut h = mix_str(0x5ce0_a9d1_57ab_1e01, &self.name);
-        h = mix(h, self.variables.len() as u64);
-        for (name, v) in self.variables.iter() {
-            h = mix_str(h, name);
-            h = mix(h, v.bytes as u64);
-            h = mix(h, v.is_ptr as u64);
-            h = mix(h, v.ptr_alloc_bytes as u64);
-            h = mix(mix(h, v.val.len() as u64), fnv1a(&v.val));
-        }
-        h = mix(h, self.nodes.len() as u64);
-        for node in &self.nodes {
-            h = mix_str(h, &node.name);
-            h = mix(h, node.index as u64);
-            for arg in &node.arguments {
-                h = mix_str(h, arg);
-            }
-            for &p in &node.predecessors {
-                h = mix(h, p as u64);
-            }
-            for &s in &node.successors {
-                h = mix(h, s as u64);
-            }
-            h = mix(h, node.platforms.len() as u64);
-            for p in &node.platforms {
-                h = mix_str(h, &p.key);
-                h = mix_str(h, &p.runfunc);
-                h = mix_str(h, &p.shared_object);
-                h = mix_opt_dur(h, p.mean_exec);
-            }
-        }
-        h
+    /// True when `self` and `other` are the same application: the same
+    /// allocation, or equal encodings.
+    pub fn same_content(&self, other: &ApplicationSpec) -> bool {
+        std::ptr::eq(self, other)
+            || (self.content_hash == other.content_hash && self.encoding() == other.encoding())
+    }
+
+    /// The canonical encoding of everything a run reads of this
+    /// application: its name, variables, and every node's name,
+    /// arguments, edges and platforms.
+    fn encoding(&self) -> Vec<u8> {
+        // The roots and the hash are derived from the rest.
+        let ApplicationSpec { name, variables, nodes, roots: _, content_hash: _ } = self;
+        let mut w = Canon::default();
+        w.bytes(name);
+        w.list(variables.iter(), |w, (name, var)| {
+            let VariableJson { bytes, is_ptr, ptr_alloc_bytes, val } = var;
+            w.bytes(name);
+            w.uint(*bytes as u64);
+            w.tag(*is_ptr as u8);
+            w.uint(*ptr_alloc_bytes as u64);
+            w.bytes(val);
+        });
+        w.list(nodes, |w, node| {
+            let NodeSpec { name, index, arguments, predecessors, successors, platforms } = node;
+            w.bytes(name);
+            w.uint(*index as u64);
+            w.list(arguments, |w, a| w.bytes(a));
+            w.list(predecessors, |w, &p| w.uint(p as u64));
+            w.list(successors, |w, &s| w.uint(s as u64));
+            w.list(platforms, |w, p| {
+                // The id and the kernel follow from the runfunc and the
+                // shared object.
+                let ResolvedPlatform {
+                    key,
+                    runfunc,
+                    runfunc_id: _,
+                    shared_object,
+                    kernel: _,
+                    mean_exec,
+                } = p;
+                w.bytes(key);
+                w.bytes(runfunc);
+                w.bytes(shared_object);
+                w.opt(*mean_exec, Canon::dur);
+            });
+        });
+        w.0
     }
 
     /// Parses and validates a JSON application against a kernel registry.
@@ -430,6 +445,27 @@ mod tests {
         renamed.app_name = "kite".into();
         let d = ApplicationSpec::from_json(&renamed, &reg).unwrap();
         assert_ne!(a.content_hash(), d.content_hash());
+    }
+
+    /// Edge lists are length-prefixed: A→B and its reverse B→A list the
+    /// same indices in the same order, but are different apps.
+    #[test]
+    fn content_hash_tells_an_edge_from_its_reverse() {
+        let app = |from: &str, to: &str| {
+            let node = |successors| NodeJson {
+                arguments: vec![],
+                predecessors: vec![],
+                successors,
+                platforms: vec![platform_cpu("ka")],
+            };
+            let dag =
+                BTreeMap::from([(from.into(), node(vec![to.into()])), (to.into(), node(vec![]))]);
+            let json = AppJson { dag, app_name: "pair".into(), ..diamond_json() };
+            ApplicationSpec::from_json(&json, &registry_with(&["ka"])).unwrap()
+        };
+        let (forward, reverse) = (app("A", "B"), app("B", "A"));
+        assert_ne!(forward.content_hash(), reverse.content_hash());
+        assert!(!forward.same_content(&reverse));
     }
 
     #[test]

@@ -57,7 +57,7 @@ impl VarDecls {
     }
 
     /// `(name, declaration)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &VariableJson)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&str, &VariableJson)> {
         self.names.iter().map(String::as_str).zip(&self.decls)
     }
 

@@ -30,6 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::app::{AppLibrary, ApplicationSpec};
 use crate::error::ModelError;
+use crate::hash::Canon;
 use crate::instance::{AppInstance, InstanceId};
 use crate::memory::AppMemory;
 
@@ -309,6 +310,22 @@ impl Workload {
     /// True if the trace has no arrivals.
     pub fn is_empty(&self) -> bool {
         self.arrivals.is_empty()
+    }
+
+    /// Writes the trace's canonical encoding: its application table in
+    /// order, each entry by `app`; each arrival's app index and its
+    /// distance in nanoseconds from the previous one (wrapping), as
+    /// varints; then the time frame.
+    pub fn encode(&self, w: &mut Canon, mut app: impl FnMut(&mut Canon, &str)) {
+        let Workload { apps, arrivals, time_frame } = self;
+        w.list(apps, |w, name| app(w, name));
+        let mut prev = 0u64;
+        w.list(arrivals, |w, &Arrival { app, at_ns }| {
+            w.uint(app as u64);
+            w.uint(at_ns.wrapping_sub(prev));
+            prev = at_ns;
+        });
+        w.opt(*time_frame, Canon::dur);
     }
 
     /// The application table resolved against `library`, in table order.

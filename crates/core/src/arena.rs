@@ -42,7 +42,7 @@ use dssoc_trace::FaultKind;
 
 use crate::calq::{CalendarQueue, Timed};
 use crate::exec::ReadyList;
-use crate::job::{CompiledScenario, Fingerprint};
+use crate::job::CompiledScenario;
 use crate::sched::{Assignment, EstimateBook, PeView};
 use crate::soa::SpecSoa;
 use crate::time::SimTime;
@@ -370,10 +370,6 @@ impl ViewScratch {
 /// Every growable buffer an engine loop touches, owned by the engine so
 /// capacity survives across runs (see module docs). Each engine uses
 /// the fields it needs; the rest stay empty.
-///
-/// `reset` clears everything except the estimate book, whose reuse
-/// policy (values-only reset vs full rebuild) is decided per run from
-/// `est_src` in [`Self::begin`].
 #[derive(Debug)]
 pub(crate) struct RunScratch {
     /// Flat DAG countdowns.
@@ -399,12 +395,9 @@ pub(crate) struct RunScratch {
     pub retries: Vec<RetryEntry>,
     /// Backing storage for the run's `ReadyList`.
     pub ready_buf: Vec<DenseReady>,
-    /// Warm estimate book, reset from the scenario prototype each run.
+    /// Warm estimate book. A run uses only its values, at the slots the
+    /// scenario's prototype issued, so its slot map stays empty.
     pub estimates: EstimateBook,
-    /// Which compiled scenario `estimates`' slot map came from. When it
-    /// matches the incoming run, reset copies values only (the slot map
-    /// is immutable during a run); otherwise the book is rebuilt.
-    pub est_src: Option<Fingerprint>,
     /// Recycled scheduler-view allocation.
     pub views: ViewScratch,
     /// Scheduler output staging (`schedule_into` target).
@@ -430,7 +423,6 @@ impl Default for RunScratch {
             retries: Vec::new(),
             ready_buf: Vec::new(),
             estimates: EstimateBook::new(),
-            est_src: None,
             views: ViewScratch::default(),
             assignments: Vec::new(),
             placed: Vec::new(),
@@ -441,7 +433,7 @@ impl Default for RunScratch {
 
 impl RunScratch {
     /// Clears all per-run state, retaining capacity. The estimate book
-    /// is left to [`Self::begin`] (its reset depends on `est_src`).
+    /// is left to [`Self::begin`].
     pub fn reset(&mut self) {
         self.dag.clear();
         self.arrival_order.clear();
@@ -471,17 +463,7 @@ impl RunScratch {
     /// the run's task count.
     pub fn begin(&mut self, scenario: &CompiledScenario, instances: &[Arc<AppInstance>]) -> usize {
         self.reset();
-        // Estimate-book reuse: during a run only `observe_at` touches the
-        // book (slots are resolved at scenario compile), so a book whose
-        // slot map came from this same scenario needs only its values
-        // restored — a memcpy instead of rebuilding two hash maps.
-        let est_ident = Some(scenario.fingerprint());
-        if self.est_src == est_ident {
-            self.estimates.reset_values_from(scenario.estimates_ref());
-        } else {
-            self.estimates.reset_from(scenario.estimates_ref());
-        }
-        self.est_src = est_ident;
+        self.estimates.values.clone_from(&scenario.estimates_ref().values);
         self.dag.prepare(scenario, instances) as usize
     }
 }

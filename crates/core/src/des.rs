@@ -240,9 +240,8 @@ impl DesSimulator {
     /// Simulates a precompiled scenario, reusing its shared instance
     /// images, name table, SoA cost slabs, slot-assigned estimate book,
     /// and fault plan — nothing scenario-derived is rebuilt.
-    /// Compatibility was preflighted at compile time. Consecutive runs
-    /// of the same scenario additionally skip the estimate-book rebuild
-    /// (a values-only reset, keyed on the scenario fingerprint).
+    /// Compatibility was preflighted at compile time; the warm estimate
+    /// book takes only the prototype's values.
     ///
     /// `trace` records this run only, in place of the configured sink.
     /// `cancel` is polled (relaxed) once per clock advance; when it

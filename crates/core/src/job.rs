@@ -12,10 +12,12 @@
 //!   library, platform, workload, scheduler name, fault spec, and the
 //!   timing/overhead/reservation knobs. Cloning is a handful of
 //!   refcount bumps.
-//! * [`ScenarioSpec::fingerprint`] — a stable structural hash
-//!   (splitmix64 mixing, like the fault plan's RNG): equal for
-//!   structurally equal specs regardless of `Arc` identity or build
-//!   order, different under any field mutation.
+//! * [`ScenarioSpec::fingerprint`] — the hash of the spec's one
+//!   canonical encoding ([`Canon`]): equal for structurally equal specs
+//!   regardless of `Arc` identity or build order, different under any
+//!   field mutation. Each encoder destructures its struct exhaustively,
+//!   so a new field does not compile until it is encoded or ignored
+//!   with a reason.
 //! * [`CompiledScenario`] — everything a run needs that does not change
 //!   between runs, precompiled once: interned [`NameTable`], the dense
 //!   `[node][PE]` dispatch-cost slabs ([`ScenarioSoa`]), the compiled
@@ -25,8 +27,9 @@
 //! * [`JobRunner`] — the front door: give it a compiled scenario and an
 //!   [`Engine`], get a [`JobResult`] back. It keeps a bounded set of
 //!   warm engines, one per platform, and a bounded [`ResultCache`]
-//!   keyed by fingerprint and confirmed by value so repeated
-//!   deterministic runs are answered without running at all.
+//!   whose slots are fingerprints and whose hits are confirmed against
+//!   the same encoding's bytes, so repeated deterministic runs are
+//!   answered without running at all.
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
@@ -35,19 +38,22 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec, NodeSpec};
-use dssoc_appmodel::hash::{mix, mix_dur, mix_f64, mix_opt_dur, mix_str};
+use dssoc_appmodel::hash::{hash_bytes, Canon};
 use dssoc_appmodel::instance::AppInstance;
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::{CounterCell, MetricsRegistry};
 use dssoc_platform::cost::CostTable;
-use dssoc_platform::pe::{PeDescriptor, PeKind, PlatformConfig};
+use dssoc_platform::dma::DmaModel;
+use dssoc_platform::pe::{
+    AccelModel, ContentionModel, CpuModel, OverlayConfig, PeDescriptor, PeKind, PlatformConfig,
+};
 use dssoc_platform::presets::{odroid_xu3, zcu102};
 use dssoc_trace::TraceSink;
 
 use crate::des::{DesConfig, DesSimulator};
 use crate::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
 use crate::exec::preflight_compat;
-use crate::fault::{FaultPlan, FaultSpec};
+use crate::fault::{FaultPlan, FaultSpec, PermanentFault, RateFault, RetryPolicy};
 use crate::intern::{Interner, NameTable};
 use crate::sched::{by_name, EstimateBook, Scheduler};
 use crate::soa::ScenarioSoa;
@@ -62,7 +68,7 @@ use crate::stats::EmulationStats;
 /// The threaded engine hands each dispatched task its cost from the
 /// compiled scenario (see [`ScenarioSoa`]); the DES charges the same
 /// number. An accelerator's latency reports win over either.
-#[derive(Clone, Default, PartialEq)]
+#[derive(Clone, Default)]
 pub enum CostSpec {
     /// Scale the host-measured kernel time by the PE's speed (the
     /// default — real execution, modeled platform). The DES, which
@@ -97,13 +103,6 @@ impl CostSpec {
     /// the scenario (no host measurement involved).
     pub fn is_deterministic(&self) -> bool {
         matches!(self, CostSpec::Table(_))
-    }
-
-    fn hash_into(&self, h: u64) -> u64 {
-        match self {
-            CostSpec::ScaledMeasured => mix(h, 1),
-            CostSpec::Table(t) => hash_cost_table(mix(h, 2), t),
-        }
     }
 }
 
@@ -208,72 +207,6 @@ impl Fingerprint {
     }
 }
 
-fn hash_cost_table(mut h: u64, t: &CostTable) -> u64 {
-    // BTreeMaps iterate in key order, so the walk is canonical.
-    h = mix(h, t.entries.len() as u64);
-    for (kernel, classes) in &t.entries {
-        h = mix_str(h, kernel);
-        h = mix(h, classes.len() as u64);
-        for (class, d) in classes {
-            h = mix_dur(mix_str(h, class), *d);
-        }
-    }
-    h
-}
-
-fn hash_platform(mut h: u64, p: &PlatformConfig) -> u64 {
-    h = mix_str(h, &p.name);
-    h = mix(h, p.host_slots as u64);
-    h = mix_f64(mix_str(h, &p.overlay.name), p.overlay.speed);
-    h = mix_dur(h, p.contention.context_switch);
-    h = mix(h, p.pes.len() as u64);
-    for pe in &p.pes {
-        h = mix(h, pe.id.0 as u64);
-        h = mix_str(h, &pe.name);
-        h = mix_str(h, &pe.platform_key);
-        match &pe.kind {
-            PeKind::Cpu(c) => {
-                h = mix_f64(mix_str(mix(h, 1), &c.class), c.speed);
-            }
-            PeKind::Accel(a) => {
-                h = mix_str(mix(h, 2), &a.kind);
-                h = mix_f64(mix_dur(h, a.dma.setup), a.dma.bytes_per_sec);
-                h = mix_f64(h, a.throughput_msps);
-                h = mix_dur(h, a.pipeline_latency);
-                h = mix(h, a.max_points as u64);
-            }
-        }
-    }
-    h
-}
-
-fn hash_faults(mut h: u64, f: &FaultSpec) -> u64 {
-    h = mix(h, f.seed);
-    h = mix(h, f.permanent.len() as u64);
-    for p in &f.permanent {
-        h = mix_f64(mix(h, p.pe as u64), p.at_us);
-    }
-    for rules in [&f.transient, &f.hangs] {
-        h = mix(h, rules.len() as u64);
-        for r in rules {
-            h = match &r.kernel {
-                Some(k) => mix_str(mix(h, 1), k),
-                None => mix(h, 0),
-            };
-            h = match r.pe {
-                Some(pe) => mix(mix(h, 1), pe as u64),
-                None => mix(h, 0),
-            };
-            h = mix_f64(h, r.probability);
-        }
-    }
-    h = mix(h, f.retry.max_retries as u64);
-    h = mix_f64(h, f.retry.backoff_us);
-    h = mix(h, f.retry.quarantine_after as u64);
-    h = mix_f64(h, f.watchdog_factor);
-    mix_f64(h, f.watchdog_min_wall_ms)
-}
-
 // ---------------------------------------------------------------------------
 // ScenarioSpec
 // ---------------------------------------------------------------------------
@@ -314,56 +247,13 @@ impl ScenarioSpec {
         ScenarioBuilder::default()
     }
 
-    /// The stable structural fingerprint of this scenario.
-    ///
-    /// Two specs fingerprint equal iff they describe the same scenario
-    /// *by value*: the hash walks field contents in a fixed canonical
-    /// order (table entries in key order), so it is independent of `Arc`
-    /// identity, of how the spec was built, and of registration order in
-    /// the library. Only workload-referenced applications contribute —
-    /// registering unrelated apps does not disturb the fingerprint — and
-    /// each by the content hash computed when it was built. The workload
-    /// table is sorted by name, so arrivals fold in as `(app index,
-    /// ns)` integer pairs.
+    /// The stable structural fingerprint of this scenario: the hash of
+    /// the canonical encoding a [`ResultCache`] hit is confirmed against.
+    /// It is independent of `Arc` identity, of how the spec was built,
+    /// and of apps the workload does not name; each app it does name
+    /// enters by its content hash.
     pub fn fingerprint(&self) -> Fingerprint {
-        let mut h = 0x5ce0_a9d1_57ab_1e00u64;
-        h = hash_platform(mix(h, 1), &self.platform);
-        let apps = self.workload.apps();
-        h = mix(h, apps.len() as u64);
-        for name in apps {
-            h = match self.library.find(name) {
-                Some(spec) => mix(h, spec.content_hash()),
-                None => mix_str(mix(h, 0), name),
-            };
-        }
-        let arrivals = self.workload.arrivals();
-        h = mix(h, arrivals.len() as u64);
-        // Arrival `i` folds into lane `i % 4`: four independent chains,
-        // so consecutive arrivals' mixing overlaps instead of queueing.
-        let mut lanes = [1, 2, 3, 4].map(|lane| mix(h, lane));
-        for chunk in arrivals.chunks(4) {
-            for (lane, a) in lanes.iter_mut().zip(chunk) {
-                *lane = mix(mix(*lane, a.app as u64), a.at_ns);
-            }
-        }
-        h = lanes.into_iter().fold(h, mix);
-        h = mix_opt_dur(h, self.workload.time_frame());
-        // Scheduler resolution is case-insensitive, so "FRFS" and
-        // "frfs" are the same scenario.
-        h = mix_str(h, &self.scheduler.to_ascii_lowercase());
-        h = mix(h, matches!(self.timing, TimingMode::Modeled) as u64);
-        h = match self.overhead {
-            OverheadMode::Measured => mix(h, 1),
-            OverheadMode::Fixed(d) => mix_dur(mix(h, 2), d),
-            OverheadMode::None => mix(h, 3),
-        };
-        h = self.cost.hash_into(h);
-        h = mix(h, self.reservation_depth as u64);
-        h = match &self.faults {
-            Some(f) => hash_faults(mix(h, 1), f),
-            None => mix(h, 0),
-        };
-        Fingerprint(h)
+        Fingerprint(hash_bytes(&ScenarioKey::of(self).bytes))
     }
 
     /// True when a run of this scenario on `engine` with its named
@@ -571,9 +461,8 @@ pub struct CompiledScenario {
     /// the DES hot loop indexes (see [`ScenarioSoa`]).
     pub(crate) soa: Arc<ScenarioSoa>,
     /// Slot-assigned estimate-book prototype: slots match the slabs'
-    /// estimate slots but carry no observations yet. Each DES run
-    /// resets its book from it; the threaded engine keeps its own book
-    /// (slot layout does not affect estimates).
+    /// estimate slots but carry no observations yet. Each run, on
+    /// either engine, starts its warm book from these values.
     pub(crate) estimates: EstimateBook,
     /// True when built by [`Self::compile_custom`]: the scheduler name
     /// is a label for a user-supplied policy, so results are never
@@ -603,8 +492,10 @@ impl CompiledScenario {
 
     /// [`Self::compile`] with the spec's fingerprint already computed
     /// (by a caller that looked the spec up in a [`ResultCache`] first),
-    /// so a miss does not walk the spec twice. A wrong fingerprint can
-    /// only cost cache misses: hits are confirmed by value.
+    /// so a miss does not encode the spec twice. The fingerprint only
+    /// labels results and picks cache slots: hits are confirmed by the
+    /// spec's encoding and no run reads it, so a wrong one can only cost
+    /// cache misses.
     pub fn compile_fingerprinted(
         spec: ScenarioSpec,
         fingerprint: Fingerprint,
@@ -707,111 +598,154 @@ impl CompiledScenario {
 // Result cache
 // ---------------------------------------------------------------------------
 
-/// What a cached result is confirmed against on a hit: everything
-/// [`ScenarioSpec::fingerprint`] reads, by value, in a compact form.
-///
-/// Shared parts stay behind their `Arc`s; applications compare by
-/// identity first, so a lookup from the cached spec's library mostly
-/// compares pointers. The workload, which dominates a spec's size, is
-/// packed into varints instead of kept: an entry must not pin its
-/// scenario's generated arrivals.
-#[derive(PartialEq)]
+/// A scenario's identity: the canonical encoding of every field a run
+/// reads, which is the cache key and whose hash is the fingerprint, and
+/// the apps whose content hashes it holds. It pins no generated
+/// arrivals: the bytes hold them as varints.
 struct ScenarioKey {
-    /// The workload's applications, in table (name) order.
-    apps: Vec<KeyApp>,
-    /// Per arrival, the index of its app in `apps` and its distance in
-    /// nanoseconds from the previous arrival (wrapping), as LEB128
-    /// varints.
-    arrivals: Vec<u8>,
-    time_frame: Option<Duration>,
-    platform: Arc<PlatformConfig>,
-    /// Lowercased, as scheduler names resolve case-insensitively.
-    scheduler: String,
-    timing: TimingMode,
-    overhead: OverheadMode,
-    cost: CostSpec,
-    reservation_depth: usize,
-    faults: Option<Arc<FaultSpec>>,
-}
-
-/// An application in a [`ScenarioKey`]: equal to itself, or by value
-/// over what its content hash reads (unequal at once when the hashes
-/// differ).
-struct KeyApp(Arc<ApplicationSpec>);
-
-impl PartialEq for KeyApp {
-    fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (&*self.0, &*other.0);
-        let same_node = |x: &NodeSpec, y: &NodeSpec| {
-            x.name == y.name
-                && x.index == y.index
-                && x.arguments == y.arguments
-                && x.predecessors == y.predecessors
-                && x.successors == y.successors
-                && x.platforms.len() == y.platforms.len()
-                && x.platforms.iter().zip(&y.platforms).all(|(p, q)| {
-                    p.key == q.key
-                        && p.runfunc == q.runfunc
-                        && p.shared_object == q.shared_object
-                        && p.mean_exec == q.mean_exec
-                })
-        };
-        Arc::ptr_eq(&self.0, &other.0)
-            || (a.content_hash() == b.content_hash()
-                && a.name == b.name
-                && a.variables == b.variables
-                && a.nodes.len() == b.nodes.len()
-                && a.nodes.iter().zip(&b.nodes).all(|(x, y)| same_node(x, y)))
-    }
-}
-
-/// The length of `v` as a LEB128 varint.
-fn varint_len(v: u64) -> usize {
-    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
-}
-
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push(v as u8 | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
+    /// The workload's apps the library has, in table (name) order.
+    apps: Vec<Arc<ApplicationSpec>>,
+    bytes: Vec<u8>,
 }
 
 impl ScenarioKey {
-    /// The key of `spec`; `None` when its workload names an application
-    /// the library lacks (such a spec never compiles, so it is never
-    /// cached).
-    fn of(spec: &ScenarioSpec) -> Option<ScenarioKey> {
-        let apps = spec.workload.apps().iter();
-        let apps = apps.map(|name| Some(KeyApp(Arc::clone(spec.library.find(name)?))));
-        let apps = apps.collect::<Option<Vec<KeyApp>>>()?;
-        // Each arrival's app index and its distance from the previous
-        // arrival, sized exactly so the buffer is one allocation.
-        let pairs = spec.workload.arrivals().iter().scan(0u64, |prev, a| {
-            let delta = a.at_ns.wrapping_sub(*prev);
-            *prev = a.at_ns;
-            Some((a.app as u64, delta))
+    /// The key of `spec`. An application the library lacks is encoded
+    /// by its name, so such a spec still fingerprints, but it never
+    /// compiles and is never stored.
+    fn of(spec: &ScenarioSpec) -> ScenarioKey {
+        let ScenarioSpec {
+            library, // reached only through the workload's apps
+            platform,
+            scheduler,
+            workload,
+            timing,
+            overhead,
+            cost,
+            reservation_depth,
+            faults,
+        } = spec;
+        let mut apps = Vec::with_capacity(workload.apps().len());
+        // Room for the usual few bytes per arrival and the rest.
+        let mut w = Canon(Vec::with_capacity(4 * workload.len() + 256));
+        workload.encode(&mut w, |w, name| match library.find(name) {
+            Some(app) => {
+                w.tag(1);
+                w.uint(app.content_hash());
+                apps.push(Arc::clone(app));
+            }
+            None => {
+                w.tag(0);
+                w.bytes(name);
+            }
         });
-        let bytes = pairs.clone().map(|(app, d)| varint_len(app) + varint_len(d)).sum();
-        let mut arrivals = Vec::with_capacity(bytes);
-        for (app, delta) in pairs {
-            put_varint(&mut arrivals, app);
-            put_varint(&mut arrivals, delta);
+        encode_platform(&mut w, platform);
+        // Scheduler names resolve case-insensitively.
+        w.bytes(scheduler.to_ascii_lowercase());
+        w.tag(*timing as u8);
+        match overhead {
+            OverheadMode::Measured => w.tag(0),
+            OverheadMode::Fixed(d) => {
+                w.tag(1);
+                w.dur(*d);
+            }
+            OverheadMode::None => w.tag(2),
         }
-        Some(ScenarioKey {
-            apps,
-            arrivals,
-            time_frame: spec.workload.time_frame(),
-            platform: Arc::clone(&spec.platform),
-            scheduler: spec.scheduler.to_ascii_lowercase(),
-            timing: spec.timing,
-            overhead: spec.overhead,
-            cost: spec.cost.clone(),
-            reservation_depth: spec.reservation_depth,
-            faults: spec.faults.clone(),
-        })
+        match cost {
+            CostSpec::ScaledMeasured => w.tag(0),
+            CostSpec::Table(table) => {
+                let CostTable { entries } = &**table;
+                w.tag(1);
+                w.list(entries, |w, (kernel, classes)| {
+                    w.bytes(kernel);
+                    w.list(classes, |w, (class, d)| {
+                        w.bytes(class);
+                        w.dur(*d);
+                    });
+                });
+            }
+        }
+        w.uint(*reservation_depth as u64);
+        w.opt(faults.as_deref(), encode_faults);
+        ScenarioKey { apps, bytes: w.0 }
     }
+
+    /// True when `other` is the same scenario: equal bytes, and each
+    /// application the same `Arc` or of an equal encoding (the bytes
+    /// hold only the apps' hashes).
+    fn matches(&self, other: &ScenarioKey) -> bool {
+        self.bytes == other.bytes
+            && self.apps.iter().zip(&other.apps).all(|(a, b)| a.same_content(b))
+    }
+}
+
+fn encode_platform(w: &mut Canon, platform: &PlatformConfig) {
+    let PlatformConfig { name, pes, overlay, host_slots, contention } = platform;
+    let OverlayConfig { name: overlay_name, speed: overlay_speed } = overlay;
+    let ContentionModel { context_switch } = contention;
+    w.bytes(name);
+    w.list(pes, |w, pe| {
+        let PeDescriptor { id, name, platform_key, kind } = pe;
+        w.uint(id.0 as u64);
+        w.bytes(name);
+        w.bytes(platform_key);
+        match kind {
+            PeKind::Cpu(CpuModel { class, speed }) => {
+                w.tag(0);
+                w.bytes(class);
+                w.f64(*speed);
+            }
+            PeKind::Accel(AccelModel {
+                kind,
+                dma,
+                throughput_msps,
+                pipeline_latency,
+                max_points,
+            }) => {
+                let DmaModel { setup, bytes_per_sec } = dma;
+                w.tag(1);
+                w.bytes(kind);
+                w.dur(*setup);
+                w.f64(*bytes_per_sec);
+                w.f64(*throughput_msps);
+                w.dur(*pipeline_latency);
+                w.uint(*max_points as u64);
+            }
+        }
+    });
+    w.bytes(overlay_name);
+    w.f64(*overlay_speed);
+    w.uint(*host_slots as u64);
+    w.dur(*context_switch);
+}
+
+fn encode_faults(w: &mut Canon, faults: &FaultSpec) {
+    let FaultSpec {
+        seed,
+        permanent,
+        transient,
+        hangs,
+        retry,
+        watchdog_factor,
+        watchdog_min_wall_ms,
+    } = faults;
+    let RetryPolicy { max_retries, backoff_us, quarantine_after } = retry;
+    w.uint(*seed);
+    w.list(permanent, |w, PermanentFault { pe, at_us }| {
+        w.uint(*pe as u64);
+        w.f64(*at_us);
+    });
+    for rules in [transient, hangs] {
+        w.list(rules, |w, RateFault { kernel, pe, probability }| {
+            w.opt(kernel.as_deref(), Canon::bytes);
+            w.opt(*pe, |w, pe| w.uint(pe as u64));
+            w.f64(*probability);
+        });
+    }
+    w.uint(*max_retries as u64);
+    w.f64(*backoff_us);
+    w.uint(*quarantine_after as u64);
+    w.f64(*watchdog_factor);
+    w.f64(*watchdog_min_wall_ms);
 }
 
 /// A bounded, thread-safe result cache keyed on `(fingerprint,
@@ -819,18 +753,18 @@ impl ScenarioKey {
 ///
 /// Deterministic scenario runs are pure functions of their spec, so the
 /// stats of a previous run answer a repeat exactly. The fingerprint only
-/// finds the slot: [`Self::lookup`] confirms a hit against the
-/// [`ScenarioSpec`] by value, so two scenarios whose 64-bit fingerprints
-/// collide cost a miss, never a wrong answer. Results are held as
-/// `Arc<EmulationStats>`: under the lock a lookup only bumps refcounts,
-/// and a caller that needs its own copy clones outside it. An entry is
-/// a run's compact summary — it holds no instance memory, so a full
-/// cache of pulse-Doppler results stays a few tens of MB
+/// finds the slot: [`Self::lookup`] confirms a hit by the spec's
+/// canonical encoding, byte for byte, so two scenarios whose 64-bit
+/// fingerprints collide cost a miss, never a wrong answer. Results are
+/// held as `Arc<EmulationStats>`: under the lock a lookup only bumps
+/// refcounts, and a caller that needs its own copy clones outside it.
+/// An entry is a run's compact summary — it holds no instance memory,
+/// so a full cache of pulse-Doppler results stays a few tens of MB
 /// (`tests/cache_bytes.rs` bounds it) — and a copy shares the entry's
-/// task-log columns. Sweep workers
-/// share one cache by cloning the handle; hit/miss totals are published
-/// through `dssoc-metrics` as `dssoc_result_cache_hits` /
-/// `dssoc_result_cache_misses` once [`Self::attach_metrics`] is called.
+/// task-log columns. Sweep workers share one cache by cloning the
+/// handle; hit/miss totals are published through `dssoc-metrics` as
+/// `dssoc_result_cache_hits` / `dssoc_result_cache_misses` once
+/// [`Self::attach_metrics`] is called.
 #[derive(Clone)]
 pub struct ResultCache {
     inner: Arc<Mutex<CacheInner>>,
@@ -917,7 +851,7 @@ impl ResultCache {
             let entry = inner.map.get(&(fingerprint, engine))?;
             (Arc::clone(&entry.stats), Arc::clone(entry.key.as_ref()?))
         };
-        (ScenarioKey::of(spec)? == *key).then_some(stats)
+        key.matches(&ScenarioKey::of(spec)).then_some(stats)
     }
 
     /// Counts one lookup of a served job as a hit or a miss.
@@ -934,7 +868,8 @@ impl ResultCache {
         engine: Engine,
         stats: Arc<EmulationStats>,
     ) {
-        if let Some(key) = ScenarioKey::of(spec) {
+        let key = ScenarioKey::of(spec);
+        if key.apps.len() == spec.workload.apps().len() {
             self.put(fingerprint, engine, CacheEntry { stats, key: Some(Arc::new(key)) });
         }
     }
@@ -1372,7 +1307,15 @@ mod tests {
         assert!(!sm.is_deterministic());
         assert_eq!(sm.cell_cost(node, cpu), Duration::ZERO);
         assert_eq!(format!("{sm:?}"), "ScaledMeasured");
-        assert_ne!(sm.hash_into(0), spec.hash_into(0));
+        // The scenario encoding tags the variant, so even an empty table
+        // is another scenario.
+        let scenario = |cost| {
+            let workload = Workload::new([("a", Duration::ZERO)], None);
+            let builder = ScenarioSpec::builder().library(AppLibrary::new()).workload(workload);
+            builder.platform(zcu102(1, 1)).cost(cost).build().expect("scenario")
+        };
+        let empty = CostSpec::table(CostTable::new());
+        assert_ne!(scenario(sm).fingerprint(), scenario(empty).fingerprint());
     }
 
     #[test]

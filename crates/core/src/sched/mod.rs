@@ -32,7 +32,7 @@ pub use frfs::FrfsScheduler;
 pub use met::MetScheduler;
 pub use random::RandomScheduler;
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::time::Duration;
 
 use dssoc_appmodel::instance::InstanceId;
@@ -67,34 +67,6 @@ pub struct Assignment {
     pub pe: PeId,
 }
 
-/// FNV-1a for the estimate book's keys: the book is updated and queried
-/// per completed task in both engines, its keys are short kernel/class
-/// names from trusted application JSON, and nothing iterates it in an
-/// order-sensitive way — a multiply-xor hash beats SipHash here.
-#[derive(Debug, Clone, Copy, Default)]
-struct FnvBuild;
-
-impl std::hash::BuildHasher for FnvBuild {
-    type Hasher = Fnv1a;
-    fn build_hasher(&self) -> Fnv1a {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-#[derive(Debug)]
-struct Fnv1a(u64);
-
-impl std::hash::Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
 /// A pre-resolved `(runfunc, PE class)` key into an [`EstimateBook`]
 /// (see [`EstimateBook::slot_of`]). Only meaningful for the book that
 /// issued it.
@@ -120,14 +92,14 @@ impl EstimateSlot {
 /// an exponentially weighted moving average smooths noise.
 ///
 /// The string-keyed maps resolve a key to a stable slot in a value
-/// vector; engines that know their `(runfunc, class)` pairs up front
-/// (the DES does) resolve each once via [`Self::slot_of`] and feed
-/// observations through [`Self::observe_at`], skipping both hash
-/// lookups on the per-completion path.
+/// vector. A compiled scenario resolves each of its `(runfunc, class)`
+/// pairs once via [`Self::slot_of`]; both engines then feed
+/// observations through [`Self::observe_at`], so no name is looked up
+/// per completed task.
 #[derive(Debug, Default, Clone)]
 pub struct EstimateBook {
     // runfunc -> PE class -> slot in `values` (nested so lookups borrow).
-    slots: HashMap<String, HashMap<String, EstimateSlot, FnvBuild>, FnvBuild>,
+    slots: BTreeMap<String, BTreeMap<String, EstimateSlot>>,
     // EWMA durations; `None` = slot reserved but nothing observed yet.
     pub(crate) values: Vec<Option<Duration>>,
 }
@@ -176,25 +148,6 @@ impl EstimateBook {
             }
             None => d,
         });
-    }
-
-    /// Makes this book a copy of `proto` (slot map and values), reusing
-    /// existing allocations where the collections allow. The warm-run
-    /// reset path for books whose slot map came from a *different*
-    /// scenario (or nowhere).
-    pub fn reset_from(&mut self, proto: &EstimateBook) {
-        self.slots.clone_from(&proto.slots);
-        self.values.clone_from(&proto.values);
-    }
-
-    /// Values-only reset: overwrites the EWMA vector from `proto`,
-    /// leaving the slot map untouched. Sound only when this book's slot
-    /// map is already identical to `proto`'s — the DES guarantees that
-    /// by keying reuse on the compiled scenario's fingerprint (slots are
-    /// never added during a run; only [`Self::observe_at`] runs there).
-    pub fn reset_values_from(&mut self, proto: &EstimateBook) {
-        debug_assert_eq!(self.values.len(), proto.values.len());
-        self.values.clone_from(&proto.values);
     }
 
     /// Number of `(runfunc, class)` pairs observed so far.

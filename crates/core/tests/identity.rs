@@ -19,10 +19,11 @@ use proptest::prelude::*;
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec};
 use dssoc_appmodel::workload::{InjectionParams, Workload, WorkloadSpec};
 use dssoc_core::engine::{OverheadMode, TimingMode};
-use dssoc_core::fault::{FaultSpec, RateFault};
+use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault};
 use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioSpec};
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
+use dssoc_platform::pe::{AccelModel, PeKind, PlatformConfig};
 use dssoc_platform::presets::zcu102;
 
 const APPS: [&str; 3] = ["range_detection", "wifi_tx", "wifi_rx"];
@@ -193,6 +194,53 @@ proptest! {
         cases.push(("an unused app's estimate", with(&|b| {
             b.library = Arc::new(cloned_library(Some("pulse_doppler")));
         }), Some(true)));
+        cases.push(("no time frame", workload(Workload::new(
+            wl.arrivals().iter().map(|&a| (wl.app_of(a), a.at())),
+            None,
+        )), Some(false)));
+        let platform = |f: &dyn Fn(&mut PlatformConfig)| with(&|b| {
+            let mut p = (*b.platform).clone();
+            f(&mut p);
+            b.platform = Arc::new(p);
+        });
+        let accel = |f: &dyn Fn(&mut AccelModel)| platform(&|p| {
+            let fft = p.pes.iter_mut().find_map(|pe| match &mut pe.kind {
+                PeKind::Accel(a) => Some(a),
+                PeKind::Cpu(_) => None,
+            });
+            f(fft.expect("an accelerator"));
+        });
+        cases.push(("a core's speed", platform(&|p| {
+            let PeKind::Cpu(cpu) = &mut p.pes[0].kind else { panic!("PE 0 is a core") };
+            cpu.speed *= 2.0;
+        }), Some(false)));
+        cases.push(("the DMA setup", accel(&|a| a.dma.setup += Duration::from_nanos(1)), Some(false)));
+        cases.push(("the FFT throughput", accel(&|a| a.throughput_msps *= 2.0), Some(false)));
+        cases.push(("the pipeline latency", accel(&|a| {
+            a.pipeline_latency += Duration::from_nanos(1);
+        }), Some(false)));
+        cases.push(("the max points", accel(&|a| a.max_points += 1), Some(false)));
+        cases.push(("the overlay speed", platform(&|p| p.overlay.speed *= 2.0), Some(false)));
+        cases.push(("the context switch", platform(&|p| {
+            p.contention.context_switch += Duration::from_nanos(1);
+        }), Some(false)));
+        cases.push(("the host slots", platform(&|p| p.host_slots += 1), Some(false)));
+        let fault = |f: &dyn Fn(&mut FaultSpec)| with(&|b| {
+            let mut spec = (*faults(7)).clone();
+            f(&mut spec);
+            b.faults = Some(Arc::new(spec));
+        });
+        cases.push(("a permanent fault", fault(&|f| {
+            f.permanent.push(PermanentFault { pe: 0, at_us: 5.0 });
+        }), Some(false)));
+        cases.push(("a hang rule", fault(&|f| {
+            f.hangs.push(RateFault { kernel: None, pe: Some(0), probability: 0.1 });
+        }), Some(false)));
+        cases.push(("the retry count", fault(&|f| f.retry.max_retries += 1), Some(false)));
+        cases.push(("the retry backoff", fault(&|f| f.retry.backoff_us += 1.0), Some(false)));
+        cases.push(("the quarantine count", fault(&|f| f.retry.quarantine_after += 1), Some(false)));
+        cases.push(("the watchdog factor", fault(&|f| f.watchdog_factor += 1.0), Some(false)));
+        cases.push(("the watchdog floor", fault(&|f| f.watchdog_min_wall_ms += 1.0), Some(false)));
 
         let fp = a.fingerprint();
         for (what, b, same) in cases {
@@ -206,4 +254,43 @@ proptest! {
             }
         }
     }
+}
+
+/// Stores `a`, then looks `b` up under `a`'s fingerprint: a miss, and
+/// the fingerprints differ.
+fn assert_distinct(a: &ScenarioSpec, b: &ScenarioSpec) {
+    let cache = ResultCache::new(1);
+    cache.store(a, a.fingerprint(), Engine::Des, some_stats());
+    assert!(cache.lookup(b, a.fingerprint(), Engine::Des).is_none());
+    assert_ne!(a.fingerprint(), b.fingerprint());
+}
+
+/// Variants that carry nothing, or a zero, are still tagged apart.
+#[test]
+fn tagged_variants_are_distinct_scenarios() {
+    let wl = |frame| Workload::new([("wifi_tx", Duration::ZERO)], frame);
+    let overhead = |overhead| ScenarioSpec { overhead, ..base_spec(wl(None)) };
+    assert_distinct(&overhead(OverheadMode::Fixed(Duration::ZERO)), &overhead(OverheadMode::None));
+    assert_distinct(&base_spec(wl(None)), &base_spec(wl(Some(Duration::ZERO))));
+}
+
+/// One fixed scenario's fingerprint, pinned: served fingerprints move
+/// only when the encoding (or a standard app, or the preset) is changed
+/// on purpose.
+#[test]
+fn a_fixed_scenario_keeps_its_fingerprint() {
+    let arrivals = [("wifi_tx", Duration::ZERO), ("range_detection", Duration::from_micros(5))];
+    let spec = base_spec(Workload::new(arrivals, Some(Duration::from_millis(1))));
+    assert_eq!(spec.fingerprint().to_string(), "5795754b543ce7f1");
+}
+
+/// A spec naming an app the library lacks fingerprints by the app's
+/// name, but is never stored.
+#[test]
+fn a_spec_with_an_unknown_app_is_never_stored() {
+    let ghost = |name: &str| base_spec(Workload::new([(name, Duration::ZERO)], None));
+    assert_ne!(ghost("ghost").fingerprint(), ghost("phantom").fingerprint());
+    let cache = ResultCache::new(1);
+    cache.store(&ghost("ghost"), ghost("ghost").fingerprint(), Engine::Des, some_stats());
+    assert!(cache.is_empty());
 }

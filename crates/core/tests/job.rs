@@ -394,6 +394,36 @@ fn forced_fingerprint_collisions_miss_and_run_their_own_scenario() {
     }
 }
 
+/// A warm engine's estimate book takes only the prototype's values, so
+/// a scenario compiled under another's fingerprint runs on it exactly
+/// as on a fresh runner, although the two books' slot maps differ.
+#[test]
+fn a_warm_engine_runs_a_collided_scenario_like_a_fresh_one() {
+    let (library, _registry) = standard_library();
+    let spec = |app: &str| {
+        let workload = WorkloadSpec::validation([(app, 2usize)]).generate(&library);
+        ScenarioSpec::builder()
+            .library(library.clone())
+            .platform(zcu102(2, 1))
+            .scheduler("met")
+            .workload(workload.expect("workload"))
+            .overhead(OverheadMode::None)
+            .cost(CostSpec::table(CostTable::new()))
+            .build()
+            .expect("spec")
+    };
+    let mut jobs = JobRunner::new();
+    let first = CompiledScenario::compile(spec("wifi_tx")).expect("compile");
+    jobs.run(&first, Engine::Des).expect("first run");
+    let fp = first.fingerprint();
+    let collided = CompiledScenario::compile_fingerprinted(spec("range_detection"), fp);
+    let collided = collided.expect("compile");
+    let warm = jobs.run(&collided, Engine::Des).expect("warm run");
+    assert!(!warm.cached);
+    let fresh = JobRunner::new().run(&collided, Engine::Des).expect("fresh run");
+    assert_eq!(stats_skeleton(&warm.stats), stats_skeleton(&fresh.stats));
+}
+
 /// Fingerprint-only entries (`insert`/`get`) and by-value entries
 /// (`store`/`lookup`) never answer each other's lookups, and only
 /// `get` counts on its own.
