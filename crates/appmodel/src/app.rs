@@ -17,6 +17,7 @@ use crate::error::ModelError;
 use crate::hash::{hash_bytes, Canon};
 use crate::json::{AppJson, VariableJson};
 use crate::memory::VarDecls;
+use crate::name::Name;
 use crate::registry::{Kernel, KernelRegistry};
 
 /// A node's supported platform with its kernel resolved.
@@ -25,7 +26,7 @@ pub struct ResolvedPlatform {
     /// Platform key (`"cpu"`, `"fft"`, ...).
     pub key: String,
     /// The runfunc symbol name (used for cost-table lookups and stats).
-    pub runfunc: String,
+    pub runfunc: Name,
     /// `runfunc`'s process-wide id (see [`runfunc_id`](crate::registry::runfunc_id)).
     pub runfunc_id: u32,
     /// The shared object the kernel came from.
@@ -51,7 +52,7 @@ impl std::fmt::Debug for ResolvedPlatform {
 #[derive(Debug, Clone)]
 pub struct NodeSpec {
     /// Node name from the JSON.
-    pub name: String,
+    pub name: Name,
     /// Dense index of this node within [`ApplicationSpec::nodes`].
     pub index: usize,
     /// Argument variable names, in kernel order.
@@ -79,12 +80,16 @@ impl NodeSpec {
 /// A validated application ready to instantiate.
 ///
 /// Built only through [`Self::new`] (or [`Self::from_json`]), which
-/// derives the roots and the content hash from the rest, and handed out
-/// behind an `Arc`, so the two always describe the fields beside them.
+/// derives the topology and the content hash from the rest, and handed
+/// out behind an `Arc`, so they always describe the fields beside them.
+/// Like the paper's runtime, which parses each application's DAG once
+/// at startup, everything a run reads per application — its names and
+/// its DAG in CSR form — is built here, once per loaded application;
+/// each arrival adds only its own id and time.
 #[derive(Debug)]
 pub struct ApplicationSpec {
     /// The application's `AppName`.
-    pub name: String,
+    pub name: Name,
     /// Variable declarations, shared by every instance's memory.
     pub variables: Arc<VarDecls>,
     /// Nodes in deterministic (JSON-name) order.
@@ -92,17 +97,48 @@ pub struct ApplicationSpec {
     /// Indices of nodes with no predecessors (the "head nodes" injected
     /// into the ready list on application arrival).
     pub roots: Vec<usize>,
+    /// Predecessor count per node: what a run's per-task countdown
+    /// starts from.
+    pub preds: Vec<u32>,
+    /// CSR offsets into [`Self::succ`], one per node plus one: node
+    /// `i`'s successors are `succ[succ_off[i]..succ_off[i + 1]]`.
+    pub succ_off: Vec<u32>,
+    /// Every node's successor indices, concatenated in node order.
+    pub succ: Vec<u32>,
     content_hash: u64,
 }
 
 impl ApplicationSpec {
     /// Assembles a spec from already validated parts, deriving its roots
-    /// and hashing its content once.
-    pub fn new(name: String, variables: Arc<VarDecls>, nodes: Vec<NodeSpec>) -> Arc<Self> {
+    /// and CSR topology and hashing its content once.
+    pub fn new(name: impl Into<Name>, variables: Arc<VarDecls>, nodes: Vec<NodeSpec>) -> Arc<Self> {
         let roots = nodes.iter().filter(|n| n.predecessors.is_empty()).map(|n| n.index).collect();
-        let mut spec = ApplicationSpec { name, variables, nodes, roots, content_hash: 0 };
+        let preds = nodes.iter().map(|n| n.predecessors.len() as u32).collect();
+        let mut succ_off = Vec::with_capacity(nodes.len() + 1);
+        let mut succ = Vec::with_capacity(nodes.iter().map(|n| n.successors.len()).sum());
+        succ_off.push(0);
+        for node in &nodes {
+            succ.extend(node.successors.iter().map(|&s| s as u32));
+            succ_off.push(succ.len() as u32);
+        }
+        let mut spec = ApplicationSpec {
+            name: name.into(),
+            variables,
+            nodes,
+            roots,
+            preds,
+            succ_off,
+            succ,
+            content_hash: 0,
+        };
         spec.content_hash = hash_bytes(&spec.encoding());
         Arc::new(spec)
+    }
+
+    /// The successor indices of node `node` (its CSR row).
+    #[inline]
+    pub fn successors(&self, node: usize) -> &[u32] {
+        &self.succ[self.succ_off[node] as usize..self.succ_off[node + 1] as usize]
     }
 
     /// The hash of the app's canonical encoding, computed once when the
@@ -124,10 +160,20 @@ impl ApplicationSpec {
     /// application: its name, variables, and every node's name,
     /// arguments, edges and platforms.
     fn encoding(&self) -> Vec<u8> {
-        // The roots and the hash are derived from the rest.
-        let ApplicationSpec { name, variables, nodes, roots: _, content_hash: _ } = self;
+        // The roots, the CSR topology and the hash are derived from the
+        // rest.
+        let ApplicationSpec {
+            name,
+            variables,
+            nodes,
+            roots: _,
+            preds: _,
+            succ_off: _,
+            succ: _,
+            content_hash: _,
+        } = self;
         let mut w = Canon::default();
-        w.bytes(name);
+        w.bytes(name.as_str());
         w.list(variables.iter(), |w, (name, var)| {
             let VariableJson { bytes, is_ptr, ptr_alloc_bytes, val } = var;
             w.bytes(name);
@@ -138,7 +184,7 @@ impl ApplicationSpec {
         });
         w.list(nodes, |w, node| {
             let NodeSpec { name, index, arguments, predecessors, successors, platforms } = node;
-            w.bytes(name);
+            w.bytes(name.as_str());
             w.uint(*index as u64);
             w.list(arguments, |w, a| w.bytes(a));
             w.list(predecessors, |w, &p| w.uint(p as u64));
@@ -155,7 +201,7 @@ impl ApplicationSpec {
                     mean_exec,
                 } = p;
                 w.bytes(key);
-                w.bytes(runfunc);
+                w.bytes(runfunc.as_str());
                 w.bytes(shared_object);
                 w.opt(*mean_exec, Canon::dur);
             });
@@ -221,7 +267,7 @@ impl ApplicationSpec {
                 let kernel = registry.resolve(so, &p.runfunc)?;
                 platforms.push(ResolvedPlatform {
                     key: p.name.clone(),
-                    runfunc: p.runfunc.clone(),
+                    runfunc: Name::from(p.runfunc.as_str()),
                     runfunc_id: crate::registry::runfunc_id(&p.runfunc),
                     shared_object: so.to_string(),
                     kernel,
@@ -229,7 +275,7 @@ impl ApplicationSpec {
                 });
             }
             nodes.push(NodeSpec {
-                name: name.clone(),
+                name: Name::from(name.as_str()),
                 index: i,
                 arguments: node.arguments.clone(),
                 predecessors: edges.iter().filter(|(_, t)| *t == i).map(|(f, _)| *f).collect(),
@@ -257,10 +303,10 @@ impl ApplicationSpec {
         }
         if visited != nodes.len() {
             let stuck = indegree.iter().position(|&d| d > 0).unwrap_or(0);
-            return Err(ModelError::Cyclic { node: nodes[stuck].name.clone() });
+            return Err(ModelError::Cyclic { node: nodes[stuck].name.to_string() });
         }
 
-        Ok(ApplicationSpec::new(json.app_name.clone(), variables, nodes))
+        Ok(ApplicationSpec::new(json.app_name.as_str(), variables, nodes))
     }
 
     /// Number of tasks one instance of this application contributes.
@@ -290,7 +336,7 @@ impl AppLibrary {
     /// Registers an application (replacing any previous one of the same
     /// name).
     pub fn register(&mut self, spec: Arc<ApplicationSpec>) {
-        self.apps.insert(spec.name.clone(), spec);
+        self.apps.insert(spec.name.to_string(), spec);
     }
 
     /// Parses a JSON application against `registry` and registers it.
@@ -425,6 +471,12 @@ mod tests {
         assert_eq!(d.predecessors.len(), 2);
         assert!(d.supports("cpu"));
         assert!(!d.supports("fft"));
+        // The CSR topology mirrors the nodes' edge lists.
+        assert_eq!(spec.preds, [0, 1, 1, 2]);
+        assert_eq!(spec.succ_off, [0, 2, 3, 4, 4]);
+        assert_eq!(spec.successors(0), [1, 2]);
+        assert_eq!(spec.successors(3), [] as [u32; 0]);
+        assert_eq!(spec.roots, [0]);
     }
 
     /// Equal specs hash equal whatever their `Arc`; any field a run

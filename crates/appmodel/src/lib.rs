@@ -17,7 +17,8 @@
 //!   that kernels use through a [`memory::TaskCtx`].
 //! * [`app`] — parsed and validated application specifications (DAG
 //!   topology checks, symbol resolution, argument checking), each
-//!   content-hashed once when built ([`hash`] holds the mixers).
+//!   content-hashed once when built ([`hash`] holds the mixers), with
+//!   their [`name`]s and CSR topology derived once when loaded.
 //! * [`instance`] — instantiated applications: a spec plus freshly
 //!   initialized memory and an arrival timestamp.
 //! * [`workload`] — workload generation in the paper's two operation
@@ -30,6 +31,7 @@ pub mod hash;
 pub mod instance;
 pub mod json;
 pub mod memory;
+pub mod name;
 pub mod registry;
 pub mod workload;
 
@@ -38,5 +40,6 @@ pub use error::ModelError;
 pub use instance::{AppInstance, InstanceId};
 pub use json::{AppJson, NodeJson, PlatformJson, VariableJson};
 pub use memory::{AccelPort, AppMemory, TaskCtx, VarDecls};
+pub use name::Name;
 pub use registry::{Kernel, KernelFn, KernelRegistry};
 pub use workload::{Arrival, InjectionParams, OperationMode, Workload, WorkloadSpec};

@@ -32,7 +32,6 @@ use crate::app::{AppLibrary, ApplicationSpec};
 use crate::error::ModelError;
 use crate::hash::Canon;
 use crate::instance::{AppInstance, InstanceId};
-use crate::memory::AppMemory;
 
 /// Per-application parameters for performance mode.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -369,34 +368,6 @@ impl Workload {
             .map(|(i, a)| {
                 let spec = Arc::clone(&specs[a.app as usize]);
                 AppInstance::instantiate(spec, InstanceId(i as u64), a.at())
-            })
-            .collect()
-    }
-
-    /// Like [`Self::instantiate`], but all instances of the same
-    /// application share one initialized memory image instead of
-    /// allocating and initializing a private copy each.
-    ///
-    /// This is only sound for engines that never execute kernels — the
-    /// discrete-event simulator, which takes task durations from cost
-    /// estimates and never writes instance memory. There the shared
-    /// image is observationally identical to per-instance copies (both
-    /// stay at their initial values), and skipping the per-instance
-    /// allocation and initialization removes the dominant setup cost of
-    /// many-instance simulation runs.
-    ///
-    /// `specs` is the app table already resolved ([`Self::resolve`]).
-    pub fn instantiate_shared(&self, specs: &[Arc<ApplicationSpec>]) -> Vec<AppInstance> {
-        let memories: Vec<Arc<AppMemory>> =
-            specs.iter().map(|s| AppMemory::for_decls(Arc::clone(&s.variables))).collect();
-        self.arrivals
-            .iter()
-            .enumerate()
-            .map(|(i, a)| AppInstance {
-                id: InstanceId(i as u64),
-                spec: Arc::clone(&specs[a.app as usize]),
-                memory: Arc::clone(&memories[a.app as usize]),
-                arrival: a.at(),
             })
             .collect()
     }

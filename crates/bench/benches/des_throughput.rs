@@ -12,8 +12,8 @@
 //! Two paths are measured per size:
 //!
 //! - **cold** — `DesSimulator::run`: compile + `run_compiled`. The
-//!   config is lowered to a `ScenarioSpec` and compiled afresh (shared
-//!   instance images, name table, SoA slabs, estimate book) every run,
+//!   config is lowered to a `ScenarioSpec` and compiled afresh (key,
+//!   name table, SoA slabs, estimate book) every run,
 //!   then simulated on the warm scratch arena. This is the one-off path
 //!   of a library caller.
 //! - **warm** — `DesSimulator::run_compiled` against one

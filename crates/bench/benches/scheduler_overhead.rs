@@ -71,7 +71,9 @@ fn bench_policies(c: &mut Criterion) {
     let mut g = c.benchmark_group("scheduler_invocation");
     for len in [16usize, 128, 1024, 4096] {
         let scenario = ready_scenario(len, &platform);
-        let inst = scenario.instances()[0].id.0 as u32;
+        // Instance ids are arrival indices: the one arrival is instance 0.
+        assert_eq!(scenario.spec().workload.len(), 1);
+        let inst = 0;
         let entries: Vec<DenseReady> = (0..len as u32)
             .map(|i| DenseReady { inst, node: i, ready_ns: i as u64, seq: i as u64 })
             .collect();

@@ -33,11 +33,9 @@
 //! [`JobRunner`]: crate::job::JobRunner
 //! [`TaskRecord`]: crate::stats::TaskRecord
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::error::ModelError;
-use dssoc_appmodel::instance::AppInstance;
 use dssoc_trace::FaultKind;
 
 use crate::calq::{CalendarQueue, Timed};
@@ -277,29 +275,18 @@ pub(crate) struct DagState {
 }
 
 impl DagState {
-    /// Lays out the countdowns for `instances` of `scenario`; returns the
+    /// Lays out the countdowns for the arrivals of `scenario` (instance
+    /// `i` is arrival `i`, of the app its index names); returns the
     /// run's task count.
-    fn prepare(&mut self, scenario: &CompiledScenario, instances: &[Arc<AppInstance>]) -> u32 {
-        let (soa, names) = (scenario.soa(), scenario.names());
-        let inst_top = instances.iter().map(|i| i.id.0 as usize + 1).max().unwrap_or(0);
-        self.remaining_tasks.resize(inst_top, 0);
-        for inst in instances {
-            self.remaining_tasks[inst.id.0 as usize] = soa.specs[names.spec_index(inst.id)].n_nodes;
+    fn prepare(&mut self, scenario: &CompiledScenario) -> u32 {
+        let specs = scenario.names().specs();
+        for arrival in scenario.spec().workload.arrivals() {
+            let preds = &specs[arrival.app as usize].preds;
+            self.inst_base.push(self.remaining_preds.len() as u32);
+            self.remaining_tasks.push(preds.len() as u32);
+            self.remaining_preds.extend_from_slice(preds);
         }
-        self.inst_base.resize(inst_top, 0);
-        let mut flat_total = 0u32;
-        for i in 0..inst_top {
-            self.inst_base[i] = flat_total;
-            flat_total += self.remaining_tasks[i];
-        }
-        self.remaining_preds.resize(flat_total as usize, 0);
-        for inst in instances {
-            let base = self.inst_base[inst.id.0 as usize] as usize;
-            let spec = &soa.specs[names.spec_index(inst.id)];
-            self.remaining_preds[base..base + spec.preds_init.len()]
-                .copy_from_slice(&spec.preds_init);
-        }
-        flat_total
+        self.remaining_preds.len() as u32
     }
 
     /// Records task `(inst, node)` of `spec` finishing at `at`: each
@@ -316,9 +303,7 @@ impl DagState {
     ) -> bool {
         // CSR successor walk over flat countdowns.
         let base = self.inst_base[inst as usize];
-        let lo = spec.succ_off[node as usize] as usize;
-        let hi = spec.succ_off[node as usize + 1] as usize;
-        for &succ in &spec.succ[lo..hi] {
+        for &succ in spec.app.successors(node as usize) {
             let flat = (base + succ) as usize;
             self.remaining_preds[flat] -= 1;
             if self.remaining_preds[flat] == 0 {
@@ -374,8 +359,6 @@ impl ViewScratch {
 pub(crate) struct RunScratch {
     /// Flat DAG countdowns.
     pub dag: DagState,
-    /// DES: `(arrival, instance slice index)`, sorted; drained by cursor.
-    pub arrival_order: Vec<(SimTime, u32)>,
     /// Completed-task columns, materialized to records at end of run.
     pub done: DoneColumns,
     /// DES: the completion event calendar queue.
@@ -413,7 +396,6 @@ impl Default for RunScratch {
     fn default() -> Self {
         RunScratch {
             dag: DagState::default(),
-            arrival_order: Vec::new(),
             done: DoneColumns::default(),
             events: CalendarQueue::new(),
             due: Vec::new(),
@@ -436,7 +418,6 @@ impl RunScratch {
     /// is left to [`Self::begin`].
     pub fn reset(&mut self) {
         self.dag.clear();
-        self.arrival_order.clear();
         self.done.clear();
         self.events.clear();
         self.due.clear();
@@ -456,15 +437,13 @@ impl RunScratch {
         self.ready_buf = ready.into_buffer();
     }
 
-    /// Resets the arena for one run of `scenario` over `instances` (the
-    /// scenario's shared images or fresh private ones — ids and spec
-    /// mapping are the same): lays out the DAG countdowns, right-sizes
-    /// the completion columns, and restores the estimate book. Returns
-    /// the run's task count.
-    pub fn begin(&mut self, scenario: &CompiledScenario, instances: &[Arc<AppInstance>]) -> usize {
+    /// Resets the arena for one run of `scenario`, whose instances are
+    /// its workload's arrivals: lays out the DAG countdowns and restores
+    /// the estimate book. Returns the run's task count.
+    pub fn begin(&mut self, scenario: &CompiledScenario) -> usize {
         self.reset();
         self.estimates.values.clone_from(&scenario.estimates_ref().values);
-        self.dag.prepare(scenario, instances) as usize
+        self.dag.prepare(scenario) as usize
     }
 }
 
@@ -557,22 +536,18 @@ mod tests {
         s.dag.inst_base.extend(0..100);
         s.dag.remaining_preds.extend(0..100);
         s.dag.remaining_tasks.extend(0..100);
-        s.arrival_order.extend((0..100).map(|i| (SimTime(i), i as u32)));
         for i in 0..100 {
             s.done.push(i, 0, 0, 0, i as u64, 1);
             s.events.push(ev(i as u64, i, 0, i as u64));
         }
         s.due.push(ev(1, 0, 0, 0));
         s.assignments.push(Assignment { ready_idx: 0, pe: dssoc_platform::pe::PeId(0) });
-        let caps = (s.dag.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity());
+        let caps = (s.dag.inst_base.capacity(), s.due.capacity(), s.done.inst.capacity());
         s.reset();
         assert_eq!(s.dag.inst_base.len(), 0);
         assert_eq!(s.done.len(), 0);
         assert!(s.events.is_empty());
-        assert_eq!(
-            (s.dag.inst_base.capacity(), s.arrival_order.capacity(), s.done.inst.capacity()),
-            caps
-        );
+        assert_eq!((s.dag.inst_base.capacity(), s.due.capacity(), s.done.inst.capacity()), caps);
         // Refill after reset: still works, no stale state.
         s.events.push(ev(3, 1, 1, 0));
         s.events.push(ev(2, 0, 0, 1));

@@ -34,10 +34,11 @@
 //!   sorted cursor, so the queue only ever holds in-flight completions
 //!   (at most one per PE);
 //! * scenario state is struct-of-arrays ([`ScenarioSoa`]): per-spec
-//!   dense slabs hold the modeled cost (ns), estimate slot, and interned
-//!   runfunc per `(node, PE)` pair — one array probe each, with an
-//!   [`INCOMPATIBLE`] sentinel doubling as the compatibility test — the
-//!   per-node PE-compatibility bitmask, and the DAG in CSR form;
+//!   dense slabs hold the modeled cost (ns), estimate slot, and runfunc
+//!   name per `(node, PE)` pair — one array probe each, with an
+//!   [`INCOMPATIBLE`] sentinel doubling as the compatibility test — and
+//!   the per-node PE-compatibility bitmask, beside the app's DAG in CSR
+//!   form (derived once when the app was loaded);
 //!   per-run instance state (predecessor countdowns, remaining-task
 //!   counts) lives in flat arrays indexed by `inst_base[instance] +
 //!   node`, so the completion path touches one cache line per field
@@ -64,9 +65,9 @@
 //!   runs without freeing (and gets its buffers back even when a run
 //!   stops early), so warm [`JobRunner`](crate::job::JobRunner) engines
 //!   and repeat-iteration sweep cells run the hot loop allocation-free
-//!   *across* runs, not just within one. Instances of one application
-//!   share one read-only memory image
-//!   ([`Workload::instantiate_shared`]), and policies write assignments
+//!   *across* runs, not just within one. An instance is only its
+//!   arrival — the workload's `(app index, ns)` pair, with no memory
+//!   image, since nothing executes — and policies write assignments
 //!   into a reused buffer ([`Scheduler::schedule_into`]).
 //!
 //! [`TaskRecord`]: crate::stats::TaskRecord
@@ -94,7 +95,7 @@ use crate::exec::{
 };
 use crate::fault::{FaultDecision, FaultSpec};
 use crate::intern::NameTable;
-use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
+use crate::job::{CompiledScenario, CostSpec, Engine, ScenarioSpec};
 use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::sched::{EstimateBook, EstimateSlot, PeView, ReadyView, SchedContext, Scheduler};
 use crate::stats::{DenseTaskLog, EmulationStats};
@@ -237,11 +238,13 @@ impl DesSimulator {
         self.run_compiled(scheduler, &scenario, None, None)
     }
 
-    /// Simulates a precompiled scenario, reusing its shared instance
-    /// images, name table, SoA cost slabs, slot-assigned estimate book,
-    /// and fault plan — nothing scenario-derived is rebuilt.
-    /// Compatibility was preflighted at compile time; the warm estimate
-    /// book takes only the prototype's values.
+    /// Simulates a precompiled scenario, reusing its name table, SoA
+    /// cost slabs, slot-assigned estimate book, and fault plan — nothing
+    /// scenario-derived is rebuilt. Compatibility was preflighted at
+    /// compile time; the warm estimate book takes only the prototype's
+    /// values. A scenario the DES cannot run
+    /// ([`ScenarioSpec::check_engine`]) is refused with
+    /// [`EmuError::Config`].
     ///
     /// `trace` records this run only, in place of the configured sink.
     /// `cancel` is polled (relaxed) once per clock advance; when it
@@ -256,6 +259,7 @@ impl DesSimulator {
         trace: Option<&TraceSink>,
         cancel: Option<&AtomicBool>,
     ) -> Result<EmulationStats, EmuError> {
+        scenario.spec().check_engine(Engine::Des)?;
         // Split the warm scratch and the metric cells out of `self` (so
         // the loop can borrow `&self` and them disjointly); both return.
         let mut scratch = std::mem::take(&mut self.scratch);
@@ -280,14 +284,17 @@ impl DesSimulator {
         s: &mut RunScratch,
         mut metrics: Option<&mut EngineMetrics>,
     ) -> Result<EmulationStats, EmuError> {
-        let instances = scenario.instances();
         let names_arc = &scenario.names;
         let names: &NameTable = names_arc;
         let soa = scenario.soa();
         let plan = scenario.plan();
+        // Instance `i` is arrival `i`; arrivals are in time order, ties
+        // in instantiation order, so they are drained by cursor and
+        // never pay queue traffic.
+        let arrivals = scenario.spec().workload.arrivals();
         // The completion columns leave with the stats at end of run, so
         // right-size them up front (the run's task count is known).
-        let total = s.begin(scenario, instances);
+        let total = s.begin(scenario);
         s.done.reserve(total);
 
         // DES PEs have no reservation queues (depth 0); the busy map
@@ -296,10 +303,9 @@ impl DesSimulator {
         let label = format!("{} (DES)", scheduler.name());
         let trace = trace.map(|t| (t, label.as_str(), "des"));
         let m = metrics.as_deref_mut();
-        let mut p = RunParts::new(&self.platform, 0, m, names, trace, instances, s);
+        let mut p = RunParts::new(&self.platform, 0, m, scenario, trace, s);
         let RunScratch {
             dag,
-            arrival_order,
             done,
             events,
             due,
@@ -311,15 +317,6 @@ impl DesSimulator {
             ..
         } = &mut *s;
 
-        // Arrivals are known up front: sorted once by (time, instance
-        // order) and drained by cursor, they never pay queue traffic.
-        arrival_order.extend(
-            instances
-                .iter()
-                .enumerate()
-                .map(|(i, inst)| (SimTime::from_duration(inst.arrival), i as u32)),
-        );
-        arrival_order.sort_unstable_by_key(|&(t, i)| (t, i));
         let mut next_arrival = 0usize;
         let mut event_seq = 0u64;
 
@@ -394,9 +391,8 @@ impl DesSimulator {
                     p.sink.trace_task(pe, (id.0, ev.node), ev.ready_at, start, ev.time);
                 }
                 if dag.complete(spec, ev.inst, ev.node, ev.time, &mut p.ready) {
-                    let inst = &instances[ev.inst as usize];
                     let state = faults.as_ref().map(|f| &f.state);
-                    p.sink.finish_instance(inst, ev.time, state);
+                    p.sink.finish_instance(ev.inst, arrivals[ev.inst as usize], ev.time, state);
                 }
             }
             // Release due retries into the ready list, in deterministic
@@ -404,14 +400,12 @@ impl DesSimulator {
             if !retries.is_empty() {
                 release_retries(retries, clock, &mut p.ready);
             }
-            while next_arrival < arrival_order.len() && arrival_order[next_arrival].0 <= clock {
-                let (at, idx) = arrival_order[next_arrival];
+            while let Some(a) = arrivals.get(next_arrival).filter(|a| SimTime(a.at_ns) <= clock) {
+                let (inst, at) = (next_arrival as u32, SimTime(a.at_ns));
                 next_arrival += 1;
-                let inst = &instances[idx as usize];
-                p.tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
-                let spec = &soa.specs[names.spec_index(inst.id)];
-                for &root in &spec.roots {
-                    p.ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
+                p.tracer.emit(at, TraceKind::AppArrive { instance: inst as u64 });
+                for &root in &soa.specs[a.app as usize].app.roots {
+                    p.ready.push_entry(DenseReady::new(inst, root as u32, at));
                 }
             }
 
@@ -494,7 +488,7 @@ impl DesSimulator {
             // Advance to the next event (completion, arrival, or retry
             // release).
             let next_completion = events.peek_time().map(SimTime);
-            let next_arr = arrival_order.get(next_arrival).map(|&(t, _)| t);
+            let next_arr = arrivals.get(next_arrival).map(|a| SimTime(a.at_ns));
             let next_retry = retries.iter().map(|r| r.release).min();
             match next_completion.into_iter().chain(next_arr).chain(next_retry).min() {
                 Some(t) => clock = clock.max(t),
@@ -521,14 +515,14 @@ impl DesSimulator {
         outcome?;
 
         // The completion columns ARE the run's task log: hand them (with
-        // the scenario's interned names) to the stats, which materialize
+        // the scenario's name table) to the stats, which materialize
         // fat records only if a consumer reads them.
         let log = DenseTaskLog {
             cols: std::mem::take(&mut s.done),
             names: Arc::clone(names_arc),
-            pes: pe_ids,
+            platform: Arc::clone(&self.platform),
         };
-        Ok(p.sink.finish(&self.platform, label, log))
+        Ok(p.sink.finish(label, log))
     }
 }
 

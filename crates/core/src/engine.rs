@@ -102,7 +102,7 @@ use std::time::{Duration, Instant};
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::error::ModelError;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
-use dssoc_appmodel::workload::Workload;
+use dssoc_appmodel::workload::{Arrival, Workload};
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink};
@@ -569,11 +569,11 @@ impl Emulation {
     /// Runs a precompiled scenario, reusing its name table, SoA
     /// compatibility and estimate tables, and fault plan, and returns
     /// the run's summary. Kernels mutate instance memory, so the
-    /// threaded engine instantiates fresh private instances per run; ids
-    /// and spec mapping match the scenario's shared images by
-    /// construction, which is what keeps the precompiled tables valid.
-    /// The private instances are freed when the run returns. Compatibility
-    /// was preflighted at compile time.
+    /// threaded engine instantiates fresh private instances per run;
+    /// instance `i` is the workload's arrival `i`, the numbering the
+    /// precompiled tables and the run's bookkeeping use. The private
+    /// instances are freed when the run returns. Compatibility was
+    /// preflighted at compile time.
     ///
     /// `trace` records this run only — the driver and every resource
     /// manager — in place of the configured sink, which is back in
@@ -646,7 +646,7 @@ impl Emulation {
         mut metrics: Option<&mut EngineMetrics>,
     ) -> Result<EmulationStats, EmuError> {
         let platform = &*self.platform;
-        let total = s.begin(scenario, instances);
+        let total = s.begin(scenario);
         s.done.reserve_host(total);
         s.ready_at.resize(platform.pes.len(), SimTime::ZERO);
         s.started.resize(platform.pes.len(), SimTime::ZERO);
@@ -655,7 +655,7 @@ impl Emulation {
         let depth = spec.reservation_depth;
         let (names, soa) = (scenario.names(), scenario.soa());
         let m = metrics.as_deref_mut();
-        let mut p = RunParts::new(platform, depth, m, names, trace, instances, s);
+        let mut p = RunParts::new(platform, depth, m, scenario, trace, s);
         // PEs whose manager thread wedged in an earlier run on this pool
         // start this run quarantined; their eventual (stale) completions
         // are discarded.
@@ -677,6 +677,7 @@ impl Emulation {
             observe,
             platform,
             handlers: self.pool.handlers(),
+            arrivals: spec.workload.arrivals(),
             instances,
             names,
             soa,
@@ -705,9 +706,9 @@ impl Emulation {
         let log = DenseTaskLog {
             cols: std::mem::take(&mut s.done),
             names: Arc::clone(&scenario.names),
-            pes: platform.pes.iter().map(|pe| pe.id).collect(),
+            platform: Arc::clone(&self.platform),
         };
-        Ok(p.sink.finish(platform, scheduler.name().to_string(), log))
+        Ok(p.sink.finish(scheduler.name().to_string(), log))
     }
 }
 
@@ -721,6 +722,11 @@ struct Manager<'r> {
     observe: bool,
     platform: &'r PlatformConfig,
     handlers: &'r [Arc<ResourceHandler>],
+    /// The workload's arrivals, in time order: instance `i` is arrival
+    /// `i`.
+    arrivals: &'r [Arrival],
+    /// The run's private instances (what kernels execute on), in
+    /// arrival order.
     instances: &'r [Arc<AppInstance>],
     names: &'r NameTable,
     soa: &'r ScenarioSoa,
@@ -732,7 +738,7 @@ struct Manager<'r> {
     faults: Option<EmuFaults<'r>>,
     views: Vec<PeView<'r>>,
     vclock: SimTime,
-    /// Cursor into `instances`, which arrive in order.
+    /// Cursor into `arrivals`.
     next_arrival: usize,
 }
 
@@ -912,7 +918,7 @@ impl<'r> Manager<'r> {
 
             // ---- Termination.
             let in_flight = self.p.slots.busy_count();
-            if self.next_arrival == self.instances.len()
+            if self.next_arrival == self.arrivals.len()
                 && self.p.ready.is_empty()
                 && in_flight == 0
                 && self.s.collected.is_empty()
@@ -933,7 +939,7 @@ impl<'r> Manager<'r> {
             }
             match timing {
                 TimingMode::WallClock => {
-                    if self.next_arrival == self.instances.len()
+                    if self.next_arrival == self.arrivals.len()
                         && self.s.collected.is_empty()
                         && self.s.retries.is_empty()
                         && in_flight == 0
@@ -959,7 +965,7 @@ impl<'r> Manager<'r> {
                         completions.wait_past(seen, deadline);
                         continue;
                     }
-                    let next_arrival = self.instances.get(self.next_arrival).map(arrival_of);
+                    let next_arrival = self.arrivals.get(self.next_arrival).map(arrival_of);
                     let next_finish = self.s.collected.iter().map(|c| c.finish).min();
                     let next_retry = self.s.retries.iter().map(|r| r.release).min();
                     match next_arrival.into_iter().chain(next_finish).chain(next_retry).min() {
@@ -1064,9 +1070,9 @@ impl<'r> Manager<'r> {
             self.p.sink.trace_task(pe, (id.0, c.node), ready_at, c.start, c.finish);
         }
         if self.s.dag.complete(spec, c.inst, c.node, c.finish, &mut self.p.ready) {
-            let inst = &self.instances[c.inst as usize];
             let state = self.faults.as_ref().map(|f| &f.run.state);
-            self.p.sink.finish_instance(inst, c.finish, state);
+            let arrival = self.arrivals[c.inst as usize];
+            self.p.sink.finish_instance(c.inst, arrival, c.finish, state);
         }
     }
 
@@ -1102,16 +1108,16 @@ impl<'r> Manager<'r> {
     /// whether any arrived.
     fn inject(&mut self, now: SimTime) -> bool {
         let first = self.next_arrival;
-        while let Some(inst) = self.instances.get(self.next_arrival) {
-            let at = arrival_of(inst);
+        while let Some(&a) = self.arrivals.get(self.next_arrival) {
+            let at = arrival_of(&a);
             if at > now {
                 break;
             }
+            let inst = self.next_arrival as u32;
             self.next_arrival += 1;
-            self.p.tracer.emit(at, TraceKind::AppArrive { instance: inst.id.0 });
-            let spec = &self.soa.specs[self.names.spec_index(inst.id)];
-            for &root in &spec.roots {
-                self.p.ready.push_entry(DenseReady::new(inst.id.0 as u32, root, at));
+            self.p.tracer.emit(at, TraceKind::AppArrive { instance: inst as u64 });
+            for &root in &self.soa.specs[a.app as usize].app.roots {
+                self.p.ready.push_entry(DenseReady::new(inst, root as u32, at));
             }
         }
         self.next_arrival > first
@@ -1133,7 +1139,7 @@ impl<'r> Manager<'r> {
     /// True when a collected completion or an arrival is due at `now`.
     fn due(&self, now: SimTime) -> bool {
         self.s.collected.iter().any(|c| c.finish <= now)
-            || self.instances.get(self.next_arrival).is_some_and(|i| arrival_of(i) <= now)
+            || self.arrivals.get(self.next_arrival).is_some_and(|a| arrival_of(a) <= now)
     }
 
     /// Rebuilds the policy's PE views at `now`.
@@ -1270,9 +1276,9 @@ impl<'r> Manager<'r> {
     }
 }
 
-/// An instance's arrival on the emulation clock.
-fn arrival_of(inst: &Arc<AppInstance>) -> SimTime {
-    SimTime::from_duration(inst.arrival)
+/// An arrival's time on the emulation clock.
+fn arrival_of(arrival: &Arrival) -> SimTime {
+    SimTime(arrival.at_ns)
 }
 
 fn mul_duration(d: Duration, k: f64) -> Duration {

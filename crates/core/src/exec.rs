@@ -26,7 +26,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::ApplicationSpec;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
+use dssoc_appmodel::workload::Arrival;
 use dssoc_metrics::HistogramData;
 use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_trace::{EventKind as TraceKind, FaultKind, TraceSink, TraceWriter};
@@ -35,6 +36,7 @@ use crate::arena::{DenseReady, RetryEntry, RunScratch};
 use crate::engine::EmuError;
 use crate::fault::{FaultPlan, FaultState};
 use crate::intern::NameTable;
+use crate::job::CompiledScenario;
 use crate::metrics::{EngineMetrics, OverheadPhase};
 use crate::sched::{Assignment, PeView};
 use crate::soa::{ScenarioSoa, INCOMPATIBLE};
@@ -98,27 +100,27 @@ pub fn pe_mask_bit(pe: PeId) -> u64 {
 /// task and application labels — with the session. Both engines call
 /// this once at run start, so exports from either engine resolve ids to
 /// identical names.
+///
+/// `apps` is the workload's resolved app table and `arrivals` its
+/// arrivals: instance `i` is arrival `i`, of the app its index names.
+/// One node-name table is registered per app, so registration stays
+/// cheap for workloads with many instances.
 pub fn register_trace_meta(
     sink: &TraceSink,
     platform: &PlatformConfig,
     policy: &str,
-    instances: &[Arc<AppInstance>],
+    apps: &[Arc<ApplicationSpec>],
+    arrivals: &[Arrival],
 ) {
     sink.set_policy(policy);
     for pe in &platform.pes {
         sink.set_pe(pe.id.0, &pe.name, !pe.kind.is_cpu());
     }
-    // One node-name table per distinct spec; instances just map to it,
-    // so registration stays cheap for workloads with many instances.
-    let mut seen: std::collections::HashSet<&str> = std::collections::HashSet::new();
-    for inst in instances {
-        sink.register_instance(inst.id.0, &inst.spec.name);
-        if seen.insert(&inst.spec.name) {
-            sink.register_app(
-                &inst.spec.name,
-                inst.spec.nodes.iter().map(|n| n.name.clone()).collect(),
-            );
-        }
+    for app in apps {
+        sink.register_app(&app.name, app.nodes.iter().map(|n| n.name.to_string()).collect());
+    }
+    for (i, arrival) in arrivals.iter().enumerate() {
+        sink.register_instance(i as u64, &apps[arrival.app as usize].name);
     }
 }
 
@@ -618,22 +620,22 @@ pub(crate) struct RunParts {
 }
 
 impl RunParts {
-    /// Sets up one run over `instances` (named by `names`) on `platform`
-    /// with reservation-queue `depth`, published to `metrics`; `trace`
-    /// is the sink with the run's policy label and the engine's producer
-    /// name. Pair with [`RunScratch::recycle`].
+    /// Sets up one run of `scenario` (its instances are its workload's
+    /// arrivals) on `platform` with reservation-queue `depth`, published
+    /// to `metrics`; `trace` is the sink with the run's policy label and
+    /// the engine's producer name. Pair with [`RunScratch::recycle`].
     pub fn new(
         platform: &PlatformConfig,
         depth: usize,
         metrics: Option<&mut EngineMetrics>,
-        names: &NameTable,
+        scenario: &CompiledScenario,
         trace: Option<(&TraceSink, &str, &str)>,
-        instances: &[Arc<AppInstance>],
         s: &mut RunScratch,
     ) -> Self {
+        let (names, arrivals) = (scenario.names(), scenario.spec().workload.arrivals());
         let tracer = match trace {
             Some((trace_sink, policy, producer)) => {
-                register_trace_meta(trace_sink, platform, policy, instances);
+                register_trace_meta(trace_sink, platform, policy, names.specs(), arrivals);
                 ExecTracer::attach(trace_sink, producer)
             }
             None => ExecTracer::disabled(),
@@ -646,7 +648,7 @@ impl RunParts {
         ready.set_tracer(tracer.clone());
         let slots = PeSlots::for_platform(platform, depth);
         let mut sink = CompletionSink::new();
-        sink.apps.reserve(instances.len());
+        sink.apps.reserve(arrivals.len());
         sink.set_tracer(tracer.clone());
         RunParts { ready, slots, sink, tracer }
     }
@@ -762,20 +764,21 @@ impl CompletionSink {
         self.tracer.emit(finish, slice);
     }
 
-    /// Records instance `inst` finishing its last task at `finish`, and,
-    /// when one of its attempts faulted (`faults`), that it survived.
+    /// Records instance `inst`, which arrived as `arrival`, finishing its
+    /// last task at `finish`, and, when one of its attempts faulted
+    /// (`faults`), that it survived.
     pub(crate) fn finish_instance(
         &mut self,
-        inst: &AppInstance,
+        inst: u32,
+        arrival: Arrival,
         finish: SimTime,
         faults: Option<&FaultState>,
     ) {
-        if faults.is_some_and(|f| f.had_faults(inst.id.0)) {
+        if faults.is_some_and(|f| f.had_faults(inst as u64)) {
             self.record_survival();
         }
-        self.tracer.emit(finish, TraceKind::AppFinish { instance: inst.id.0 });
-        let arrival = SimTime::from_duration(inst.arrival);
-        self.apps.push(inst.id.0 as u32, arrival.0, finish.0);
+        self.tracer.emit(finish, TraceKind::AppFinish { instance: inst as u64 });
+        self.apps.push(inst, arrival.at_ns, finish.0);
     }
 
     /// Emits the scheduling decision taken at `at`: the PEs with room
@@ -880,15 +883,10 @@ impl CompletionSink {
     /// columns: a PE's busy time is the sum of its tasks' modeled
     /// durations, and it appears in the map once it ran a task, even a
     /// zero-duration one.
-    pub(crate) fn finish(
-        self,
-        platform: &PlatformConfig,
-        scheduler: String,
-        dense: DenseTaskLog,
-    ) -> EmulationStats {
-        let cols = &dense.cols;
-        let mut busy = vec![0u64; dense.pes.len()];
-        let mut seen = vec![false; dense.pes.len()];
+    pub(crate) fn finish(self, scheduler: String, dense: DenseTaskLog) -> EmulationStats {
+        let (cols, platform) = (&dense.cols, &*dense.platform);
+        let mut busy = vec![0u64; platform.pes.len()];
+        let mut seen = vec![false; platform.pes.len()];
         for k in 0..cols.len() {
             let c = cols.col[k] as usize;
             busy[c] += cols.dur_ns[k];
@@ -908,12 +906,12 @@ impl CompletionSink {
             scheduler,
             makespan,
             apps: AppLog::from_dense(self.apps, Arc::clone(&dense.names)),
-            pe_busy: dense
+            pe_busy: platform
                 .pes
                 .iter()
                 .zip(busy.iter().zip(seen.iter()))
                 .filter(|(_, (_, &s))| s)
-                .map(|(&pe, (&ns, _))| (pe, Duration::from_nanos(ns)))
+                .map(|(pe, (&ns, _))| (pe.id, Duration::from_nanos(ns)))
                 .collect(),
             pe_names: platform.pes.iter().map(|pe| (pe.id, pe.name.clone())).collect(),
             sched_invocations: self.sched_invocations,

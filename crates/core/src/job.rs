@@ -19,16 +19,22 @@
 //!   so a new field does not compile until it is encoded or ignored
 //!   with a reason.
 //! * [`CompiledScenario`] — everything a run needs that does not change
-//!   between runs, precompiled once: interned [`NameTable`], the dense
-//!   `[node][PE]` dispatch-cost slabs ([`ScenarioSoa`]), the compiled
-//!   [`FaultPlan`], the shared read-only instance images, and a
-//!   slot-assigned [`EstimateBook`] prototype. Shared across runs *and
-//!   threads* via `Arc`. Both engines' one-off `run` compiles one too.
+//!   between runs, precompiled once: the instance → app [`NameTable`],
+//!   the dense `[node][PE]` dispatch-cost slabs ([`ScenarioSoa`]), the
+//!   compiled [`FaultPlan`], a slot-assigned [`EstimateBook`]
+//!   prototype, and the scenario's [`ScenarioKey`]. Per-application
+//!   work — names, DAG topology — was done once when each app was
+//!   loaded, so a compile resolves only the `(app, platform, cost)`
+//!   cells. Shared across runs *and threads* via `Arc`. Both engines'
+//!   one-off `run` compiles one too.
+//! * [`ScenarioKey`] — the canonical encoding itself, built once per
+//!   job: its bytes are the [`ResultCache`]'s key and its hash the
+//!   fingerprint.
 //! * [`JobRunner`] — the front door: give it a compiled scenario and an
 //!   [`Engine`], get a [`JobResult`] back. It keeps a bounded set of
 //!   warm engines, one per platform, and a bounded [`ResultCache`]
 //!   whose slots are fingerprints and whose hits are confirmed against
-//!   the same encoding's bytes, so repeated deterministic runs are
+//!   the compiled scenario's key, so repeated deterministic runs are
 //!   answered without running at all.
 //!
 //! [`FaultPlan`]: crate::fault::FaultPlan
@@ -39,7 +45,6 @@ use std::time::Duration;
 
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec, NodeSpec};
 use dssoc_appmodel::hash::{hash_bytes, Canon};
-use dssoc_appmodel::instance::AppInstance;
 use dssoc_appmodel::workload::Workload;
 use dssoc_metrics::{CounterCell, MetricsRegistry};
 use dssoc_platform::cost::CostTable;
@@ -54,7 +59,7 @@ use crate::des::{DesConfig, DesSimulator};
 use crate::engine::{EmuError, Emulation, EmulationConfig, OverheadMode, TimingMode};
 use crate::exec::preflight_compat;
 use crate::fault::{FaultPlan, FaultSpec, PermanentFault, RateFault, RetryPolicy};
-use crate::intern::{Interner, NameTable};
+use crate::intern::NameTable;
 use crate::sched::{by_name, EstimateBook, Scheduler};
 use crate::soa::ScenarioSoa;
 use crate::stats::EmulationStats;
@@ -71,8 +76,9 @@ use crate::stats::EmulationStats;
 #[derive(Clone, Default)]
 pub enum CostSpec {
     /// Scale the host-measured kernel time by the PE's speed (the
-    /// default — real execution, modeled platform). The DES, which
-    /// measures nothing, charges such tasks zero.
+    /// default — real execution, modeled platform). The DES measures
+    /// nothing, so it refuses such scenarios
+    /// ([`ScenarioSpec::check_engine`]).
     #[default]
     ScaledMeasured,
     /// Deterministic per-`(kernel, class)` durations: a task costs its
@@ -251,9 +257,26 @@ impl ScenarioSpec {
     /// the canonical encoding a [`ResultCache`] hit is confirmed against.
     /// It is independent of `Arc` identity, of how the spec was built,
     /// and of apps the workload does not name; each app it does name
-    /// enters by its content hash.
+    /// enters by its content hash. A caller that also looks the spec
+    /// up builds its [`ScenarioKey`] once instead.
     pub fn fingerprint(&self) -> Fingerprint {
-        Fingerprint(hash_bytes(&ScenarioKey::of(self).bytes))
+        ScenarioKey::of(self).fingerprint()
+    }
+
+    /// `Err` when `engine` cannot run this scenario. The one such rule:
+    /// the DES measures no kernel, so it refuses
+    /// [`CostSpec::ScaledMeasured`], under which every task would cost
+    /// zero. The DES's run entry enforces it; the serve API checks it
+    /// when parsing, to refuse such a job up front.
+    pub fn check_engine(&self, engine: Engine) -> Result<(), EmuError> {
+        match (engine, &self.cost) {
+            (Engine::Des, CostSpec::ScaledMeasured) => Err(EmuError::Config(
+                "cost 'measured' needs the threaded engine: the DES measures no kernel, so \
+                 every task would cost zero (use \"cost\": \"table\")"
+                    .into(),
+            )),
+            _ => Ok(()),
+        }
     }
 
     /// True when a run of this scenario on `engine` with its named
@@ -441,24 +464,25 @@ pub const MAX_PES: usize = 1 << 16;
 pub const MAX_NODES: usize = 1 << 16;
 
 /// A [`ScenarioSpec`] with everything a run reads but never changes
-/// precompiled once: compatibility preflight, shared instance images,
-/// interned name table, SoA dispatch-cost slabs, slot-assigned estimate
-/// book, and the compiled fault plan. Compile once, run many — across
-/// iterations, sweep workers, and engines.
+/// precompiled once: compatibility preflight, the instance → app name
+/// table, SoA dispatch-cost slabs, slot-assigned estimate book, the
+/// compiled fault plan and the scenario's key. Compile once, run many —
+/// across iterations, sweep workers, and engines.
+///
+/// Runs read instance ids, arrival times and app indices straight from
+/// the workload's arrivals. The DES needs nothing else per instance;
+/// the threaded engine, whose kernels write, instantiates private
+/// instances per run with the same ids.
 pub struct CompiledScenario {
     pub(crate) spec: ScenarioSpec,
-    pub(crate) fingerprint: Fingerprint,
+    /// The spec's identity: what a result cache confirms a hit by and
+    /// stores a result under.
+    pub(crate) key: Arc<ScenarioKey>,
     /// The compiled fault plan, if the spec injects faults.
     pub(crate) plan: Option<Arc<FaultPlan>>,
-    /// Read-only shared instance images ([`Workload::instantiate_shared`]).
-    /// The DES runs directly on these; the threaded engine instantiates
-    /// fresh private-memory instances per run (kernels write), but the
-    /// ids and spec mapping are identical by construction, so the name
-    /// table below serves both.
-    pub(crate) instances: Vec<Arc<AppInstance>>,
     pub(crate) names: Arc<NameTable>,
-    /// Dispatch costs and DAG topology as struct-of-arrays slabs — what
-    /// the DES hot loop indexes (see [`ScenarioSoa`]).
+    /// Dispatch costs as struct-of-arrays slabs, beside each app's DAG
+    /// topology — what the DES hot loop indexes (see [`ScenarioSoa`]).
     pub(crate) soa: Arc<ScenarioSoa>,
     /// Slot-assigned estimate-book prototype: slots match the slabs'
     /// estimate slots but carry no observations yet. Each run, on
@@ -473,10 +497,10 @@ pub struct CompiledScenario {
 impl std::fmt::Debug for CompiledScenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CompiledScenario")
-            .field("fingerprint", &self.fingerprint.to_string())
+            .field("fingerprint", &self.fingerprint().to_string())
             .field("platform", &self.spec.platform.name)
             .field("scheduler", &self.spec.scheduler)
-            .field("instances", &self.instances.len())
+            .field("instances", &self.spec.workload.len())
             .field("custom", &self.custom)
             .finish()
     }
@@ -486,24 +510,21 @@ impl CompiledScenario {
     /// Compiles a spec, validating the platform, the scheduler name,
     /// and workload/platform compatibility.
     pub fn compile(spec: ScenarioSpec) -> Result<Arc<Self>, EmuError> {
-        let fingerprint = spec.fingerprint();
-        Self::compile_fingerprinted(spec, fingerprint)
+        let key = ScenarioKey::of(&spec);
+        Self::compile_keyed(spec, key)
     }
 
-    /// [`Self::compile`] with the spec's fingerprint already computed
-    /// (by a caller that looked the spec up in a [`ResultCache`] first),
-    /// so a miss does not encode the spec twice. The fingerprint only
-    /// labels results and picks cache slots: hits are confirmed by the
-    /// spec's encoding and no run reads it, so a wrong one can only cost
-    /// cache misses.
-    pub fn compile_fingerprinted(
-        spec: ScenarioSpec,
-        fingerprint: Fingerprint,
-    ) -> Result<Arc<Self>, EmuError> {
+    /// [`Self::compile`] with the spec's key already built (by a caller
+    /// that looked the spec up in a [`ResultCache`] first), so a job
+    /// encodes its spec once whether it hits or misses. `key` must be
+    /// `spec`'s ([`ScenarioKey::of`]), possibly under another
+    /// fingerprint ([`ScenarioKey::with_fingerprint`]).
+    pub fn compile_keyed(spec: ScenarioSpec, key: ScenarioKey) -> Result<Arc<Self>, EmuError> {
+        debug_assert!(key.matches(&ScenarioKey::of(&spec)), "the key is the spec's");
         if by_name(&spec.scheduler).is_none() {
             return Err(EmuError::Config(format!("unknown scheduler '{}'", spec.scheduler)));
         }
-        Self::build(spec, fingerprint, false)
+        Self::build(spec, key, false)
     }
 
     /// Compiles a spec whose scheduler name labels a *custom* policy
@@ -511,15 +532,11 @@ impl CompiledScenario {
     /// library-name check; results of custom scenarios are never
     /// cached.
     pub fn compile_custom(spec: ScenarioSpec) -> Result<Arc<Self>, EmuError> {
-        let fingerprint = spec.fingerprint();
-        Self::build(spec, fingerprint, true)
+        let key = ScenarioKey::of(&spec);
+        Self::build(spec, key, true)
     }
 
-    fn build(
-        spec: ScenarioSpec,
-        fingerprint: Fingerprint,
-        custom: bool,
-    ) -> Result<Arc<Self>, EmuError> {
+    fn build(spec: ScenarioSpec, key: ScenarioKey, custom: bool) -> Result<Arc<Self>, EmuError> {
         spec.platform.validate().map_err(EmuError::Config)?;
         let specs = spec.workload.resolve(&spec.library)?;
         if spec.platform.pes.len() > MAX_PES || specs.iter().any(|s| s.nodes.len() > MAX_NODES) {
@@ -528,21 +545,18 @@ impl CompiledScenario {
             )));
         }
         preflight_compat(&spec.platform, &specs)?;
-        let instances: Vec<Arc<AppInstance>> =
-            spec.workload.instantiate_shared(&specs).into_iter().map(Arc::new).collect();
-        let spec_of = spec.workload.arrivals().iter().map(|a| a.app).collect();
-        let names = NameTable::build(&specs, spec_of, &spec.platform, &mut Interner::new());
         let mut estimates = EstimateBook::new();
-        let soa = ScenarioSoa::build(&specs, &names, &spec.platform, &spec.cost, &mut estimates);
+        let soa = ScenarioSoa::build(&specs, &spec.platform, &spec.cost, &mut estimates);
+        let spec_of = spec.workload.arrivals().iter().map(|a| a.app).collect();
+        let names = NameTable::new(specs, spec_of, &spec.platform);
         let plan = match &spec.faults {
             Some(f) => Some(Arc::new(f.compile(&spec.platform).map_err(EmuError::Config)?)),
             None => None,
         };
         Ok(Arc::new(CompiledScenario {
             spec,
-            fingerprint,
+            key: Arc::new(key),
             plan,
-            instances,
             names: Arc::new(names),
             soa: Arc::new(soa),
             estimates,
@@ -555,9 +569,14 @@ impl CompiledScenario {
         &self.spec
     }
 
-    /// The structural fingerprint (cached at compile time).
+    /// The structural fingerprint: the hash of [`Self::key`].
     pub fn fingerprint(&self) -> Fingerprint {
-        self.fingerprint
+        self.key.fingerprint
+    }
+
+    /// The scenario's key, built once at (or before) compile time.
+    pub fn key(&self) -> &Arc<ScenarioKey> {
+        &self.key
     }
 
     /// The compiled fault plan, if any.
@@ -570,13 +589,8 @@ impl CompiledScenario {
         &self.names
     }
 
-    /// The shared read-only instances.
-    pub fn instances(&self) -> &[Arc<AppInstance>] {
-        &self.instances
-    }
-
-    /// The dispatch costs and DAG topology in the struct-of-arrays form
-    /// the DES hot loop indexes.
+    /// The dispatch costs in the struct-of-arrays form the DES hot loop
+    /// indexes, beside each app's DAG topology.
     pub fn soa(&self) -> &ScenarioSoa {
         &self.soa
     }
@@ -601,18 +615,25 @@ impl CompiledScenario {
 /// A scenario's identity: the canonical encoding of every field a run
 /// reads, which is the cache key and whose hash is the fingerprint, and
 /// the apps whose content hashes it holds. It pins no generated
-/// arrivals: the bytes hold them as varints.
-struct ScenarioKey {
+/// arrivals: the bytes hold them as varints. Build it once per job
+/// ([`Self::of`]) and hand it to [`ResultCache::lookup`] and
+/// [`CompiledScenario::compile_keyed`]; the compiled scenario keeps it
+/// for [`ResultCache::store`].
+pub struct ScenarioKey {
     /// The workload's apps the library has, in table (name) order.
     apps: Vec<Arc<ApplicationSpec>>,
+    /// False when the library lacks one of the workload's apps.
+    complete: bool,
     bytes: Vec<u8>,
+    /// The cache slot: the bytes' hash, unless relabeled.
+    fingerprint: Fingerprint,
 }
 
 impl ScenarioKey {
     /// The key of `spec`. An application the library lacks is encoded
     /// by its name, so such a spec still fingerprints, but it never
     /// compiles and is never stored.
-    fn of(spec: &ScenarioSpec) -> ScenarioKey {
+    pub fn of(spec: &ScenarioSpec) -> ScenarioKey {
         let ScenarioSpec {
             library, // reached only through the workload's apps
             platform,
@@ -666,7 +687,22 @@ impl ScenarioKey {
         }
         w.uint(*reservation_depth as u64);
         w.opt(faults.as_deref(), encode_faults);
-        ScenarioKey { apps, bytes: w.0 }
+        let complete = apps.len() == workload.apps().len();
+        let fingerprint = Fingerprint(hash_bytes(&w.0));
+        ScenarioKey { apps, complete, bytes: w.0, fingerprint }
+    }
+
+    /// The scenario's fingerprint: the hash of the key's bytes.
+    pub fn fingerprint(&self) -> Fingerprint {
+        self.fingerprint
+    }
+
+    /// The same key under `fingerprint`. A fingerprint only labels
+    /// results and picks cache slots, and a hit is confirmed by the
+    /// bytes, so a wrong one can only cost misses — which is how tests
+    /// force a 64-bit collision.
+    pub fn with_fingerprint(self, fingerprint: Fingerprint) -> ScenarioKey {
+        ScenarioKey { fingerprint, ..self }
     }
 
     /// True when `other` is the same scenario: equal bytes, and each
@@ -835,23 +871,17 @@ impl ResultCache {
         inner.miss_cell = Some(miss);
     }
 
-    /// The cached result of `spec` on `engine`, confirmed by value.
-    /// `fingerprint` is `spec`'s, which the caller already holds; the
-    /// key is only built when its slot is occupied. Counts nothing: the
-    /// caller records the outcome with [`Self::count`] once it knows
-    /// whether the job is served.
-    pub fn lookup(
-        &self,
-        spec: &ScenarioSpec,
-        fingerprint: Fingerprint,
-        engine: Engine,
-    ) -> Option<Arc<EmulationStats>> {
-        let (stats, key) = {
+    /// The cached result of the scenario `key` identifies on `engine`,
+    /// found by the key's fingerprint and confirmed by its bytes.
+    /// Counts nothing: the caller records the outcome with
+    /// [`Self::count`] once it knows whether the job is served.
+    pub fn lookup(&self, key: &ScenarioKey, engine: Engine) -> Option<Arc<EmulationStats>> {
+        let (stats, stored) = {
             let inner = self.lock();
-            let entry = inner.map.get(&(fingerprint, engine))?;
+            let entry = inner.map.get(&(key.fingerprint, engine))?;
             (Arc::clone(&entry.stats), Arc::clone(entry.key.as_ref()?))
         };
-        key.matches(&ScenarioKey::of(spec)).then_some(stats)
+        stored.matches(key).then_some(stats)
     }
 
     /// Counts one lookup of a served job as a hit or a miss.
@@ -859,18 +889,14 @@ impl ResultCache {
         self.lock().count(hit);
     }
 
-    /// Stores `spec`'s result on `engine` under `fingerprint` (`spec`'s)
-    /// with its by-value key, evicting the oldest entry when full.
-    pub fn store(
-        &self,
-        spec: &ScenarioSpec,
-        fingerprint: Fingerprint,
-        engine: Engine,
-        stats: Arc<EmulationStats>,
-    ) {
-        let key = ScenarioKey::of(spec);
-        if key.apps.len() == spec.workload.apps().len() {
-            self.put(fingerprint, engine, CacheEntry { stats, key: Some(Arc::new(key)) });
+    /// Stores the result on `engine` of the scenario `key` identifies,
+    /// under its fingerprint and confirmed by its bytes, evicting the
+    /// oldest entry when full. A key naming an app the library lacks is
+    /// not stored.
+    pub fn store(&self, key: &Arc<ScenarioKey>, engine: Engine, stats: Arc<EmulationStats>) {
+        if key.complete {
+            let entry = CacheEntry { stats, key: Some(Arc::clone(key)) };
+            self.put(key.fingerprint, engine, entry);
         }
     }
 
@@ -1143,10 +1169,10 @@ impl JobRunner {
         engine: Engine,
         scheduler: &mut dyn Scheduler,
     ) -> Result<JobResult, EmuError> {
-        let fingerprint = scenario.fingerprint;
+        let fingerprint = scenario.fingerprint();
         let cacheable = self.trace.is_none() && scenario.deterministic(engine);
         if cacheable {
-            let hit = self.cache.lookup(&scenario.spec, fingerprint, engine);
+            let hit = self.cache.lookup(&scenario.key, engine);
             self.cache.count(hit.is_some());
             if let Some(stats) = hit {
                 let stats = EmulationStats::clone(&stats);
@@ -1155,7 +1181,7 @@ impl JobRunner {
         }
         let stats = self.execute(scenario, engine, scheduler, None)?;
         if cacheable {
-            self.cache.store(&scenario.spec, fingerprint, engine, Arc::new(stats.clone()));
+            self.cache.store(&scenario.key, engine, Arc::new(stats.clone()));
         }
         Ok(JobResult { stats, fingerprint, engine, cached: false })
     }
@@ -1170,7 +1196,7 @@ impl JobRunner {
         sink: TraceSink,
     ) -> Result<JobResult, EmuError> {
         let stats = self.execute(scenario, engine, scheduler, Some(sink))?;
-        Ok(JobResult { stats, fingerprint: scenario.fingerprint, engine, cached: false })
+        Ok(JobResult { stats, fingerprint: scenario.fingerprint(), engine, cached: false })
     }
 
     fn execute(

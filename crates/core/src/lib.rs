@@ -105,10 +105,10 @@ pub use fault::{
     RetryPolicy,
 };
 pub use handler::{PeStatus, ResourceHandler, TaskAssignment, TaskCompletion, TaskCost};
-pub use intern::{Interner, Name, NameTable};
+pub use intern::{Name, NameTable};
 pub use job::{
     platform_preset, CompiledScenario, CostSpec, Engine, Fingerprint, JobResult, JobRunner,
-    ResultCache, ScenarioBuilder, ScenarioSpec,
+    ResultCache, ScenarioBuilder, ScenarioKey, ScenarioSpec,
 };
 pub use metrics::OverheadPhase;
 pub use resource::{threads_spawned_total, ResourcePool};

@@ -209,8 +209,8 @@ impl EngineMetrics {
     pub fn begin_run(&mut self, names: &NameTable) {
         let mut app_of_spec = std::mem::take(&mut self.run.app_of_spec);
         app_of_spec.clear();
-        for spec in 0..names.spec_count() {
-            let app = names.spec_app(spec).as_str();
+        for spec in names.specs() {
+            let app = spec.name.as_str();
             let id = match self.app_ids.get(app) {
                 Some(&id) => id,
                 None => {

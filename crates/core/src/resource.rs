@@ -287,7 +287,7 @@ pub fn resource_manager_loop(ctx: RmContext) {
             }
             None => (
                 Err(ModelError::KernelFailed {
-                    kernel: node.name.clone(),
+                    kernel: node.name.to_string(),
                     reason: format!(
                         "scheduled on incompatible PE '{}' (platform key '{}')",
                         ctx.handler.pe.name, ctx.handler.pe.platform_key

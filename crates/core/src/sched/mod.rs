@@ -351,7 +351,6 @@ pub(crate) mod testutil {
     //! Shared fixtures for scheduler unit tests.
 
     use super::*;
-    use crate::intern::Interner;
     use crate::job::CostSpec;
     use dssoc_appmodel::app::ApplicationSpec;
     use dssoc_appmodel::instance::AppInstance;
@@ -415,10 +414,10 @@ pub(crate) mod testutil {
         pub fn new(n: usize, fft_us: f64) -> Self {
             let platform = zcu102(2, 1);
             let specs = [Arc::clone(&fixture_instance(n, fft_us).spec)];
-            let names = NameTable::build(&specs, vec![0], &platform, &mut Interner::new());
+            let names = NameTable::new(specs.to_vec(), vec![0], &platform);
             let mut book = EstimateBook::new();
             let cost = CostSpec::table(CostTable::new());
-            let soa = ScenarioSoa::build(&specs, &names, &platform, &cost, &mut book);
+            let soa = ScenarioSoa::build(&specs, &platform, &cost, &mut book);
             let entries = (0..n as u32)
                 .map(|i| DenseReady { inst: 0, node: i, ready_ns: i as u64, seq: i as u64 })
                 .collect();

@@ -16,16 +16,20 @@
 //!   compatible), and `est_prior_ns`, the JSON per-platform estimate that
 //!   takes precedence over the book's observations — together what
 //!   [`ScenarioSoa::estimate`] needs to answer without a string key.
-//! * `runfunc` — the interned runfunc [`Name`] per pair (the empty
-//!   default name where incompatible, matching what the dispatch path
-//!   resolved before).
+//! * `runfunc` — the runfunc [`Name`] per pair, a clone of the
+//!   spec's own (the empty default name where incompatible, matching
+//!   what the dispatch path resolved before).
 //! * `kernel_id` — the runfunc's process-wide id per pair
 //!   ([`runfunc_id`]; [`NO_KERNEL`] where incompatible or unnamed), what
 //!   the metrics fold indexes its per-kernel cells by.
-//! * `preds_init` / `succ_off`+`succ` — the DAG in CSR form, so
-//!   completion-time successor walks are two array reads plus a
-//!   contiguous slice scan instead of a pointer chase through
-//!   `NodeSpec`s.
+//!
+//! The DAG itself is not copied: each [`SpecSoa`] holds its
+//! application, whose CSR topology ([`ApplicationSpec::succ`] and
+//! friends) was derived once when the app was loaded, so
+//! completion-time successor walks are two array reads plus a
+//! contiguous slice scan instead of a pointer chase through
+//! `NodeSpec`s. A compile resolves only the per-`(node, PE)` cost
+//! cells.
 //!
 //! Instances of one application share their spec's slab (spec indices
 //! come from [`NameTable::spec_index`], the workload's app-table
@@ -67,15 +71,8 @@ pub(crate) const NO_KERNEL: u32 = u32::MAX;
 /// `node_idx * stride + pe_column`.
 #[derive(Debug)]
 pub struct SpecSoa {
-    /// Number of DAG nodes.
-    pub(crate) n_nodes: u32,
-    /// Initial predecessor count per node (what the per-run countdown
-    /// array is memcpy'd from).
-    pub(crate) preds_init: Vec<u32>,
-    /// CSR offsets into [`Self::succ`], length `n_nodes + 1`.
-    pub(crate) succ_off: Vec<u32>,
-    /// Concatenated successor node indices.
-    pub(crate) succ: Vec<u32>,
+    /// The application, whose DAG topology runs read directly.
+    pub(crate) app: Arc<ApplicationSpec>,
     /// Modeled dispatch duration in ns, [`INCOMPATIBLE`] when the node
     /// does not support the PE's platform.
     pub(crate) cost_ns: Vec<u64>,
@@ -85,7 +82,8 @@ pub struct SpecSoa {
     /// The JSON `mean_exec` estimate in ns per pair, [`NO_PRIOR`] where
     /// the JSON gives none (or the pair is incompatible).
     pub(crate) est_prior_ns: Vec<u64>,
-    /// Interned runfunc per pair (`Name::default()` where incompatible).
+    /// The spec's runfunc name per pair (`Name::default()` where
+    /// incompatible).
     pub(crate) runfunc: Vec<Name>,
     /// The runfunc's process-wide id per pair, [`NO_KERNEL`] where
     /// incompatible or the runfunc is unnamed.
@@ -95,14 +93,11 @@ pub struct SpecSoa {
     /// represented — the DES FIFO placement that consumes these masks
     /// runs only on ≤ 64-PE platforms.
     pub(crate) compat: Vec<u64>,
-    /// DAG root nodes (no predecessors), in node-index order — what an
-    /// arrival pushes onto the ready queue.
-    pub(crate) roots: Vec<u32>,
 }
 
-/// The struct-of-arrays form of one compiled scenario's dispatch costs
-/// and DAG topology: one [`SpecSoa`] per distinct application spec, in
-/// [`NameTable`] spec-index order.
+/// The struct-of-arrays form of one compiled scenario's dispatch costs:
+/// one [`SpecSoa`] per distinct application spec, each beside its app's
+/// DAG topology, in [`NameTable`] spec-index order.
 #[derive(Debug)]
 pub struct ScenarioSoa {
     /// Row stride of the per-pair slabs: the platform's PE count.
@@ -119,20 +114,16 @@ pub struct ScenarioSoa {
 impl ScenarioSoa {
     /// Resolves every `(spec, node, PE)` dispatch cost of `specs` (a
     /// workload's resolved app table) on `platform` into SoA slabs,
-    /// reserving estimate-book slots as it goes. `names` must be built
-    /// over the same table, so slab `i` is spec index `i`.
+    /// reserving estimate-book slots as it goes; slab `i` is spec index
+    /// `i`.
     pub(crate) fn build(
         specs: &[Arc<ApplicationSpec>],
-        names: &NameTable,
         platform: &PlatformConfig,
         cost: &CostSpec,
         estimates: &mut EstimateBook,
     ) -> ScenarioSoa {
-        let specs: Vec<SpecSoa> = specs
-            .iter()
-            .enumerate()
-            .map(|(idx, spec)| SpecSoa::build(spec, names, idx, platform, cost, estimates))
-            .collect();
+        let specs: Vec<SpecSoa> =
+            specs.iter().map(|spec| SpecSoa::build(spec, platform, cost, estimates)).collect();
         let default_est =
             platform.pes.iter().map(|pe| Duration::from_secs_f64(100e-6 / pe.speed())).collect();
         let reads_book = specs.iter().any(|spec| {
@@ -204,22 +195,13 @@ impl ScenarioSoa {
 
 impl SpecSoa {
     fn build(
-        spec: &ApplicationSpec,
-        names: &NameTable,
-        spec_idx: usize,
+        spec: &Arc<ApplicationSpec>,
         platform: &PlatformConfig,
         cost: &CostSpec,
         estimates: &mut EstimateBook,
     ) -> SpecSoa {
         let n = spec.nodes.len();
         let stride = platform.pes.len();
-        let mut succ_off = Vec::with_capacity(n + 1);
-        let mut succ = Vec::new();
-        succ_off.push(0u32);
-        for node in &spec.nodes {
-            succ.extend(node.successors.iter().map(|&s| s as u32));
-            succ_off.push(succ.len() as u32);
-        }
         let mut cost_ns = vec![INCOMPATIBLE; n * stride];
         let mut est_slot = vec![0u32; n * stride];
         let mut est_prior_ns = vec![NO_PRIOR; n * stride];
@@ -235,9 +217,8 @@ impl SpecSoa {
                     if let Some(d) = p.mean_exec {
                         est_prior_ns[k] = d.as_nanos().min(NO_PRIOR as u128 - 1) as u64;
                     }
-                    runfunc[k] =
-                        names.runfunc_by_spec(spec_idx, node_idx, col).cloned().unwrap_or_default();
-                    if !runfunc[k].as_str().is_empty() {
+                    if !p.runfunc.is_empty() {
+                        runfunc[k] = p.runfunc.clone();
                         kernel_id[k] = p.runfunc_id;
                     }
                 }
@@ -251,22 +232,14 @@ impl SpecSoa {
                 }
             }
         }
-        let preds_init: Vec<u32> =
-            spec.nodes.iter().map(|nd| nd.predecessors.len() as u32).collect();
-        let roots =
-            preds_init.iter().enumerate().filter(|(_, &p)| p == 0).map(|(i, _)| i as u32).collect();
         SpecSoa {
-            n_nodes: n as u32,
-            preds_init,
-            succ_off,
-            succ,
+            app: Arc::clone(spec),
             cost_ns,
             est_slot,
             est_prior_ns,
             runfunc,
             kernel_id,
             compat,
-            roots,
         }
     }
 }
@@ -274,7 +247,6 @@ impl SpecSoa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::intern::Interner;
     use crate::sched::testutil::fixture_instance;
     use crate::task::Task;
     use dssoc_platform::cost::CostTable;
@@ -293,14 +265,14 @@ mod tests {
         // compatibility pattern is non-trivial.
         let instances = vec![fixture_instance(6, 70.0)];
         let specs = [Arc::clone(&instances[0].spec)];
-        let names = NameTable::build(&specs, vec![0], &platform, &mut Interner::new());
+        let names = NameTable::new(specs.to_vec(), vec![0], &platform);
         // One table entry: cells resolve through the table and through
         // the JSON estimate fallback.
         let mut table = CostTable::new();
         table.set("kc", platform.pes[0].class_name(), Duration::from_micros(42));
         let cost = CostSpec::table(table);
         let mut estimates = EstimateBook::new();
-        let soa = ScenarioSoa::build(&specs, &names, &platform, &cost, &mut estimates);
+        let soa = ScenarioSoa::build(&specs, &platform, &cost, &mut estimates);
         let reserved = format!("{estimates:?}");
 
         assert_eq!(soa.spec_count(), 1);
@@ -308,7 +280,7 @@ mod tests {
         assert_eq!(soa.cell_count(), 18);
         for inst in &instances {
             let spec = &soa.specs[names.spec_index(inst.id)];
-            assert_eq!(spec.n_nodes as usize, inst.spec.nodes.len());
+            assert!(Arc::ptr_eq(&spec.app, &inst.spec), "the slab reads its app's topology");
             for (node_idx, node) in inst.spec.nodes.iter().enumerate() {
                 for (col, pe) in platform.pes.iter().enumerate() {
                     let k = node_idx * soa.stride + col;
@@ -318,8 +290,7 @@ mod tests {
                             assert_eq!(spec.cost_ns[k], dur.as_nanos() as u64);
                             let slot = estimates.slot_of(&p.runfunc, pe.class_name());
                             assert_eq!(spec.est_slot[k], slot.raw());
-                            let rf = names.runfunc(inst.id, node_idx, pe.id).unwrap();
-                            assert_eq!(&spec.runfunc[k], rf);
+                            assert!(std::ptr::eq(spec.runfunc[k].as_str(), p.runfunc.as_str()));
                             assert_eq!(spec.kernel_id[k], p.runfunc_id);
                         }
                         None => {
@@ -343,12 +314,5 @@ mod tests {
         }
         assert_eq!(format!("{estimates:?}"), reserved, "the build reserved every oracle slot");
         assert_eq!(soa.specs[0].cost_ns[0], 42_000, "the table entry wins over the JSON estimate");
-        // Independent nodes: no edges, all preds zero — every node is a
-        // root.
-        let spec = &soa.specs[0];
-        assert!(spec.succ.is_empty());
-        assert_eq!(spec.succ_off, vec![0; 7]);
-        assert_eq!(spec.preds_init, vec![0; 6]);
-        assert_eq!(spec.roots, vec![0, 1, 2, 3, 4, 5]);
     }
 }

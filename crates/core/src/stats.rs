@@ -23,7 +23,7 @@ use std::time::Duration;
 use dssoc_appmodel::instance::{AppInstance, InstanceId};
 use dssoc_appmodel::memory::AppMemory;
 use dssoc_metrics::HistogramData;
-use dssoc_platform::pe::PeId;
+use dssoc_platform::pe::{PeId, PlatformConfig};
 
 use crate::arena::DoneColumns;
 use crate::intern::{Name, NameTable};
@@ -31,9 +31,9 @@ use crate::time::SimTime;
 
 /// Performance record of one executed task.
 ///
-/// The name fields are interned [`Name`]s: thousands of records share a
-/// handful of allocations, and building a record on the engines' hot
-/// path costs three `Arc` clones instead of three `String` clones.
+/// The name fields are [`Name`]s, clones of the application's own:
+/// thousands of records share a handful of allocations, and building a
+/// record costs three `Arc` clones instead of three `String` clones.
 #[derive(Debug, Clone)]
 pub struct TaskRecord {
     /// Owning application instance.
@@ -76,16 +76,16 @@ impl TaskRecord {
 
 /// The dense form of a run's per-task records: the completion columns
 /// an engine loop appended, plus what it takes to expand them into
-/// [`TaskRecord`]s — the scenario's interned [`NameTable`] and the
-/// column→[`PeId`] map.
+/// [`TaskRecord`]s — the scenario's [`NameTable`] and the platform whose
+/// columns the PE column indexes.
 #[derive(Debug, Clone)]
 pub(crate) struct DenseTaskLog {
     /// Struct-of-arrays completion facts, in completion order.
     pub cols: DoneColumns,
-    /// Interned names of the scenario the columns index into.
+    /// The instance → app table of the scenario the columns index into.
     pub names: Arc<NameTable>,
-    /// `PE column -> PeId` (platform descriptor order).
-    pub pes: Vec<PeId>,
+    /// The platform the run was on: PE column `c` is `platform.pes[c]`.
+    pub platform: Arc<PlatformConfig>,
 }
 
 impl DenseTaskLog {
@@ -98,20 +98,19 @@ impl DenseTaskLog {
             .map(|k| {
                 let start = c.start_ns.get(k).map_or(c.finish_ns[k] - c.dur_ns[k], |&s| s);
                 let id = InstanceId(c.inst[k] as u64);
-                let node_idx = c.node[k] as usize;
-                let col = c.col[k] as usize;
-                let spec_idx = self.names.spec_index(id);
+                let (app, node_idx) = (self.names.spec(id), c.node[k] as usize);
+                let node = &app.nodes[node_idx];
+                let pe = &self.platform.pes[c.col[k] as usize];
                 TaskRecord {
                     instance: id,
-                    app: self.names.app(id).clone(),
-                    node: self.names.node(id, node_idx).clone(),
+                    app: app.name.clone(),
+                    node: node.name.clone(),
                     node_idx,
-                    kernel: self
-                        .names
-                        .runfunc_by_spec(spec_idx, node_idx, col)
-                        .cloned()
+                    kernel: node
+                        .platform(&pe.platform_key)
+                        .map(|p| p.runfunc.clone())
                         .unwrap_or_default(),
-                    pe: self.pes[col],
+                    pe: pe.id,
                     ready_at: SimTime(c.ready_ns[k]),
                     start: SimTime(start),
                     finish: SimTime(c.finish_ns[k]),
@@ -313,7 +312,7 @@ impl AppLog {
                         app: d.names.app(id).clone(),
                         arrival: SimTime(c.arrival_ns[k]),
                         finish: SimTime(c.finish_ns[k]),
-                        task_count: d.names.node_count(id),
+                        task_count: d.names.spec(id).nodes.len(),
                     }
                 })
                 .collect()

@@ -18,7 +18,7 @@ use std::time::Duration;
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::{InjectionParams, WorkloadSpec};
 use dssoc_core::engine::OverheadMode;
-use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioSpec};
+use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioKey, ScenarioSpec};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
@@ -94,16 +94,16 @@ fn a_cache_hit_allocates_nothing_per_arrival() {
         let stored = spec(&request, &library, &platform, &cost);
         assert_eq!(stored.workload.len() as u64, arrivals);
         let cache = ResultCache::new(1);
-        cache.store(&stored, stored.fingerprint(), Engine::Des, Arc::clone(&stats));
+        cache.store(&Arc::new(ScenarioKey::of(&stored)), Engine::Des, Arc::clone(&stats));
         let mut blocks = 0;
         // The first round warms whatever is initialized lazily.
         for _ in 0..2 {
             let before = ALLOCS.load(Ordering::Relaxed);
             let served = spec(&request, &library, &platform, &cost);
-            let fingerprint = served.fingerprint();
-            let hit = cache.lookup(&served, fingerprint, Engine::Des);
+            let key = ScenarioKey::of(&served);
+            let hit = cache.lookup(&key, Engine::Des);
             assert!(hit.is_some(), "the regenerated scenario hits");
-            drop((hit, served));
+            drop((hit, key, served));
             blocks = ALLOCS.load(Ordering::Relaxed) - before;
         }
         blocks

@@ -19,7 +19,7 @@ use std::time::Duration;
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::workload::Workload;
 use dssoc_core::engine::{OverheadMode, TimingMode};
-use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioSpec};
+use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioKey, ScenarioSpec};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
@@ -58,11 +58,12 @@ fn live() -> i64 {
 const CAPACITY: usize = 256;
 /// Entries produced by the threaded engine; the rest come from the DES.
 const THREADED: usize = 32;
-/// What one entry may hold. Measured on x86-64: ~217 KB per entry once
+/// What one entry may hold. Measured on x86-64: ~127 KB per entry once
 /// its 770 task records are materialized. The records are ~99 KB of
-/// that, the completion columns 28–40 KB, and the scenario's name table
-/// and the rest of the summary the remainder.
-const PER_ENTRY: i64 = 256 * 1024;
+/// that and the completion columns 25–37 KB; the rest of the summary,
+/// the scenario's key and its instance → app table (whose names are
+/// the library app's own) are a few hundred bytes.
+const PER_ENTRY: i64 = 160 * 1024;
 /// What the runner's warm engines (a resource pool, two scratch arenas)
 /// may hold while the cache fills.
 const ENGINES: i64 = 4 * 1024 * 1024;
@@ -113,15 +114,15 @@ fn a_full_cache_of_pulse_doppler_results_holds_no_images() {
     for i in 0..CAPACITY {
         let engine = if i < THREADED { Engine::Threaded } else { Engine::Des };
         let spec = scenario(i, &library, &platform, &cost);
-        let fingerprint = spec.fingerprint();
-        let result = runner.run_spec(spec.clone(), engine).expect("run");
+        let key = ScenarioKey::of(&spec);
+        let result = runner.run_spec(spec, engine).expect("run");
         assert!(!result.cached, "scenario {i} is distinct");
         assert_eq!(result.stats.tasks.len(), 770);
         drop(result);
-        let entry = cache.lookup(&spec, fingerprint, engine).expect("stored");
+        let entry = cache.lookup(&key, engine).expect("stored");
         entry.tasks.records();
         entry.app_aggregates();
-        drop((entry, spec));
+        drop((entry, key));
         let held = live() - before;
         let bound = (i as i64 + 1) * PER_ENTRY + ENGINES;
         assert!(held <= bound, "{} entries hold {held} B, over {bound} B", i + 1);

@@ -1,5 +1,7 @@
 //! Measurement harness behind the "Compile-once scenario layer"
-//! numbers in `crates/bench/README.md`; ignored by default (run with
+//! numbers in `crates/bench/README.md`, and the compile time of a
+//! pulse-Doppler and a serve-shaped scenario mix
+//! (`measure_compile_mixes`); ignored by default (run with
 //! `--ignored --nocapture`). Not a regression test — it prints
 //! timings instead of asserting them, because the development
 //! container's single shared core makes absolute thresholds flaky.
@@ -103,4 +105,59 @@ fn measure_compile_once() {
     println!("cached replay:                                {:.1} us", cached_best * 1e6);
     println!("compile-once speedup: {:.2}x", fresh_best / shared_best);
     println!("cache-replay speedup: {:.1}x", fresh_best / cached_best);
+}
+
+/// Compile time of two scenario mixes on `zcu102:3C+1F` with FRFS and
+/// table costs: one pulse-Doppler instance with three range-detection
+/// and three WiFi TX instances, and a serve-shaped performance trace of
+/// WiFi TX/RX and range detection. Prints the best mean over 15 rounds
+/// of 200 compiles of each (each encodes the spec once).
+#[test]
+#[ignore]
+fn measure_compile_mixes() {
+    use dssoc_appmodel::workload::InjectionParams;
+    let (library, _registry) = standard_library();
+    let library = Arc::new(library);
+    let platform = Arc::new(zcu102(3, 1));
+    let pulse_doppler = WorkloadSpec::validation([
+        ("pulse_doppler", 1usize),
+        ("range_detection", 3),
+        ("wifi_tx", 3),
+    ]);
+    let inject = |app: &str| InjectionParams {
+        app: app.into(),
+        period: Duration::from_micros(400),
+        probability: 0.5,
+    };
+    let apps = ["wifi_tx", "wifi_rx", "range_detection"];
+    let serve = WorkloadSpec::performance(
+        apps.iter().map(|app| inject(app)).collect(),
+        Duration::from_micros(14_400),
+        1,
+    );
+    for (mix, workload) in [("pulse-Doppler", pulse_doppler), ("serve-shaped", serve)] {
+        let workload = workload.generate(&library).expect("workload");
+        let (arrivals, tasks) = (workload.len(), workload.total_tasks(&library).expect("tasks"));
+        let spec = ScenarioSpec::builder()
+            .library(Arc::clone(&library))
+            .platform(Arc::clone(&platform))
+            .scheduler("frfs")
+            .workload(workload)
+            .overhead(OverheadMode::None)
+            .cost(CostSpec::table(CostTable::new()))
+            .build()
+            .expect("spec");
+        const ROUNDS: usize = 15;
+        const CALLS: usize = 200;
+        let mut best = f64::INFINITY;
+        for _ in 0..ROUNDS {
+            let t = Instant::now();
+            for _ in 0..CALLS {
+                let compiled = CompiledScenario::compile(spec.clone());
+                std::hint::black_box(compiled.expect("compile"));
+            }
+            best = best.min(t.elapsed().as_secs_f64() / CALLS as f64);
+        }
+        println!("{mix} mix ({arrivals} arrivals, {tasks} tasks): compile {:.1} us", best * 1e6);
+    }
 }

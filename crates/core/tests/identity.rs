@@ -20,7 +20,7 @@ use dssoc_appmodel::app::{AppLibrary, ApplicationSpec};
 use dssoc_appmodel::workload::{InjectionParams, Workload, WorkloadSpec};
 use dssoc_core::engine::{OverheadMode, TimingMode};
 use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault};
-use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioSpec};
+use dssoc_core::job::{CostSpec, Engine, JobRunner, ResultCache, ScenarioKey, ScenarioSpec};
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::{AccelModel, PeKind, PlatformConfig};
@@ -245,8 +245,8 @@ proptest! {
         let fp = a.fingerprint();
         for (what, b, same) in cases {
             let cache = ResultCache::new(1);
-            cache.store(&a, fp, Engine::Des, some_stats());
-            let hit = cache.lookup(&b, fp, Engine::Des).is_some();
+            cache.store(&Arc::new(ScenarioKey::of(&a)), Engine::Des, some_stats());
+            let hit = cache.lookup(&ScenarioKey::of(&b).with_fingerprint(fp), Engine::Des).is_some();
             let equal = b.fingerprint() == fp;
             prop_assert_eq!(hit, equal, "{}: hit {} but fingerprints equal {}", what, hit, equal);
             if let Some(same) = same {
@@ -260,8 +260,9 @@ proptest! {
 /// the fingerprints differ.
 fn assert_distinct(a: &ScenarioSpec, b: &ScenarioSpec) {
     let cache = ResultCache::new(1);
-    cache.store(a, a.fingerprint(), Engine::Des, some_stats());
-    assert!(cache.lookup(b, a.fingerprint(), Engine::Des).is_none());
+    cache.store(&Arc::new(ScenarioKey::of(a)), Engine::Des, some_stats());
+    let b_under_a = ScenarioKey::of(b).with_fingerprint(a.fingerprint());
+    assert!(cache.lookup(&b_under_a, Engine::Des).is_none());
     assert_ne!(a.fingerprint(), b.fingerprint());
 }
 
@@ -291,6 +292,6 @@ fn a_spec_with_an_unknown_app_is_never_stored() {
     let ghost = |name: &str| base_spec(Workload::new([(name, Duration::ZERO)], None));
     assert_ne!(ghost("ghost").fingerprint(), ghost("phantom").fingerprint());
     let cache = ResultCache::new(1);
-    cache.store(&ghost("ghost"), ghost("ghost").fingerprint(), Engine::Des, some_stats());
+    cache.store(&Arc::new(ScenarioKey::of(&ghost("ghost"))), Engine::Des, some_stats());
     assert!(cache.is_empty());
 }

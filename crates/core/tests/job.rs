@@ -16,7 +16,7 @@ use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
-use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioSpec};
+use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioKey, ScenarioSpec};
 use dssoc_core::prelude::*;
 use dssoc_core::stats::EmulationStats;
 use dssoc_platform::cost::CostTable;
@@ -372,13 +372,14 @@ fn forced_fingerprint_collisions_miss_and_run_their_own_scenario() {
         let mut jobs = JobRunner::new();
         let first = CompiledScenario::compile(a).expect("compile a");
         let fp = first.fingerprint();
-        let collided = CompiledScenario::compile_fingerprinted(b, fp).expect("compile b");
+        let b_under_a = ScenarioKey::of(&b).with_fingerprint(fp);
+        let collided = CompiledScenario::compile_keyed(b, b_under_a).expect("compile b");
         assert!(!jobs.run(&first, Engine::Des).expect("run a").cached);
         assert!(
-            jobs.cache().lookup(collided.spec(), fp, Engine::Des).is_none(),
+            jobs.cache().lookup(collided.key(), Engine::Des).is_none(),
             "a colliding spec must not find the other scenario's result"
         );
-        assert!(jobs.cache().lookup(first.spec(), fp, Engine::Des).is_some());
+        assert!(jobs.cache().lookup(first.key(), Engine::Des).is_some());
 
         let ran = jobs.run(&collided, Engine::Des).expect("run b");
         assert!(!ran.cached, "a collision is a miss");
@@ -416,7 +417,8 @@ fn a_warm_engine_runs_a_collided_scenario_like_a_fresh_one() {
     let first = CompiledScenario::compile(spec("wifi_tx")).expect("compile");
     jobs.run(&first, Engine::Des).expect("first run");
     let fp = first.fingerprint();
-    let collided = CompiledScenario::compile_fingerprinted(spec("range_detection"), fp);
+    let key = ScenarioKey::of(&spec("range_detection")).with_fingerprint(fp);
+    let collided = CompiledScenario::compile_keyed(spec("range_detection"), key);
     let collided = collided.expect("compile");
     let warm = jobs.run(&collided, Engine::Des).expect("warm run");
     assert!(!warm.cached);
@@ -430,16 +432,18 @@ fn a_warm_engine_runs_a_collided_scenario_like_a_fresh_one() {
 #[test]
 fn plain_and_by_value_entries_answer_only_their_own_lookups() {
     let spec = deterministic_spec();
-    let fp = spec.fingerprint();
+    let key = Arc::new(ScenarioKey::of(&spec));
+    let fp = key.fingerprint();
+    assert_eq!(fp, spec.fingerprint(), "the fingerprint is the key's hash");
     let stats = JobRunner::new().run_spec(spec.clone(), Engine::Des).expect("run").stats;
     let cache = dssoc_core::job::ResultCache::new(4);
-    cache.store(&spec, fp, Engine::Des, Arc::new(stats.clone()));
+    cache.store(&key, Engine::Des, Arc::new(stats.clone()));
     assert!(cache.get(fp, Engine::Des).is_none(), "get never answers a by-value entry");
-    let hit = cache.lookup(&spec, fp, Engine::Des).expect("by-value hit");
+    let hit = cache.lookup(&key, Engine::Des).expect("by-value hit");
     assert_eq!(stats_skeleton(&hit), stats_skeleton(&stats));
-    assert!(cache.lookup(&spec, fp, Engine::Threaded).is_none(), "the engine is part of the slot");
+    assert!(cache.lookup(&key, Engine::Threaded).is_none(), "the engine is part of the slot");
     cache.insert(fp, Engine::Threaded, stats);
-    assert!(cache.lookup(&spec, fp, Engine::Threaded).is_none(), "lookup never answers insert");
+    assert!(cache.lookup(&key, Engine::Threaded).is_none(), "lookup never answers insert");
     assert!(cache.get(fp, Engine::Threaded).is_some());
     assert_eq!((cache.hits(), cache.misses()), (1, 1), "only get counts by itself");
     cache.count(true);

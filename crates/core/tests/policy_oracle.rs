@@ -24,6 +24,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::{AppLibrary, ApplicationSpec};
+use dssoc_appmodel::instance::AppInstance;
 use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
 use dssoc_appmodel::{KernelRegistry, WorkloadSpec};
 use dssoc_core::arena::DenseReady;
@@ -84,7 +85,7 @@ mod oracle {
             if let Some(d) = platform.mean_exec {
                 return Some(d);
             }
-            let key = (platform.runfunc.clone(), pe.class_name().to_string());
+            let key = (platform.runfunc.to_string(), pe.class_name().to_string());
             if let Some(&d) = self.0.get(&key) {
                 return Some(d);
             }
@@ -304,8 +305,10 @@ fn case(seed: u64, wide: bool) -> Case {
 
     // A random subset of the tasks, in a random readiness order.
     let now = SimTime(rng.gen_range(0..10_000_000));
-    let mut keys: Vec<(usize, usize)> = scenario
-        .instances()
+    let (workload, library) = (&scenario.spec().workload, &scenario.spec().library);
+    let instances: Vec<Arc<AppInstance>> =
+        workload.instantiate(library).expect("instances").into_iter().map(Arc::new).collect();
+    let mut keys: Vec<(usize, usize)> = instances
         .iter()
         .enumerate()
         .flat_map(|(i, inst)| (0..inst.spec.nodes.len()).map(move |n| (i, n)))
@@ -316,7 +319,7 @@ fn case(seed: u64, wide: bool) -> Case {
     keys.truncate(rng.gen_range(0..=keys.len()));
     let (mut entries, mut tasks) = (Vec::new(), Vec::new());
     for (seq, &(i, node)) in keys.iter().enumerate() {
-        let instance = Arc::clone(&scenario.instances()[i]);
+        let instance = Arc::clone(&instances[i]);
         let ready_at = SimTime(rng.gen_range(0..=now.0));
         let seq = seq as u64;
         entries.push(DenseReady {

@@ -292,8 +292,10 @@ fn warm_pool_learned_estimates_match_cold_runs() {
 /// knob — timing, overhead, cost and reservation depth — on one
 /// platform. Each deterministic result equals a cold runner's; the
 /// host-measured ones (wall-clock timing, measured overhead or
-/// scaled-measured cost) run every task. The platform keeps one warm
-/// engine per kind, and the threaded one spawns its threads once.
+/// scaled-measured cost) run every task, except that the DES, which
+/// measures nothing, refuses a scaled-measured cost. The platform keeps
+/// one warm engine per kind, and the threaded one spawns its threads
+/// once.
 #[test]
 fn one_warm_engine_per_kind_alternates_every_knob() {
     let (library, _registry) = standard_library();
@@ -329,6 +331,11 @@ fn one_warm_engine_per_kind_alternates_every_knob() {
         let what = format!("step {step}: {timing:?}/{overhead:?}/{cost:?}/depth {depth}");
         for engine in [Engine::Threaded, Engine::Des] {
             let spawned = threads_spawned_total();
+            if engine == Engine::Des && matches!(cost, CostSpec::ScaledMeasured) {
+                let err = warm.run(&scenario, engine).expect_err(&what);
+                assert!(err.to_string().contains("needs the threaded engine"), "{what}: {err}");
+                continue;
+            }
             let got = warm.run(&scenario, engine).unwrap_or_else(|e| panic!("{what}: {e}"));
             let pool = if step == 0 && engine == Engine::Threaded { platform.pes.len() } else { 0 };
             assert_eq!(threads_spawned_total() - spawned, pool as u64, "{what}: threads spawned");

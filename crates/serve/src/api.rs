@@ -25,7 +25,8 @@
 //! Engine defaults keep the common cases deterministic-and-cacheable:
 //! DES jobs get a table cost and no overhead charge unless overridden
 //! (a DES job may not ask for `"cost": "measured"`: it measures no
-//! kernel, so every task would cost zero);
+//! kernel, so every task would cost zero — the core's
+//! `ScenarioSpec::check_engine` rule, checked here to refuse the job);
 //! threaded jobs default to the paper's measured configuration
 //! (modeled timing, measured overhead, scaled-measured cost) and
 //! become cacheable only when the client pins `"cost": "table"` and a
@@ -267,11 +268,6 @@ fn build_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest
             Engine::Threaded => CostSpec::ScaledMeasured,
         },
         Some("table") => CostSpec::table(CostTable::new()),
-        Some("measured") if engine == Engine::Des => {
-            return Err("cost 'measured' needs the threaded engine: the DES measures no \
-                        kernel, so every task would cost zero (use \"cost\": \"table\")"
-                .into());
-        }
         Some("measured") => CostSpec::ScaledMeasured,
         Some(other) => return Err(format!("unknown cost '{other}' (use table or measured)")),
     };
@@ -298,6 +294,7 @@ fn build_request(body: &[u8], library: &Arc<AppLibrary>) -> Result<ParsedRequest
     }
 
     let spec = builder.build().map_err(rejected)?;
+    spec.check_engine(engine).map_err(rejected)?;
 
     let priority = field_u64(&v, "priority")?.unwrap_or(0).min(MAX_PRIORITY as u64) as u8;
     let trace = field_bool(&v, "trace")?;

@@ -71,7 +71,7 @@ use std::time::{Duration, Instant};
 
 use dssoc_core::engine::EmuError;
 use dssoc_core::job::{
-    CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioSpec,
+    CompiledScenario, Engine, Fingerprint, JobRunner, ResultCache, ScenarioKey, ScenarioSpec,
 };
 use dssoc_core::sched::by_name;
 use dssoc_core::stats::EmulationStats;
@@ -525,11 +525,13 @@ impl JobManager {
     /// Admits one job for `tenant` from its uncompiled spec.
     ///
     /// A job the cache may answer (a deterministic `(spec, engine)`
-    /// pair, untraced, with no chaos hook) is looked up by value first.
-    /// A hit is admitted straight to `done`, with no compile, no queue
-    /// and no worker; admission refusals still apply. Anything else is
-    /// compiled, so an invalid scenario is refused here, and queued as
-    /// by [`Self::submit`].
+    /// pair, untraced, with no chaos hook) is looked up by value first,
+    /// by its [`ScenarioKey`]. A hit is admitted straight to `done`,
+    /// with no compile, no queue and no worker; admission refusals
+    /// still apply. Anything else is compiled — a miss under the key it
+    /// was looked up by, which the worker stores its result with, so
+    /// the spec is encoded once either way — so an invalid scenario is
+    /// refused here, and queued as by [`Self::submit`].
     pub fn submit_spec(
         &self,
         tenant: &str,
@@ -540,8 +542,9 @@ impl JobManager {
         let compiled = if opts.trace || opts.chaos.is_some() || !spec.deterministic(opts.engine) {
             CompiledScenario::compile(spec)
         } else {
-            let fingerprint = spec.fingerprint();
-            if let Some(stats) = shared.cache.lookup(&spec, fingerprint, opts.engine) {
+            let key = ScenarioKey::of(&spec);
+            if let Some(stats) = shared.cache.lookup(&key, opts.engine) {
+                let fingerprint = key.fingerprint();
                 let outcome = Box::new(JobOutcome::from_stats(&stats, true));
                 let hit = Work::Cached { spec: &spec, fingerprint, outcome };
                 let admitted = shared.lock().admit(&shared.env, tenant, hit, opts, Instant::now());
@@ -552,7 +555,7 @@ impl JobManager {
                 }
                 return admitted.map_err(SubmitError::Refused);
             }
-            CompiledScenario::compile_fingerprinted(spec, fingerprint)
+            CompiledScenario::compile_keyed(spec, key)
         };
         let scenario = compiled.map_err(SubmitError::Invalid)?;
         self.submit(tenant, scenario, opts).map_err(SubmitError::Refused)
