@@ -25,7 +25,7 @@ use dssoc_appmodel::{KernelRegistry, ModelError, TaskCtx};
 use dssoc_dsp::chirp::lfm_chirp;
 use dssoc_dsp::coding::{ConvolutionalEncoder, ViterbiDecoder, K};
 use dssoc_dsp::complex::Complex32;
-use dssoc_dsp::correlate::xcorr_fft;
+use dssoc_dsp::correlate::xcorr_direct;
 use dssoc_dsp::crc::crc32;
 use dssoc_dsp::fft::{fft_in_place, ifft_in_place};
 use dssoc_dsp::interleave::BlockInterleaver;
@@ -33,6 +33,7 @@ use dssoc_dsp::modulation::{insert_pilots, qpsk_demodulate, qpsk_modulate, remov
 use dssoc_dsp::scramble::Scrambler;
 use dssoc_dsp::util::argmax_magnitude;
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use crate::common::{complex_buffer, cpu, fft_accel, node};
 
@@ -83,9 +84,11 @@ fn bits_of(bytes: &[u8]) -> Vec<u8> {
     dssoc_dsp::util::unpack_bits(bytes)
 }
 
-/// The preamble every frame is preceded by (known to the receiver).
-pub fn preamble() -> Vec<Complex32> {
-    lfm_chirp(PREAMBLE_LEN, 0.0, 3.0e6, 8.0e6)
+/// The preamble every frame is preceded by (known to the receiver),
+/// built on first use.
+pub fn preamble() -> &'static [Complex32] {
+    static PREAMBLE: OnceLock<Vec<Complex32>> = OnceLock::new();
+    PREAMBLE.get_or_init(|| lfm_chirp(PREAMBLE_LEN, 0.0, 3.0e6, 8.0e6))
 }
 
 /// Runs the full transmit chain outside the emulator (used to synthesize
@@ -367,11 +370,11 @@ fn k_tx_crc(ctx: &TaskCtx<'_>) -> Result<(), ModelError> {
 fn k_rx_match(ctx: &TaskCtx<'_>) -> Result<(), ModelError> {
     let len = ctx.read_u32("rx_len")? as usize;
     let stream = ctx.read_complex("rx_stream", len)?;
-    let pre = preamble();
-    let corr = xcorr_fft(&stream, &pre);
     // The preamble start is the strongest correlation lag; the frame
-    // begins right after it.
-    let lag = argmax_magnitude(&corr[..len]).unwrap_or(0);
+    // begins right after it. A 32-tap direct correlation costs less than
+    // the three FFTs of `xcorr_fft` and peaks at the same lag.
+    let corr = xcorr_direct(&stream, preamble());
+    let lag = argmax_magnitude(&corr).unwrap_or(0);
     let start = lag + PREAMBLE_LEN;
     if start + FFT_SIZE > len {
         return Err(ModelError::KernelFailed {
@@ -417,12 +420,11 @@ fn k_rx_deinterleave(ctx: &TaskCtx<'_>) -> Result<(), ModelError> {
 
 fn k_rx_decode(ctx: &TaskCtx<'_>) -> Result<(), ModelError> {
     let coded = ctx.read_bytes("deinterleaved")?;
-    let decoded = ViterbiDecoder::new().decode_terminated(&coded).ok_or_else(|| {
-        ModelError::KernelFailed {
+    let decoded =
+        ViterbiDecoder.decode_terminated(&coded).ok_or_else(|| ModelError::KernelFailed {
             kernel: "wifi_rx_decode".into(),
             reason: "stream too short".into(),
-        }
-    })?;
+        })?;
     ctx.write_bytes("decoded", &decoded)
 }
 
@@ -473,6 +475,62 @@ mod tests {
         "DESCRAMBLE",
         "CRC_CHECK",
     ];
+
+    /// Reference matched filter: an FFT correlation and a peak search
+    /// over the recording's lags.
+    fn k_rx_match_fft(ctx: &TaskCtx<'_>) -> Result<(), ModelError> {
+        let len = ctx.read_u32("rx_len")? as usize;
+        let stream = ctx.read_complex("rx_stream", len)?;
+        let corr = dssoc_dsp::correlate::xcorr_fft(&stream, preamble());
+        let start = argmax_magnitude(&corr[..len]).unwrap_or(0) + PREAMBLE_LEN;
+        ctx.write_complex("frame", &stream[start..start + FFT_SIZE])
+    }
+
+    fn snapshot(mem: &dssoc_appmodel::memory::AppMemory) -> Vec<(String, Vec<u8>)> {
+        mem.names().into_iter().map(|n| (n.to_string(), mem.read_bytes(n).unwrap())).collect()
+    }
+
+    #[test]
+    fn rx_kernels_write_what_the_fft_filter_and_reference_decoder_write() {
+        let mut reg = KernelRegistry::new();
+        register_kernels(&mut reg);
+        let defaults = Params::default();
+        let scrambled = Scrambler::new(SCRAMBLE_SEED).scramble(&bits_of(&defaults.payload));
+        for rx_offset in 0..=defaults.rx_len - PREAMBLE_LEN - FFT_SIZE {
+            let spec = ApplicationSpec::from_json(
+                &build_rx_app(&Params { rx_offset, ..Params::default() }),
+                &reg,
+            )
+            .unwrap();
+            let inst = |id| {
+                AppInstance::instantiate(Arc::clone(&spec), InstanceId(id), Duration::ZERO).unwrap()
+            };
+            let (fast, reference) = (inst(0), inst(1));
+            for name in RX_ORDER {
+                let nspec = spec.node_by_name(name).unwrap();
+                let kernel = &nspec.platform("cpu").unwrap().kernel;
+                let ctx = |mem| TaskCtx::new(mem, &nspec.name, &nspec.arguments, None);
+                kernel.run(&ctx(&fast.memory)).unwrap();
+                match name {
+                    "MATCH_FILTER" => k_rx_match_fft(&ctx(&reference.memory)).unwrap(),
+                    _ => kernel.run(&ctx(&reference.memory)).unwrap(),
+                }
+                assert_eq!(
+                    snapshot(&fast.memory),
+                    snapshot(&reference.memory),
+                    "{name} at rx_offset {rx_offset}"
+                );
+            }
+            // Both chains decode with the new decoder, so hold it to what
+            // any maximum-likelihood decoder (the reference one included)
+            // writes for an error-free codeword: the codeword's message.
+            let deinterleaved = fast.memory.read_bytes("deinterleaved").unwrap();
+            let decoded = fast.memory.read_bytes("decoded").unwrap();
+            assert_eq!(decoded, scrambled, "rx_offset {rx_offset}");
+            assert_eq!(ConvolutionalEncoder::new().encode_terminated(&decoded), deinterleaved);
+            assert_eq!(fast.memory.read_u32("crc_ok").unwrap(), 1, "rx_offset {rx_offset}");
+        }
+    }
 
     #[test]
     #[allow(clippy::assertions_on_constants)] // documents the frame geometry

@@ -7,7 +7,7 @@ use std::hint::black_box;
 use dssoc_dsp::chirp::lfm_chirp;
 use dssoc_dsp::coding::{ConvolutionalEncoder, ViterbiDecoder};
 use dssoc_dsp::complex::Complex32;
-use dssoc_dsp::correlate::xcorr_fft;
+use dssoc_dsp::correlate::{xcorr_direct, xcorr_fft};
 use dssoc_dsp::fft::{dft, fft_in_place};
 
 fn signal(n: usize) -> Vec<Complex32> {
@@ -54,6 +54,13 @@ fn bench_xcorr(c: &mut Criterion) {
     let pulse = lfm_chirp(128, 0.0, 2e6, 8e6);
     let rx = signal(512);
     c.bench_function("xcorr_fft_512x128", |b| b.iter(|| black_box(xcorr_fft(&rx, &pulse))));
+    // The WiFi RX matched filter's shape: a 256-sample recording against
+    // the 32-sample preamble chirp.
+    let preamble = lfm_chirp(32, 0.0, 3e6, 8e6);
+    let recording = signal(256);
+    c.bench_function("xcorr_direct_256x32", |b| {
+        b.iter(|| black_box(xcorr_direct(&recording, &preamble)))
+    });
 }
 
 fn bench_chirp(c: &mut Criterion) {

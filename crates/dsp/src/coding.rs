@@ -63,39 +63,65 @@ impl ConvolutionalEncoder {
     }
 }
 
+/// Predecessor pairs per input bit: state `ns` is reached from states
+/// `2 * (ns & 31)` and `2 * (ns & 31) + 1` by input bit `ns >> 5`.
+const HALF: usize = NSTATES / 2; // 32
+
+/// Path metric of a state the trellis has not reached yet. Far above any
+/// reached metric (at most 2 per step), and far enough below `u32::MAX`
+/// that adding the first steps' branch metrics cannot wrap.
+const UNREACHED: u32 = u32::MAX / 2;
+
+/// Branch metrics of one trellis step, `BRANCH[r][p][bit][j]`: the
+/// Hamming distance between the received pair `r = (r0 << 1) | r1` and
+/// what state `2j + p` emits on input `bit`.
+type BranchTable = [[[[u32; HALF]; 2]; 2]; 4];
+
+static BRANCH: BranchTable = branch_table();
+
+const fn branch_table() -> BranchTable {
+    let mut table = [[[[0u32; HALF]; 2]; 2]; 4];
+    let mut r = 0;
+    while r < 4 {
+        let (r0, r1) = ((r >> 1) as u32, (r & 1) as u32);
+        let mut state = 0;
+        while state < NSTATES {
+            let mut bit = 0;
+            while bit < 2 {
+                let reg = (bit << 6) | state;
+                let o0 = (reg as u8 & G0).count_ones() & 1;
+                let o1 = (reg as u8 & G1).count_ones() & 1;
+                table[r][state & 1][bit][state >> 1] = (o0 ^ r0) + (o1 ^ r1);
+                bit += 1;
+            }
+            state += 1;
+        }
+        r += 1;
+    }
+    table
+}
+
 /// Hard-decision Viterbi decoder for the K=7 rate-1/2 code.
 ///
 /// Decodes a stream produced by [`ConvolutionalEncoder::encode_terminated`]
-/// back to the original message (the tail bits are stripped).
-#[derive(Debug, Clone)]
-pub struct ViterbiDecoder {
-    // Precomputed branch outputs: outputs[state][input_bit] = (o0, o1)
-    outputs: Vec<[(u8, u8); 2]>,
-}
-
-impl Default for ViterbiDecoder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// back to the original message (the tail bits are stripped). The trellis
+/// tables are built at compile time, so a decoder costs nothing to make.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ViterbiDecoder;
 
 impl ViterbiDecoder {
-    /// Builds the decoder (precomputes the trellis branch outputs).
+    /// A decoder over the compile-time trellis tables.
     pub fn new() -> Self {
-        let mut outputs = vec![[(0u8, 0u8); 2]; NSTATES];
-        for (state, out) in outputs.iter_mut().enumerate() {
-            for bit in 0..2u8 {
-                let reg = ((bit as usize) << 6) | state;
-                let o0 = (reg & G0 as usize).count_ones() as u8 & 1;
-                let o1 = (reg & G1 as usize).count_ones() as u8 & 1;
-                out[bit as usize] = (o0, o1);
-            }
-        }
-        ViterbiDecoder { outputs }
+        ViterbiDecoder
     }
 
     /// Decodes a terminated coded stream. `coded.len()` must be even; the
-    /// message length is `coded.len()/2 - (K-1)`.
+    /// message length is `coded.len()/2 - (K-1)`. Only the low bit of each
+    /// received byte is read.
+    ///
+    /// Add-compare-select runs as butterflies over metrics kept split by
+    /// predecessor parity, and records one decision bit per state and
+    /// step. A tie keeps the even predecessor.
     ///
     /// Returns `None` if the stream is too short to contain the tail.
     pub fn decode_terminated(&self, coded: &[u8]) -> Option<Vec<u8>> {
@@ -104,53 +130,109 @@ impl ViterbiDecoder {
         if nsteps < K - 1 {
             return None;
         }
-        const INF: u32 = u32::MAX / 2;
-        let mut metric = vec![INF; NSTATES];
-        metric[0] = 0; // trellis starts in the all-zero state
-        let mut next = vec![INF; NSTATES];
-        // survivors[t][state] = input bit that led here (for traceback)
-        let mut survivors: Vec<[u8; NSTATES]> = Vec::with_capacity(nsteps);
-        let mut prev_state: Vec<[u8; NSTATES]> = Vec::with_capacity(nsteps);
-
-        #[allow(clippy::needless_range_loop)] // trellis states are ids, not positions
-        for t in 0..nsteps {
-            let r0 = coded[2 * t];
-            let r1 = coded[2 * t + 1];
-            next.iter_mut().for_each(|m| *m = INF);
-            let mut surv = [0u8; NSTATES];
-            let mut prev = [0u8; NSTATES];
-            for state in 0..NSTATES {
-                let m = metric[state];
-                if m >= INF {
-                    continue;
+        // even[j] / odd[j]: path metric of state 2j / 2j + 1.
+        let mut even = [UNREACHED; HALF];
+        let mut odd = [UNREACHED; HALF];
+        // The trellis starts in the all-zero state.
+        even[0] = 0;
+        // Bit ns of decisions[t]: state ns was entered from its odd predecessor.
+        let mut decisions = Vec::with_capacity(nsteps);
+        for pair in coded.chunks_exact(2) {
+            let branch = &BRANCH[usize::from(((pair[0] & 1) << 1) | (pair[1] & 1))];
+            let mut next = [0u32; NSTATES];
+            let mut decided = 0u64;
+            for bit in 0..2 {
+                let (from_even, from_odd) = (&branch[0][bit], &branch[1][bit]);
+                let mut word = 0u32;
+                for j in 0..HALF {
+                    let via_even = even[j] + from_even[j];
+                    let via_odd = odd[j] + from_odd[j];
+                    let odd_wins = via_odd < via_even;
+                    next[bit * HALF + j] = if odd_wins { via_odd } else { via_even };
+                    word |= u32::from(odd_wins) << j;
                 }
-                for bit in 0..2usize {
-                    let (o0, o1) = self.outputs[state][bit];
-                    let branch = (o0 ^ r0) as u32 + (o1 ^ r1) as u32;
-                    let ns = ((bit << 6) | state) >> 1;
-                    let cand = m + branch;
-                    if cand < next[ns] {
-                        next[ns] = cand;
-                        surv[ns] = bit as u8;
-                        prev[ns] = state as u8;
-                    }
-                }
+                decided |= u64::from(word) << (bit * HALF);
             }
-            std::mem::swap(&mut metric, &mut next);
-            survivors.push(surv);
-            prev_state.push(prev);
+            for j in 0..HALF {
+                even[j] = next[2 * j];
+                odd[j] = next[2 * j + 1];
+            }
+            decisions.push(decided);
         }
 
         // Terminated stream ends in state 0.
         let mut state = 0usize;
         let mut bits = vec![0u8; nsteps];
-        for t in (0..nsteps).rev() {
-            bits[t] = survivors[t][state];
-            state = prev_state[t][state] as usize;
+        for (bit, d) in bits.iter_mut().zip(&decisions).rev() {
+            *bit = (state >> 5) as u8;
+            state = ((state & (HALF - 1)) << 1) | ((d >> state) & 1) as usize;
         }
         bits.truncate(nsteps - (K - 1)); // strip flush bits
         Some(bits)
     }
+}
+
+/// Reference decoder: a branchy add-compare-select over ascending
+/// states that keeps the first strict minimum and skips unreached
+/// states. The bit-for-bit oracle of [`ViterbiDecoder`].
+#[cfg(test)]
+fn decode_terminated_reference(coded: &[u8]) -> Option<Vec<u8>> {
+    let mut outputs = vec![[(0u8, 0u8); 2]; NSTATES];
+    for (state, out) in outputs.iter_mut().enumerate() {
+        for bit in 0..2u8 {
+            let reg = ((bit as usize) << 6) | state;
+            let o0 = (reg & G0 as usize).count_ones() as u8 & 1;
+            let o1 = (reg & G1 as usize).count_ones() as u8 & 1;
+            out[bit as usize] = (o0, o1);
+        }
+    }
+    assert!(coded.len().is_multiple_of(2), "coded stream must contain bit pairs");
+    let nsteps = coded.len() / 2;
+    if nsteps < K - 1 {
+        return None;
+    }
+    const INF: u32 = u32::MAX / 2;
+    let mut metric = vec![INF; NSTATES];
+    metric[0] = 0;
+    let mut next = vec![INF; NSTATES];
+    let mut survivors: Vec<[u8; NSTATES]> = Vec::with_capacity(nsteps);
+    let mut prev_state: Vec<[u8; NSTATES]> = Vec::with_capacity(nsteps);
+    #[allow(clippy::needless_range_loop)] // trellis states are ids, not positions
+    for t in 0..nsteps {
+        let r0 = coded[2 * t];
+        let r1 = coded[2 * t + 1];
+        next.iter_mut().for_each(|m| *m = INF);
+        let mut surv = [0u8; NSTATES];
+        let mut prev = [0u8; NSTATES];
+        for state in 0..NSTATES {
+            let m = metric[state];
+            if m >= INF {
+                continue;
+            }
+            for bit in 0..2usize {
+                let (o0, o1) = outputs[state][bit];
+                let branch = (o0 ^ r0) as u32 + (o1 ^ r1) as u32;
+                let ns = ((bit << 6) | state) >> 1;
+                let cand = m + branch;
+                if cand < next[ns] {
+                    next[ns] = cand;
+                    surv[ns] = bit as u8;
+                    prev[ns] = state as u8;
+                }
+            }
+        }
+        std::mem::swap(&mut metric, &mut next);
+        survivors.push(surv);
+        prev_state.push(prev);
+    }
+    let mut state = 0usize;
+    let mut bits = vec![0u8; nsteps];
+    for t in (0..nsteps).rev() {
+        bits[t] = survivors[t][state];
+        state = prev_state[t][state] as usize;
+    }
+    bits.truncate(nsteps - (K - 1));
+    Some(bits)
 }
 
 #[cfg(test)]
@@ -206,6 +288,69 @@ mod tests {
     fn too_short_stream_is_none() {
         let dec = ViterbiDecoder::new();
         assert!(dec.decode_terminated(&[0, 0]).is_none());
+    }
+
+    /// Flips each bit of `coded` with probability `per_mille / 1000`.
+    fn flip_bits(coded: &mut [u8], per_mille: u64, mut seed: u64) {
+        for bit in coded {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            if (seed >> 33) % 1000 < per_mille {
+                *bit ^= 1;
+            }
+        }
+    }
+
+    #[test]
+    fn matches_reference_on_every_short_stream() {
+        // Every stream of 7 bit pairs: the trellis is still filling for the
+        // first 6 steps, so unreached states take part in each step.
+        for word in 0u32..1 << 14 {
+            let coded: Vec<u8> = (0..14).map(|i| (word >> i) as u8 & 1).collect();
+            assert_eq!(
+                ViterbiDecoder::new().decode_terminated(&coded),
+                decode_terminated_reference(&coded),
+                "{coded:?}"
+            );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Terminated codewords with 0-25% of their bits flipped decode to
+        /// the same bits as the reference decoder's.
+        #[test]
+        fn matches_reference_on_noisy_codewords(
+            msg in proptest::collection::vec(0u8..2, 0..160),
+            per_mille in 0u64..=250,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut coded = ConvolutionalEncoder::new().encode_terminated(&msg);
+            flip_bits(&mut coded, per_mille, seed);
+            let decoded = ViterbiDecoder::new().decode_terminated(&coded);
+            proptest::prop_assert_eq!(decoded, decode_terminated_reference(&coded));
+        }
+
+        /// Arbitrary bit pairs, codewords or not, decode as the reference does.
+        #[test]
+        fn matches_reference_on_arbitrary_pairs(
+            pairs in proptest::collection::vec((0u8..2, 0u8..2), 0..200),
+        ) {
+            let coded: Vec<u8> = pairs.iter().flat_map(|&(r0, r1)| [r0, r1]).collect();
+            let decoded = ViterbiDecoder::new().decode_terminated(&coded);
+            proptest::prop_assert_eq!(decoded, decode_terminated_reference(&coded));
+        }
+
+        /// Bytes other than 0 and 1 shift every path metric of a step by
+        /// the same amount in the reference, so only their low bits decide.
+        #[test]
+        fn matches_reference_on_arbitrary_bytes(
+            pairs in proptest::collection::vec(proptest::prelude::any::<(u8, u8)>(), 0..200),
+        ) {
+            let coded: Vec<u8> = pairs.iter().flat_map(|&(r0, r1)| [r0, r1]).collect();
+            let decoded = ViterbiDecoder::new().decode_terminated(&coded);
+            proptest::prop_assert_eq!(decoded, decode_terminated_reference(&coded));
+        }
     }
 
     #[test]

@@ -42,20 +42,30 @@ pub fn xcorr_fft(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
 }
 
 /// Direct `O(n*m)` linear cross-correlation over non-negative lags:
-/// `c[k] = sum_n a[n+k] * conj(b[n])` for `k in 0..a.len()`.
-/// Reference implementation used to validate [`xcorr_fft`].
+/// `c[k] = sum_n a[n+k] * conj(b[n])` for `k in 0..a.len()`, each lag's
+/// taps summed in order of `n` over the samples of `a` they overlap.
+///
+/// All lags advance together, one tap at a time, over split re/im
+/// slices: tap `n` reaches lags `0..a.len() - n`, a contiguous run the
+/// compiler vectorizes. Each lag still adds the same products in the
+/// same order, so every value is what a one-lag-at-a-time loop
+/// computes, bit for bit. Also the reference used to validate
+/// [`xcorr_fft`].
 pub fn xcorr_direct(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
-    let mut out = vec![Complex32::ZERO; a.len()];
-    for (k, o) in out.iter_mut().enumerate() {
-        let mut acc = Complex32::ZERO;
-        for (n, &bn) in b.iter().enumerate() {
-            if let Some(&an) = a.get(n + k) {
-                acc += an * bn.conj();
-            }
+    let (re, im): (Vec<f32>, Vec<f32>) = a.iter().map(|x| (x.re, x.im)).unzip();
+    let mut acc_re = vec![0.0f32; a.len()];
+    let mut acc_im = vec![0.0f32; a.len()];
+    // Taps at or past the end of `a` reach no lag.
+    for (n, tap) in b.iter().enumerate().take(a.len()) {
+        let (tr, ti) = (tap.re, -tap.im); // conj(b[n])
+        let lags = acc_re.iter_mut().zip(&mut acc_im);
+        for ((cr, ci), (&xr, &xi)) in lags.zip(re[n..].iter().zip(&im[n..])) {
+            // The terms of `Complex32::mul`, in its order.
+            *cr += xr * tr - xi * ti;
+            *ci += xr * ti + xi * tr;
         }
-        *o = acc;
     }
-    out
+    acc_re.iter().zip(&acc_im).map(|(&r, &i)| Complex32::new(r, i)).collect()
 }
 
 /// Finds the peak of an FFT-based correlation, interpreting wrap-around
@@ -78,6 +88,68 @@ pub fn estimate_delay(rx: &[Complex32], reference: &[Complex32]) -> Option<isize
 mod tests {
     use super::*;
     use crate::chirp::{delayed_echo, lfm_chirp};
+    use proptest::prelude::*;
+
+    /// One lag at a time, each summing the taps that overlap `a`: the
+    /// bit-for-bit oracle of `xcorr_direct`.
+    fn xcorr_direct_reference(a: &[Complex32], b: &[Complex32]) -> Vec<Complex32> {
+        let mut out = vec![Complex32::ZERO; a.len()];
+        for (k, o) in out.iter_mut().enumerate() {
+            let mut acc = Complex32::ZERO;
+            for (n, &bn) in b.iter().enumerate() {
+                if let Some(&an) = a.get(n + k) {
+                    acc += an * bn.conj();
+                }
+            }
+            *o = acc;
+        }
+        out
+    }
+
+    fn bits_of(xs: &[Complex32]) -> Vec<(u32, u32)> {
+        xs.iter().map(|x| (x.re.to_bits(), x.im.to_bits())).collect()
+    }
+
+    fn signal(len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Complex32>> {
+        proptest::collection::vec((-100.0f32..100.0, -100.0f32..100.0), len)
+            .prop_map(|v| v.into_iter().map(|(re, im)| Complex32::new(re, im)).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Every lag equals the one-lag-at-a-time sum bit for bit, over
+        /// lengths that are not multiples of a vector's width and taps
+        /// longer than the signal.
+        #[test]
+        fn direct_matches_reference_bit_for_bit(a in signal(0..70), b in signal(0..40)) {
+            prop_assert_eq!(bits_of(&xcorr_direct(&a, &b)), bits_of(&xcorr_direct_reference(&a, &b)));
+        }
+    }
+
+    #[test]
+    fn direct_matches_reference_on_the_matched_filter_shape() {
+        let pulse = lfm_chirp(32, 0.0, 3.0e6, 8.0e6);
+        for delay in [0usize, 23, 96, 224] {
+            let rx = delayed_echo(&pulse, 256, delay, 0.7);
+            let direct = xcorr_direct(&rx, &pulse);
+            assert_eq!(bits_of(&direct), bits_of(&xcorr_direct_reference(&rx, &pulse)));
+            assert_eq!(argmax_magnitude(&direct), Some(delay));
+        }
+    }
+
+    #[test]
+    fn direct_keeps_negative_zero_and_empty_inputs() {
+        let neg = [Complex32::new(-0.0, -0.0); 9];
+        let zero = [Complex32::new(0.0, 0.0); 3];
+        assert_eq!(
+            bits_of(&xcorr_direct(&neg, &zero)),
+            bits_of(&xcorr_direct_reference(&neg, &zero))
+        );
+        assert!(xcorr_direct(&[], &zero).is_empty());
+        assert_eq!(xcorr_direct(&zero, &[]), vec![Complex32::ZERO; 3]);
+        assert_eq!(xcorr_direct(&neg[..7], &[]), vec![Complex32::ZERO; 7]);
+    }
 
     #[test]
     fn fft_xcorr_matches_direct() {

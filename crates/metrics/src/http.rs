@@ -654,16 +654,18 @@ pub fn request<A: ToSocketAddrs>(
 ) -> std::io::Result<ClientResponse> {
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(30)))?;
+    // One write with Nagle off: a body sent as a second small segment
+    // could otherwise wait for the server's delayed ACK of the head.
+    stream.set_nodelay(true)?;
+    let body = body.unwrap_or_default();
     let mut head = format!("{method} {path} HTTP/1.1\r\nHost: localhost\r\n");
     for (name, value) in headers {
         head.push_str(&format!("{name}: {value}\r\n"));
     }
-    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.map_or(0, <[u8]>::len)));
-    stream.write_all(head.as_bytes())?;
-    if let Some(body) = body {
-        stream.write_all(body)?;
-    }
-    stream.flush()?;
+    head.push_str(&format!("Content-Length: {}\r\n\r\n", body.len()));
+    let mut request = head.into_bytes();
+    request.extend_from_slice(body);
+    stream.write_all(&request)?;
     let mut raw = Vec::new();
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8_lossy(&raw);
