@@ -14,14 +14,20 @@
 //! ```sh
 //! cargo bench -p dssoc-bench --bench engines
 //! cargo bench -p dssoc-bench --bench engines -- --test   # warm-pool smoke
-//! cargo bench -p dssoc-bench --bench engines -- --test --ceiling 100000
+//! cargo bench -p dssoc-bench --bench engines -- --test --ceiling 100000 \
+//!     --round-trip-ceiling 3000
 //! ```
 //!
-//! The `--test` smoke runs the warm-pool case a few times, checks that it
-//! spawns no thread after the first run and matches the DES makespan,
-//! and prints the per-task wall time of the best run. `--ceiling
-//! <ns/task>` turns it into a perf gate: the smoke fails when that time
-//! lands above the ceiling.
+//! The `--test` smoke first times the bare hand-off: dispatch → pickup
+//! → post → collect on one spinning resource handler whose other side
+//! posts at once, best of five batches, in ns per round trip. It then
+//! reruns warm pools a few times — the 3-PE pool above, which parks at
+//! once on a 2-core host, and the `emu_sweep` shapes `zcu102(1, 0)`,
+//! `(2, 0)` and `(1, 1)`, which spin — checks that none spawns a thread
+//! after its first run and that each repeats its makespan (the DES's on
+//! CPU-only pools), and prints each pool's best per-task wall time.
+//! `--ceiling <ns/task>` and `--round-trip-ceiling <ns>` turn them into
+//! perf gates: the smoke fails when a time lands above its ceiling.
 
 use criterion::{criterion_group, Criterion};
 use std::hint::black_box;
@@ -34,21 +40,26 @@ use dssoc_apps::standard_library;
 use dssoc_core::des::{DesConfig, DesSimulator};
 use dssoc_core::engine::{Emulation, EmulationConfig, OverheadMode, TimingMode};
 use dssoc_core::job::{CompiledScenario, CostSpec};
-use dssoc_core::{threads_spawned_total, FrfsScheduler};
+use dssoc_core::{
+    threads_spawned_total, FrfsScheduler, ResourceHandler, RunHold, SimTime, TaskAssignment,
+    TaskCost,
+};
 use dssoc_platform::cost::CostTable;
+use dssoc_platform::pe::PlatformConfig;
 use dssoc_platform::presets::zcu102;
 
-fn cost_table() -> CostTable {
+/// 30 µs for every kernel of `library` on every PE class of
+/// `platform`, so runs on it are deterministic Modeled timing.
+fn cost_table(library: &AppLibrary, platform: &PlatformConfig) -> CostTable {
     let mut t = CostTable::new();
-    for k in [
-        "range_detect_LFM",
-        "range_detect_FFT_0_CPU",
-        "range_detect_FFT_1_CPU",
-        "range_detect_MUL",
-        "range_detect_IFFT_CPU",
-        "range_detect_MAX",
-    ] {
-        t.set(k, "cortex-a53", Duration::from_micros(30));
+    for app in library.names() {
+        for node in &library.get(app).expect("listed app").nodes {
+            for pe in &platform.pes {
+                if let Some(p) = node.platform(&pe.platform_key) {
+                    t.set(p.runfunc.clone(), pe.class_name(), Duration::from_micros(30));
+                }
+            }
+        }
     }
     t
 }
@@ -69,10 +80,15 @@ fn workload(library: &AppLibrary) -> Workload {
     WorkloadSpec::validation([("range_detection", 16usize)]).generate(library).unwrap()
 }
 
-/// One warm emulator and the compiled scenario it runs over and over.
-fn warm_pool(library: &AppLibrary, workload: &Workload) -> (Emulation, Arc<CompiledScenario>) {
-    let config = modeled_config(&cost_table());
-    let platform = Arc::new(zcu102(3, 0));
+/// One warm emulator on `platform` and the compiled scenario it runs
+/// over and over.
+fn warm_pool(
+    library: &AppLibrary,
+    workload: &Workload,
+    platform: &PlatformConfig,
+) -> (Emulation, Arc<CompiledScenario>) {
+    let config = modeled_config(&cost_table(library, platform));
+    let platform = Arc::new(platform.clone());
     let spec = config.scenario(
         Arc::new(library.clone()),
         Arc::clone(&platform),
@@ -86,7 +102,7 @@ fn warm_pool(library: &AppLibrary, workload: &Workload) -> (Emulation, Arc<Compi
 fn bench_engines(c: &mut Criterion) {
     let (library, _registry) = standard_library();
     let workload = workload(&library);
-    let table = cost_table();
+    let table = cost_table(&library, &zcu102(3, 0));
 
     let mut g = c.benchmark_group("turnaround");
     g.sample_size(20);
@@ -98,7 +114,7 @@ fn bench_engines(c: &mut Criterion) {
         })
     });
 
-    let (mut emu, scenario) = warm_pool(&library, &workload);
+    let (mut emu, scenario) = warm_pool(&library, &workload, &zcu102(3, 0));
     g.bench_function("emulator_modeled_warm_pool", |b| {
         b.iter(|| black_box(emu.run_compiled(&mut FrfsScheduler::new(), &scenario, None).unwrap()))
     });
@@ -130,25 +146,23 @@ fn bench_engines(c: &mut Criterion) {
     g.finish();
 }
 
-/// The `--test` smoke: the warm-pool case must reuse its threads and
-/// agree with the DES, and its per-task wall time is printed — and held
-/// under `ceiling` ns/task when one is given.
-fn warm_pool_smoke(ceiling: Option<f64>) {
-    let (library, _registry) = standard_library();
-    let workload = workload(&library);
-    let (mut emu, scenario) = warm_pool(&library, &workload);
-    let mut des = DesSimulator::new(
-        zcu102(3, 0),
-        DesConfig {
-            cost: CostSpec::table(cost_table()),
+/// Reruns one warm `Emulation` on `platform` five times: it must spawn
+/// no thread after the first run and repeat its makespan (the DES's, on
+/// a CPU-only platform). Returns the best run's wall time per task.
+fn warm_ns_per_task(library: &AppLibrary, workload: &Workload, platform: PlatformConfig) -> f64 {
+    let (mut emu, scenario) = warm_pool(library, workload, &platform);
+    let mut expected = None;
+    if platform.pes.iter().all(|pe| pe.platform_key == "cpu") {
+        let des_config = DesConfig {
+            cost: CostSpec::table(cost_table(library, &platform)),
             overhead_per_invocation: Duration::ZERO,
             trace: None,
             faults: None,
             metrics: None,
-        },
-    )
-    .unwrap();
-    let expected = des.run(&mut FrfsScheduler::new(), &workload, &library).unwrap().makespan;
+        };
+        let mut des = DesSimulator::new(platform.clone(), des_config).unwrap();
+        expected = Some(des.run(&mut FrfsScheduler::new(), workload, library).unwrap().makespan);
+    }
     let spawned = threads_spawned_total();
     let mut best = Duration::MAX;
     let mut tasks = 0;
@@ -157,17 +171,91 @@ fn warm_pool_smoke(ceiling: Option<f64>) {
         let stats = emu.run_compiled(&mut FrfsScheduler::new(), &scenario, None).unwrap();
         best = best.min(t0.elapsed());
         tasks = stats.tasks.len();
-        assert_eq!(stats.makespan, expected, "warm-pool run diverged from the DES");
+        let makespan = *expected.get_or_insert(stats.makespan);
+        assert_eq!(stats.makespan, makespan, "warm-pool run on {} diverged", platform.name);
     }
     assert_eq!(threads_spawned_total(), spawned, "a warm pool must not spawn threads");
     let ns_per_task = best.as_nanos() as f64 / tasks.max(1) as f64;
-    println!("engines warm_pool smoke: {tasks} tasks, best run {best:?}, {ns_per_task:.0} ns/task");
+    println!(
+        "engines warm_pool smoke: {} ({} PEs), {tasks} tasks, best run {best:?}, \
+         {ns_per_task:.0} ns/task",
+        platform.name,
+        platform.pes.len()
+    );
+    ns_per_task
+}
+
+/// The bare hand-off: dispatch → pickup → post → collect on one
+/// spinning handler, whose resource-manager side is an echo thread that
+/// posts at once. Returns the best of five batches' ns per round trip.
+fn round_trip_ns() -> f64 {
+    const TRIPS: u32 = 100_000;
+    let handler = ResourceHandler::new(zcu102(1, 0).pes[0].clone());
+    let echo = {
+        let h = Arc::clone(&handler);
+        std::thread::spawn(move || {
+            let mut hold = RunHold::default();
+            while h.wait_for_assignment(&mut hold).is_some() {
+                h.post_completion(Duration::from_nanos(1), Duration::ZERO, Ok(()));
+            }
+        })
+    };
+    let cost = TaskCost::Modeled(Duration::from_nanos(1));
+    let mut best = f64::MAX;
+    for _ in 0..5 {
+        let t0 = Instant::now();
+        for i in 0..TRIPS {
+            let start = SimTime(i as u64);
+            handler.dispatch(TaskAssignment {
+                inst: 0,
+                node: i,
+                entry: 0,
+                start,
+                cost,
+                embody: false,
+            });
+            let c = loop {
+                if let Some(c) = handler.try_collect() {
+                    break c;
+                }
+                handler.wait_for_completion(None);
+            };
+            assert_eq!((c.node, c.start), (i, start), "round trip {i} returned another task");
+        }
+        best = best.min(t0.elapsed().as_nanos() as f64 / TRIPS as f64);
+    }
+    handler.shutdown();
+    echo.join().unwrap();
+    println!("engines round_trip smoke: {best:.0} ns per dispatch -> post -> collect");
+    best
+}
+
+/// Exits non-zero when `value` is above the optional `ceiling`.
+fn gate(what: &str, value: f64, ceiling: Option<f64>) {
     if let Some(ceiling) = ceiling {
-        if ns_per_task > ceiling {
-            eprintln!("perf ceiling FAILED: warm {ns_per_task:.0} ns/task > ceiling {ceiling:.0}");
+        if value > ceiling {
+            eprintln!("perf ceiling FAILED: {what} {value:.0} ns > ceiling {ceiling:.0}");
             std::process::exit(1);
         }
-        println!("perf ceiling ok: warm {ns_per_task:.0} ns/task <= ceiling {ceiling:.0}");
+        println!("perf ceiling ok: {what} {value:.0} ns <= ceiling {ceiling:.0}");
+    }
+}
+
+/// The `--test` smoke: the bare round trip, then warm pools that must
+/// reuse their threads and repeat their makespans — the 3-PE pool
+/// (which parks at once on a 2-core host) and the `emu_sweep` shapes
+/// `zcu102(1, 0)`, `(2, 0)` and `(1, 1)`, which spin on any host with
+/// two cores. Per-task times are held under `ceiling` ns and the round
+/// trip under `round_trip_ceiling` ns when given.
+fn warm_pool_smoke(ceiling: Option<f64>, round_trip_ceiling: Option<f64>) {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!("engines smoke: {cores} host cores; pools with at most {cores} PEs spin");
+    gate("round trip", round_trip_ns(), round_trip_ceiling);
+    let (library, _registry) = standard_library();
+    let workload = workload(&library);
+    for (c, f) in [(3, 0), (1, 0), (2, 0), (1, 1)] {
+        let ns = warm_ns_per_task(&library, &workload, zcu102(c, f));
+        gate(&format!("warm zcu102({c}, {f}) per task"), ns, ceiling);
     }
 }
 
@@ -175,13 +263,12 @@ criterion_group!(benches, bench_engines);
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
+    let value = |flag: &str| {
+        let i = args.iter().position(|a| a == flag)?;
+        args.get(i + 1).and_then(|v| v.parse().ok())
+    };
     if args.iter().any(|a| a == "--test") {
-        let ceiling = args
-            .iter()
-            .position(|a| a == "--ceiling")
-            .and_then(|i| args.get(i + 1))
-            .and_then(|v| v.parse().ok());
-        warm_pool_smoke(ceiling);
+        warm_pool_smoke(value("--ceiling"), value("--round-trip-ceiling"));
         return;
     }
     benches();

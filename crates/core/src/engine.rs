@@ -12,14 +12,19 @@
 //!
 //! # The hand-off on the host
 //!
-//! The paper's §II-C protocol is kept: the manager dispatches by writing
-//! a PE's status field and collects by reading it, each under the PE's
-//! lock. What the host adds is how the two sides wait for each other
-//! (see [`crate::handler`]). A resource-manager thread waits for work by
-//! spinning on a lock-free mirror of its status field for a few tens of
-//! µs, then blocking; a dispatch wakes it only if it blocked. The
+//! The paper's §II-C protocol is kept: the manager dispatches by moving
+//! a PE's status field from idle to run, the PE's resource manager
+//! reports by moving it to complete, and the manager collects by reading
+//! it and moving it back to idle. On the host the status field is an
+//! atomic word and the task travels beside it in the same cache line
+//! (see [`crate::handler`]): a dispatch writes the task's `(instance,
+//! node)`, its `(node, PE)` cell's platform entry, start and cost, then
+//! release-stores *run*, and a completion comes back the same way, so a
+//! round trip moves one line each way and takes no lock. A resource-manager
+//! thread waits for work by spinning on its status word for a few tens
+//! of µs, then blocking; a dispatch wakes it only if it blocked. The
 //! manager, when the virtual clock cannot advance until an in-flight
-//! task reports, waits the same way on a pool-wide completion counter —
+//! task reports, polls the pool's status words the same way —
 //! bounded, with faults on, by the earliest running task's watchdog
 //! deadline. Both sides spin only when the pool has no more PE threads
 //! than the host has cores; otherwise they block at once, since a
@@ -54,16 +59,20 @@
 //!   warm `Emulation` runs its loop allocation-free across runs;
 //! * fault handling runs out of line; fault-free runs never execute it;
 //! * a productive pass that leaves nothing due goes straight to the
-//!   completion wait instead of an empty monitor/update pass;
+//!   completion wait instead of an empty monitor/update pass, and a
+//!   wait that ends with every in-flight task reported advances the
+//!   clock in the same pass, so a task costs one manager pass;
 //! * phase timestamps are taken only under [`OverheadMode::Measured`],
 //!   the one mode that charges them;
-//! * the resource-manager thread borrows the task's node, arguments and
-//!   kernel instead of copying them, and keys its outlier average by the
+//! * a dispatch is integers: the run's instance table reaches each
+//!   resource-manager thread once per run, and the thread borrows the
+//!   task's node, arguments and kernel from it by index (the platform
+//!   entry was resolved at compile), keying its outlier average by the
 //!   runfunc's process-wide id.
 //!
 //! `tests/alloc_per_task.rs` bounds the heap allocations of a warm run
-//! per task, and CI's `engines` smoke gates the warm hand-off's
-//! ns/task.
+//! per task, and CI's `engines` smoke gates the bare round trip's ns
+//! and the warm pools' ns/task.
 //!
 //! # What a run returns
 //!
@@ -101,7 +110,7 @@ use std::time::{Duration, Instant};
 
 use dssoc_appmodel::app::AppLibrary;
 use dssoc_appmodel::error::ModelError;
-use dssoc_appmodel::instance::{AppInstance, InstanceId};
+use dssoc_appmodel::instance::InstanceId;
 use dssoc_appmodel::workload::{Arrival, Workload};
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::pe::PlatformConfig;
@@ -113,7 +122,7 @@ use crate::exec::{
     RunParts,
 };
 use crate::fault::{FaultDecision, FaultPlan, FaultSpec};
-use crate::handler::{ResourceHandler, TaskAssignment, TaskCompletion, TaskCost};
+use crate::handler::{ResourceHandler, RunInstances, TaskAssignment, TaskCompletion, TaskCost};
 use crate::intern::NameTable;
 use crate::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use crate::metrics::{EngineMetrics, OverheadPhase};
@@ -121,7 +130,6 @@ use crate::resource::ResourcePool;
 use crate::sched::{EstimateSlot, PeView, ReadyView, SchedContext, Scheduler};
 use crate::soa::ScenarioSoa;
 use crate::stats::{DenseTaskLog, EmulationStats, InstanceImages};
-use crate::task::Task;
 use crate::time::SimTime;
 
 /// How emulation time is tracked.
@@ -363,7 +371,7 @@ const STATUS_WRITE_COST: Duration = Duration::from_nanos(300);
 /// Fig. 11 explanation for why 7-PE Odroid pools stop paying off on a
 /// slow LITTLE overlay core). It is a modeled charge for the emulated
 /// SoC: it does not depend on how the host discovers completions (the
-/// manager's wait on the pool's completion counter).
+/// manager's spin-then-park poll of the pool's status words).
 const HANDLER_POLL_COST: Duration = Duration::from_nanos(800);
 
 /// Dispatch-time facts about the attempt in flight on a PE, kept only
@@ -424,7 +432,7 @@ impl EmuFaults<'_> {
         natural: SimTime,
     ) -> Option<FaultDecision> {
         let m = self.running[col].take().expect("dispatched task has metadata");
-        if c.result.is_err() {
+        if c.error.is_some() {
             return Some(FaultDecision { time: natural, kind: FaultKind::Exec });
         }
         let (inst, node) = (m.inst as u64, m.node as usize);
@@ -596,8 +604,8 @@ impl Emulation {
         trace: Option<&TraceSink>,
     ) -> Result<(EmulationStats, InstanceImages), EmuError> {
         let spec = scenario.spec();
-        let instances: Vec<Arc<AppInstance>> =
-            spec.workload.instantiate(&spec.library)?.into_iter().map(Arc::new).collect();
+        let instances: RunInstances = Arc::new(spec.workload.instantiate(&spec.library)?);
+        self.pool.begin_run(&instances);
         if let Some(sink) = trace {
             self.pool.attach_trace(sink);
         }
@@ -611,14 +619,14 @@ impl Emulation {
         wedged.resize(self.platform.pes.len(), false);
         let sink = trace.or(self.config.trace.as_ref());
         let (s, m) = (&mut scratch, metrics.as_mut());
-        let result =
-            self.workload_manager(scheduler, scenario, &instances, sink, s, &mut wedged, m);
+        let result = self.workload_manager(scheduler, scenario, sink, s, &mut wedged, m);
         if result.is_err() {
             // A failed run can leave tasks in flight; wait them out so
             // every PE is idle again for the next run on this pool —
             // except wedged manager threads, which would never report.
             self.pool.drain_except(&wedged);
         }
+        self.pool.end_run();
         self.scratch = scratch;
         self.wedged = wedged;
         self.metrics = metrics;
@@ -639,7 +647,6 @@ impl Emulation {
         &self,
         scheduler: &mut dyn Scheduler,
         scenario: &CompiledScenario,
-        instances: &[Arc<AppInstance>],
         trace: Option<&TraceSink>,
         s: &mut RunScratch,
         wedged: &mut [bool],
@@ -678,7 +685,6 @@ impl Emulation {
             platform,
             handlers: self.pool.handlers(),
             arrivals: spec.workload.arrivals(),
-            instances,
             names,
             soa,
             s,
@@ -725,9 +731,6 @@ struct Manager<'r> {
     /// The workload's arrivals, in time order: instance `i` is arrival
     /// `i`.
     arrivals: &'r [Arrival],
-    /// The run's private instances (what kernels execute on), in
-    /// arrival order.
-    instances: &'r [Arc<AppInstance>],
     names: &'r NameTable,
     soa: &'r ScenarioSoa,
     s: &'r mut RunScratch,
@@ -760,14 +763,11 @@ impl<'r> Manager<'r> {
         let fifo = scheduler.dense_fifo() && self.platform.pes.len() <= 64 && depth == 0;
         let (mut sampler_mu, mut sampler_s, mut sampler_d) =
             (PhaseSampler::new(), PhaseSampler::new(), PhaseSampler::new());
-        let completions = emu.pool.completions();
+        let pool = &emu.pool;
         // Reference start time (paper: captured at emulation start).
         let wall_start = Instant::now();
 
         loop {
-            // Read before the monitor scan, so a completion the scan
-            // misses still ends the wait below.
-            let mut seen = completions.posted();
             let mut now = match timing {
                 TimingMode::WallClock => SimTime::from_duration(wall_start.elapsed()),
                 TimingMode::Modeled => self.vclock,
@@ -784,8 +784,7 @@ impl<'r> Manager<'r> {
                         break;
                     }
                     let deadline = self.faults.as_ref().and_then(|f| f.deadline(self.wedged));
-                    completions.wait_past(seen, deadline);
-                    seen = completions.posted();
+                    pool.wait_for_report(deadline);
                 }
             }
             // Quiet = every in-flight task has already posted its
@@ -960,10 +959,17 @@ impl<'r> Manager<'r> {
                         // duration yet; the virtual clock cannot safely
                         // advance. Wait for a report — with faults on, no
                         // longer than the first watchdog deadline, so a
-                        // wedged thread is still caught.
+                        // wedged thread is still caught — and collect it.
+                        // Once every in-flight task has reported, the
+                        // clock advances in this same pass: a pass of its
+                        // own would find nothing new to monitor and be
+                        // settled with nothing due, ending here too.
                         let deadline = self.faults.as_ref().and_then(|f| f.deadline(self.wedged));
-                        completions.wait_past(seen, deadline);
-                        continue;
+                        pool.wait_for_report(deadline);
+                        self.monitor(timing, now);
+                        if self.s.collected.len() < in_flight {
+                            continue;
+                        }
                     }
                     let next_arrival = self.arrivals.get(self.next_arrival).map(arrival_of);
                     let next_finish = self.s.collected.iter().map(|c| c.finish).min();
@@ -1001,14 +1007,14 @@ impl<'r> Manager<'r> {
             };
             self.s.collected.push(Collected {
                 finish: decision.map_or(natural, |d| d.time),
-                inst: c.task.instance.id.0 as u32,
-                node: c.task.node_idx as u32,
+                inst: c.inst,
+                node: c.node,
                 col: col as u32,
                 start: c.start,
                 modeled: c.modeled,
                 measured: c.measured,
                 fault: decision.map(|d| d.kind),
-                error: c.result.err(),
+                error: c.error,
             });
         }
         if let Some(f) = self.faults.as_mut() {
@@ -1254,18 +1260,17 @@ impl<'r> Manager<'r> {
     }
 
     /// Dispatches `e` to PE column `col`'s resource manager, starting at
-    /// `start`, with its cost and timing from the scenario.
+    /// `start`, with its cell's platform entry, its cost and its timing
+    /// from the scenario.
     fn hand_off(&self, col: usize, e: DenseReady, start: SimTime) {
+        let (spec, cell) = self.soa.cell(self.names, e, col);
         let cost = match self.spec.cost {
-            CostSpec::Table(_) => {
-                TaskCost::Modeled(Duration::from_nanos(self.soa.cost_ns(self.names, e, col)))
-            }
+            CostSpec::Table(_) => TaskCost::Modeled(Duration::from_nanos(spec.cost_ns[cell])),
             CostSpec::ScaledMeasured => TaskCost::ScaledMeasured,
         };
-        let instance = Arc::clone(&self.instances[e.inst as usize]);
-        let task = Task { instance, node_idx: e.node as usize };
+        let (inst, node, entry) = (e.inst, e.node, spec.entry[cell]);
         let embody = self.spec.timing == TimingMode::WallClock;
-        self.handlers[col].dispatch(TaskAssignment { task, start, cost, embody });
+        self.handlers[col].dispatch(TaskAssignment { inst, node, entry, start, cost, embody });
     }
 
     /// Resolves a stall: fault recovery aborts what lost its last

@@ -954,7 +954,7 @@ impl<'a> RunFaults<'a> {
     /// (empty where incompatible) — what fault rules match on.
     pub fn kernel(&self, instance: u64, node: usize, col: usize) -> &'a str {
         let spec = &self.soa.specs[self.names.spec_index(InstanceId(instance))];
-        spec.runfunc[node * self.soa.stride + col].as_str()
+        spec.runfunc(node, node * self.soa.stride + col)
     }
 
     /// Notes the dispatch of `(instance, node)` on PE column `col` at

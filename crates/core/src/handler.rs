@@ -4,27 +4,44 @@
 //! Straight from the paper (§II-C): each PE gets a dedicated resource
 //! handler "composed of fields that track PE availability, type, and id
 //! along with its workload and synchronization lock. ... A PE's
-//! availability status can be *idle*, *run*, or *complete*. A thread
-//! monitoring or modifying the status field should acquire the PE's
-//! synchronization lock, read or write to the status field, and release
-//! the lock."
+//! availability status can be *idle*, *run*, or *complete*."
 //!
-//! That protocol is kept as written: every status transition, and the
-//! assignment and completion payloads, stay behind the handler's lock,
-//! and the workload manager collects completions by reading the status
-//! field under it. What the host adds is how each side *waits* for the
-//! other to move, through one spin-then-park primitive (`SpinPark`):
+//! On the host the status field is one atomic word, and the task
+//! travels beside it: each handler's exchange is one 64-byte cache line
+//! (`HotLine`) holding the status word, the assignment (`(instance,
+//! node)`, the `(node, PE)` cell's platform entry, start, cost and
+//! whether to embody it) and the completion (modeled and measured
+//! durations, an error flag), all as atomics. Every transition is one
+//! release-store of the status word by the side the paper assigns it
+//! to, after that side has written the payload the other side reads:
 //!
-//! * A resource-manager thread waiting for work watches a lock-free
-//!   mirror of its status field (an [`AtomicU8`] written under the lock
-//!   with every transition). It spins on the mirror for a bounded budget
-//!   and only then blocks on a condvar; a dispatch wakes it only if it
-//!   actually blocked. Back-to-back tasks thus reach a spinning thread
-//!   without a futex wake-up and a scheduler round-trip per task.
-//! * The workload manager waiting for an in-flight task to report
-//!   watches a pool-wide completion counter (`Completions`) that every
-//!   posted completion bumps, with the same spin-then-park wait. Each
-//!   wait can be bounded by a deadline (the fault watchdog's).
+//! * the workload manager writes an assignment and moves idle → run;
+//! * the resource-manager thread writes its completion and moves
+//!   run → complete;
+//! * the workload manager reads the completion and moves complete → idle.
+//!
+//! The acquire-load that observes a transition makes the payload
+//! written before it visible, so a task's round trip moves one cache
+//! line each way and takes no lock: the paper's per-PE lock becomes the
+//! rule that only the side owed the next transition writes the line.
+//! Shutdown is a sticky flag in the same line. Rare payloads go through a
+//! cold slot under a mutex: a failed kernel's error, and the run's
+//! instance table, which a resource-manager thread reads once per run.
+//! Accelerator latency reports never cross: the resource-manager thread
+//! turns them into the modeled duration and its trace events itself.
+//!
+//! What the host adds is how each side *waits* for the other to move,
+//! through one spin-then-park primitive (`SpinPark`):
+//!
+//! * A resource-manager thread waiting for work polls its status word
+//!   for a bounded budget and only then blocks on a condvar; a dispatch
+//!   wakes it only if it actually blocked. Back-to-back tasks thus reach
+//!   a spinning thread without a futex wake-up and a scheduler
+//!   round-trip per task.
+//! * The workload manager waiting for an in-flight task to report polls
+//!   the status words of its pool (the monitor's own poll), with the same
+//!   spin-then-park wait on a pool-wide park that every posted completion
+//!   wakes. Each wait can be bounded by a deadline (the fault watchdog's).
 //!
 //! Spinning only pays when a spinner does not take the core the thread
 //! it waits for needs. A pool spins when its PE-thread count is at most
@@ -33,35 +50,37 @@
 //! spinner would steal the very core a kernel (or the manager) needs,
 //! which distorts the host-measured figures of `Measured`-overhead runs.
 //!
-//! The workload manager is not counted, although it spins too (in
-//! `Completions::wait_past`): a pool with as many PE threads as cores
-//! runs one spinner more than there are cores — three on a two-core host
-//! for a 2-PE pool. That is deliberate. Each spinner yields every
-//! `SPINS_PER_YIELD` polls, so one that shares a core with a thread
-//! that has work lets it run, and no spin outlasts `SPIN_BUDGET`.
-//! Counting the manager (`spin_enabled(pes + 1)`) was measured and is
-//! worse: it makes 2-PE pools on a two-core host park at once, and on
-//! `emu_sweep` that shape went from 88–92 to 38–46 jobs/s, with p50
-//! latency from 10.5–11.1 to 21–29 ms (three alternating pairs of runs)
-//! — every hand-off then paid two futex wake-ups.
+//! The workload manager is not counted, although it spins too: a pool
+//! with as many PE threads as cores runs one spinner more than there
+//! are cores — three on a two-core host for a 2-PE pool. That is
+//! deliberate. Each spinner yields every `SPINS_PER_YIELD` polls, so
+//! one that shares a core with a thread that has work lets it run, and
+//! no spin outlasts `SPIN_BUDGET`. Counting the manager
+//! (`spin_enabled(pes + 1)`) was measured and is worse: it makes 2-PE
+//! pools on a two-core host park at once, and on `emu_sweep` that shape
+//! went from 88–92 to 38–46 jobs/s, with p50 latency from 10.5–11.1 to
+//! 21–29 ms (three alternating pairs of runs) — every hand-off then paid
+//! two futex wake-ups.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering, Ordering::SeqCst};
-use std::sync::Arc;
+use std::sync::atomic::{
+    fence, AtomicBool, AtomicU32, AtomicU64,
+    Ordering::{Acquire, Relaxed, Release, SeqCst},
+};
+use std::sync::{Arc, Weak};
 use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
 use dssoc_appmodel::error::ModelError;
-use dssoc_platform::accel::AccelJobReport;
+use dssoc_appmodel::instance::AppInstance;
 use dssoc_platform::pe::{PeDescriptor, PeId};
 use dssoc_trace::TraceWriter;
 
-use crate::task::Task;
 use crate::time::SimTime;
 
 /// How long a spin-enabled waiter spins before it blocks: a few times
-/// the 10–20 µs the workload manager takes to turn one completion
-/// around into the next dispatch, so a steady stream of short tasks
+/// what a task's turnaround costs on a busy pool (kernels of a few µs
+/// plus well under a µs of hand-off), so a steady stream of short tasks
 /// rarely parks, while an idle pool stops burning its cores quickly.
 const SPIN_BUDGET: Duration = Duration::from_micros(50);
 
@@ -81,11 +100,12 @@ pub(crate) fn spin_enabled(pe_threads: usize) -> bool {
 ///
 /// A waiter polls its condition for [`SPIN_BUDGET`] (when spinning is
 /// enabled), then blocks on a condvar. A publisher stores the new state
-/// (sequentially consistent) and calls [`Self::wake`], which takes the
-/// lock and notifies only if some waiter has blocked. The waiter counts
-/// itself in `sleepers` and re-checks the condition under the lock
-/// before blocking, so a wake-up cannot be lost between its check and
-/// its wait.
+/// and calls [`Self::wake`], which takes the lock and notifies only if
+/// some waiter has blocked. The waiter counts itself in `sleepers` and
+/// re-checks the condition under the lock before blocking; a
+/// sequentially consistent fence on each side (after the waiter's count,
+/// after the publisher's store) means one of the two sees the other, so
+/// a wake-up cannot be lost between the check and the wait.
 pub(crate) struct SpinPark {
     spin: bool,
     sleepers: AtomicU32,
@@ -119,6 +139,7 @@ impl SpinPark {
         }
         let mut guard = self.lock.lock();
         self.sleepers.fetch_add(1, SeqCst);
+        fence(SeqCst);
         let held = loop {
             if ready() {
                 break true;
@@ -139,42 +160,11 @@ impl SpinPark {
     /// Wakes every blocked waiter; free when none has blocked. Call
     /// after storing the state the waiters' condition reads.
     pub(crate) fn wake(&self) {
-        if self.sleepers.load(SeqCst) != 0 {
+        fence(SeqCst);
+        if self.sleepers.load(Relaxed) != 0 {
             drop(self.lock.lock());
             self.cv.notify_all();
         }
-    }
-}
-
-/// A pool-wide count of posted completions: the workload manager's
-/// wait for in-flight tasks to report. Every handler of a pool bumps
-/// the same counter, so one wait covers all PEs.
-pub(crate) struct Completions {
-    posted: AtomicU64,
-    park: SpinPark,
-}
-
-impl Completions {
-    pub(crate) fn new(spin: bool) -> Arc<Self> {
-        Arc::new(Completions { posted: AtomicU64::new(0), park: SpinPark::new(spin) })
-    }
-
-    /// The number of completions posted so far. Read it *before*
-    /// scanning the handlers, then [`Self::wait_past`] it: a completion
-    /// the scan missed has bumped the count already.
-    pub(crate) fn posted(&self) -> u64 {
-        self.posted.load(SeqCst)
-    }
-
-    /// Waits until a completion is posted after `seen` was read, or
-    /// until `deadline` passes; returns whether one was posted.
-    pub(crate) fn wait_past(&self, seen: u64, deadline: Option<Instant>) -> bool {
-        self.park.wait_until(|| self.posted.load(SeqCst) != seen, deadline)
-    }
-
-    fn bump(&self) {
-        self.posted.fetch_add(1, SeqCst);
-        self.park.wake();
     }
 }
 
@@ -190,6 +180,14 @@ pub enum PeStatus {
     Complete,
 }
 
+/// Values of the status word.
+const IDLE: u32 = 0;
+const RUN: u32 = 1;
+const COMPLETE: u32 = 2;
+
+/// `cost_ns` of a [`TaskCost::ScaledMeasured`] assignment.
+const SCALED_MEASURED: u64 = u64::MAX;
+
 /// What a dispatched task costs on its PE, from the compiled scenario.
 /// An accelerator's latency reports win over either.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -201,11 +199,18 @@ pub enum TaskCost {
     ScaledMeasured,
 }
 
-/// A dispatch from the workload manager to a resource manager.
-#[derive(Debug, Clone)]
+/// A dispatch from the workload manager to a resource manager: the
+/// values [`ResourceHandler::dispatch`] writes into the handler's line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TaskAssignment {
-    /// The task to execute.
-    pub task: Task,
+    /// The task's instance: its index in the run's instance table.
+    pub inst: u32,
+    /// The task's DAG node index within its instance.
+    pub node: u32,
+    /// The index, in the node's platform entries, of the one this PE
+    /// runs, resolved when the scenario was compiled
+    /// ([`NO_ENTRY`](crate::soa::NO_ENTRY) when the node has none).
+    pub entry: u32,
     /// Emulation time at which the task starts on the PE.
     pub start: SimTime,
     /// What the task costs.
@@ -217,67 +222,104 @@ pub struct TaskAssignment {
     pub embody: bool,
 }
 
-/// A completion report from a resource manager back to the workload
-/// manager.
+/// A completion report, as the workload manager collects it: the
+/// assignment's task and start beside what the resource manager posted.
+#[derive(Debug)]
 pub struct TaskCompletion {
-    /// The finished task.
-    pub task: Task,
-    /// Emulation time the task started (copied from the assignment).
+    /// The finished task's instance index.
+    pub inst: u32,
+    /// The finished task's node index.
+    pub node: u32,
+    /// Emulation time the task started (the assignment's).
     pub start: SimTime,
     /// Modeled execution duration (what the emulation clock is charged).
     pub modeled: Duration,
     /// Host wall-clock time the functional execution actually took.
     pub measured: Duration,
-    /// Accelerator timing breakdowns, if the kernel used the device.
-    pub accel_reports: Vec<AccelJobReport>,
-    /// Kernel outcome.
-    pub result: Result<(), ModelError>,
+    /// The kernel's error, when it failed.
+    pub error: Option<ModelError>,
 }
 
-impl std::fmt::Debug for TaskCompletion {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TaskCompletion")
-            .field("task", &self.task)
-            .field("start", &self.start)
-            .field("modeled", &self.modeled)
-            .field("ok", &self.result.is_ok())
-            .finish()
+/// A run's private application instances, indexed by assignment
+/// `inst`; shared between the workload manager and every PE thread.
+pub type RunInstances = Arc<Vec<AppInstance>>;
+
+/// A handler's exchange: the status word and both payloads, in one
+/// cache line. Only the side owed the next transition writes it.
+#[repr(align(64))]
+struct HotLine {
+    status: AtomicU32,
+    /// Sticky: once set, the resource-manager thread exits when idle.
+    shutdown: AtomicBool,
+    embody: AtomicBool,
+    failed: AtomicBool,
+    /// Bumped when a run's instance table is retired; see [`RunHold`].
+    epoch: AtomicU32,
+    inst: AtomicU32,
+    node: AtomicU32,
+    entry: AtomicU32,
+    start_ns: AtomicU64,
+    /// [`SCALED_MEASURED`] or the modeled cost in ns.
+    cost_ns: AtomicU64,
+    modeled_ns: AtomicU64,
+    measured_ns: AtomicU64,
+}
+
+const _: () = assert!(std::mem::size_of::<HotLine>() == 64);
+
+/// Payloads too rare or too large for the hot line.
+#[derive(Default)]
+struct Cold {
+    /// The current run's instances, between `begin_run` and `end_run`.
+    instances: Option<RunInstances>,
+    /// The error of the completion in flight, when its `failed` is set.
+    error: Option<ModelError>,
+}
+
+/// A resource-manager thread's hold on a run's instance table: a weak
+/// reference taken from the handler's cold slot at the first task of a
+/// run. The thread upgrades it for the length of each task only, so an
+/// idle pool never pins a finished run's instances: they are freed
+/// when the workload manager lets go, whatever the threads are doing.
+#[derive(Default)]
+pub struct RunHold {
+    /// The held run's epoch and table.
+    held: Option<(u32, Weak<Vec<AppInstance>>)>,
+}
+
+impl RunHold {
+    /// The held run's instances, for one task. Panics when the handler
+    /// published no table: the workload manager publishes one before a
+    /// run's first dispatch and keeps it until every task has reported.
+    pub fn instances(&self) -> RunInstances {
+        self.held
+            .as_ref()
+            .and_then(|(_, table)| table.upgrade())
+            .expect("a run's instance table is published before its first dispatch")
     }
 }
 
-struct HandlerState {
-    status: PeStatus,
-    assignment: Option<TaskAssignment>,
-    completion: Option<TaskCompletion>,
-    shutdown: bool,
+fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u64::MAX as u128 - 1) as u64
 }
-
-/// Values of [`ResourceHandler`]'s lock-free status mirror.
-const MIRROR_IDLE: u8 = 0;
-const MIRROR_RUN: u8 = 1;
-const MIRROR_COMPLETE: u8 = 2;
-/// Sticky: once shut down, later transitions leave the mirror alone.
-const MIRROR_SHUTDOWN: u8 = 3;
 
 /// The per-PE coordination object. One exists per PE; the workload
 /// manager holds one end, the PE's resource-manager thread the other.
 pub struct ResourceHandler {
     /// The PE this handler manages.
     pub pe: PeDescriptor,
-    state: Mutex<HandlerState>,
-    /// Lock-free mirror of `state.status` (or shutdown), stored under
-    /// `state`'s lock with every transition. Only the resource-manager
-    /// thread's wait reads it; the protocol itself reads `state`.
-    mirror: AtomicU8,
+    line: HotLine,
+    cold: Mutex<Cold>,
     /// Where the resource-manager thread waits for an assignment.
     park: SpinPark,
-    /// The pool-wide completion counter this handler bumps.
-    completions: Arc<Completions>,
+    /// Where the workload manager waits for a report; shared by a
+    /// pool's handlers, woken by every posted completion.
+    reports: Arc<SpinPark>,
     /// This PE's trace producer, installed by
     /// [`ResourcePool::attach_trace`](crate::resource::ResourcePool::attach_trace).
-    /// A separate lock from `state`: the resource-manager thread records
-    /// events without touching the dispatch/completion protocol, and the
-    /// writer (`Send` but not `Sync`) crosses to that thread through it.
+    /// A separate lock from the exchange: the resource-manager thread
+    /// records events without touching it, and the writer (`Send` but
+    /// not `Sync`) crosses to that thread through it.
     trace: Mutex<Option<TraceWriter>>,
     /// Whether `trace` holds a writer, so an untraced thread skips its
     /// lock. Written under that lock between runs; the dispatch hand-off
@@ -286,32 +328,35 @@ pub struct ResourceHandler {
 }
 
 impl ResourceHandler {
-    /// Creates an idle handler for a PE, with a completion counter of
-    /// its own.
+    /// Creates an idle handler for a PE, with a report park of its own.
     pub fn new(pe: PeDescriptor) -> Arc<Self> {
         let spin = spin_enabled(1);
-        Self::in_pool(pe, Completions::new(spin), spin)
+        Self::in_pool(pe, Arc::new(SpinPark::new(spin)), spin)
     }
 
-    /// Creates an idle handler that reports into a pool's shared
-    /// completion counter; `spin` selects spin-then-park (`true`) or
+    /// Creates an idle handler whose completions wake a pool's shared
+    /// report park; `spin` selects spin-then-park (`true`) or
     /// park-at-once waiting for assignments.
-    pub(crate) fn in_pool(
-        pe: PeDescriptor,
-        completions: Arc<Completions>,
-        spin: bool,
-    ) -> Arc<Self> {
+    pub(crate) fn in_pool(pe: PeDescriptor, reports: Arc<SpinPark>, spin: bool) -> Arc<Self> {
         Arc::new(ResourceHandler {
             pe,
-            state: Mutex::new(HandlerState {
-                status: PeStatus::Idle,
-                assignment: None,
-                completion: None,
-                shutdown: false,
-            }),
-            mirror: AtomicU8::new(MIRROR_IDLE),
+            line: HotLine {
+                status: AtomicU32::new(IDLE),
+                shutdown: AtomicBool::new(false),
+                embody: AtomicBool::new(false),
+                failed: AtomicBool::new(false),
+                epoch: AtomicU32::new(0),
+                inst: AtomicU32::new(0),
+                node: AtomicU32::new(0),
+                entry: AtomicU32::new(0),
+                start_ns: AtomicU64::new(0),
+                cost_ns: AtomicU64::new(0),
+                modeled_ns: AtomicU64::new(0),
+                measured_ns: AtomicU64::new(0),
+            },
+            cold: Mutex::new(Cold::default()),
             park: SpinPark::new(spin),
-            completions,
+            reports,
             trace: Mutex::new(None),
             traced: AtomicBool::new(false),
         })
@@ -321,13 +366,13 @@ impl ResourceHandler {
     /// park-at-once (`false`) path, whatever the host.
     #[cfg(test)]
     pub(crate) fn with_spin(pe: PeDescriptor, spin: bool) -> Arc<Self> {
-        Self::in_pool(pe, Completions::new(spin), spin)
+        Self::in_pool(pe, Arc::new(SpinPark::new(spin)), spin)
     }
 
     /// Installs (or removes) this PE's trace producer.
     pub(crate) fn set_trace(&self, writer: Option<TraceWriter>) {
         let mut trace = self.trace.lock();
-        self.traced.store(writer.is_some(), Ordering::Release);
+        self.traced.store(writer.is_some(), Release);
         *trace = writer;
     }
 
@@ -336,7 +381,7 @@ impl ResourceHandler {
     /// (the resource-manager thread is the only per-event caller;
     /// attach/detach happen between runs).
     pub(crate) fn with_trace(&self, f: impl FnOnce(&TraceWriter)) {
-        if !self.traced.load(Ordering::Acquire) {
+        if !self.traced.load(Acquire) {
             return;
         }
         if let Some(w) = self.trace.lock().as_ref() {
@@ -349,95 +394,136 @@ impl ResourceHandler {
         self.pe.id
     }
 
-    /// Reads the availability status (acquiring the lock, per the paper's
-    /// protocol).
+    /// Reads the availability status.
     pub fn status(&self) -> PeStatus {
-        self.state.lock().status
-    }
-
-    /// Writes the status field (the caller holds the lock) and its
-    /// lock-free mirror.
-    fn set_status(&self, st: &mut HandlerState, status: PeStatus) {
-        st.status = status;
-        if !st.shutdown {
-            let code = match status {
-                PeStatus::Idle => MIRROR_IDLE,
-                PeStatus::Run => MIRROR_RUN,
-                PeStatus::Complete => MIRROR_COMPLETE,
-            };
-            self.mirror.store(code, SeqCst);
+        match self.line.status.load(Acquire) {
+            IDLE => PeStatus::Idle,
+            RUN => PeStatus::Run,
+            _ => PeStatus::Complete,
         }
     }
 
-    /// Workload-manager side: dispatches a task, transitioning
-    /// idle → run, and wakes the resource-manager thread if it has
-    /// parked (a spinning one sees the mirror flip by itself).
+    /// Whether the PE reports *complete* (the monitor's poll).
+    pub(crate) fn is_complete(&self) -> bool {
+        self.line.status.load(Acquire) == COMPLETE
+    }
+
+    /// Workload-manager side: publishes a run's instance table, which
+    /// the resource-manager thread takes at its first task of the run.
+    pub fn begin_run(&self, instances: &RunInstances) {
+        self.cold.lock().instances = Some(Arc::clone(instances));
+    }
+
+    /// Workload-manager side: retires the run's instance table; the
+    /// resource-manager thread takes the next run's at its next task.
+    pub fn end_run(&self) {
+        self.cold.lock().instances = None;
+        self.line.epoch.fetch_add(1, Release);
+    }
+
+    /// Workload-manager side: dispatches a task — writes the assignment
+    /// and moves idle → run — and wakes the resource-manager thread if it
+    /// has parked (a spinning one sees the status word flip by itself).
     ///
     /// Panics if the PE is not idle — the scheduler contract forbids
     /// double dispatch.
-    pub fn dispatch(&self, assignment: TaskAssignment) {
-        {
-            let mut st = self.state.lock();
-            assert_eq!(st.status, PeStatus::Idle, "dispatch to non-idle PE {}", self.pe.name);
-            st.assignment = Some(assignment);
-            self.set_status(&mut st, PeStatus::Run);
-        }
+    pub fn dispatch(&self, a: TaskAssignment) {
+        let line = &self.line;
+        assert_eq!(line.status.load(Relaxed), IDLE, "dispatch to non-idle PE {}", self.pe.name);
+        line.inst.store(a.inst, Relaxed);
+        line.node.store(a.node, Relaxed);
+        line.entry.store(a.entry, Relaxed);
+        line.start_ns.store(a.start.0, Relaxed);
+        let cost = match a.cost {
+            TaskCost::Modeled(d) => nanos(d),
+            TaskCost::ScaledMeasured => SCALED_MEASURED,
+        };
+        line.cost_ns.store(cost, Relaxed);
+        line.embody.store(a.embody, Relaxed);
+        line.status.store(RUN, Release);
         self.park.wake();
     }
 
-    /// Workload-manager side: if the PE reports *complete*, collects the
-    /// completion and resets the PE to *idle*.
+    /// Workload-manager side: if the PE reports *complete*, reads the
+    /// completion and moves complete → idle.
     pub fn try_collect(&self) -> Option<TaskCompletion> {
-        let mut st = self.state.lock();
-        if st.status != PeStatus::Complete {
+        let line = &self.line;
+        if line.status.load(Acquire) != COMPLETE {
             return None;
         }
-        let completion = st.completion.take().expect("complete status implies a completion");
-        self.set_status(&mut st, PeStatus::Idle);
-        completion.into()
+        let error = if line.failed.load(Relaxed) { self.cold.lock().error.take() } else { None };
+        let completion = TaskCompletion {
+            inst: line.inst.load(Relaxed),
+            node: line.node.load(Relaxed),
+            start: SimTime(line.start_ns.load(Relaxed)),
+            modeled: Duration::from_nanos(line.modeled_ns.load(Relaxed)),
+            measured: Duration::from_nanos(line.measured_ns.load(Relaxed)),
+            error,
+        };
+        line.status.store(IDLE, Release);
+        Some(completion)
+    }
+
+    /// Workload-manager side: waits (spin, then park) until this PE
+    /// reports *complete* or `deadline` passes; returns whether it did.
+    pub fn wait_for_completion(&self, deadline: Option<Instant>) -> bool {
+        self.reports.wait_until(|| self.is_complete(), deadline)
     }
 
     /// Resource-manager side: waits (spin, then park) until a task is
     /// assigned (returning it) or shutdown is requested (returning
-    /// `None`).
-    pub fn wait_for_assignment(&self) -> Option<TaskAssignment> {
-        loop {
-            self.park.wait_until(
-                || matches!(self.mirror.load(SeqCst), MIRROR_RUN | MIRROR_SHUTDOWN),
-                None,
-            );
-            let mut st = self.state.lock();
-            if st.shutdown {
-                return None;
-            }
-            if st.status == PeStatus::Run {
-                if let Some(a) = st.assignment.take() {
-                    return Some(a);
-                }
-            }
+    /// `None`). On return `hold` holds the run's instance table.
+    pub fn wait_for_assignment(&self, hold: &mut RunHold) -> Option<TaskAssignment> {
+        let line = &self.line;
+        self.park
+            .wait_until(|| line.status.load(Acquire) == RUN || line.shutdown.load(Acquire), None);
+        if line.shutdown.load(Acquire) {
+            return None;
         }
+        let epoch = line.epoch.load(Relaxed);
+        if hold.held.as_ref().is_none_or(|(e, _)| *e != epoch) {
+            let table = self.cold.lock().instances.as_ref().map_or_else(Weak::new, Arc::downgrade);
+            hold.held = Some((epoch, table));
+        }
+        let cost = match line.cost_ns.load(Relaxed) {
+            SCALED_MEASURED => TaskCost::ScaledMeasured,
+            ns => TaskCost::Modeled(Duration::from_nanos(ns)),
+        };
+        Some(TaskAssignment {
+            inst: line.inst.load(Relaxed),
+            node: line.node.load(Relaxed),
+            entry: line.entry.load(Relaxed),
+            start: SimTime(line.start_ns.load(Relaxed)),
+            cost,
+            embody: line.embody.load(Relaxed),
+        })
     }
 
-    /// Resource-manager side: posts a completion, transitioning
-    /// run → complete, and bumps the pool's completion counter (which
-    /// wakes the workload manager only if it has parked).
-    pub fn post_completion(&self, completion: TaskCompletion) {
-        {
-            let mut st = self.state.lock();
-            debug_assert_eq!(st.status, PeStatus::Run, "completion without a running task");
-            st.completion = Some(completion);
-            self.set_status(&mut st, PeStatus::Complete);
+    /// Resource-manager side: writes the completion and moves
+    /// run → complete, waking the workload manager only if it has
+    /// parked.
+    pub fn post_completion(
+        &self,
+        modeled: Duration,
+        measured: Duration,
+        result: Result<(), ModelError>,
+    ) {
+        let line = &self.line;
+        debug_assert_eq!(line.status.load(Relaxed), RUN, "completion without a running task");
+        let failed = result.is_err();
+        if let Err(e) = result {
+            self.cold.lock().error = Some(e);
         }
-        self.completions.bump();
+        line.modeled_ns.store(nanos(modeled), Relaxed);
+        line.measured_ns.store(nanos(measured), Relaxed);
+        line.failed.store(failed, Relaxed);
+        line.status.store(COMPLETE, Release);
+        self.reports.wake();
     }
 
     /// Asks the resource-manager thread to exit once idle.
     pub fn shutdown(&self) {
-        {
-            let mut st = self.state.lock();
-            st.shutdown = true;
-            self.mirror.store(MIRROR_SHUTDOWN, SeqCst);
-        }
+        self.line.shutdown.store(true, Release);
         self.park.wake();
     }
 }
@@ -454,45 +540,12 @@ impl std::fmt::Debug for ResourceHandler {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dssoc_appmodel::app::ApplicationSpec;
-    use dssoc_appmodel::instance::{AppInstance, InstanceId};
-    use dssoc_appmodel::json::{AppJson, NodeJson, PlatformJson};
-    use dssoc_appmodel::registry::KernelRegistry;
     use dssoc_platform::presets::zcu102;
-    use std::collections::BTreeMap;
     use std::thread;
 
-    fn dummy_task() -> Task {
-        let mut reg = KernelRegistry::new();
-        reg.register_fn("d.so", "k", |_| Ok(()));
-        let mut dag = BTreeMap::new();
-        dag.insert(
-            "n".to_string(),
-            NodeJson {
-                arguments: vec![],
-                predecessors: vec![],
-                successors: vec![],
-                platforms: vec![PlatformJson {
-                    name: "cpu".into(),
-                    runfunc: "k".into(),
-                    shared_object: None,
-                    mean_exec_us: None,
-                }],
-            },
-        );
-        let json = AppJson {
-            app_name: "d".into(),
-            shared_object: "d.so".into(),
-            variables: BTreeMap::new(),
-            dag,
-        };
-        let spec = ApplicationSpec::from_json(&json, &reg).unwrap();
-        let inst = Arc::new(AppInstance::instantiate(spec, InstanceId(0), Duration::ZERO).unwrap());
-        Task { instance: inst, node_idx: 0 }
-    }
-
-    fn assignment(task: Task, start: SimTime) -> TaskAssignment {
-        TaskAssignment { task, start, cost: TaskCost::ScaledMeasured, embody: false }
+    fn assignment(inst: u32, start: SimTime) -> TaskAssignment {
+        let cost = TaskCost::Modeled(Duration::from_micros(3));
+        TaskAssignment { inst, node: 2, entry: 1, start, cost, embody: false }
     }
 
     fn handler() -> Arc<ResourceHandler> {
@@ -505,84 +558,121 @@ mod tests {
         assert_eq!(h.status(), PeStatus::Idle);
         assert!(h.try_collect().is_none());
 
-        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
+        let sent = assignment(7, SimTime(11));
+        h.dispatch(sent);
         assert_eq!(h.status(), PeStatus::Run);
+        assert!(h.try_collect().is_none(), "a running PE has nothing to collect");
 
         // Simulate the resource manager taking the work and completing it.
-        let a = h.wait_for_assignment().unwrap();
-        h.post_completion(TaskCompletion {
-            task: a.task,
-            start: a.start,
-            modeled: Duration::from_micros(5),
-            measured: Duration::from_micros(1),
-            accel_reports: vec![],
-            result: Ok(()),
-        });
+        let mut hold = RunHold::default();
+        assert_eq!(h.wait_for_assignment(&mut hold), Some(sent));
+        h.post_completion(Duration::from_micros(5), Duration::from_micros(1), Ok(()));
         assert_eq!(h.status(), PeStatus::Complete);
 
         let c = h.try_collect().unwrap();
+        assert_eq!((c.inst, c.node, c.start), (7, 2, SimTime(11)));
         assert_eq!(c.modeled, Duration::from_micros(5));
+        assert_eq!(c.measured, Duration::from_micros(1));
+        assert!(c.error.is_none());
         assert_eq!(h.status(), PeStatus::Idle);
         assert!(h.try_collect().is_none());
+    }
+
+    #[test]
+    fn scaled_measured_cost_and_embody_cross_the_line() {
+        let h = handler();
+        let mut hold = RunHold::default();
+        let mut a = assignment(0, SimTime::ZERO);
+        a.cost = TaskCost::ScaledMeasured;
+        a.embody = true;
+        h.dispatch(a);
+        assert_eq!(h.wait_for_assignment(&mut hold), Some(a));
+    }
+
+    #[test]
+    fn kernel_error_round_trips_through_the_cold_slot() {
+        let h = handler();
+        let mut hold = RunHold::default();
+        h.dispatch(assignment(0, SimTime::ZERO));
+        h.wait_for_assignment(&mut hold).unwrap();
+        let failure = ModelError::KernelFailed { kernel: "k".into(), reason: "injected".into() };
+        h.post_completion(Duration::from_micros(2), Duration::ZERO, Err(failure));
+        let c = h.try_collect().unwrap();
+        assert_eq!(c.modeled, Duration::from_micros(2));
+        let error = c.error.expect("the error crosses with its completion");
+        assert!(error.to_string().contains("injected"), "{error}");
+        // The next completion on the same handler is clean.
+        h.dispatch(assignment(1, SimTime(1)));
+        h.wait_for_assignment(&mut hold).unwrap();
+        h.post_completion(Duration::ZERO, Duration::ZERO, Ok(()));
+        assert!(h.try_collect().unwrap().error.is_none());
     }
 
     #[test]
     #[should_panic(expected = "non-idle")]
     fn double_dispatch_panics() {
         let h = handler();
-        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
-        h.dispatch(assignment(dummy_task(), SimTime::ZERO));
+        h.dispatch(assignment(0, SimTime::ZERO));
+        h.dispatch(assignment(0, SimTime::ZERO));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-idle")]
+    fn dispatch_before_collect_panics() {
+        let h = handler();
+        let mut hold = RunHold::default();
+        h.dispatch(assignment(0, SimTime::ZERO));
+        h.wait_for_assignment(&mut hold).unwrap();
+        h.post_completion(Duration::ZERO, Duration::ZERO, Ok(()));
+        h.dispatch(assignment(0, SimTime::ZERO));
     }
 
     #[test]
     fn shutdown_wakes_waiter() {
-        let h = handler();
-        let h2 = Arc::clone(&h);
-        let t = thread::spawn(move || h2.wait_for_assignment());
-        thread::sleep(Duration::from_millis(10));
-        h.shutdown();
-        assert!(t.join().unwrap().is_none());
+        for spin in [true, false] {
+            let h = ResourceHandler::with_spin(zcu102(1, 0).pes[0].clone(), spin);
+            let h2 = Arc::clone(&h);
+            let t = thread::spawn(move || h2.wait_for_assignment(&mut RunHold::default()));
+            // Past the spin budget: the waiter has parked.
+            thread::sleep(Duration::from_millis(10));
+            h.shutdown();
+            assert!(t.join().unwrap().is_none());
+        }
     }
 
     /// A resource-manager thread that completes every assignment at
-    /// once, as `resource_manager_loop` does after the kernel.
+    /// once, as `resource_manager_loop` does after the kernel, echoing
+    /// its start as the modeled duration.
     fn echo_worker(h: Arc<ResourceHandler>) -> thread::JoinHandle<()> {
         thread::spawn(move || {
-            while let Some(a) = h.wait_for_assignment() {
-                h.post_completion(TaskCompletion {
-                    task: a.task,
-                    start: a.start,
-                    modeled: Duration::from_micros(1),
-                    measured: Duration::ZERO,
-                    accel_reports: vec![],
-                    result: Ok(()),
-                });
+            let mut hold = RunHold::default();
+            while let Some(a) = h.wait_for_assignment(&mut hold) {
+                h.post_completion(Duration::from_nanos(a.start.0), Duration::ZERO, Ok(()));
             }
         })
     }
 
     /// Dispatches `n` tasks one after another and collects each
-    /// completion the way the workload manager does: read the
-    /// completion count, scan, then wait past the count. A lost wake-up
-    /// on either side leaves the wait to run into its deadline.
+    /// completion the way the workload manager does: scan, then wait for
+    /// a status word to read *complete*. A lost wake-up on either side
+    /// leaves the wait to run into its deadline.
     fn round_trips(h: &Arc<ResourceHandler>, n: u64, pause_every: u64) {
         let worker = echo_worker(Arc::clone(h));
-        let task = dummy_task();
         for i in 0..n {
             if i % pause_every == pause_every - 1 {
                 // Let the worker's spin budget run out so it parks.
                 thread::sleep(Duration::from_micros(200));
             }
-            h.dispatch(assignment(task.clone(), SimTime(i)));
+            h.dispatch(assignment(i as u32, SimTime(i)));
             let c = loop {
-                let seen = h.completions.posted();
                 if let Some(c) = h.try_collect() {
                     break c;
                 }
                 let deadline = Instant::now() + Duration::from_secs(10);
-                assert!(h.completions.wait_past(seen, Some(deadline)), "lost wake-up at {i}");
+                assert!(h.wait_for_completion(Some(deadline)), "lost wake-up at {i}");
             };
-            assert_eq!(c.start, SimTime(i));
+            assert_eq!((c.inst, c.start), (i as u32, SimTime(i)));
+            assert_eq!(c.modeled, Duration::from_nanos(i), "payload of round trip {i}");
         }
         h.shutdown();
         worker.join().unwrap();
@@ -614,9 +704,45 @@ mod tests {
     #[test]
     fn timed_wait_returns_at_deadline() {
         let h = handler();
-        let seen = h.completions.posted();
         let deadline = Instant::now() + Duration::from_millis(5);
-        assert!(!h.completions.wait_past(seen, Some(deadline)));
+        assert!(!h.wait_for_completion(Some(deadline)));
         assert!(Instant::now() >= deadline);
+    }
+
+    /// The instance table crosses once per run and pins nothing
+    /// between tasks: once the manager lets go, it is freed.
+    #[test]
+    fn run_table_is_taken_once_per_run_and_never_pinned() {
+        let h = handler();
+        let worker = {
+            let h = Arc::clone(&h);
+            thread::spawn(move || {
+                let mut hold = RunHold::default();
+                while h.wait_for_assignment(&mut hold).is_some() {
+                    let len = hold.instances().len() as u64;
+                    h.post_completion(Duration::from_nanos(len), Duration::ZERO, Ok(()));
+                }
+            })
+        };
+        for run in 0..3u64 {
+            let table: RunInstances = Arc::new(Vec::new());
+            let weak = Arc::downgrade(&table);
+            h.begin_run(&table);
+            for i in 0..4 {
+                h.dispatch(assignment(i, SimTime(i as u64)));
+                let c = loop {
+                    if let Some(c) = h.try_collect() {
+                        break c;
+                    }
+                    h.wait_for_completion(None);
+                };
+                assert_eq!(c.modeled, Duration::ZERO, "run {run} reads its own table");
+            }
+            h.end_run();
+            drop(table);
+            assert!(weak.upgrade().is_none(), "run {run}: an idle thread pins the table");
+        }
+        h.shutdown();
+        worker.join().unwrap();
     }
 }

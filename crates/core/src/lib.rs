@@ -104,7 +104,9 @@ pub use fault::{
     FaultAction, FaultDecision, FaultPlan, FaultSpec, FaultState, PermanentFault, RateFault,
     RetryPolicy,
 };
-pub use handler::{PeStatus, ResourceHandler, TaskAssignment, TaskCompletion, TaskCost};
+pub use handler::{
+    PeStatus, ResourceHandler, RunHold, RunInstances, TaskAssignment, TaskCompletion, TaskCost,
+};
 pub use intern::{Name, NameTable};
 pub use job::{
     platform_preset, CompiledScenario, CostSpec, Engine, Fingerprint, JobResult, JobRunner,

@@ -265,7 +265,7 @@ impl EngineMetrics {
                     self.kernels.resize_with(id + 1, || None);
                 }
                 let reg = &self.registry;
-                let name = spec.runfunc[cell].as_str();
+                let name = spec.runfunc(done.node[k] as usize, cell);
                 self.kernels[id]
                     .get_or_insert_with(|| {
                         reg.histogram("dssoc_kernel_exec_ns", &[("kernel", name)]).cell()

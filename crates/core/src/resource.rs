@@ -2,7 +2,12 @@
 //!
 //! Each thread waits on its resource handler (spinning briefly, then
 //! parking; see [`crate::handler`]) until the workload manager assigns a
-//! task, executes it, and posts a completion:
+//! task, executes it, and posts a completion. An assignment is a few
+//! integers in the handler's cache line: the task's `(instance, node)`
+//! in the run's instance table (which the thread takes from the handler
+//! once per run) and the index of the node's platform entry for this
+//! PE, resolved when the scenario was compiled, so the thread finds its
+//! kernel without a string comparison:
 //!
 //! * **CPU PE** — the kernel executes directly on the thread; the modeled
 //!   duration is the assignment's [`TaskCost`]: the compiled scenario's
@@ -39,7 +44,7 @@ use dssoc_trace::{DmaPhase, EventKind as TraceKind, TraceSink};
 
 use crate::engine::EmuError;
 use crate::handler::{
-    spin_enabled, Completions, PeStatus, ResourceHandler, TaskCompletion, TaskCost,
+    spin_enabled, PeStatus, ResourceHandler, RunHold, RunInstances, SpinPark, TaskCost,
 };
 
 /// [`AccelPort`] implementation backed by the simulated FFT device.
@@ -85,16 +90,18 @@ pub fn threads_spawned_total() -> u64 {
 /// workload manager starts; keeping it alive between runs means a batch
 /// sweep pays thread-spawn cost once, not per cell. Threads park in
 /// [`ResourceHandler::wait_for_assignment`] between runs and are shut
-/// down and joined on [`Drop`]. While a run is on, they spin briefly
-/// before parking when the pool has no more threads than the host has
-/// cores — the workload manager, which spins too, is deliberately not
+/// down and joined on [`Drop`]. Each run publishes its instance table to
+/// every handler before its first dispatch and retires it when it ends.
+/// While a run is on, the threads spin briefly before parking when the
+/// pool has no more threads than the host has cores — the workload manager, which spins too, is deliberately not
 /// counted (see the [`handler`](crate::handler) module for the rule and
 /// the measurement behind it).
 pub struct ResourcePool {
     handlers: Vec<Arc<ResourceHandler>>,
     threads: Vec<JoinHandle<()>>,
-    /// Bumped by every handler's posted completion.
-    completions: Arc<Completions>,
+    /// Where the workload manager waits for a report; every handler's
+    /// posted completion wakes it.
+    reports: Arc<SpinPark>,
 }
 
 impl ResourcePool {
@@ -106,11 +113,11 @@ impl ResourcePool {
         // once, which more than halves `emu_sweep` throughput on such
         // pools (measured; see the `handler` module docs).
         let spin = spin_enabled(platform.pes.len());
-        let completions = Completions::new(spin);
+        let reports = Arc::new(SpinPark::new(spin));
         let handlers: Vec<Arc<ResourceHandler>> = platform
             .pes
             .iter()
-            .map(|pe| ResourceHandler::in_pool(pe.clone(), Arc::clone(&completions), spin))
+            .map(|pe| ResourceHandler::in_pool(pe.clone(), Arc::clone(&reports), spin))
             .collect();
         let mut threads = Vec::with_capacity(handlers.len());
         for h in &handlers {
@@ -130,7 +137,7 @@ impl ResourcePool {
             );
             THREADS_SPAWNED.with(|n| n.set(n.get() + 1));
         }
-        Ok(ResourcePool { handlers, threads, completions })
+        Ok(ResourcePool { handlers, threads, reports })
     }
 
     /// The per-PE handlers, in platform PE order.
@@ -138,9 +145,27 @@ impl ResourcePool {
         &self.handlers
     }
 
-    /// The pool-wide completion counter the workload manager waits on.
-    pub(crate) fn completions(&self) -> &Completions {
-        &self.completions
+    /// Waits until some PE reports *complete* or `deadline` passes;
+    /// returns whether one did. The workload manager's wait for an
+    /// in-flight task: a poll of the status words that parks, when the
+    /// spin budget runs out, until a completion is posted.
+    pub(crate) fn wait_for_report(&self, deadline: Option<Instant>) -> bool {
+        self.reports.wait_until(|| self.handlers.iter().any(|h| h.is_complete()), deadline)
+    }
+
+    /// Publishes a run's instance table to every PE thread.
+    pub(crate) fn begin_run(&self, instances: &RunInstances) {
+        for h in &self.handlers {
+            h.begin_run(instances);
+        }
+    }
+
+    /// Retires the run's instance table (see
+    /// [`ResourceHandler::end_run`]).
+    pub(crate) fn end_run(&self) {
+        for h in &self.handlers {
+            h.end_run();
+        }
     }
 
     /// Installs one trace producer per PE (named `rm-{pe}`): the manager
@@ -178,12 +203,11 @@ impl ResourcePool {
                 continue;
             }
             loop {
-                let seen = self.completions.posted();
                 let _ = h.try_collect();
                 if h.status() == PeStatus::Idle {
                     break;
                 }
-                self.completions.wait_past(seen, None);
+                h.wait_for_completion(None);
             }
         }
     }
@@ -262,19 +286,23 @@ pub fn resource_manager_loop(ctx: RmContext) {
         }
         _ => None,
     };
+    let mut hold = RunHold::default();
 
-    while let Some(assignment) = ctx.handler.wait_for_assignment() {
-        // The node, its arguments and its kernel are borrowed from the
-        // task's instance for the whole execution: nothing per task is
-        // copied.
-        let node = assignment.task.node();
-        let platform = node.platform(&ctx.handler.pe.platform_key);
+    while let Some(assignment) = ctx.handler.wait_for_assignment(&mut hold) {
+        // The instance, node, arguments and kernel are borrowed from the
+        // run's instance table for the kernel's execution: nothing per
+        // task is copied or looked up by name.
+        let instances = hold.instances();
+        let instance = &instances[assignment.inst as usize];
+        let node = &instance.spec.nodes[assignment.node as usize];
+        let platform = node.platforms.get(assignment.entry as usize);
+        let kernel_id = platform.map_or_else(|| runfunc_id(""), |p| p.runfunc_id) as usize;
 
         let t0 = Instant::now();
         let (result, reports) = match platform {
             Some(p) => {
                 let task_ctx = TaskCtx::new(
-                    &assignment.task.instance.memory,
+                    &instance.memory,
                     &node.name,
                     &node.arguments,
                     port.as_ref().map(|p| p as &dyn AccelPort),
@@ -296,16 +324,16 @@ pub fn resource_manager_loop(ctx: RmContext) {
                 Vec::new(),
             ),
         };
+        drop(instances);
         // On an oversubscribed host a concurrent PE thread can preempt
         // this one mid-kernel, inflating the wall measurement; clamp
         // outliers against this kernel's running average (each paper PE
         // has a dedicated core, so its measurements are preemption-free).
         let raw_measured = t0.elapsed();
-        let id = platform.map_or_else(|| runfunc_id(""), |p| p.runfunc_id) as usize;
-        if id >= kernel_ewma.len() {
-            kernel_ewma.resize(id + 1, f64::NAN);
+        if kernel_id >= kernel_ewma.len() {
+            kernel_ewma.resize(kernel_id + 1, f64::NAN);
         }
-        let avg = &mut kernel_ewma[id];
+        let avg = &mut kernel_ewma[kernel_id];
         let measured = if avg.is_nan() {
             *avg = raw_measured.as_secs_f64();
             raw_measured
@@ -362,14 +390,7 @@ pub fn resource_manager_loop(ctx: RmContext) {
             w.emit(parked.0, TraceKind::PoolPark { pe });
         });
 
-        ctx.handler.post_completion(TaskCompletion {
-            task: assignment.task,
-            start: assignment.start,
-            modeled,
-            measured,
-            accel_reports: reports,
-            result,
-        });
+        ctx.handler.post_completion(modeled, measured, result);
     }
 }
 

@@ -16,9 +16,10 @@
 //!   compatible), and `est_prior_ns`, the JSON per-platform estimate that
 //!   takes precedence over the book's observations — together what
 //!   [`ScenarioSoa::estimate`] needs to answer without a string key.
-//! * `runfunc` — the runfunc [`Name`] per pair, a clone of the
-//!   spec's own (the empty default name where incompatible, matching
-//!   what the dispatch path resolved before).
+//! * `entry` — the index of the node's platform entry the pair runs
+//!   ([`NO_ENTRY`] where incompatible): what a dispatch names, so the
+//!   PE thread finds its kernel without a string key, and where fault
+//!   rules and per-kernel metrics read the runfunc name.
 //! * `kernel_id` — the runfunc's process-wide id per pair
 //!   ([`runfunc_id`]; [`NO_KERNEL`] where incompatible or unnamed), what
 //!   the metrics fold indexes its per-kernel cells by.
@@ -45,12 +46,12 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use dssoc_appmodel::app::ApplicationSpec;
+use dssoc_appmodel::app::{ApplicationSpec, ResolvedPlatform};
 use dssoc_appmodel::instance::InstanceId;
 use dssoc_platform::pe::PlatformConfig;
 
 use crate::arena::DenseReady;
-use crate::intern::{Name, NameTable};
+use crate::intern::NameTable;
 use crate::job::CostSpec;
 use crate::sched::EstimateBook;
 
@@ -62,6 +63,10 @@ pub const INCOMPATIBLE: u64 = u64::MAX;
 
 /// Sentinel in [`SpecSoa::est_prior_ns`]: no JSON estimate.
 pub(crate) const NO_PRIOR: u64 = u64::MAX;
+
+/// Sentinel in [`SpecSoa::entry`]: the node has no platform entry for
+/// the PE.
+pub const NO_ENTRY: u32 = u32::MAX;
 
 /// Sentinel in [`SpecSoa::kernel_id`]: no named runfunc.
 pub(crate) const NO_KERNEL: u32 = u32::MAX;
@@ -82,9 +87,9 @@ pub struct SpecSoa {
     /// The JSON `mean_exec` estimate in ns per pair, [`NO_PRIOR`] where
     /// the JSON gives none (or the pair is incompatible).
     pub(crate) est_prior_ns: Vec<u64>,
-    /// The spec's runfunc name per pair (`Name::default()` where
-    /// incompatible).
-    pub(crate) runfunc: Vec<Name>,
+    /// The index in `node.platforms` of the entry each pair runs,
+    /// [`NO_ENTRY`] where incompatible.
+    pub(crate) entry: Vec<u32>,
     /// The runfunc's process-wide id per pair, [`NO_KERNEL`] where
     /// incompatible or the runfunc is unnamed.
     pub(crate) kernel_id: Vec<u32>,
@@ -152,11 +157,11 @@ impl ScenarioSoa {
         self.cell_estimate(spec, node as usize * self.stride + col, col, book)
     }
 
-    /// The modeled duration in ns of ready entry `e` on PE column `col`
-    /// (which must be compatible): its `cost_ns` cell.
-    pub(crate) fn cost_ns(&self, names: &NameTable, e: DenseReady, col: usize) -> u64 {
+    /// The slab of ready entry `e`'s application and `e`'s slab index
+    /// on PE column `col`.
+    pub(crate) fn cell(&self, names: &NameTable, e: DenseReady, col: usize) -> (&SpecSoa, usize) {
         let spec = &self.specs[names.spec_index(InstanceId(e.inst as u64))];
-        spec.cost_ns[e.node as usize * self.stride + col]
+        (spec, e.node as usize * self.stride + col)
     }
 
     /// [`Self::estimate`] at `spec`'s slab index `cell` (in column `col`).
@@ -194,6 +199,21 @@ impl ScenarioSoa {
 }
 
 impl SpecSoa {
+    /// The platform entry node `node` runs at slab index `cell` (in the
+    /// node's row), if the pair is compatible.
+    pub(crate) fn platform(&self, node: usize, cell: usize) -> Option<&ResolvedPlatform> {
+        match self.entry[cell] {
+            NO_ENTRY => None,
+            i => Some(&self.app.nodes[node].platforms[i as usize]),
+        }
+    }
+
+    /// The runfunc node `node` runs at slab index `cell` (empty where
+    /// incompatible).
+    pub(crate) fn runfunc(&self, node: usize, cell: usize) -> &str {
+        self.platform(node, cell).map_or("", |p| p.runfunc.as_str())
+    }
+
     fn build(
         spec: &Arc<ApplicationSpec>,
         platform: &PlatformConfig,
@@ -205,12 +225,14 @@ impl SpecSoa {
         let mut cost_ns = vec![INCOMPATIBLE; n * stride];
         let mut est_slot = vec![0u32; n * stride];
         let mut est_prior_ns = vec![NO_PRIOR; n * stride];
-        let mut runfunc = vec![Name::default(); n * stride];
+        let mut entry = vec![NO_ENTRY; n * stride];
         let mut kernel_id = vec![NO_KERNEL; n * stride];
         for (node_idx, node) in spec.nodes.iter().enumerate() {
             for (col, pe) in platform.pes.iter().enumerate() {
-                if let Some(p) = node.platform(&pe.platform_key) {
-                    let k = node_idx * stride + col;
+                let found = node.platforms.iter().position(|p| p.key == pe.platform_key);
+                if let Some(i) = found {
+                    let (p, k) = (&node.platforms[i], node_idx * stride + col);
+                    entry[k] = i as u32;
                     let dur = cost.cell_cost(node, pe);
                     cost_ns[k] = dur.as_nanos().min(u64::MAX as u128 - 1) as u64;
                     est_slot[k] = estimates.slot_of(&p.runfunc, pe.class_name()).raw();
@@ -218,7 +240,6 @@ impl SpecSoa {
                         est_prior_ns[k] = d.as_nanos().min(NO_PRIOR as u128 - 1) as u64;
                     }
                     if !p.runfunc.is_empty() {
-                        runfunc[k] = p.runfunc.clone();
                         kernel_id[k] = p.runfunc_id;
                     }
                 }
@@ -232,15 +253,7 @@ impl SpecSoa {
                 }
             }
         }
-        SpecSoa {
-            app: Arc::clone(spec),
-            cost_ns,
-            est_slot,
-            est_prior_ns,
-            runfunc,
-            kernel_id,
-            compat,
-        }
+        SpecSoa { app: Arc::clone(spec), cost_ns, est_slot, est_prior_ns, entry, kernel_id, compat }
     }
 }
 
@@ -290,12 +303,14 @@ mod tests {
                             assert_eq!(spec.cost_ns[k], dur.as_nanos() as u64);
                             let slot = estimates.slot_of(&p.runfunc, pe.class_name());
                             assert_eq!(spec.est_slot[k], slot.raw());
-                            assert!(std::ptr::eq(spec.runfunc[k].as_str(), p.runfunc.as_str()));
+                            assert!(std::ptr::eq(spec.platform(node_idx, k).unwrap(), p));
+                            assert_eq!(spec.runfunc(node_idx, k), p.runfunc.as_str());
                             assert_eq!(spec.kernel_id[k], p.runfunc_id);
                         }
                         None => {
                             assert_eq!(spec.cost_ns[k], INCOMPATIBLE);
-                            assert!(spec.runfunc[k].as_str().is_empty());
+                            assert_eq!(spec.entry[k], NO_ENTRY);
+                            assert!(spec.runfunc(node_idx, k).is_empty());
                             assert_eq!(spec.kernel_id[k], NO_KERNEL);
                         }
                     }

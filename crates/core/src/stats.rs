@@ -613,7 +613,7 @@ impl EmulationStats {
 ///
 /// [`Emulation::run_with_images`]: crate::engine::Emulation::run_with_images
 #[derive(Debug)]
-pub struct InstanceImages(pub(crate) Vec<Arc<AppInstance>>);
+pub struct InstanceImages(pub(crate) Arc<Vec<AppInstance>>);
 
 impl InstanceImages {
     /// The final variable memory of instance `id`.

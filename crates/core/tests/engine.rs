@@ -707,3 +707,50 @@ fn des_and_engine_agree_with_reservation_disabled_only() {
     // per-completion one on this workload.
     assert!(queued.makespan <= baseline.makespan + Duration::from_micros(1));
 }
+
+/// FFT tasks round-trip through the accelerator PE's hand-off: their
+/// modeled durations are the device's DMA and compute phases, which the
+/// PE thread still records in the trace.
+#[test]
+fn fft_tasks_round_trip_with_their_dma_phases_traced() {
+    use dssoc_trace::{DmaPhase, EventKind, TraceSession};
+    let (library, _kernels) = dssoc_apps::standard_library();
+    let platform = zcu102(1, 1);
+    let fft = platform.pes.iter().find(|pe| pe.platform_key == "fft").expect("one FFT").id;
+    let mut table = CostTable::new();
+    for node in &library.get("range_detection").unwrap().nodes {
+        for pe in &platform.pes {
+            if let Some(p) = node.platform(&pe.platform_key) {
+                table.set(p.runfunc.clone(), pe.class_name(), Duration::from_micros(30));
+            }
+        }
+    }
+    let session = TraceSession::new();
+    let config = EmulationConfig { trace: Some(session.sink()), ..modeled_config(table) };
+    let mut emu = Emulation::with_config(platform, config).unwrap();
+    let wl = WorkloadSpec::validation([("range_detection", 4usize)]).generate(&library).unwrap();
+    let stats = emu.run(&mut FrfsScheduler::new(), &wl, &library).unwrap();
+    assert_eq!(stats.completed_apps(), 4);
+    let on_fft: Vec<_> = stats.tasks.records().iter().filter(|t| t.pe == fft).collect();
+    assert!(!on_fft.is_empty(), "some FFT ran on the accelerator");
+
+    let events = session.drain();
+    let dma: Vec<_> = events
+        .iter()
+        .filter_map(|e| match e.kind {
+            EventKind::Dma { pe, phase, start_ns, end_ns } if pe == fft.0 => {
+                Some((phase, start_ns, end_ns))
+            }
+            _ => None,
+        })
+        .collect();
+    assert_eq!(dma.len(), 3 * on_fft.len(), "in, compute and out per accelerator task");
+    for (task, phases) in on_fft.iter().zip(dma.chunks(3)) {
+        let kinds: Vec<DmaPhase> = phases.iter().map(|p| p.0).collect();
+        assert_eq!(kinds, [DmaPhase::In, DmaPhase::Compute, DmaPhase::Out]);
+        assert_eq!(phases[0].1, task.start.0, "the phases start with the task");
+        assert_eq!(phases[2].2, task.finish.0, "and end with it");
+        assert!(phases.windows(2).all(|w| w[0].2 == w[1].1), "back to back");
+        assert_eq!(task.modeled.as_nanos() as u64, phases[2].2 - phases[0].1);
+    }
+}

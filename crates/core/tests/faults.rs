@@ -6,7 +6,7 @@
 //! `TaskFailed`).
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -699,4 +699,85 @@ fn emu_error_source_chain_and_fault_display() {
     let e = EmuError::Config("deadlock".into());
     assert!(std::error::Error::source(&e).is_none());
     let _ = FaultKind::Exec.name(); // re-exported kind is part of the public surface
+}
+
+/// A watchdog-abandoned attempt's completion lands in the *next* run on
+/// the same pool: that run keeps the PE quarantined and discards the
+/// stale report, and the run after it uses the PE again.
+#[test]
+fn stale_completion_lands_in_the_next_run_and_is_discarded() {
+    let calls = Arc::new(AtomicUsize::new(0));
+    let stale_posted = Arc::new(AtomicBool::new(false));
+    let mut reg = KernelRegistry::new();
+    {
+        let (calls, stale_posted) = (Arc::clone(&calls), Arc::clone(&stale_posted));
+        reg.register_fn("w.so", "stall_once", move |_| {
+            if calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                // Wedges far past the watchdog deadline, then reports.
+                std::thread::sleep(Duration::from_millis(150));
+                stale_posted.store(true, Ordering::SeqCst);
+            }
+            Ok(())
+        });
+    }
+    reg.register_fn("w.so", "slow", |_| {
+        std::thread::sleep(Duration::from_millis(4));
+        Ok(())
+    });
+    let mut lib = AppLibrary::new();
+    for (app, runfunc) in [("stall", "stall_once"), ("slow", "slow")] {
+        let mut dag = BTreeMap::new();
+        dag.insert(
+            "only".to_string(),
+            NodeJson {
+                arguments: vec![],
+                predecessors: vec![],
+                successors: vec![],
+                platforms: vec![PlatformJson {
+                    name: "cpu".into(),
+                    runfunc: runfunc.into(),
+                    shared_object: None,
+                    mean_exec_us: None,
+                }],
+            },
+        );
+        let json = AppJson {
+            app_name: app.into(),
+            shared_object: "w.so".into(),
+            variables: BTreeMap::new(),
+            dag,
+        };
+        lib.register_json(&json, &reg).unwrap();
+    }
+    let mut table = CostTable::new();
+    table.set("stall_once", "cortex-a53", Duration::from_micros(200));
+    table.set("slow", "cortex-a53", Duration::from_micros(200));
+    let spec = Arc::new(FaultSpec {
+        watchdog_factor: 2.0,
+        watchdog_min_wall_ms: 25.0,
+        ..FaultSpec::default()
+    });
+    let mut emu = Emulation::with_config(zcu102(2, 0), modeled_config(table, Some(spec))).unwrap();
+
+    let stall = WorkloadSpec::validation([("stall", 1usize)]).generate(&lib).unwrap();
+    let first = emu.run(&mut FrfsScheduler::new(), &stall, &lib).unwrap();
+    assert_eq!(first.reliability.watchdog_faults, 1, "{:?}", first.reliability);
+    // The retry completed on the PE that did not wedge.
+    let survivor = first.tasks.records()[0].pe;
+    let wedged = emu.platform().pes.iter().map(|pe| pe.id).find(|&id| id != survivor).unwrap();
+    assert!(!stale_posted.load(Ordering::SeqCst), "the abandoned attempt is still running");
+
+    // ~60 slow tasks on the one PE left: far longer than the stall.
+    let slow = WorkloadSpec::validation([("slow", 60usize)]).generate(&lib).unwrap();
+    let second = emu.run(&mut FrfsScheduler::new(), &slow, &lib).unwrap();
+    assert!(stale_posted.load(Ordering::SeqCst), "the stale completion landed during the run");
+    assert_eq!(second.completed_apps(), 60);
+    assert!(second.tasks.records().iter().all(|t| t.pe != wedged), "quarantined for the run");
+    assert_eq!(second.reliability.faults_injected, 0, "the stale report is no fault");
+
+    // Rehabilitated: the next run spreads over both PEs again.
+    let third = emu.run(&mut FrfsScheduler::new(), &slow, &lib).unwrap();
+    assert_eq!(third.completed_apps(), 60);
+    assert!(third.tasks.records().iter().any(|t| t.pe == wedged), "the PE is back in service");
+    assert_eq!(calls.load(Ordering::SeqCst), 2, "one stalled attempt, one retry");
 }
