@@ -78,13 +78,21 @@
 //!
 //! Every run instantiates fresh private instances, because kernels
 //! write their memory. [`Emulation::run`] and [`Emulation::run_compiled`]
-//! return the compact [`EmulationStats`] summary and free those
-//! instances when the run returns, so results kept by a cache, a sweep
-//! or the serve daemon never pin a variable arena (a pulse-Doppler
-//! image is 1.84 MB). [`Emulation::run_with_images`] is the one entry
-//! point that also hands back the final memory, as [`InstanceImages`],
-//! for functional checks. The job layer never calls it, so the images
-//! are never cached.
+//! return [`EmulationStats`] with the run's per-task records (dense
+//! completion columns, expanded on first access) and free those
+//! instances when the run returns, so no result pins a variable arena
+//! (a pulse-Doppler image is 1.84 MB). [`Emulation::run_with_images`]
+//! is the one entry point that also hands back the final memory, as
+//! [`InstanceImages`], for functional checks. The job layer never calls
+//! it, so the images are never cached.
+//!
+//! What the job layer ([`JobRunner`](crate::job::JobRunner), the sweep
+//! runners, the serve daemon) returns and caches is a run summary
+//! ([`EmulationStats::into_summary`]): every aggregate and the per-app
+//! columns, but only the task count — O(instances) bytes, not O(tasks).
+//! Per-task records come from these entry points and the
+//! [`DesSimulator`](crate::des::DesSimulator)'s `run` and
+//! `run_compiled`; a summary asked for them panics.
 //!
 //! # Timing modes
 //!

@@ -37,6 +37,17 @@
 //!   the compiled scenario's key, so repeated deterministic runs are
 //!   answered without running at all.
 //!
+//! Every result this layer returns or caches is a run summary
+//! ([`EmulationStats::into_summary`]), made in one place right after
+//! the engine returns, so a hit and a miss return the same value:
+//! makespan, scheduler invocations, PE busy times and names, overhead
+//! and reliability counters, the per-app columns (20 bytes per
+//! instance) and the task count, but no per-task records. A cached
+//! entry therefore holds O(instances) bytes, not O(tasks). Code that
+//! reads task records runs the engines directly
+//! ([`Emulation::run_compiled`],
+//! [`DesSimulator::run_compiled`](crate::des::DesSimulator::run_compiled)).
+//!
 //! [`FaultPlan`]: crate::fault::FaultPlan
 
 use std::collections::{HashMap, VecDeque};
@@ -794,10 +805,10 @@ fn encode_faults(w: &mut Canon, faults: &FaultSpec) {
 /// fingerprints collide cost a miss, never a wrong answer. Results are
 /// held as `Arc<EmulationStats>`: under the lock a lookup only bumps
 /// refcounts, and a caller that needs its own copy clones outside it.
-/// An entry is a run's compact summary — it holds no instance memory,
-/// so a full cache of pulse-Doppler results stays a few tens of MB
+/// An entry is a run summary — no instance memory and no per-task
+/// records, so a full cache of pulse-Doppler results holds under 1 MB
 /// (`tests/cache_bytes.rs` bounds it) — and a copy shares the entry's
-/// task-log columns. Sweep workers share one cache by cloning the
+/// per-app columns. Sweep workers share one cache by cloning the
 /// handle; hit/miss totals are published through `dssoc-metrics` as
 /// `dssoc_result_cache_hits` / `dssoc_result_cache_misses` once
 /// [`Self::attach_metrics`] is called.
@@ -975,8 +986,9 @@ impl Default for ResultCache {
 /// The outcome of one job.
 #[derive(Debug, Clone)]
 pub struct JobResult {
-    /// The run's summary (on a hit, a copy of the cached entry that
-    /// shares its task-log columns).
+    /// The run summary: no per-task records (see
+    /// [`EmulationStats::into_summary`]). On a hit, a copy of the cached
+    /// entry that shares its per-app columns.
     pub stats: EmulationStats,
     /// The scenario fingerprint the result is keyed under.
     pub fingerprint: Fingerprint,
@@ -1209,7 +1221,7 @@ impl JobRunner {
         if let (Some(span), Some(sink)) = (self.span, trace.as_ref()) {
             sink.set_span(&format!("{span:016x}"));
         }
-        match engine {
+        let stats = match engine {
             Engine::Threaded => {
                 self.emulation_for(scenario)?.run_compiled(scheduler, scenario, trace.as_ref())
             }
@@ -1222,7 +1234,8 @@ impl JobRunner {
                     cancel.as_deref(),
                 )
             }
-        }
+        };
+        stats.map(EmulationStats::into_summary)
     }
 
     fn emulation_for(&mut self, sc: &CompiledScenario) -> Result<&mut Emulation, EmuError> {

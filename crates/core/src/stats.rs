@@ -8,13 +8,25 @@
 //! per-application latency and task counts (Table I), and average
 //! scheduling overhead (Fig. 10b).
 //!
-//! What a run returns is a compact summary, [`EmulationStats`]: it
-//! holds no instance memory, so a result cache, a sweep or a daemon can
-//! keep hundreds of them without pinning the run's variable arenas. The
-//! final memory of every instance — validation mode's functional check
-//! (paper §II-B) — comes only from
+//! What a run returns is [`EmulationStats`]: it holds no instance
+//! memory, so a result cache, a sweep or a daemon can keep hundreds of
+//! them without pinning the run's variable arenas. The final memory of
+//! every instance — validation mode's functional check (paper §II-B) —
+//! comes only from
 //! [`Emulation::run_with_images`](crate::engine::Emulation::run_with_images)
 //! as [`InstanceImages`], which nothing caches or stores.
+//!
+//! The engines' entry points (`Emulation::run`, `run_compiled`,
+//! `run_with_images`, `DesSimulator::run`, `run_compiled`) also return
+//! the per-task records, as dense columns expanded on first access
+//! ([`TaskLog`]). Every job-layer result — [`JobRunner`], the sweep
+//! runners, the serve daemon, a cache hit or a miss — is a run summary
+//! ([`EmulationStats::into_summary`]): makespan, scheduler invocations,
+//! PE busy times and names, overhead and reliability counters, the
+//! per-app columns (20 bytes per instance) and the task count, but no
+//! per-task columns. Asking a summary for task records panics.
+//!
+//! [`JobRunner`]: crate::job::JobRunner
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -122,34 +134,61 @@ impl DenseTaskLog {
     }
 }
 
-/// Per-task records of one run: either given as [`TaskRecord`]s or an
-/// engine's dense completion columns, expanded to records on first
-/// access.
+/// Per-task records of one run: given as [`TaskRecord`]s, an engine's
+/// dense completion columns expanded to records on first access, or —
+/// in a job-layer summary — only their count.
 ///
 /// Cheap queries — [`len`](Self::len), [`is_empty`](Self::is_empty) —
-/// never materialize. Everything else ([`Deref`]s to `[TaskRecord]`,
-/// so iteration/indexing/slicing all work) expands the columns once
-/// and caches the result, which is why sweep and job-layer consumers
-/// that read only aggregates never pay for 4k `Name` refcounts per run.
-/// Clones share the columns (a cached result and the copy a cache hit
-/// hands out hold one set) and materialize their records separately.
+/// never materialize and work on every log. Everything else
+/// ([`Deref`]s to `[TaskRecord]`, so iteration/indexing/slicing all
+/// work) expands the columns once and caches the result. Clones share
+/// the columns and materialize their records separately.
+///
+/// A result from the job layer ([`JobRunner`], the sweep runners, the
+/// serve daemon) keeps the count alone (see
+/// [`EmulationStats::into_summary`]): asking it for records panics,
+/// naming the engine entry points that return them. It never answers
+/// with an empty slice beside a nonzero [`len`](Self::len).
+///
+/// [`JobRunner`]: crate::job::JobRunner
+/// [`Deref`]: std::ops::Deref
 #[derive(Debug, Clone, Default)]
 pub struct TaskLog {
-    dense: Option<Arc<DenseTaskLog>>,
+    source: TaskSource,
     records: OnceLock<Vec<TaskRecord>>,
+}
+
+#[derive(Debug, Clone, Default)]
+enum TaskSource {
+    /// The records were given by value (or there are none).
+    #[default]
+    Given,
+    /// An engine's completion columns, expanded on first access.
+    Dense(Arc<DenseTaskLog>),
+    /// A summary: the task count and each application's share of it.
+    Counted { len: usize, per_app: Arc<[(Name, usize)]> },
 }
 
 impl TaskLog {
     pub(crate) fn from_dense(dense: DenseTaskLog) -> TaskLog {
-        TaskLog { dense: Some(Arc::new(dense)), records: OnceLock::new() }
+        TaskLog { source: TaskSource::Dense(Arc::new(dense)), records: OnceLock::new() }
+    }
+
+    /// The count-only log of the same tasks.
+    fn counted(&self) -> TaskLog {
+        let per_app = self.per_app().into();
+        TaskLog {
+            source: TaskSource::Counted { len: self.len(), per_app },
+            records: OnceLock::new(),
+        }
     }
 
     /// Number of task records (without materializing).
     pub fn len(&self) -> usize {
-        match (&self.dense, self.records.get()) {
-            (Some(d), _) => d.cols.len(),
-            (None, Some(r)) => r.len(),
-            (None, None) => 0,
+        match &self.source {
+            TaskSource::Dense(d) => d.cols.len(),
+            TaskSource::Counted { len, .. } => *len,
+            TaskSource::Given => self.records.get().map_or(0, Vec::len),
         }
     }
 
@@ -159,25 +198,52 @@ impl TaskLog {
     }
 
     /// The records as a slice, expanding dense columns on first call.
+    ///
+    /// # Panics
+    ///
+    /// On a job-layer summary, which keeps no records.
     pub fn records(&self) -> &[TaskRecord] {
-        self.records.get_or_init(|| match &self.dense {
-            Some(d) => d.materialize(),
-            None => Vec::new(),
+        if let TaskSource::Counted { len, .. } = self.source {
+            panic!(
+                "a job-layer result is a run summary: it counts {len} tasks and keeps no \
+                 per-task records; Emulation::run, run_compiled and run_with_images and \
+                 DesSimulator::run and run_compiled return them"
+            );
+        }
+        self.records.get_or_init(|| match &self.source {
+            TaskSource::Dense(d) => d.materialize(),
+            _ => Vec::new(),
         })
     }
 
-    /// Iterates the records (materializing if needed).
+    /// Iterates the records (materializing if needed; panics on a
+    /// summary, like [`Self::records`]).
     pub fn iter(&self) -> std::slice::Iter<'_, TaskRecord> {
         self.records().iter()
     }
 
-    /// Each record's application name, in completion order, read from
-    /// the dense columns when there are any (without materializing).
-    fn app_names(&self) -> impl Iterator<Item = &Name> {
-        let dense = self.dense.as_deref();
-        let cols = dense.map(|d| d.cols.inst.iter().map(|&i| d.names.app(InstanceId(i as u64))));
-        let records = dense.is_none().then(|| self.records().iter().map(|t| &t.app));
-        cols.into_iter().flatten().chain(records.into_iter().flatten())
+    /// Tasks per application, each application once, read from the
+    /// dense columns or the summary when there are any (without
+    /// materializing).
+    fn per_app(&self) -> Vec<(Name, usize)> {
+        match &self.source {
+            TaskSource::Dense(d) => {
+                let mut counts = vec![0usize; d.names.specs().len()];
+                for &inst in &d.cols.inst {
+                    counts[d.names.spec_index(InstanceId(inst as u64))] += 1;
+                }
+                let specs = d.names.specs().iter().zip(counts);
+                specs.filter(|&(_, n)| n > 0).map(|(spec, n)| (spec.name.clone(), n)).collect()
+            }
+            TaskSource::Counted { per_app, .. } => per_app.to_vec(),
+            TaskSource::Given => {
+                let mut counts: BTreeMap<&Name, usize> = BTreeMap::new();
+                for t in self.records() {
+                    *counts.entry(&t.app).or_default() += 1;
+                }
+                counts.into_iter().map(|(app, n)| (app.clone(), n)).collect()
+            }
+        }
     }
 }
 
@@ -475,7 +541,8 @@ pub struct EmulationStats {
     /// finished.
     pub makespan: Duration,
     /// Per-task records, in completion order (lazily materialized for
-    /// DES runs — see [`TaskLog`]).
+    /// engine runs; only their count in a job-layer summary — see
+    /// [`TaskLog`]).
     pub tasks: TaskLog,
     /// Per-application-instance records, in completion order (lazily
     /// materialized for engine runs — see [`AppLog`]).
@@ -519,11 +586,11 @@ impl EmulationStats {
     }
 
     /// Per-app aggregates, built on first use with a single pass over
-    /// the app records and the task log's columns (task records are not
-    /// materialized). Every per-app accessor reads this map, so
-    /// reporting loops that ask about each app in turn (Table I does)
-    /// cost O(n + apps·log apps) total instead of rescanning all n
-    /// records once per app.
+    /// the app records and the task log's columns, or from a summary's
+    /// per-app task counts (task records are not materialized). Every
+    /// per-app accessor reads this map, so reporting loops that ask
+    /// about each app in turn (Table I does) cost O(n + apps·log apps)
+    /// total instead of rescanning all n records once per app.
     pub fn app_aggregates(&self) -> &BTreeMap<Name, AppAggregate> {
         self.app_agg.get_or_init(|| {
             let mut map: BTreeMap<Name, AppAggregate> = BTreeMap::new();
@@ -532,8 +599,8 @@ impl EmulationStats {
                 agg.instances += 1;
                 agg.total_latency += latency;
             }
-            for app in self.tasks.app_names() {
-                map.entry(app.clone()).or_default().tasks += 1;
+            for (app, tasks) in self.tasks.per_app() {
+                map.entry(app).or_default().tasks += tasks;
             }
             map
         })
@@ -551,7 +618,8 @@ impl EmulationStats {
 
     /// Percentile view over the run's records: log2 histograms of task
     /// wait, modeled task execution, and app latency (nanoseconds).
-    /// Built on demand in one pass; use
+    /// Built on demand in one pass over the task records, so it panics
+    /// on a job-layer summary (see [`TaskLog`]); use
     /// [`HistogramData::p50`]/[`p90`](HistogramData::p90)/
     /// [`p99`](HistogramData::p99)/`max` on each.
     pub fn percentiles(&self) -> StatsPercentiles {
@@ -564,6 +632,17 @@ impl EmulationStats {
             view.app_latency.record(latency.as_nanos() as u64);
         }
         view
+    }
+
+    /// The run summary of these stats: the same stats with the task
+    /// log reduced to its count and per-app counts, so they hold
+    /// O(instances) bytes instead of O(tasks). Every accessor but the
+    /// per-task records ([`TaskLog::records`], [`Self::percentiles`])
+    /// answers as before. This is what every job-layer result is; the
+    /// engines' own entry points return the records.
+    pub fn into_summary(mut self) -> EmulationStats {
+        self.tasks = self.tasks.counted();
+        self
     }
 
     /// Number of completed application instances.
@@ -788,6 +867,26 @@ mod tests {
         assert_eq!(radar.latency_mean(), Some(Duration::from_micros(3)));
         // Second call returns the cached map (same allocation).
         assert!(std::ptr::eq(agg, s.app_aggregates()));
+    }
+
+    #[test]
+    fn a_summary_keeps_every_count() {
+        let full = stats_fixture();
+        let summary = stats_fixture().into_summary();
+        assert_eq!((summary.tasks.len(), summary.tasks.is_empty()), (2, false));
+        assert_eq!(summary.app_aggregates(), full.app_aggregates());
+        assert_eq!(summary.app_task_count("radar"), 2);
+        assert_eq!(summary.completed_apps(), 1);
+        assert_eq!(summary.summary(), full.summary());
+        let clone = summary.clone().into_summary();
+        assert_eq!(clone.app_aggregates(), full.app_aggregates());
+    }
+
+    #[test]
+    #[should_panic(expected = "counts 2 tasks and keeps no per-task records")]
+    fn a_summary_refuses_task_records() {
+        let summary = stats_fixture().into_summary();
+        let _ = summary.tasks.iter().count();
     }
 
     #[test]

@@ -274,7 +274,8 @@ pub struct CellResult {
     pub label: String,
     /// Makespan of each measured iteration, in milliseconds.
     pub makespans_ms: Vec<f64>,
-    /// Full statistics of the last measured iteration.
+    /// The run summary of the last measured iteration (no per-task
+    /// records; see [`EmulationStats::into_summary`]).
     pub stats: EmulationStats,
 }
 

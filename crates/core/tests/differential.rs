@@ -221,9 +221,20 @@ fn engines_agree_on_a_table_without_entries() {
                 .expect("spec");
             CompiledScenario::compile(spec).expect("compile")
         };
+        // Fresh engines outside the job layer, whose results keep their
+        // task records.
         let fresh = |scenario: &Arc<CompiledScenario>, engine| {
             assert!(scenario.deterministic(engine), "the cache accepts this job");
-            JobRunner::new().run(scenario, engine).expect("run").stats
+            let (platform, mut sched) = (zcu102(3, 0), by_name(scheduler).expect("scheduler"));
+            match engine {
+                Engine::Threaded => Emulation::with_config(platform, EmulationConfig::default())
+                    .expect("engine")
+                    .run_compiled(sched.as_mut(), scenario, None),
+                Engine::Des => DesSimulator::new(platform, DesConfig::default())
+                    .expect("simulator")
+                    .run_compiled(sched.as_mut(), scenario, None, None),
+            }
+            .expect("run")
         };
         let (free, charged) = (compile(0, 0), compile(20, 1));
         let pairs = [

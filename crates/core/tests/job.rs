@@ -18,7 +18,7 @@ use dssoc_apps::standard_library;
 use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
 use dssoc_core::job::{CompiledScenario, CostSpec, Engine, JobRunner, ScenarioKey, ScenarioSpec};
 use dssoc_core::prelude::*;
-use dssoc_core::stats::EmulationStats;
+use dssoc_core::stats::{AppAggregate, EmulationStats, OverheadBreakdown, ReliabilityCounters};
 use dssoc_platform::cost::CostTable;
 use dssoc_platform::pe::PeKind;
 use dssoc_platform::presets::zcu102;
@@ -222,21 +222,47 @@ fn platform_named_matches_constructed_platform() {
     assert_eq!(by_value.fingerprint(), by_name.fingerprint());
 }
 
-/// The comparable skeleton of a stats record — every field that a run
-/// produces deterministically. (`EmulationStats` carries a lazily
-/// initialized aggregation cache, so whole-struct Debug comparison
-/// would be sensitive to *when* a copy was inspected; this projection
-/// is not.)
-#[allow(clippy::type_complexity)]
-fn stats_skeleton(
-    stats: &EmulationStats,
-) -> (Duration, usize, u64, Vec<(u64, usize, u32, u64, u64, Duration)>) {
-    let tasks = stats
-        .tasks
-        .iter()
-        .map(|t| (t.instance.0, t.node_idx, t.pe.0, t.start.0, t.finish.0, t.modeled))
-        .collect();
-    (stats.makespan, stats.completed_apps(), stats.sched_invocations, tasks)
+/// Every field a run summary keeps, as comparable values. Job-layer
+/// results carry no per-task records, so this is everything a cache hit
+/// can be checked against; [`a_job_result_is_the_summary_of_a_direct_run`]
+/// ties those fields to a direct engine run's records. (`EmulationStats`
+/// carries a lazily initialized aggregation cache, so whole-struct Debug
+/// comparison would be sensitive to *when* a copy was inspected; this
+/// projection is not.)
+#[derive(Debug, PartialEq)]
+struct Summary {
+    platform: String,
+    scheduler: String,
+    makespan: Duration,
+    sched_invocations: u64,
+    pe_busy: Vec<(u32, Duration)>,
+    pe_names: Vec<(u32, String)>,
+    overhead: OverheadBreakdown,
+    reliability: ReliabilityCounters,
+    /// `(instance, app, arrival, finish, task count)` per finished instance.
+    apps: Vec<(u64, String, u64, u64, usize)>,
+    tasks: usize,
+    per_app: Vec<(String, AppAggregate)>,
+}
+
+fn stats_skeleton(stats: &EmulationStats) -> Summary {
+    Summary {
+        platform: stats.platform.clone(),
+        scheduler: stats.scheduler.clone(),
+        makespan: stats.makespan,
+        sched_invocations: stats.sched_invocations,
+        pe_busy: stats.pe_busy.iter().map(|(pe, d)| (pe.0, *d)).collect(),
+        pe_names: stats.pe_names.iter().map(|(pe, n)| (pe.0, n.clone())).collect(),
+        overhead: stats.overhead,
+        reliability: stats.reliability,
+        apps: stats
+            .apps
+            .iter()
+            .map(|a| (a.instance.0, a.app.to_string(), a.arrival.0, a.finish.0, a.task_count))
+            .collect(),
+        tasks: stats.tasks.len(),
+        per_app: stats.app_aggregates().iter().map(|(app, agg)| (app.to_string(), *agg)).collect(),
+    }
 }
 
 /// A deterministic spec (modeled timing, no overhead, full cost table)
@@ -272,8 +298,6 @@ fn cache_hit_returns_bit_identical_stats() {
             stats_skeleton(&second.stats),
             "{engine:?}: cached stats diverged from the original run"
         );
-        assert_eq!(first.stats.reliability, second.stats.reliability);
-        assert_eq!(first.stats.scheduler, second.stats.scheduler);
     }
     assert_eq!(jobs.cache().hits(), 2);
     assert_eq!(jobs.cache().misses(), 2);
@@ -448,4 +472,92 @@ fn plain_and_by_value_entries_answer_only_their_own_lookups() {
     assert_eq!((cache.hits(), cache.misses()), (1, 1), "only get counts by itself");
     cache.count(true);
     assert_eq!(cache.hits(), 2);
+}
+
+/// The scenario of [`deterministic_spec`] with a transient-fault plan
+/// and one reserved task per PE, so retries, fault counters and
+/// reservation dispatch all reach the summary.
+fn faulted_reserved_spec() -> ScenarioSpec {
+    build_spec(&Params {
+        cores: 2,
+        ffts: 1,
+        scheduler: "met".into(),
+        counts: [2, 1],
+        modeled: true,
+        overhead: 2,
+        fixed_us: 3,
+        table_us: 100,
+        reservation_depth: 1,
+        fault_seed: Some(7),
+    })
+}
+
+/// A direct engine run of `scenario`: the full stats, task records
+/// included, from a fresh engine outside the job layer.
+fn direct_run(scenario: &Arc<CompiledScenario>, engine: Engine) -> EmulationStats {
+    let platform = Arc::clone(&scenario.spec().platform);
+    let mut sched = dssoc_core::sched::by_name(&scenario.spec().scheduler).expect("scheduler");
+    match engine {
+        Engine::Threaded => Emulation::with_config(platform, EmulationConfig::default())
+            .expect("engine")
+            .run_compiled(sched.as_mut(), scenario, None),
+        Engine::Des => DesSimulator::new(platform, DesConfig::default())
+            .expect("simulator")
+            .run_compiled(sched.as_mut(), scenario, None, None),
+    }
+    .expect("direct run")
+}
+
+/// A job result, on a miss and on a hit, is exactly the summary of a
+/// direct engine run of the same compiled scenario, on both engines,
+/// with a fault plan and reservation depth 1. The direct run's records
+/// back the summary's counts: one task per record, and each app's task
+/// count is its records'.
+#[test]
+fn a_job_result_is_the_summary_of_a_direct_run() {
+    for spec in [deterministic_spec(), faulted_reserved_spec()] {
+        let scenario = CompiledScenario::compile(spec).expect("compile");
+        for engine in [Engine::Des, Engine::Threaded] {
+            let full = direct_run(&scenario, engine);
+            let mut per_app = std::collections::BTreeMap::<String, usize>::new();
+            for t in full.tasks.iter() {
+                *per_app.entry(t.app.to_string()).or_default() += 1;
+            }
+            assert_eq!(per_app.values().sum::<usize>(), full.tasks.len());
+            let want = stats_skeleton(&full.into_summary());
+            let counted: Vec<_> =
+                want.per_app.iter().map(|(a, agg)| (a.clone(), agg.tasks)).collect();
+            assert_eq!(counted, per_app.into_iter().collect::<Vec<_>>(), "{engine:?}");
+
+            let mut jobs = JobRunner::new();
+            let miss = jobs.run(&scenario, engine).expect("miss");
+            let hit = jobs.run(&scenario, engine).expect("hit");
+            assert!(!miss.cached && hit.cached, "{engine:?}");
+            assert_eq!(stats_skeleton(&miss.stats), want, "{engine:?}: miss");
+            assert_eq!(stats_skeleton(&hit.stats), want, "{engine:?}: hit");
+        }
+    }
+    let r = direct_run(&CompiledScenario::compile(faulted_reserved_spec()).unwrap(), Engine::Des);
+    assert!(r.reliability.faults_injected > 0, "the fault plan fires: {:?}", r.reliability);
+}
+
+/// A job result holds no task records: asking for them panics with the
+/// documented message, on a miss and on a hit, while the count stays.
+#[test]
+fn a_job_result_refuses_task_records() {
+    for engine in [Engine::Des, Engine::Threaded] {
+        let mut jobs = JobRunner::new();
+        for pass in ["miss", "hit"] {
+            let result = jobs.run_spec(deterministic_spec(), engine).expect("run");
+            assert_eq!(result.cached, pass == "hit");
+            assert!(!result.stats.tasks.is_empty());
+            let records = std::panic::AssertUnwindSafe(|| result.stats.tasks.records().len());
+            let asked = std::panic::catch_unwind(records);
+            let message = *asked.expect_err("records panic").downcast::<String>().expect("message");
+            let count = format!("counts {} tasks", result.stats.tasks.len());
+            assert!(message.contains(&count), "{engine:?} {pass}: {message}");
+            assert!(message.contains("keeps no per-task records"), "{message}");
+            assert!(message.contains("DesSimulator::run and run_compiled"), "{message}");
+        }
+    }
 }

@@ -142,6 +142,22 @@ impl Scheduler for FailsMidFlight {
 /// Everything a deterministic run reports, minus host-measured kernel
 /// times and the scheduler label.
 fn assert_same(got: &EmulationStats, want: &EmulationStats, what: &str) {
+    assert_same_summary(got, want, what);
+    let tasks = |s: &EmulationStats| {
+        s.tasks
+            .iter()
+            .map(|t| {
+                let names = (t.app.to_string(), t.node.to_string(), t.kernel.to_string());
+                (t.instance, t.node_idx, names, t.pe, t.ready_at, t.start, t.finish, t.modeled)
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(tasks(got), tasks(want), "{what}: task log");
+}
+
+/// Everything a deterministic run's summary (a job-layer result)
+/// reports, minus the scheduler label.
+fn assert_same_summary(got: &EmulationStats, want: &EmulationStats, what: &str) {
     assert_eq!(got.makespan, want.makespan, "{what}: makespan");
     assert_eq!(got.sched_invocations, want.sched_invocations, "{what}: sched invocations");
     assert_eq!(got.overhead, want.overhead, "{what}: overhead");
@@ -154,16 +170,8 @@ fn assert_same(got: &EmulationStats, want: &EmulationStats, what: &str) {
             .collect::<Vec<_>>()
     };
     assert_eq!(apps(got), apps(want), "{what}: app records");
-    let tasks = |s: &EmulationStats| {
-        s.tasks
-            .iter()
-            .map(|t| {
-                let names = (t.app.to_string(), t.node.to_string(), t.kernel.to_string());
-                (t.instance, t.node_idx, names, t.pe, t.ready_at, t.start, t.finish, t.modeled)
-            })
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(tasks(got), tasks(want), "{what}: task log");
+    assert_eq!(got.tasks.len(), want.tasks.len(), "{what}: task count");
+    assert_eq!(got.app_aggregates(), want.app_aggregates(), "{what}: per-app aggregates");
 }
 
 #[test]
@@ -342,7 +350,7 @@ fn one_warm_engine_per_kind_alternates_every_knob() {
             assert!(!got.cached, "{what}: every scenario is new");
             let want = JobRunner::new().run(&scenario, engine).unwrap().stats;
             if scenario.deterministic(engine) {
-                assert_same(&got.stats, &want, &format!("{what}: {engine} warm vs cold"));
+                assert_same_summary(&got.stats, &want, &format!("{what}: {engine} warm vs cold"));
             } else {
                 assert_eq!(got.stats.completed_apps(), want.completed_apps(), "{what}");
                 assert_eq!(got.stats.tasks.len(), want.tasks.len(), "{what}: tasks");

@@ -11,6 +11,8 @@
 //!
 //! The FFT requires power-of-two lengths; [`next_pow2`] helps with padding.
 
+use std::sync::OnceLock;
+
 use crate::complex::Complex32;
 
 /// Returns the smallest power of two `>= n` (and `>= 1`).
@@ -23,43 +25,78 @@ pub fn is_pow2(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 
-fn bit_reverse_permute(data: &mut [Complex32]) {
-    let n = data.len();
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
+/// What a transform of one power-of-two size and direction needs besides
+/// its data: the bit-reversal permutation as swap pairs and every
+/// butterfly stage's twiddles, built once and shared for the life of the
+/// process.
+struct Plan {
+    /// `(i, j)` with `i < j`: the swaps that bit-reverse the input order.
+    swaps: Box<[(u32, u32)]>,
+    /// Each stage's `len / 2` twiddles, stages concatenated in order: the
+    /// stage of length `len` starts at offset `len / 2 - 1`.
+    twiddles: Box<[Complex32]>,
+}
+
+impl Plan {
+    fn new(n: usize, inverse: bool) -> Plan {
+        let mut swaps = Vec::new();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                swaps.push((i as u32, j as u32));
+            }
         }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut twiddles = Vec::with_capacity(n.saturating_sub(1));
+        let mut len = 2usize;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            // Twiddle computed in f64 then narrowed: keeps error ~1e-6 at
+            // n=64k. The rest of the stage comes from the `w *= wlen`
+            // recurrence, not a fresh sin/cos each, so outputs match the
+            // inline-recurrence transform bit for bit (see the tests).
+            let wlen = Complex32::new(ang.cos() as f32, ang.sin() as f32);
+            let mut w = Complex32::ONE;
+            for _ in 0..len / 2 {
+                twiddles.push(w);
+                w *= wlen;
+            }
+            len <<= 1;
         }
+        Plan { swaps: swaps.into(), twiddles: twiddles.into() }
     }
 }
+
+/// One plan slot per (log2 size, direction), filled on first use.
+static PLANS: [[OnceLock<Plan>; 2]; usize::BITS as usize] =
+    [const { [const { OnceLock::new() }; 2] }; usize::BITS as usize];
 
 fn fft_core(data: &mut [Complex32], inverse: bool) {
     let n = data.len();
     assert!(is_pow2(n), "fft length must be a power of two, got {n}");
-    bit_reverse_permute(data);
-    let sign = if inverse { 1.0 } else { -1.0 };
+    let slot = &PLANS[n.trailing_zeros() as usize][usize::from(inverse)];
+    let plan = slot.get_or_init(|| Plan::new(n, inverse));
+    for &(i, j) in plan.swaps.iter() {
+        data.swap(i as usize, j as usize);
+    }
     let mut len = 2usize;
     while len <= n {
-        let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
-        // Twiddle computed in f64 then narrowed: keeps error ~1e-6 at n=64k.
-        let wlen = Complex32::new(ang.cos() as f32, ang.sin() as f32);
-        let mut i = 0;
-        while i < n {
-            let mut w = Complex32::ONE;
-            for k in 0..len / 2 {
-                let u = data[i + k];
-                let v = data[i + k + len / 2] * w;
-                data[i + k] = u + v;
-                data[i + k + len / 2] = u - v;
-                w *= wlen;
+        let half = len / 2;
+        let twiddles = &plan.twiddles[half - 1..len - 1];
+        for block in data.chunks_exact_mut(len) {
+            let (lo, hi) = block.split_at_mut(half);
+            for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                let u = *a;
+                let v = *b * w;
+                *a = u + v;
+                *b = u - v;
             }
-            i += len;
         }
         len <<= 1;
     }
@@ -177,6 +214,71 @@ mod tests {
 
     fn approx_eq(a: &[Complex32], b: &[Complex32], tol: f32) -> bool {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (*x - *y).abs() < tol)
+    }
+
+    /// The reference the plans must match bit for bit: bit reversal and
+    /// the `w *= wlen` twiddle recurrence inline in the butterfly loop.
+    fn reference_fft(data: &mut [Complex32], inverse: bool) {
+        let n = data.len();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2usize;
+        while len <= n {
+            let ang = sign * 2.0 * std::f64::consts::PI / len as f64;
+            let wlen = Complex32::new(ang.cos() as f32, ang.sin() as f32);
+            let mut i = 0;
+            while i < n {
+                let mut w = Complex32::ONE;
+                for k in 0..len / 2 {
+                    let u = data[i + k];
+                    let v = data[i + k + len / 2] * w;
+                    data[i + k] = u + v;
+                    data[i + k + len / 2] = u - v;
+                    w *= wlen;
+                }
+                i += len;
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let k = 1.0 / n as f32;
+            for x in data.iter_mut() {
+                *x = x.scale(k);
+            }
+        }
+    }
+
+    #[test]
+    fn planned_transforms_are_bit_identical_to_the_inline_recurrence() {
+        let bits = |v: &[Complex32]| v.iter().map(|c| (c.re.to_bits(), c.im.to_bits())).collect();
+        for log2 in 0..=14 {
+            let n = 1usize << log2;
+            let x: Vec<Complex32> = (0..n)
+                .map(|i| Complex32::new((i as f32 * 0.37).sin(), (i as f32 * 0.91).cos() - 0.2))
+                .collect();
+            for inverse in [false, true] {
+                let (mut got, mut want) = (x.clone(), x.clone());
+                if inverse {
+                    ifft_in_place(&mut got);
+                } else {
+                    fft_in_place(&mut got);
+                }
+                reference_fft(&mut want, inverse);
+                let (got, want): (Vec<(u32, u32)>, Vec<_>) = (bits(&got), bits(&want));
+                assert!(got == want, "n = {n}, inverse = {inverse}");
+            }
+        }
     }
 
     #[test]
