@@ -34,8 +34,12 @@
 //! registry attached — the configuration every served DES job runs in
 //! (`tasks_4002_warm_metrics_*`) — interleaved with the bare warm run,
 //! best of [`METRICS_REPS`] each, and records their ratio
-//! (`tasks_4002_warm_metrics_ratio`). Two perf gates, checked after the
-//! summary is written:
+//! (`tasks_4002_warm_metrics_ratio`). Two more warm 4002-task rows run
+//! the shapes that fill the pending-event set most: FRFS on a 96-core
+//! CPU platform, which takes the policy path (`pe96_4002_warm_*`), and
+//! `zcu102(3, 0)` under a transient fault plan that retries
+//! (`faults_4002_warm_*`). They carry no gate. Two perf gates, checked
+//! after the summary is written:
 //!
 //! - `--test` fails when that ratio exceeds [`METRICS_RATIO_CEILING`];
 //! - `--floor <events/sec>` fails when any size's bare warm throughput
@@ -56,12 +60,13 @@ use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
 use dssoc_bench::report::BenchReport;
 use dssoc_core::des::{DesConfig, DesSimulator};
+use dssoc_core::fault::{FaultSpec, RateFault, RetryPolicy};
 use dssoc_core::job::{CompiledScenario, CostSpec, ScenarioSpec};
 use dssoc_core::sched::by_name;
 use dssoc_core::sweep::{default_workers, DesSweepRunner, SweepCell};
 use dssoc_metrics::MetricsRegistry;
 use dssoc_platform::cost::CostTable;
-use dssoc_platform::pe::PlatformConfig;
+use dssoc_platform::pe::{PeDescriptor, PeId, PlatformConfig};
 use dssoc_platform::presets::zcu102;
 
 /// range_detection instance counts giving ~250 / ~1000 / ~4000 tasks
@@ -131,15 +136,71 @@ fn compile_scenario(
     table: &CostTable,
     wl: &Arc<Workload>,
 ) -> Arc<CompiledScenario> {
-    let spec = ScenarioSpec::builder()
+    compile_with(library, platform, table, wl, None)
+}
+
+/// [`compile_scenario`] with an optional fault plan.
+fn compile_with(
+    library: &AppLibrary,
+    platform: &PlatformConfig,
+    table: &CostTable,
+    wl: &Arc<Workload>,
+    faults: Option<Arc<FaultSpec>>,
+) -> Arc<CompiledScenario> {
+    let mut builder = ScenarioSpec::builder()
         .library(library.clone())
         .platform(platform.clone())
         .scheduler("frfs")
         .workload(Arc::clone(wl))
-        .cost(CostSpec::table(table.clone()))
-        .build()
-        .expect("scenario");
-    CompiledScenario::compile(spec).expect("compile")
+        .cost(CostSpec::table(table.clone()));
+    if let Some(faults) = faults {
+        builder = builder.faults(faults);
+    }
+    CompiledScenario::compile(builder.build().expect("scenario")).expect("compile")
+}
+
+/// A CPU-only platform of `n` A53 cores: past 64 PEs, FRFS takes the
+/// policy path.
+fn cpu_platform(n: u32) -> PlatformConfig {
+    let mut platform = zcu102(1, 0);
+    let a53 = platform.pes[0].clone();
+    platform.pes = (0..n)
+        .map(|i| PeDescriptor { id: PeId(i), name: format!("Core{}", i + 1), ..a53.clone() })
+        .collect();
+    platform
+}
+
+/// Transient faults on every PE, retried and never quarantined, so the
+/// run completes with retry releases interleaved with completions.
+fn retrying_faults() -> Arc<FaultSpec> {
+    Arc::new(FaultSpec {
+        seed: 5,
+        transient: vec![RateFault { kernel: None, pe: None, probability: 0.05 }],
+        retry: RetryPolicy { quarantine_after: u32::MAX, ..RetryPolicy::default() },
+        ..FaultSpec::default()
+    })
+}
+
+/// Best-of-`reps` warm run of `scenario` on a fresh simulator of
+/// `platform` (after an untimed priming run), returning the time and
+/// the task count.
+fn best_warm_of(
+    platform: &PlatformConfig,
+    table: &CostTable,
+    scenario: &CompiledScenario,
+    reps: usize,
+) -> (Duration, usize) {
+    let mut sim = make_sim(platform, table, None);
+    let tasks = black_box(run_warm(&mut sim, scenario));
+    let best = (0..reps)
+        .map(|_| {
+            let start = Instant::now();
+            black_box(run_warm(&mut sim, scenario));
+            start.elapsed()
+        })
+        .min()
+        .expect("reps > 0");
+    (best, tasks)
 }
 
 /// One cold DES run (fresh FRFS policy, scenario compiled afresh),
@@ -279,6 +340,30 @@ fn main() {
             report.set_f64(format!("tasks_{tasks}_warm_metrics_ratio"), ratio);
             metrics_ratio = Some(ratio);
         }
+    }
+
+    // The shapes that fill the pending-event set most, at the largest
+    // size: 96 PEs in flight at once, and fault retries re-entering
+    // between completions. Recorded, not gated.
+    let wl = workload(&library, SIZES[SIZES.len() - 1]);
+    let wide = cpu_platform(96);
+    let wide_table = full_cost_table(&library, &wide);
+    let rows = [
+        ("pe96", "96 PEs", compile_scenario(&library, &wide, &wide_table, &wl), &wide, &wide_table),
+        (
+            "faults",
+            "3C, faults",
+            compile_with(&library, &platform, &table, &wl, Some(retrying_faults())),
+            &platform,
+            &table,
+        ),
+    ];
+    for (key, label, scenario, platform, table) in rows {
+        let (best, tasks) = best_warm_of(platform, table, &scenario, reps.max(METRICS_REPS));
+        let eps = 2.0 * tasks as f64 / best.as_secs_f64();
+        println!("  {tasks:>5} tasks, {label:<10}: warm {best:>10.3?} ({eps:>12.0} ev/s)");
+        report.set_f64(format!("{key}_{tasks}_warm_run_us"), best.as_secs_f64() * 1e6);
+        report.set_f64(format!("{key}_{tasks}_warm_events_per_sec"), eps);
     }
 
     // Parallel sweep scaling: an 8-cell DES grid (8 ZCU102 shapes,

@@ -15,15 +15,21 @@
 //! per-invocation overhead charging; the metric samples and trace events
 //! themselves must match too. On a platform with more than 64 PEs FRFS
 //! takes the policy path as well, and still agrees.
+//!
+//! Both paths share one pending-event set, so agreement between them
+//! cannot catch a change in its pop order. `pending_event_order_is_pinned`
+//! does: it pins digests of whole 96-PE runs, FRFS and MET, with and
+//! without retrying transient faults.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use dssoc_appmodel::app::AppLibrary;
+use dssoc_appmodel::hash::hash_bytes;
 use dssoc_appmodel::workload::InjectionParams;
 use dssoc_appmodel::{Workload, WorkloadSpec};
 use dssoc_apps::standard_library;
-use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault};
+use dssoc_core::fault::{FaultSpec, PermanentFault, RateFault, RetryPolicy};
 use dssoc_core::job::CostSpec;
 use dssoc_core::prelude::*;
 use dssoc_core::sched::{Assignment, PeView, ReadyView, SchedContext};
@@ -270,17 +276,25 @@ fn dense_loop_matches_general_loop() {
     }
 }
 
+/// A ZCU102-style platform wider than the board: `cores` A53 cores
+/// then `ffts` FFT accelerators.
+fn wide_platform(cores: u32, ffts: u32) -> PlatformConfig {
+    let mut platform = zcu102(1, 1);
+    let (a53, fft) = (platform.pes[0].clone(), platform.pes[1].clone());
+    let core = |i| PeDescriptor { id: PeId(i), name: format!("Core{}", i + 1), ..a53.clone() };
+    let accel =
+        |i| PeDescriptor { id: PeId(cores + i), name: format!("FFT{}", i + 1), ..fft.clone() };
+    platform.pes = (0..cores).map(core).chain((0..ffts).map(accel)).collect();
+    platform
+}
+
 /// More PEs than the FIFO placement's 64-bit masks hold: FRFS must take
 /// the policy path (a truncated mask would misplace tasks) and agree
 /// with the reference, with and without metrics.
 #[test]
 fn more_than_64_pes_take_the_policy_path() {
     let (library, _registry) = standard_library();
-    let mut platform = zcu102(1, 0);
-    let a53 = platform.pes[0].clone();
-    platform.pes = (0..70)
-        .map(|i| PeDescriptor { id: PeId(i), name: format!("Core{}", i + 1), ..a53.clone() })
-        .collect();
+    let platform = wide_platform(70, 0);
     let table = full_cost_table(&library, &platform);
     let workload = staggered_workload(&library);
     for observer in [Observer::None, Observer::Metrics] {
@@ -304,5 +318,51 @@ fn more_than_64_pes_take_the_policy_path() {
         );
         assert_eq!(fingerprint(&frfs.stats), fingerprint(&policy.stats), "{observer:?}");
         assert_eq!(frfs.recorded, policy.recorded, "{observer:?}");
+    }
+}
+
+/// Pins the pending-event pop order: whole runs on 88 cores and 8 FFT
+/// accelerators (96 PEs, so the policy path), FRFS and MET, each bare and under a transient fault plan that
+/// retries, must reproduce the digest of their full fingerprint and
+/// their reliability counters. A pending-event set that reorders
+/// same-time completions changes placements, so it changes the digest.
+#[test]
+fn pending_event_order_is_pinned() {
+    let (library, _registry) = standard_library();
+    let platform = wide_platform(88, 8);
+    let table = full_cost_table(&library, &platform);
+    let workload = staggered_workload(&library);
+    let faults = Arc::new(FaultSpec {
+        seed: 5,
+        transient: vec![RateFault { kernel: None, pe: None, probability: 0.02 }],
+        // Retry without quarantine, so every core stays schedulable.
+        retry: RetryPolicy { quarantine_after: u32::MAX, ..RetryPolicy::default() },
+        ..FaultSpec::default()
+    });
+    // (scheduler, faulted, fingerprint digest, [retries, transient
+    // faults, PEs quarantined, apps aborted]).
+    let pinned: [(&str, bool, u64, [u64; 4]); 4] = [
+        ("frfs", false, 0xd65fde1975823a51, [0, 0, 0, 0]),
+        ("frfs", true, 0xa82cc5dd49ab4fce, [558, 559, 0, 1]),
+        ("met", false, 0x3fbbc5ae0aa39908, [0, 0, 0, 0]),
+        ("met", true, 0x96bbddd6686c5af8, [547, 547, 0, 0]),
+    ];
+    for (name, faulted, digest, counters) in pinned {
+        let config = DesConfig {
+            cost: CostSpec::table(table.clone()),
+            overhead_per_invocation: Duration::ZERO,
+            trace: None,
+            faults: faulted.then(|| Arc::clone(&faults)),
+            metrics: None,
+        };
+        let mut des = DesSimulator::new(platform.clone(), config).expect("platform");
+        let mut scheduler = dssoc_core::sched::by_name(name).expect("library policy");
+        let stats = des.run(scheduler.as_mut(), &workload, &library).expect("simulation");
+        let got = hash_bytes(format!("{:?}", fingerprint(&stats)).as_bytes());
+        let r = &stats.reliability;
+        let got_counters = [r.retries, r.transient_faults, r.pes_quarantined, r.apps_aborted];
+        assert_eq!(got, digest, "{name}, faulted {faulted}: run fingerprint changed");
+        assert_eq!(got_counters, counters, "{name}, faulted {faulted}: reliability changed");
+        assert_eq!(r.retries > 0, faulted, "{name}: the fault plan must retry");
     }
 }
