@@ -129,18 +129,9 @@ fn workload(library: &AppLibrary, instances: usize) -> Arc<Workload> {
     )
 }
 
-/// Precompiles the scenario the warm path replays.
+/// Precompiles the scenario the warm path replays, under `faults` if
+/// given.
 fn compile_scenario(
-    library: &AppLibrary,
-    platform: &PlatformConfig,
-    table: &CostTable,
-    wl: &Arc<Workload>,
-) -> Arc<CompiledScenario> {
-    compile_with(library, platform, table, wl, None)
-}
-
-/// [`compile_scenario`] with an optional fault plan.
-fn compile_with(
     library: &AppLibrary,
     platform: &PlatformConfig,
     table: &CostTable,
@@ -181,28 +172,6 @@ fn retrying_faults() -> Arc<FaultSpec> {
     })
 }
 
-/// Best-of-`reps` warm run of `scenario` on a fresh simulator of
-/// `platform` (after an untimed priming run), returning the time and
-/// the task count.
-fn best_warm_of(
-    platform: &PlatformConfig,
-    table: &CostTable,
-    scenario: &CompiledScenario,
-    reps: usize,
-) -> (Duration, usize) {
-    let mut sim = make_sim(platform, table, None);
-    let tasks = black_box(run_warm(&mut sim, scenario));
-    let best = (0..reps)
-        .map(|_| {
-            let start = Instant::now();
-            black_box(run_warm(&mut sim, scenario));
-            start.elapsed()
-        })
-        .min()
-        .expect("reps > 0");
-    (best, tasks)
-}
-
 /// One cold DES run (fresh FRFS policy, scenario compiled afresh),
 /// returning the task count.
 fn run_once(sim: &mut DesSimulator, wl: &Workload, library: &AppLibrary) -> usize {
@@ -232,7 +201,7 @@ fn bench_des_throughput(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("tasks", tasks), &wl, |b, wl| {
             b.iter(|| black_box(run_once(&mut sim, wl, &library)))
         });
-        let scenario = compile_scenario(&library, &platform, &table, &wl);
+        let scenario = compile_scenario(&library, &platform, &table, &wl, None);
         let mut sim = make_sim(&platform, &table, None);
         group.bench_with_input(BenchmarkId::new("tasks_warm", tasks), &scenario, |b, sc| {
             b.iter(|| black_box(run_warm(&mut sim, sc)))
@@ -270,7 +239,7 @@ fn main() {
         let wl = workload(&library, n);
         let mut sim = make_sim(&platform, &table, None);
         let tasks = run_once(&mut sim, &wl, &library);
-        let scenario = compile_scenario(&library, &platform, &table, &wl);
+        let scenario = compile_scenario(&library, &platform, &table, &wl, None);
         // Untimed warm-up (~0.5 s): lets the frequency governor ramp
         // up, so best-of-N measures the hot-loop cost rather than the
         // host's idle clock.
@@ -349,17 +318,21 @@ fn main() {
     let wide = cpu_platform(96);
     let wide_table = full_cost_table(&library, &wide);
     let rows = [
-        ("pe96", "96 PEs", compile_scenario(&library, &wide, &wide_table, &wl), &wide, &wide_table),
-        (
-            "faults",
-            "3C, faults",
-            compile_with(&library, &platform, &table, &wl, Some(retrying_faults())),
-            &platform,
-            &table,
-        ),
+        ("pe96", "96 PEs", &wide, &wide_table, None),
+        ("faults", "3C, faults", &platform, &table, Some(retrying_faults())),
     ];
-    for (key, label, scenario, platform, table) in rows {
-        let (best, tasks) = best_warm_of(platform, table, &scenario, reps.max(METRICS_REPS));
+    for (key, label, platform, table, faults) in rows {
+        let scenario = compile_scenario(&library, platform, table, &wl, faults);
+        let mut sim = make_sim(platform, table, None);
+        let tasks = run_warm(&mut sim, &scenario);
+        let best = (0..reps.max(METRICS_REPS))
+            .map(|_| {
+                let start = Instant::now();
+                black_box(run_warm(&mut sim, &scenario));
+                start.elapsed()
+            })
+            .min()
+            .expect("reps > 0");
         let eps = 2.0 * tasks as f64 / best.as_secs_f64();
         println!("  {tasks:>5} tasks, {label:<10}: warm {best:>10.3?} ({eps:>12.0} ev/s)");
         report.set_f64(format!("{key}_{tasks}_warm_run_us"), best.as_secs_f64() * 1e6);

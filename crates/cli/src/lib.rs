@@ -44,7 +44,8 @@ pub struct RunArgs {
     pub workload: WorkloadSpec,
     /// Timing mode.
     pub timing: TimingMode,
-    /// Reservation-queue depth.
+    /// Reservation-queue depth (threaded engine only: the DES refuses a
+    /// depth above 0).
     pub reservation_depth: usize,
     /// Repetitions (first run is warm-up when > 1).
     pub iterations: usize,
@@ -250,6 +251,13 @@ pub fn parse_run_args(args: &[String]) -> Result<RunArgs, String> {
     };
     if metrics_linger > Duration::ZERO && metrics.is_none() {
         return Err("--metrics-linger needs --metrics".into());
+    }
+    if engine == Engine::Des && reservation_depth > 0 {
+        return Err(
+            "--reservation-depth above 0 needs --engine threaded: DES PEs have no reservation \
+             queues"
+                .into(),
+        );
     }
     Ok(RunArgs {
         platform,
@@ -496,6 +504,28 @@ mod tests {
         assert_eq!(run.iterations, 3);
         assert!(run.json);
         assert_eq!(run.timing, TimingMode::Modeled);
+    }
+
+    /// The DES models no reservation queues, so it refuses a depth
+    /// rather than running at depth 0.
+    #[test]
+    fn des_refuses_a_reservation_depth() {
+        let run = |engine: &str, depth: &str| {
+            parse_run_args(&argv(&[
+                "--platform",
+                "zcu102:2C+1F",
+                "--validation",
+                "range_detection=1",
+                "--engine",
+                engine,
+                "--reservation-depth",
+                depth,
+            ]))
+        };
+        let err = run("des", "2").unwrap_err();
+        assert!(err.contains("needs --engine threaded"), "{err}");
+        assert_eq!(run("des", "0").unwrap().engine, Engine::Des);
+        assert_eq!(run("threaded", "2").unwrap().reservation_depth, 2);
     }
 
     #[test]

@@ -35,7 +35,8 @@ RUN OPTIONS:
   --seed <n>                 performance-mode RNG seed (default 0)
   --workload-file <path>     workload specification JSON
   --timing <mode>            modeled | wallclock          (default modeled)
-  --reservation-depth <n>    PE-level work-queue depth    (default 0)
+  --reservation-depth <n>    PE-level work-queue depth    (default 0;
+                             threaded engine only)
   --iterations <n>           repetitions                  (default 1)
   --json                     print machine-readable JSON
   --trace <path>             write a Chrome/Perfetto trace of the final

@@ -3,8 +3,8 @@
 //! This module makes both engines' runs allocation-free *across* runs,
 //! not just within one.
 //! [`RunScratch`] owns every growable buffer an engine loop touches — the
-//! DES calendar queue, the flat DAG countdowns, the ready list's backing
-//! store and the scheduler's view of it, the completion columns, retry
+//! DES pending-completion set, the flat DAG countdowns, the ready list's
+//! backing store and the scheduler's view of it, the completion columns, retry
 //! and placement staging, and the threaded engine's collected
 //! completions and per-PE in-flight state — and lives inside
 //! [`DesSimulator`] and [`Emulation`], so warm [`JobRunner`] engines,
@@ -18,10 +18,12 @@
 //! reservation for them up front instead of reusing the previous run's
 //! storage.
 //!
-//! Also here: [`CompletionEvent`], the 64-byte POD the calendar queue
-//! carries (ordered by the engine-wide `(time, key, seq)` tie-break);
-//! `Collected`, a completion the threaded engine read from a resource
-//! handler; [`DoneColumns`], struct-of-arrays storage for completed-task
+//! Also here: [`CompletionEvent`], the 64-byte POD the DES schedules
+//! (ordered by the engine-wide `(time, key, seq)` tie-break), and
+//! [`PendingCompletions`], the small unordered set that holds the
+//! in-flight ones — at most one per PE — and drains each due batch in
+//! that order; `Collected`, a completion the threaded engine read from
+//! a resource handler; [`DoneColumns`], struct-of-arrays storage for completed-task
 //! facts that are materialized into [`TaskRecord`]s only if someone reads
 //! the per-task log; [`DenseReady`], the `Arc`-free entry both engines'
 //! ready lists queue; `DagState`, the flat per-run DAG countdowns; and
@@ -38,14 +40,13 @@ use std::time::Duration;
 use dssoc_appmodel::error::ModelError;
 use dssoc_trace::FaultKind;
 
-use crate::calq::{CalendarQueue, Timed};
 use crate::exec::ReadyList;
 use crate::job::CompiledScenario;
 use crate::sched::{Assignment, EstimateBook, PeView};
 use crate::soa::SpecSoa;
 use crate::time::SimTime;
 
-/// A task completion (or fault) scheduled on the DES calendar queue.
+/// A task completion (or fault) the DES holds in [`PendingCompletions`].
 ///
 /// Plain-old-data: the task is identified by `(inst, node)` index pair
 /// rather than an `Arc` handle, so events copy in one move and carry no
@@ -76,8 +77,8 @@ pub(crate) struct CompletionEvent {
 
 impl CompletionEvent {
     /// The shared tie-break. Must stay aligned with the threaded
-    /// engine's completion ordering and the pre-calendar-queue
-    /// `BinaryHeap` event: time first, then task key, then sequence.
+    /// engine's completion ordering: time first, then task key, then
+    /// sequence. `seq` is unique per run, so the order is total.
     fn order_key(&self) -> (SimTime, u32, u32, u64) {
         (self.time, self.inst, self.node, self.seq)
     }
@@ -103,9 +104,73 @@ impl Ord for CompletionEvent {
     }
 }
 
-impl Timed for CompletionEvent {
-    fn time_ns(&self) -> u64 {
-        self.time.0
+/// The DES's in-flight completions and faults, kept unordered with
+/// their earliest time cached.
+///
+/// The DES has no reservation queues: a PE holds at most one attempt in
+/// flight, so the set never holds more events than the platform has PEs
+/// (the push site asserts it). At that size one linear pass over the
+/// set ran faster than a binary heap or a calendar queue on every
+/// `des_throughput` row, 96 PEs included. [`Self::pop_due`] drains a whole
+/// due batch in that pass and sorts it; the `(time, key, seq)` order is
+/// total, so the batch comes out exactly as a heap would pop it.
+/// [`Self::clear`] keeps the capacity, so warm runs never reallocate.
+#[derive(Debug)]
+pub(crate) struct PendingCompletions {
+    events: Vec<CompletionEvent>,
+    /// Earliest queued time (`u64::MAX` when empty).
+    min_ns: u64,
+}
+
+impl Default for PendingCompletions {
+    fn default() -> Self {
+        PendingCompletions { events: Vec::new(), min_ns: u64::MAX }
+    }
+}
+
+impl PendingCompletions {
+    /// Queues an event.
+    pub fn push(&mut self, ev: CompletionEvent) {
+        self.min_ns = self.min_ns.min(ev.time.0);
+        self.events.push(ev);
+    }
+
+    /// Number of queued events.
+    pub fn len(&self) -> usize {
+        self.events.len()
+    }
+
+    /// Empties the set, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.events.clear();
+        self.min_ns = u64::MAX;
+    }
+
+    /// The earliest queued time, or `None` when empty.
+    pub fn peek_time(&self) -> Option<SimTime> {
+        (!self.events.is_empty()).then_some(SimTime(self.min_ns))
+    }
+
+    /// Moves every event due by `now` into `out`, in `(time, key, seq)`
+    /// order.
+    pub fn pop_due(&mut self, now: SimTime, out: &mut Vec<CompletionEvent>) {
+        if self.min_ns > now.0 {
+            return;
+        }
+        let mark = out.len();
+        let mut min_ns = u64::MAX;
+        let mut i = 0;
+        while i < self.events.len() {
+            let t = self.events[i].time.0;
+            if t <= now.0 {
+                out.push(self.events.swap_remove(i));
+            } else {
+                min_ns = min_ns.min(t);
+                i += 1;
+            }
+        }
+        self.min_ns = min_ns;
+        out[mark..].sort_unstable();
     }
 }
 
@@ -361,8 +426,8 @@ pub(crate) struct RunScratch {
     pub dag: DagState,
     /// Completed-task columns, materialized to records at end of run.
     pub done: DoneColumns,
-    /// DES: the completion event calendar queue.
-    pub events: CalendarQueue<CompletionEvent>,
+    /// DES: the in-flight completions and faults.
+    pub events: PendingCompletions,
     /// DES: same-timestamp batch drained from `events` each iteration.
     pub due: Vec<CompletionEvent>,
     /// Threaded engine: completions collected from the handlers, not
@@ -397,7 +462,7 @@ impl Default for RunScratch {
         RunScratch {
             dag: DagState::default(),
             done: DoneColumns::default(),
-            events: CalendarQueue::new(),
+            events: PendingCompletions::default(),
             due: Vec::new(),
             collected: Vec::new(),
             ready_at: Vec::new(),
@@ -451,6 +516,9 @@ impl RunScratch {
 mod tests {
     use super::*;
     use crate::time::SimTime;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
 
     fn ev(time: u64, inst: u32, node: u32, seq: u64) -> CompletionEvent {
         CompletionEvent {
@@ -474,8 +542,7 @@ mod tests {
     }
 
     /// Event ordering ignores payload fields — only the shared
-    /// `(time, key, seq)` tie-break participates, exactly like the old
-    /// heap event.
+    /// `(time, key, seq)` tie-break participates.
     #[test]
     fn event_order_is_time_key_seq() {
         let mut events =
@@ -528,8 +595,8 @@ mod tests {
         scratch.put(views);
     }
 
-    /// reset() keeps capacity on every buffer — the across-runs
-    /// allocation-free guarantee.
+    /// reset() keeps capacity on every buffer, the pending-completion
+    /// set's included — the across-runs allocation-free guarantee.
     #[test]
     fn reset_retains_capacity() {
         let mut s = RunScratch::default();
@@ -542,16 +609,189 @@ mod tests {
         }
         s.due.push(ev(1, 0, 0, 0));
         s.assignments.push(Assignment { ready_idx: 0, pe: dssoc_platform::pe::PeId(0) });
-        let caps = (s.dag.inst_base.capacity(), s.due.capacity(), s.done.inst.capacity());
+        let caps = |s: &RunScratch| {
+            [
+                s.dag.inst_base.capacity(),
+                s.due.capacity(),
+                s.done.inst.capacity(),
+                s.events.events.capacity(),
+            ]
+        };
+        let before = caps(&s);
         s.reset();
         assert_eq!(s.dag.inst_base.len(), 0);
         assert_eq!(s.done.len(), 0);
-        assert!(s.events.is_empty());
-        assert_eq!((s.dag.inst_base.capacity(), s.due.capacity(), s.done.inst.capacity()), caps);
+        assert_eq!(s.events.peek_time(), None);
+        assert_eq!(caps(&s), before);
         // Refill after reset: still works, no stale state.
         s.events.push(ev(3, 1, 1, 0));
         s.events.push(ev(2, 0, 0, 1));
-        assert_eq!(s.events.pop_min().map(|e| e.time.0), Some(2));
-        assert_eq!(s.events.pop_min().map(|e| e.time.0), Some(3));
+        let mut out = Vec::new();
+        s.events.pop_due(SimTime(2), &mut out);
+        s.events.pop_due(SimTime(3), &mut out);
+        assert_eq!(out.iter().map(|e| e.time.0).collect::<Vec<_>>(), [2, 3]);
+    }
+
+    /// An event at `time` whose task key and seq vary with `seq`.
+    fn keyed(time: u64, seq: u64) -> CompletionEvent {
+        ev(time, seq as u32 % 3, seq as u32 % 5, seq)
+    }
+
+    /// Everything queued, drained in one batch.
+    fn drain(set: &mut PendingCompletions) -> Vec<CompletionEvent> {
+        let mut out = Vec::new();
+        set.pop_due(SimTime(u64::MAX), &mut out);
+        out
+    }
+
+    #[test]
+    fn pending_pops_in_time_then_tiebreak_order() {
+        let mut set = PendingCompletions::default();
+        for (t, s) in [(50u64, 0u64), (10, 1), (50, 2), (10, 3), (7, 4)] {
+            set.push(keyed(t, s));
+        }
+        assert_eq!(set.len(), 5);
+        assert_eq!(set.peek_time(), Some(SimTime(7)));
+        let got: Vec<_> = drain(&mut set).iter().map(|e| (e.time.0, e.seq)).collect();
+        // Same-timestamp ties resolved by the full Ord (key, then seq).
+        let mut want = [(50u64, 0u64), (10, 1), (50, 2), (10, 3), (7, 4)];
+        want.sort_by_key(|&(t, s)| (t, (s as u32 % 3, s as u32 % 5), s));
+        assert_eq!(got, want);
+        assert_eq!(set.peek_time(), None);
+    }
+
+    #[test]
+    fn pending_pop_due_batches_whole_timestamps() {
+        let mut set = PendingCompletions::default();
+        for s in 0..6 {
+            set.push(keyed(100, s));
+        }
+        set.push(keyed(101, 6));
+        set.push(keyed(5_000_000, 7));
+        let mut out = Vec::new();
+        set.pop_due(SimTime(100), &mut out);
+        assert_eq!(out.len(), 6, "all six t=100 events in one batch");
+        assert!(out.iter().all(|e| e.time.0 == 100));
+        set.pop_due(SimTime(99), &mut out);
+        assert_eq!(out.len(), 6, "nothing newly due");
+        set.pop_due(SimTime(200), &mut out);
+        assert_eq!(out.last().map(|e| e.time.0), Some(101));
+        assert_eq!(set.len(), 1);
+        assert_eq!(set.peek_time(), Some(SimTime(5_000_000)));
+    }
+
+    #[test]
+    fn pending_out_of_order_push_lowers_the_min() {
+        let mut set = PendingCompletions::default();
+        set.push(keyed(1000, 0));
+        let mut out = Vec::new();
+        set.pop_due(SimTime(1000), &mut out);
+        assert_eq!(out.len(), 1);
+        // Push below the last drained time: still retrievable, first.
+        set.push(keyed(2000, 2));
+        set.push(keyed(10, 1));
+        assert_eq!(set.peek_time(), Some(SimTime(10)));
+        assert_eq!(drain(&mut set).iter().map(|e| e.seq).collect::<Vec<_>>(), [1, 2]);
+    }
+
+    #[test]
+    fn pending_matches_heap_across_wide_spreads() {
+        // Times spanning ns to seconds, drained in ~7 ms steps.
+        let mut x = 0x9e3779b97f4a7c15u64;
+        let pushes: Vec<_> = (0..500)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                Op::Push { delta: x % 3_000_000_000 }
+            })
+            .collect();
+        let drains = (0..430).map(|_| Op::Due { ahead: 7_000_001 });
+        check_against_heap(pushes.into_iter().chain(drains).chain([Op::Due { ahead: u64::MAX }]));
+    }
+
+    /// One op of the differential driver below.
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// Push an event at `clock + delta` (a dispatch or a fault-retry
+        /// re-insertion — both land at or after the clock).
+        Push { delta: u64 },
+        /// Drain everything due within `ahead` of the clock (the
+        /// batched same-timestamp path).
+        Due { ahead: u64 },
+    }
+
+    fn op_strategy() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            // Tiny deltas make same-timestamp collisions common.
+            (0u64..4).prop_map(|delta| Op::Push { delta }),
+            (0u64..1_000_000).prop_map(|delta| Op::Push { delta }),
+            (0u64..8).prop_map(|ahead| Op::Due { ahead }),
+        ]
+    }
+
+    /// Drives `ops` against the set and `BinaryHeap<Reverse<_>>`: every
+    /// drained batch must equal the heap's pops up to the same time,
+    /// and the earliest queued times must agree after every op.
+    fn check_against_heap(ops: impl IntoIterator<Item = Op>) {
+        let mut set = PendingCompletions::default();
+        let mut heap: BinaryHeap<Reverse<CompletionEvent>> = BinaryHeap::new();
+        let mut clock = 0u64; // the DES clock analogue
+        let mut seq = 0u64;
+        for op in ops {
+            match op {
+                Op::Push { delta } => {
+                    let e = keyed(clock.saturating_add(delta), seq);
+                    seq += 1;
+                    set.push(e);
+                    heap.push(Reverse(e));
+                }
+                Op::Due { ahead } => {
+                    let now = clock.saturating_add(ahead);
+                    let mut got = Vec::new();
+                    set.pop_due(SimTime(now), &mut got);
+                    let mut want = Vec::new();
+                    while heap.peek().is_some_and(|Reverse(e)| e.time.0 <= now) {
+                        want.push(heap.pop().map(|Reverse(e)| e).expect("peeked"));
+                    }
+                    assert_eq!(got, want, "batched drain must equal heap pops");
+                    if let Some(e) = got.last() {
+                        clock = clock.max(e.time.0);
+                    }
+                }
+            }
+            assert_eq!(set.len(), heap.len());
+            assert_eq!(set.peek_time(), heap.peek().map(|Reverse(e)| e.time));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        /// Drain order ≡ `BinaryHeap<Reverse<_>>` pop order on the
+        /// shared `(time, key, seq)` tie-break, under arbitrary
+        /// interleavings of pushes (including retry-style re-insertions
+        /// after drains) and batched draining.
+        #[test]
+        #[cfg_attr(miri, ignore)] // exhaustive cases are too slow under miri
+        fn pending_matches_binary_heap(ops in proptest::collection::vec(op_strategy(), 1..120)) {
+            check_against_heap(ops);
+        }
+    }
+
+    /// A miri-sized deterministic version of the differential above, so
+    /// the nightly miri pass still exercises push and drain.
+    #[test]
+    fn pending_matches_binary_heap_smoke() {
+        let mut x = 42u64;
+        let ops = (0..300).map(|_| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let r = x >> 33;
+            if r.is_multiple_of(3) {
+                Op::Due { ahead: r % 5 }
+            } else {
+                Op::Push { delta: r % 7 }
+            }
+        });
+        check_against_heap(ops.chain([Op::Due { ahead: u64::MAX }]));
     }
 }

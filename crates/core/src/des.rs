@@ -24,15 +24,15 @@
 //! redundant work per event — for every run, whatever observers, fault
 //! plan or policy are attached:
 //!
-//! * the event queue is a [`CalendarQueue`](crate::calq::CalendarQueue)
-//!   of plain-old-data [`CompletionEvent`]s, drained in same-timestamp
-//!   batches (`pop_due`) under the engines' shared tie-break `(time,
-//!   completions-before-arrivals, task key, seq)` — amortized O(1) per
-//!   event against the heap's O(log n), with the rank enforced
-//!   structurally by draining completions before the arrival cursor at
-//!   each clock value. Arrivals are known up front and drained from a
-//!   sorted cursor, so the queue only ever holds in-flight completions
-//!   (at most one per PE);
+//! * pending events are plain-old-data [`CompletionEvent`]s in one
+//!   small unordered set, [`PendingCompletions`], that caches its
+//!   earliest time. Arrivals are known up front and drained from a
+//!   sorted cursor, so the set only ever holds in-flight completions and
+//!   faults — at most one per PE. Each clock value drains its whole due
+//!   batch in one pass plus a sort, under the engines' shared tie-break
+//!   `(time, completions-before-arrivals, task key, seq)`, with the rank
+//!   enforced structurally by draining completions before the arrival
+//!   cursor;
 //! * scenario state is struct-of-arrays ([`ScenarioSoa`]): per-spec
 //!   dense slabs hold the modeled cost (ns), estimate slot, and runfunc
 //!   name per `(node, PE)` pair — one array probe each, with an
@@ -71,6 +71,7 @@
 //!   into a reused buffer ([`Scheduler::schedule_into`]).
 //!
 //! [`TaskRecord`]: crate::stats::TaskRecord
+//! [`PendingCompletions`]: crate::arena::PendingCompletions
 //! [`CostTable`]: dssoc_platform::cost::CostTable
 //! [`OverheadMode::None`]: crate::engine::OverheadMode::None
 //! [`TimingMode::Modeled`]: crate::engine::TimingMode::Modeled
@@ -355,12 +356,12 @@ impl DesSimulator {
                 break 'run Err(EmuError::Canceled);
             }
             // Drain everything due at the current clock first, in one
-            // same-window batch. The batch comes out in full `Ord` order,
+            // batch. The batch comes out in full `Ord` order,
             // so tie order matches the threaded engine: completions
             // before arrivals, completions in (instance, node, seq)
             // order, arrivals in instantiation order.
             due.clear();
-            events.pop_due(clock.0, due);
+            events.pop_due(clock, due);
             for ev in due.iter() {
                 let id = InstanceId(ev.inst as u64);
                 let node_idx = ev.node as usize;
@@ -466,6 +467,7 @@ impl DesSimulator {
                         }
                     }
                     p.slots.occupy(pe, finish);
+                    debug_assert!(events.len() < pe_ids.len(), "one event in flight per PE");
                     events.push(CompletionEvent {
                         time: finish,
                         inst: e.inst,
@@ -487,7 +489,7 @@ impl DesSimulator {
 
             // Advance to the next event (completion, arrival, or retry
             // release).
-            let next_completion = events.peek_time().map(SimTime);
+            let next_completion = events.peek_time();
             let next_arr = arrivals.get(next_arrival).map(|a| SimTime(a.at_ns));
             let next_retry = retries.iter().map(|r| r.release).min();
             match next_completion.into_iter().chain(next_arr).chain(next_retry).min() {

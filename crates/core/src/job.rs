@@ -251,7 +251,8 @@ pub struct ScenarioSpec {
     pub overhead: OverheadMode,
     /// Cost specification (see [`CostSpec`]).
     pub cost: CostSpec,
-    /// PE-level reservation-queue depth (threaded engine only).
+    /// PE-level reservation-queue depth (threaded engine only; the DES
+    /// refuses a depth above 0, see [`Self::check_engine`]).
     pub reservation_depth: usize,
     /// Optional deterministic fault-injection spec; its `seed` is the
     /// scenario's seed.
@@ -274,20 +275,28 @@ impl ScenarioSpec {
         ScenarioKey::of(self).fingerprint()
     }
 
-    /// `Err` when `engine` cannot run this scenario. The one such rule:
-    /// the DES measures no kernel, so it refuses
-    /// [`CostSpec::ScaledMeasured`], under which every task would cost
-    /// zero. The DES's run entry enforces it; the serve API checks it
-    /// when parsing, to refuse such a job up front.
+    /// `Err` when `engine` cannot run this scenario. The DES refuses two
+    /// things it cannot model: [`CostSpec::ScaledMeasured`], since it
+    /// measures no kernel and every task would cost zero, and a
+    /// reservation depth above 0, since its PEs have no reservation
+    /// queues and the run would silently be a depth-0 run. The DES's run
+    /// entry enforces this; the serve API checks it when parsing, to
+    /// refuse such a job up front.
     pub fn check_engine(&self, engine: Engine) -> Result<(), EmuError> {
-        match (engine, &self.cost) {
-            (Engine::Des, CostSpec::ScaledMeasured) => Err(EmuError::Config(
+        let refused = match (engine, &self.cost, self.reservation_depth) {
+            (Engine::Threaded, ..) => return Ok(()),
+            (Engine::Des, CostSpec::ScaledMeasured, _) => {
                 "cost 'measured' needs the threaded engine: the DES measures no kernel, so \
                  every task would cost zero (use \"cost\": \"table\")"
-                    .into(),
-            )),
-            _ => Ok(()),
-        }
+                    .to_string()
+            }
+            (Engine::Des, _, 0) => return Ok(()),
+            (Engine::Des, _, depth) => format!(
+                "reservation depth {depth} needs the threaded engine: DES PEs have no \
+                 reservation queues (use depth 0)"
+            ),
+        };
+        Err(EmuError::Config(refused))
     }
 
     /// True when a run of this scenario on `engine` with its named
@@ -1415,6 +1424,27 @@ mod tests {
             .unwrap();
         assert_eq!(spec.scheduler, "frfs");
         assert_eq!(spec.platform.name, "zcu102-1C+0F");
+    }
+
+    /// The DES models no reservation queues: a spec asking for one is
+    /// refused by the check and by the run entry, never run at depth 0.
+    #[test]
+    fn des_refuses_a_reservation_depth() {
+        let spec = ScenarioSpec::builder()
+            .library(Arc::new(AppLibrary::new()))
+            .workload(Arc::new(Workload::default()))
+            .platform_named("zcu102:1C+0F")
+            .cost(CostSpec::table(CostTable::new()))
+            .reservation_depth(2)
+            .build()
+            .unwrap();
+        assert!(spec.check_engine(Engine::Threaded).is_ok());
+        let refused = "reservation depth 2 needs the threaded engine";
+        let err = spec.check_engine(Engine::Des).unwrap_err();
+        assert!(err.to_string().contains(refused), "{err}");
+        let scenario = CompiledScenario::compile(spec).unwrap();
+        let err = JobRunner::new().run(&scenario, Engine::Des).unwrap_err();
+        assert!(err.to_string().contains(refused), "{err}");
     }
 
     #[test]

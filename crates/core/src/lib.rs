@@ -21,7 +21,7 @@
 //! | [`sched`] | §II-C | FRFS, MET, EFT, RANDOM + `Scheduler` trait |
 //! | [`stats`] | §III | run summary (task/app records, utilization, overhead); instance images |
 //! | [`des`] | §III-D | discrete-event baseline (DS3-class) |
-//! | [`calq`], [`arena`], [`soa`] | — | DES hot-loop core: calendar queue, warm scratch arena, SoA scenario state |
+//! | [`arena`], [`soa`] | — | DES hot-loop core: warm scratch arena with the pending-completion set, SoA scenario state |
 //! | [`job`] | — | Arc-shared scenario specs, compile-once scenarios, fingerprints, `JobRunner`, result cache |
 //! | [`sweep`] | §III | one batch sweep runner over config × scheduler × workload grids, on either engine |
 //! | [`task`], [`time`] | — | task and emulation-clock primitives |
@@ -77,7 +77,6 @@
 //! [`Emulation::run_with_images`], which nothing caches.
 
 pub mod arena;
-pub mod calq;
 pub mod des;
 pub mod engine;
 pub mod exec;
@@ -94,7 +93,6 @@ pub mod sweep;
 pub mod task;
 pub mod time;
 
-pub use calq::{CalendarQueue, Timed};
 pub use soa::{ScenarioSoa, INCOMPATIBLE};
 
 pub use des::{DesConfig, DesSimulator};

@@ -475,9 +475,10 @@ fn plain_and_by_value_entries_answer_only_their_own_lookups() {
 }
 
 /// The scenario of [`deterministic_spec`] with a transient-fault plan
-/// and one reserved task per PE, so retries, fault counters and
-/// reservation dispatch all reach the summary.
-fn faulted_reserved_spec() -> ScenarioSpec {
+/// and `reservation_depth` reserved tasks per PE, so retries, fault
+/// counters and (on the threaded engine) reservation dispatch all reach
+/// the summary.
+fn faulted_spec(reservation_depth: usize) -> ScenarioSpec {
     build_spec(&Params {
         cores: 2,
         ffts: 1,
@@ -487,7 +488,7 @@ fn faulted_reserved_spec() -> ScenarioSpec {
         overhead: 2,
         fixed_us: 3,
         table_us: 100,
-        reservation_depth: 1,
+        reservation_depth,
         fault_seed: Some(7),
     })
 }
@@ -510,34 +511,39 @@ fn direct_run(scenario: &Arc<CompiledScenario>, engine: Engine) -> EmulationStat
 
 /// A job result, on a miss and on a hit, is exactly the summary of a
 /// direct engine run of the same compiled scenario, on both engines,
-/// with a fault plan and reservation depth 1. The direct run's records
-/// back the summary's counts: one task per record, and each app's task
-/// count is its records'.
+/// bare and with a fault plan. The faulted threaded run also reserves
+/// one task per PE; the DES models no reservation queues, so its faulted
+/// run is at depth 0. The direct run's records back the summary's
+/// counts: one task per record, and each app's task count is its
+/// records'.
 #[test]
 fn a_job_result_is_the_summary_of_a_direct_run() {
-    for spec in [deterministic_spec(), faulted_reserved_spec()] {
+    let runs = [
+        (deterministic_spec(), Engine::Des),
+        (deterministic_spec(), Engine::Threaded),
+        (faulted_spec(0), Engine::Des),
+        (faulted_spec(1), Engine::Threaded),
+    ];
+    for (spec, engine) in runs {
         let scenario = CompiledScenario::compile(spec).expect("compile");
-        for engine in [Engine::Des, Engine::Threaded] {
-            let full = direct_run(&scenario, engine);
-            let mut per_app = std::collections::BTreeMap::<String, usize>::new();
-            for t in full.tasks.iter() {
-                *per_app.entry(t.app.to_string()).or_default() += 1;
-            }
-            assert_eq!(per_app.values().sum::<usize>(), full.tasks.len());
-            let want = stats_skeleton(&full.into_summary());
-            let counted: Vec<_> =
-                want.per_app.iter().map(|(a, agg)| (a.clone(), agg.tasks)).collect();
-            assert_eq!(counted, per_app.into_iter().collect::<Vec<_>>(), "{engine:?}");
-
-            let mut jobs = JobRunner::new();
-            let miss = jobs.run(&scenario, engine).expect("miss");
-            let hit = jobs.run(&scenario, engine).expect("hit");
-            assert!(!miss.cached && hit.cached, "{engine:?}");
-            assert_eq!(stats_skeleton(&miss.stats), want, "{engine:?}: miss");
-            assert_eq!(stats_skeleton(&hit.stats), want, "{engine:?}: hit");
+        let full = direct_run(&scenario, engine);
+        let mut per_app = std::collections::BTreeMap::<String, usize>::new();
+        for t in full.tasks.iter() {
+            *per_app.entry(t.app.to_string()).or_default() += 1;
         }
+        assert_eq!(per_app.values().sum::<usize>(), full.tasks.len());
+        let want = stats_skeleton(&full.into_summary());
+        let counted: Vec<_> = want.per_app.iter().map(|(a, agg)| (a.clone(), agg.tasks)).collect();
+        assert_eq!(counted, per_app.into_iter().collect::<Vec<_>>(), "{engine:?}");
+
+        let mut jobs = JobRunner::new();
+        let miss = jobs.run(&scenario, engine).expect("miss");
+        let hit = jobs.run(&scenario, engine).expect("hit");
+        assert!(!miss.cached && hit.cached, "{engine:?}");
+        assert_eq!(stats_skeleton(&miss.stats), want, "{engine:?}: miss");
+        assert_eq!(stats_skeleton(&hit.stats), want, "{engine:?}: hit");
     }
-    let r = direct_run(&CompiledScenario::compile(faulted_reserved_spec()).unwrap(), Engine::Des);
+    let r = direct_run(&CompiledScenario::compile(faulted_spec(0)).unwrap(), Engine::Des);
     assert!(r.reliability.faults_injected > 0, "the fault plan fires: {:?}", r.reliability);
 }
 

@@ -301,7 +301,8 @@ fn warm_pool_learned_estimates_match_cold_runs() {
 /// platform. Each deterministic result equals a cold runner's; the
 /// host-measured ones (wall-clock timing, measured overhead or
 /// scaled-measured cost) run every task, except that the DES, which
-/// measures nothing, refuses a scaled-measured cost. The platform keeps
+/// measures nothing and models no reservation queues, refuses a
+/// scaled-measured cost and a reservation depth above 0. The platform keeps
 /// one warm engine per kind, and the threaded one spawns its threads
 /// once.
 #[test]
@@ -339,7 +340,7 @@ fn one_warm_engine_per_kind_alternates_every_knob() {
         let what = format!("step {step}: {timing:?}/{overhead:?}/{cost:?}/depth {depth}");
         for engine in [Engine::Threaded, Engine::Des] {
             let spawned = threads_spawned_total();
-            if engine == Engine::Des && matches!(cost, CostSpec::ScaledMeasured) {
+            if engine == Engine::Des && (matches!(cost, CostSpec::ScaledMeasured) || depth > 0) {
                 let err = warm.run(&scenario, engine).expect_err(&what);
                 assert!(err.to_string().contains("needs the threaded engine"), "{what}: {err}");
                 continue;

@@ -25,8 +25,9 @@
 //! Engine defaults keep the common cases deterministic-and-cacheable:
 //! DES jobs get a table cost and no overhead charge unless overridden
 //! (a DES job may not ask for `"cost": "measured"`: it measures no
-//! kernel, so every task would cost zero — the core's
-//! `ScenarioSpec::check_engine` rule, checked here to refuse the job);
+//! kernel, so every task would cost zero; nor for a `"reservation_depth"`
+//! above 0: its PEs have no reservation queues — the core's
+//! `ScenarioSpec::check_engine` rules, checked here to refuse the job);
 //! threaded jobs default to the paper's measured configuration
 //! (modeled timing, measured overhead, scaled-measured cost) and
 //! become cacheable only when the client pins `"cost": "table"` and a
@@ -484,6 +485,10 @@ mod tests {
             (
                 br#"{"engine": "des", "platform": "zcu102:2C+1F", "validation": {"wifi_tx": 2}, "cost": "measured"}"#,
                 "needs the threaded engine",
+            ),
+            (
+                br#"{"engine": "des", "platform": "zcu102:2C+1F", "validation": {"wifi_tx": 2}, "reservation_depth": 2}"#,
+                "reservation depth 2 needs the threaded engine",
             ),
         ];
         for (body, needle) in cases {

@@ -211,6 +211,14 @@ fn bad_submissions_get_one_line_json_errors() {
     assert_eq!(bad.status, 400);
     let v: Value = serde_json::from_str(&bad.body).expect("error body is JSON");
     assert!(v["error"].as_str().unwrap().contains("missing workload"), "{v:?}");
+    // The DES models no reservation queues: a depth is refused, not
+    // run at depth 0.
+    let reserved = DES_JOB.replace("\"engine\"", "\"reservation_depth\": 2, \"engine\"");
+    let bad = post_job(addr, "alice", &reserved);
+    assert_eq!(bad.status, 400, "{}", bad.body);
+    let v: Value = serde_json::from_str(&bad.body).expect("error body is JSON");
+    let error = v["error"].as_str().unwrap();
+    assert!(error.contains("reservation depth 2 needs the threaded engine"), "{v:?}");
     let missing = request(addr, "GET", "/jobs/424242", &[], None).unwrap();
     assert_eq!(missing.status, 404);
     d.shutdown();
