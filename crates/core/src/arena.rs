@@ -681,6 +681,25 @@ mod tests {
     }
 
     #[test]
+    fn pending_clear_retains_and_reuses() {
+        let mut set = PendingCompletions::default();
+        for s in 0..100 {
+            set.push(keyed(s * 997, s));
+        }
+        let cap = set.events.capacity();
+        set.clear();
+        assert_eq!(set.len(), 0);
+        assert_eq!(set.peek_time(), None);
+        assert_eq!(set.events.capacity(), cap, "clear keeps the allocation");
+        // Reuse after clear behaves like new: the old minimum is gone.
+        set.push(keyed(3, 0));
+        set.push(keyed(1, 1));
+        assert_eq!(set.peek_time(), Some(SimTime(1)));
+        let times: Vec<_> = drain(&mut set).iter().map(|e| e.time.0).collect();
+        assert_eq!(times, [1, 3]);
+    }
+
+    #[test]
     fn pending_out_of_order_push_lowers_the_min() {
         let mut set = PendingCompletions::default();
         set.push(keyed(1000, 0));
